@@ -38,7 +38,7 @@ from .numtheory import (
 )
 from .orderfinder import OrderResult, TrialCounter, find_order
 from .sampler import RandomSource, ReadoutSampler
-from .transcript import from_jsonl, render_text, to_jsonl
+from .transcript import TranscriptError, from_jsonl, render_text, to_jsonl
 
 __version__ = "0.1.0"
 
@@ -56,6 +56,7 @@ __all__ = [
     "ReadoutSampler",
     "SharedFactorHit",
     "ThetaGeometry",
+    "TranscriptError",
     "TrialCounter",
     "aux_qubits",
     "convergents",

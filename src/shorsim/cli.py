@@ -165,12 +165,18 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None) -> bool:
+    """Print text, or write it to the file out; False once a write fails."""
     if out is None:
         print(text)
-    else:
+        return True
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    except OSError as exc:
+        _fail(f"shorsim: cannot write {out}: {exc.strerror or exc}")
+        return False
+    return True
 
 
 def cmd_factor(args: argparse.Namespace) -> int:
@@ -188,9 +194,11 @@ def cmd_factor(args: argparse.Namespace) -> int:
     except (InputTooLarge, ValueError) as exc:
         return _fail(f"shorsim: {exc}")
     if args.format == "jsonl":
-        _emit(to_jsonl(history), args.out)
+        text = to_jsonl(history)
     else:
-        _emit("\n".join(render_text(history)), args.out)
+        text = "\n".join(render_text(history))
+    if not _emit(text, args.out):
+        return 2
     return 0 if history.succeeded else 1
 
 
@@ -246,8 +254,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
     out_lines = [header]
     for row in rows:
         out_lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    _emit("\n".join(out_lines), args.out)
-    return 0
+    return 0 if _emit("\n".join(out_lines), args.out) else 2
 
 
 def _bench_one(task: tuple) -> FactoringHistory:
@@ -321,8 +328,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"{n},{qubits},{index % args.runs},{seed},{history.elapsed!r},"
                 f"{history.total_trials},{outcome},{f1},{f2}"
             )
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        return 0 if _emit("\n".join(lines), args.out) else 2
     return 0
 
 

@@ -126,16 +126,10 @@ def factor(
     *,
     max_trials: int = 100,
     order_ceiling: int | str | None = "sqrt",
-    tail_threshold: float = 1e-12,
 ) -> FactoringHistory:
     """Factor n through a full simulated session. See FactoringParams.build."""
     params = FactoringParams.build(
-        n,
-        qubits,
-        seed,
-        max_trials=max_trials,
-        order_ceiling=order_ceiling,
-        tail_threshold=tail_threshold,
+        n, qubits, seed, max_trials=max_trials, order_ceiling=order_ceiling
     )
     return run_session(params)
 
@@ -171,7 +165,7 @@ def run_session(params: FactoringParams) -> FactoringHistory:
             factors = pair
             break
         y, true_order = choice
-        sampler = ReadoutSampler(y, true_order, params.q, params.tail_threshold)
+        sampler = ReadoutSampler(y, true_order, params.q)
         trials = find_order(y, params, sampler, rng, counter)
         if not trials or not trials[-1].verified:
             attempts.append(

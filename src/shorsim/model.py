@@ -1,20 +1,23 @@
 """Register sizing and the exact readout-probability model.
 
 A work register of L qubits has q = 2**L basis states. When the hidden
-order of the base y mod N is r, a measurement of the work register
-returns readout c with probability
+order of the base y mod N is r, the register values a in [0, q) fall
+into r residue classes mod r: s = q mod r classes of A0 + 1 values and
+r - s classes of A0 values, where A0 = q // r. Measuring the work
+register returns readout c with probability (Shor 1997, section 5)
 
-    P(c) = (r / q**2) * sin(theta_c * q / (2 r))**2 / sin(theta_c / 2)**2
+    P(c) = [s sin(pi (A0+1) d/q)**2 + (r-s) sin(pi A0 d/q)**2]
+           / (q**2 sin(pi d/q)**2)
 
-where theta_c = 2 pi (r c - m_c q) / q and m_c q is the multiple of q
-nearest to r c. The residual d = r c - m_c q is kept in exact integer
-arithmetic: r c overflows the 53-bit float mantissa long before the
-angles involved become small, so rounding r c / q in floats would place
-whole peaks on the wrong readout.
-
-Limits of the formula are taken exactly: P = 1/r where theta_c = 0, and
-P = 0 wherever d is a nonzero multiple of r (everywhere off the peaks
-when r divides q).
+where d = r c - m_c q and m_c q is the multiple of q nearest to r c. At
+d = 0 the limit is P = (s (A0+1)**2 + (r-s) A0**2) / q**2, which is 1/r
+when r divides q. The products A d are reduced mod q in exact integer
+arithmetic before any sine is taken: r c and A d overflow the 53-bit
+float mantissa long before the angles involved become small, so
+rounding them in floats would place whole peaks on the wrong readout.
+A sine whose argument reduces to a multiple of pi is exactly zero, so
+when r divides q every readout off the r peaks has P = 0 exactly; for
+any other order every readout has P > 0.
 """
 
 from __future__ import annotations
@@ -81,7 +84,6 @@ class FactoringParams:
     max_trials: int = 100
     order_ceiling: int | None = None
     seed: int = 0
-    tail_threshold: float = 1e-12
 
     @classmethod
     def build(
@@ -92,7 +94,6 @@ class FactoringParams:
         *,
         max_trials: int = 100,
         order_ceiling: int | str | None = "sqrt",
-        tail_threshold: float = 1e-12,
     ) -> "FactoringParams":
         """Validate inputs and derive the register sizes.
 
@@ -119,8 +120,6 @@ class FactoringParams:
             seed = secrets.randbits(64)
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if not 0.0 <= tail_threshold < 1.0:
-            raise ValueError("tail_threshold must be in [0, 1)")
         return cls(
             n=n,
             qubits=qubits,
@@ -129,7 +128,6 @@ class FactoringParams:
             max_trials=max_trials,
             order_ceiling=ceiling,
             seed=seed,
-            tail_threshold=tail_threshold,
         )
 
 
@@ -164,16 +162,20 @@ def theta(c: int, r: int, q: int) -> ThetaGeometry:
 def prob(c: int, r: int, q: int) -> float:
     """Probability of measuring readout c when the hidden order is r."""
     _check_cr(c, r, q)
-    m, d = _offset(c, r, q)
+    _, d = _offset(c, r, q)
+    a0, s = divmod(q, r)
     if d == 0:
-        return 1.0 / r
-    if d % r == 0:
-        return 0.0
-    # |d| <= q/2 keeps the denominator argument in [-pi/2, pi/2]; the
-    # numerator argument is reduced mod 2r before the division.
-    num = math.sin(math.pi * ((d % (2 * r)) / r))
-    den = math.sin(math.pi * (d / q))
-    return (r / (q * q)) * (num * num) / (den * den)
+        return (s * (a0 + 1) ** 2 + (r - s) * a0 * a0) / (q * q)
+    num = s * _sin_squared((a0 + 1) * d, q) + (r - s) * _sin_squared(a0 * d, q)
+    return num / (q * q * _sin_squared(d, q))
+
+
+def _sin_squared(x: int, q: int) -> float:
+    """sin(pi * x / q)**2, with x folded exactly into [0, q/2] first."""
+    x %= q
+    if 2 * x > q:
+        x = q - x
+    return math.sin(math.pi * (x / q)) ** 2
 
 
 def _check_cr(c: int, r: int, q: int) -> None:

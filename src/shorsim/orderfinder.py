@@ -1,6 +1,6 @@
 """One simulated order-finding session for a fixed base y.
 
-Each trial measures the work register (through the lazy sampler),
+Each trial measures the work register (through the readout sampler),
 extracts a candidate order as the denominator of the best convergent of
 c / q below the modulus, and verifies the candidate by modular
 exponentiation. The candidate is accepted as soon as y**candidate == 1

@@ -1,26 +1,41 @@
-"""Readout sampling through lazily built probability bins.
+"""Exact readout sampling by rejection from a fixed envelope.
 
-Enumerating all q = 2**L readout probabilities up front is hopeless at
-the register sizes where factoring is interesting (q ~ N**2), so bins
-are built only as far as each uniform draw requires: first the r
-dominant readouts in descending probability, then rings of neighbors at
-growing distance from those peaks, wrapping mod q. Ring expansion stops
-once a whole ring carries less mass than the tail threshold or the ring
-radius passes the midpoint between peaks; whatever probability remains
-is spread uniformly over the readouts never binned. Bins built for one
-draw are kept for the next, so a subcycle of several trials pays the
-construction cost once.
+Enumerating the q = 2**L readout probabilities is hopeless at the
+register sizes where factoring is interesting (q ~ N**2), so readouts
+are drawn by rejection sampling (Devroye 1986, Non-Uniform Random
+Variate Generation, II.3) and no table is ever built.
+
+The readouts split into r cells, one per peak m in [0, r): cell m holds
+the readouts whose nearest multiple of q/r is m*q/r, centred on the
+dominant readout c_m; cell 0 wraps round mod q. Readout c_m + delta has
+phasor residual d = e_m + r*delta with |e_m| <= r/2, so
+|d| >= r*(|delta| - 1/2), and with A the larger residue-class size
+ceil(q/r) and beta = 1 - 4/pi**2 (the largest excess of 1/sin(x)**2 over
+1/x**2 on |x| <= pi/2)
+
+    q**2 * P(c) / r <= min(A**2, q**2 / (pi**2 * d**2) + beta).
+
+A proposal picks m uniformly and an offset delta from a mixture lying
+above that bound: a point mass at 0, a pair at +-1, a tail at
+|delta| = k >= 2 with weight proportional to 1/(k*(k-1)), and a flat
+part of height beta over every offset a cell can reach. A proposal
+outside m's cell is rejected; one inside is accepted with probability
+q**2 * P(c) / r over the envelope. A draw takes about two proposals when
+r is well below q and at most about six when r is close to q, whatever
+the sizes of r and q.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 
-from .model import dominant_readouts, prob
+# dominant_readouts is unused here but stays importable from this module:
+# perfbench's tracer looks the layers up as attributes of their callers.
+from .model import dominant_readouts, prob  # noqa: F401
 
 _FIFTY_THREE = 1 << 53
+_BETA = 1.0 - 4.0 / math.pi**2
 
 
 class RandomSource:
@@ -30,7 +45,7 @@ class RandomSource:
     random() method, whose stream for a fixed seed is guaranteed stable
     across CPython versions and platforms. Integer draws are assembled
     from 53-bit chunks of that stream, so every consumer sees one
-    portable sequence.
+    portable sequence, and every uniform consumed passes through random().
     """
 
     def __init__(self, seed: int):
@@ -52,7 +67,7 @@ class RandomSource:
         chunks = (k + 52) // 53
         v = 0
         for _ in range(chunks):
-            v = (v << 53) | int(self._rng.random() * _FIFTY_THREE)
+            v = (v << 53) | int(self.random() * _FIFTY_THREE)
         return v >> (chunks * 53 - k)
 
     def randrange(self, n: int) -> int:
@@ -75,117 +90,67 @@ class RandomSource:
 
 
 class ReadoutSampler:
-    """Lazy bin table for the readout distribution of one (y, r, q) subcycle.
+    """Exact sampler for the readout distribution of one (y, r, q) subcycle.
 
-    entries pairs each binned readout with its cumulative upper edge;
-    covered_mass is the last edge. bins_built and ring_radius expose how
-    far construction actually went.
+    Holds only constants of the envelope fixed at construction, so draws
+    share no state and each costs the same whatever came before it.
     """
 
-    def __init__(self, y: int, r: int, q: int, tail_threshold: float = 1e-12):
+    def __init__(self, y: int, r: int, q: int):
         if q < 1 or q & (q - 1):
             raise ValueError("q must be a power of two")
         if not 1 <= r <= q:
             raise ValueError("require 1 <= r <= q")
-        if not 0.0 <= tail_threshold < 1.0:
-            raise ValueError("tail_threshold must be in [0, 1)")
         self.y = y
         self.r = r
         self.q = q
-        self.tail_threshold = tail_threshold
-        self.reset()
-
-    def reset(self) -> None:
-        """Drop every cached bin; the next draw rebuilds from scratch."""
-        self.values: list[int] = []
-        self.edges: list[float] = []
-        self.covered_mass = 0.0
-        self.ring_radius = 0
-        self.bins_built = 0
-        self.exhausted = False
-        self._binned: set[int] = set()
-        self._dominant: list[int] = []
-        self._phase: list[tuple[float, int]] = []
-        self._phase_pos = 0
-        self._started = False
-
-    @property
-    def entries(self) -> list[tuple[int, float]]:
-        """(readout, cumulative upper edge) pairs in construction order."""
-        return list(zip(self.values, self.edges))
+        # Envelope weights, in units of q**2 * P(c) / r.
+        big = -(-q // r)
+        self._scale = q * q / r
+        self._peak = big * big - _BETA
+        self._tail = q * q / (math.pi**2 * r * r)
+        self._pair = min(self._peak, 4.0 * self._tail)
+        self._reach = q // (2 * r) + 1  # no cell holds an offset beyond this
+        self._total = (
+            self._peak
+            + 2.0 * self._pair
+            + 2.0 * self._tail
+            + _BETA * (2 * self._reach + 1)
+        )
 
     def draw(self, rng: RandomSource) -> int:
         """Sample one readout value."""
+        r, q = self.r, self.q
         while True:
-            u = rng.random()
-            while u >= self.covered_mass and self._extend():
-                pass
-            if u < self.covered_mass:
-                return self.values[bisect_right(self.edges, u)]
-            c = self._tail_draw(rng)
-            if c is not None:
+            m = rng.randrange(r)
+            delta = self._propose_offset(rng)
+            centre = (2 * m * q + r - 1) // (2 * r)
+            if not -q < 2 * (r * (centre + delta) - m * q) <= q:
+                continue  # outside the cell of peak m
+            c = (centre + delta) % q
+            if rng.random() * self._envelope(delta) < prob(c, r, q) * self._scale:
                 return c
-            # Every readout is binned and u fell beyond their summed mass
-            # (the model's normalization defect): redraw, i.e. sample the
-            # fully enumerated distribution renormalized.
 
-    def _extend(self) -> bool:
-        """Append one bin; False when no further bin can ever be appended."""
-        while self._phase_pos == len(self._phase):
-            if not self._next_phase():
-                return False
-        p, c = self._phase[self._phase_pos]
-        self._phase_pos += 1
-        self.values.append(c)
-        self.covered_mass += p
-        self.edges.append(self.covered_mass)
-        self.bins_built += 1
-        return True
+    def _propose_offset(self, rng: RandomSource) -> int:
+        """An offset from the peak, drawn from the envelope's mixture."""
+        u = rng.random() * self._total
+        if u < self._peak:
+            return 0
+        u -= self._peak
+        if u < 2.0 * self._pair:
+            return -1 if u < self._pair else 1
+        u -= 2.0 * self._pair
+        if u < 2.0 * self._tail:
+            # P(k) = 1/(k*(k-1)) for k >= 2
+            k = 1 + int(1.0 / (1.0 - rng.random()))
+            return -k if u < self._tail else k
+        return rng.randrange(2 * self._reach + 1) - self._reach
 
-    def _next_phase(self) -> bool:
-        """Stage the next batch of bins: the peaks, then ring after ring."""
-        if self.exhausted:
-            return False
-        if not self._started:
-            self._started = True
-            self._dominant = dominant_readouts(self.r, self.q)
-            self._binned.update(self._dominant)
-            batch = [(prob(c, self.r, self.q), c) for c in self._dominant]
-        else:
-            k = self.ring_radius + 1
-            if 2 * self.r * k > self.q:
-                # past the midpoint between neighboring peaks
-                self.exhausted = True
-                return False
-            cells = set()
-            for c in self._dominant:
-                cells.add((c + k) % self.q)
-                cells.add((c - k) % self.q)
-            cells -= self._binned
-            batch = [(prob(c, self.r, self.q), c) for c in cells]
-            if math.fsum(p for p, _ in batch) < self.tail_threshold:
-                self.exhausted = True
-                return False
-            self.ring_radius = k
-            self._binned.update(cells)
-        # Zero-probability cells are marked binned but get no bin: a bin
-        # of width zero can trap no draw, and equal cumulative edges would
-        # break the strict monotonicity of the edge list.
-        batch = [(p, c) for p, c in batch if p > 0.0]
-        batch.sort(key=lambda t: (-t[0], t[1]))
-        self._phase = batch
-        self._phase_pos = 0
-        return True
-
-    def _tail_draw(self, rng: RandomSource) -> int | None:
-        """Uniform draw over the never-binned readouts; None if none remain."""
-        unbinned = self.q - len(self._binned)
-        if unbinned <= 0:
-            return None
-        if self.q <= 1 << 16:
-            pool = [c for c in range(self.q) if c not in self._binned]
-            return pool[rng.randrange(len(pool))]
-        while True:
-            c = rng.randrange(self.q)
-            if c not in self._binned:
-                return c
+    def _envelope(self, delta: int) -> float:
+        """Envelope height at an offset inside a cell."""
+        k = abs(delta)
+        if k == 0:
+            return self._peak + _BETA
+        if k == 1:
+            return self._pair + _BETA
+        return self._tail / (k * (k - 1)) + _BETA

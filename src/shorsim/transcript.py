@@ -2,7 +2,8 @@
 
 A history is flattened to an ordered stream of TranscriptEvents; the
 stream renders to the human transcript line by line and serializes to
-line-delimited JSON that parses back to an equal history.
+line-delimited JSON that parses back to an equal history. A stream that
+cannot be parsed back raises TranscriptError, naming the line at fault.
 """
 
 from __future__ import annotations
@@ -46,6 +47,14 @@ SUMMARY_FAILURE = (
 )
 
 
+class TranscriptError(ValueError):
+    """A JSONL stream that does not parse back into a history."""
+
+    def __init__(self, line: int, cause: str):
+        super().__init__(f"line {line}: {cause}")
+        self.line = line
+
+
 @dataclass(frozen=True)
 class TranscriptEvent:
     """One step of a session: a kind tag plus its payload fields."""
@@ -66,7 +75,6 @@ def history_to_events(history: FactoringHistory) -> list[TranscriptEvent]:
                 "max_trials": p.max_trials,
                 "order_ceiling": p.order_ceiling,
                 "seed": p.seed,
-                "tail_threshold": p.tail_threshold,
             },
         ),
         TranscriptEvent("safe_qubits_hint", {"qubits": safe_qubits(p.n)}),
@@ -121,63 +129,76 @@ def _attempt_events(
     yield TranscriptEvent("attempt_verdict", verdict)
 
 
-def events_to_history(events: list[TranscriptEvent]) -> FactoringHistory:
-    """Rebuild the history a stream of events came from."""
-    banner = next(e for e in events if e.kind == "banner").payload
-    params = FactoringParams.build(
-        banner["n"],
-        banner["qubits"],
-        banner["seed"],
-        max_trials=banner["max_trials"],
-        order_ceiling=banner["order_ceiling"],
-        tail_threshold=banner["tail_threshold"],
-    )
+def events_to_history(events: list[tuple[int, str, dict[str, Any]]]) -> FactoringHistory:
+    """Rebuild a history from its (line number, kind, payload) events.
+
+    Fields not read here are ignored, so older banners that carried a
+    tail_threshold still parse.
+    """
+    params: FactoringParams | None = None
+    summary: dict[str, Any] | None = None
     attempts: list[AttemptRecord] = []
     open_y: int | None = None
     open_trials: list[OrderResult] = []
-    for event in events:
-        kind, data = event.kind, event.payload
-        if kind == "ceiling_rejection":
-            attempts.append(AttemptRecord(data["y"], Outcome.ORDER_CEILING_REJECTED))
-        elif kind == "shared_factor":
-            attempts.append(
-                AttemptRecord(
-                    data["y"],
-                    Outcome.SHARED_FACTOR,
-                    factors=tuple(data["factors"]),
+    last = 0
+    for last, kind, data in events:
+        try:
+            if kind == "ceiling_rejection":
+                attempts.append(AttemptRecord(data["y"], Outcome.ORDER_CEILING_REJECTED))
+            elif kind == "shared_factor":
+                attempts.append(
+                    AttemptRecord(
+                        data["y"],
+                        Outcome.SHARED_FACTOR,
+                        factors=tuple(data["factors"]),
+                    )
                 )
-            )
-        elif kind == "new_base":
-            open_y = data["y"]
-            open_trials = []
-        elif kind == "trial":
-            open_trials.append(
-                OrderResult(
-                    data["index"], data["readout"], data["candidate"], data["verified"]
+            elif kind == "new_base":
+                open_y = data["y"]
+                open_trials = []
+            elif kind == "trial":
+                open_trials.append(
+                    OrderResult(
+                        data["index"], data["readout"], data["candidate"], data["verified"]
+                    )
                 )
-            )
-        elif kind == "attempt_verdict":
-            attempts.append(
-                AttemptRecord(
-                    open_y,
-                    Outcome(data["status"]),
-                    order=data.get("order"),
-                    trials=tuple(open_trials),
-                    factors=tuple(data["factors"]) if data.get("factors") else None,
+            elif kind == "attempt_verdict":
+                attempts.append(
+                    AttemptRecord(
+                        open_y,
+                        Outcome(data["status"]),
+                        order=data.get("order"),
+                        trials=tuple(open_trials),
+                        factors=tuple(data["factors"]) if data.get("factors") else None,
+                    )
                 )
-            )
-            open_y = None
-            open_trials = []
-    summary = next(e for e in events if e.kind == "summary").payload
-    return FactoringHistory(
-        params=params,
-        attempts=tuple(attempts),
-        total_trials=summary["total_trials"],
-        elapsed=summary["elapsed"],
-        factors=tuple(summary["factors"]) if summary["factors"] else None,
-        failure=Outcome(summary["failure"]) if summary["failure"] else None,
-        warnings=tuple(summary["warnings"]),
-    )
+                open_y = None
+                open_trials = []
+            elif kind == "banner":
+                params = FactoringParams.build(
+                    data["n"],
+                    data["qubits"],
+                    data["seed"],
+                    max_trials=data["max_trials"],
+                    order_ceiling=data["order_ceiling"],
+                )
+            elif kind == "summary":
+                summary = {
+                    "total_trials": data["total_trials"],
+                    "elapsed": data["elapsed"],
+                    "factors": tuple(data["factors"]) if data["factors"] else None,
+                    "failure": Outcome(data["failure"]) if data["failure"] else None,
+                    "warnings": tuple(data["warnings"]),
+                }
+        except KeyError as exc:
+            raise TranscriptError(last, f"{kind!r} event lacks field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise TranscriptError(last, f"bad {kind!r} event: {exc}") from None
+    if params is None:
+        raise TranscriptError(last + 1, "no banner event")
+    if summary is None:
+        raise TranscriptError(last + 1, "no summary event")
+    return FactoringHistory(params=params, attempts=tuple(attempts), **summary)
 
 
 def render_text(history: FactoringHistory) -> list[str]:
@@ -246,13 +267,22 @@ def to_jsonl(history: FactoringHistory) -> str:
 
 
 def from_jsonl(text: str) -> FactoringHistory:
-    """Parse the output of to_jsonl back into an equal history."""
+    """Parse the output of to_jsonl back into an equal history.
+
+    Any other input raises TranscriptError naming the line and the cause.
+    """
     events = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        data = json.loads(line)
-        kind = data.pop("event")
-        events.append(TranscriptEvent(kind, data))
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TranscriptError(number, f"not JSON ({exc.msg})") from None
+        try:
+            kind = data.pop("event")
+        except (AttributeError, KeyError, TypeError):
+            raise TranscriptError(number, "not an object with an 'event' field") from None
+        events.append((number, kind, data))
     return events_to_history(events)

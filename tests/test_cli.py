@@ -62,6 +62,15 @@ class TestFactorCommand:
         assert history.succeeded
         assert set(history.factors) == {11, 17}
 
+    def test_unwritable_out_fails_in_one_line(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "run.txt"
+        code, out, err = run(capsys, "factor", "187", "--seed", "9", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.strip().splitlines() == [
+            f"shorsim: cannot write {path}: No such file or directory"
+        ]
+
     def test_out_writes_file(self, capsys, tmp_path):
         path = tmp_path / "run.txt"
         code, out, _ = run(
@@ -117,9 +126,10 @@ class TestDistCommand:
         lines = out.strip().splitlines()
         assert lines[0].startswith("# N=187,L=16,y=36,r=40,dominant_mass=0.77917")
         rows = {int(line.split(",")[0]): float(line.split(",")[1]) for line in lines[1:]}
-        assert len(rows) > 1000
-        assert rows[1638] == pytest.approx(0.01431967023758724, rel=1e-12)
-        assert 1 not in rows  # exact zeros are omitted
+        # 40 does not divide q, so no readout has probability zero
+        assert len(rows) == 1 << 16
+        assert rows[1638] == pytest.approx(0.0143196684291567, rel=1e-12)
+        assert rows[1] == pytest.approx(2.2351761514212e-09, rel=1e-9)
         assert all(p > 0.0 for p in rows.values())
 
     def test_truncated_spectrum_above_the_dump_limit(self, capsys):

@@ -118,19 +118,38 @@ class TestProb:
         assert prob(4095, 16, 1 << 16) == 0.0
 
     def test_near_peak_value(self):
-        # frozen from the closed form; cross-checked against the phasor sum
+        # pinned to the phasor-sum oracle, which the closed form matches
         p = prob(1638, 40, 1 << 16)
-        assert p == pytest.approx(0.01431967023758724, rel=1e-12)
-        assert p == pytest.approx(brute_prob(1638, 40, 1 << 16), rel=5e-3)
+        assert p == pytest.approx(0.0143196684291567, rel=1e-12)
+        assert p == pytest.approx(brute_prob(1638, 40, 1 << 16), rel=1e-9)
 
-    @pytest.mark.parametrize("c", [0, 1638, 3277, 13107, 32768, 65535])
+    @pytest.mark.parametrize("c", [0, 1, 820, 1638, 3277, 13107, 32768, 65535])
     def test_matches_phasor_sum(self, c):
-        # the closed form's exact zeros are only near-zeros of the true
-        # phasor sum (residue classes mod r have unequal sizes), so the
-        # absolute floor sits at the r/q**2 scale
+        # 40 does not divide q, so the residue classes have unequal sizes
+        # and readouts off the peaks, c = 1 among them, are not zero
         assert prob(c, 40, 1 << 16) == pytest.approx(
-            brute_prob(c, 40, 1 << 16), rel=5e-3, abs=1e-8
+            brute_prob(c, 40, 1 << 16), rel=1e-9, abs=0.0
         )
+
+    @given(st.integers(1, 9), st.data())
+    @settings(max_examples=80)
+    def test_matches_phasor_sum_for_every_order(self, bits, data):
+        q = 1 << bits
+        r = data.draw(st.integers(1, q))
+        c = data.draw(st.integers(0, q - 1))
+        # the oracle leaves rounding residue of order 1e-30 where the
+        # closed form has an exact zero
+        assert prob(c, r, q) == pytest.approx(brute_prob(c, r, q), rel=1e-9, abs=1e-20)
+
+    def test_mirror_readouts_agree_at_a_large_register(self):
+        # readout c has d = -1 and q - c has d = +1, so the sines take
+        # arguments within pi/q of pi for one and of 0 for the other; only
+        # exact integer reduction of A*d keeps the two equal
+        q, r = 1 << 60, 1_000_003
+        c = (pow(q, -1, r) * q - 1) // r
+        assert theta(c, r, q).offset == -1
+        assert prob(c, r, q) == pytest.approx(prob(q - c, r, q), rel=1e-12)
+        assert prob(c, r, q) == pytest.approx(1.0 / r, rel=1e-6)
 
     @given(st.integers(1, 12), st.data())
     def test_nonnegative(self, bits, data):
@@ -147,17 +166,18 @@ class TestProb:
         total = math.fsum(prob(c, r, q) for c in range(q))
         assert total == pytest.approx(1.0, abs=1e-12)
 
-    @given(st.integers(4, 12), st.data())
+    @given(st.integers(1, 12), st.data())
     @settings(max_examples=40)
     def test_normalizes_closely_for_typical_orders(self, bits, data):
-        # Orders in the regime the factoring loop can produce (r well
-        # below q) keep the defect of the closed form within one percent.
         q = 1 << bits
-        r = data.draw(
-            st.integers(2, q // 4).filter(lambda r: q % r != 0)
-        )
+        r = data.draw(st.integers(1, q))
         total = math.fsum(prob(c, r, q) for c in range(q))
-        assert 0.99 <= total <= 1.01
+        assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("r", [40, 1000, 12345, 65535])
+    def test_normalizes_at_session_register(self, r):
+        q = 1 << 16
+        assert abs(math.fsum(prob(c, r, q) for c in range(q)) - 1.0) <= 1e-12
 
 
 class TestDominantReadouts:

@@ -1,9 +1,12 @@
+import json
+
 import pytest
 
 from shorsim.factorizer import AttemptRecord, FactoringHistory, Outcome, factor
 from shorsim.model import FactoringParams
 from shorsim.orderfinder import OrderResult
 from shorsim.transcript import (
+    TranscriptError,
     from_jsonl,
     history_to_events,
     render_text,
@@ -193,7 +196,51 @@ class TestJsonlRoundTrip:
         text = to_jsonl(session_history())
         lines = text.splitlines()
         assert len(lines) == len(history_to_events(session_history()))
-        import json
-
         for line in lines:
             assert "event" in json.loads(line)
+
+    def test_banner_of_earlier_versions_still_parses(self):
+        # streams written before the sampler lost its tail_threshold knob
+        history = session_history()
+        lines = to_jsonl(history).splitlines()
+        banner = json.loads(lines[0])
+        assert "tail_threshold" not in banner
+        banner["tail_threshold"] = 1e-12
+        lines[0] = json.dumps(banner, sort_keys=True)
+        assert from_jsonl("\n".join(lines)) == history
+
+
+class TestJsonlErrors:
+    @pytest.mark.parametrize(
+        "text,line,cause",
+        [
+            ("", 1, "no banner event"),
+            ('{"kind": "banner"}', 1, "not an object with an 'event' field"),
+            ("[1, 2]", 1, "not an object with an 'event' field"),
+            ("The number to be factored is 187.", 1, "not JSON"),
+            ('{"event": "banner", "n": 187}', 1, "'banner' event lacks field 'qubits'"),
+        ],
+    )
+    def test_bad_input_names_line_and_cause(self, text, line, cause):
+        with pytest.raises(TranscriptError) as info:
+            from_jsonl(text)
+        assert info.value.line == line
+        assert cause in str(info.value)
+        assert str(info.value).startswith(f"line {line}: ")
+
+    def test_truncated_stream_points_past_its_end(self):
+        lines = to_jsonl(session_history()).splitlines()[:-1]
+        with pytest.raises(TranscriptError, match="no summary event") as info:
+            from_jsonl("\n".join(lines))
+        assert info.value.line == len(lines) + 1
+
+    def test_bad_value_names_its_line(self):
+        lines = to_jsonl(session_history()).splitlines()
+        verdict = json.loads(lines[7])
+        assert verdict["event"] == "attempt_verdict"
+        verdict["status"] = "exploded"
+        lines[7] = json.dumps(verdict)
+        with pytest.raises(TranscriptError, match="bad 'attempt_verdict' event") as info:
+            from_jsonl("\n".join(lines))
+        assert info.value.line == 8
+        assert isinstance(info.value, ValueError)
