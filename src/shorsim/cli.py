@@ -165,18 +165,23 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _write(out: str, mode: str, text: str) -> bool:
+    """Write text to the file out; False, after a one-line message, on failure."""
+    try:
+        with open(out, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _fail(f"shorsim: cannot write {out}: {exc.strerror or exc}")
+        return False
+    return True
+
+
 def _emit(text: str, out: str | None) -> bool:
     """Print text, or write it to the file out; False once a write fails."""
     if out is None:
         print(text)
         return True
-    try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    except OSError as exc:
-        _fail(f"shorsim: cannot write {out}: {exc.strerror or exc}")
-        return False
-    return True
+    return _write(out, "w", text + "\n")
 
 
 def cmd_factor(args: argparse.Namespace) -> int:
@@ -247,6 +252,12 @@ def cmd_dist(args: argparse.Namespace) -> int:
     q = 1 << qubits
     if r > q:
         return _fail(f"shorsim: order {r} of y = {y} exceeds the register size {q}")
+    needed = r * (2 * args.rings + 1)
+    if q > FULL_SPECTRUM_LIMIT and needed > FULL_SPECTRUM_LIMIT:
+        return _fail(
+            f"shorsim: order {r} with {args.rings} rings needs {needed} rows,"
+            f" more than the limit {FULL_SPECTRUM_LIMIT}"
+        )
     rows, peak_mass, truncated = _spectrum_rows(r, q, args.rings)
     header = f"# N={n},L={qubits},y={y},r={r},dominant_mass={peak_mass!r}"
     if truncated:
@@ -290,6 +301,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             for qubits in sizes
             for i in range(args.runs)
         ]
+        # an unwritable CSV path fails here, before any session runs
+        if args.out and not _write(args.out, "a", ""):
+            return 2
         if args.workers == 1:
             results = [_bench_one(task) for task in tasks]
         else:

@@ -136,25 +136,41 @@ def carmichael_lambda(n: int) -> int:
     return lam
 
 
+@lru_cache(maxsize=4096)
+def _order_steps(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """lambda(n) and its primes p, largest first, each paired with the
+    part of lambda(n) made of the primes below p."""
+    lam = carmichael_lambda(n)
+    steps, rest = [], lam
+    for p, e in reversed(factorize(lam)):
+        rest //= p**e
+        steps.append((p, rest))
+    return lam, tuple(steps)
+
+
 def multiplicative_order(y: int, n: int, ceiling: int | None = None) -> int | None:
     """Least r >= 1 with y**r == 1 (mod n), or None when it exceeds `ceiling`.
 
-    Computed exactly by reducing the group exponent lambda(n) one prime
-    at a time, so even a rejected candidate costs only ~log(n) modular
-    exponentiations rather than a walk of r multiplications.
+    Reduces the group exponent lambda(n) one prime at a time, largest
+    first. A finished prime's part of r is the order's own, so r // rest
+    (rest: lambda's part for the primes still to do) divides the order,
+    and a base is rejected as soon as that exceeds `ceiling`: typically
+    after one or two modular exponentiations.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
+    if ceiling is not None and ceiling < 1:
+        raise ValueError("ceiling must be >= 1")
     y %= n
     g = math.gcd(y, n)
     if g != 1:
         raise NotCoprime(f"gcd({y}, {n}) = {g}, order undefined")
-    r = carmichael_lambda(n)
-    for p, _ in factorize(r):
+    r, steps = _order_steps(n)
+    for p, rest in steps:
         while r % p == 0 and pow(y, r // p, n) == 1:
             r //= p
-    if ceiling is not None and r > ceiling:
-        return None
+        if ceiling is not None and r // rest > ceiling:
+            return None
     return r
 
 

@@ -78,7 +78,10 @@ class RandomSource:
             return 0
         k = (n - 1).bit_length()
         while True:
-            v = self.randbits(k)
+            if k <= 53:  # randbits(k) for one chunk, inlined
+                v = int(self.random() * _FIFTY_THREE) >> (53 - k)
+            else:
+                v = self.randbits(k)
             if v < n:
                 return v
 

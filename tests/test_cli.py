@@ -64,12 +64,18 @@ class TestFactorCommand:
 
     def test_unwritable_out_fails_in_one_line(self, capsys, tmp_path):
         path = tmp_path / "missing" / "run.txt"
-        code, out, err = run(capsys, "factor", "187", "--seed", "9", "--out", str(path))
-        assert code == 2
-        assert out == ""
-        assert err.strip().splitlines() == [
-            f"shorsim: cannot write {path}: No such file or directory"
-        ]
+        for argv in (
+            ["factor", "187", "--seed", "9"],
+            ["dist", "187", "56"],
+            # bench must fail before its first session, so no table is printed
+            ["bench", "1328881", "--runs", "20", "--seed", "1"],
+        ):
+            code, out, err = run(capsys, *argv, "--out", str(path))
+            assert code == 2
+            assert out == ""
+            assert err.strip().splitlines() == [
+                f"shorsim: cannot write {path}: No such file or directory"
+            ]
 
     def test_out_writes_file(self, capsys, tmp_path):
         path = tmp_path / "run.txt"
@@ -146,6 +152,16 @@ class TestDistCommand:
         coverages = [float(r[2]) for r in rows]
         assert all(a <= b + 1e-15 for a, b in zip(coverages, coverages[1:]))
         assert 0.5 < coverages[-1] <= 1.001
+
+    def test_truncated_spectrum_too_large_is_refused(self, capsys):
+        # r = 4977223814 would need about 4.5e10 rows at the default 4 rings
+        code, out, err = run(capsys, "dist", "9954647173", "2")
+        assert code == 2
+        assert out == ""
+        assert err.strip().splitlines() == [
+            "shorsim: order 4977223814 with 4 rings needs 44795014326 rows,"
+            " more than the limit 1048576"
+        ]
 
     def test_out_writes_file(self, capsys, tmp_path):
         path = tmp_path / "spec.csv"

@@ -146,6 +146,40 @@ class TestMultiplicativeOrder:
         with pytest.raises(NotCoprime):
             multiplicative_order(11, 187)
 
+    def test_rejects_ceiling_below_one(self):
+        with pytest.raises(ValueError):
+            multiplicative_order(1, 2, ceiling=0)
+
+    @given(
+        st.one_of(
+            st.integers(2, 20_000),
+            st.integers(2, 16).map(lambda k: 2**k),
+            st.integers(1, 9).map(lambda k: 3**k),
+            st.tuples(st.integers(0, 7), st.integers(0, 5)).map(
+                lambda ab: 2 ** ab[0] * 3 ** ab[1] * 5
+            ),
+        ),
+        st.data(),
+    )
+    @settings(max_examples=300)
+    def test_ceiling_matches_brute_iteration(self, n, data):
+        # moduli whose lambda repeats a prime (2**k, 3**k, 2**a * 3**b * 5)
+        # exercise the largest-prime-first early exit across prime powers
+        y = data.draw(st.integers(1, n - 1)) if n > 2 else 1
+        if math.gcd(y, n) != 1:
+            return
+        r = brute_order(y, n)
+        ceiling = data.draw(
+            st.sampled_from([1, r - 1, r, r + 1, math.isqrt(n)])
+            | st.integers(1, 2 * n)
+        )
+        if ceiling < 1:
+            with pytest.raises(ValueError):
+                multiplicative_order(y, n, ceiling)
+            return
+        expected = r if r <= ceiling else None
+        assert multiplicative_order(y, n, ceiling) == expected
+
     @given(st.integers(2, 10_000), st.integers(2, 10_000))
     @settings(max_examples=300)
     def test_matches_brute_iteration(self, n, y):

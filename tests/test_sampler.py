@@ -59,6 +59,32 @@ class TestRandomSource:
         with pytest.raises(ValueError):
             RandomSource(0).randrange(0)
 
+    @pytest.mark.parametrize(
+        "n", [2, 3, 1000, 1328881, 9954647173, 2**53 - 1, 2**53, 2**53 + 1, 2**60 + 3]
+    )
+    def test_randrange_matches_randbits_loop(self, n):
+        # randrange must stay the plain rejection loop over randbits, below
+        # and above one 53-bit chunk, so seeded base draws never change
+        def reference(rng):
+            k = (n - 1).bit_length()
+            while True:
+                v = rng.randbits(k)
+                if v < n:
+                    return v
+
+        a, b = RandomSource(31), RandomSource(31)
+        assert [a.randrange(n) for _ in range(300)] == [reference(b) for _ in range(300)]
+        assert a.random() == b.random()  # and both consumed the same uniforms
+
+    def test_randrange_draws_through_random(self):
+        # a subclass that overrides random() must see every uniform used
+        counted, plain = CountingSource(5), RandomSource(5)
+        for _ in range(50):
+            counted.randrange(1000)
+        for _ in range(counted.uniforms):
+            plain.random()
+        assert counted.random() == plain.random()
+
 
 class CountingSource(RandomSource):
     """RandomSource that counts the uniforms it hands out."""
