@@ -16,10 +16,10 @@ from statistics import mean
 
 from .factorizer import FactoringHistory, factor
 from .model import (
-    MAX_MODULUS,
     MAX_QUBITS,
     InputTooLarge,
     PrimeInput,
+    check_ten_digits,
     dominant_readouts,
     prob,
     safe_qubits,
@@ -236,13 +236,12 @@ def cmd_dist(args: argparse.Namespace) -> int:
     n, y = args.n, args.y
     if n < 2:
         return _fail("shorsim: N must be >= 2")
-    if n > MAX_MODULUS:
-        return _fail(f"shorsim: {n} has more than ten digits")
     if not 0 < y < n:
         return _fail("shorsim: require 0 < Y < N")
     if args.rings < 0:
         return _fail("shorsim: --rings must be >= 0")
     try:
+        check_ten_digits(n)
         qubits = args.qubits if args.qubits is not None else safe_qubits(n)
         if not 1 <= qubits <= MAX_QUBITS:
             raise ValueError(f"--qubits must be in [1, {MAX_QUBITS}]")

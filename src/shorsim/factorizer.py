@@ -86,17 +86,18 @@ def pick_y(
     Bases whose order exceeds `ceiling` are appended to `rejected` and
     redrawn.
     """
+    draw, top, gcd = rng.randint, n - 1, math.gcd
     while True:
-        y = rng.randint(2, n - 1)
-        g = math.gcd(y, n)
+        y = draw(2, top)
+        g = gcd(y, n)
         if g > 1:
             return SharedFactorHit(y, g)
+        # a module attribute looked up per base, so a wrapper put there sees it
         r = multiplicative_order(y, n, ceiling)
-        if r is None:
-            if rejected is not None:
-                rejected.append(y)
-            continue
-        return y, r
+        if r is not None:
+            return y, r
+        if rejected is not None:
+            rejected.append(y)
 
 
 def extract_factors(y: int, r: int, n: int) -> tuple[Outcome, tuple[int, int] | None]:
@@ -154,9 +155,9 @@ def run_session(params: FactoringParams) -> FactoringHistory:
             break
         rejected: list[int] = []
         choice = pick_y(params.n, rng, ceiling, rejected)
-        attempts.extend(
+        attempts += [
             AttemptRecord(y, Outcome.ORDER_CEILING_REJECTED) for y in rejected
-        )
+        ]
         if isinstance(choice, SharedFactorHit):
             pair = (choice.factor, params.n // choice.factor)
             attempts.append(

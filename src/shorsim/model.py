@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .numtheory import is_prime
 
-MAX_MODULUS = 10**10  # inputs are capped at ten decimal digits
+MAX_MODULUS = 10**10 - 1  # inputs are capped at ten decimal digits
 MAX_QUBITS = 96
 
 
@@ -58,13 +58,18 @@ def aux_qubits(n: int) -> int:
     return (n - 1).bit_length()
 
 
+def check_ten_digits(n: int) -> None:
+    """Raise InputTooLarge when n has more than ten decimal digits."""
+    if n > MAX_MODULUS:
+        raise InputTooLarge(f"{n} has more than ten digits")
+
+
 def _check_modulus(n: int) -> None:
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError("n must be an int")
     if n < 4:
         raise ValueError("n must be >= 4")
-    if n > MAX_MODULUS:
-        raise InputTooLarge(f"{n} has more than ten digits")
+    check_ten_digits(n)
     if is_prime(n):
         raise PrimeInput(f"{n} is prime")
 

@@ -121,41 +121,44 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(found.items()))
 
 
+def _prime_power_lambda(p: int, e: int) -> int:
+    """Exponent of the multiplicative group mod p**e."""
+    if p == 2:
+        return 1 if e == 1 else 2 if e == 2 else 1 << (e - 2)
+    return (p - 1) * p ** (e - 1)
+
+
 @lru_cache(maxsize=4096)
 def carmichael_lambda(n: int) -> int:
     """Exponent of the multiplicative group mod n (least universal order)."""
     if n < 1:
         raise ValueError("carmichael_lambda requires n >= 1")
-    lam = 1
-    for p, e in factorize(n):
-        if p == 2:
-            block = 1 if e == 1 else 2 if e == 2 else 1 << (e - 2)
-        else:
-            block = (p - 1) * p ** (e - 1)
-        lam = lam * block // math.gcd(lam, block)
-    return lam
+    return math.lcm(*(_prime_power_lambda(p, e) for p, e in factorize(n)))
 
 
 @lru_cache(maxsize=4096)
-def _order_steps(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """lambda(n) and its primes p, largest first, each paired with the
-    part of lambda(n) made of the primes below p."""
-    lam = carmichael_lambda(n)
-    steps, rest = [], lam
-    for p, e in reversed(factorize(lam)):
-        rest //= p**e
-        steps.append((p, rest))
-    return lam, tuple(steps)
+def _order_steps(n: int) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
+    """The primes p of lambda(n), largest first, each with the prime-power
+    components m of n whose lambda(m) p divides, as (m, lambda(m) / p**v,
+    p**v) for p**v the power of p in lambda(m), largest p**v first."""
+    parts = [(p**e, _prime_power_lambda(p, e)) for p, e in factorize(n)]
+    steps = []
+    for p, _ in reversed(factorize(carmichael_lambda(n))):
+        # the power of p in lam is gcd(lam, p**k) for any p**k > lam
+        powers = [(math.gcd(lam, p ** lam.bit_length()), m, lam) for m, lam in parts]
+        powers.sort(reverse=True)
+        steps.append((p, tuple((m, lam // pv, pv) for pv, m, lam in powers if pv > 1)))
+    return tuple(steps)
 
 
 def multiplicative_order(y: int, n: int, ceiling: int | None = None) -> int | None:
     """Least r >= 1 with y**r == 1 (mod n), or None when it exceeds `ceiling`.
 
-    Reduces the group exponent lambda(n) one prime at a time, largest
-    first. A finished prime's part of r is the order's own, so r // rest
-    (rest: lambda's part for the primes still to do) divides the order,
-    and a base is rejected as soon as that exceeds `ceiling`: typically
-    after one or two modular exponentiations.
+    r's part for each prime p of lambda(n), largest p first, is the largest
+    order of y**(lambda(m) / p**v) mod m over the prime-power components m
+    of n, so every power is taken mod a component with an exponent no wider
+    than lambda(m). A base is rejected as soon as the product of the parts
+    found exceeds `ceiling`: typically after one or two short powers.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
@@ -165,11 +168,23 @@ def multiplicative_order(y: int, n: int, ceiling: int | None = None) -> int | No
     g = math.gcd(y, n)
     if g != 1:
         raise NotCoprime(f"gcd({y}, {n}) = {g}, order undefined")
-    r, steps = _order_steps(n)
-    for p, rest in steps:
-        while r % p == 0 and pow(y, r // p, n) == 1:
-            r //= p
-        if ceiling is not None and r // rest > ceiling:
+    r = 1
+    for p, comps in _order_steps(n):
+        part = 1
+        for m, cofactor, pv in comps:
+            if pv <= part:
+                break
+            z = pow(y, cofactor, m)
+            k = 1
+            while z != 1:  # z's order divides pv, so z**pv needs no test
+                k *= p
+                if k == pv:
+                    break
+                z = pow(z, p, m)
+            if k > part:
+                part = k
+        r *= part
+        if ceiling is not None and r > ceiling:
             return None
     return r
 

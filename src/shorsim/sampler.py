@@ -74,22 +74,23 @@ class RandomSource:
         """Uniform integer in [0, n)."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        if n == 1:
-            return 0
-        k = (n - 1).bit_length()
+        return self.randint(0, n - 1)
+
+    def randint(self, a: int, b: int) -> int:
+        """Uniform integer in [a, b], endpoints included."""
+        span = b - a
+        if span < 0:
+            raise ValueError("empty range")
+        if span == 0:
+            return a  # a one-value range takes no uniform
+        k = span.bit_length()
         while True:
             if k <= 53:  # randbits(k) for one chunk, inlined
                 v = int(self.random() * _FIFTY_THREE) >> (53 - k)
             else:
                 v = self.randbits(k)
-            if v < n:
-                return v
-
-    def randint(self, a: int, b: int) -> int:
-        """Uniform integer in [a, b], endpoints included."""
-        if b < a:
-            raise ValueError("empty range")
-        return a + self.randrange(b - a + 1)
+            if v <= span:
+                return a + v
 
 
 class ReadoutSampler:

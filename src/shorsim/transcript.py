@@ -19,6 +19,7 @@ from .orderfinder import OrderResult
 BANNER = "The number to be factored is {n}."
 SAFE_QUBITS_HINT = "The safe number of qubits needed to factor this number is {qubits}."
 PRIME_WARNING = "THE NUMBER YOU PICKED IS PRIME, PLEASE TRY AGAIN!!!"
+SCHEMA_VERSION = 1  # of the JSONL stream; a banner without one is version 1
 NEW_BASE = "Finding order of y = {y}."
 TRIAL_HEADER = "Trial #{index}."
 READOUT_LINE = "The readout value from the work register is {readout}."
@@ -70,6 +71,7 @@ def history_to_events(history: FactoringHistory) -> list[TranscriptEvent]:
         TranscriptEvent(
             "banner",
             {
+                "schema": SCHEMA_VERSION,
                 "n": p.n,
                 "qubits": p.qubits,
                 "max_trials": p.max_trials,
@@ -133,7 +135,8 @@ def events_to_history(events: list[tuple[int, str, dict[str, Any]]]) -> Factorin
     """Rebuild a history from its (line number, kind, payload) events.
 
     Fields not read here are ignored, so older banners that carried a
-    tail_threshold still parse.
+    tail_threshold still parse; a banner without a schema is version 1,
+    and one of a newer schema than SCHEMA_VERSION is refused.
     """
     params: FactoringParams | None = None
     summary: dict[str, Any] | None = None
@@ -175,6 +178,9 @@ def events_to_history(events: list[tuple[int, str, dict[str, Any]]]) -> Factorin
                 open_y = None
                 open_trials = []
             elif kind == "banner":
+                schema = data.get("schema", 1)
+                if schema not in range(1, SCHEMA_VERSION + 1):
+                    raise ValueError(f"schema {schema!r} is unknown (newest {SCHEMA_VERSION})")
                 params = FactoringParams.build(
                     data["n"],
                     data["qubits"],
@@ -278,8 +284,9 @@ def from_jsonl(text: str) -> FactoringHistory:
             continue
         try:
             data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TranscriptError(number, f"not JSON ({exc.msg})") from None
+        except (ValueError, RecursionError) as exc:  # also huge ints, deep nesting
+            cause = getattr(exc, "msg", exc)
+            raise TranscriptError(number, f"not JSON ({cause})") from None
         try:
             kind = data.pop("event")
         except (AttributeError, KeyError, TypeError):

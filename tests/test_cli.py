@@ -36,6 +36,16 @@ class TestFactorCommand:
         assert code == 2
         assert "ten digits" in err
 
+    @pytest.mark.parametrize("command", ["factor", "dist", "bench"])
+    def test_ten_to_the_ten_is_refused(self, capsys, command):
+        extra = ["3"] if command == "dist" else []
+        code, out, err = run(capsys, command, str(10**10), *extra)
+        assert code == 2
+        assert out == ""
+        assert err.strip().splitlines() == [
+            "shorsim: 10000000000 has more than ten digits"
+        ]
+
     def test_budget_failure_exit_code(self, capsys):
         for seed in range(30):
             code, out, _ = run(

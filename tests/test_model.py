@@ -21,7 +21,7 @@ from conftest import brute_prob
 class TestRegisterSizing:
     @pytest.mark.parametrize(
         "n,expected",
-        [(187, 16), (1328881, 41), (25610987, 50), (15, 8), (4, 4), (10**10, 67)],
+        [(187, 16), (1328881, 41), (25610987, 50), (15, 8), (4, 4), (9999999999, 67)],
     )
     def test_safe_qubits(self, n, expected):
         assert safe_qubits(n) == expected
@@ -39,6 +39,13 @@ class TestRegisterSizing:
     def test_eleven_digits_rejected(self):
         with pytest.raises(InputTooLarge):
             safe_qubits(10**10 + 2)
+
+    def test_ten_to_the_ten_is_the_first_rejected_input(self):
+        # 10**10 has eleven digits; 9999999999 is the largest accepted input
+        with pytest.raises(InputTooLarge, match="more than ten digits"):
+            safe_qubits(10**10)
+        with pytest.raises(InputTooLarge):
+            FactoringParams.build(10**10, seed=0)
 
 
 class TestFactoringParams:

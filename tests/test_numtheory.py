@@ -192,6 +192,37 @@ class TestMultiplicativeOrder:
         for p, _ in factorize(r):
             assert modpow(y, r // p, n) != 1
 
+    @pytest.mark.parametrize(
+        "n",
+        [
+            9954647173,  # 99707 * 99839, ten digits
+            2 * 4999999937,  # a component wider than one CPython digit
+            8 * 1000003,  # 2**e * p: lambda(2**e) = 2**(e-2)
+            2**7 * 99991,  # lambda(2**7) = 2**5 outweighs lambda(99991)'s 2
+            1009**2 * 1013,  # p**2 * q: p divides lambda(p**2)
+            2 * 1009 * 1013,  # 2 * p * q: the component 2 has lambda 1
+            3 * 11 * 1009 * 65537,  # 2 divides all four lambdas: 2, 2, 2**4, 2**16
+        ],
+    )
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_order_certificate(self, n, data):
+        # moduli far beyond brute iteration: check r against its definition
+        y = data.draw(st.integers(1, n - 1))
+        if math.gcd(y, n) != 1:
+            return
+        r = multiplicative_order(y, n)
+        assert carmichael_lambda(n) % r == 0
+        assert pow(y, r, n) == 1
+        for p, _ in factorize(r):
+            assert pow(y, r // p, n) != 1
+        ceiling = data.draw(
+            st.sampled_from([1, max(1, r - 1), r, r + 1, math.isqrt(n)])
+            | st.integers(1, 2 * n)
+        )
+        got = multiplicative_order(y, n, ceiling)
+        assert got == (r if r <= ceiling else None)
+
     def test_carmichael_values(self):
         assert carmichael_lambda(187) == 80
         assert carmichael_lambda(1328881) == math.lcm(1038, 1278)

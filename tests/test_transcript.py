@@ -1,11 +1,15 @@
+import functools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shorsim.factorizer import AttemptRecord, FactoringHistory, Outcome, factor
 from shorsim.model import FactoringParams
 from shorsim.orderfinder import OrderResult
 from shorsim.transcript import (
+    SCHEMA_VERSION,
     TranscriptError,
     from_jsonl,
     history_to_events,
@@ -210,6 +214,20 @@ class TestJsonlRoundTrip:
         assert from_jsonl("\n".join(lines)) == history
 
 
+    def test_banner_carries_the_schema_version(self):
+        banner = json.loads(to_jsonl(session_history()).splitlines()[0])
+        assert banner["schema"] == SCHEMA_VERSION == 1
+
+    def test_banner_without_schema_still_parses(self):
+        # streams written before the banner carried a schema version
+        history = session_history()
+        lines = to_jsonl(history).splitlines()
+        banner = json.loads(lines[0])
+        del banner["schema"]
+        lines[0] = json.dumps(banner, sort_keys=True)
+        assert from_jsonl("\n".join(lines)) == history
+
+
 class TestJsonlErrors:
     @pytest.mark.parametrize(
         "text,line,cause",
@@ -244,3 +262,99 @@ class TestJsonlErrors:
             from_jsonl("\n".join(lines))
         assert info.value.line == 8
         assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("schema", [SCHEMA_VERSION + 1, 99, "1", None, 1.5])
+    def test_unknown_schema_is_refused(self, schema):
+        lines = to_jsonl(session_history()).splitlines()
+        banner = json.loads(lines[0])
+        banner["schema"] = schema
+        lines[0] = json.dumps(banner)
+        with pytest.raises(TranscriptError, match="schema") as info:
+            from_jsonl("\n".join(lines))
+        assert info.value.line == 1
+
+    @pytest.mark.parametrize(
+        "text", ["[" * 100_000, "1" * 5000, '{"event": "banner", "n": ' + "9" * 5000 + "}"]
+    )
+    def test_json_the_decoder_cannot_hold_is_refused(self, text):
+        # nesting past the decoder's recursion limit and integer literals
+        # past CPython's digit limit raise other errors than JSONDecodeError
+        with pytest.raises(TranscriptError, match="not JSON") as info:
+            from_jsonl(text)
+        assert info.value.line == 1
+
+
+EVENT_KINDS = [
+    "banner",
+    "safe_qubits_hint",
+    "ceiling_rejection",
+    "shared_factor",
+    "new_base",
+    "trial",
+    "attempt_verdict",
+    "summary",
+]
+FIELDS = [
+    "schema", "n", "qubits", "max_trials", "order_ceiling", "seed", "ceiling",
+    "y", "factors", "index", "readout", "candidate", "verified", "status",
+    "order", "elapsed", "total_trials", "failure", "warnings",
+]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+event_objects = st.builds(
+    lambda kind, fields: {"event": kind, **fields},
+    st.sampled_from(EVENT_KINDS) | json_values,
+    st.dictionaries(st.sampled_from(FIELDS), json_values, max_size=6),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def valid_lines() -> tuple[str, ...]:
+    """A real session with ceiling rejections, trials and every verdict kind."""
+    return tuple(to_jsonl(factor(1328881, 41, seed=3)).splitlines())
+
+
+def parses_or_refuses(text: str) -> None:
+    try:
+        history = from_jsonl(text)
+    except TranscriptError:
+        return
+    assert isinstance(history, FactoringHistory)
+
+
+class TestJsonlFuzz:
+    """from_jsonl returns a history or raises TranscriptError, nothing else."""
+
+    @given(st.text())
+    @settings(max_examples=300)
+    def test_arbitrary_text(self, text):
+        parses_or_refuses(text)
+
+    @given(st.lists(event_objects | json_values, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_json_lines(self, objects):
+        parses_or_refuses("\n".join(json.dumps(o) for o in objects))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_valid_stream_with_one_line_dropped_cut_or_edited(self, data):
+        lines = list(valid_lines())
+        i = data.draw(st.integers(0, len(lines) - 1))
+        edit = data.draw(st.sampled_from(["drop", "cut", "set", "delete"]))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "cut":
+            lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i]) - 1))]
+        else:
+            obj = json.loads(lines[i])
+            key = data.draw(st.sampled_from(sorted(obj)) | st.sampled_from(FIELDS))
+            if edit == "set":
+                obj[key] = data.draw(json_values)
+            else:
+                obj.pop(key, None)
+            lines[i] = json.dumps(obj)
+        parses_or_refuses("\n".join(lines))
