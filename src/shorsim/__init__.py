@@ -21,13 +21,11 @@ from .model import (
     FactoringParams,
     InputTooLarge,
     PrimeInput,
-    ThetaGeometry,
     aux_qubits,
     dominant_mass,
     dominant_readouts,
     prob,
     safe_qubits,
-    theta,
 )
 from .numtheory import (
     Convergent,
@@ -55,7 +53,6 @@ __all__ = [
     "RandomSource",
     "ReadoutSampler",
     "SharedFactorHit",
-    "ThetaGeometry",
     "TranscriptError",
     "TrialCounter",
     "aux_qubits",
@@ -73,7 +70,6 @@ __all__ = [
     "render_text",
     "run_session",
     "safe_qubits",
-    "theta",
     "to_jsonl",
     "__version__",
 ]

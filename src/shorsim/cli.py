@@ -8,18 +8,20 @@ times repeated sessions across work-register sizes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import secrets
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from statistics import mean
 
-from .factorizer import FactoringHistory, factor
+from .factorizer import FactoringHistory, factor, run_session
 from .model import (
     MAX_QUBITS,
+    FactoringParams,
     InputTooLarge,
     PrimeInput,
     check_ten_digits,
+    dominant_mass,
     dominant_readouts,
     prob,
     safe_qubits,
@@ -28,6 +30,7 @@ from .numtheory import NotCoprime, multiplicative_order
 from .transcript import PRIME_WARNING, render_text, to_jsonl
 
 FULL_SPECTRUM_LIMIT = 1 << 20  # largest register dumped exhaustively
+MAX_BENCH_SESSIONS = 10_000  # register sizes x runs; one table cell and CSV row each
 
 
 def _add_session_flags(parser: argparse.ArgumentParser) -> None:
@@ -117,10 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_session_flags(p_bench)
     p_bench.add_argument(
-        "--runs", type=int, default=4, metavar="R", help="sessions per register size (default 4)"
-    )
-    p_bench.add_argument(
-        "--workers", type=int, default=1, metavar="W", help="parallel worker processes (default 1)"
+        "--runs",
+        type=int,
+        default=4,
+        metavar="R",
+        help=f"sessions per register size (default 4; {MAX_BENCH_SESSIONS} sessions at most)",
     )
     p_bench.add_argument(
         "--out", default=None, metavar="PATH", help="also write per-run rows as CSV to PATH"
@@ -156,10 +160,6 @@ def _parse_ceiling(text: str) -> int | str | None:
     return value
 
 
-def _seed_or_fresh(seed: int | None) -> int:
-    return seed if seed is not None else secrets.randbits(64)
-
-
 def _fail(message: str) -> int:
     print(message, file=sys.stderr)
     return 2
@@ -189,7 +189,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
         history = factor(
             args.n,
             args.qubits,
-            _seed_or_fresh(args.seed),
+            args.seed,
             max_trials=args.max_trials,
             order_ceiling=_parse_ceiling(args.order_ceiling),
         )
@@ -207,17 +207,16 @@ def cmd_factor(args: argparse.Namespace) -> int:
     return 0 if history.succeeded else 1
 
 
-def _spectrum_rows(r: int, q: int, rings: int) -> tuple[list[tuple], float, bool]:
-    """Spectrum rows and the dominant mass; truncated rows carry coverage."""
-    peaks = dominant_readouts(r, q)
-    peak_mass = sum(prob(c, r, q) for c in peaks)
+def _spectrum_rows(r: int, q: int, rings: int) -> tuple[list[tuple], bool]:
+    """Spectrum rows, and whether they are truncated (rows then carry coverage)."""
     if q <= FULL_SPECTRUM_LIMIT:
         rows: list[tuple] = []
         for c in range(q):
             p = prob(c, r, q)
             if p > 0.0:
                 rows.append((c, p))
-        return rows, peak_mass, False
+        return rows, False
+    peaks = dominant_readouts(r, q)
     cells = set(peaks)
     for k in range(1, rings + 1):
         for c in peaks:
@@ -229,7 +228,7 @@ def _spectrum_rows(r: int, q: int, rings: int) -> tuple[list[tuple], float, bool
         p = prob(c, r, q)
         coverage += p
         rows.append((c, p, coverage))
-    return rows, peak_mass, True
+    return rows, True
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
@@ -257,19 +256,14 @@ def cmd_dist(args: argparse.Namespace) -> int:
             f"shorsim: order {r} with {args.rings} rings needs {needed} rows,"
             f" more than the limit {FULL_SPECTRUM_LIMIT}"
         )
-    rows, peak_mass, truncated = _spectrum_rows(r, q, args.rings)
-    header = f"# N={n},L={qubits},y={y},r={r},dominant_mass={peak_mass!r}"
+    rows, truncated = _spectrum_rows(r, q, args.rings)
+    header = f"# N={n},L={qubits},y={y},r={r},dominant_mass={dominant_mass(r, q)!r}"
     if truncated:
         header += ",columns=c:prob:coverage"
     out_lines = [header]
     for row in rows:
         out_lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
     return 0 if _emit("\n".join(out_lines), args.out) else 2
-
-
-def _bench_one(task: tuple) -> FactoringHistory:
-    n, qubits, seed, max_trials, ceiling = task
-    return factor(n, qubits, seed, max_trials=max_trials, order_ceiling=ceiling)
 
 
 def _format_run(history: FactoringHistory) -> str:
@@ -281,66 +275,63 @@ def _format_run(history: FactoringHistory) -> str:
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.runs < 1:
         return _fail("shorsim: --runs must be >= 1")
-    if args.workers < 1:
-        return _fail("shorsim: --workers must be >= 1")
     try:
         ceiling = _parse_ceiling(args.order_ceiling)
         if args.qubits is None:
-            sizes = [safe_qubits(args.n)]
+            sizes: list[int | None] = [None]  # the safe size for N
         else:
             sizes = [int(part) for part in args.qubits.split(",") if part != ""]
             if not sizes:
                 raise ValueError("--qubits takes a comma-separated list of sizes")
-        for qubits in sizes:
-            if not 1 <= qubits <= MAX_QUBITS:
-                raise ValueError(f"--qubits must be in [1, {MAX_QUBITS}]")
-        base_seed = _seed_or_fresh(args.seed)
-        tasks = [
-            (args.n, qubits, (base_seed + i) % 2**64, args.max_trials, ceiling)
+        if len(sizes) * args.runs > MAX_BENCH_SESSIONS:
+            raise ValueError(
+                f"a bench runs at most {MAX_BENCH_SESSIONS} sessions"
+                f" (register sizes x --runs), not {len(sizes) * args.runs}"
+            )
+        base_seed = args.seed if args.seed is not None else secrets.randbits(64)
+        per_size = [
+            FactoringParams.build(
+                args.n, qubits, base_seed, max_trials=args.max_trials, order_ceiling=ceiling
+            )
             for qubits in sizes
-            for i in range(args.runs)
         ]
-        # an unwritable CSV path fails here, before any session runs
-        if args.out and not _write(args.out, "a", ""):
-            return 2
-        if args.workers == 1:
-            results = [_bench_one(task) for task in tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                results = list(pool.map(_bench_one, tasks))
     except PrimeInput:
         print(PRIME_WARNING)
         return 2
     except (InputTooLarge, ValueError) as exc:
         return _fail(f"shorsim: {exc}")
+    # an unwritable CSV path fails here, before any session runs
+    if args.out and not _write(args.out, "a", ""):
+        return 2
 
     print(
         f"Factoring N = {args.n}, {args.runs} runs per register size, seed base {base_seed}"
     )
-    for row, qubits in enumerate(sizes):
-        runs = results[row * args.runs : (row + 1) * args.runs]
-        cells = " ".join(_format_run(h) for h in runs)
-        done = [h for h in runs if h.succeeded]
-        if done:
-            avg = (
-                f"{mean(h.elapsed for h in done):.1f}"
-                f"({round(mean(h.total_trials for h in done), 1):g})"
-            )
-        else:
-            avg = "-"
-        print(f"L = {qubits:3d}: {cells}  avg {avg}")
-
-    if args.out:
-        lines = ["n,qubits,run,seed,elapsed,trials,outcome,factor1,factor2"]
-        for index, ((n, qubits, seed, _mt, _oc), history) in enumerate(
-            zip(tasks, results)
-        ):
+    lines = ["n,qubits,run,seed,elapsed,trials,outcome,factor1,factor2"]
+    for params in per_size:
+        cells, done = [], []
+        for run in range(args.runs):
+            seed = (base_seed + run) % 2**64
+            history = run_session(dataclasses.replace(params, seed=seed))
+            cells.append(_format_run(history))
+            if history.succeeded:
+                done.append((history.elapsed, history.total_trials))
             outcome = history.failure.value if history.failure else "success"
             f1, f2 = history.factors if history.factors else ("", "")
             lines.append(
-                f"{n},{qubits},{index % args.runs},{seed},{history.elapsed!r},"
+                f"{args.n},{params.qubits},{run},{seed},{history.elapsed!r},"
                 f"{history.total_trials},{outcome},{f1},{f2}"
             )
+        if done:
+            avg = (
+                f"{mean(e for e, _ in done):.1f}"
+                f"({round(mean(t for _, t in done), 1):g})"
+            )
+        else:
+            avg = "-"
+        print(f"L = {params.qubits:3d}: {' '.join(cells)}  avg {avg}")
+
+    if args.out:
         return 0 if _emit("\n".join(lines), args.out) else 2
     return 0
 

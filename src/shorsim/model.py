@@ -9,9 +9,10 @@ register returns readout c with probability (Shor 1997, section 5)
     P(c) = [s sin(pi (A0+1) d/q)**2 + (r-s) sin(pi A0 d/q)**2]
            / (q**2 sin(pi d/q)**2)
 
-where d = r c - m_c q and m_c q is the multiple of q nearest to r c. At
-d = 0 the limit is P = (s (A0+1)**2 + (r-s) A0**2) / q**2, which is 1/r
-when r divides q. The products A d are reduced mod q in exact integer
+where d = r c mod q. Each sin(pi x/q)**2 depends on x only mod q, so
+any d congruent to r c works, such as the signed distance from r c to
+the nearest multiple of q. At d = 0 the limit is
+P = (s (A0+1)**2 + (r-s) A0**2) / q**2, which is 1/r when r divides q. The products A d are reduced mod q in exact integer
 arithmetic before any sine is taken: r c and A d overflow the 53-bit
 float mantissa long before the angles involved become small, so
 rounding them in floats would place whole peaks on the wrong readout.
@@ -136,38 +137,10 @@ class FactoringParams:
         )
 
 
-@dataclass(frozen=True)
-class ThetaGeometry:
-    """The phasor angle behind one readout's probability.
-
-    offset is the exact integer residual r*c - m*q with m*q the nearest
-    multiple of q; angle = 2*pi*offset/q lies in (-pi, pi].
-    """
-
-    c: int
-    m: int
-    offset: int
-    angle: float
-
-
-def _offset(c: int, r: int, q: int) -> tuple[int, int]:
-    # Nearest integer to r*c/q; a half-integer tie rounds m down so the
-    # angle lands on +pi rather than -pi.
-    m = (2 * r * c + q - 1) // (2 * q)
-    return m, r * c - m * q
-
-
-def theta(c: int, r: int, q: int) -> ThetaGeometry:
-    """Angle between successive phasor terms for readout c at order r."""
-    _check_cr(c, r, q)
-    m, d = _offset(c, r, q)
-    return ThetaGeometry(c=c, m=m, offset=d, angle=2.0 * math.pi * d / q)
-
-
 def prob(c: int, r: int, q: int) -> float:
     """Probability of measuring readout c when the hidden order is r."""
     _check_cr(c, r, q)
-    _, d = _offset(c, r, q)
+    d = r * c % q
     a0, s = divmod(q, r)
     if d == 0:
         return (s * (a0 + 1) ** 2 + (r - s) * a0 * a0) / (q * q)

@@ -1,6 +1,6 @@
 """Arbitrary-precision number-theoretic primitives.
 
-Everything in this module is pure and deterministic: gcd, modular
+Everything in this module is pure and deterministic: modular
 exponentiation, exact primality, prime factorization, multiplicative
 order, and continued-fraction convergents. All functions accept plain
 Python ints and never lose precision to floats.
@@ -15,15 +15,6 @@ from functools import lru_cache
 
 class NotCoprime(ValueError):
     """An operation required gcd(y, n) == 1 and it did not hold."""
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two nonnegative ints, not both zero."""
-    if a < 0 or b < 0:
-        raise ValueError("gcd arguments must be nonnegative")
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return math.gcd(a, b)
 
 
 def modpow(y: int, e: int, n: int) -> int:

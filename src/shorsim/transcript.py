@@ -1,7 +1,7 @@
 """Rendering and serialization of factoring histories.
 
-A history is flattened to an ordered stream of TranscriptEvents; the
-stream renders to the human transcript line by line and serializes to
+A history is flattened to an ordered stream of (kind, payload) events;
+the stream renders to the human transcript line by line and serializes to
 line-delimited JSON that parses back to an equal history. A stream that
 cannot be parsed back raises TranscriptError, naming the line at fault.
 """
@@ -9,7 +9,6 @@ cannot be parsed back raises TranscriptError, naming the line at fault.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any, Iterator
 
 from .factorizer import AttemptRecord, FactoringHistory, Outcome
@@ -56,163 +55,60 @@ class TranscriptError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class TranscriptEvent:
-    """One step of a session: a kind tag plus its payload fields."""
-
-    kind: str
-    payload: dict[str, Any]
-
-
-def history_to_events(history: FactoringHistory) -> list[TranscriptEvent]:
-    """Flatten a history into its ordered event stream."""
+def history_to_events(history: FactoringHistory) -> Iterator[tuple[str, dict[str, Any]]]:
+    """Flatten a history into its ordered stream of (kind, payload) events."""
     p = history.params
-    events = [
-        TranscriptEvent(
-            "banner",
-            {
-                "schema": SCHEMA_VERSION,
-                "n": p.n,
-                "qubits": p.qubits,
-                "max_trials": p.max_trials,
-                "order_ceiling": p.order_ceiling,
-                "seed": p.seed,
-            },
-        ),
-        TranscriptEvent("safe_qubits_hint", {"qubits": safe_qubits(p.n)}),
-    ]
+    yield "banner", {
+        "schema": SCHEMA_VERSION,
+        "n": p.n,
+        "qubits": p.qubits,
+        "max_trials": p.max_trials,
+        "order_ceiling": p.order_ceiling,
+        "seed": p.seed,
+    }
+    yield "safe_qubits_hint", {"qubits": safe_qubits(p.n)}
     for attempt in history.attempts:
-        events.extend(_attempt_events(attempt, p))
-    events.append(
-        TranscriptEvent(
-            "summary",
-            {
-                "n": p.n,
-                "elapsed": history.elapsed,
-                "total_trials": history.total_trials,
-                "factors": list(history.factors) if history.factors else None,
-                "failure": history.failure.value if history.failure else None,
-                "warnings": list(history.warnings),
-            },
-        )
-    )
-    return events
+        yield from _attempt_events(attempt, p)
+    yield "summary", {
+        "n": p.n,
+        "elapsed": history.elapsed,
+        "total_trials": history.total_trials,
+        "factors": list(history.factors) if history.factors else None,
+        "failure": history.failure.value if history.failure else None,
+        "warnings": list(history.warnings),
+    }
 
 
 def _attempt_events(
     attempt: AttemptRecord, params: FactoringParams
-) -> Iterator[TranscriptEvent]:
+) -> Iterator[tuple[str, dict[str, Any]]]:
     if attempt.outcome is Outcome.ORDER_CEILING_REJECTED:
-        yield TranscriptEvent(
-            "ceiling_rejection", {"y": attempt.y, "ceiling": params.order_ceiling}
-        )
+        yield "ceiling_rejection", {"y": attempt.y, "ceiling": params.order_ceiling}
         return
     if attempt.outcome is Outcome.SHARED_FACTOR:
-        yield TranscriptEvent(
-            "shared_factor", {"y": attempt.y, "factors": list(attempt.factors)}
-        )
+        yield "shared_factor", {"y": attempt.y, "factors": list(attempt.factors)}
         return
-    yield TranscriptEvent("new_base", {"y": attempt.y})
+    yield "new_base", {"y": attempt.y}
     for trial in attempt.trials:
-        yield TranscriptEvent(
-            "trial",
-            {
-                "index": trial.trial_index,
-                "readout": trial.readout,
-                "candidate": trial.candidate_order,
-                "verified": trial.verified,
-            },
-        )
+        yield "trial", {
+            "index": trial.trial_index,
+            "readout": trial.readout,
+            "candidate": trial.candidate_order,
+            "verified": trial.verified,
+        }
     verdict: dict[str, Any] = {"status": attempt.outcome.value}
     if attempt.order is not None:
         verdict["order"] = attempt.order
     if attempt.factors is not None:
         verdict["factors"] = list(attempt.factors)
-    yield TranscriptEvent("attempt_verdict", verdict)
-
-
-def events_to_history(events: list[tuple[int, str, dict[str, Any]]]) -> FactoringHistory:
-    """Rebuild a history from its (line number, kind, payload) events.
-
-    Fields not read here are ignored, so older banners that carried a
-    tail_threshold still parse; a banner without a schema is version 1,
-    and one of a newer schema than SCHEMA_VERSION is refused.
-    """
-    params: FactoringParams | None = None
-    summary: dict[str, Any] | None = None
-    attempts: list[AttemptRecord] = []
-    open_y: int | None = None
-    open_trials: list[OrderResult] = []
-    last = 0
-    for last, kind, data in events:
-        try:
-            if kind == "ceiling_rejection":
-                attempts.append(AttemptRecord(data["y"], Outcome.ORDER_CEILING_REJECTED))
-            elif kind == "shared_factor":
-                attempts.append(
-                    AttemptRecord(
-                        data["y"],
-                        Outcome.SHARED_FACTOR,
-                        factors=tuple(data["factors"]),
-                    )
-                )
-            elif kind == "new_base":
-                open_y = data["y"]
-                open_trials = []
-            elif kind == "trial":
-                open_trials.append(
-                    OrderResult(
-                        data["index"], data["readout"], data["candidate"], data["verified"]
-                    )
-                )
-            elif kind == "attempt_verdict":
-                attempts.append(
-                    AttemptRecord(
-                        open_y,
-                        Outcome(data["status"]),
-                        order=data.get("order"),
-                        trials=tuple(open_trials),
-                        factors=tuple(data["factors"]) if data.get("factors") else None,
-                    )
-                )
-                open_y = None
-                open_trials = []
-            elif kind == "banner":
-                schema = data.get("schema", 1)
-                if schema not in range(1, SCHEMA_VERSION + 1):
-                    raise ValueError(f"schema {schema!r} is unknown (newest {SCHEMA_VERSION})")
-                params = FactoringParams.build(
-                    data["n"],
-                    data["qubits"],
-                    data["seed"],
-                    max_trials=data["max_trials"],
-                    order_ceiling=data["order_ceiling"],
-                )
-            elif kind == "summary":
-                summary = {
-                    "total_trials": data["total_trials"],
-                    "elapsed": data["elapsed"],
-                    "factors": tuple(data["factors"]) if data["factors"] else None,
-                    "failure": Outcome(data["failure"]) if data["failure"] else None,
-                    "warnings": tuple(data["warnings"]),
-                }
-        except KeyError as exc:
-            raise TranscriptError(last, f"{kind!r} event lacks field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise TranscriptError(last, f"bad {kind!r} event: {exc}") from None
-    if params is None:
-        raise TranscriptError(last + 1, "no banner event")
-    if summary is None:
-        raise TranscriptError(last + 1, "no summary event")
-    return FactoringHistory(params=params, attempts=tuple(attempts), **summary)
+    yield "attempt_verdict", verdict
 
 
 def render_text(history: FactoringHistory) -> list[str]:
     """Render a history to the transcript, one line per list element."""
     lines: list[str] = []
     n = history.params.n
-    for event in history_to_events(history):
-        kind, data = event.kind, event.payload
+    for kind, data in history_to_events(history):
         if kind == "banner":
             lines.append(BANNER.format(n=data["n"]))
         elif kind == "safe_qubits_hint":
@@ -267,21 +163,30 @@ def _verdict_lines(data: dict[str, Any], history: FactoringHistory) -> list[str]
 def to_jsonl(history: FactoringHistory) -> str:
     """Serialize a history to line-delimited JSON, one event per line."""
     return "\n".join(
-        json.dumps({"event": e.kind, **e.payload}, sort_keys=True)
-        for e in history_to_events(history)
+        json.dumps({"event": kind, **data}, sort_keys=True)
+        for kind, data in history_to_events(history)
     )
 
 
 def from_jsonl(text: str) -> FactoringHistory:
     """Parse the output of to_jsonl back into an equal history.
 
-    Any other input raises TranscriptError naming the line and the cause.
+    Fields not read here are ignored, so older banners that carried a
+    tail_threshold still parse; a banner without a schema is version 1,
+    and one of a newer schema than SCHEMA_VERSION is refused. Any other
+    input raises TranscriptError naming the line and the cause.
     """
-    events = []
+    params: FactoringParams | None = None
+    summary: dict[str, Any] | None = None
+    attempts: list[AttemptRecord] = []
+    open_y: int | None = None
+    open_trials: list[OrderResult] = []
+    last = 0
     for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
+        last = number
         try:
             data = json.loads(line)
         except (ValueError, RecursionError) as exc:  # also huge ints, deep nesting
@@ -291,5 +196,63 @@ def from_jsonl(text: str) -> FactoringHistory:
             kind = data.pop("event")
         except (AttributeError, KeyError, TypeError):
             raise TranscriptError(number, "not an object with an 'event' field") from None
-        events.append((number, kind, data))
-    return events_to_history(events)
+        try:
+            if kind == "ceiling_rejection":
+                attempts.append(AttemptRecord(data["y"], Outcome.ORDER_CEILING_REJECTED))
+            elif kind == "shared_factor":
+                attempts.append(
+                    AttemptRecord(
+                        data["y"],
+                        Outcome.SHARED_FACTOR,
+                        factors=tuple(data["factors"]),
+                    )
+                )
+            elif kind == "new_base":
+                open_y = data["y"]
+                open_trials = []
+            elif kind == "trial":
+                open_trials.append(
+                    OrderResult(
+                        data["index"], data["readout"], data["candidate"], data["verified"]
+                    )
+                )
+            elif kind == "attempt_verdict":
+                attempts.append(
+                    AttemptRecord(
+                        open_y,
+                        Outcome(data["status"]),
+                        order=data.get("order"),
+                        trials=tuple(open_trials),
+                        factors=tuple(data["factors"]) if data.get("factors") else None,
+                    )
+                )
+                open_y = None
+                open_trials = []
+            elif kind == "banner":
+                schema = data.get("schema", 1)
+                if schema not in range(1, SCHEMA_VERSION + 1):
+                    raise ValueError(f"schema {schema!r} is unknown (newest {SCHEMA_VERSION})")
+                params = FactoringParams.build(
+                    data["n"],
+                    data["qubits"],
+                    data["seed"],
+                    max_trials=data["max_trials"],
+                    order_ceiling=data["order_ceiling"],
+                )
+            elif kind == "summary":
+                summary = {
+                    "total_trials": data["total_trials"],
+                    "elapsed": data["elapsed"],
+                    "factors": tuple(data["factors"]) if data["factors"] else None,
+                    "failure": Outcome(data["failure"]) if data["failure"] else None,
+                    "warnings": tuple(data["warnings"]),
+                }
+        except KeyError as exc:
+            raise TranscriptError(number, f"{kind!r} event lacks field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise TranscriptError(number, f"bad {kind!r} event: {exc}") from None
+    if params is None:
+        raise TranscriptError(last + 1, "no banner event")
+    if summary is None:
+        raise TranscriptError(last + 1, "no summary event")
+    return FactoringHistory(params=params, attempts=tuple(attempts), **summary)

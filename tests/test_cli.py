@@ -1,8 +1,13 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shorsim.cli import main
+from shorsim.cli import MAX_BENCH_SESSIONS, main
+from shorsim.model import dominant_mass
 from shorsim.transcript import PRIME_WARNING, from_jsonl
 
 
@@ -173,6 +178,19 @@ class TestDistCommand:
             " more than the limit 1048576"
         ]
 
+    @pytest.mark.parametrize(
+        "argv,r,q",
+        [
+            (["187", "36"], 40, 1 << 16),
+            (["1328881", "200298", "--rings", "0"], 519, 1 << 41),
+        ],
+    )
+    def test_header_carries_dominant_mass(self, capsys, argv, r, q):
+        code, out, _ = run(capsys, "dist", *argv)
+        assert code == 0
+        header = out.splitlines()[0]
+        assert header.split("dominant_mass=")[1].split(",")[0] == repr(dominant_mass(r, q))
+
     def test_out_writes_file(self, capsys, tmp_path):
         path = tmp_path / "spec.csv"
         code, out, _ = run(
@@ -248,22 +266,24 @@ class TestBenchCommand:
         rows = [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
         assert [r[3] for r in rows] == ["100", "101", "102"]
 
-    def test_worker_pool_matches_serial(self, capsys, tmp_path):
-        serial = tmp_path / "serial.csv"
-        parallel = tmp_path / "parallel.csv"
-        run(capsys, "bench", "187", "--qubits", "16", "--runs", "2", "--seed", "5",
-            "--out", str(serial))
-        run(capsys, "bench", "187", "--qubits", "16", "--runs", "2", "--seed", "5",
-            "--workers", "2", "--out", str(parallel))
-
-        def stable(path):
-            rows = []
-            for line in path.read_text().strip().splitlines()[1:]:
-                cells = line.split(",")
-                rows.append(cells[:4] + cells[5:])  # drop wall-clock column
-            return rows
-
-        assert stable(serial) == stable(parallel)
+    @pytest.mark.parametrize(
+        "argv,sessions",
+        [
+            (["--runs", str(MAX_BENCH_SESSIONS + 1)], MAX_BENCH_SESSIONS + 1),
+            (["--qubits", "16,12", "--runs", str(MAX_BENCH_SESSIONS // 2 + 1)],
+             MAX_BENCH_SESSIONS + 2),
+            (["--runs", str(10**11)], 10**11),
+        ],
+    )
+    def test_session_count_over_the_cap_is_refused(self, capsys, argv, sessions):
+        # refused before any session runs or any per-session state is built
+        code, out, err = run(capsys, "bench", "187", "--seed", "0", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.strip().splitlines() == [
+            f"shorsim: a bench runs at most {MAX_BENCH_SESSIONS} sessions"
+            f" (register sizes x --runs), not {sessions}"
+        ]
 
     def test_bad_qubits_list(self, capsys):
         code, _, err = run(capsys, "bench", "187", "--qubits", "16,x")
@@ -300,3 +320,67 @@ class TestPipeSafety:
         assert proc.returncode == 0  # head's status, the left side must not traceback
         assert "Traceback" not in proc.stderr
         assert proc.stdout.startswith("# N=187,L=16,y=36,r=40")
+
+
+def run_argv(argv: list[str]) -> tuple[int, str, str]:
+    """main(argv) with its output captured; argparse's exit becomes a code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+N_VALUES = ["15", "21", "187", "1039", "4", "1", "0", "-187", "10000000000", "abc", ""]
+SESSION_FLAGS = {
+    "--seed": ["0", "7", "-1", str(2**64), "x"],
+    "--max-trials": ["1", "5", "0", "-2", "x"],
+    "--order-ceiling": ["sqrt", "none", "3", "0", "-1", "x"],
+}
+COMMAND_FLAGS = {
+    "factor": {
+        **SESSION_FLAGS,
+        "--qubits": ["2", "8", "12", "0", "-3", "97", "x"],
+        "--format": ["text", "jsonl", "xml"],
+    },
+    "dist": {
+        "--qubits": ["3", "8", "12", "96", "0", "97", "x"],
+        "--rings": ["0", "1", "4", "-1", "100000000", "x"],
+    },
+    "bench": {
+        **SESSION_FLAGS,
+        "--qubits": ["8", "12,8", "1,2", "", ",", "0", "97", "8,x"],
+        "--runs": ["1", "3", "0", "-1", str(MAX_BENCH_SESSIONS + 1), str(10**11), "x"],
+    },
+}
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = [command, draw(st.sampled_from(N_VALUES))]
+    if command == "dist":
+        argv.append(draw(st.sampled_from(["2", "7", "36", "56", "33", "0", "-1", "187", "x"])))
+    for flag, values in COMMAND_FLAGS[command].items():
+        value = draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+class TestArgumentFuzz:
+    @given(command_lines())
+    @settings(max_examples=300, deadline=None)
+    def test_exit_status_and_message_shape(self, argv):
+        code, out, err = run_argv(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            shapes = [
+                out == "" and err.startswith("shorsim: ") and len(err.splitlines()) == 1,
+                out == PRIME_WARNING + "\n" and err == "",
+                out == "" and err.startswith("usage: shorsim") and "error:" in err,
+            ]
+            assert shapes.count(True) == 1, (out, err)

@@ -13,7 +13,6 @@ from shorsim.model import (
     dominant_readouts,
     prob,
     safe_qubits,
-    theta,
 )
 from conftest import brute_prob
 
@@ -83,39 +82,6 @@ class TestFactoringParams:
             FactoringParams.build(3, seed=0)
 
 
-class TestTheta:
-    def test_on_peak(self):
-        g = theta(4096, 16, 1 << 16)
-        assert (g.m, g.offset, g.angle) == (1, 0, 0.0)
-
-    def test_near_peak(self):
-        g = theta(1638, 40, 1 << 16)
-        assert g.m == 1
-        assert g.offset == 40 * 1638 - 65536
-        assert g.offset == -16
-        assert g.angle == -32.0 * math.pi / 65536.0
-
-    def test_zero_readout(self):
-        g = theta(0, 40, 1 << 16)
-        assert (g.m, g.offset, g.angle) == (0, 0, 0.0)
-
-    def test_half_tie_lands_on_positive_pi(self):
-        # r*c = q/2 exactly: the nearest-multiple tie resolves to +pi
-        g = theta(8, 1, 16)
-        assert g.offset == 8
-        assert g.angle == math.pi
-
-    @given(st.integers(1, 12), st.data())
-    def test_angle_range_and_exact_offset(self, bits, data):
-        q = 1 << bits
-        r = data.draw(st.integers(1, q))
-        c = data.draw(st.integers(0, q - 1))
-        g = theta(c, r, q)
-        assert -math.pi < g.angle <= math.pi
-        assert g.offset == r * c - g.m * q
-        assert abs(g.offset) * 2 <= q
-
-
 class TestProb:
     def test_peak_of_divisor_order_is_exactly_one_over_r(self):
         assert prob(4096, 16, 1 << 16) == 1.0 / 16.0
@@ -154,7 +120,7 @@ class TestProb:
         # exact integer reduction of A*d keeps the two equal
         q, r = 1 << 60, 1_000_003
         c = (pow(q, -1, r) * q - 1) // r
-        assert theta(c, r, q).offset == -1
+        assert r * c % q == q - 1  # r*c is one short of a multiple of q
         assert prob(c, r, q) == pytest.approx(prob(q - c, r, q), rel=1e-12)
         assert prob(c, r, q) == pytest.approx(1.0 / r, rel=1e-6)
 
@@ -218,7 +184,9 @@ class TestDominantReadouts:
         assert all(0 <= c < q for c in peaks)
         assert all(a < b for a, b in zip(peaks, peaks[1:]))
         for c in peaks:
-            assert 2 * abs(theta(c, r, q).offset) <= r
+            # r*c lies within r/2 of a multiple of q
+            d = r * c % q
+            assert 2 * min(d, q - d) <= r
 
     @given(st.integers(5, 12), st.data())
     @settings(max_examples=25)

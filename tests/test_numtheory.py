@@ -11,41 +11,11 @@ from shorsim.numtheory import (
     carmichael_lambda,
     convergents,
     factorize,
-    gcd,
     is_prime,
     modpow,
     multiplicative_order,
 )
 from conftest import brute_convergent, brute_order
-
-
-class TestGcd:
-    @pytest.mark.parametrize(
-        "a,b,expected",
-        [(56, 187, 1), (187, 187, 187), (505980, 1328881, 1), (0, 5, 5), (12, 18, 6)],
-    )
-    def test_values(self, a, b, expected):
-        assert gcd(a, b) == expected
-
-    def test_coprime_to_both_prime_factors(self):
-        # 1328881 = 1039 * 1279; 505980 avoids both, so the gcd must be 1
-        assert 505980 % 1039 != 0 and 505980 % 1279 != 0
-        assert gcd(505980, 1328881) == 1
-
-    def test_rejects_double_zero(self):
-        with pytest.raises(ValueError):
-            gcd(0, 0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            gcd(-4, 6)
-
-    @given(st.integers(0, 2000), st.integers(0, 2000))
-    def test_matches_exhaustive_scan(self, a, b):
-        if a == 0 and b == 0:
-            return
-        best = max(d for d in range(1, max(a, b) + 1) if a % d == 0 and b % d == 0)
-        assert gcd(a, b) == best
 
 
 class TestModpow:

@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import hashlib
 import json
 
 import pytest
@@ -167,14 +169,41 @@ class TestRenderText:
 
 class TestEvents:
     def test_event_stream_shape(self):
-        events = history_to_events(session_history())
-        kinds = [e.kind for e in events]
+        kinds = [kind for kind, _ in history_to_events(session_history())]
         assert kinds[0] == "banner"
         assert kinds[1] == "safe_qubits_hint"
         assert kinds[-1] == "summary"
         assert kinds.count("new_base") == 3
         assert kinds.count("trial") == 6
         assert kinds.count("attempt_verdict") == 3
+
+
+class TestTranscriptBytes:
+    @pytest.mark.parametrize(
+        "n,seed,jsonl_digest,text_digest",
+        [
+            (
+                1328881,
+                0,
+                "f4908d36590b865f56bd5588f1e03411375cf5e07844f8f34f89dd2a8ea554dc",
+                "7fb5b317fda445d0301a341983a43cab481d33348b59ff9004b75a12470105ed",
+            ),
+            (
+                9954647173,
+                3,
+                "9e02baa322124c9b36ac5efddf3e4052a706712ea7cdf566844b0b25b3149aff",
+                "fa0681087edfd08bc077002cedf74fe899e4cd8f7fd97d8756d6f74f4770814e",
+            ),
+        ],
+    )
+    def test_output_is_pinned(self, n, seed, jsonl_digest, text_digest):
+        # both renderings of a seeded session, hashed with the wall-clock time
+        # zeroed; the ten-digit session has 42,524 attempts, almost all of
+        # them ceiling rejections
+        history = dataclasses.replace(factor(n, seed=seed), elapsed=0.0)
+        text = "\n".join(render_text(history))
+        assert hashlib.sha256(to_jsonl(history).encode()).hexdigest() == jsonl_digest
+        assert hashlib.sha256(text.encode()).hexdigest() == text_digest
 
 
 class TestJsonlRoundTrip:
@@ -199,7 +228,7 @@ class TestJsonlRoundTrip:
     def test_one_event_per_line(self):
         text = to_jsonl(session_history())
         lines = text.splitlines()
-        assert len(lines) == len(history_to_events(session_history()))
+        assert len(lines) == len(list(history_to_events(session_history())))
         for line in lines:
             assert "event" in json.loads(line)
 
