@@ -21,7 +21,6 @@ from .model import (
     FactoringParams,
     InputTooLarge,
     PrimeInput,
-    aux_qubits,
     dominant_mass,
     dominant_readouts,
     prob,
@@ -34,7 +33,7 @@ from .numtheory import (
     is_prime,
     multiplicative_order,
 )
-from .orderfinder import OrderResult, TrialCounter, find_order
+from .orderfinder import OrderResult, find_order
 from .sampler import RandomSource, ReadoutSampler
 from .transcript import TranscriptError, from_jsonl, render_text, to_jsonl
 
@@ -54,8 +53,6 @@ __all__ = [
     "ReadoutSampler",
     "SharedFactorHit",
     "TranscriptError",
-    "TrialCounter",
-    "aux_qubits",
     "convergents",
     "dominant_mass",
     "dominant_readouts",

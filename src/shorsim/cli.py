@@ -15,18 +15,8 @@ import sys
 from statistics import mean
 
 from .factorizer import FactoringHistory, factor, run_session
-from .model import (
-    MAX_QUBITS,
-    FactoringParams,
-    InputTooLarge,
-    PrimeInput,
-    check_ten_digits,
-    dominant_mass,
-    dominant_readouts,
-    prob,
-    safe_qubits,
-)
-from .numtheory import NotCoprime, multiplicative_order
+from .model import FactoringParams, PrimeInput, dominant_mass, dominant_readouts, prob
+from .numtheory import multiplicative_order
 from .transcript import PRIME_WARNING, render_text, to_jsonl
 
 FULL_SPECTRUM_LIMIT = 1 << 20  # largest register dumped exhaustively
@@ -145,19 +135,17 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _parse_ceiling(text: str) -> int | str | None:
+    """--order-ceiling as FactoringParams.build takes it; build checks the range."""
     if text == "sqrt":
         return "sqrt"
     if text == "none":
         return None
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise ValueError(
             f"--order-ceiling must be 'sqrt', 'none', or an integer, got {text!r}"
         ) from None
-    if value < 1:
-        raise ValueError("--order-ceiling must be positive")
-    return value
 
 
 def _fail(message: str) -> int:
@@ -196,7 +184,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
     except PrimeInput:
         print(PRIME_WARNING)
         return 2
-    except (InputTooLarge, ValueError) as exc:
+    except ValueError as exc:
         return _fail(f"shorsim: {exc}")
     if args.format == "jsonl":
         text = to_jsonl(history)
@@ -233,21 +221,16 @@ def _spectrum_rows(r: int, q: int, rings: int) -> tuple[list[tuple], bool]:
 
 def cmd_dist(args: argparse.Namespace) -> int:
     n, y = args.n, args.y
-    if n < 2:
-        return _fail("shorsim: N must be >= 2")
-    if not 0 < y < n:
-        return _fail("shorsim: require 0 < Y < N")
-    if args.rings < 0:
-        return _fail("shorsim: --rings must be >= 0")
     try:
-        check_ten_digits(n)
-        qubits = args.qubits if args.qubits is not None else safe_qubits(n)
-        if not 1 <= qubits <= MAX_QUBITS:
-            raise ValueError(f"--qubits must be in [1, {MAX_QUBITS}]")
-        r = multiplicative_order(y, n)
-    except (NotCoprime, PrimeInput, InputTooLarge, ValueError) as exc:
+        params = FactoringParams.build(n, args.qubits, seed=0)
+        if not 0 < y < n:
+            raise ValueError("require 0 < Y < N")
+        if args.rings < 0:
+            raise ValueError("--rings must be >= 0")
+        r = multiplicative_order(y, n)  # NotCoprime is a ValueError
+    except ValueError as exc:
         return _fail(f"shorsim: {exc}")
-    q = 1 << qubits
+    qubits, q = params.qubits, params.q
     if r > q:
         return _fail(f"shorsim: order {r} of y = {y} exceeds the register size {q}")
     needed = r * (2 * args.rings + 1)
@@ -298,7 +281,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except PrimeInput:
         print(PRIME_WARNING)
         return 2
-    except (InputTooLarge, ValueError) as exc:
+    except ValueError as exc:
         return _fail(f"shorsim: {exc}")
     # an unwritable CSV path fails here, before any session runs
     if args.out and not _write(args.out, "a", ""):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .model import FactoringParams
 from .numtheory import NotCoprime, is_prime, multiplicative_order
-from .orderfinder import OrderResult, TrialCounter, find_order
+from .orderfinder import OrderResult, find_order
 from .sampler import RandomSource, ReadoutSampler
 
 
@@ -138,23 +138,17 @@ def factor(
 def run_session(params: FactoringParams) -> FactoringHistory:
     """Run one factoring session to completion under fixed parameters."""
     rng = RandomSource(params.seed)
-    counter = TrialCounter(params.max_trials)
+    trials_run = 0
     attempts: list[AttemptRecord] = []
     factors: tuple[int, int] | None = None
     failure: Outcome | None = None
-    # The work register must be able to index any accepted order, so the
-    # effective ceiling never exceeds q.
-    if params.order_ceiling is None:
-        ceiling = params.q
-    else:
-        ceiling = min(params.order_ceiling, params.q)
     start = time.perf_counter()
     while True:
-        if counter.remaining == 0:
+        if trials_run == params.max_trials:
             failure = Outcome.TRIAL_BUDGET_EXHAUSTED
             break
         rejected: list[int] = []
-        choice = pick_y(params.n, rng, ceiling, rejected)
+        choice = pick_y(params.n, rng, params.ceiling, rejected)
         attempts += [
             AttemptRecord(y, Outcome.ORDER_CEILING_REJECTED) for y in rejected
         ]
@@ -167,8 +161,11 @@ def run_session(params: FactoringParams) -> FactoringHistory:
             break
         y, true_order = choice
         sampler = ReadoutSampler(y, true_order, params.q)
-        trials = find_order(y, params, sampler, rng, counter)
-        if not trials or not trials[-1].verified:
+        trials = find_order(
+            y, params, sampler, rng, trials_run + 1, params.max_trials - trials_run
+        )
+        trials_run += len(trials)
+        if not trials[-1].verified:
             attempts.append(
                 AttemptRecord(
                     y, Outcome.TRIAL_BUDGET_EXHAUSTED, trials=tuple(trials)
@@ -188,7 +185,7 @@ def run_session(params: FactoringParams) -> FactoringHistory:
     return FactoringHistory(
         params=params,
         attempts=tuple(attempts),
-        total_trials=counter.count,
+        total_trials=trials_run,
         elapsed=elapsed,
         factors=factors,
         failure=failure,

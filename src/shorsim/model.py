@@ -27,9 +27,8 @@ import math
 import secrets
 from dataclasses import dataclass
 
-from .numtheory import is_prime
+from .numtheory import MAX_MODULUS, is_prime
 
-MAX_MODULUS = 10**10 - 1  # inputs are capped at ten decimal digits
 MAX_QUBITS = 96
 
 
@@ -52,25 +51,13 @@ def safe_qubits(n: int) -> int:
     return (n * n - 1).bit_length()
 
 
-def aux_qubits(n: int) -> int:
-    """Smallest auxiliary register size holding residues mod n."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return (n - 1).bit_length()
-
-
-def check_ten_digits(n: int) -> None:
-    """Raise InputTooLarge when n has more than ten decimal digits."""
-    if n > MAX_MODULUS:
-        raise InputTooLarge(f"{n} has more than ten digits")
-
-
 def _check_modulus(n: int) -> None:
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError("n must be an int")
     if n < 4:
         raise ValueError("n must be >= 4")
-    check_ten_digits(n)
+    if n > MAX_MODULUS:
+        raise InputTooLarge(f"{n} has more than ten digits")
     if is_prime(n):
         raise PrimeInput(f"{n} is prime")
 
@@ -79,14 +66,12 @@ def _check_modulus(n: int) -> None:
 class FactoringParams:
     """Configuration for one factoring session.
 
-    q and aux_qubits are derived from qubits and n; build() is the
-    validating constructor and fills them in.
+    q = 2**qubits; build() is the validating constructor and fills it in.
     """
 
     n: int
     qubits: int
     q: int
-    aux_qubits: int
     max_trials: int = 100
     order_ceiling: int | None = None
     seed: int = 0
@@ -107,9 +92,10 @@ class FactoringParams:
         "sqrt" (the default cap isqrt(n)), None (no cap), or a positive
         int. seed defaults to a fresh 64-bit value.
         """
-        _check_modulus(n)
         if qubits is None:
-            qubits = safe_qubits(n)
+            qubits = safe_qubits(n)  # checks n
+        else:
+            _check_modulus(n)
         if not 1 <= qubits <= MAX_QUBITS:
             raise ValueError(f"qubits must be in [1, {MAX_QUBITS}]")
         if max_trials < 1:
@@ -130,11 +116,18 @@ class FactoringParams:
             n=n,
             qubits=qubits,
             q=1 << qubits,
-            aux_qubits=aux_qubits(n),
             max_trials=max_trials,
             order_ceiling=ceiling,
             seed=seed,
         )
+
+    @property
+    def ceiling(self) -> int:
+        """The largest base order a session accepts: order_ceiling capped at
+        q, since the work register must be able to index any accepted order."""
+        if self.order_ceiling is None:
+            return self.q
+        return min(self.order_ceiling, self.q)
 
 
 def prob(c: int, r: int, q: int) -> float:

@@ -1,9 +1,9 @@
 """Arbitrary-precision number-theoretic primitives.
 
 Everything in this module is pure and deterministic: modular
-exponentiation, exact primality, prime factorization, multiplicative
-order, and continued-fraction convergents. All functions accept plain
-Python ints and never lose precision to floats.
+exponentiation, exact primality, prime factorization and multiplicative
+order of moduli up to ten digits, and continued-fraction convergents.
+All functions accept plain Python ints and never lose precision to floats.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+MAX_MODULUS = 10**10 - 1  # inputs are capped at ten decimal digits
 
 
 class NotCoprime(ValueError):
@@ -54,62 +56,27 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int) -> int:
-    """Some nontrivial factor of an odd composite n. Deterministic sweep."""
-    for c in range(1, 100):
-        y = 2
-        g = r = q = 1
-        x = ys = y
-        m = 128
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            # backtrack one step at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"could not split {n}")
-
-
 @lru_cache(maxsize=4096)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as ((prime, multiplicity), ...), ascending."""
-    if n < 1:
-        raise ValueError("factorize requires n >= 1")
-    found: dict[int, int] = {}
-    for p in (2, 3, 5, 7):
-        while n % p == 0:
-            found[p] = found.get(p, 0) + 1
-            n //= p
-    f = 11
-    while f <= 1000 and f * f <= n:
-        while n % f == 0:
-            found[f] = found.get(f, 0) + 1
-            n //= f
-        f += 2
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if is_prime(m):
-            found[m] = found.get(m, 0) + 1
-            continue
-        d = _pollard_brent(m)
-        stack += [d, m // d]
-    return tuple(sorted(found.items()))
+    """Prime factorization of n as ((prime, multiplicity), ...), ascending.
+
+    Trial division up to isqrt(n) <= 99,999, so n must lie in [1, MAX_MODULUS].
+    """
+    if not 1 <= n <= MAX_MODULUS:
+        raise ValueError(f"factorize requires 1 <= n <= {MAX_MODULUS}")
+    found = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            e = 0
+            while n % f == 0:
+                n //= f
+                e += 1
+            found.append((f, e))
+        f += 1 if f == 2 else 2
+    if n > 1:
+        found.append((n, 1))
+    return tuple(found)
 
 
 def _prime_power_lambda(p: int, e: int) -> int:
@@ -122,8 +89,6 @@ def _prime_power_lambda(p: int, e: int) -> int:
 @lru_cache(maxsize=4096)
 def carmichael_lambda(n: int) -> int:
     """Exponent of the multiplicative group mod n (least universal order)."""
-    if n < 1:
-        raise ValueError("carmichael_lambda requires n >= 1")
     return math.lcm(*(_prime_power_lambda(p, e) for p, e in factorize(n)))
 
 

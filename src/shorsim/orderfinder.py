@@ -28,47 +28,26 @@ class OrderResult:
     verified: bool
 
 
-class TrialCounter:
-    """Session-global trial budget; numbering runs on across base changes."""
-
-    def __init__(self, limit: int):
-        if limit < 1:
-            raise ValueError("limit must be >= 1")
-        self.limit = limit
-        self.count = 0
-
-    @property
-    def remaining(self) -> int:
-        return self.limit - self.count
-
-    def take(self) -> int | None:
-        """Next 1-based trial index, or None when the budget is spent."""
-        if self.count >= self.limit:
-            return None
-        self.count += 1
-        return self.count
-
-
 def find_order(
     y: int,
     params: FactoringParams,
     sampler: ReadoutSampler,
     rng: RandomSource,
-    counter: TrialCounter,
+    first: int,
+    budget: int,
 ) -> list[OrderResult]:
-    """Run trials until a candidate order verifies or the budget runs out.
+    """Run trials numbered first, first + 1, ... until a candidate order
+    verifies or `budget` trials have run.
 
-    Returns every trial in order; the subcycle succeeded iff the list is
+    Returns every trial in order; the order was found iff the list is
     nonempty and its last entry is verified.
     """
     trials: list[OrderResult] = []
-    while True:
-        index = counter.take()
-        if index is None:
-            return trials
+    for index in range(first, first + budget):
         c = sampler.draw(rng)
         candidate = convergents(c, params.q, params.n).denominator
         verified = modpow(y, candidate, params.n) == 1
         trials.append(OrderResult(index, c, candidate, verified))
         if verified:
-            return trials
+            break
+    return trials

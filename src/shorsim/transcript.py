@@ -67,8 +67,9 @@ def history_to_events(history: FactoringHistory) -> Iterator[tuple[str, dict[str
         "seed": p.seed,
     }
     yield "safe_qubits_hint", {"qubits": safe_qubits(p.n)}
+    ceiling = p.ceiling  # the one the session applied
     for attempt in history.attempts:
-        yield from _attempt_events(attempt, p)
+        yield from _attempt_events(attempt, ceiling)
     yield "summary", {
         "n": p.n,
         "elapsed": history.elapsed,
@@ -80,10 +81,10 @@ def history_to_events(history: FactoringHistory) -> Iterator[tuple[str, dict[str
 
 
 def _attempt_events(
-    attempt: AttemptRecord, params: FactoringParams
+    attempt: AttemptRecord, ceiling: int
 ) -> Iterator[tuple[str, dict[str, Any]]]:
     if attempt.outcome is Outcome.ORDER_CEILING_REJECTED:
-        yield "ceiling_rejection", {"y": attempt.y, "ceiling": params.order_ceiling}
+        yield "ceiling_rejection", {"y": attempt.y, "ceiling": ceiling}
         return
     if attempt.outcome is Outcome.SHARED_FACTOR:
         yield "shared_factor", {"y": attempt.y, "factors": list(attempt.factors)}

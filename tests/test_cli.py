@@ -114,6 +114,18 @@ class TestFactorCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("ceiling", ["100", "none"])
+    def test_transcript_names_the_applied_ceiling(self, capsys, ceiling):
+        # the order of 36 mod 187 is 40: rejected because 40 > q = 8, which
+        # caps the requested ceiling
+        argv = ["factor", "187", "--qubits", "3", "--order-ceiling", ceiling, "--seed", "1"]
+        _, out, _ = run(capsys, *argv)
+        assert "The order of y = 36 exceeds the ceiling of 8, " in out
+        _, out, _ = run(capsys, *argv, "--format", "jsonl")
+        events = [json.loads(line) for line in out.splitlines()]
+        rejections = [e for e in events if e["event"] == "ceiling_rejection"]
+        assert rejections and {e["ceiling"] for e in rejections} == {8}
+
     def test_order_ceiling_garbage(self, capsys):
         code, _, err = run(
             capsys, "factor", "187", "--order-ceiling", "often"
@@ -199,6 +211,20 @@ class TestDistCommand:
         assert code == 0
         assert out == ""
         assert path.read_text().startswith("# N=187,")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["1039", "2", "--qubits", "12"], "1039 is prime"),
+            (["1039", "2"], "1039 is prime"),
+            (["3", "2", "--qubits", "4"], "n must be >= 4"),
+        ],
+    )
+    def test_modulus_is_checked_at_every_register_size(self, capsys, argv, message):
+        code, out, err = run(capsys, "dist", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.strip().splitlines() == [f"shorsim: {message}"]
 
     def test_non_coprime_base_fails(self, capsys):
         code, _, err = run(capsys, "dist", "187", "33")

@@ -135,8 +135,11 @@ class TestFactor:
         assert len(paths) > 1
 
     def test_attempt_bookkeeping_invariants(self):
-        for seed in range(8):
-            history = factor(1328881, 41, seed=seed)
+        # the max_trials=2 sessions include ones that run out of budget after
+        # two or more bases, so numbering must run on across base changes
+        histories = [factor(1328881, 41, seed=seed) for seed in range(8)]
+        histories += [factor(1328881, 41, seed=s, max_trials=2) for s in range(40)]
+        for history in histories:
             assert history.total_trials == sum(
                 len(a.trials) for a in history.attempts
             )

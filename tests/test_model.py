@@ -8,7 +8,6 @@ from shorsim.model import (
     FactoringParams,
     InputTooLarge,
     PrimeInput,
-    aux_qubits,
     dominant_mass,
     dominant_readouts,
     prob,
@@ -26,10 +25,6 @@ class TestRegisterSizing:
         assert safe_qubits(n) == expected
         # minimality of the safe size
         assert (1 << expected) >= n * n > (1 << (expected - 1))
-
-    @pytest.mark.parametrize("n,expected", [(187, 8), (256, 8), (257, 9), (15, 4)])
-    def test_aux_qubits(self, n, expected):
-        assert aux_qubits(n) == expected
 
     def test_prime_rejected(self):
         with pytest.raises(PrimeInput):
@@ -52,7 +47,6 @@ class TestFactoringParams:
         p = FactoringParams.build(187, seed=5)
         assert p.qubits == 16
         assert p.q == 1 << 16
-        assert p.aux_qubits == 8
         assert p.max_trials == 100
         assert p.order_ceiling == 13  # isqrt(187)
         assert p.seed == 5
@@ -62,6 +56,12 @@ class TestFactoringParams:
         assert FactoringParams.build(187, seed=0, order_ceiling=40).order_ceiling == 40
         with pytest.raises(ValueError):
             FactoringParams.build(187, seed=0, order_ceiling=0)
+        # the ceiling a session applies is capped at q
+        for qubits, order_ceiling, ceiling in [
+            (16, "sqrt", 13), (16, None, 1 << 16), (3, 100, 8), (3, None, 8), (3, 5, 5)
+        ]:
+            p = FactoringParams.build(187, qubits, seed=0, order_ceiling=order_ceiling)
+            assert p.ceiling == ceiling
 
     def test_fresh_seed_when_omitted(self):
         p = FactoringParams.build(187)

@@ -78,18 +78,35 @@ class TestFactorize:
             (1328881, ((1039, 1), (1279, 1))),
             (25610987, ((3623, 1), (7069, 1))),
             (3215031751, ((151, 1), (751, 1), (28351, 1))),
+            (9999999967, ((9999999967, 1),)),  # the largest ten-digit prime
+            (9954647173, ((99707, 1), (99839, 1))),
+            (2 * 4999999937, ((2, 1), (4999999937, 1))),
+            (9999999999, ((3, 2), (11, 1), (41, 1), (271, 1), (9091, 1))),
         ],
     )
     def test_values(self, n, expected):
         assert factorize(n) == expected
 
-    @given(st.integers(1, 10_000))
+    @given(st.integers(1, 10_000) | st.integers(1, 9_999_999_999))
+    @settings(deadline=None)
     def test_product_and_primality(self, n):
-        product = 1
-        for p, e in factorize(n):
-            assert is_prime(p)
-            product *= p**e
-        assert product == n
+        # over the whole ten-digit domain; is_prime (Miller-Rabin) checks
+        # the trial division independently
+        factors = factorize(n)
+        assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+        assert all(is_prime(p) and e >= 1 for p, e in factors)
+        assert math.prod(p**e for p, e in factors) == n
+
+    def test_refuses_outside_the_domain(self):
+        for n in (0, -6, 10**10):
+            with pytest.raises(ValueError):
+                factorize(n)
+        # a product of two Mersenne primes is refused before any trial division
+        huge = (2**61 - 1) * (2**89 - 1)
+        with pytest.raises(ValueError):
+            carmichael_lambda(huge)
+        with pytest.raises(ValueError):
+            multiplicative_order(2, huge)
 
 
 class TestMultiplicativeOrder:

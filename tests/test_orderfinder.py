@@ -1,11 +1,10 @@
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shorsim.model import FactoringParams
-from shorsim.orderfinder import OrderResult, TrialCounter, find_order
+from shorsim.orderfinder import OrderResult, find_order
 from shorsim.sampler import RandomSource, ReadoutSampler
 from conftest import ScriptedRng, ScriptedSampler
 
@@ -14,29 +13,14 @@ def params_for(n, qubits, **kwargs):
     return FactoringParams.build(n, qubits, seed=0, **kwargs)
 
 
-class TestTrialCounter:
-    def test_counts_and_stops(self):
-        counter = TrialCounter(3)
-        assert [counter.take() for _ in range(5)] == [1, 2, 3, None, None]
-        assert counter.count == 3
-        assert counter.remaining == 0
-
-    def test_rejects_nonpositive_limit(self):
-        with pytest.raises(ValueError):
-            TrialCounter(0)
-
-
 class TestFindOrder:
     def test_session_subcycle_base_505980(self):
         # four trials: two undershoots onto order 346, one onto 519, then
         # the full order 1038 verifies; numbering continues from trial 6
         params = params_for(1328881, 41)
-        counter = TrialCounter(100)
-        for _ in range(5):
-            counter.take()
         readouts = [1671511896561, 1366445086543, 1135526459514, 2137586189645]
         trials = find_order(
-            505980, params, ScriptedSampler(readouts), ScriptedRng(), counter
+            505980, params, ScriptedSampler(readouts), ScriptedRng(), 6, 95
         )
         assert trials == [
             OrderResult(6, 1671511896561, 346, False),
@@ -52,32 +36,32 @@ class TestFindOrder:
             params,
             ScriptedSampler([656741049346]),
             ScriptedRng(),
-            TrialCounter(100),
+            1,
+            100,
         )
         assert trials == [OrderResult(1, 656741049346, 519, True)]
 
     def test_budget_exhaustion_leaves_unverified_tail(self):
+        # trials 4, 5 and 6 spend the budget; the fourth readout is never drawn
         params = params_for(187, 16)
-        counter = TrialCounter(3)
-        trials = find_order(
-            56, params, ScriptedSampler([1, 1, 1, 1]), ScriptedRng(), counter
-        )
-        assert len(trials) == 3
+        sampler = ScriptedSampler([1, 1, 1, 1])
+        trials = find_order(56, params, sampler, ScriptedRng(), 4, 3)
+        assert [t.trial_index for t in trials] == [4, 5, 6]
         assert not any(t.verified for t in trials)
-        assert counter.remaining == 0
+        assert sampler.readouts == [1]
 
     def test_trivial_order_one_base(self):
         # y = 1 has order 1: readout 0 extracts candidate 1, which verifies
         params = params_for(187, 16)
         sampler = ReadoutSampler(1, 1, params.q)
-        trials = find_order(1, params, sampler, RandomSource(3), TrialCounter(100))
+        trials = find_order(1, params, sampler, RandomSource(3), 1, 100)
         assert trials == [OrderResult(1, 0, 1, True)]
 
     def test_real_sampler_small_case(self):
         # order of 7 mod 15 is 4; q = 256 puts all mass on multiples of 64
         params = params_for(15, 8)
         sampler = ReadoutSampler(7, 4, params.q)
-        trials = find_order(7, params, sampler, RandomSource(0), TrialCounter(100))
+        trials = find_order(7, params, sampler, RandomSource(0), 1, 100)
         assert trials[-1].verified
         assert trials[-1].candidate_order == 4
         assert all(t.readout % 64 == 0 for t in trials)
@@ -91,7 +75,7 @@ class TestFindOrder:
         params = params_for(n, 41)
         c = (2 * m * q + r - 1) // (2 * r)
         trials = find_order(
-            200298, params, ScriptedSampler([c]), ScriptedRng(), TrialCounter(1)
+            200298, params, ScriptedSampler([c]), ScriptedRng(), 1, 1
         )
         g = math.gcd(m, r)
         assert trials[0].candidate_order == r // g
