@@ -33,7 +33,7 @@ class Outcome(str, enum.Enum):
     TRIAL_BUDGET_EXHAUSTED = "trial_budget_exhausted"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AttemptRecord:
     """One base and everything that happened with it.
 
@@ -47,6 +47,23 @@ class AttemptRecord:
     order: int | None = None
     trials: tuple[OrderResult, ...] = ()
     factors: tuple[int, int] | None = None
+
+    def __init__(
+        self,
+        y: int,
+        outcome: Outcome,
+        order: int | None = None,
+        trials: tuple[OrderResult, ...] = (),
+        factors: tuple[int, int] | None = None,
+    ) -> None:
+        # one record per rejected base: filling __dict__ directly costs less
+        # than half of the generated frozen __init__'s object.__setattr__ calls
+        d = self.__dict__
+        d["y"] = y
+        d["outcome"] = outcome
+        d["order"] = order
+        d["trials"] = trials
+        d["factors"] = factors
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,11 @@ def _check_modulus(n: int) -> None:
     if n < 4:
         raise ValueError("n must be >= 4")
     if n > MAX_MODULUS:
-        raise InputTooLarge(f"{n} has more than ten digits")
+        try:
+            shown = str(n)
+        except ValueError:  # past the interpreter's limit on int-to-str digits
+            shown = f"a {n.bit_length()}-bit number"
+        raise InputTooLarge(f"{shown} has more than ten digits")
     if is_prime(n):
         raise PrimeInput(f"{n} is prime")
 
@@ -90,8 +94,17 @@ class FactoringParams:
 
         qubits defaults to the safe size for n. order_ceiling accepts
         "sqrt" (the default cap isqrt(n)), None (no cap), or a positive
-        int. seed defaults to a fresh 64-bit value.
+        int. seed defaults to a fresh 64-bit value. A bool is refused for
+        every field, as it is for n.
         """
+        for name, value in (
+            ("qubits", qubits),
+            ("seed", seed),
+            ("max_trials", max_trials),
+            ("order_ceiling", order_ceiling),
+        ):
+            if isinstance(value, bool):
+                raise TypeError(f"{name} must not be a bool")
         if qubits is None:
             qubits = safe_qubits(n)  # checks n
         else:

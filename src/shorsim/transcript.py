@@ -9,6 +9,7 @@ cannot be parsed back raises TranscriptError, naming the line at fault.
 from __future__ import annotations
 
 import json
+import re
 from typing import Any, Iterator
 
 from .factorizer import AttemptRecord, FactoringHistory, Outcome
@@ -46,6 +47,14 @@ SUMMARY_FAILURE = (
     "without factoring {n}."
 )
 
+# a ceiling_rejection line exactly as to_jsonl writes it; from_jsonl reads it
+# without json.loads. At most 19 digits keep int() fast and within the limit
+# on integer string conversion; any other spelling takes the general path.
+_REJECTION_LINE = re.compile(
+    r'\{"ceiling": (?:0|[1-9][0-9]{0,18}), "event": "ceiling_rejection", '
+    r'"y": (0|[1-9][0-9]{0,18})\}'
+)
+
 
 class TranscriptError(ValueError):
     """A JSONL stream that does not parse back into a history."""
@@ -57,6 +66,19 @@ class TranscriptError(ValueError):
 
 def history_to_events(history: FactoringHistory) -> Iterator[tuple[str, dict[str, Any]]]:
     """Flatten a history into its ordered stream of (kind, payload) events."""
+    ceiling = history.params.ceiling
+    for event in _walk(history):
+        if type(event) is int:
+            yield "ceiling_rejection", {"y": event, "ceiling": ceiling}
+        else:
+            yield event
+
+
+def _walk(history: FactoringHistory) -> Iterator[int | tuple[str, dict[str, Any]]]:
+    """The event stream, with each ceiling rejection of an int base left as
+    that bare int: one per rejected base, so every output writes it from
+    one template. Any other base (a parsed stream can carry one) comes as
+    the full event."""
     p = history.params
     yield "banner", {
         "schema": SCHEMA_VERSION,
@@ -68,8 +90,12 @@ def history_to_events(history: FactoringHistory) -> Iterator[tuple[str, dict[str
     }
     yield "safe_qubits_hint", {"qubits": safe_qubits(p.n)}
     ceiling = p.ceiling  # the one the session applied
+    rejected = Outcome.ORDER_CEILING_REJECTED
     for attempt in history.attempts:
-        yield from _attempt_events(attempt, ceiling)
+        if attempt.outcome is rejected and type(attempt.y) is int:
+            yield attempt.y
+        else:
+            yield from _attempt_events(attempt, ceiling)
     yield "summary", {
         "n": p.n,
         "elapsed": history.elapsed,
@@ -109,7 +135,13 @@ def render_text(history: FactoringHistory) -> list[str]:
     """Render a history to the transcript, one line per list element."""
     lines: list[str] = []
     n = history.params.n
-    for kind, data in history_to_events(history):
+    before, after = CEILING_LINE.split("{y}")
+    after = after.format(ceiling=history.params.ceiling)
+    for event in _walk(history):
+        if type(event) is int:
+            lines.append(f"{before}{event}{after}")
+            continue
+        kind, data = event
         if kind == "banner":
             lines.append(BANNER.format(n=data["n"]))
         elif kind == "safe_qubits_hint":
@@ -163,9 +195,17 @@ def _verdict_lines(data: dict[str, Any], history: FactoringHistory) -> list[str]
 
 def to_jsonl(history: FactoringHistory) -> str:
     """Serialize a history to line-delimited JSON, one event per line."""
+    # json.dumps(..., sort_keys=True) of a rejection event, up to its y
+    head = (
+        '{"ceiling": '
+        + json.dumps(history.params.ceiling)
+        + ', "event": "ceiling_rejection", "y": '
+    )
     return "\n".join(
-        json.dumps({"event": kind, **data}, sort_keys=True)
-        for kind, data in history_to_events(history)
+        head + str(event) + "}"
+        if type(event) is int
+        else json.dumps({"event": event[0], **event[1]}, sort_keys=True)
+        for event in _walk(history)
     )
 
 
@@ -183,11 +223,17 @@ def from_jsonl(text: str) -> FactoringHistory:
     open_y: int | None = None
     open_trials: list[OrderResult] = []
     last = 0
+    rejection = _REJECTION_LINE.fullmatch
+    rejected = Outcome.ORDER_CEILING_REJECTED
     for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         last = number
+        fast = rejection(line)
+        if fast:
+            attempts.append(AttemptRecord(int(fast[1]), rejected))
+            continue
         try:
             data = json.loads(line)
         except (ValueError, RecursionError) as exc:  # also huge ints, deep nesting

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from shorsim.factorizer import (
+    AttemptRecord,
     Outcome,
     SharedFactorHit,
     extract_factors,
@@ -13,6 +14,7 @@ from shorsim.factorizer import (
 )
 from shorsim.model import InputTooLarge, PrimeInput
 from shorsim.numtheory import multiplicative_order
+from shorsim.orderfinder import OrderResult
 from shorsim.sampler import RandomSource
 from conftest import ScriptedRng
 
@@ -66,6 +68,72 @@ class TestExtractFactors:
             if outcome is Outcome.SUCCESS:
                 successes += 1
         assert successes / evaluated > 0.4
+
+
+class TestAttemptRecord:
+    """The record stays a frozen, hashable dataclass with its own equality."""
+
+    def record(self, **changes) -> AttemptRecord:
+        fields = dict(y=505980, outcome=Outcome.TRIVIAL_FACTORS, order=1038,
+                      trials=(OrderResult(9, 2137586189645, 1038, True),),
+                      factors=(1328881, 1))
+        return AttemptRecord(**{**fields, **changes})
+
+    def test_frozen(self):
+        record = AttemptRecord(7, Outcome.ORDER_CEILING_REJECTED)
+        for name in ("y", "outcome", "order", "trials", "factors", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del record.y
+
+    def test_defaults(self):
+        record = AttemptRecord(7, Outcome.ORDER_CEILING_REJECTED)
+        assert (record.order, record.trials, record.factors) == (None, (), None)
+        with pytest.raises(TypeError):
+            AttemptRecord(7)
+
+    def test_equality_and_hash(self):
+        assert self.record() == self.record()
+        assert hash(self.record()) == hash(self.record())
+        assert self.record() != self.record(order=519)
+        assert len({self.record(), self.record(), self.record(y=3)}) == 2
+        rejected = AttemptRecord(7, Outcome.ORDER_CEILING_REJECTED)
+        assert rejected == AttemptRecord(y=7, outcome=Outcome.ORDER_CEILING_REJECTED)
+        assert hash(rejected) == hash(AttemptRecord(7, Outcome.ORDER_CEILING_REJECTED))
+
+    def test_not_equal_to_its_values(self):
+        record = self.record()
+        assert record != dataclasses.astuple(record)
+        assert record != (record.y, record.outcome, record.order, record.trials, record.factors)
+        assert record != dataclasses.asdict(record)
+
+    def test_repr(self):
+        assert repr(AttemptRecord(7, Outcome.ORDER_CEILING_REJECTED)) == (
+            "AttemptRecord(y=7, outcome=<Outcome.ORDER_CEILING_REJECTED: "
+            "'order_ceiling_rejected'>, order=None, trials=(), factors=None)"
+        )
+        assert repr(self.record()) == (
+            "AttemptRecord(y=505980, outcome=<Outcome.TRIVIAL_FACTORS: 'trivial_factors'>, "
+            "order=1038, trials=(OrderResult(trial_index=9, readout=2137586189645, "
+            "candidate_order=1038, verified=True),), factors=(1328881, 1))"
+        )
+
+    def test_dataclass_helpers(self):
+        record = self.record()
+        names = ["y", "outcome", "order", "trials", "factors"]
+        assert [f.name for f in dataclasses.fields(record)] == names
+        assert dataclasses.replace(record, order=519) == self.record(order=519)
+        assert dataclasses.replace(record) == record
+        assert dataclasses.asdict(record) == {
+            "y": 505980,
+            "outcome": Outcome.TRIVIAL_FACTORS,
+            "order": 1038,
+            "trials": ({"trial_index": 9, "readout": 2137586189645,
+                        "candidate_order": 1038, "verified": True},),
+            "factors": (1328881, 1),
+        }
+        assert dataclasses.astuple(record)[:3] == (505980, Outcome.TRIVIAL_FACTORS, 1038)
 
 
 class TestPickY:
@@ -217,6 +285,14 @@ class TestFactor:
     def test_eleven_digit_input_rejected(self):
         with pytest.raises(InputTooLarge):
             factor(12345678901, seed=0)
+
+    def test_input_past_the_int_to_str_limit_rejected(self):
+        with pytest.raises(InputTooLarge, match="16610-bit"):
+            factor(10**5000)
+
+    def test_bool_ceiling_is_refused(self):
+        with pytest.raises(TypeError, match="order_ceiling"):
+            factor(187, 16, seed=1, order_ceiling=True)
 
     def test_tiny_register_cannot_stall(self):
         # a 2-qubit register can only accept orders up to q = 4, yet the

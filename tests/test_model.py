@@ -41,6 +41,11 @@ class TestRegisterSizing:
         with pytest.raises(InputTooLarge):
             FactoringParams.build(10**10, seed=0)
 
+    def test_input_past_the_int_to_str_limit_names_its_bit_length(self):
+        # 10**5000 has more digits than CPython converts to str by default
+        with pytest.raises(InputTooLarge, match="^a 16610-bit number has more than ten digits$"):
+            FactoringParams.build(10**5000, seed=0)
+
 
 class TestFactoringParams:
     def test_defaults(self):
@@ -80,6 +85,14 @@ class TestFactoringParams:
             FactoringParams.build(187, seed=0, max_trials=0)
         with pytest.raises(ValueError):
             FactoringParams.build(3, seed=0)
+
+    @pytest.mark.parametrize("field", ["qubits", "seed", "max_trials", "order_ceiling"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_is_refused(self, field, value):
+        # True would pass as the int 1: a ceiling of 1, q = 2, one trial
+        kwargs = {"n": 187, "qubits": 16, "seed": 0, field: value}
+        with pytest.raises(TypeError, match=f"^{field} must not be a bool$"):
+            FactoringParams.build(**kwargs)
 
 
 class TestProb:

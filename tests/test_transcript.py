@@ -4,13 +4,14 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shorsim.factorizer import AttemptRecord, FactoringHistory, Outcome, factor
 from shorsim.model import FactoringParams
 from shorsim.orderfinder import OrderResult
 from shorsim.transcript import (
+    CEILING_LINE,
     SCHEMA_VERSION,
     TranscriptError,
     from_jsonl,
@@ -302,6 +303,15 @@ class TestJsonlErrors:
             from_jsonl("\n".join(lines))
         assert info.value.line == 1
 
+    def test_bool_order_ceiling_in_banner_is_refused(self):
+        lines = to_jsonl(session_history()).splitlines()
+        banner = json.loads(lines[0])
+        banner["order_ceiling"] = True
+        lines[0] = json.dumps(banner)
+        with pytest.raises(TranscriptError, match="order_ceiling must not be a bool") as info:
+            from_jsonl("\n".join(lines))
+        assert info.value.line == 1
+
     @pytest.mark.parametrize(
         "text", ["[" * 100_000, "1" * 5000, '{"event": "banner", "n": ' + "9" * 5000 + "}"]
     )
@@ -387,3 +397,95 @@ class TestJsonlFuzz:
                 obj.pop(key, None)
             lines[i] = json.dumps(obj)
         parses_or_refuses("\n".join(lines))
+
+
+REJECTED = Outcome.ORDER_CEILING_REJECTED
+# integer spellings around what to_jsonl writes and json.loads reads
+numbers = st.one_of(
+    st.integers(-(10**21), 10**21).map(str),
+    st.sampled_from(
+        ["0", "-0", str(2**63), "9" * 19, "1" + "0" * 19, "9" * 20, "1" * 4301]
+    ),
+    st.builds(lambda zeros, n: "0" * zeros + str(n), st.integers(1, 2), st.integers(0, 999)),
+    st.integers(0, 999).map(lambda n: f"+{n}"),
+    st.integers(1000, 10**9).map(lambda n: f"{n:_}"),
+    st.text(alphabet="0123456789\u0663\u0665\u096a\uff11\uff19", min_size=1, max_size=5),
+)
+
+
+def written(ceiling: str, y: str) -> str:
+    """A rejection line in the layout to_jsonl writes."""
+    return f'{{"ceiling": {ceiling}, "event": "ceiling_rejection", "y": {y}}}'
+
+
+@st.composite
+def rejection_lines(draw) -> str:
+    """ceiling_rejection lines in and around the layout to_jsonl writes."""
+    ceiling, y = draw(numbers), draw(numbers)
+    if draw(st.booleans()):
+        return written(ceiling, y)
+    items = [("ceiling", ceiling), ("event", '"ceiling_rejection"'), ("y", y)]
+    if draw(st.booleans()):
+        items = draw(st.permutations(items))
+    comma = draw(st.sampled_from([", ", ",", ",  ", " ,"]))
+    colon = draw(st.sampled_from([": ", ":", " : ", ":  "]))
+    pad = draw(st.sampled_from(["", " "]))
+    tail = draw(st.sampled_from(["", "}", "x", " ,"]))
+    return "{" + pad + comma.join(f'"{k}"{colon}{v}' for k, v in items) + pad + "}" + tail
+
+
+@functools.lru_cache(maxsize=None)
+def frame() -> tuple[str, str, FactoringHistory]:
+    """The banner and summary lines of a stream, and the history they give."""
+    lines = to_jsonl(session_history()).splitlines()
+    return lines[0], lines[-1], from_jsonl(lines[0] + "\n" + lines[-1])
+
+
+class TestFastPathsAgreeWithJson:
+    """The rejection template and its parse give what json gives."""
+
+    @given(rejection_lines())
+    @example(written("1152", "1\u0663"))
+    @example(written("1\uff11", "7"))
+    @example(written("1152", "007"))
+    @example(written("1152", "+5"))
+    @example(written("1152", "-5"))
+    @example(written("1152", "1_000"))
+    @example(written("1152", "1" * 4301))
+    @example(written("1152", "9" * 19))
+    @example(written("1152", "9" * 20))
+    @example(written("1152", "7") + "}")
+    @example(written("1152", "7").replace(": ", ":  ", 1))
+    @settings(max_examples=400, deadline=None)
+    def test_reader(self, line):
+        banner, summary, empty = frame()
+        text = "\n".join([banner, line, summary])
+        try:
+            data = json.loads(line)
+        except ValueError:
+            with pytest.raises(TranscriptError, match="not JSON") as info:
+                from_jsonl(text)
+            assert info.value.line == 2
+            return
+        history = from_jsonl(text)
+        assert history == dataclasses.replace(
+            empty, attempts=(AttemptRecord(data["y"], REJECTED),)
+        )
+        assert type(history.attempts[0].y) is type(data["y"])
+
+    @pytest.mark.parametrize("y", [1.5, "7", None, 2**70, True, -3, 0])
+    def test_writer(self, y):
+        base = session_history()
+        history = dataclasses.replace(base, attempts=(AttemptRecord(y, REJECTED),) + base.attempts)
+        text = to_jsonl(history)
+        assert text == "\n".join(
+            json.dumps({"event": kind, **data}, sort_keys=True)
+            for kind, data in history_to_events(history)
+        )
+        back = from_jsonl(text)
+        assert back == history
+        assert type(back.attempts[0].y) is type(y)
+        assert render_text(history)[2] == CEILING_LINE.format(y=y, ceiling=1152)
+        assert list(history_to_events(history))[2] == (
+            "ceiling_rejection", {"y": y, "ceiling": 1152}
+        )
