@@ -70,12 +70,11 @@ def _check_modulus(n: int) -> None:
 class FactoringParams:
     """Configuration for one factoring session.
 
-    q = 2**qubits; build() is the validating constructor and fills it in.
+    build() is the validating constructor.
     """
 
     n: int
     qubits: int
-    q: int
     max_trials: int = 100
     order_ceiling: int | None = None
     seed: int = 0
@@ -95,16 +94,19 @@ class FactoringParams:
         qubits defaults to the safe size for n. order_ceiling accepts
         "sqrt" (the default cap isqrt(n)), None (no cap), or a positive
         int. seed defaults to a fresh 64-bit value. A bool is refused for
-        every field, as it is for n.
+        every field, as it is for n, and any other non-int for qubits, seed
+        and max_trials.
         """
-        for name, value in (
-            ("qubits", qubits),
-            ("seed", seed),
-            ("max_trials", max_trials),
-            ("order_ceiling", order_ceiling),
+        for name, value, allowed in (
+            ("qubits", qubits, (int, type(None))),
+            ("seed", seed, (int, type(None))),
+            ("max_trials", max_trials, int),
+            ("order_ceiling", order_ceiling, object),  # its values are checked below
         ):
             if isinstance(value, bool):
                 raise TypeError(f"{name} must not be a bool")
+            if not isinstance(value, allowed):
+                raise TypeError(f"{name} must be an int, not {type(value).__name__}")
         if qubits is None:
             qubits = safe_qubits(n)  # checks n
         else:
@@ -128,11 +130,15 @@ class FactoringParams:
         return cls(
             n=n,
             qubits=qubits,
-            q=1 << qubits,
             max_trials=max_trials,
             order_ceiling=ceiling,
             seed=seed,
         )
+
+    @property
+    def q(self) -> int:
+        """The number of work-register basis states, 2**qubits."""
+        return 1 << self.qubits
 
     @property
     def ceiling(self) -> int:

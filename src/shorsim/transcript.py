@@ -1,16 +1,18 @@
 """Rendering and serialization of factoring histories.
 
-A history is flattened to an ordered stream of (kind, payload) events;
-the stream renders to the human transcript line by line and serializes to
-line-delimited JSON that parses back to an equal history. A stream that
-cannot be parsed back raises TranscriptError, naming the line at fault.
+render_text and to_jsonl each write their output straight from the
+history, in one pass over its attempts: the human transcript line by line,
+and line-delimited JSON, one event per line, that from_jsonl parses back
+to an equal history. A stream that cannot be parsed back, or whose
+history could not be written again, raises TranscriptError naming the
+line at fault.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Any, Iterator
+from typing import Any
 
 from .factorizer import AttemptRecord, FactoringHistory, Outcome
 from .model import FactoringParams, safe_qubits
@@ -64,149 +66,102 @@ class TranscriptError(ValueError):
         self.line = line
 
 
-def history_to_events(history: FactoringHistory) -> Iterator[tuple[str, dict[str, Any]]]:
-    """Flatten a history into its ordered stream of (kind, payload) events."""
-    ceiling = history.params.ceiling
-    for event in _walk(history):
-        if type(event) is int:
-            yield "ceiling_rejection", {"y": event, "ceiling": ceiling}
-        else:
-            yield event
-
-
-def _walk(history: FactoringHistory) -> Iterator[int | tuple[str, dict[str, Any]]]:
-    """The event stream, with each ceiling rejection of an int base left as
-    that bare int: one per rejected base, so every output writes it from
-    one template. Any other base (a parsed stream can carry one) comes as
-    the full event."""
-    p = history.params
-    yield "banner", {
-        "schema": SCHEMA_VERSION,
-        "n": p.n,
-        "qubits": p.qubits,
-        "max_trials": p.max_trials,
-        "order_ceiling": p.order_ceiling,
-        "seed": p.seed,
-    }
-    yield "safe_qubits_hint", {"qubits": safe_qubits(p.n)}
-    ceiling = p.ceiling  # the one the session applied
+def render_text(history: FactoringHistory) -> list[str]:
+    """Render a history to the transcript, one line per list element."""
+    params = history.params
+    n = params.n
+    lines = [BANNER.format(n=n), SAFE_QUBITS_HINT.format(qubits=safe_qubits(n))]
+    append = lines.append
     rejected = Outcome.ORDER_CEILING_REJECTED
+    before, after = CEILING_LINE.split("{y}")
+    after = after.format(ceiling=params.ceiling)
     for attempt in history.attempts:
-        if attempt.outcome is rejected and type(attempt.y) is int:
-            yield attempt.y
+        outcome = attempt.outcome
+        if outcome is rejected:
+            append(f"{before}{attempt.y}{after}")
+            continue
+        if outcome is Outcome.SHARED_FACTOR:
+            append(SHARED_FACTOR_LINE.format(y=attempt.y, n=n))
         else:
-            yield from _attempt_events(attempt, ceiling)
-    yield "summary", {
-        "n": p.n,
+            append(NEW_BASE.format(y=attempt.y))
+            for trial in attempt.trials:
+                append(TRIAL_HEADER.format(index=trial.trial_index))
+                append(READOUT_LINE.format(readout=trial.readout))
+                append(CANDIDATE_LINE.format(candidate=trial.candidate_order))
+                append(ORDER_CORRECT if trial.verified else ORDER_INCORRECT)
+            if outcome is Outcome.ORDER_ODD:
+                append(ORDER_ODD_LINE)
+                continue
+            if outcome is Outcome.TRIAL_BUDGET_EXHAUSTED:
+                append(BUDGET_LINE.format(max_trials=params.max_trials))
+                append(FAILURE_LINE)
+                continue
+        f1, f2 = attempt.factors
+        append(FACTORS_LINE.format(n=n, f1=f1, f2=f2))
+        append(FACTORING_FAILED if outcome is Outcome.TRIVIAL_FACTORS else SUCCESS_LINE)
+    template = SUMMARY_SUCCESS if history.factors else SUMMARY_FAILURE
+    append(template.format(elapsed=history.elapsed, trials=history.total_trials, n=n))
+    lines.extend(f"Warning: {warning}." for warning in history.warnings)
+    return lines
+
+
+def to_jsonl(history: FactoringHistory) -> str:
+    """Serialize a history to line-delimited JSON, one event per line."""
+    params = history.params
+    # json.dumps(event, sort_keys=True), with one encoder for the history
+    encode = json.JSONEncoder(sort_keys=True).encode
+    lines = [
+        encode(
+            {
+                "event": "banner",
+                "schema": SCHEMA_VERSION,
+                "n": params.n,
+                "qubits": params.qubits,
+                "max_trials": params.max_trials,
+                "order_ceiling": params.order_ceiling,
+                "seed": params.seed,
+            }
+        ),
+        encode({"event": "safe_qubits_hint", "qubits": safe_qubits(params.n)}),
+    ]
+    append = lines.append
+    rejected = Outcome.ORDER_CEILING_REJECTED
+    # a rejection event as encoded, up to its y: "y" is the last key
+    head = '{"ceiling": ' + encode(params.ceiling) + ', "event": "ceiling_rejection", "y": '
+    for attempt in history.attempts:
+        outcome, y = attempt.outcome, attempt.y
+        if outcome is rejected:
+            append(head + (str(y) if type(y) is int else encode(y)) + "}")
+        elif outcome is Outcome.SHARED_FACTOR:
+            append(encode({"event": "shared_factor", "y": y, "factors": list(attempt.factors)}))
+        else:
+            append(encode({"event": "new_base", "y": y}))
+            for trial in attempt.trials:
+                event = {
+                    "event": "trial",
+                    "index": trial.trial_index,
+                    "readout": trial.readout,
+                    "candidate": trial.candidate_order,
+                    "verified": trial.verified,
+                }
+                append(encode(event))
+            verdict: dict[str, Any] = {"event": "attempt_verdict", "status": outcome.value}
+            if attempt.order is not None:
+                verdict["order"] = attempt.order
+            if attempt.factors is not None:
+                verdict["factors"] = list(attempt.factors)
+            append(encode(verdict))
+    summary = {
+        "event": "summary",
+        "n": params.n,
         "elapsed": history.elapsed,
         "total_trials": history.total_trials,
         "factors": list(history.factors) if history.factors else None,
         "failure": history.failure.value if history.failure else None,
         "warnings": list(history.warnings),
     }
-
-
-def _attempt_events(
-    attempt: AttemptRecord, ceiling: int
-) -> Iterator[tuple[str, dict[str, Any]]]:
-    if attempt.outcome is Outcome.ORDER_CEILING_REJECTED:
-        yield "ceiling_rejection", {"y": attempt.y, "ceiling": ceiling}
-        return
-    if attempt.outcome is Outcome.SHARED_FACTOR:
-        yield "shared_factor", {"y": attempt.y, "factors": list(attempt.factors)}
-        return
-    yield "new_base", {"y": attempt.y}
-    for trial in attempt.trials:
-        yield "trial", {
-            "index": trial.trial_index,
-            "readout": trial.readout,
-            "candidate": trial.candidate_order,
-            "verified": trial.verified,
-        }
-    verdict: dict[str, Any] = {"status": attempt.outcome.value}
-    if attempt.order is not None:
-        verdict["order"] = attempt.order
-    if attempt.factors is not None:
-        verdict["factors"] = list(attempt.factors)
-    yield "attempt_verdict", verdict
-
-
-def render_text(history: FactoringHistory) -> list[str]:
-    """Render a history to the transcript, one line per list element."""
-    lines: list[str] = []
-    n = history.params.n
-    before, after = CEILING_LINE.split("{y}")
-    after = after.format(ceiling=history.params.ceiling)
-    for event in _walk(history):
-        if type(event) is int:
-            lines.append(f"{before}{event}{after}")
-            continue
-        kind, data = event
-        if kind == "banner":
-            lines.append(BANNER.format(n=data["n"]))
-        elif kind == "safe_qubits_hint":
-            lines.append(SAFE_QUBITS_HINT.format(qubits=data["qubits"]))
-        elif kind == "ceiling_rejection":
-            lines.append(CEILING_LINE.format(y=data["y"], ceiling=data["ceiling"]))
-        elif kind == "shared_factor":
-            f1, f2 = data["factors"]
-            lines.append(SHARED_FACTOR_LINE.format(y=data["y"], n=n))
-            lines.append(FACTORS_LINE.format(n=n, f1=f1, f2=f2))
-            lines.append(SUCCESS_LINE)
-        elif kind == "new_base":
-            lines.append(NEW_BASE.format(y=data["y"]))
-        elif kind == "trial":
-            lines.append(TRIAL_HEADER.format(index=data["index"]))
-            lines.append(READOUT_LINE.format(readout=data["readout"]))
-            lines.append(CANDIDATE_LINE.format(candidate=data["candidate"]))
-            lines.append(ORDER_CORRECT if data["verified"] else ORDER_INCORRECT)
-        elif kind == "attempt_verdict":
-            lines.extend(_verdict_lines(data, history))
-        elif kind == "summary":
-            template = SUMMARY_SUCCESS if data["factors"] else SUMMARY_FAILURE
-            lines.append(
-                template.format(
-                    elapsed=data["elapsed"], trials=data["total_trials"], n=n
-                )
-            )
-            for warning in data["warnings"]:
-                lines.append(f"Warning: {warning}.")
-    return lines
-
-
-def _verdict_lines(data: dict[str, Any], history: FactoringHistory) -> list[str]:
-    n = history.params.n
-    status = Outcome(data["status"])
-    if status is Outcome.ORDER_ODD:
-        return [ORDER_ODD_LINE]
-    if status is Outcome.TRIAL_BUDGET_EXHAUSTED:
-        return [
-            BUDGET_LINE.format(max_trials=history.params.max_trials),
-            FAILURE_LINE,
-        ]
-    f1, f2 = data["factors"]
-    lines = [FACTORS_LINE.format(n=n, f1=f1, f2=f2)]
-    if status is Outcome.TRIVIAL_FACTORS:
-        lines.append(FACTORING_FAILED)
-    else:
-        lines.append(SUCCESS_LINE)
-    return lines
-
-
-def to_jsonl(history: FactoringHistory) -> str:
-    """Serialize a history to line-delimited JSON, one event per line."""
-    # json.dumps(..., sort_keys=True) of a rejection event, up to its y
-    head = (
-        '{"ceiling": '
-        + json.dumps(history.params.ceiling)
-        + ', "event": "ceiling_rejection", "y": '
-    )
-    return "\n".join(
-        head + str(event) + "}"
-        if type(event) is int
-        else json.dumps({"event": event[0], **event[1]}, sort_keys=True)
-        for event in _walk(history)
-    )
+    append(encode(summary))
+    return "\n".join(lines)
 
 
 def from_jsonl(text: str) -> FactoringHistory:
@@ -214,14 +169,17 @@ def from_jsonl(text: str) -> FactoringHistory:
 
     Fields not read here are ignored, so older banners that carried a
     tail_threshold still parse; a banner without a schema is version 1,
-    and one of a newer schema than SCHEMA_VERSION is refused. Any other
-    input raises TranscriptError naming the line and the cause.
+    and one of a newer schema than SCHEMA_VERSION is refused. A new_base
+    is followed by its trials and then its attempt_verdict, with no other
+    event between. Any other input, or one whose history the writers
+    could not write back, raises TranscriptError naming the line and the
+    cause.
     """
     params: FactoringParams | None = None
     summary: dict[str, Any] | None = None
     attempts: list[AttemptRecord] = []
-    open_y: int | None = None
-    open_trials: list[OrderResult] = []
+    open_y: Any = None
+    open_trials: list[OrderResult] | None = None  # None: no base is open
     last = 0
     rejection = _REJECTION_LINE.fullmatch
     rejected = Outcome.ORDER_CEILING_REJECTED
@@ -231,7 +189,7 @@ def from_jsonl(text: str) -> FactoringHistory:
             continue
         last = number
         fast = rejection(line)
-        if fast:
+        if fast and open_trials is None:
             attempts.append(AttemptRecord(int(fast[1]), rejected))
             continue
         try:
@@ -244,6 +202,8 @@ def from_jsonl(text: str) -> FactoringHistory:
         except (AttributeError, KeyError, TypeError):
             raise TranscriptError(number, "not an object with an 'event' field") from None
         try:
+            if open_trials is not None and kind not in ("trial", "attempt_verdict"):
+                raise ValueError("the last new_base has no attempt_verdict")
             if kind == "ceiling_rejection":
                 attempts.append(AttemptRecord(data["y"], Outcome.ORDER_CEILING_REJECTED))
             elif kind == "shared_factor":
@@ -251,30 +211,39 @@ def from_jsonl(text: str) -> FactoringHistory:
                     AttemptRecord(
                         data["y"],
                         Outcome.SHARED_FACTOR,
-                        factors=tuple(data["factors"]),
+                        factors=_pair(data["factors"]),
                     )
                 )
             elif kind == "new_base":
                 open_y = data["y"]
                 open_trials = []
             elif kind == "trial":
+                if open_trials is None:
+                    raise ValueError("no new_base before it")
                 open_trials.append(
                     OrderResult(
                         data["index"], data["readout"], data["candidate"], data["verified"]
                     )
                 )
             elif kind == "attempt_verdict":
+                if open_trials is None:
+                    raise ValueError("no new_base before it")
+                outcome = Outcome(data["status"])
+                if outcome is rejected or outcome is Outcome.SHARED_FACTOR:
+                    raise ValueError(f"{outcome.value!r} is no verdict on a measured base")
+                factors = data.get("factors")
+                if factors is not None or outcome in (Outcome.SUCCESS, Outcome.TRIVIAL_FACTORS):
+                    factors = _pair(data["factors"])
                 attempts.append(
                     AttemptRecord(
                         open_y,
-                        Outcome(data["status"]),
+                        outcome,
                         order=data.get("order"),
                         trials=tuple(open_trials),
-                        factors=tuple(data["factors"]) if data.get("factors") else None,
+                        factors=factors,
                     )
                 )
-                open_y = None
-                open_trials = []
+                open_trials = None
             elif kind == "banner":
                 schema = data.get("schema", 1)
                 if schema not in range(1, SCHEMA_VERSION + 1):
@@ -287,9 +256,12 @@ def from_jsonl(text: str) -> FactoringHistory:
                     order_ceiling=data["order_ceiling"],
                 )
             elif kind == "summary":
+                elapsed = data["elapsed"]
+                if type(elapsed) is not float:
+                    raise ValueError(f"elapsed {elapsed!r} is not a float")
                 summary = {
                     "total_trials": data["total_trials"],
-                    "elapsed": data["elapsed"],
+                    "elapsed": elapsed,
                     "factors": tuple(data["factors"]) if data["factors"] else None,
                     "failure": Outcome(data["failure"]) if data["failure"] else None,
                     "warnings": tuple(data["warnings"]),
@@ -300,6 +272,15 @@ def from_jsonl(text: str) -> FactoringHistory:
             raise TranscriptError(number, f"bad {kind!r} event: {exc}") from None
     if params is None:
         raise TranscriptError(last + 1, "no banner event")
+    if open_trials is not None:
+        raise TranscriptError(last + 1, "the last new_base has no attempt_verdict")
     if summary is None:
         raise TranscriptError(last + 1, "no summary event")
     return FactoringHistory(params=params, attempts=tuple(attempts), **summary)
+
+
+def _pair(factors: Any) -> tuple[Any, Any]:
+    """A factors field as read from a stream: a JSON array of two values."""
+    if type(factors) is not list or len(factors) != 2:
+        raise ValueError(f"factors {factors!r} is not a pair")
+    return tuple(factors)

@@ -294,6 +294,10 @@ class TestFactor:
         with pytest.raises(TypeError, match="order_ceiling"):
             factor(187, 16, seed=1, order_ceiling=True)
 
+    def test_float_trial_budget_is_refused(self):
+        with pytest.raises(TypeError, match="max_trials must be an int"):
+            factor(187, seed=1, max_trials=2.5)
+
     def test_tiny_register_cannot_stall(self):
         # a 2-qubit register can only accept orders up to q = 4, yet the
         # session still terminates (order-2 bases or a shared factor)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -13,6 +14,8 @@ from shorsim.model import (
     prob,
     safe_qubits,
 )
+from shorsim.factorizer import run_session
+from shorsim.transcript import from_jsonl, to_jsonl
 from conftest import brute_prob
 
 
@@ -93,6 +96,22 @@ class TestFactoringParams:
         kwargs = {"n": 187, "qubits": 16, "seed": 0, field: value}
         with pytest.raises(TypeError, match=f"^{field} must not be a bool$"):
             FactoringParams.build(**kwargs)
+
+    @pytest.mark.parametrize("field", ["qubits", "seed", "max_trials"])
+    @pytest.mark.parametrize("value", [1.5, 16.0, "16"])
+    def test_non_int_is_refused(self, field, value):
+        # 2.5 trials died in range(), a float qubits in 1 << qubits, and a
+        # float seed in RandomSource, after build had accepted them
+        kwargs = {"n": 187, "qubits": 16, "seed": 0, field: value}
+        name = type(value).__name__
+        with pytest.raises(TypeError, match=f"^{field} must be an int, not {name}$"):
+            FactoringParams.build(**kwargs)
+
+    def test_q_follows_qubits(self):
+        params = dataclasses.replace(FactoringParams.build(187, seed=1), qubits=8)
+        assert params.q == 256
+        history = run_session(params)
+        assert from_jsonl(to_jsonl(history)) == history
 
 
 class TestProb:

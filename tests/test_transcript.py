@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+from typing import Any
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +16,6 @@ from shorsim.transcript import (
     SCHEMA_VERSION,
     TranscriptError,
     from_jsonl,
-    history_to_events,
     render_text,
     to_jsonl,
 )
@@ -170,7 +170,8 @@ class TestRenderText:
 
 class TestEvents:
     def test_event_stream_shape(self):
-        kinds = [kind for kind, _ in history_to_events(session_history())]
+        lines = to_jsonl(session_history()).splitlines()
+        kinds = [json.loads(line)["event"] for line in lines]
         assert kinds[0] == "banner"
         assert kinds[1] == "safe_qubits_hint"
         assert kinds[-1] == "summary"
@@ -229,7 +230,8 @@ class TestJsonlRoundTrip:
     def test_one_event_per_line(self):
         text = to_jsonl(session_history())
         lines = text.splitlines()
-        assert len(lines) == len(list(history_to_events(session_history())))
+        # banner, hint, three bases with six trials and three verdicts, summary
+        assert len(lines) == 2 + 3 + 6 + 3 + 1
         for line in lines:
             assert "event" in json.loads(line)
 
@@ -256,6 +258,27 @@ class TestJsonlRoundTrip:
         del banner["schema"]
         lines[0] = json.dumps(banner, sort_keys=True)
         assert from_jsonl("\n".join(lines)) == history
+
+
+MISSING = object()
+REJECTION = '{"ceiling": 1152, "event": "ceiling_rejection", "y": 7}'
+ONE_FACTOR = '{"event": "shared_factor", "factors": [11], "y": 3}'
+
+
+def with_fields(number: int, **fields: Any):
+    """An edit of a stream's lines that sets fields of the event on line
+    `number`, or deletes those given as MISSING."""
+
+    def edit(lines: list[str]) -> list[str]:
+        event = json.loads(lines[number - 1])
+        for key, value in fields.items():
+            if value is MISSING:
+                del event[key]
+            else:
+                event[key] = value
+        return lines[: number - 1] + [json.dumps(event)] + lines[number:]
+
+    return edit
 
 
 class TestJsonlErrors:
@@ -313,6 +336,112 @@ class TestJsonlErrors:
         assert info.value.line == 1
 
     @pytest.mark.parametrize(
+        "edit,line,cause",
+        [
+            # lines of session_history(): 8, 11 and 14 are its verdicts, 15 the summary
+            pytest.param(
+                with_fields(14, factors=MISSING),
+                14,
+                "'attempt_verdict' event lacks field 'factors'",
+                id="success-without-factors",
+            ),
+            pytest.param(
+                with_fields(8, factors=MISSING),
+                8,
+                "'attempt_verdict' event lacks field 'factors'",
+                id="trivial-without-factors",
+            ),
+            pytest.param(
+                with_fields(14, factors=None), 14, "factors None is not a pair", id="null-factors"
+            ),
+            pytest.param(
+                with_fields(14, factors=[1039, 1279, 1]),
+                14,
+                "factors [1039, 1279, 1] is not a pair",
+                id="three-factors",
+            ),
+            pytest.param(
+                with_fields(8, factors=[1328881]),
+                8,
+                "factors [1328881] is not a pair",
+                id="one-factor",
+            ),
+            pytest.param(
+                with_fields(11, status="order_ceiling_rejected"),
+                11,
+                "'order_ceiling_rejected' is no verdict on a measured base",
+                id="rejection-as-verdict",
+            ),
+            pytest.param(
+                with_fields(8, status="shared_factor_shortcut"),
+                8,
+                "'shared_factor_shortcut' is no verdict on a measured base",
+                id="shared-factor-as-verdict",
+            ),
+            pytest.param(
+                lambda lines: lines[:8] + lines[7:],
+                9,
+                "bad 'attempt_verdict' event: no new_base before it",
+                id="verdict-without-base",
+            ),
+            pytest.param(
+                lambda lines: lines[:8] + lines[9:],
+                9,
+                "bad 'trial' event: no new_base before it",
+                id="trial-without-base",
+            ),
+            pytest.param(
+                lambda lines: lines[:7] + lines[8:],
+                8,
+                "bad 'new_base' event: the last new_base has no attempt_verdict",
+                id="base-without-verdict",
+            ),
+            pytest.param(
+                lambda lines: lines[:4] + [lines[0].replace("banner", "x")] + lines[4:],
+                5,
+                "bad 'x' event: the last new_base has no attempt_verdict",
+                id="other-event-inside-a-base",
+            ),
+            pytest.param(
+                lambda lines: lines[:4] + [REJECTION] + lines[4:],
+                5,
+                "bad 'ceiling_rejection' event: the last new_base has no attempt_verdict",
+                id="rejection-inside-a-base",
+            ),
+            pytest.param(
+                lambda lines: lines[:13],
+                14,
+                "the last new_base has no attempt_verdict",
+                id="stream-ends-inside-a-base",
+            ),
+            pytest.param(
+                lambda lines: lines[:14] + [ONE_FACTOR] + lines[14:],
+                15,
+                "factors [11] is not a pair",
+                id="shared-factor-with-one-factor",
+            ),
+            pytest.param(
+                with_fields(15, elapsed="113.895"),
+                15,
+                "elapsed '113.895' is not a float",
+                id="elapsed-not-a-number",
+            ),
+            pytest.param(
+                with_fields(1, max_trials=2.5),
+                1,
+                "max_trials must be an int, not float",
+                id="float-max-trials",
+            ),
+        ],
+    )
+    def test_stream_the_writers_cannot_reproduce_is_refused(self, edit, line, cause):
+        lines = edit(to_jsonl(session_history()).splitlines())
+        with pytest.raises(TranscriptError) as info:
+            from_jsonl("\n".join(lines))
+        assert info.value.line == line
+        assert cause in str(info.value)
+
+    @pytest.mark.parametrize(
         "text", ["[" * 100_000, "1" * 5000, '{"event": "banner", "n": ' + "9" * 5000 + "}"]
     )
     def test_json_the_decoder_cannot_hold_is_refused(self, text):
@@ -363,10 +492,15 @@ def parses_or_refuses(text: str) -> None:
     except TranscriptError:
         return
     assert isinstance(history, FactoringHistory)
+    render_text(history)
+    # compared as text, so that a NaN read from the stream still compares equal
+    again = to_jsonl(history)
+    assert to_jsonl(from_jsonl(again)) == again
 
 
 class TestJsonlFuzz:
-    """from_jsonl returns a history or raises TranscriptError, nothing else."""
+    """from_jsonl returns a history that both writers can write, or raises
+    TranscriptError, nothing else."""
 
     @given(st.text())
     @settings(max_examples=300)
@@ -392,7 +526,7 @@ class TestJsonlFuzz:
             obj = json.loads(lines[i])
             key = data.draw(st.sampled_from(sorted(obj)) | st.sampled_from(FIELDS))
             if edit == "set":
-                obj[key] = data.draw(json_values)
+                obj[key] = data.draw(json_values | st.sampled_from([o.value for o in Outcome]))
             else:
                 obj.pop(key, None)
             lines[i] = json.dumps(obj)
@@ -473,19 +607,16 @@ class TestFastPathsAgreeWithJson:
         )
         assert type(history.attempts[0].y) is type(data["y"])
 
-    @pytest.mark.parametrize("y", [1.5, "7", None, 2**70, True, -3, 0])
+    @pytest.mark.parametrize("y", [1.5, "7", None, 2**70, True, -3, 0, {"b": 1, "a": 2}])
     def test_writer(self, y):
         base = session_history()
         history = dataclasses.replace(base, attempts=(AttemptRecord(y, REJECTED),) + base.attempts)
         text = to_jsonl(history)
-        assert text == "\n".join(
-            json.dumps({"event": kind, **data}, sort_keys=True)
-            for kind, data in history_to_events(history)
-        )
+        event = {"event": "ceiling_rejection", "y": y, "ceiling": 1152}
+        lines = to_jsonl(base).splitlines()
+        lines.insert(2, json.dumps(event, sort_keys=True))
+        assert text == "\n".join(lines)
         back = from_jsonl(text)
         assert back == history
         assert type(back.attempts[0].y) is type(y)
         assert render_text(history)[2] == CEILING_LINE.format(y=y, ceiling=1152)
-        assert list(history_to_events(history))[2] == (
-            "ceiling_rejection", {"y": y, "ceiling": 1152}
-        )
