@@ -11,7 +11,6 @@ from .factorizer import (
     AttemptRecord,
     FactoringHistory,
     Outcome,
-    SharedFactorHit,
     extract_factors,
     factor,
     pick_y,
@@ -51,7 +50,6 @@ __all__ = [
     "PrimeInput",
     "RandomSource",
     "ReadoutSampler",
-    "SharedFactorHit",
     "TranscriptError",
     "convergents",
     "dominant_mass",

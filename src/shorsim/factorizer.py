@@ -82,39 +82,48 @@ class FactoringHistory:
     def succeeded(self) -> bool:
         return self.factors is not None
 
+    @classmethod
+    def of(
+        cls,
+        params: FactoringParams,
+        attempts: list[AttemptRecord] | tuple[AttemptRecord, ...],
+        total_trials: int,
+        elapsed: float,
+    ) -> FactoringHistory:
+        """The history of a session that made these attempts.
 
-@dataclass(frozen=True)
-class SharedFactorHit:
-    """A drawn base that already shares a factor with the modulus."""
-
-    y: int
-    factor: int
+        The last attempt decides the session: its factors when it is a
+        SUCCESS or SHARED_FACTOR, else a TRIAL_BUDGET_EXHAUSTED failure.
+        """
+        factors = None
+        if attempts and attempts[-1].outcome in (Outcome.SUCCESS, Outcome.SHARED_FACTOR):
+            factors = attempts[-1].factors
+        failure = None if factors else Outcome.TRIAL_BUDGET_EXHAUSTED
+        warnings = tuple(_session_warnings(params.n, factors))
+        return cls(params, tuple(attempts), total_trials, elapsed, factors, failure, warnings)
 
 
 def pick_y(
-    n: int,
-    rng: RandomSource,
-    ceiling: int | None = None,
-    rejected: list[int] | None = None,
-) -> SharedFactorHit | tuple[int, int]:
+    n: int, rng: RandomSource, ceiling: int, attempts: list[AttemptRecord]
+) -> AttemptRecord | tuple[int, int]:
     """Draw bases uniformly from [2, n - 1] until one is usable.
 
-    Returns a SharedFactorHit when gcd(y, n) > 1, else (y, exact order).
-    Bases whose order exceeds `ceiling` are appended to `rejected` and
-    redrawn.
+    Each base whose order exceeds `ceiling` is appended to `attempts` as
+    ORDER_CEILING_REJECTED and redrawn. Returns the SHARED_FACTOR record of
+    a base with gcd(y, n) > 1, else (y, exact order).
     """
-    draw, top, gcd = rng.randint, n - 1, math.gcd
+    draw, top, gcd, append = rng.randint, n - 1, math.gcd, attempts.append
+    rejected = Outcome.ORDER_CEILING_REJECTED
     while True:
         y = draw(2, top)
         g = gcd(y, n)
         if g > 1:
-            return SharedFactorHit(y, g)
+            return AttemptRecord(y, Outcome.SHARED_FACTOR, factors=(g, n // g))
         # a module attribute looked up per base, so a wrapper put there sees it
         r = multiplicative_order(y, n, ceiling)
         if r is not None:
             return y, r
-        if rejected is not None:
-            rejected.append(y)
+        append(AttemptRecord(y, rejected))
 
 
 def extract_factors(y: int, r: int, n: int) -> tuple[Outcome, tuple[int, int] | None]:
@@ -155,59 +164,28 @@ def factor(
 def run_session(params: FactoringParams) -> FactoringHistory:
     """Run one factoring session to completion under fixed parameters."""
     rng = RandomSource(params.seed)
+    n, budget = params.n, params.max_trials
     trials_run = 0
     attempts: list[AttemptRecord] = []
-    factors: tuple[int, int] | None = None
-    failure: Outcome | None = None
     start = time.perf_counter()
-    while True:
-        if trials_run == params.max_trials:
-            failure = Outcome.TRIAL_BUDGET_EXHAUSTED
-            break
-        rejected: list[int] = []
-        choice = pick_y(params.n, rng, params.ceiling, rejected)
-        attempts += [
-            AttemptRecord(y, Outcome.ORDER_CEILING_REJECTED) for y in rejected
-        ]
-        if isinstance(choice, SharedFactorHit):
-            pair = (choice.factor, params.n // choice.factor)
-            attempts.append(
-                AttemptRecord(choice.y, Outcome.SHARED_FACTOR, factors=pair)
-            )
-            factors = pair
+    while trials_run < budget:
+        choice = pick_y(n, rng, params.ceiling, attempts)
+        if type(choice) is not tuple:
+            attempts.append(choice)
             break
         y, true_order = choice
         sampler = ReadoutSampler(y, true_order, params.q)
-        trials = find_order(
-            y, params, sampler, rng, trials_run + 1, params.max_trials - trials_run
-        )
+        trials = tuple(find_order(y, params, sampler, rng, trials_run + 1, budget - trials_run))
         trials_run += len(trials)
         if not trials[-1].verified:
-            attempts.append(
-                AttemptRecord(
-                    y, Outcome.TRIAL_BUDGET_EXHAUSTED, trials=tuple(trials)
-                )
-            )
-            failure = Outcome.TRIAL_BUDGET_EXHAUSTED
+            attempts.append(AttemptRecord(y, Outcome.TRIAL_BUDGET_EXHAUSTED, trials=trials))
             break
         found = trials[-1].candidate_order
-        outcome, pair = extract_factors(y, found, params.n)
-        attempts.append(
-            AttemptRecord(y, outcome, order=found, trials=tuple(trials), factors=pair)
-        )
+        outcome, pair = extract_factors(y, found, n)
+        attempts.append(AttemptRecord(y, outcome, found, trials, pair))
         if outcome is Outcome.SUCCESS:
-            factors = pair
             break
-    elapsed = time.perf_counter() - start
-    return FactoringHistory(
-        params=params,
-        attempts=tuple(attempts),
-        total_trials=trials_run,
-        elapsed=elapsed,
-        factors=factors,
-        failure=failure,
-        warnings=tuple(_session_warnings(params.n, factors)),
-    )
+    return FactoringHistory.of(params, attempts, trials_run, time.perf_counter() - start)
 
 
 def _session_warnings(n: int, factors: tuple[int, int] | None) -> list[str]:
@@ -227,7 +205,6 @@ __all__ = [
     "Outcome",
     "AttemptRecord",
     "FactoringHistory",
-    "SharedFactorHit",
     "NotCoprime",
     "pick_y",
     "extract_factors",

@@ -168,11 +168,16 @@ def _sin_squared(x: int, q: int) -> float:
     return math.sin(math.pi * (x / q)) ** 2
 
 
-def _check_cr(c: int, r: int, q: int) -> None:
+def check_register(r: int, q: int) -> None:
+    """Require q to be a power of two and 1 <= r <= q."""
     if q < 1 or q & (q - 1):
         raise ValueError("q must be a power of two")
     if not 1 <= r <= q:
         raise ValueError("require 1 <= r <= q")
+
+
+def _check_cr(c: int, r: int, q: int) -> None:
+    check_register(r, q)
     if not 0 <= c < q:
         raise ValueError("require 0 <= c < q")
 
@@ -183,10 +188,7 @@ def dominant_readouts(r: int, q: int) -> list[int]:
     One readout per m in [0, r): the integer nearest m*q/r, with
     half-integer ties rounded down. Pairwise distinct whenever r <= q.
     """
-    if q < 1 or q & (q - 1):
-        raise ValueError("q must be a power of two")
-    if not 1 <= r <= q:
-        raise ValueError("require 1 <= r <= q")
+    check_register(r, q)
     return [(2 * m * q + r - 1) // (2 * r) for m in range(r)]
 
 

@@ -32,7 +32,7 @@ import random
 
 # dominant_readouts is unused here but stays importable from this module:
 # perfbench's tracer looks the layers up as attributes of their callers.
-from .model import dominant_readouts, prob  # noqa: F401
+from .model import check_register, dominant_readouts, prob  # noqa: F401
 
 _FIFTY_THREE = 1 << 53
 _BETA = 1.0 - 4.0 / math.pi**2
@@ -101,10 +101,7 @@ class ReadoutSampler:
     """
 
     def __init__(self, y: int, r: int, q: int):
-        if q < 1 or q & (q - 1):
-            raise ValueError("q must be a power of two")
-        if not 1 <= r <= q:
-            raise ValueError("require 1 <= r <= q")
+        check_register(r, q)
         self.y = y
         self.r = r
         self.q = q

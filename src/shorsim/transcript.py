@@ -151,45 +151,50 @@ def to_jsonl(history: FactoringHistory) -> str:
             if attempt.factors is not None:
                 verdict["factors"] = list(attempt.factors)
             append(encode(verdict))
-    summary = {
-        "event": "summary",
-        "n": params.n,
-        "elapsed": history.elapsed,
+    append(encode({"event": "summary", **_summary(history), "elapsed": history.elapsed}))
+    return "\n".join(lines)
+
+
+def _summary(history: FactoringHistory) -> dict[str, Any]:
+    """The fields of a history's summary event but its event and elapsed."""
+    return {
+        "n": history.params.n,
         "total_trials": history.total_trials,
         "factors": list(history.factors) if history.factors else None,
         "failure": history.failure.value if history.failure else None,
         "warnings": list(history.warnings),
     }
-    append(encode(summary))
-    return "\n".join(lines)
 
 
 def from_jsonl(text: str) -> FactoringHistory:
     """Parse the output of to_jsonl back into an equal history.
 
-    Fields not read here are ignored, so older banners that carried a
-    tail_threshold still parse; a banner without a schema is version 1,
-    and one of a newer schema than SCHEMA_VERSION is refused. A new_base
-    is followed by its trials and then its attempt_verdict, with no other
-    event between. Any other input, or one whose history the writers
-    could not write back, raises TranscriptError naming the line and the
-    cause.
+    The banner is the first event and the summary the last, each once. A
+    new_base is followed by its trials and then its attempt_verdict, with
+    no other event between. The summary is derived from the attempts, as
+    run_session derives it; only its elapsed is read, and a summary that
+    disagrees is refused. Fields not read here are ignored, so older
+    banners that carried a tail_threshold still parse; a banner without a
+    schema is version 1, and one of a newer schema than SCHEMA_VERSION is
+    refused. Any other input, or one whose history the writers could not
+    write back, raises TranscriptError naming the line and the cause.
     """
     params: FactoringParams | None = None
-    summary: dict[str, Any] | None = None
     attempts: list[AttemptRecord] = []
     open_y: Any = None
     open_trials: list[OrderResult] | None = None  # None: no base is open
+    last_trial: Any = 0  # the index of the last trial read
     last = 0
     rejection = _REJECTION_LINE.fullmatch
     rejected = Outcome.ORDER_CEILING_REJECTED
-    for number, line in enumerate(text.splitlines(), start=1):
+    lines = enumerate(text.splitlines(), start=1)
+    for number, line in lines:
         line = line.strip()
         if not line:
             continue
         last = number
         fast = rejection(line)
-        if fast and open_trials is None:
+        if fast and open_trials is None and params is not None:
             attempts.append(AttemptRecord(int(fast[1]), rejected))
             continue
         try:
@@ -204,47 +209,9 @@ def from_jsonl(text: str) -> FactoringHistory:
         try:
             if open_trials is not None and kind not in ("trial", "attempt_verdict"):
                 raise ValueError("the last new_base has no attempt_verdict")
-            if kind == "ceiling_rejection":
-                attempts.append(AttemptRecord(data["y"], Outcome.ORDER_CEILING_REJECTED))
-            elif kind == "shared_factor":
-                attempts.append(
-                    AttemptRecord(
-                        data["y"],
-                        Outcome.SHARED_FACTOR,
-                        factors=_pair(data["factors"]),
-                    )
-                )
-            elif kind == "new_base":
-                open_y = data["y"]
-                open_trials = []
-            elif kind == "trial":
-                if open_trials is None:
-                    raise ValueError("no new_base before it")
-                open_trials.append(
-                    OrderResult(
-                        data["index"], data["readout"], data["candidate"], data["verified"]
-                    )
-                )
-            elif kind == "attempt_verdict":
-                if open_trials is None:
-                    raise ValueError("no new_base before it")
-                outcome = Outcome(data["status"])
-                if outcome is rejected or outcome is Outcome.SHARED_FACTOR:
-                    raise ValueError(f"{outcome.value!r} is no verdict on a measured base")
-                factors = data.get("factors")
-                if factors is not None or outcome in (Outcome.SUCCESS, Outcome.TRIVIAL_FACTORS):
-                    factors = _pair(data["factors"])
-                attempts.append(
-                    AttemptRecord(
-                        open_y,
-                        outcome,
-                        order=data.get("order"),
-                        trials=tuple(open_trials),
-                        factors=factors,
-                    )
-                )
-                open_trials = None
-            elif kind == "banner":
+            if kind == "banner":
+                if params is not None:
+                    raise ValueError("a banner came before it")
                 schema = data.get("schema", 1)
                 if schema not in range(1, SCHEMA_VERSION + 1):
                     raise ValueError(f"schema {schema!r} is unknown (newest {SCHEMA_VERSION})")
@@ -255,32 +222,87 @@ def from_jsonl(text: str) -> FactoringHistory:
                     max_trials=data["max_trials"],
                     order_ceiling=data["order_ceiling"],
                 )
+                for name in ("qubits", "seed"):
+                    if data[name] is None:  # build would pick one afresh
+                        raise ValueError(f"{name} must not be null")
+            elif params is None:
+                raise ValueError("no banner before it")
+            elif kind == "ceiling_rejection":
+                attempts.append(AttemptRecord(data["y"], Outcome.ORDER_CEILING_REJECTED))
+            elif kind == "shared_factor":
+                attempts.append(
+                    AttemptRecord(
+                        data["y"],
+                        Outcome.SHARED_FACTOR,
+                        factors=_pair(data["factors"], params.n),
+                    )
+                )
+            elif kind == "new_base":
+                open_y = data["y"]
+                open_trials = []
+            elif kind == "trial":
+                if open_trials is None:
+                    raise ValueError("no new_base before it")
+                last_trial = data["index"]
+                open_trials.append(
+                    OrderResult(last_trial, data["readout"], data["candidate"], data["verified"])
+                )
+            elif kind == "attempt_verdict":
+                if open_trials is None:
+                    raise ValueError("no new_base before it")
+                outcome = Outcome(data["status"])
+                if outcome is rejected or outcome is Outcome.SHARED_FACTOR:
+                    raise ValueError(f"{outcome.value!r} is no verdict on a measured base")
+                factors = data.get("factors")
+                if factors is not None or outcome in (Outcome.SUCCESS, Outcome.TRIVIAL_FACTORS):
+                    factors = _pair(data["factors"], params.n)
+                attempts.append(
+                    AttemptRecord(
+                        open_y,
+                        outcome,
+                        order=data.get("order"),
+                        trials=tuple(open_trials),
+                        factors=factors,
+                    )
+                )
+                open_trials = None
+            elif kind == "safe_qubits_hint":
+                safe = safe_qubits(params.n)
+                if data["qubits"] != safe:
+                    raise ValueError(f"qubits {data['qubits']!r} is not the safe size {safe}")
             elif kind == "summary":
                 elapsed = data["elapsed"]
                 if type(elapsed) is not float:
                     raise ValueError(f"elapsed {elapsed!r} is not a float")
-                summary = {
-                    "total_trials": data["total_trials"],
-                    "elapsed": elapsed,
-                    "factors": tuple(data["factors"]) if data["factors"] else None,
-                    "failure": Outcome(data["failure"]) if data["failure"] else None,
-                    "warnings": tuple(data["warnings"]),
-                }
+                history = FactoringHistory.of(params, attempts, last_trial, elapsed)
+                for key, value in _summary(history).items():
+                    if data[key] != value:
+                        raise ValueError(
+                            f"{key} {data[key]!r} disagrees with the attempts, which give {value!r}"
+                        )
+                break
+            else:
+                raise ValueError("unknown event")
         except KeyError as exc:
             raise TranscriptError(number, f"{kind!r} event lacks field {exc}") from None
         except (TypeError, ValueError) as exc:
             raise TranscriptError(number, f"bad {kind!r} event: {exc}") from None
-    if params is None:
-        raise TranscriptError(last + 1, "no banner event")
-    if open_trials is not None:
-        raise TranscriptError(last + 1, "the last new_base has no attempt_verdict")
-    if summary is None:
+    else:
+        if params is None:
+            raise TranscriptError(last + 1, "no banner event")
+        if open_trials is not None:
+            raise TranscriptError(last + 1, "the last new_base has no attempt_verdict")
         raise TranscriptError(last + 1, "no summary event")
-    return FactoringHistory(params=params, attempts=tuple(attempts), **summary)
+    for number, line in lines:
+        if line.strip():
+            raise TranscriptError(number, "the summary is not the last event")
+    return history
 
 
-def _pair(factors: Any) -> tuple[Any, Any]:
-    """A factors field as read from a stream: a JSON array of two values."""
+def _pair(factors: Any, n: int) -> tuple[int, int]:
+    """A factors field as read from a stream: a JSON array of two ints in [1, n]."""
     if type(factors) is not list or len(factors) != 2:
         raise ValueError(f"factors {factors!r} is not a pair")
+    if not all(type(f) is int and 1 <= f <= n for f in factors):
+        raise ValueError(f"factors {factors!r} are not ints in [1, {n}]")
     return tuple(factors)

@@ -7,7 +7,6 @@ import pytest
 from shorsim.factorizer import (
     AttemptRecord,
     Outcome,
-    SharedFactorHit,
     extract_factors,
     factor,
     pick_y,
@@ -138,27 +137,32 @@ class TestAttemptRecord:
 
 class TestPickY:
     def test_shared_factor_hit(self):
-        hit = pick_y(187, ScriptedRng(integers=[33]))
-        assert hit == SharedFactorHit(33, 11)
+        attempts = []
+        hit = pick_y(187, ScriptedRng(integers=[33]), 13, attempts)
+        assert hit == AttemptRecord(33, Outcome.SHARED_FACTOR, factors=(11, 17))
+        assert attempts == []
 
     def test_coprime_base_comes_with_exact_order(self):
-        assert pick_y(187, ScriptedRng(integers=[56])) == (56, 16)
+        attempts = []
+        assert pick_y(187, ScriptedRng(integers=[56]), 187, attempts) == (56, 16)
+        assert attempts == []
 
     def test_ceiling_rejections_are_recorded(self):
-        rejected = []
-        got = pick_y(187, ScriptedRng(integers=[56, 186]), 13, rejected)
+        attempts = []
+        got = pick_y(187, ScriptedRng(integers=[56, 186]), 13, attempts)
         assert got == (186, 2)
-        assert rejected == [56]  # order 16 exceeds the ceiling 13
+        # order 16 exceeds the ceiling 13
+        assert attempts == [AttemptRecord(56, Outcome.ORDER_CEILING_REJECTED)]
 
     def test_long_order_base_rejected_under_default_ceiling(self):
         ceiling = math.isqrt(1328881)  # 1152
         assert multiplicative_order(LONG_ORDER_BASE, 1328881) == 1278
-        rejected = []
+        attempts = []
         got = pick_y(
-            1328881, ScriptedRng(integers=[LONG_ORDER_BASE, 205920]), ceiling, rejected
+            1328881, ScriptedRng(integers=[LONG_ORDER_BASE, 205920]), ceiling, attempts
         )
         assert got == (205920, 1038)
-        assert rejected == [LONG_ORDER_BASE]
+        assert attempts == [AttemptRecord(LONG_ORDER_BASE, Outcome.ORDER_CEILING_REJECTED)]
 
 
 class TestFactor:

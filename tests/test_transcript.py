@@ -432,6 +432,102 @@ class TestJsonlErrors:
                 "max_trials must be an int, not float",
                 id="float-max-trials",
             ),
+            pytest.param(
+                with_fields(1, seed=None), 1, "seed must not be null", id="null-seed"
+            ),
+            pytest.param(
+                with_fields(1, qubits=None), 1, "qubits must not be null", id="null-qubits"
+            ),
+            pytest.param(
+                lambda lines: lines[:2] + ['{"event": "nonsense"}'] + lines[2:],
+                3,
+                "bad 'nonsense' event: unknown event",
+                id="unknown-event",
+            ),
+            pytest.param(
+                lambda lines: lines[:2] + [lines[0]] + lines[2:],
+                3,
+                "bad 'banner' event: a banner came before it",
+                id="second-banner",
+            ),
+            pytest.param(
+                lambda lines: lines + [lines[-1]],
+                16,
+                "the summary is not the last event",
+                id="second-summary",
+            ),
+            pytest.param(
+                lambda lines: [lines[-1]] + lines[:-1],
+                1,
+                "bad 'summary' event: no banner before it",
+                id="summary-first",
+            ),
+            pytest.param(
+                lambda lines: lines[1:] + [lines[0]],
+                1,
+                "bad 'safe_qubits_hint' event: no banner before it",
+                id="banner-last",
+            ),
+            pytest.param(
+                lambda lines: [REJECTION] + lines,
+                1,
+                "bad 'ceiling_rejection' event: no banner before it",
+                id="rejection-before-banner",
+            ),
+            pytest.param(
+                with_fields(2, qubits=3),
+                2,
+                "bad 'safe_qubits_hint' event: qubits 3 is not the safe size 41",
+                id="wrong-hint",
+            ),
+            pytest.param(
+                with_fields(14, factors=[1039, 1279.0]),
+                14,
+                "factors [1039, 1279.0] are not ints in [1, 1328881]",
+                id="float-factor",
+            ),
+            pytest.param(
+                with_fields(14, factors=[1039, 10**4000]),
+                14,
+                "are not ints in [1, 1328881]",
+                id="factor-above-n",
+            ),
+            pytest.param(
+                with_fields(15, total_trials=99),
+                15,
+                "bad 'summary' event: total_trials 99 disagrees with the attempts, which give 11",
+                id="summary-trials",
+            ),
+            pytest.param(
+                with_fields(15, factors=None),
+                15,
+                "factors None disagrees with the attempts, which give [1039, 1279]",
+                id="summary-factors",
+            ),
+            pytest.param(
+                with_fields(15, failure="trial_budget_exhausted"),
+                15,
+                "failure 'trial_budget_exhausted' disagrees with the attempts, which give None",
+                id="summary-failure",
+            ),
+            pytest.param(
+                with_fields(15, warnings=["x"]),
+                15,
+                "warnings ['x'] disagrees with the attempts, which give []",
+                id="summary-warnings",
+            ),
+            pytest.param(
+                with_fields(15, n=187),
+                15,
+                "n 187 disagrees with the attempts, which give 1328881",
+                id="summary-n",
+            ),
+            pytest.param(
+                with_fields(15, total_trials=MISSING),
+                15,
+                "'summary' event lacks field 'total_trials'",
+                id="summary-without-trials",
+            ),
         ],
     )
     def test_stream_the_writers_cannot_reproduce_is_refused(self, edit, line, cause):
@@ -440,6 +536,16 @@ class TestJsonlErrors:
             from_jsonl("\n".join(lines))
         assert info.value.line == line
         assert cause in str(info.value)
+
+    def test_summary_that_disagrees_with_its_attempts_is_refused(self):
+        # a shared-factor session, which runs no trial, claiming 99 trials
+        # and no factors
+        lines = to_jsonl(factor(1328881, 41, seed=0)).splitlines()
+        assert json.loads(lines[-2])["event"] == "shared_factor"
+        lines = with_fields(len(lines), total_trials=99, factors=None)(lines)
+        with pytest.raises(TranscriptError, match="disagrees with the attempts") as info:
+            from_jsonl("\n".join(lines))
+        assert info.value.line == len(lines)
 
     @pytest.mark.parametrize(
         "text", ["[" * 100_000, "1" * 5000, '{"event": "banner", "n": ' + "9" * 5000 + "}"]
@@ -481,9 +587,14 @@ event_objects = st.builds(
 
 
 @functools.lru_cache(maxsize=None)
-def valid_lines() -> tuple[str, ...]:
-    """A real session with ceiling rejections, trials and every verdict kind."""
-    return tuple(to_jsonl(factor(1328881, 41, seed=3)).splitlines())
+def valid_streams() -> tuple[tuple[str, ...], ...]:
+    """Real sessions, as lines, with ceiling rejections, trials and every
+    verdict kind: a success at N = 1328881 after 303 rejections, then at
+    N = 187, L = 16 a shared factor and, on a budget of two trials, an odd
+    order, a trivial split and the budget running out."""
+    histories = [factor(1328881, 41, seed=3), factor(187, 16, seed=13)]
+    histories += [factor(187, 16, seed=seed, max_trials=2) for seed in (212, 71, 7)]
+    return tuple(tuple(to_jsonl(history).splitlines()) for history in histories)
 
 
 def parses_or_refuses(text: str) -> None:
@@ -502,6 +613,12 @@ class TestJsonlFuzz:
     """from_jsonl returns a history that both writers can write, or raises
     TranscriptError, nothing else."""
 
+    def test_valid_streams_hold_every_outcome(self):
+        events = [json.loads(line) for lines in valid_streams() for line in lines]
+        assert {event["event"] for event in events} == set(EVENT_KINDS)
+        statuses = {event.get("status") for event in events} - {None}
+        assert statuses == {"success", "order_odd", "trivial_factors", "trial_budget_exhausted"}
+
     @given(st.text())
     @settings(max_examples=300)
     def test_arbitrary_text(self, text):
@@ -515,7 +632,7 @@ class TestJsonlFuzz:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_valid_stream_with_one_line_dropped_cut_or_edited(self, data):
-        lines = list(valid_lines())
+        lines = list(data.draw(st.sampled_from(valid_streams())))
         i = data.draw(st.integers(0, len(lines) - 1))
         edit = data.draw(st.sampled_from(["drop", "cut", "set", "delete"]))
         if edit == "drop":
@@ -570,8 +687,10 @@ def rejection_lines(draw) -> str:
 
 @functools.lru_cache(maxsize=None)
 def frame() -> tuple[str, str, FactoringHistory]:
-    """The banner and summary lines of a stream, and the history they give."""
-    lines = to_jsonl(session_history()).splitlines()
+    """The banner and summary lines of a stream with no attempts, and the
+    history they give."""
+    empty = FactoringHistory.of(session_history().params, (), 0, 113.895)
+    lines = to_jsonl(empty).splitlines()
     return lines[0], lines[-1], from_jsonl(lines[0] + "\n" + lines[-1])
 
 
