@@ -1,9 +1,12 @@
 """Arbitrary-precision number-theoretic primitives.
 
-Everything in this module is pure and deterministic: modular
-exponentiation, exact primality, prime factorization and multiplicative
-order of moduli up to ten digits, and continued-fraction convergents.
-All functions accept plain Python ints and never lose precision to floats.
+Everything in this module is deterministic: modular exponentiation, exact
+primality, prime factorization and multiplicative order of moduli up to
+ten digits, and continued-fraction convergents. All functions accept
+plain Python ints and never lose precision to floats. All but one are
+pure: multiplicative_order counts its calls per modulus and, past the sum
+of the modulus's prime-power components, answers from order tables it
+builds then; the count changes its speed, never its result.
 """
 
 from __future__ import annotations
@@ -92,11 +95,20 @@ def carmichael_lambda(n: int) -> int:
     return math.lcm(*(_prime_power_lambda(p, e) for p, e in factorize(n)))
 
 
+class _OrderRecord:
+    """multiplicative_order's state for one modulus: steps, tests left
+    before the tables are built, and the tables once built."""
+
+    __slots__ = ("steps", "countdown", "tables")
+
+
 @lru_cache(maxsize=4096)
-def _order_steps(n: int) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
-    """The primes p of lambda(n), largest first, each with the prime-power
-    components m of n whose lambda(m) p divides, as (m, lambda(m) / p**v,
-    p**v) for p**v the power of p in lambda(m), largest p**v first."""
+def _order_record(n: int) -> _OrderRecord:
+    """The record of n. Its steps are the primes p of lambda(n), largest
+    first, each with the prime-power components m of n whose lambda(m) p
+    divides, as (m, lambda(m) / p**v, p**v) for p**v the power of p in
+    lambda(m), largest p**v first. Its countdown is the sum of the
+    components, or infinite when one is a power of 2 (not always cyclic)."""
     parts = [(p**e, _prime_power_lambda(p, e)) for p, e in factorize(n)]
     steps = []
     for p, _ in reversed(factorize(carmichael_lambda(n))):
@@ -104,13 +116,44 @@ def _order_steps(n: int) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], 
         powers = [(math.gcd(lam, p ** lam.bit_length()), m, lam) for m, lam in parts]
         powers.sort(reverse=True)
         steps.append((p, tuple((m, lam // pv, pv) for pv, m, lam in powers if pv > 1)))
-    return tuple(steps)
+    record = _OrderRecord()
+    record.steps, record.tables = tuple(steps), None
+    record.countdown = sum(m for m, _ in parts) if n % 2 else math.inf
+    return record
+
+
+def _order_tables(n: int) -> tuple[tuple[int, list[int]], ...]:
+    """(m, the order of each residue mod m, 0 for a non-unit) for each
+    prime-power component m of an odd n, from a generator g of (Z/m)*."""
+    tables = []
+    for p, e in factorize(n):
+        m, lam = p**e, _prime_power_lambda(p, e)
+        primes = factorize(lam)
+        g = next(
+            a for a in range(2, m) if a % p and all(pow(a, lam // f, m) != 1 for f, _ in primes)
+        )
+        divisors = [1]
+        for f, k in primes:
+            divisors = [d * f**i for d in divisors for i in range(k + 1)]
+        # ord(g**k) = lam / gcd(k, lam), the largest divisor of lam dividing
+        # k: ascending, that divisor is the last to write slot k
+        by_exponent = [0] * lam
+        for d in sorted(divisors):
+            by_exponent[::d] = [lam // d] * (lam // d)
+        table, x = [0] * m, 1
+        for order in by_exponent:
+            table[x] = order
+            x = x * g % m
+        tables.append((m, table))
+    return tuple(tables)
 
 
 def multiplicative_order(y: int, n: int, ceiling: int | None = None) -> int | None:
     """Least r >= 1 with y**r == 1 (mod n), or None when it exceeds `ceiling`.
 
-    r's part for each prime p of lambda(n), largest p first, is the largest
+    After more tests on an odd n than the sum of its components, r is the
+    lcm of y's orders in _order_tables. Until then, and for even n, r's
+    part for each prime p of lambda(n), largest p first, is the largest
     order of y**(lambda(m) / p**v) mod m over the prime-power components m
     of n, so every power is taken mod a component with an exponent no wider
     than lambda(m). A base is rejected as soon as the product of the parts
@@ -120,12 +163,23 @@ def multiplicative_order(y: int, n: int, ceiling: int | None = None) -> int | No
         raise ValueError("modulus must be >= 2")
     if ceiling is not None and ceiling < 1:
         raise ValueError("ceiling must be >= 1")
+    record = _order_record(n)
+    record.countdown -= 1
+    if record.countdown < 0:
+        if record.tables is None:
+            record.tables = _order_tables(n)
+        r = 1
+        for m, table in record.tables:
+            r = math.lcm(r, table[y % m])
+        if not r:  # a non-unit's 0 entry makes the lcm 0
+            raise NotCoprime(f"gcd({y % n}, {n}) = {math.gcd(y, n)}, order undefined")
+        return None if ceiling is not None and r > ceiling else r
     y %= n
     g = math.gcd(y, n)
     if g != 1:
         raise NotCoprime(f"gcd({y}, {n}) = {g}, order undefined")
     r = 1
-    for p, comps in _order_steps(n):
+    for p, comps in record.steps:
         part = 1
         for m, cofactor, pv in comps:
             if pv <= part:

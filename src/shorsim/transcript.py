@@ -11,6 +11,7 @@ line at fault.
 from __future__ import annotations
 
 import json
+import math
 import re
 from typing import Any
 
@@ -171,7 +172,10 @@ def from_jsonl(text: str) -> FactoringHistory:
 
     The banner is the first event and the summary the last, each once. A
     new_base is followed by its trials and then its attempt_verdict, with
-    no other event between. The summary is derived from the attempts, as
+    no other event between. A new_base's y lies in [2, n). A trial's index
+    is one more than the last trial's (the first may be any int >= 1), its
+    readout lies in [0, q), its candidate in [1, n), and its verified is
+    pow(y, candidate, n) == 1. The summary is derived from the attempts, as
     run_session derives it; only its elapsed is read, and a summary that
     disagrees is refused. Fields not read here are ignored, so older
     banners that carried a tail_threshold still parse; a banner without a
@@ -238,15 +242,24 @@ def from_jsonl(text: str) -> FactoringHistory:
                     )
                 )
             elif kind == "new_base":
-                open_y = data["y"]
+                open_y = _int_in("y", data["y"], 2, params.n)
                 open_trials = []
             elif kind == "trial":
                 if open_trials is None:
                     raise ValueError("no new_base before it")
-                last_trial = data["index"]
-                open_trials.append(
-                    OrderResult(last_trial, data["readout"], data["candidate"], data["verified"])
-                )
+                index = _int_in("index", data["index"], 1, math.inf)
+                if last_trial and index != last_trial + 1:
+                    raise ValueError(f"index {index} does not follow the last trial's {last_trial}")
+                readout = _int_in("readout", data["readout"], 0, params.q)
+                candidate = _int_in("candidate", data["candidate"], 1, params.n)
+                verified = pow(open_y, candidate, params.n) == 1
+                if data["verified"] is not verified:
+                    raise ValueError(
+                        f"verified {data['verified']!r} is not {verified}, "
+                        f"as pow({open_y}, {candidate}, {params.n}) == 1 is"
+                    )
+                last_trial = index
+                open_trials.append(OrderResult(index, readout, candidate, verified))
             elif kind == "attempt_verdict":
                 if open_trials is None:
                     raise ValueError("no new_base before it")
@@ -297,6 +310,13 @@ def from_jsonl(text: str) -> FactoringHistory:
         if line.strip():
             raise TranscriptError(number, "the summary is not the last event")
     return history
+
+
+def _int_in(name: str, value: Any, low: int, high: float) -> int:
+    """A field as read from a stream: an int, not a bool, in [low, high)."""
+    if type(value) is not int or not low <= value < high:
+        raise ValueError(f"{name} {value!r} is not an int in [{low}, {high})")
+    return value
 
 
 def _pair(factors: Any, n: int) -> tuple[int, int]:

@@ -115,6 +115,27 @@ class ScriptedSampler:
         return self.readouts.pop(0)
 
 
+def order_path(n: int, tables: bool) -> None:
+    """Put multiplicative_order on n on one path for the calls that follow.
+
+    Clears the per-modulus records, then runs the order tests on n that
+    come before the build of its tables: one per unit of the sum of n's
+    prime-power components, plus the test that builds them when `tables`.
+    Without tables the countdown is then held, so that every later call
+    runs the prime-power steps, as it does for an even n.
+    """
+    from shorsim import numtheory
+
+    numtheory._order_record.cache_clear()
+    total = sum(p**e for p, e in numtheory.factorize(n))
+    for _ in range(total + tables):
+        numtheory.multiplicative_order(1, n)
+    record = numtheory._order_record(n)
+    assert (record.tables is not None) == (tables and n % 2 == 1)
+    if not tables:
+        record.countdown = math.inf
+
+
 @pytest.fixture(scope="session")
 def semiprime_histories():
     """One hundred seeded sessions at N = 1039 * 1279, shared across tests."""

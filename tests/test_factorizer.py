@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from shorsim import numtheory
 from shorsim.factorizer import (
     AttemptRecord,
     Outcome,
@@ -15,7 +16,13 @@ from shorsim.model import InputTooLarge, PrimeInput
 from shorsim.numtheory import multiplicative_order
 from shorsim.orderfinder import OrderResult
 from shorsim.sampler import RandomSource
-from conftest import ScriptedRng
+from conftest import ScriptedRng, order_path
+
+# sessions whose every base, outcome and order are pinned by a hash
+PINNED_STREAMS = [
+    (1328881, 0, "def5f78c71b2d7c7e06eb283aacaed6dcde4087b2260170cc87dd9b2dedb5832"),
+    (25610987, 1, "2557daa5de9cd2c78f4bf6c5ca8ba81745f64509bbedf8a367cdb853261242bf"),
+]
 
 # y with order 1278 mod 1328881 (order 1 mod 1039, primitive mod 1279)
 LONG_ORDER_BASE = 874839
@@ -187,17 +194,23 @@ class TestFactor:
             b, elapsed=0.0
         )
 
-    @pytest.mark.parametrize(
-        "n,seed,digest",
-        [
-            (1328881, 0, "def5f78c71b2d7c7e06eb283aacaed6dcde4087b2260170cc87dd9b2dedb5832"),
-            (25610987, 1, "2557daa5de9cd2c78f4bf6c5ca8ba81745f64509bbedf8a367cdb853261242bf"),
-        ],
-    )
+    @pytest.mark.parametrize("n,seed,digest", PINNED_STREAMS)
     def test_seeded_stream_is_pinned(self, n, seed, digest):
         # every base, outcome and order of the session, hashed; a change to
         # base drawing or order computation that alters any of them shows here
         attempts = [(a.y, a.outcome.value, a.order) for a in factor(n, seed=seed).attempts]
+        assert hashlib.sha256(repr(attempts).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n,seed,digest", PINNED_STREAMS)
+    def test_seeded_stream_is_the_same_from_the_order_tables(self, n, seed, digest):
+        sessions = []
+        for tables in (False, True):
+            order_path(n, tables)
+            sessions.append(factor(n, seed=seed).attempts)
+        numtheory._order_record.cache_clear()
+        steps, tables = sessions
+        assert steps == tables
+        attempts = [(a.y, a.outcome.value, a.order) for a in tables]
         assert hashlib.sha256(repr(attempts).encode()).hexdigest() == digest
 
     def test_different_seeds_take_different_paths(self):

@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shorsim import numtheory
 from shorsim.numtheory import (
     Convergent,
     NotCoprime,
@@ -15,7 +17,7 @@ from shorsim.numtheory import (
     modpow,
     multiplicative_order,
 )
-from conftest import brute_convergent, brute_order
+from conftest import brute_convergent, brute_order, order_path
 
 
 class TestModpow:
@@ -213,6 +215,94 @@ class TestMultiplicativeOrder:
     def test_carmichael_values(self):
         assert carmichael_lambda(187) == 80
         assert carmichael_lambda(1328881) == math.lcm(1038, 1278)
+
+
+def checked_order(y: int, n: int) -> int:
+    """multiplicative_order(y, n) at the ceilings None, isqrt(n), r - 1
+    and r, each checked against the uncapped order r it returns."""
+    r = multiplicative_order(y, n)
+    for ceiling in (None, math.isqrt(n), r - 1, r):
+        if ceiling == 0:
+            with pytest.raises(ValueError):
+                multiplicative_order(y, n, ceiling)
+            continue
+        expected = r if ceiling is None or r <= ceiling else None
+        assert multiplicative_order(y, n, ceiling) == expected
+    return r
+
+
+class TestOrderTables:
+    """The same orders from the prime-power steps, run for the first tests
+    on a modulus, and from the tables built on the test after them."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_records(self):
+        yield
+        numtheory._order_record.cache_clear()
+
+    @pytest.mark.parametrize("tables", [False, True], ids=["steps", "tables"])
+    @pytest.mark.parametrize("n", [15, 187, 1001])
+    def test_every_base_matches_brute_iteration(self, n, tables):
+        order_path(n, tables)
+        for y in range(n):
+            if math.gcd(y, n) != 1:
+                # on the table path a non-unit's entry is 0
+                with pytest.raises(NotCoprime):
+                    multiplicative_order(y, n)
+                continue
+            r = checked_order(y, n)
+            assert r == brute_order(y, n)
+            assert multiplicative_order(y + 5 * n, n) == multiplicative_order(y - n, n) == r
+
+    @pytest.mark.parametrize("tables", [False, True], ids=["steps", "tables"])
+    @pytest.mark.parametrize(
+        "n",
+        [
+            3**9,  # one component, p divides lambda(p**9)
+            5**6 * 7,
+            1009 * 1013,
+            3 * 11 * 1009 * 65537,
+            2**5 * 1009 * 1013,  # a 2-power component keeps the steps
+        ],
+    )
+    def test_seeded_bases_meet_the_order_certificate(self, n, tables):
+        order_path(n, tables)
+        rng = random.Random(n)
+        checked = 0
+        while checked < 2000:
+            y = rng.randint(2, n - 1)
+            if math.gcd(y, n) != 1:
+                continue
+            r = checked_order(y, n)
+            assert pow(y, r, n) == 1
+            for p, _ in factorize(r):
+                assert pow(y, r // p, n) != 1
+            checked += 1
+
+    @pytest.mark.parametrize("n", [187, 1009 * 1013, 3 * 11 * 1009 * 65537])
+    def test_tables_are_built_on_the_test_after_the_component_sum(self, n, monkeypatch):
+        built = []
+        build = numtheory._order_tables
+        monkeypatch.setattr(numtheory, "_order_tables", lambda n: built.append(n) or build(n))
+        numtheory._order_record.cache_clear()
+        total = sum(p**e for p, e in factorize(n))
+        for _ in range(total):
+            multiplicative_order(2, n)
+        assert built == []
+        assert numtheory._order_record(n).tables is None
+        multiplicative_order(2, n)
+        assert built == [n]
+        for _ in range(3):
+            multiplicative_order(2, n)
+        assert built == [n]
+
+    def test_even_modulus_never_builds(self, monkeypatch):
+        monkeypatch.setattr(numtheory, "_order_tables", None)  # a call would fail
+        numtheory._order_record.cache_clear()
+        expected = brute_order(3, 2 * 1009)
+        for _ in range(3 * (2 + 1009)):
+            assert multiplicative_order(3, 2 * 1009) == expected
+        assert numtheory._order_record(2 * 1009).tables is None
 
 
 class TestConvergents:

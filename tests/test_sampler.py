@@ -190,6 +190,58 @@ class TestReachability:
         assert sampler.draw(rng) == 32
 
 
+def cell_of(c: int, r: int, q: int) -> tuple[int, int]:
+    """The peak m whose cell holds readout c, and c's offset from the
+    peak's centre: m is the integer with -q/2 < r*c - m*q <= q/2, taking
+    c - q in place of c for the readouts at the top that cell 0 wraps."""
+    m = -((q - 2 * r * c) // (2 * q))
+    if m == r:
+        m, c = 0, c - q
+    return m, c - (2 * m * q + r - 1) // (2 * r)
+
+
+def envelope_excess(sampler: ReadoutSampler, c: int) -> float:
+    """How far q**2 * P(c) / r lies above the envelope at c, relative to
+    the envelope: positive where the rejection sampler would be inexact."""
+    r, q = sampler.r, sampler.q
+    height = sampler._envelope(cell_of(c, r, q)[1])
+    return (q * q * prob(c, r, q) / r - height) / height
+
+
+class TestEnvelopeCertificate:
+    """Rejection sampling is exact only where the envelope lies above the
+    target (Devroye 1986, II.3): q**2 * P(c) / r <= envelope(delta) for
+    every readout c, delta being c's offset from the centre of its cell."""
+
+    @pytest.mark.parametrize("q", [16, 64, 256])
+    def test_every_readout_of_every_order(self, q):
+        for r in range(1, q + 1):
+            sampler = ReadoutSampler(0, r, q)
+            peaks = set()
+            for c in range(q):
+                m, delta = cell_of(c, r, q)
+                assert abs(delta) <= sampler._reach
+                peaks.add(m)
+                assert envelope_excess(sampler, c) <= 1e-12, (r, q, c)
+            assert peaks == set(range(r))
+
+    @given(st.integers(1, 96), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_orders_near_peaks_and_at_cell_edges(self, bits, data):
+        q = 1 << bits
+        r = data.draw(st.integers(1, q))
+        m = data.draw(st.integers(0, r - 1))
+        sampler = ReadoutSampler(0, r, q)
+        # the cell of m holds the c (unwrapped) with -q < 2*(r*c - m*q) <= q
+        low = (2 * m * q - q) // (2 * r) + 1
+        high = (2 * m * q + q) // (2 * r)
+        near = data.draw(st.integers(-64, 64)) + (2 * m * q + r - 1) // (2 * r)
+        for c in (low, high, near):
+            if low <= c <= high:
+                assert cell_of(c % q, r, q)[0] == m
+                assert envelope_excess(sampler, c % q) <= 1e-12, (r, q, c)
+
+
 class TestEmpiricalDistribution:
     """Chi-square against the exact spectrum, which sums to 1 unscaled."""
 

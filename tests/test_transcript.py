@@ -528,6 +528,102 @@ class TestJsonlErrors:
                 "'summary' event lacks field 'total_trials'",
                 id="summary-without-trials",
             ),
+            # lines 3, 9 and 12 are its new_base events; 4-7 are trials 6-9
+            # of base 505980 (order 1038, q = 2**41), 10 and 13 trials 10, 11
+            pytest.param(
+                with_fields(3, y="505980"),
+                3,
+                "bad 'new_base' event: y '505980' is not an int in [2, 1328881)",
+                id="base-not-an-int",
+            ),
+            pytest.param(
+                with_fields(9, y=1328881),
+                9,
+                "y 1328881 is not an int in [2, 1328881)",
+                id="base-at-n",
+            ),
+            pytest.param(
+                with_fields(4, index="x"),
+                4,
+                "bad 'trial' event: index 'x' is not an int in [1, inf)",
+                id="index-not-an-int",
+            ),
+            pytest.param(
+                with_fields(4, index=True),
+                4,
+                "index True is not an int in [1, inf)",
+                id="index-a-bool",
+            ),
+            pytest.param(
+                with_fields(4, index=0), 4, "index 0 is not an int in [1, inf)", id="index-zero"
+            ),
+            pytest.param(
+                with_fields(6, index=9),
+                6,
+                "index 9 does not follow the last trial's 7",
+                id="index-skips",
+            ),
+            pytest.param(
+                with_fields(10, index=9),
+                10,
+                "index 9 does not follow the last trial's 9",
+                id="index-repeats-across-bases",
+            ),
+            pytest.param(
+                with_fields(4, readout=-5),
+                4,
+                "readout -5 is not an int in [0, 2199023255552)",
+                id="readout-negative",
+            ),
+            pytest.param(
+                with_fields(7, readout=2**41),
+                7,
+                "readout 2199023255552 is not an int in [0, 2199023255552)",
+                id="readout-at-q",
+            ),
+            pytest.param(
+                with_fields(10, readout=656741049346.0),
+                10,
+                "readout 656741049346.0 is not an int in [0, 2199023255552)",
+                id="readout-a-float",
+            ),
+            pytest.param(
+                with_fields(4, candidate=0),
+                4,
+                "candidate 0 is not an int in [1, 1328881)",
+                id="candidate-zero",
+            ),
+            pytest.param(
+                with_fields(13, candidate=1328881),
+                13,
+                "candidate 1328881 is not an int in [1, 1328881)",
+                id="candidate-at-n",
+            ),
+            pytest.param(
+                with_fields(4, verified="yes"),
+                4,
+                "bad 'trial' event: verified 'yes' is not False, "
+                "as pow(505980, 346, 1328881) == 1 is",
+                id="verified-not-a-bool",
+            ),
+            pytest.param(
+                with_fields(5, verified=True),
+                5,
+                "verified True is not False, as pow(505980, 346, 1328881) == 1 is",
+                id="verified-claims-a-failed-check",
+            ),
+            pytest.param(
+                with_fields(13, verified=False),
+                13,
+                "verified False is not True, as pow(205920, 1038, 1328881) == 1 is",
+                id="verified-denies-a-passed-check",
+            ),
+            pytest.param(
+                with_fields(7, verified=1),
+                7,
+                "verified 1 is not True",
+                id="verified-an-int",
+            ),
         ],
     )
     def test_stream_the_writers_cannot_reproduce_is_refused(self, edit, line, cause):
@@ -536,6 +632,17 @@ class TestJsonlErrors:
             from_jsonl("\n".join(lines))
         assert info.value.line == line
         assert cause in str(info.value)
+
+    def test_edited_trial_is_refused_on_its_line(self):
+        # the second trial of a two-trial budget, edited as a whole, with a
+        # summary that agrees with the edited index
+        lines = to_jsonl(factor(187, 16, seed=7, max_trials=2)).splitlines()
+        number = [i for i, line in enumerate(lines, 1) if '"trial"' in line][1]
+        lines = with_fields(number, index="x", readout=-5, verified="yes")(lines)
+        lines = with_fields(len(lines), total_trials="x")(lines)
+        with pytest.raises(TranscriptError, match="index 'x' is not an int") as info:
+            from_jsonl("\n".join(lines))
+        assert info.value.line == number
 
     def test_summary_that_disagrees_with_its_attempts_is_refused(self):
         # a shared-factor session, which runs no trial, claiming 99 trials
