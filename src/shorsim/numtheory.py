@@ -164,12 +164,14 @@ def multiplicative_order(y: int, n: int, ceiling: int | None = None) -> int | No
     if ceiling is not None and ceiling < 1:
         raise ValueError("ceiling must be >= 1")
     record = _order_record(n)
-    record.countdown -= 1
-    if record.countdown < 0:
-        if record.tables is None:
-            record.tables = _order_tables(n)
+    tables = record.tables
+    if tables is None:
+        record.countdown -= 1
+        if record.countdown < 0:
+            tables = record.tables = _order_tables(n)
+    if tables is not None:
         r = 1
-        for m, table in record.tables:
+        for m, table in tables:
             r = math.lcm(r, table[y % m])
         if not r:  # a non-unit's 0 entry makes the lcm 0
             raise NotCoprime(f"gcd({y % n}, {n}) = {math.gcd(y, n)}, order undefined")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 
 # dominant_readouts is unused here but stays importable from this module:
 # perfbench's tracer looks the layers up as attributes of their callers.
@@ -91,6 +92,23 @@ class RandomSource:
                 v = self.randbits(k)
             if v <= span:
                 return a + v
+
+    def randints(self, a: int, b: int) -> Iterator[int]:
+        """Endless randint(a, b) values, each drawn lazily where randint would
+        draw it in the stream and from the same uniforms; a one-chunk span is
+        set up once rather than per value."""
+        span = b - a
+        if span < 0:
+            raise ValueError("empty range")
+        k = span.bit_length()
+        if not 0 < k <= 53:
+            while True:
+                yield self.randint(a, b)
+        rand, shift = self.random, 53 - k
+        while True:
+            v = int(rand() * _FIFTY_THREE) >> shift
+            if v <= span:
+                yield a + v
 
 
 class ReadoutSampler:

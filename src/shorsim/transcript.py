@@ -54,7 +54,7 @@ SUMMARY_FAILURE = (
 # without json.loads. At most 19 digits keep int() fast and within the limit
 # on integer string conversion; any other spelling takes the general path.
 _REJECTION_LINE = re.compile(
-    r'\{"ceiling": (?:0|[1-9][0-9]{0,18}), "event": "ceiling_rejection", '
+    r'\{"ceiling": (0|[1-9][0-9]{0,18}), "event": "ceiling_rejection", '
     r'"y": (0|[1-9][0-9]{0,18})\}'
 )
 
@@ -172,15 +172,19 @@ def from_jsonl(text: str) -> FactoringHistory:
 
     The banner is the first event and the summary the last, each once. A
     new_base is followed by its trials and then its attempt_verdict, with
-    no other event between. A new_base's y lies in [2, n). A trial's index
-    is one more than the last trial's (the first may be any int >= 1), its
-    readout lies in [0, q), its candidate in [1, n), and its verified is
-    pow(y, candidate, n) == 1. The summary is derived from the attempts, as
-    run_session derives it; only its elapsed is read, and a summary that
-    disagrees is refused. Fields not read here are ignored, so older
-    banners that carried a tail_threshold still parse; a banner without a
-    schema is version 1, and one of a newer schema than SCHEMA_VERSION is
-    refused. Any other input, or one whose history the writers could not
+    no other event between. The y of a new_base, a ceiling_rejection or a
+    shared_factor lies in [2, n). A ceiling_rejection's ceiling is the
+    int the banner's parameters give; whether its y's order exceeds it is
+    not tested, as that would cost an order test per line. A
+    shared_factor's factors are [g, n // g] for g = gcd(y, n) > 1. A
+    trial's index is one more than the last trial's (the first may be any
+    int >= 1), its readout lies in [0, q), its candidate in [1, n), and its
+    verified is pow(y, candidate, n) == 1. The summary is derived from the
+    attempts, as run_session derives it; only its elapsed is read, and a
+    summary that disagrees is refused. Fields not read here are ignored, so
+    older banners that carried a tail_threshold still parse; a banner
+    without a schema is version 1, and one of a newer schema than
+    SCHEMA_VERSION is refused. Any other input, or one whose history the writers could not
     write back, raises TranscriptError naming the line and the cause.
     """
     params: FactoringParams | None = None
@@ -191,6 +195,7 @@ def from_jsonl(text: str) -> FactoringHistory:
     last = 0
     rejection = _REJECTION_LINE.fullmatch
     rejected = Outcome.ORDER_CEILING_REJECTED
+    ceiling_text, n = None, 0  # the session's ceiling as written, and its n
     lines = enumerate(text.splitlines(), start=1)
     for number, line in lines:
         line = line.strip()
@@ -198,9 +203,13 @@ def from_jsonl(text: str) -> FactoringHistory:
             continue
         last = number
         fast = rejection(line)
-        if fast and open_trials is None and params is not None:
-            attempts.append(AttemptRecord(int(fast[1]), rejected))
-            continue
+        # a line the fast path would refuse takes the general path, which
+        # names the cause
+        if fast and fast[1] == ceiling_text and open_trials is None:
+            y = int(fast[2])
+            if 2 <= y < n:
+                attempts.append(AttemptRecord(y, rejected))
+                continue
         try:
             data = json.loads(line)
         except (ValueError, RecursionError) as exc:  # also huge ints, deep nesting
@@ -229,20 +238,29 @@ def from_jsonl(text: str) -> FactoringHistory:
                 for name in ("qubits", "seed"):
                     if data[name] is None:  # build would pick one afresh
                         raise ValueError(f"{name} must not be null")
+                ceiling_text, n = str(params.ceiling), params.n
             elif params is None:
                 raise ValueError("no banner before it")
             elif kind == "ceiling_rejection":
-                attempts.append(AttemptRecord(data["y"], Outcome.ORDER_CEILING_REJECTED))
+                y = _int_in("y", data["y"], 2, n)
+                ceiling = data["ceiling"]
+                if type(ceiling) is not int or ceiling != params.ceiling:
+                    raise ValueError(f"ceiling {ceiling!r} is not the session's {params.ceiling}")
+                attempts.append(AttemptRecord(y, rejected))
             elif kind == "shared_factor":
-                attempts.append(
-                    AttemptRecord(
-                        data["y"],
-                        Outcome.SHARED_FACTOR,
-                        factors=_pair(data["factors"], params.n),
+                y = _int_in("y", data["y"], 2, n)
+                factors = _pair(data["factors"], n)
+                g = math.gcd(y, n)
+                if g == 1:
+                    raise ValueError(f"y {y} shares no factor with {n}")
+                if factors != (g, n // g):
+                    raise ValueError(
+                        f"factors {list(factors)} are not [{g}, {n // g}], "
+                        f"as gcd({y}, {n}) = {g} gives them"
                     )
-                )
+                attempts.append(AttemptRecord(y, Outcome.SHARED_FACTOR, factors=factors))
             elif kind == "new_base":
-                open_y = _int_in("y", data["y"], 2, params.n)
+                open_y = _int_in("y", data["y"], 2, n)
                 open_trials = []
             elif kind == "trial":
                 if open_trials is None:
@@ -251,12 +269,12 @@ def from_jsonl(text: str) -> FactoringHistory:
                 if last_trial and index != last_trial + 1:
                     raise ValueError(f"index {index} does not follow the last trial's {last_trial}")
                 readout = _int_in("readout", data["readout"], 0, params.q)
-                candidate = _int_in("candidate", data["candidate"], 1, params.n)
-                verified = pow(open_y, candidate, params.n) == 1
+                candidate = _int_in("candidate", data["candidate"], 1, n)
+                verified = pow(open_y, candidate, n) == 1
                 if data["verified"] is not verified:
                     raise ValueError(
                         f"verified {data['verified']!r} is not {verified}, "
-                        f"as pow({open_y}, {candidate}, {params.n}) == 1 is"
+                        f"as pow({open_y}, {candidate}, {n}) == 1 is"
                     )
                 last_trial = index
                 open_trials.append(OrderResult(index, readout, candidate, verified))
@@ -268,7 +286,7 @@ def from_jsonl(text: str) -> FactoringHistory:
                     raise ValueError(f"{outcome.value!r} is no verdict on a measured base")
                 factors = data.get("factors")
                 if factors is not None or outcome in (Outcome.SUCCESS, Outcome.TRIVIAL_FACTORS):
-                    factors = _pair(data["factors"], params.n)
+                    factors = _pair(data["factors"], n)
                 attempts.append(
                     AttemptRecord(
                         open_y,
@@ -280,7 +298,7 @@ def from_jsonl(text: str) -> FactoringHistory:
                 )
                 open_trials = None
             elif kind == "safe_qubits_hint":
-                safe = safe_qubits(params.n)
+                safe = safe_qubits(n)
                 if data["qubits"] != safe:
                     raise ValueError(f"qubits {data['qubits']!r} is not the safe size {safe}")
             elif kind == "summary":

@@ -86,6 +86,55 @@ class TestRandomSource:
         assert counted.random() == plain.random()
 
 
+# spans around one 53-bit chunk and the powers of two where randint's
+# bit length changes
+spans = st.one_of(
+    st.sampled_from([0, 1, 2**53 - 1, 2**53, 2**60 + 3]),
+    st.builds(lambda k, d: 2**k + d, st.integers(1, 62), st.sampled_from([-1, 1])),
+)
+
+
+class TestRandints:
+    """randints(a, b) yields what successive randint(a, b) calls return."""
+
+    @given(st.integers(0, 2**64 - 1), spans, st.integers(-(2**70), 2**70), st.integers(1, 40))
+    @settings(max_examples=200)
+    def test_matches_successive_randint(self, seed, span, a, k):
+        stream, calls = CountingSource(seed), CountingSource(seed)
+        values = stream.randints(a, a + span)
+        assert [next(values) for _ in range(k)] == [calls.randint(a, a + span) for _ in range(k)]
+        assert stream.uniforms == calls.uniforms
+        assert stream.random() == calls.random()
+
+    @given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 3), min_size=1, max_size=30))
+    @settings(max_examples=60)
+    def test_stays_in_step_with_draws_in_between(self, seed, between):
+        # run_session takes bases from one stream while the sampler draws
+        # from the same source between them
+        stream, calls = RandomSource(seed), RandomSource(seed)
+        bases = stream.randints(2, 1328880)
+        for count in between:
+            assert next(bases) == calls.randint(2, 1328880)
+            for _ in range(count):
+                assert stream.random() == calls.random()
+            assert stream.randrange(1000) == calls.randrange(1000)
+
+    @pytest.mark.parametrize("a,b", [(2, 999), (0, 2**60 + 3)])
+    def test_draws_through_random(self, a, b):
+        counted, plain = CountingSource(5), RandomSource(5)
+        values = counted.randints(a, b)
+        for _ in range(50):
+            next(values)
+        for _ in range(counted.uniforms):
+            plain.random()
+        assert counted.random() == plain.random()
+
+    def test_empty_range_is_refused_on_the_first_draw(self):
+        values = RandomSource(0).randints(5, 4)
+        with pytest.raises(ValueError, match="empty range"):
+            next(values)
+
+
 class CountingSource(RandomSource):
     """RandomSource that counts the uniforms it hands out."""
 

@@ -265,6 +265,11 @@ REJECTION = '{"ceiling": 1152, "event": "ceiling_rejection", "y": 7}'
 ONE_FACTOR = '{"event": "shared_factor", "factors": [11], "y": 3}'
 
 
+def shared_factor(y: int) -> str:
+    """A shared_factor event of a 1328881 stream with y and factors [1039, 1279]."""
+    return json.dumps({"event": "shared_factor", "y": y, "factors": [1039, 1279]})
+
+
 def with_fields(number: int, **fields: Any):
     """An edit of a stream's lines that sets fields of the event on line
     `number`, or deletes those given as MISSING."""
@@ -419,6 +424,26 @@ class TestJsonlErrors:
                 15,
                 "factors [11] is not a pair",
                 id="shared-factor-with-one-factor",
+            ),
+            # a shared factor inserted before the summary, with the factors
+            # [1039, 1279] that the summary names, so only the event is wrong
+            pytest.param(
+                lambda lines: lines[:14] + [shared_factor(1328881 + 1039)] + lines[14:],
+                15,
+                "bad 'shared_factor' event: y 1329920 is not an int in [2, 1328881)",
+                id="shared-factor-y-above-n",
+            ),
+            pytest.param(
+                lambda lines: lines[:14] + [shared_factor(3)] + lines[14:],
+                15,
+                "bad 'shared_factor' event: y 3 shares no factor with 1328881",
+                id="shared-factor-coprime-y",
+            ),
+            pytest.param(
+                lambda lines: lines[:14] + [shared_factor(2 * 1279)] + lines[14:],
+                15,
+                "factors [1039, 1279] are not [1279, 1039], as gcd(2558, 1328881) = 1279",
+                id="shared-factor-not-from-gcd",
             ),
             pytest.param(
                 with_fields(15, elapsed="113.895"),
@@ -779,7 +804,10 @@ def written(ceiling: str, y: str) -> str:
 @st.composite
 def rejection_lines(draw) -> str:
     """ceiling_rejection lines in and around the layout to_jsonl writes."""
-    ceiling, y = draw(numbers), draw(numbers)
+    # the session's ceiling and bases in [2, n) often enough that lines
+    # which pass the reader's checks are drawn too
+    ceiling = draw(st.one_of(st.just("1152"), numbers))
+    y = draw(st.one_of(st.integers(2, 1328880).map(str), numbers))
     if draw(st.booleans()):
         return written(ceiling, y)
     items = [("ceiling", ceiling), ("event", '"ceiling_rejection"'), ("y", y)]
@@ -802,7 +830,9 @@ def frame() -> tuple[str, str, FactoringHistory]:
 
 
 class TestFastPathsAgreeWithJson:
-    """The rejection template and its parse give what json gives."""
+    """The rejection template and its parse give what json gives: a line
+    whose y is an int in [2, n) and whose ceiling is the int 1152 parses,
+    any other is refused on its line."""
 
     @given(rejection_lines())
     @example(written("1152", "1\u0663"))
@@ -816,6 +846,18 @@ class TestFastPathsAgreeWithJson:
     @example(written("1152", "9" * 20))
     @example(written("1152", "7") + "}")
     @example(written("1152", "7").replace(": ", ":  ", 1))
+    @example(written("1152", "99999999999999"))
+    @example(written("1152", "1"))
+    @example(written("1152", "2"))
+    @example(written("1152", "1328880"))
+    @example(written("1152", "1328881"))
+    @example(written("5", "7"))
+    @example(written("1153", "7"))
+    @example(written("01152", "7"))
+    @example(written("1152.0", "7"))
+    @example(written("true", "7"))
+    @example(written("1152", "true"))
+    @example(written("1152", "2.0"))
     @settings(max_examples=400, deadline=None)
     def test_reader(self, line):
         banner, summary, empty = frame()
@@ -827,11 +869,15 @@ class TestFastPathsAgreeWithJson:
                 from_jsonl(text)
             assert info.value.line == 2
             return
-        history = from_jsonl(text)
-        assert history == dataclasses.replace(
-            empty, attempts=(AttemptRecord(data["y"], REJECTED),)
-        )
-        assert type(history.attempts[0].y) is type(data["y"])
+        y, ceiling = data["y"], data["ceiling"]
+        if type(y) is int and 2 <= y < 1328881 and type(ceiling) is int and ceiling == 1152:
+            history = from_jsonl(text)
+            assert history == dataclasses.replace(empty, attempts=(AttemptRecord(y, REJECTED),))
+            assert type(history.attempts[0].y) is int
+            return
+        with pytest.raises(TranscriptError, match="bad 'ceiling_rejection' event") as info:
+            from_jsonl(text)
+        assert info.value.line == 2
 
     @pytest.mark.parametrize("y", [1.5, "7", None, 2**70, True, -3, 0, {"b": 1, "a": 2}])
     def test_writer(self, y):
@@ -842,7 +888,8 @@ class TestFastPathsAgreeWithJson:
         lines = to_jsonl(base).splitlines()
         lines.insert(2, json.dumps(event, sort_keys=True))
         assert text == "\n".join(lines)
-        back = from_jsonl(text)
-        assert back == history
-        assert type(back.attempts[0].y) is type(y)
         assert render_text(history)[2] == CEILING_LINE.format(y=y, ceiling=1152)
+        # none of these is a base in [2, n), so the reader refuses the line
+        with pytest.raises(TranscriptError, match="bad 'ceiling_rejection' event") as info:
+            from_jsonl(text)
+        assert info.value.line == 3
