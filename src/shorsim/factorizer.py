@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import math
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .model import FactoringParams
@@ -105,17 +104,16 @@ class FactoringHistory:
 
 
 def pick_y(
-    n: int, bases: Iterator[int], ceiling: int, attempts: list[AttemptRecord]
+    n: int, rng: RandomSource, ceiling: int, attempts: list[AttemptRecord]
 ) -> AttemptRecord | tuple[int, int]:
-    """Take bases from `bases` until one is usable.
+    """Draw bases uniformly from [2, n - 1] until one is usable.
 
     Each base whose order exceeds `ceiling` is appended to `attempts` as
-    ORDER_CEILING_REJECTED. Returns the SHARED_FACTOR record of a base with
-    gcd(y, n) > 1, else (y, exact order). Raises ValueError when `bases`
-    runs out first.
+    ORDER_CEILING_REJECTED and redrawn. Returns the SHARED_FACTOR record of
+    a base with gcd(y, n) > 1, else (y, exact order).
     """
     append, rejected = attempts.append, Outcome.ORDER_CEILING_REJECTED
-    for y in bases:
+    for y in rng.randints(2, n - 1):  # endless
         try:
             # a module attribute looked up per base, so a wrapper put there sees it
             r = multiplicative_order(y, n, ceiling)
@@ -125,7 +123,6 @@ def pick_y(
         if r is not None:
             return y, r
         append(AttemptRecord(y, rejected))
-    raise ValueError("no usable base among the bases given")
 
 
 def extract_factors(y: int, r: int, n: int) -> tuple[Outcome, tuple[int, int] | None]:
@@ -167,12 +164,11 @@ def run_session(params: FactoringParams) -> FactoringHistory:
     """Run one factoring session to completion under fixed parameters."""
     rng = RandomSource(params.seed)
     n, budget = params.n, params.max_trials
-    bases = rng.randints(2, n - 1)  # drawn lazily, in step with the trials' draws
     trials_run = 0
     attempts: list[AttemptRecord] = []
     start = time.perf_counter()
     while trials_run < budget:
-        choice = pick_y(n, bases, params.ceiling, attempts)
+        choice = pick_y(n, rng, params.ceiling, attempts)
         if type(choice) is not tuple:
             attempts.append(choice)
             break

@@ -79,32 +79,25 @@ class RandomSource:
 
     def randint(self, a: int, b: int) -> int:
         """Uniform integer in [a, b], endpoints included."""
+        return next(self.randints(a, b))
+
+    def randints(self, a: int, b: int) -> Iterator[int]:
+        """Endless uniform integers in [a, b], each drawn lazily, so taking
+        them one at a time consumes the stream as successive randint(a, b)
+        calls would; a one-chunk span is set up once rather than per value."""
         span = b - a
         if span < 0:
             raise ValueError("empty range")
         if span == 0:
-            return a  # a one-value range takes no uniform
-        k = span.bit_length()
-        while True:
-            if k <= 53:  # randbits(k) for one chunk, inlined
-                v = int(self.random() * _FIFTY_THREE) >> (53 - k)
-            else:
-                v = self.randbits(k)
-            if v <= span:
-                return a + v
-
-    def randints(self, a: int, b: int) -> Iterator[int]:
-        """Endless randint(a, b) values, each drawn lazily where randint would
-        draw it in the stream and from the same uniforms; a one-chunk span is
-        set up once rather than per value."""
-        span = b - a
-        if span < 0:
-            raise ValueError("empty range")
-        k = span.bit_length()
-        if not 0 < k <= 53:
             while True:
-                yield self.randint(a, b)
-        rand, shift = self.random, 53 - k
+                yield a  # a one-value range takes no uniform
+        k = span.bit_length()
+        if k > 53:
+            while True:
+                v = self.randbits(k)
+                if v <= span:
+                    yield a + v
+        rand, shift = self.random, 53 - k  # randbits(k) for one chunk, inlined
         while True:
             v = int(rand() * _FIFTY_THREE) >> shift
             if v <= span:

@@ -173,19 +173,22 @@ def from_jsonl(text: str) -> FactoringHistory:
     The banner is the first event and the summary the last, each once. A
     new_base is followed by its trials and then its attempt_verdict, with
     no other event between. The y of a new_base, a ceiling_rejection or a
-    shared_factor lies in [2, n). A ceiling_rejection's ceiling is the
-    int the banner's parameters give; whether its y's order exceeds it is
-    not tested, as that would cost an order test per line. A
-    shared_factor's factors are [g, n // g] for g = gcd(y, n) > 1. A
-    trial's index is one more than the last trial's (the first may be any
+    shared_factor lies in [2, n). A ceiling_rejection's ceiling is the int
+    the banner's parameters apply, FactoringParams.ceiling; whether its y's
+    order exceeds it is not tested, as that would cost an order test per
+    line. A shared_factor's factors are [g, n // g] for g = gcd(y, n) > 1.
+    A trial's index is one more than the last trial's (the first may be any
     int >= 1), its readout lies in [0, q), its candidate in [1, n), and its
     verified is pow(y, candidate, n) == 1. The summary is derived from the
     attempts, as run_session derives it; only its elapsed is read, and a
     summary that disagrees is refused. Fields not read here are ignored, so
     older banners that carried a tail_threshold still parse; a banner
     without a schema is version 1, and one of a newer schema than
-    SCHEMA_VERSION is refused. Any other input, or one whose history the writers could not
-    write back, raises TranscriptError naming the line and the cause.
+    SCHEMA_VERSION is refused. Streams written while rejection lines named
+    the requested ceiling rather than the applied one (null for no
+    ceiling, or a value above q) are refused on their first such line. Any
+    other input, or one whose history the writers could not write back,
+    raises TranscriptError naming the line and the cause.
     """
     params: FactoringParams | None = None
     attempts: list[AttemptRecord] = []
@@ -260,7 +263,7 @@ def from_jsonl(text: str) -> FactoringHistory:
                     )
                 attempts.append(AttemptRecord(y, Outcome.SHARED_FACTOR, factors=factors))
             elif kind == "new_base":
-                open_y = _int_in("y", data["y"], 2, n)
+                open_y = _int_in("y", data["y"], 2, params.n)
                 open_trials = []
             elif kind == "trial":
                 if open_trials is None:
@@ -269,12 +272,12 @@ def from_jsonl(text: str) -> FactoringHistory:
                 if last_trial and index != last_trial + 1:
                     raise ValueError(f"index {index} does not follow the last trial's {last_trial}")
                 readout = _int_in("readout", data["readout"], 0, params.q)
-                candidate = _int_in("candidate", data["candidate"], 1, n)
-                verified = pow(open_y, candidate, n) == 1
+                candidate = _int_in("candidate", data["candidate"], 1, params.n)
+                verified = pow(open_y, candidate, params.n) == 1
                 if data["verified"] is not verified:
                     raise ValueError(
                         f"verified {data['verified']!r} is not {verified}, "
-                        f"as pow({open_y}, {candidate}, {n}) == 1 is"
+                        f"as pow({open_y}, {candidate}, {params.n}) == 1 is"
                     )
                 last_trial = index
                 open_trials.append(OrderResult(index, readout, candidate, verified))
@@ -286,7 +289,7 @@ def from_jsonl(text: str) -> FactoringHistory:
                     raise ValueError(f"{outcome.value!r} is no verdict on a measured base")
                 factors = data.get("factors")
                 if factors is not None or outcome in (Outcome.SUCCESS, Outcome.TRIVIAL_FACTORS):
-                    factors = _pair(data["factors"], n)
+                    factors = _pair(data["factors"], params.n)
                 attempts.append(
                     AttemptRecord(
                         open_y,
@@ -298,7 +301,7 @@ def from_jsonl(text: str) -> FactoringHistory:
                 )
                 open_trials = None
             elif kind == "safe_qubits_hint":
-                safe = safe_qubits(n)
+                safe = safe_qubits(params.n)
                 if data["qubits"] != safe:
                     raise ValueError(f"qubits {data['qubits']!r} is not the safe size {safe}")
             elif kind == "summary":

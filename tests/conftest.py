@@ -104,6 +104,10 @@ class ScriptedRng:
         assert a <= v <= b
         return v
 
+    def randints(self, a: int, b: int):
+        while True:
+            yield self.randint(a, b)
+
 
 class ScriptedSampler:
     """Stand-in sampler returning preset readouts."""

@@ -16,7 +16,7 @@ from shorsim.model import InputTooLarge, PrimeInput
 from shorsim.numtheory import multiplicative_order
 from shorsim.orderfinder import OrderResult
 from shorsim.sampler import RandomSource
-from conftest import order_path
+from conftest import ScriptedRng, order_path
 
 # sessions whose every base, outcome and order are pinned by a hash
 PINNED_STREAMS = [
@@ -145,18 +145,18 @@ class TestAttemptRecord:
 class TestPickY:
     def test_shared_factor_hit(self):
         attempts = []
-        hit = pick_y(187, iter([33]), 13, attempts)
+        hit = pick_y(187, ScriptedRng(integers=[33]), 13, attempts)
         assert hit == AttemptRecord(33, Outcome.SHARED_FACTOR, factors=(11, 17))
         assert attempts == []
 
     def test_coprime_base_comes_with_exact_order(self):
         attempts = []
-        assert pick_y(187, iter([56]), 187, attempts) == (56, 16)
+        assert pick_y(187, ScriptedRng(integers=[56]), 187, attempts) == (56, 16)
         assert attempts == []
 
     def test_ceiling_rejections_are_recorded(self):
         attempts = []
-        got = pick_y(187, iter([56, 186]), 13, attempts)
+        got = pick_y(187, ScriptedRng(integers=[56, 186]), 13, attempts)
         assert got == (186, 2)
         # order 16 exceeds the ceiling 13
         assert attempts == [AttemptRecord(56, Outcome.ORDER_CEILING_REJECTED)]
@@ -165,7 +165,9 @@ class TestPickY:
         ceiling = math.isqrt(1328881)  # 1152
         assert multiplicative_order(LONG_ORDER_BASE, 1328881) == 1278
         attempts = []
-        got = pick_y(1328881, iter([LONG_ORDER_BASE, 205920]), ceiling, attempts)
+        got = pick_y(
+            1328881, ScriptedRng(integers=[LONG_ORDER_BASE, 205920]), ceiling, attempts
+        )
         assert got == (205920, 1038)
         assert attempts == [AttemptRecord(LONG_ORDER_BASE, Outcome.ORDER_CEILING_REJECTED)]
 
@@ -181,20 +183,16 @@ class TestPickY:
         # the order test raises NotCoprime for the shared-factor base, on the
         # table path from a 0 entry and on the steps path from its own gcd
         order_path(n, tables)
-        bases = iter(rejected + [shared, 21])
+        rng = ScriptedRng(integers=rejected + [shared, 21])
         attempts = []
-        hit = pick_y(n, bases, 13, attempts)
+        hit = pick_y(n, rng, 13, attempts)
         g = math.gcd(shared, n)
         assert g > 1
         assert hit == AttemptRecord(shared, Outcome.SHARED_FACTOR, factors=(g, n // g))
         assert attempts == [AttemptRecord(y, Outcome.ORDER_CEILING_REJECTED) for y in rejected]
-        assert list(bases) == [21]  # no base is taken past the one returned
+        assert rng.integers == [21]  # no base is taken past the one returned
         assert (numtheory._order_record(n).tables is not None) == tables
         numtheory._order_record.cache_clear()
-
-    def test_bases_that_run_out_are_refused(self):
-        with pytest.raises(ValueError, match="no usable base"):
-            pick_y(187, iter([56]), 13, [])
 
 
 class TestFactor:

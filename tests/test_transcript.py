@@ -259,6 +259,18 @@ class TestJsonlRoundTrip:
         lines[0] = json.dumps(banner, sort_keys=True)
         assert from_jsonl("\n".join(lines)) == history
 
+    @pytest.mark.parametrize("order_ceiling", [None, 100])
+    def test_rejection_naming_the_requested_ceiling_is_refused(self, order_ceiling):
+        # streams written before rejection lines named the applied ceiling,
+        # min(order_ceiling, q) or q when there is none, carried the
+        # requested one: null, or a value above q = 8
+        lines = to_jsonl(factor(187, 3, seed=1, order_ceiling=order_ceiling)).splitlines()
+        assert lines[2] == '{"ceiling": 8, "event": "ceiling_rejection", "y": 36}'
+        lines[2] = json.dumps({"ceiling": order_ceiling, "event": "ceiling_rejection", "y": 36})
+        with pytest.raises(TranscriptError, match="is not the session's 8") as info:
+            from_jsonl("\n".join(lines))
+        assert info.value.line == 3
+
 
 MISSING = object()
 REJECTION = '{"ceiling": 1152, "event": "ceiling_rejection", "y": 7}'
