@@ -29,13 +29,12 @@ class Outcome(str, enum.Enum):
     ORDER_ODD = "order_odd"
     TRIVIAL_FACTORS = "trivial_factors"
     SUCCESS = "success"
-    ORDER_CEILING_REJECTED = "order_ceiling_rejected"
     TRIAL_BUDGET_EXHAUSTED = "trial_budget_exhausted"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class AttemptRecord:
-    """One base and everything that happened with it.
+    """One base that ended a pick and everything that happened with it.
 
     order is the verified order for ORDER_ODD / TRIVIAL_FACTORS / SUCCESS
     and None otherwise; factors carries the gcd pair whenever one was
@@ -48,30 +47,17 @@ class AttemptRecord:
     trials: tuple[OrderResult, ...] = ()
     factors: tuple[int, int] | None = None
 
-    def __init__(
-        self,
-        y: int,
-        outcome: Outcome,
-        order: int | None = None,
-        trials: tuple[OrderResult, ...] = (),
-        factors: tuple[int, int] | None = None,
-    ) -> None:
-        # one record per rejected base: filling __dict__ directly costs less
-        # than half of the generated frozen __init__'s object.__setattr__ calls
-        d = self.__dict__
-        d["y"] = y
-        d["outcome"] = outcome
-        d["order"] = order
-        d["trials"] = trials
-        d["factors"] = factors
-
 
 @dataclass(frozen=True)
 class FactoringHistory:
-    """Complete record of one factoring session."""
+    """Complete record of one factoring session.
+
+    attempts lists every base drawn, in draw order: a base rejected by the
+    order ceiling as its bare int y, any other as its AttemptRecord.
+    """
 
     params: FactoringParams
-    attempts: tuple[AttemptRecord, ...]
+    attempts: tuple[AttemptRecord | int, ...]
     total_trials: int
     elapsed: float
     factors: tuple[int, int] | None
@@ -86,14 +72,15 @@ class FactoringHistory:
     def of(
         cls,
         params: FactoringParams,
-        attempts: list[AttemptRecord] | tuple[AttemptRecord, ...],
+        attempts: list[AttemptRecord | int] | tuple[AttemptRecord | int, ...],
         total_trials: int,
         elapsed: float,
     ) -> FactoringHistory:
         """The history of a session that made these attempts.
 
-        The last attempt decides the session: its factors when it is a
-        SUCCESS or SHARED_FACTOR, else a TRIAL_BUDGET_EXHAUSTED failure.
+        The last attempt, an AttemptRecord, decides the session: its
+        factors when it is a SUCCESS or SHARED_FACTOR, else a
+        TRIAL_BUDGET_EXHAUSTED failure.
         """
         factors = None
         if attempts and attempts[-1].outcome in (Outcome.SUCCESS, Outcome.SHARED_FACTOR):
@@ -104,15 +91,15 @@ class FactoringHistory:
 
 
 def pick_y(
-    n: int, rng: RandomSource, ceiling: int, attempts: list[AttemptRecord]
+    n: int, rng: RandomSource, ceiling: int, attempts: list[AttemptRecord | int]
 ) -> AttemptRecord | tuple[int, int]:
     """Draw bases uniformly from [2, n - 1] until one is usable.
 
-    Each base whose order exceeds `ceiling` is appended to `attempts` as
-    ORDER_CEILING_REJECTED and redrawn. Returns the SHARED_FACTOR record of
-    a base with gcd(y, n) > 1, else (y, exact order).
+    Each base whose order exceeds `ceiling` is appended to `attempts` as its
+    bare int and redrawn. Returns the SHARED_FACTOR record of a base with
+    gcd(y, n) > 1, else (y, exact order).
     """
-    append, rejected = attempts.append, Outcome.ORDER_CEILING_REJECTED
+    append = attempts.append
     for y in rng.randints(2, n - 1):  # endless
         try:
             # a module attribute looked up per base, so a wrapper put there sees it
@@ -122,7 +109,7 @@ def pick_y(
             return AttemptRecord(y, Outcome.SHARED_FACTOR, factors=(g, n // g))
         if r is not None:
             return y, r
-        append(AttemptRecord(y, rejected))
+        append(y)
 
 
 def extract_factors(y: int, r: int, n: int) -> tuple[Outcome, tuple[int, int] | None]:
@@ -165,7 +152,7 @@ def run_session(params: FactoringParams) -> FactoringHistory:
     rng = RandomSource(params.seed)
     n, budget = params.n, params.max_trials
     trials_run = 0
-    attempts: list[AttemptRecord] = []
+    attempts: list[AttemptRecord | int] = []
     start = time.perf_counter()
     while trials_run < budget:
         choice = pick_y(n, rng, params.ceiling, attempts)

@@ -15,8 +15,11 @@ import math
 import re
 from typing import Any
 
-from .factorizer import AttemptRecord, FactoringHistory, Outcome
+# imported by name, not looked up in their modules per call, so a wrapper put
+# on factorizer.extract_factors or orderfinder.convergents sees sessions only
+from .factorizer import AttemptRecord, FactoringHistory, Outcome, extract_factors
 from .model import FactoringParams, safe_qubits
+from .numtheory import convergents
 from .orderfinder import OrderResult
 
 BANNER = "The number to be factored is {n}."
@@ -73,14 +76,13 @@ def render_text(history: FactoringHistory) -> list[str]:
     n = params.n
     lines = [BANNER.format(n=n), SAFE_QUBITS_HINT.format(qubits=safe_qubits(n))]
     append = lines.append
-    rejected = Outcome.ORDER_CEILING_REJECTED
     before, after = CEILING_LINE.split("{y}")
     after = after.format(ceiling=params.ceiling)
     for attempt in history.attempts:
-        outcome = attempt.outcome
-        if outcome is rejected:
-            append(f"{before}{attempt.y}{after}")
+        if type(attempt) is int:
+            append(f"{before}{attempt}{after}")
             continue
+        outcome = attempt.outcome
         if outcome is Outcome.SHARED_FACTOR:
             append(SHARED_FACTOR_LINE.format(y=attempt.y, n=n))
         else:
@@ -126,14 +128,14 @@ def to_jsonl(history: FactoringHistory) -> str:
         encode({"event": "safe_qubits_hint", "qubits": safe_qubits(params.n)}),
     ]
     append = lines.append
-    rejected = Outcome.ORDER_CEILING_REJECTED
     # a rejection event as encoded, up to its y: "y" is the last key
     head = '{"ceiling": ' + encode(params.ceiling) + ', "event": "ceiling_rejection", "y": '
     for attempt in history.attempts:
+        if type(attempt) is int:
+            append(f"{head}{attempt}}}")
+            continue
         outcome, y = attempt.outcome, attempt.y
-        if outcome is rejected:
-            append(head + (str(y) if type(y) is int else encode(y)) + "}")
-        elif outcome is Outcome.SHARED_FACTOR:
+        if outcome is Outcome.SHARED_FACTOR:
             append(encode({"event": "shared_factor", "y": y, "factors": list(attempt.factors)}))
         else:
             append(encode({"event": "new_base", "y": y}))
@@ -178,9 +180,14 @@ def from_jsonl(text: str) -> FactoringHistory:
     order exceeds it is not tested, as that would cost an order test per
     line. A shared_factor's factors are [g, n // g] for g = gcd(y, n) > 1.
     A trial's index is one more than the last trial's (the first may be any
-    int >= 1), its readout lies in [0, q), its candidate in [1, n), and its
-    verified is pow(y, candidate, n) == 1. The summary is derived from the
-    attempts, as run_session derives it; only its elapsed is read, and a
+    int >= 1), its readout lies in [0, q), its candidate is the denominator
+    of convergents(readout, q, n), and its verified is
+    pow(y, candidate, n) == 1; no trial follows a verified one in its base.
+    A verdict follows at least one trial and is the one run_session gives:
+    extract_factors(y, candidate, n) when the last trial is verified, else
+    trial_budget_exhausted with no order and no factors. The summary is
+    derived from the attempts, as run_session derives it, and follows a
+    shared_factor or an attempt_verdict; only its elapsed is read, and a
     summary that disagrees is refused. Fields not read here are ignored, so
     older banners that carried a tail_threshold still parse; a banner
     without a schema is version 1, and one of a newer schema than
@@ -191,13 +198,12 @@ def from_jsonl(text: str) -> FactoringHistory:
     raises TranscriptError naming the line and the cause.
     """
     params: FactoringParams | None = None
-    attempts: list[AttemptRecord] = []
+    attempts: list[AttemptRecord | int] = []
     open_y: Any = None
     open_trials: list[OrderResult] | None = None  # None: no base is open
     last_trial: Any = 0  # the index of the last trial read
     last = 0
     rejection = _REJECTION_LINE.fullmatch
-    rejected = Outcome.ORDER_CEILING_REJECTED
     ceiling_text, n = None, 0  # the session's ceiling as written, and its n
     lines = enumerate(text.splitlines(), start=1)
     for number, line in lines:
@@ -211,7 +217,7 @@ def from_jsonl(text: str) -> FactoringHistory:
         if fast and fast[1] == ceiling_text and open_trials is None:
             y = int(fast[2])
             if 2 <= y < n:
-                attempts.append(AttemptRecord(y, rejected))
+                attempts.append(y)
                 continue
         try:
             data = json.loads(line)
@@ -249,7 +255,7 @@ def from_jsonl(text: str) -> FactoringHistory:
                 ceiling = data["ceiling"]
                 if type(ceiling) is not int or ceiling != params.ceiling:
                     raise ValueError(f"ceiling {ceiling!r} is not the session's {params.ceiling}")
-                attempts.append(AttemptRecord(y, rejected))
+                attempts.append(y)
             elif kind == "shared_factor":
                 y = _int_in("y", data["y"], 2, n)
                 factors = _pair(data["factors"], n)
@@ -268,11 +274,19 @@ def from_jsonl(text: str) -> FactoringHistory:
             elif kind == "trial":
                 if open_trials is None:
                     raise ValueError("no new_base before it")
+                if open_trials and open_trials[-1].verified:
+                    raise ValueError(f"trial {last_trial} verified the order of {open_y}")
                 index = _int_in("index", data["index"], 1, math.inf)
                 if last_trial and index != last_trial + 1:
                     raise ValueError(f"index {index} does not follow the last trial's {last_trial}")
                 readout = _int_in("readout", data["readout"], 0, params.q)
                 candidate = _int_in("candidate", data["candidate"], 1, params.n)
+                derived = convergents(readout, params.q, params.n).denominator
+                if candidate != derived:
+                    raise ValueError(
+                        f"candidate {candidate} is not {derived}, the denominator of "
+                        f"the convergent of readout {readout}"
+                    )
                 verified = pow(open_y, candidate, params.n) == 1
                 if data["verified"] is not verified:
                     raise ValueError(
@@ -284,21 +298,31 @@ def from_jsonl(text: str) -> FactoringHistory:
             elif kind == "attempt_verdict":
                 if open_trials is None:
                     raise ValueError("no new_base before it")
-                outcome = Outcome(data["status"])
-                if outcome is rejected or outcome is Outcome.SHARED_FACTOR:
-                    raise ValueError(f"{outcome.value!r} is no verdict on a measured base")
-                factors = data.get("factors")
-                if factors is not None or outcome in (Outcome.SUCCESS, Outcome.TRIVIAL_FACTORS):
+                if not open_trials:
+                    raise ValueError(f"no trial of {open_y} before it")
+                status, order, factors = data["status"], data.get("order"), data.get("factors")
+                if factors is not None or status in ("success", "trivial_factors"):
                     factors = _pair(data["factors"], params.n)
-                attempts.append(
-                    AttemptRecord(
-                        open_y,
-                        outcome,
-                        order=data.get("order"),
-                        trials=tuple(open_trials),
-                        factors=factors,
+                # the verdict run_session gives these trials
+                trial = open_trials[-1]
+                if trial.verified:
+                    found = trial.candidate_order
+                    outcome, pair = extract_factors(open_y, found, params.n)
+                    record = AttemptRecord(open_y, outcome, found, tuple(open_trials), pair)
+                    reason = f"extract_factors({open_y}, {found}, {params.n}) gives"
+                else:
+                    record = AttemptRecord(
+                        open_y, Outcome.TRIAL_BUDGET_EXHAUSTED, trials=tuple(open_trials)
                     )
-                )
+                    reason = f"trial {trial.trial_index} is unverified"
+                for key, read, value in (
+                    ("status", status, record.outcome.value),
+                    ("order", order, record.order),
+                    ("factors", factors, record.factors),
+                ):
+                    if type(read) is not type(value) or read != value:
+                        raise ValueError(f"{key} {read!r} is not {value!r}, as {reason}")
+                attempts.append(record)
                 open_trials = None
             elif kind == "safe_qubits_hint":
                 safe = safe_qubits(params.n)
@@ -308,6 +332,8 @@ def from_jsonl(text: str) -> FactoringHistory:
                 elapsed = data["elapsed"]
                 if type(elapsed) is not float:
                     raise ValueError(f"elapsed {elapsed!r} is not a float")
+                if not attempts or type(attempts[-1]) is int:
+                    raise ValueError("no shared_factor or attempt_verdict ended the session")
                 history = FactoringHistory.of(params, attempts, last_trial, elapsed)
                 for key, value in _summary(history).items():
                     if data[key] != value:

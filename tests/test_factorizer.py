@@ -24,6 +24,17 @@ PINNED_STREAMS = [
     (25610987, 1, "2557daa5de9cd2c78f4bf6c5ca8ba81745f64509bbedf8a367cdb853261242bf"),
 ]
 
+
+
+def pinned_view(attempts) -> list[tuple]:
+    """(y, outcome, order) per attempt, a ceiling rejection as it was first
+    pinned, when it was an order_ceiling_rejected record."""
+    return [
+        (a, "order_ceiling_rejected", None) if type(a) is int else (a.y, a.outcome.value, a.order)
+        for a in attempts
+    ]
+
+
 # y with order 1278 mod 1328881 (order 1 mod 1039, primitive mod 1279)
 LONG_ORDER_BASE = 874839
 
@@ -86,7 +97,7 @@ class TestAttemptRecord:
         return AttemptRecord(**{**fields, **changes})
 
     def test_frozen(self):
-        record = AttemptRecord(7, Outcome.ORDER_CEILING_REJECTED)
+        record = AttemptRecord(33, Outcome.SHARED_FACTOR, factors=(11, 17))
         for name in ("y", "outcome", "order", "trials", "factors", "other"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(record, name, 1)
@@ -94,19 +105,19 @@ class TestAttemptRecord:
             del record.y
 
     def test_defaults(self):
-        record = AttemptRecord(7, Outcome.ORDER_CEILING_REJECTED)
+        record = AttemptRecord(33, Outcome.SHARED_FACTOR)
         assert (record.order, record.trials, record.factors) == (None, (), None)
         with pytest.raises(TypeError):
-            AttemptRecord(7)
+            AttemptRecord(33)
 
     def test_equality_and_hash(self):
         assert self.record() == self.record()
         assert hash(self.record()) == hash(self.record())
         assert self.record() != self.record(order=519)
         assert len({self.record(), self.record(), self.record(y=3)}) == 2
-        rejected = AttemptRecord(7, Outcome.ORDER_CEILING_REJECTED)
-        assert rejected == AttemptRecord(y=7, outcome=Outcome.ORDER_CEILING_REJECTED)
-        assert hash(rejected) == hash(AttemptRecord(7, Outcome.ORDER_CEILING_REJECTED))
+        shared = AttemptRecord(33, Outcome.SHARED_FACTOR, factors=(11, 17))
+        assert shared == AttemptRecord(y=33, outcome=Outcome.SHARED_FACTOR, factors=(11, 17))
+        assert hash(shared) == hash(AttemptRecord(33, Outcome.SHARED_FACTOR, factors=(11, 17)))
 
     def test_not_equal_to_its_values(self):
         record = self.record()
@@ -115,9 +126,9 @@ class TestAttemptRecord:
         assert record != dataclasses.asdict(record)
 
     def test_repr(self):
-        assert repr(AttemptRecord(7, Outcome.ORDER_CEILING_REJECTED)) == (
-            "AttemptRecord(y=7, outcome=<Outcome.ORDER_CEILING_REJECTED: "
-            "'order_ceiling_rejected'>, order=None, trials=(), factors=None)"
+        assert repr(AttemptRecord(33, Outcome.SHARED_FACTOR, factors=(11, 17))) == (
+            "AttemptRecord(y=33, outcome=<Outcome.SHARED_FACTOR: "
+            "'shared_factor_shortcut'>, order=None, trials=(), factors=(11, 17))"
         )
         assert repr(self.record()) == (
             "AttemptRecord(y=505980, outcome=<Outcome.TRIVIAL_FACTORS: 'trivial_factors'>, "
@@ -159,7 +170,7 @@ class TestPickY:
         got = pick_y(187, ScriptedRng(integers=[56, 186]), 13, attempts)
         assert got == (186, 2)
         # order 16 exceeds the ceiling 13
-        assert attempts == [AttemptRecord(56, Outcome.ORDER_CEILING_REJECTED)]
+        assert attempts == [56]
 
     def test_long_order_base_rejected_under_default_ceiling(self):
         ceiling = math.isqrt(1328881)  # 1152
@@ -169,7 +180,7 @@ class TestPickY:
             1328881, ScriptedRng(integers=[LONG_ORDER_BASE, 205920]), ceiling, attempts
         )
         assert got == (205920, 1038)
-        assert attempts == [AttemptRecord(LONG_ORDER_BASE, Outcome.ORDER_CEILING_REJECTED)]
+        assert attempts == [LONG_ORDER_BASE]
 
     @pytest.mark.parametrize(
         "n,tables,rejected,shared",
@@ -189,7 +200,7 @@ class TestPickY:
         g = math.gcd(shared, n)
         assert g > 1
         assert hit == AttemptRecord(shared, Outcome.SHARED_FACTOR, factors=(g, n // g))
-        assert attempts == [AttemptRecord(y, Outcome.ORDER_CEILING_REJECTED) for y in rejected]
+        assert attempts == rejected
         assert rng.integers == [21]  # no base is taken past the one returned
         assert (numtheory._order_record(n).tables is not None) == tables
         numtheory._order_record.cache_clear()
@@ -221,7 +232,7 @@ class TestFactor:
     def test_seeded_stream_is_pinned(self, n, seed, digest):
         # every base, outcome and order of the session, hashed; a change to
         # base drawing or order computation that alters any of them shows here
-        attempts = [(a.y, a.outcome.value, a.order) for a in factor(n, seed=seed).attempts]
+        attempts = pinned_view(factor(n, seed=seed).attempts)
         assert hashlib.sha256(repr(attempts).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("n,seed,digest", PINNED_STREAMS)
@@ -233,12 +244,13 @@ class TestFactor:
         numtheory._order_record.cache_clear()
         steps, tables = sessions
         assert steps == tables
-        attempts = [(a.y, a.outcome.value, a.order) for a in tables]
+        attempts = pinned_view(tables)
         assert hashlib.sha256(repr(attempts).encode()).hexdigest() == digest
 
     def test_different_seeds_take_different_paths(self):
         paths = {
-            tuple(a.y for a in factor(187, 16, seed=s).attempts) for s in range(6)
+            tuple(a if type(a) is int else a.y for a in factor(187, 16, seed=s).attempts)
+            for s in range(6)
         }
         assert len(paths) > 1
 
@@ -248,13 +260,15 @@ class TestFactor:
         histories = [factor(1328881, 41, seed=seed) for seed in range(8)]
         histories += [factor(1328881, 41, seed=s, max_trials=2) for s in range(40)]
         for history in histories:
-            assert history.total_trials == sum(
-                len(a.trials) for a in history.attempts
-            )
+            # a ceiling rejection is its bare y; every other base, the last
+            # one included, is a record
+            assert type(history.attempts[-1]) is AttemptRecord
+            records = [a for a in history.attempts if type(a) is not int]
+            assert history.total_trials == sum(len(a.trials) for a in records)
             assert history.total_trials <= history.params.max_trials
-            indices = [t.trial_index for a in history.attempts for t in a.trials]
+            indices = [t.trial_index for a in records for t in a.trials]
             assert indices == list(range(1, history.total_trials + 1))
-            for a in history.attempts:
+            for a in records:
                 if a.outcome in (
                     Outcome.SUCCESS,
                     Outcome.ORDER_ODD,
@@ -266,6 +280,7 @@ class TestFactor:
                 elif a.outcome is Outcome.TRIAL_BUDGET_EXHAUSTED:
                     assert not a.trials or not a.trials[-1].verified
                 else:
+                    assert a.outcome is Outcome.SHARED_FACTOR
                     assert a.trials == ()
             if history.succeeded:
                 last = history.attempts[-1]
@@ -297,9 +312,7 @@ class TestFactor:
     def test_honest_mode_accepts_long_orders(self):
         history = factor(187, 16, seed=5, order_ceiling=None)
         assert history.succeeded
-        assert not any(
-            a.outcome is Outcome.ORDER_CEILING_REJECTED for a in history.attempts
-        )
+        assert not any(type(a) is int for a in history.attempts)
 
     def test_explicit_integer_ceiling(self):
         history = factor(187, 16, seed=5, order_ceiling=2)

@@ -110,10 +110,10 @@ class TestRenderText:
     def test_ceiling_rejection_line(self):
         history = factor(1328881, 41, seed=3)
         lines = render_text(history)
-        rejected = [a for a in history.attempts if a.outcome is Outcome.ORDER_CEILING_REJECTED]
+        rejected = [a for a in history.attempts if type(a) is int]
         assert rejected
         expected = (
-            f"The order of y = {rejected[0].y} exceeds the ceiling of 1152, "
+            f"The order of y = {rejected[0]} exceeds the ceiling of 1152, "
             "hence a new value of y will be chosen."
         )
         assert expected in lines
@@ -386,13 +386,15 @@ class TestJsonlErrors:
             pytest.param(
                 with_fields(11, status="order_ceiling_rejected"),
                 11,
-                "'order_ceiling_rejected' is no verdict on a measured base",
+                "status 'order_ceiling_rejected' is not 'order_odd', "
+                "as extract_factors(200298, 519, 1328881) gives",
                 id="rejection-as-verdict",
             ),
             pytest.param(
                 with_fields(8, status="shared_factor_shortcut"),
                 8,
-                "'shared_factor_shortcut' is no verdict on a measured base",
+                "status 'shared_factor_shortcut' is not 'trivial_factors', "
+                "as extract_factors(505980, 1038, 1328881) gives",
                 id="shared-factor-as-verdict",
             ),
             pytest.param(
@@ -661,6 +663,74 @@ class TestJsonlErrors:
                 "verified 1 is not True",
                 id="verified-an-int",
             ),
+            # every field below is one the writers derive from the readouts,
+            # edited so that the rest of the stream still agrees with it
+            pytest.param(
+                with_fields(4, candidate=347),
+                4,
+                "candidate 347 is not 346, the denominator of the convergent of "
+                "readout 1671511896561",
+                id="candidate-not-the-convergent",
+            ),
+            pytest.param(
+                # trial 11 verified the order of 205920; a twelfth follows it
+                lambda lines: with_fields(16, total_trials=12)(
+                    lines[:13] + with_fields(13, index=12)(lines)[12:13] + lines[13:]
+                ),
+                14,
+                "bad 'trial' event: trial 11 verified the order of 205920",
+                id="trial-after-a-verified-one",
+            ),
+            pytest.param(
+                with_fields(11, order=1038),
+                11,
+                "order 1038 is not 519, as extract_factors(200298, 519, 1328881) gives",
+                id="order-not-the-last-candidate",
+            ),
+            pytest.param(
+                with_fields(8, status="success"),
+                8,
+                "status 'success' is not 'trivial_factors', "
+                "as extract_factors(505980, 1038, 1328881) gives",
+                id="status-not-the-split",
+            ),
+            pytest.param(
+                with_fields(8, factors=[1, 1328881]),
+                8,
+                "factors (1, 1328881) is not (1328881, 1), "
+                "as extract_factors(505980, 1038, 1328881) gives",
+                id="factors-not-the-split",
+            ),
+            pytest.param(
+                # readout 0 gives candidate 1, which does not verify, so the
+                # base ends unverified and its verdict cannot be a success
+                with_fields(13, readout=0, candidate=1, verified=False),
+                14,
+                "status 'success' is not 'trial_budget_exhausted', as trial 11 is unverified",
+                id="verdict-after-an-unverified-trial",
+            ),
+            pytest.param(
+                lambda lines: lines[:9] + lines[10:],
+                10,
+                "bad 'attempt_verdict' event: no trial of 200298 before it",
+                id="verdict-without-trials",
+            ),
+            pytest.param(
+                lambda lines: with_fields(
+                    3, total_trials=0, factors=None, failure="trial_budget_exhausted"
+                )(lines[:2] + lines[-1:]),
+                3,
+                "bad 'summary' event: no shared_factor or attempt_verdict ended the session",
+                id="no-attempt",
+            ),
+            pytest.param(
+                lambda lines: with_fields(
+                    16, factors=None, failure="trial_budget_exhausted"
+                )(lines[:14] + [REJECTION] + lines[14:]),
+                16,
+                "bad 'summary' event: no shared_factor or attempt_verdict ended the session",
+                id="rejection-last",
+            ),
         ],
     )
     def test_stream_the_writers_cannot_reproduce_is_refused(self, edit, line, cause):
@@ -794,7 +864,6 @@ class TestJsonlFuzz:
         parses_or_refuses("\n".join(lines))
 
 
-REJECTED = Outcome.ORDER_CEILING_REJECTED
 # integer spellings around what to_jsonl writes and json.loads reads
 numbers = st.one_of(
     st.integers(-(10**21), 10**21).map(str),
@@ -833,12 +902,11 @@ def rejection_lines(draw) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def frame() -> tuple[str, str, FactoringHistory]:
-    """The banner and summary lines of a stream with no attempts, and the
-    history they give."""
-    empty = FactoringHistory.of(session_history().params, (), 0, 113.895)
-    lines = to_jsonl(empty).splitlines()
-    return lines[0], lines[-1], from_jsonl(lines[0] + "\n" + lines[-1])
+def frame() -> tuple[list[str], list[str]]:
+    """The lines of session_history()'s stream before its first attempt, and
+    those from it on: a line put between them is followed by real attempts."""
+    lines = to_jsonl(session_history()).splitlines()
+    return lines[:2], lines[2:]
 
 
 class TestFastPathsAgreeWithJson:
@@ -872,29 +940,30 @@ class TestFastPathsAgreeWithJson:
     @example(written("1152", "2.0"))
     @settings(max_examples=400, deadline=None)
     def test_reader(self, line):
-        banner, summary, empty = frame()
-        text = "\n".join([banner, line, summary])
+        head, tail = frame()
+        text = "\n".join(head + [line] + tail)
         try:
             data = json.loads(line)
         except ValueError:
             with pytest.raises(TranscriptError, match="not JSON") as info:
                 from_jsonl(text)
-            assert info.value.line == 2
+            assert info.value.line == 3
             return
         y, ceiling = data["y"], data["ceiling"]
         if type(y) is int and 2 <= y < 1328881 and type(ceiling) is int and ceiling == 1152:
             history = from_jsonl(text)
-            assert history == dataclasses.replace(empty, attempts=(AttemptRecord(y, REJECTED),))
-            assert type(history.attempts[0].y) is int
+            base = session_history()
+            assert history == dataclasses.replace(base, attempts=(y,) + base.attempts)
+            assert type(history.attempts[0]) is int
             return
         with pytest.raises(TranscriptError, match="bad 'ceiling_rejection' event") as info:
             from_jsonl(text)
-        assert info.value.line == 2
+        assert info.value.line == 3
 
-    @pytest.mark.parametrize("y", [1.5, "7", None, 2**70, True, -3, 0, {"b": 1, "a": 2}])
+    @pytest.mark.parametrize("y", [2**70, -3, 0])
     def test_writer(self, y):
         base = session_history()
-        history = dataclasses.replace(base, attempts=(AttemptRecord(y, REJECTED),) + base.attempts)
+        history = dataclasses.replace(base, attempts=(y,) + base.attempts)
         text = to_jsonl(history)
         event = {"event": "ceiling_rejection", "y": y, "ceiling": 1152}
         lines = to_jsonl(base).splitlines()
