@@ -80,9 +80,12 @@ class FactoringHistory:
 
         The last attempt, an AttemptRecord, decides the session: its
         factors when it is a SUCCESS or SHARED_FACTOR, else a
-        TRIAL_BUDGET_EXHAUSTED failure.
+        TRIAL_BUDGET_EXHAUSTED failure. Attempts that end on anything else,
+        such as a ceiling rejection's int (no session does), raise ValueError.
         """
         factors = None
+        if attempts and not isinstance(attempts[-1], AttemptRecord):
+            raise ValueError(f"attempts end on {attempts[-1]!r}, not on an AttemptRecord")
         if attempts and attempts[-1].outcome in (Outcome.SUCCESS, Outcome.SHARED_FACTOR):
             factors = attempts[-1].factors
         failure = None if factors else Outcome.TRIAL_BUDGET_EXHAUSTED

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 
 MAX_MODULUS = 10**10 - 1  # inputs are capped at ten decimal digits
 
@@ -31,9 +32,12 @@ def modpow(y: int, e: int, n: int) -> int:
     return pow(y, e, n)
 
 
-# Deterministic witness set: exact for every n below 3.3 * 10**24, far
-# beyond the 10-digit inputs this package accepts.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic witness sets: the primes up to 41 are exact for every n
+# below psi_13 = 3,317,044,064,679,887,385,961,981 (Sorenson and Webster
+# 2017), and the first five alone for every n below psi_5 (Jaeschke 1993),
+# which covers every modulus and factor this package handles.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_5 = 2_152_302_898_747
 
 
 def is_prime(n: int) -> bool:
@@ -46,7 +50,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    for a in _MR_BASES[:5] if n < _PSI_5 else _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -109,6 +113,8 @@ def _order_record(n: int) -> _OrderRecord:
     divides, as (m, lambda(m) / p**v, p**v) for p**v the power of p in
     lambda(m), largest p**v first. Its countdown is the sum of the
     components, or infinite when one is a power of 2 (not always cyclic)."""
+    if n < 2:
+        raise ValueError("modulus must be >= 2")
     parts = [(p**e, _prime_power_lambda(p, e)) for p, e in factorize(n)]
     steps = []
     for p, _ in reversed(factorize(carmichael_lambda(n))):
@@ -122,9 +128,10 @@ def _order_record(n: int) -> _OrderRecord:
     return record
 
 
-def _order_tables(n: int) -> tuple[tuple[int, list[int]], ...]:
+def _order_tables(n: int) -> tuple[tuple[int, list[int]], tuple[tuple[int, list[int]], ...]]:
     """(m, the order of each residue mod m, 0 for a non-unit) for each
-    prime-power component m of an odd n, from a generator g of (Z/m)*."""
+    prime-power component m of an odd n, from a generator g of (Z/m)*:
+    the first component's pair, then a tuple of the others'."""
     tables = []
     for p, e in factorize(n):
         m, lam = p**e, _prime_power_lambda(p, e)
@@ -145,7 +152,7 @@ def _order_tables(n: int) -> tuple[tuple[int, list[int]], ...]:
             table[x] = order
             x = x * g % m
         tables.append((m, table))
-    return tuple(tables)
+    return tables[0], tuple(tables[1:])
 
 
 def multiplicative_order(y: int, n: int, ceiling: int | None = None) -> int | None:
@@ -159,20 +166,19 @@ def multiplicative_order(y: int, n: int, ceiling: int | None = None) -> int | No
     than lambda(m). A base is rejected as soon as the product of the parts
     found exceeds `ceiling`: typically after one or two short powers.
     """
-    if n < 2:
-        raise ValueError("modulus must be >= 2")
     if ceiling is not None and ceiling < 1:
         raise ValueError("ceiling must be >= 1")
-    record = _order_record(n)
+    record = _order_record(n)  # refuses n < 2
     tables = record.tables
     if tables is None:
         record.countdown -= 1
         if record.countdown < 0:
             tables = record.tables = _order_tables(n)
     if tables is not None:
-        r = 1
-        for m, table in tables:
-            r = math.lcm(r, table[y % m])
+        (m, table), others = tables
+        r = table[y % m]
+        for m, table in others:
+            r = lcm(r, table[y % m])
         if not r:  # a non-unit's 0 entry makes the lcm 0
             raise NotCoprime(f"gcd({y % n}, {n}) = {math.gcd(y, n)}, order undefined")
         return None if ceiling is not None and r > ceiling else r

@@ -39,11 +39,11 @@ _FIFTY_THREE = 1 << 53
 _BETA = 1.0 - 4.0 / math.pi**2
 
 
-class RandomSource:
+class RandomSource(random.Random):
     """Seeded deterministic uniform source.
 
-    Wraps random.Random (the Mersenne Twister) but touches only its
-    random() method, whose stream for a fixed seed is guaranteed stable
+    A random.Random (the Mersenne Twister) of which shorsim touches only
+    the random() method, whose stream for a fixed seed is guaranteed stable
     across CPython versions and platforms. Integer draws are assembled
     from 53-bit chunks of that stream, so every consumer sees one
     portable sequence, and every uniform consumed passes through random().
@@ -54,12 +54,7 @@ class RandomSource:
             raise TypeError("seed must be an int")
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        self.seed = seed
-        self._rng = random.Random(seed)
-
-    def random(self) -> float:
-        """Uniform float in [0, 1)."""
-        return self._rng.random()
+        super().__init__(seed)
 
     def randbits(self, k: int) -> int:
         """Uniform k-bit integer."""
@@ -97,9 +92,11 @@ class RandomSource:
                 v = self.randbits(k)
                 if v <= span:
                     yield a + v
-        rand, shift = self.random, 53 - k  # randbits(k) for one chunk, inlined
+        # randbits(k) for one chunk: random() is a multiple of 2**-53, so
+        # scaling it by 2**k is exact and int() keeps its top k bits
+        rand, scale = self.random, float(1 << k)
         while True:
-            v = int(rand() * _FIFTY_THREE) >> shift
+            v = int(rand() * scale)
             if v <= span:
                 yield a + v
 

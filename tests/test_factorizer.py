@@ -7,12 +7,13 @@ import pytest
 from shorsim import numtheory
 from shorsim.factorizer import (
     AttemptRecord,
+    FactoringHistory,
     Outcome,
     extract_factors,
     factor,
     pick_y,
 )
-from shorsim.model import InputTooLarge, PrimeInput
+from shorsim.model import FactoringParams, InputTooLarge, PrimeInput
 from shorsim.numtheory import multiplicative_order
 from shorsim.orderfinder import OrderResult
 from shorsim.sampler import RandomSource
@@ -313,6 +314,15 @@ class TestFactor:
         history = factor(187, 16, seed=5, order_ceiling=None)
         assert history.succeeded
         assert not any(type(a) is int for a in history.attempts)
+
+    @pytest.mark.parametrize("last", [36, "36", None])
+    def test_history_of_attempts_ending_on_no_record_is_refused(self, last):
+        # no session ends on a ceiling rejection, so its int cannot decide one
+        params = FactoringParams.build(187, None, 0)
+        shared = AttemptRecord(33, Outcome.SHARED_FACTOR, factors=(11, 17))
+        with pytest.raises(ValueError, match=f"attempts end on {last!r}, not on an AttemptRecord"):
+            FactoringHistory.of(params, [shared, last], 0, 0.0)
+        assert FactoringHistory.of(params, [36, shared], 0, 0.0).factors == (11, 17)
 
     def test_explicit_integer_ceiling(self):
         history = factor(187, 16, seed=5, order_ceiling=2)

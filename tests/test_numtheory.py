@@ -69,6 +69,42 @@ class TestIsPrime:
         by_division = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
         assert is_prime(n) == by_division
 
+    # psi_k, the least composite that is a strong probable prime to each of
+    # the first k prime bases, with its prime factors (Jaeschke 1993;
+    # Sorenson and Webster 2017): each must be refused by the witnesses
+    # is_prime uses at its size
+    @pytest.mark.parametrize(
+        "k,psi,factors",
+        [
+            (5, 2152302898747, (6763, 10627, 29947)),
+            (6, 3474749660383, (1303, 16927, 157543)),
+            (8, 341550071728321, (10670053, 32010157)),
+            (11, 3825123056546413051, (149491, 747451, 34233211)),
+            (12, 318665857834031151167461, (399165290221, 798330580441)),
+        ],
+    )
+    def test_least_strong_pseudoprimes_refused(self, k, psi, factors):
+        assert math.prod(factors) == psi
+        bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)[:k]
+        assert all(strong_probable_prime(psi, a) for a in bases)
+        assert not is_prime(psi)
+
+    def test_matches_trial_division_over_ten_digits(self):
+        # odd n across the ten-digit domain, where only five witnesses run;
+        # factorize is trial division
+        rng = random.Random(2152302898747)
+        for n in [rng.randrange(10**5, 10**10) | 1 for _ in range(300)]:
+            assert is_prime(n) == (factorize(n) == ((n, 1),)), n
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """True when odd n > a passes the Miller-Rabin round to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
 
 class TestFactorize:
     @pytest.mark.parametrize(

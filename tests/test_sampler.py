@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -133,6 +134,43 @@ class TestRandints:
         values = RandomSource(0).randints(5, 4)
         with pytest.raises(ValueError, match="empty range"):
             next(values)
+
+
+# spans of every bit length from 1 to 53, where randints scales one uniform
+# by 2**k, and a few past one 53-bit chunk
+scaled_spans = st.one_of(
+    st.integers(1, 53).flatmap(lambda k: st.integers(1 << (k - 1), (1 << k) - 1)),
+    st.sampled_from([2**53, 2**60 + 3, 2**70 - 1]),
+)
+
+
+class TestScaledDraw:
+    """The one-chunk draw int(random() * 2.0**k) is randbits(k), exactly."""
+
+    @given(st.integers(0, 2**64 - 1), scaled_spans, st.integers(-(2**70), 2**70))
+    @settings(max_examples=300)
+    def test_randints_is_the_rejection_loop_over_randbits(self, seed, span, a):
+        k = span.bit_length()
+
+        def reference(rng):
+            while True:
+                v = rng.randbits(k)
+                if v <= span:
+                    return a + v
+
+        stream, loop = CountingSource(seed), CountingSource(seed)
+        values = stream.randints(a, a + span)
+        assert [next(values) for _ in range(40)] == [reference(loop) for _ in range(40)]
+        assert stream.uniforms == loop.uniforms
+        assert stream.random() == loop.random()
+
+    @given(st.integers(0, 2**64 - 1))
+    @settings(max_examples=20)
+    def test_uniforms_are_the_mersenne_twister_stream(self, seed):
+        ours, standard = RandomSource(seed), random.Random(seed)
+        assert [ours.random() for _ in range(10_000)] == [
+            standard.random() for _ in range(10_000)
+        ]
 
 
 class CountingSource(RandomSource):
