@@ -250,9 +250,9 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 
 def _format_run(history: FactoringHistory) -> str:
-    if not history.succeeded:
-        return f"{history.elapsed:.1f}(-)"
-    return f"{history.elapsed:.1f}({history.total_trials})"
+    """A bench cell: the session's milliseconds, then its trials or - for a failure."""
+    trials = history.total_trials if history.succeeded else "-"
+    return f"{history.elapsed * 1e3:.2f}({trials})"
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -307,7 +307,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             )
         if done:
             avg = (
-                f"{mean(e for e, _ in done):.1f}"
+                f"{mean(e for e, _ in done) * 1e3:.2f}"
                 f"({round(mean(t for _, t in done), 1):g})"
             )
         else:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .model import FactoringParams
 from .numtheory import NotCoprime, is_prime, multiplicative_order
@@ -53,44 +53,48 @@ class FactoringHistory:
     """Complete record of one factoring session.
 
     attempts lists every base drawn, in draw order: a base rejected by the
-    order ceiling as its bare int y, any other as its AttemptRecord.
+    order ceiling as its bare int y, any other as its AttemptRecord. The
+    last attempt, an AttemptRecord, decides the session, so factors,
+    failure and warnings are derived from it here and cannot be passed:
+    factors is its pair when it is a SUCCESS or SHARED_FACTOR, else failure
+    is TRIAL_BUDGET_EXHAUSTED. Attempts that end on anything else, such as
+    a ceiling rejection's int (no session does), raise ValueError.
     """
 
     params: FactoringParams
     attempts: tuple[AttemptRecord | int, ...]
     total_trials: int
     elapsed: float
-    factors: tuple[int, int] | None
-    failure: Outcome | None
-    warnings: tuple[str, ...] = ()
+    factors: tuple[int, int] | None = field(init=False)
+    failure: Outcome | None = field(init=False)
+    warnings: tuple[str, ...] = field(init=False)
 
-    @property
-    def succeeded(self) -> bool:
-        return self.factors is not None
-
-    @classmethod
-    def of(
-        cls,
-        params: FactoringParams,
-        attempts: list[AttemptRecord | int] | tuple[AttemptRecord | int, ...],
-        total_trials: int,
-        elapsed: float,
-    ) -> FactoringHistory:
-        """The history of a session that made these attempts.
-
-        The last attempt, an AttemptRecord, decides the session: its
-        factors when it is a SUCCESS or SHARED_FACTOR, else a
-        TRIAL_BUDGET_EXHAUSTED failure. Attempts that end on anything else,
-        such as a ceiling rejection's int (no session does), raise ValueError.
-        """
+    def __post_init__(self) -> None:
+        attempts, n = self.attempts, self.params.n
         factors = None
         if attempts and not isinstance(attempts[-1], AttemptRecord):
             raise ValueError(f"attempts end on {attempts[-1]!r}, not on an AttemptRecord")
         if attempts and attempts[-1].outcome in (Outcome.SUCCESS, Outcome.SHARED_FACTOR):
             factors = attempts[-1].factors
-        failure = None if factors else Outcome.TRIAL_BUDGET_EXHAUSTED
-        warnings = tuple(_session_warnings(params.n, factors))
-        return cls(params, tuple(attempts), total_trials, elapsed, factors, failure, warnings)
+        warnings = []
+        if factors is not None:
+            a, b = factors
+            if a * b != n:
+                warnings.append(
+                    f"reported factors {a} * {b} != {n}; {n} has more than two prime factors"
+                )
+            for f in factors:
+                if not is_prime(f):
+                    warnings.append(f"reported factor {f} of {n} is composite")
+        # frozen: the derived fields are set once, here
+        setattr_ = object.__setattr__
+        setattr_(self, "factors", factors)
+        setattr_(self, "failure", None if factors else Outcome.TRIAL_BUDGET_EXHAUSTED)
+        setattr_(self, "warnings", tuple(warnings))
+
+    @property
+    def succeeded(self) -> bool:
+        return self.factors is not None
 
 
 def pick_y(
@@ -174,20 +178,7 @@ def run_session(params: FactoringParams) -> FactoringHistory:
         attempts.append(AttemptRecord(y, outcome, found, trials, pair))
         if outcome is Outcome.SUCCESS:
             break
-    return FactoringHistory.of(params, attempts, trials_run, time.perf_counter() - start)
-
-
-def _session_warnings(n: int, factors: tuple[int, int] | None) -> list[str]:
-    if factors is None:
-        return []
-    out = []
-    a, b = factors
-    if a * b != n:
-        out.append(f"reported factors {a} * {b} != {n}; {n} has more than two prime factors")
-    for f in factors:
-        if not is_prime(f):
-            out.append(f"reported factor {f} of {n} is composite")
-    return out
+    return FactoringHistory(params, tuple(attempts), trials_run, time.perf_counter() - start)
 
 
 __all__ = [

@@ -56,6 +56,10 @@ class RandomSource(random.Random):
             raise ValueError("seed must fit in 64 unsigned bits")
         super().__init__(seed)
 
+    def __reduce__(self):
+        # random.Random's rebuilds the object with no seed, which __init__ needs
+        return type(self), (0,), self.getstate()
+
     def randbits(self, k: int) -> int:
         """Uniform k-bit integer."""
         if k < 1:

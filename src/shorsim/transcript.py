@@ -186,7 +186,8 @@ def from_jsonl(text: str) -> FactoringHistory:
     A verdict follows at least one trial and is the one run_session gives:
     extract_factors(y, candidate, n) when the last trial is verified, else
     trial_budget_exhausted with no order and no factors. The summary is
-    derived from the attempts, as run_session derives it, and follows a
+    derived from the attempts by the FactoringHistory constructor, with the
+    last trial's index as total_trials (0 when there is none), and follows a
     shared_factor or an attempt_verdict; only its elapsed is read, and a
     summary that disagrees is refused. Fields not read here are ignored, so
     older banners that carried a tail_threshold still parse; a banner
@@ -334,7 +335,7 @@ def from_jsonl(text: str) -> FactoringHistory:
                     raise ValueError(f"elapsed {elapsed!r} is not a float")
                 if not attempts or type(attempts[-1]) is int:
                     raise ValueError("no shared_factor or attempt_verdict ended the session")
-                history = FactoringHistory.of(params, attempts, last_trial, elapsed)
+                history = FactoringHistory(params, tuple(attempts), last_trial, elapsed)
                 for key, value in _summary(history).items():
                     if data[key] != value:
                         raise ValueError(

@@ -268,6 +268,26 @@ class TestBenchCommand:
         first = rows[1].split(",")
         assert first[0] == "187" and first[1] == "16" and first[3] == "3"
 
+    def test_cells_are_the_csv_elapsed_in_milliseconds(self, capsys, tmp_path):
+        path = tmp_path / "bench.csv"
+        code, out, _ = run(
+            capsys, "bench", "1328881", "--qubits", "30,41", "--runs", "4", "--seed", "0",
+            "--out", str(path),
+        )
+        assert code == 0
+        # "L =  30: 0.17(0) 0.15(1) ...  avg 0.23(1)": the cells between ":" and "avg"
+        cells = [
+            cell
+            for line in out.splitlines()[1:]
+            for cell in line.split(":", 1)[1].split("  avg ")[0].split()
+        ]
+        rows = [row.split(",") for row in path.read_text().strip().splitlines()[1:]]
+        assert len(cells) == len(rows) == 8
+        assert cells == [
+            f"{float(r[4]) * 1e3:.2f}({r[5] if r[6] == 'success' else '-'})" for r in rows
+        ]
+        assert any(float(cell.split("(")[0]) > 0 for cell in cells)
+
     def test_prime_input(self, capsys):
         code, out, _ = run(capsys, "bench", "1039", "--runs", "1")
         assert code == 2

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import hashlib
 import math
+import pickle
 
 import pytest
 
@@ -321,8 +323,9 @@ class TestFactor:
         params = FactoringParams.build(187, None, 0)
         shared = AttemptRecord(33, Outcome.SHARED_FACTOR, factors=(11, 17))
         with pytest.raises(ValueError, match=f"attempts end on {last!r}, not on an AttemptRecord"):
-            FactoringHistory.of(params, [shared, last], 0, 0.0)
-        assert FactoringHistory.of(params, [36, shared], 0, 0.0).factors == (11, 17)
+            FactoringHistory(params, (shared, last), 0, 0.0)
+        assert FactoringHistory(params, (36, shared), 0, 0.0).factors == (11, 17)
+        assert FactoringHistory(params, (), 0, 0.0).failure is Outcome.TRIAL_BUDGET_EXHAUSTED
 
     def test_explicit_integer_ceiling(self):
         history = factor(187, 16, seed=5, order_ceiling=2)
@@ -366,3 +369,60 @@ class TestFactor:
         # session still terminates (order-2 bases or a shared factor)
         history = factor(187, 2, seed=9, order_ceiling=None)
         assert history.succeeded or history.failure is not None
+
+
+# one seeded session per way a session ends: (factor kwargs, last outcome, warned)
+SESSION_ENDS = [
+    pytest.param(dict(n=187, qubits=16, seed=1), Outcome.SUCCESS, False, id="success"),
+    pytest.param(dict(n=187, qubits=16, seed=0), Outcome.SHARED_FACTOR, False, id="shared-factor"),
+    pytest.param(
+        dict(n=1328881, qubits=41, seed=2, max_trials=1),
+        Outcome.TRIAL_BUDGET_EXHAUSTED,
+        False,
+        id="budget-exhausted",
+    ),
+    # 105 = 3 * 5 * 7 splits as (35, 3), and 35 is composite
+    pytest.param(dict(n=105, seed=1, order_ceiling=None), Outcome.SUCCESS, True, id="warnings"),
+]
+
+
+def derived(history: FactoringHistory) -> tuple:
+    return history.factors, history.failure, history.warnings
+
+
+class TestFactoringHistory:
+    @pytest.mark.parametrize("kwargs,last,warned", SESSION_ENDS)
+    def test_constructor_derives_what_the_session_reported(self, kwargs, last, warned):
+        history = factor(**kwargs)
+        assert history.attempts[-1].outcome is last
+        assert bool(history.warnings) is warned
+        rebuilt = FactoringHistory(
+            history.params, history.attempts, history.total_trials, history.elapsed
+        )
+        assert rebuilt == history
+        assert derived(rebuilt) == derived(history)
+
+    @pytest.mark.parametrize("kwargs,last,warned", SESSION_ENDS)
+    def test_survives_pickle_and_deepcopy(self, kwargs, last, warned):
+        history = factor(**kwargs)
+        for twin in (pickle.loads(pickle.dumps(history)), copy.deepcopy(history)):
+            assert twin == history
+            assert derived(twin) == derived(history)
+
+    def test_replacing_the_attempts_rederives_the_outcome(self):
+        history = factor(105, seed=1, order_ceiling=None)
+        end = history.attempts[-1]
+        cut = AttemptRecord(end.y, Outcome.TRIAL_BUDGET_EXHAUSTED, trials=end.trials)
+        failed = dataclasses.replace(history, attempts=history.attempts[:-1] + (cut,))
+        assert derived(failed) == (None, Outcome.TRIAL_BUDGET_EXHAUSTED, ())
+        assert dataclasses.replace(failed, attempts=history.attempts) == history
+
+    def test_derived_fields_cannot_be_passed(self):
+        history = factor(187, 16, seed=1)
+        head = (history.params, history.attempts, history.total_trials, history.elapsed)
+        with pytest.raises(TypeError):
+            FactoringHistory(*head, factors=(1, 187))
+        with pytest.raises(TypeError):
+            FactoringHistory(*head, (1, 187), None)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(history, warnings=("x",))

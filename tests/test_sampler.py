@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections import Counter
 
@@ -33,6 +35,18 @@ class TestRandomSource:
             RandomSource(1 << 64)
         with pytest.raises(TypeError):
             RandomSource(1.5)
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda rng: pickle.loads(pickle.dumps(rng))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_continue_the_stream(self, duplicate):
+        rng = RandomSource(5)
+        rng.random()
+        twin = duplicate(rng)
+        assert type(twin) is RandomSource
+        assert [twin.random() for _ in range(100)] == [rng.random() for _ in range(100)]
 
     @given(st.integers(0, 2**64 - 1), st.integers(1, 130))
     @settings(max_examples=60)

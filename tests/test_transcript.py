@@ -56,8 +56,6 @@ def session_history() -> FactoringHistory:
         attempts=attempts,
         total_trials=11,
         elapsed=113.895,
-        factors=(1039, 1279),
-        failure=None,
     )
 
 
@@ -129,8 +127,6 @@ class TestRenderText:
             ),
             total_trials=0,
             elapsed=0.25,
-            factors=(11, 17),
-            failure=None,
         )
         lines = render_text(history)
         assert "The randomly chosen y = 33 shares a factor with 187." in lines
@@ -153,8 +149,6 @@ class TestRenderText:
             ),
             total_trials=2,
             elapsed=0.5,
-            factors=None,
-            failure=Outcome.TRIAL_BUDGET_EXHAUSTED,
         )
         lines = render_text(history)
         assert (
