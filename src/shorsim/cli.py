@@ -126,16 +126,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except BrokenPipeError:
-        # downstream reader (head, less) closed the pipe; suppress the
-        # shutdown flush error and exit with the conventional 128+SIGPIPE
+        status = args.func(args)
+        sys.stdout.flush()  # a write that would fail at exit fails here
+    except OSError as exc:  # a reader (head, less) closed the pipe, or the device is full
+        # point stdout at /dev/null, so the flush at exit stays silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        if isinstance(exc, BrokenPipeError):
+            return 141  # the conventional 128+SIGPIPE
+        return _fail(f"shorsim: cannot write standard output: {exc.strerror or exc}")
+    return status
 
 
 def _parse_ceiling(text: str) -> int | str | None:
-    """--order-ceiling as FactoringParams.build takes it; build checks the range."""
+    """--order-ceiling as FactoringParams takes it, which checks the range."""
     if text == "sqrt":
         return "sqrt"
     if text == "none":
@@ -222,7 +225,7 @@ def _spectrum_rows(r: int, q: int, rings: int) -> tuple[list[tuple], bool]:
 def cmd_dist(args: argparse.Namespace) -> int:
     n, y = args.n, args.y
     try:
-        params = FactoringParams.build(n, args.qubits, seed=0)
+        params = FactoringParams(n, args.qubits, seed=0)
         if not 0 < y < n:
             raise ValueError("require 0 < Y < N")
         if args.rings < 0:
@@ -273,7 +276,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             )
         base_seed = args.seed if args.seed is not None else secrets.randbits(64)
         per_size = [
-            FactoringParams.build(
+            FactoringParams(
                 args.n, qubits, base_seed, max_trials=args.max_trials, order_ceiling=ceiling
             )
             for qubits in sizes

@@ -6,7 +6,8 @@ honest base has its order found through the simulated measurement
 trials; an even verified order r is then split as x = y**(r/2) and the
 session reports gcd(x + 1, N) and gcd(x - 1, N), retrying with a new
 base when the split is trivial or r is odd. One global trial budget
-spans all bases.
+spans all bases. Each base that ends a pick is an AttemptRecord, whose
+constructor derives its verdict from the base and its trials.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from .model import FactoringParams
 from .numtheory import NotCoprime, is_prime, multiplicative_order
@@ -36,16 +37,38 @@ class Outcome(str, enum.Enum):
 class AttemptRecord:
     """One base that ended a pick and everything that happened with it.
 
-    order is the verified order for ORDER_ODD / TRIVIAL_FACTORS / SUCCESS
-    and None otherwise; factors carries the gcd pair whenever one was
-    computed, including trivial pairs.
+    AttemptRecord(y, trials, n) derives outcome, order and factors. With no
+    trials, y shares g = gcd(y, n) > 1 with n: SHARED_FACTOR, (g, n // g).
+    A verified last trial's candidate is the order, and extract_factors(y,
+    order, n) gives the rest. Otherwise the budget ran out:
+    TRIAL_BUDGET_EXHAUSTED. A gcd of 1, or a verified candidate that does
+    not annihilate y, raises ValueError.
     """
 
     y: int
-    outcome: Outcome
-    order: int | None = None
-    trials: tuple[OrderResult, ...] = ()
-    factors: tuple[int, int] | None = None
+    outcome: Outcome = field(init=False)
+    order: int | None = field(init=False)
+    trials: tuple[OrderResult, ...]
+    factors: tuple[int, int] | None = field(init=False)
+    n: InitVar[int]
+
+    def __post_init__(self, n: int) -> None:
+        y, trials, order = self.y, self.trials, None
+        if not trials:
+            g = math.gcd(y, n)
+            if g == 1:
+                raise ValueError(f"y {y} shares no factor with {n}")
+            outcome, factors = Outcome.SHARED_FACTOR, (g, n // g)
+        elif trials[-1].verified:
+            order = trials[-1].candidate_order
+            # a module attribute looked up per record, so a wrapper put there sees it
+            outcome, factors = extract_factors(y, order, n)
+        else:
+            outcome, factors = Outcome.TRIAL_BUDGET_EXHAUSTED, None
+        # frozen: the derived fields are set once, here
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "factors", factors)
 
 
 @dataclass(frozen=True)
@@ -58,7 +81,8 @@ class FactoringHistory:
     failure and warnings are derived from it here and cannot be passed:
     factors is its pair when it is a SUCCESS or SHARED_FACTOR, else failure
     is TRIAL_BUDGET_EXHAUSTED. Attempts that end on anything else, such as
-    a ceiling rejection's int (no session does), raise ValueError.
+    a ceiling rejection's int, or are empty (no session does either), raise
+    ValueError.
     """
 
     params: FactoringParams
@@ -70,12 +94,12 @@ class FactoringHistory:
     warnings: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        attempts, n = self.attempts, self.params.n
+        last, n = self.attempts[-1] if self.attempts else None, self.params.n
+        if not isinstance(last, AttemptRecord):
+            raise ValueError(f"attempts end on {last!r}, not on an AttemptRecord")
         factors = None
-        if attempts and not isinstance(attempts[-1], AttemptRecord):
-            raise ValueError(f"attempts end on {attempts[-1]!r}, not on an AttemptRecord")
-        if attempts and attempts[-1].outcome in (Outcome.SUCCESS, Outcome.SHARED_FACTOR):
-            factors = attempts[-1].factors
+        if last.outcome in (Outcome.SUCCESS, Outcome.SHARED_FACTOR):
+            factors = last.factors
         warnings = []
         if factors is not None:
             a, b = factors
@@ -112,8 +136,7 @@ def pick_y(
             # a module attribute looked up per base, so a wrapper put there sees it
             r = multiplicative_order(y, n, ceiling)
         except NotCoprime:
-            g = math.gcd(y, n)
-            return AttemptRecord(y, Outcome.SHARED_FACTOR, factors=(g, n // g))
+            return AttemptRecord(y, (), n)
         if r is not None:
             return y, r
         append(y)
@@ -147,10 +170,8 @@ def factor(
     max_trials: int = 100,
     order_ceiling: int | str | None = "sqrt",
 ) -> FactoringHistory:
-    """Factor n through a full simulated session. See FactoringParams.build."""
-    params = FactoringParams.build(
-        n, qubits, seed, max_trials=max_trials, order_ceiling=order_ceiling
-    )
+    """Factor n through a full simulated session. See FactoringParams."""
+    params = FactoringParams(n, qubits, seed, max_trials=max_trials, order_ceiling=order_ceiling)
     return run_session(params)
 
 
@@ -167,16 +188,12 @@ def run_session(params: FactoringParams) -> FactoringHistory:
             attempts.append(choice)
             break
         y, true_order = choice
-        sampler = ReadoutSampler(y, true_order, params.q)
+        sampler = ReadoutSampler(true_order, params.q)
         trials = tuple(find_order(y, params, sampler, rng, trials_run + 1, budget - trials_run))
         trials_run += len(trials)
-        if not trials[-1].verified:
-            attempts.append(AttemptRecord(y, Outcome.TRIAL_BUDGET_EXHAUSTED, trials=trials))
-            break
-        found = trials[-1].candidate_order
-        outcome, pair = extract_factors(y, found, n)
-        attempts.append(AttemptRecord(y, outcome, found, trials, pair))
-        if outcome is Outcome.SUCCESS:
+        attempts.append(AttemptRecord(y, trials, n))
+        # an unverified last trial spent the budget, which ends the loop
+        if attempts[-1].outcome is Outcome.SUCCESS:
             break
     return FactoringHistory(params, tuple(attempts), trials_run, time.perf_counter() - start)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import secrets
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 from .numtheory import MAX_MODULUS, is_prime
 
@@ -68,35 +68,26 @@ def _check_modulus(n: int) -> None:
 
 @dataclass(frozen=True)
 class FactoringParams:
-    """Configuration for one factoring session.
+    """Configuration for one factoring session, validated on construction.
 
-    build() is the validating constructor.
+    qubits defaults to the safe size for n. order_ceiling accepts "sqrt"
+    (the default cap isqrt(n)), None (no cap), or a positive int. seed
+    defaults to a fresh 64-bit value. A bool is refused for every field, as
+    it is for n, and any other non-int for qubits, seed and max_trials. The
+    resolved qubits, seed and order_ceiling are stored, so building again
+    from the fields gives an equal object.
     """
 
     n: int
-    qubits: int
+    qubits: int | None = None
+    seed: int | None = None
+    _: KW_ONLY
     max_trials: int = 100
-    order_ceiling: int | None = None
-    seed: int = 0
+    order_ceiling: int | str | None = "sqrt"
 
-    @classmethod
-    def build(
-        cls,
-        n: int,
-        qubits: int | None = None,
-        seed: int | None = None,
-        *,
-        max_trials: int = 100,
-        order_ceiling: int | str | None = "sqrt",
-    ) -> "FactoringParams":
-        """Validate inputs and derive the register sizes.
-
-        qubits defaults to the safe size for n. order_ceiling accepts
-        "sqrt" (the default cap isqrt(n)), None (no cap), or a positive
-        int. seed defaults to a fresh 64-bit value. A bool is refused for
-        every field, as it is for n, and any other non-int for qubits, seed
-        and max_trials.
-        """
+    def __post_init__(self) -> None:
+        n, qubits, seed = self.n, self.qubits, self.seed
+        max_trials, order_ceiling = self.max_trials, self.order_ceiling
         for name, value, allowed in (
             ("qubits", qubits, (int, type(None))),
             ("seed", seed, (int, type(None))),
@@ -127,13 +118,10 @@ class FactoringParams:
             seed = secrets.randbits(64)
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        return cls(
-            n=n,
-            qubits=qubits,
-            max_trials=max_trials,
-            order_ceiling=ceiling,
-            seed=seed,
-        )
+        # frozen: the resolved fields are set once, here
+        object.__setattr__(self, "qubits", qubits)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "order_ceiling", ceiling)
 
     @property
     def q(self) -> int:

@@ -106,15 +106,14 @@ class RandomSource(random.Random):
 
 
 class ReadoutSampler:
-    """Exact sampler for the readout distribution of one (y, r, q) subcycle.
+    """Exact sampler for the readout distribution of order r on q cells.
 
     Holds only constants of the envelope fixed at construction, so draws
     share no state and each costs the same whatever came before it.
     """
 
-    def __init__(self, y: int, r: int, q: int):
+    def __init__(self, r: int, q: int):
         check_register(r, q)
-        self.y = y
         self.r = r
         self.q = q
         # Envelope weights, in units of q**2 * P(c) / r.

@@ -3,9 +3,9 @@
 render_text and to_jsonl each write their output straight from the
 history, in one pass over its attempts: the human transcript line by line,
 and line-delimited JSON, one event per line, that from_jsonl parses back
-to an equal history. A stream that cannot be parsed back, or whose
-history could not be written again, raises TranscriptError naming the
-line at fault.
+to an equal history through the constructors the session uses. A stream
+that cannot be parsed back, or whose history could not be written again,
+raises TranscriptError naming the line at fault.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ import math
 import re
 from typing import Any
 
-# imported by name, not looked up in their modules per call, so a wrapper put
-# on factorizer.extract_factors or orderfinder.convergents sees sessions only
-from .factorizer import AttemptRecord, FactoringHistory, Outcome, extract_factors
+from .factorizer import AttemptRecord, FactoringHistory, Outcome
 from .model import FactoringParams, safe_qubits
+# imported by name, not looked up in its module per call, so a wrapper put on
+# orderfinder.convergents sees sessions only
 from .numtheory import convergents
 from .orderfinder import OrderResult
 
@@ -178,14 +178,13 @@ def from_jsonl(text: str) -> FactoringHistory:
     shared_factor lies in [2, n). A ceiling_rejection's ceiling is the int
     the banner's parameters apply, FactoringParams.ceiling; whether its y's
     order exceeds it is not tested, as that would cost an order test per
-    line. A shared_factor's factors are [g, n // g] for g = gcd(y, n) > 1.
-    A trial's index is one more than the last trial's (the first may be any
-    int >= 1), its readout lies in [0, q), its candidate is the denominator
-    of convergents(readout, q, n), and its verified is
+    line. A trial's index is one more than the last trial's (the first may
+    be any int >= 1), its readout lies in [0, q), its candidate is the
+    denominator of convergents(readout, q, n), and its verified is
     pow(y, candidate, n) == 1; no trial follows a verified one in its base.
-    A verdict follows at least one trial and is the one run_session gives:
-    extract_factors(y, candidate, n) when the last trial is verified, else
-    trial_budget_exhausted with no order and no factors. The summary is
+    A verdict follows at least one trial. A shared_factor's factors, and a
+    verdict's status, order and factors, are the ones AttemptRecord(y,
+    trials, n) derives, as for run_session. The summary is
     derived from the attempts by the FactoringHistory constructor, with the
     last trial's index as total_trials (0 when there is none), and follows a
     shared_factor or an attempt_verdict; only its elapsed is read, and a
@@ -238,7 +237,7 @@ def from_jsonl(text: str) -> FactoringHistory:
                 schema = data.get("schema", 1)
                 if schema not in range(1, SCHEMA_VERSION + 1):
                     raise ValueError(f"schema {schema!r} is unknown (newest {SCHEMA_VERSION})")
-                params = FactoringParams.build(
+                params = FactoringParams(
                     data["n"],
                     data["qubits"],
                     data["seed"],
@@ -246,7 +245,7 @@ def from_jsonl(text: str) -> FactoringHistory:
                     order_ceiling=data["order_ceiling"],
                 )
                 for name in ("qubits", "seed"):
-                    if data[name] is None:  # build would pick one afresh
+                    if data[name] is None:  # the constructor would pick one afresh
                         raise ValueError(f"{name} must not be null")
                 ceiling_text, n = str(params.ceiling), params.n
             elif params is None:
@@ -260,15 +259,13 @@ def from_jsonl(text: str) -> FactoringHistory:
             elif kind == "shared_factor":
                 y = _int_in("y", data["y"], 2, n)
                 factors = _pair(data["factors"], n)
-                g = math.gcd(y, n)
-                if g == 1:
-                    raise ValueError(f"y {y} shares no factor with {n}")
-                if factors != (g, n // g):
+                record = AttemptRecord(y, (), n)
+                if factors != record.factors:
                     raise ValueError(
-                        f"factors {list(factors)} are not [{g}, {n // g}], "
-                        f"as gcd({y}, {n}) = {g} gives them"
+                        f"factors {list(factors)} are not {list(record.factors)}, "
+                        f"as gcd({y}, {n}) = {record.factors[0]} gives them"
                     )
-                attempts.append(AttemptRecord(y, Outcome.SHARED_FACTOR, factors=factors))
+                attempts.append(record)
             elif kind == "new_base":
                 open_y = _int_in("y", data["y"], 2, params.n)
                 open_trials = []
@@ -304,17 +301,11 @@ def from_jsonl(text: str) -> FactoringHistory:
                 status, order, factors = data["status"], data.get("order"), data.get("factors")
                 if factors is not None or status in ("success", "trivial_factors"):
                     factors = _pair(data["factors"], params.n)
-                # the verdict run_session gives these trials
+                record = AttemptRecord(open_y, tuple(open_trials), n)
                 trial = open_trials[-1]
                 if trial.verified:
-                    found = trial.candidate_order
-                    outcome, pair = extract_factors(open_y, found, params.n)
-                    record = AttemptRecord(open_y, outcome, found, tuple(open_trials), pair)
-                    reason = f"extract_factors({open_y}, {found}, {params.n}) gives"
+                    reason = f"extract_factors({open_y}, {record.order}, {n}) gives"
                 else:
-                    record = AttemptRecord(
-                        open_y, Outcome.TRIAL_BUDGET_EXHAUSTED, trials=tuple(open_trials)
-                    )
                     reason = f"trial {trial.trial_index} is unverified"
                 for key, read, value in (
                     ("status", status, record.outcome.value),

@@ -105,7 +105,7 @@ def test_criterion_07_end_to_end_success_rate(capsys, semiprime_histories):
 
 def test_criterion_08_sampler_fidelity(capsys):
     r, q = 4, 1 << 8
-    sampler = ReadoutSampler(7, r, q)
+    sampler = ReadoutSampler(r, q)
     rng = RandomSource(20240818)
     observed: dict[int, int] = {}
     for _ in range(100_000):

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -354,9 +357,6 @@ class TestJsonlShape:
 
 class TestPipeSafety:
     def test_early_closed_pipe_is_not_a_crash(self):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             f"{sys.executable} -m shorsim dist 187 36 | head -1",
             shell=True,
@@ -366,6 +366,29 @@ class TestPipeSafety:
         assert proc.returncode == 0  # head's status, the left side must not traceback
         assert "Traceback" not in proc.stderr
         assert proc.stdout.startswith("# N=187,L=16,y=36,r=40")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["factor", "187", "--seed", "9"],
+            ["dist", "187", "36"],
+            ["bench", "187", "--seed", "9", "--runs", "2"],
+        ],
+        ids=["factor", "dist", "bench"],
+    )
+    def test_full_device_is_a_one_line_failure(self, argv):
+        # every write to a full device fails; factor 187 --seed 9 succeeds,
+        # so its status would be 0 had the write gone through
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "shorsim", *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr == "shorsim: cannot write standard output: No space left on device\n"
 
 
 def run_argv(argv: list[str]) -> tuple[int, str, str]:

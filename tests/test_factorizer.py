@@ -90,17 +90,19 @@ class TestExtractFactors:
         assert successes / evaluated > 0.4
 
 
-class TestAttemptRecord:
-    """The record stays a frozen, hashable dataclass with its own equality."""
+# the verified trial of a trivial split of 1328881: 505980**519 is N - 1
+TRIVIAL_TRIAL = OrderResult(9, 2137586189645, 1038, True)
 
-    def record(self, **changes) -> AttemptRecord:
-        fields = dict(y=505980, outcome=Outcome.TRIVIAL_FACTORS, order=1038,
-                      trials=(OrderResult(9, 2137586189645, 1038, True),),
-                      factors=(1328881, 1))
-        return AttemptRecord(**{**fields, **changes})
+
+class TestAttemptRecord:
+    """The record is a frozen, hashable dataclass whose verdict its
+    constructor derives: AttemptRecord(y, trials, n)."""
+
+    def record(self, y=505980, trials=(TRIVIAL_TRIAL,), n=1328881) -> AttemptRecord:
+        return AttemptRecord(y, trials, n)
 
     def test_frozen(self):
-        record = AttemptRecord(33, Outcome.SHARED_FACTOR, factors=(11, 17))
+        record = AttemptRecord(33, (), 187)
         for name in ("y", "outcome", "order", "trials", "factors", "other"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(record, name, 1)
@@ -108,19 +110,64 @@ class TestAttemptRecord:
             del record.y
 
     def test_defaults(self):
-        record = AttemptRecord(33, Outcome.SHARED_FACTOR)
-        assert (record.order, record.trials, record.factors) == (None, (), None)
+        # nothing has a default, and nothing derived can be passed
         with pytest.raises(TypeError):
-            AttemptRecord(33)
+            AttemptRecord(33, ())
+        with pytest.raises(TypeError):
+            AttemptRecord(33, (), 187, outcome=Outcome.SHARED_FACTOR)
+        with pytest.raises(TypeError):
+            AttemptRecord(33, Outcome.SHARED_FACTOR, (), 187)
+
+    @pytest.mark.parametrize(
+        "y,trials,n,outcome,order,factors",
+        [
+            pytest.param(33, (), 187, Outcome.SHARED_FACTOR, None, (11, 17), id="shared-factor"),
+            pytest.param(
+                505980, (TRIVIAL_TRIAL,), 1328881, Outcome.TRIVIAL_FACTORS, 1038, (1328881, 1),
+                id="trivial-split",
+            ),
+            pytest.param(
+                205920, (OrderResult(11, 1535926647664, 1038, True),), 1328881,
+                Outcome.SUCCESS, 1038, (1039, 1279), id="success",
+            ),
+            pytest.param(
+                200298, (OrderResult(10, 656741049346, 519, True),), 1328881,
+                Outcome.ORDER_ODD, 519, None, id="odd-order",
+            ),
+            pytest.param(
+                56, (OrderResult(1, 1, 1, False), OrderResult(2, 1, 1, False)), 187,
+                Outcome.TRIAL_BUDGET_EXHAUSTED, None, None, id="budget-exhausted",
+            ),
+        ],
+    )
+    def test_constructor_derives_the_verdict(self, y, trials, n, outcome, order, factors):
+        record = AttemptRecord(y, trials, n)
+        assert (record.outcome, record.order, record.factors) == (outcome, order, factors)
+
+    @pytest.mark.parametrize(
+        "trials,message",
+        [
+            pytest.param((), "y 35 shares no factor with 187", id="shared-factor-with-gcd-1"),
+            pytest.param(
+                (OrderResult(1, 0, 15, True),),
+                "15 is not an annihilating exponent of 35 mod 187",
+                id="verified-candidate-does-not-annihilate-y",
+            ),
+        ],
+    )
+    def test_constructor_refuses_a_verdict_no_session_reaches(self, trials, message):
+        # gcd(35, 187) = 1, and the order of 35 mod 187 is 80
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AttemptRecord(35, trials, 187)
 
     def test_equality_and_hash(self):
         assert self.record() == self.record()
         assert hash(self.record()) == hash(self.record())
-        assert self.record() != self.record(order=519)
-        assert len({self.record(), self.record(), self.record(y=3)}) == 2
-        shared = AttemptRecord(33, Outcome.SHARED_FACTOR, factors=(11, 17))
-        assert shared == AttemptRecord(y=33, outcome=Outcome.SHARED_FACTOR, factors=(11, 17))
-        assert hash(shared) == hash(AttemptRecord(33, Outcome.SHARED_FACTOR, factors=(11, 17)))
+        assert self.record() != self.record(trials=(OrderResult(8, 2137586189645, 1038, True),))
+        assert len({self.record(), self.record(), self.record(y=33, trials=(), n=187)}) == 2
+        shared = AttemptRecord(33, (), 187)
+        assert shared == AttemptRecord(y=33, trials=(), n=187)
+        assert hash(shared) == hash(AttemptRecord(33, (), 187))
 
     def test_not_equal_to_its_values(self):
         record = self.record()
@@ -129,7 +176,7 @@ class TestAttemptRecord:
         assert record != dataclasses.asdict(record)
 
     def test_repr(self):
-        assert repr(AttemptRecord(33, Outcome.SHARED_FACTOR, factors=(11, 17))) == (
+        assert repr(AttemptRecord(33, (), 187)) == (
             "AttemptRecord(y=33, outcome=<Outcome.SHARED_FACTOR: "
             "'shared_factor_shortcut'>, order=None, trials=(), factors=(11, 17))"
         )
@@ -139,12 +186,26 @@ class TestAttemptRecord:
             "candidate_order=1038, verified=True),), factors=(1328881, 1))"
         )
 
+    def test_survives_pickle_and_deepcopy(self):
+        for record in (self.record(), AttemptRecord(33, (), 187)):
+            for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+                assert twin == record
+                assert (twin.outcome, twin.order, twin.factors) == (
+                    record.outcome, record.order, record.factors
+                )
+
     def test_dataclass_helpers(self):
         record = self.record()
         names = ["y", "outcome", "order", "trials", "factors"]
         assert [f.name for f in dataclasses.fields(record)] == names
-        assert dataclasses.replace(record, order=519) == self.record(order=519)
-        assert dataclasses.replace(record) == record
+        # replace re-runs the constructor, so n must be given again and the
+        # derived fields cannot be
+        assert dataclasses.replace(record, n=1328881) == record
+        assert dataclasses.replace(record, y=33, trials=(), n=187) == AttemptRecord(33, (), 187)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(record, n=1328881, order=519)
+        with pytest.raises(ValueError, match="InitVar 'n' must be specified"):
+            dataclasses.replace(record)
         assert dataclasses.asdict(record) == {
             "y": 505980,
             "outcome": Outcome.TRIVIAL_FACTORS,
@@ -160,7 +221,8 @@ class TestPickY:
     def test_shared_factor_hit(self):
         attempts = []
         hit = pick_y(187, ScriptedRng(integers=[33]), 13, attempts)
-        assert hit == AttemptRecord(33, Outcome.SHARED_FACTOR, factors=(11, 17))
+        assert hit == AttemptRecord(33, (), 187)
+        assert (hit.outcome, hit.factors) == (Outcome.SHARED_FACTOR, (11, 17))
         assert attempts == []
 
     def test_coprime_base_comes_with_exact_order(self):
@@ -202,7 +264,8 @@ class TestPickY:
         hit = pick_y(n, rng, 13, attempts)
         g = math.gcd(shared, n)
         assert g > 1
-        assert hit == AttemptRecord(shared, Outcome.SHARED_FACTOR, factors=(g, n // g))
+        assert hit == AttemptRecord(shared, (), n)
+        assert (hit.outcome, hit.factors) == (Outcome.SHARED_FACTOR, (g, n // g))
         assert attempts == rejected
         assert rng.integers == [21]  # no base is taken past the one returned
         assert (numtheory._order_record(n).tables is not None) == tables
@@ -320,12 +383,15 @@ class TestFactor:
     @pytest.mark.parametrize("last", [36, "36", None])
     def test_history_of_attempts_ending_on_no_record_is_refused(self, last):
         # no session ends on a ceiling rejection, so its int cannot decide one
-        params = FactoringParams.build(187, None, 0)
-        shared = AttemptRecord(33, Outcome.SHARED_FACTOR, factors=(11, 17))
+        params = FactoringParams(187, None, 0)
+        shared = AttemptRecord(33, (), 187)
         with pytest.raises(ValueError, match=f"attempts end on {last!r}, not on an AttemptRecord"):
             FactoringHistory(params, (shared, last), 0, 0.0)
         assert FactoringHistory(params, (36, shared), 0, 0.0).factors == (11, 17)
-        assert FactoringHistory(params, (), 0, 0.0).failure is Outcome.TRIAL_BUDGET_EXHAUSTED
+        # nor does any session end with no attempt: to_jsonl would write a
+        # stream that from_jsonl refuses
+        with pytest.raises(ValueError, match="attempts end on None, not on an AttemptRecord"):
+            FactoringHistory(params, (), 0, 0.0)
 
     def test_explicit_integer_ceiling(self):
         history = factor(187, 16, seed=5, order_ceiling=2)
@@ -412,7 +478,9 @@ class TestFactoringHistory:
     def test_replacing_the_attempts_rederives_the_outcome(self):
         history = factor(105, seed=1, order_ceiling=None)
         end = history.attempts[-1]
-        cut = AttemptRecord(end.y, Outcome.TRIAL_BUDGET_EXHAUSTED, trials=end.trials)
+        # the same trials with the last one unverified: the budget ran out
+        unverified = dataclasses.replace(end.trials[-1], verified=False)
+        cut = AttemptRecord(end.y, end.trials[:-1] + (unverified,), 105)
         failed = dataclasses.replace(history, attempts=history.attempts[:-1] + (cut,))
         assert derived(failed) == (None, Outcome.TRIAL_BUDGET_EXHAUSTED, ())
         assert dataclasses.replace(failed, attempts=history.attempts) == history

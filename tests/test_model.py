@@ -42,17 +42,17 @@ class TestRegisterSizing:
         with pytest.raises(InputTooLarge, match="more than ten digits"):
             safe_qubits(10**10)
         with pytest.raises(InputTooLarge):
-            FactoringParams.build(10**10, seed=0)
+            FactoringParams(10**10, seed=0)
 
     def test_input_past_the_int_to_str_limit_names_its_bit_length(self):
         # 10**5000 has more digits than CPython converts to str by default
         with pytest.raises(InputTooLarge, match="^a 16610-bit number has more than ten digits$"):
-            FactoringParams.build(10**5000, seed=0)
+            FactoringParams(10**5000, seed=0)
 
 
 class TestFactoringParams:
     def test_defaults(self):
-        p = FactoringParams.build(187, seed=5)
+        p = FactoringParams(187, seed=5)
         assert p.qubits == 16
         assert p.q == 1 << 16
         assert p.max_trials == 100
@@ -60,34 +60,65 @@ class TestFactoringParams:
         assert p.seed == 5
 
     def test_ceiling_modes(self):
-        assert FactoringParams.build(187, seed=0, order_ceiling=None).order_ceiling is None
-        assert FactoringParams.build(187, seed=0, order_ceiling=40).order_ceiling == 40
+        assert FactoringParams(187, seed=0, order_ceiling=None).order_ceiling is None
+        assert FactoringParams(187, seed=0, order_ceiling=40).order_ceiling == 40
         with pytest.raises(ValueError):
-            FactoringParams.build(187, seed=0, order_ceiling=0)
+            FactoringParams(187, seed=0, order_ceiling=0)
         # the ceiling a session applies is capped at q
         for qubits, order_ceiling, ceiling in [
             (16, "sqrt", 13), (16, None, 1 << 16), (3, 100, 8), (3, None, 8), (3, 5, 5)
         ]:
-            p = FactoringParams.build(187, qubits, seed=0, order_ceiling=order_ceiling)
+            p = FactoringParams(187, qubits, seed=0, order_ceiling=order_ceiling)
             assert p.ceiling == ceiling
 
     def test_fresh_seed_when_omitted(self):
-        p = FactoringParams.build(187)
+        p = FactoringParams(187)
         assert 0 <= p.seed < 2**64
 
     def test_validation(self):
         with pytest.raises(PrimeInput):
-            FactoringParams.build(1039, seed=0)
+            FactoringParams(1039, seed=0)
         with pytest.raises(InputTooLarge):
-            FactoringParams.build(12345678901, seed=0)
+            FactoringParams(12345678901, seed=0)
         with pytest.raises(ValueError):
-            FactoringParams.build(187, qubits=0, seed=0)
+            FactoringParams(187, qubits=0, seed=0)
         with pytest.raises(ValueError):
-            FactoringParams.build(187, seed=-1)
+            FactoringParams(187, seed=-1)
         with pytest.raises(ValueError):
-            FactoringParams.build(187, seed=0, max_trials=0)
+            FactoringParams(187, seed=0, max_trials=0)
         with pytest.raises(ValueError):
-            FactoringParams.build(3, seed=0)
+            FactoringParams(3, seed=0)
+
+    @pytest.mark.parametrize(
+        "args,kwargs,error,message",
+        [
+            pytest.param((7, 8), {}, PrimeInput, "7 is prime", id="prime-n"),
+            pytest.param((187, 0), {}, ValueError, "qubits must be in", id="zero-qubits"),
+            pytest.param(
+                (187, 16), {"max_trials": 0}, ValueError, "max_trials must be >= 1",
+                id="zero-trials",
+            ),
+        ],
+    )
+    def test_constructor_refuses_what_no_session_can_run(self, args, kwargs, error, message):
+        # no unchecked constructor is left: a session on FactoringParams(7, 8)
+        # would run, and then both writers would raise PrimeInput
+        with pytest.raises(error, match=message):
+            FactoringParams(*args, seed=0, **kwargs)
+
+    def test_fields_follow_factor_and_are_resolved_once(self):
+        params = FactoringParams(187, None, 5, max_trials=3)
+        assert [f.name for f in dataclasses.fields(params)] == [
+            "n", "qubits", "seed", "max_trials", "order_ceiling"
+        ]
+        assert (params.qubits, params.seed, params.order_ceiling) == (16, 5, 13)
+        with pytest.raises(TypeError):
+            FactoringParams(187, 16, 5, 3)  # max_trials is keyword-only
+        # building again from the resolved fields gives an equal object
+        assert dataclasses.replace(params) == params
+        assert FactoringParams(**dataclasses.asdict(params)) == params
+        with pytest.raises(ValueError, match="max_trials must be >= 1"):
+            dataclasses.replace(params, max_trials=0)
 
     @pytest.mark.parametrize("field", ["qubits", "seed", "max_trials", "order_ceiling"])
     @pytest.mark.parametrize("value", [True, False])
@@ -95,20 +126,20 @@ class TestFactoringParams:
         # True would pass as the int 1: a ceiling of 1, q = 2, one trial
         kwargs = {"n": 187, "qubits": 16, "seed": 0, field: value}
         with pytest.raises(TypeError, match=f"^{field} must not be a bool$"):
-            FactoringParams.build(**kwargs)
+            FactoringParams(**kwargs)
 
     @pytest.mark.parametrize("field", ["qubits", "seed", "max_trials"])
     @pytest.mark.parametrize("value", [1.5, 16.0, "16"])
     def test_non_int_is_refused(self, field, value):
         # 2.5 trials died in range(), a float qubits in 1 << qubits, and a
-        # float seed in RandomSource, after build had accepted them
+        # float seed in RandomSource, before they were validated
         kwargs = {"n": 187, "qubits": 16, "seed": 0, field: value}
         name = type(value).__name__
         with pytest.raises(TypeError, match=f"^{field} must be an int, not {name}$"):
-            FactoringParams.build(**kwargs)
+            FactoringParams(**kwargs)
 
     def test_q_follows_qubits(self):
-        params = dataclasses.replace(FactoringParams.build(187, seed=1), qubits=8)
+        params = dataclasses.replace(FactoringParams(187, seed=1), qubits=8)
         assert params.q == 256
         history = run_session(params)
         assert from_jsonl(to_jsonl(history)) == history

@@ -10,7 +10,7 @@ from conftest import ScriptedRng, ScriptedSampler
 
 
 def params_for(n, qubits, **kwargs):
-    return FactoringParams.build(n, qubits, seed=0, **kwargs)
+    return FactoringParams(n, qubits, seed=0, **kwargs)
 
 
 class TestFindOrder:
@@ -53,14 +53,14 @@ class TestFindOrder:
     def test_trivial_order_one_base(self):
         # y = 1 has order 1: readout 0 extracts candidate 1, which verifies
         params = params_for(187, 16)
-        sampler = ReadoutSampler(1, 1, params.q)
+        sampler = ReadoutSampler(1, params.q)
         trials = find_order(1, params, sampler, RandomSource(3), 1, 100)
         assert trials == [OrderResult(1, 0, 1, True)]
 
     def test_real_sampler_small_case(self):
         # order of 7 mod 15 is 4; q = 256 puts all mass on multiples of 64
         params = params_for(15, 8)
-        sampler = ReadoutSampler(7, 4, params.q)
+        sampler = ReadoutSampler(4, params.q)
         trials = find_order(7, params, sampler, RandomSource(0), 1, 100)
         assert trials[-1].verified
         assert trials[-1].candidate_order == 4

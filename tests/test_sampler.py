@@ -202,14 +202,14 @@ class CountingSource(RandomSource):
 class TestReadoutSamplerBasics:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ReadoutSampler(2, 5, 48)  # q not a power of two
+            ReadoutSampler(5, 48)  # q not a power of two
         with pytest.raises(ValueError):
-            ReadoutSampler(2, 17, 16)  # r > q
+            ReadoutSampler(17, 16)  # r > q
         with pytest.raises(ValueError):
-            ReadoutSampler(2, 0, 16)
+            ReadoutSampler(0, 16)
 
     def test_divisor_order_draws_only_peaks(self):
-        sampler = ReadoutSampler(56, 16, 1 << 16)
+        sampler = ReadoutSampler(16, 1 << 16)
         rng = RandomSource(11)
         peaks = set(dominant_readouts(16, 1 << 16))
         draws = [sampler.draw(rng) for _ in range(1000)]
@@ -217,21 +217,21 @@ class TestReadoutSamplerBasics:
         assert len(set(draws)) == 16  # 1000 draws hit all 16 equal peaks
 
     def test_order_one_always_reads_zero(self):
-        sampler = ReadoutSampler(1, 1, 1 << 16)
+        sampler = ReadoutSampler(1, 1 << 16)
         rng = RandomSource(4)
         assert {sampler.draw(rng) for _ in range(200)} == {0}
 
     def test_draws_do_not_depend_on_earlier_draws(self):
-        warm = ReadoutSampler(36, 40, 1 << 16)
+        warm = ReadoutSampler(40, 1 << 16)
         for _ in range(10):
             warm.draw(RandomSource(42))
-        fresh = ReadoutSampler(36, 40, 1 << 16)
+        fresh = ReadoutSampler(40, 1 << 16)
         a, b = RandomSource(9), RandomSource(9)
         assert [warm.draw(a) for _ in range(5)] == [fresh.draw(b) for _ in range(5)]
 
     def test_replay_is_deterministic(self):
         def run(seed):
-            sampler = ReadoutSampler(36, 40, 1 << 16)
+            sampler = ReadoutSampler(40, 1 << 16)
             rng = RandomSource(seed)
             return [sampler.draw(rng) for _ in range(50)]
 
@@ -239,13 +239,13 @@ class TestReadoutSamplerBasics:
         assert run(123) != run(124)
 
     def test_zero_probability_readouts_are_never_drawn(self):
-        sampler = ReadoutSampler(2, 4, 64)
+        sampler = ReadoutSampler(4, 64)
         rng = RandomSource(8)
         assert {sampler.draw(rng) for _ in range(2000)} == {0, 16, 32, 48}
 
     @pytest.mark.parametrize("r,q", [(13, 1 << 16), (1152, 1 << 41)])
     def test_draw_cost_is_bounded(self, r, q):
-        sampler = ReadoutSampler(0, r, q)
+        sampler = ReadoutSampler(r, q)
         rng = CountingSource(2024)
         draws = 4000
         for _ in range(draws):
@@ -276,7 +276,7 @@ class TestReachability:
         "r,q", [(3, 8), (1, 16), (5, 32), (40, 256), (100, 256), (255, 256), (256, 256)]
     )
     def test_every_readout_of_nonzero_probability_is_reachable(self, r, q):
-        sampler = ReadoutSampler(0, r, q)
+        sampler = ReadoutSampler(r, q)
         for c in range(q):
             if prob(c, r, q) > 0.0:
                 assert sampler.draw(scripted_flat_proposal(c, r, q)) == c
@@ -284,7 +284,7 @@ class TestReachability:
     def test_zero_probability_proposal_is_rejected(self):
         # readout 1 at r = 4, q = 64 has probability 0: the proposal is
         # rejected and the sampler moves on to the next one, at peak 2
-        sampler = ReadoutSampler(0, 4, 64)
+        sampler = ReadoutSampler(4, 64)
         rng = scripted_flat_proposal(1, 4, 64)
         rng.uniforms += [0.0, 0.0]
         rng.integers += [2]
@@ -317,7 +317,7 @@ class TestEnvelopeCertificate:
     @pytest.mark.parametrize("q", [16, 64, 256])
     def test_every_readout_of_every_order(self, q):
         for r in range(1, q + 1):
-            sampler = ReadoutSampler(0, r, q)
+            sampler = ReadoutSampler(r, q)
             peaks = set()
             for c in range(q):
                 m, delta = cell_of(c, r, q)
@@ -332,7 +332,7 @@ class TestEnvelopeCertificate:
         q = 1 << bits
         r = data.draw(st.integers(1, q))
         m = data.draw(st.integers(0, r - 1))
-        sampler = ReadoutSampler(0, r, q)
+        sampler = ReadoutSampler(r, q)
         # the cell of m holds the c (unwrapped) with -q < 2*(r*c - m*q) <= q
         low = (2 * m * q - q) // (2 * r) + 1
         high = (2 * m * q + q) // (2 * r)
@@ -349,7 +349,7 @@ class TestEmpiricalDistribution:
     N_DRAWS = 100_000
 
     def _empirical_vs_exact(self, y, r, q, seed, draws=N_DRAWS):
-        sampler = ReadoutSampler(y, r, q)
+        sampler = ReadoutSampler(r, q)
         rng = RandomSource(seed)
         observed = Counter(sampler.draw(rng) for _ in range(draws))
         expected = {

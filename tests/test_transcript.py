@@ -22,34 +22,22 @@ from shorsim.transcript import (
 
 
 def session_history() -> FactoringHistory:
-    """The three-base tail of a full 1328881 session, trials 6 through 11."""
-    params = FactoringParams.build(1328881, 41, seed=0)
+    """The three-base tail of a full 1328881 session, trials 6 through 11: a
+    trivial split, an odd order and a success."""
+    params = FactoringParams(1328881, 41, seed=0)
     attempts = (
         AttemptRecord(
-            y=505980,
-            outcome=Outcome.TRIVIAL_FACTORS,
-            order=1038,
-            trials=(
+            505980,
+            (
                 OrderResult(6, 1671511896561, 346, False),
                 OrderResult(7, 1366445086543, 346, False),
                 OrderResult(8, 1135526459514, 519, False),
                 OrderResult(9, 2137586189645, 1038, True),
             ),
-            factors=(1328881, 1),
+            1328881,
         ),
-        AttemptRecord(
-            y=200298,
-            outcome=Outcome.ORDER_ODD,
-            order=519,
-            trials=(OrderResult(10, 656741049346, 519, True),),
-        ),
-        AttemptRecord(
-            y=205920,
-            outcome=Outcome.SUCCESS,
-            order=1038,
-            trials=(OrderResult(11, 1535926647664, 1038, True),),
-            factors=(1039, 1279),
-        ),
+        AttemptRecord(200298, (OrderResult(10, 656741049346, 519, True),), 1328881),
+        AttemptRecord(205920, (OrderResult(11, 1535926647664, 1038, True),), 1328881),
     )
     return FactoringHistory(
         params=params,
@@ -117,14 +105,10 @@ class TestRenderText:
         assert expected in lines
 
     def test_shared_factor_lines(self):
-        params = FactoringParams.build(187, 16, seed=0)
+        params = FactoringParams(187, 16, seed=0)
         history = FactoringHistory(
             params=params,
-            attempts=(
-                AttemptRecord(
-                    33, Outcome.SHARED_FACTOR, factors=(11, 17)
-                ),
-            ),
+            attempts=(AttemptRecord(33, (), 187),),
             total_trials=0,
             elapsed=0.25,
         )
@@ -134,17 +118,12 @@ class TestRenderText:
         assert "The program has succeeded and will now terminate." in lines
 
     def test_failure_lines(self):
-        params = FactoringParams.build(187, 16, seed=0, max_trials=2)
+        params = FactoringParams(187, 16, seed=0, max_trials=2)
         history = FactoringHistory(
             params=params,
             attempts=(
                 AttemptRecord(
-                    56,
-                    Outcome.TRIAL_BUDGET_EXHAUSTED,
-                    trials=(
-                        OrderResult(1, 1, 1, False),
-                        OrderResult(2, 1, 1, False),
-                    ),
+                    56, (OrderResult(1, 1, 1, False), OrderResult(2, 1, 1, False)), 187
                 ),
             ),
             total_trials=2,
@@ -220,6 +199,25 @@ class TestJsonlRoundTrip:
         for seed in range(4):
             history = factor(15, 8, seed=seed)
             assert from_jsonl(to_jsonl(history)) == history
+
+    @pytest.mark.parametrize("n", [15, 105, 187, 1328881])
+    def test_every_history_the_constructors_accept(self, n):
+        # every seeded session on these grids, and every prefix of its
+        # attempts that ends on a record, with the trials that prefix ran
+        for max_trials in (1, 2, 100):
+            for order_ceiling in ("sqrt", None, 3):
+                for seed in range(30):
+                    session = factor(n, seed=seed, max_trials=max_trials,
+                                     order_ceiling=order_ceiling)
+                    attempts, last = session.attempts, 0
+                    for end, record in enumerate(attempts, 1):
+                        if type(record) is int:
+                            continue
+                        if record.trials:
+                            last = record.trials[-1].trial_index
+                        history = FactoringHistory(session.params, attempts[:end], last, 0.5)
+                        assert from_jsonl(to_jsonl(history)) == history
+                        render_text(history)
 
     def test_one_event_per_line(self):
         text = to_jsonl(session_history())
