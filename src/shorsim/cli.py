@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
-import secrets
 import sys
 from statistics import mean
 
@@ -274,13 +273,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"a bench runs at most {MAX_BENCH_SESSIONS} sessions"
                 f" (register sizes x --runs), not {len(sizes) * args.runs}"
             )
-        base_seed = args.seed if args.seed is not None else secrets.randbits(64)
-        per_size = [
-            FactoringParams(
-                args.n, qubits, base_seed, max_trials=args.max_trials, order_ceiling=ceiling
-            )
-            for qubits in sizes
-        ]
+        # the first size resolves --seed (fresh when omitted) for every size
+        first = FactoringParams(
+            args.n, sizes[0], args.seed, max_trials=args.max_trials, order_ceiling=ceiling
+        )
+        per_size = [dataclasses.replace(first, qubits=qubits) for qubits in sizes]
     except PrimeInput:
         print(PRIME_WARNING)
         return 2
@@ -291,13 +288,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return 2
 
     print(
-        f"Factoring N = {args.n}, {args.runs} runs per register size, seed base {base_seed}"
+        f"Factoring N = {args.n}, {args.runs} runs per register size, seed base {first.seed}"
     )
     lines = ["n,qubits,run,seed,elapsed,trials,outcome,factor1,factor2"]
     for params in per_size:
         cells, done = [], []
         for run in range(args.runs):
-            seed = (base_seed + run) % 2**64
+            seed = (first.seed + run) % 2**64
             history = run_session(dataclasses.replace(params, seed=seed))
             cells.append(_format_run(history))
             if history.succeeded:

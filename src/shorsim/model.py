@@ -24,7 +24,7 @@ any other order every readout has P > 0.
 from __future__ import annotations
 
 import math
-import secrets
+import random
 from dataclasses import KW_ONLY, dataclass
 
 from .numtheory import MAX_MODULUS, is_prime
@@ -115,7 +115,8 @@ class FactoringParams:
         else:
             raise ValueError("order_ceiling must be 'sqrt', None, or a positive int")
         if seed is None:
-            seed = secrets.randbits(64)
+            # what secrets.randbits(64) draws, without importing secrets and hashlib
+            seed = random.SystemRandom().getrandbits(64)
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         # frozen: the resolved fields are set once, here

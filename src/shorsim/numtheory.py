@@ -229,7 +229,6 @@ def convergents(c: int, q: int, denom_bound: int) -> Convergent:
         raise ValueError("denom_bound must be >= 2")
     h, h_prev = 1, 0
     k, k_prev = 0, 1
-    best = Convergent(0, 1)
     a, b = c, q
     while b:
         t = a // b
@@ -237,6 +236,5 @@ def convergents(c: int, q: int, denom_bound: int) -> Convergent:
         h, h_prev = t * h + h_prev, h
         k, k_prev = t * k + k_prev, k
         if k >= denom_bound:
-            break
-        best = Convergent(h, k)
-    return best
+            return Convergent(h_prev, k_prev)
+    return Convergent(h, k)

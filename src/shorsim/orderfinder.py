@@ -1,8 +1,9 @@
 """One simulated order-finding session for a fixed base y.
 
-Each trial measures the work register (through the readout sampler),
-extracts a candidate order as the denominator of the best convergent of
-c / q below the modulus, and verifies the candidate by modular
+Each trial measures the work register (through the readout sampler);
+OrderResult derives the rest from the readout, for find_order and
+from_jsonl alike: the candidate order, the denominator of the best
+convergent of c / q below the modulus, and its verification by modular
 exponentiation. The candidate is accepted as soon as y**candidate == 1
 (mod N); this admits proper multiples of the true order, exactly as the
 verification step itself does, and the factoring stage works with
@@ -11,7 +12,7 @@ whatever order was verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 from .model import FactoringParams
 from .numtheory import convergents, modpow
@@ -20,12 +21,29 @@ from .sampler import RandomSource, ReadoutSampler
 
 @dataclass(frozen=True)
 class OrderResult:
-    """One measurement trial: readout, extracted candidate, verification."""
+    """One measurement trial: readout, extracted candidate, verification.
+
+    OrderResult(trial_index, readout, y, q, n) derives candidate_order,
+    convergents(readout, q, n).denominator, and verified, whether
+    y**candidate_order == 1 (mod n); neither can be passed. y, q and n are
+    not stored, so a trial built for another base is refused only as the
+    verified last trial of an AttemptRecord, where extract_factors raises.
+    """
 
     trial_index: int
     readout: int
-    candidate_order: int
-    verified: bool
+    candidate_order: int = field(init=False)
+    verified: bool = field(init=False)
+    y: InitVar[int]
+    q: InitVar[int]
+    n: InitVar[int]
+
+    def __post_init__(self, y: int, q: int, n: int) -> None:
+        # module attributes looked up per trial, so a wrapper put there sees
+        # them; frozen: the derived fields are set once, here
+        candidate = convergents(self.readout, q, n).denominator
+        object.__setattr__(self, "candidate_order", candidate)
+        object.__setattr__(self, "verified", modpow(y, candidate, n) == 1)
 
 
 def find_order(
@@ -44,10 +62,8 @@ def find_order(
     """
     trials: list[OrderResult] = []
     for index in range(first, first + budget):
-        c = sampler.draw(rng)
-        candidate = convergents(c, params.q, params.n).denominator
-        verified = modpow(y, candidate, params.n) == 1
-        trials.append(OrderResult(index, c, candidate, verified))
-        if verified:
+        trial = OrderResult(index, sampler.draw(rng), y, params.q, params.n)
+        trials.append(trial)
+        if trial.verified:
             break
     return trials

@@ -3,9 +3,9 @@
 render_text and to_jsonl each write their output straight from the
 history, in one pass over its attempts: the human transcript line by line,
 and line-delimited JSON, one event per line, that from_jsonl parses back
-to an equal history through the constructors the session uses. A stream
-that cannot be parsed back, or whose history could not be written again,
-raises TranscriptError naming the line at fault.
+to an equal history through the constructors the session uses, OrderResult
+for each trial. A stream that cannot be parsed back, or whose history
+could not be written again, raises TranscriptError naming the line at fault.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ from typing import Any
 
 from .factorizer import AttemptRecord, FactoringHistory, Outcome
 from .model import FactoringParams, safe_qubits
-# imported by name, not looked up in its module per call, so a wrapper put on
-# orderfinder.convergents sees sessions only
-from .numtheory import convergents
 from .orderfinder import OrderResult
 
 BANNER = "The number to be factored is {n}."
@@ -173,29 +170,29 @@ def from_jsonl(text: str) -> FactoringHistory:
     """Parse the output of to_jsonl back into an equal history.
 
     The banner is the first event and the summary the last, each once. A
-    new_base is followed by its trials and then its attempt_verdict, with
-    no other event between. The y of a new_base, a ceiling_rejection or a
+    new_base is followed by its trials and then its attempt_verdict, with no
+    other event between. The y of a new_base, a ceiling_rejection or a
     shared_factor lies in [2, n). A ceiling_rejection's ceiling is the int
     the banner's parameters apply, FactoringParams.ceiling; whether its y's
     order exceeds it is not tested, as that would cost an order test per
     line. A trial's index is one more than the last trial's (the first may
-    be any int >= 1), its readout lies in [0, q), its candidate is the
-    denominator of convergents(readout, q, n), and its verified is
-    pow(y, candidate, n) == 1; no trial follows a verified one in its base.
-    A verdict follows at least one trial. A shared_factor's factors, and a
-    verdict's status, order and factors, are the ones AttemptRecord(y,
-    trials, n) derives, as for run_session. The summary is
-    derived from the attempts by the FactoringHistory constructor, with the
-    last trial's index as total_trials (0 when there is none), and follows a
-    shared_factor or an attempt_verdict; only its elapsed is read, and a
+    be any int >= 1), its readout lies in [0, q), and its candidate and
+    verified are the ones OrderResult(index, readout, y, q, n) derives, as
+    for find_order; no trial follows a verified one in its base. A verdict
+    follows at least one trial. A shared_factor's factors, and a verdict's
+    status, order and factors, are the ones AttemptRecord(y, trials, n)
+    derives, as for run_session. The summary is derived from the attempts by
+    the FactoringHistory constructor, with the last trial's index as
+    total_trials (0 when there is none), and follows a shared_factor or an
+    attempt_verdict; only its elapsed, a float in [0, inf), is read, and a
     summary that disagrees is refused. Fields not read here are ignored, so
     older banners that carried a tail_threshold still parse; a banner
     without a schema is version 1, and one of a newer schema than
     SCHEMA_VERSION is refused. Streams written while rejection lines named
-    the requested ceiling rather than the applied one (null for no
-    ceiling, or a value above q) are refused on their first such line. Any
-    other input, or one whose history the writers could not write back,
-    raises TranscriptError naming the line and the cause.
+    the requested ceiling rather than the applied one (null for no ceiling,
+    or a value above q) are refused on their first such line. Any other
+    input, or one whose history the writers could not write back, raises
+    TranscriptError naming the line and the cause.
     """
     params: FactoringParams | None = None
     attempts: list[AttemptRecord | int] = []
@@ -278,21 +275,20 @@ def from_jsonl(text: str) -> FactoringHistory:
                 if last_trial and index != last_trial + 1:
                     raise ValueError(f"index {index} does not follow the last trial's {last_trial}")
                 readout = _int_in("readout", data["readout"], 0, params.q)
-                candidate = _int_in("candidate", data["candidate"], 1, params.n)
-                derived = convergents(readout, params.q, params.n).denominator
-                if candidate != derived:
+                candidate = _int_in("candidate", data["candidate"], 1, n)
+                trial = OrderResult(index, readout, open_y, params.q, n)
+                if candidate != trial.candidate_order:
                     raise ValueError(
-                        f"candidate {candidate} is not {derived}, the denominator of "
-                        f"the convergent of readout {readout}"
+                        f"candidate {candidate} is not {trial.candidate_order}, the "
+                        f"denominator of the convergent of readout {readout}"
                     )
-                verified = pow(open_y, candidate, params.n) == 1
-                if data["verified"] is not verified:
+                if data["verified"] is not trial.verified:
                     raise ValueError(
-                        f"verified {data['verified']!r} is not {verified}, "
-                        f"as pow({open_y}, {candidate}, {params.n}) == 1 is"
+                        f"verified {data['verified']!r} is not {trial.verified}, "
+                        f"as pow({open_y}, {candidate}, {n}) == 1 is"
                     )
                 last_trial = index
-                open_trials.append(OrderResult(index, readout, candidate, verified))
+                open_trials.append(trial)
             elif kind == "attempt_verdict":
                 if open_trials is None:
                     raise ValueError("no new_base before it")
@@ -322,8 +318,8 @@ def from_jsonl(text: str) -> FactoringHistory:
                     raise ValueError(f"qubits {data['qubits']!r} is not the safe size {safe}")
             elif kind == "summary":
                 elapsed = data["elapsed"]
-                if type(elapsed) is not float:
-                    raise ValueError(f"elapsed {elapsed!r} is not a float")
+                if type(elapsed) is not float or not 0.0 <= elapsed < math.inf:
+                    raise ValueError(f"elapsed {elapsed!r} is not a float in [0, inf)")
                 if not attempts or type(attempts[-1]) is int:
                     raise ValueError("no shared_factor or attempt_verdict ended the session")
                 history = FactoringHistory(params, tuple(attempts), last_trial, elapsed)

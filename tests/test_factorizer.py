@@ -90,8 +90,9 @@ class TestExtractFactors:
         assert successes / evaluated > 0.4
 
 
+Q41 = 1 << 41  # the safe register of 1328881
 # the verified trial of a trivial split of 1328881: 505980**519 is N - 1
-TRIVIAL_TRIAL = OrderResult(9, 2137586189645, 1038, True)
+TRIVIAL_TRIAL = OrderResult(9, 2137586189645, 505980, Q41, 1328881)
 
 
 class TestAttemptRecord:
@@ -127,15 +128,15 @@ class TestAttemptRecord:
                 id="trivial-split",
             ),
             pytest.param(
-                205920, (OrderResult(11, 1535926647664, 1038, True),), 1328881,
+                205920, (OrderResult(11, 1535926647664, 205920, Q41, 1328881),), 1328881,
                 Outcome.SUCCESS, 1038, (1039, 1279), id="success",
             ),
             pytest.param(
-                200298, (OrderResult(10, 656741049346, 519, True),), 1328881,
+                200298, (OrderResult(10, 656741049346, 200298, Q41, 1328881),), 1328881,
                 Outcome.ORDER_ODD, 519, None, id="odd-order",
             ),
             pytest.param(
-                56, (OrderResult(1, 1, 1, False), OrderResult(2, 1, 1, False)), 187,
+                56, tuple(OrderResult(i, 1, 56, 1 << 16, 187) for i in (1, 2)), 187,
                 Outcome.TRIAL_BUDGET_EXHAUSTED, None, None, id="budget-exhausted",
             ),
         ],
@@ -149,7 +150,8 @@ class TestAttemptRecord:
         [
             pytest.param((), "y 35 shares no factor with 187", id="shared-factor-with-gcd-1"),
             pytest.param(
-                (OrderResult(1, 0, 15, True),),
+                # a trial built for y = 69, of order 5: readout 4369 gives 1/15
+                (OrderResult(1, 4369, 69, 1 << 16, 187),),
                 "15 is not an annihilating exponent of 35 mod 187",
                 id="verified-candidate-does-not-annihilate-y",
             ),
@@ -163,7 +165,8 @@ class TestAttemptRecord:
     def test_equality_and_hash(self):
         assert self.record() == self.record()
         assert hash(self.record()) == hash(self.record())
-        assert self.record() != self.record(trials=(OrderResult(8, 2137586189645, 1038, True),))
+        other = OrderResult(8, 2137586189645, 505980, Q41, 1328881)
+        assert self.record() != self.record(trials=(other,))
         assert len({self.record(), self.record(), self.record(y=33, trials=(), n=187)}) == 2
         shared = AttemptRecord(33, (), 187)
         assert shared == AttemptRecord(y=33, trials=(), n=187)
@@ -478,8 +481,10 @@ class TestFactoringHistory:
     def test_replacing_the_attempts_rederives_the_outcome(self):
         history = factor(105, seed=1, order_ceiling=None)
         end = history.attempts[-1]
-        # the same trials with the last one unverified: the budget ran out
-        unverified = dataclasses.replace(end.trials[-1], verified=False)
+        # the same trials with the last one unverified: readout 0 gives
+        # candidate 1, which no base but 1 verifies, so the budget ran out
+        unverified = OrderResult(end.trials[-1].trial_index, 0, end.y, history.params.q, 105)
+        assert not unverified.verified
         cut = AttemptRecord(end.y, end.trials[:-1] + (unverified,), 105)
         failed = dataclasses.replace(history, attempts=history.attempts[:-1] + (cut,))
         assert derived(failed) == (None, Outcome.TRIAL_BUDGET_EXHAUSTED, ())

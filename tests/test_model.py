@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +78,17 @@ class TestFactoringParams:
     def test_fresh_seed_when_omitted(self):
         p = FactoringParams(187)
         assert 0 <= p.seed < 2**64
+
+    def test_importing_the_package_loads_neither_secrets_nor_hashlib(self):
+        # a fresh interpreter: the seed is drawn from random.SystemRandom,
+        # which the sampler's random module already holds
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = "import sys, shorsim; print(sorted({'secrets', 'hashlib'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "[]\n"
 
     def test_validation(self):
         with pytest.raises(PrimeInput):

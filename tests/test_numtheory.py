@@ -384,11 +384,12 @@ class TestConvergents:
         c = (2 * m * q + r) // (2 * r)
         assert abs(Fraction(c, q) - Fraction(m, r)) < Fraction(1, 2 * r * r)
 
-    @given(st.integers(1, 1 << 20), st.integers(2, 1 << 20))
+    @given(st.integers(1, 96), st.integers(2, 10**10), st.data())
     @settings(max_examples=300)
-    def test_matches_exhaustive_enumeration(self, c, bound):
-        q = 1 << 20
-        if c >= q:
-            return
+    def test_matches_exhaustive_enumeration(self, qubits, bound, data):
+        # every register size a session allows, and every bound up to past
+        # the largest modulus
+        q = 1 << qubits
+        c = data.draw(st.integers(0, q - 1))
         got = convergents(c, q, bound)
         assert (got.numerator, got.denominator) == brute_convergent(c, q, bound)

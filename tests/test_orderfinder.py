@@ -1,8 +1,13 @@
+import copy
+import dataclasses
 import math
+import pickle
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shorsim.factorizer import AttemptRecord
 from shorsim.model import FactoringParams
 from shorsim.orderfinder import OrderResult, find_order
 from shorsim.sampler import RandomSource, ReadoutSampler
@@ -22,11 +27,11 @@ class TestFindOrder:
         trials = find_order(
             505980, params, ScriptedSampler(readouts), ScriptedRng(), 6, 95
         )
-        assert trials == [
-            OrderResult(6, 1671511896561, 346, False),
-            OrderResult(7, 1366445086543, 346, False),
-            OrderResult(8, 1135526459514, 519, False),
-            OrderResult(9, 2137586189645, 1038, True),
+        assert [dataclasses.astuple(t) for t in trials] == [
+            (6, 1671511896561, 346, False),
+            (7, 1366445086543, 346, False),
+            (8, 1135526459514, 519, False),
+            (9, 2137586189645, 1038, True),
         ]
 
     def test_session_subcycle_base_200298(self):
@@ -39,7 +44,7 @@ class TestFindOrder:
             1,
             100,
         )
-        assert trials == [OrderResult(1, 656741049346, 519, True)]
+        assert [dataclasses.astuple(t) for t in trials] == [(1, 656741049346, 519, True)]
 
     def test_budget_exhaustion_leaves_unverified_tail(self):
         # trials 4, 5 and 6 spend the budget; the fourth readout is never drawn
@@ -55,7 +60,7 @@ class TestFindOrder:
         params = params_for(187, 16)
         sampler = ReadoutSampler(1, params.q)
         trials = find_order(1, params, sampler, RandomSource(3), 1, 100)
-        assert trials == [OrderResult(1, 0, 1, True)]
+        assert [dataclasses.astuple(t) for t in trials] == [(1, 0, 1, True)]
 
     def test_real_sampler_small_case(self):
         # order of 7 mod 15 is 4; q = 256 puts all mass on multiples of 64
@@ -80,3 +85,74 @@ class TestFindOrder:
         g = math.gcd(m, r)
         assert trials[0].candidate_order == r // g
         assert trials[0].verified == (g == 1)
+
+
+class TestOrderResult:
+    """The trial is a frozen, hashable dataclass whose candidate and verdict
+    its constructor derives from the readout: OrderResult(trial_index,
+    readout, y, q, n)."""
+
+    def trial(self, index=9, readout=2137586189645, y=505980) -> OrderResult:
+        return OrderResult(index, readout, y, 1 << 41, 1328881)
+
+    @pytest.mark.parametrize(
+        "readout,y,candidate,verified",
+        [
+            (2137586189645, 505980, 1038, True),
+            (1671511896561, 505980, 346, False),
+            (656741049346, 200298, 519, True),
+            (0, 505980, 1, False),
+        ],
+    )
+    def test_constructor_derives_candidate_and_verdict(self, readout, y, candidate, verified):
+        trial = self.trial(readout=readout, y=y)
+        assert (trial.candidate_order, trial.verified) == (candidate, verified)
+
+    def test_derived_fields_cannot_be_passed(self):
+        with pytest.raises(TypeError):
+            OrderResult(9, 2137586189645, 505980, 1 << 41, 1328881, candidate_order=1038)
+        with pytest.raises(TypeError):
+            OrderResult(9, 2137586189645, 505980, 1 << 41, 1328881, verified=True)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(self.trial(), y=505980, q=1 << 41, n=1328881, verified=False)
+        with pytest.raises(ValueError, match="InitVar 'y' must be specified"):
+            dataclasses.replace(self.trial())
+        # replace runs the constructor again, so the verdict follows the readout
+        again = dataclasses.replace(self.trial(), readout=0, y=505980, q=1 << 41, n=1328881)
+        assert again == self.trial(readout=0)
+
+    def test_a_hand_built_verdict_cannot_disagree_with_its_readout(self):
+        # a trial once passed its candidate and verdict by hand, so readout 0
+        # could claim candidate 16, verified for 56 mod 187, and the record
+        # a success that from_jsonl refuses; readout 0 gives candidate 1
+        with pytest.raises(TypeError):
+            AttemptRecord(56, (OrderResult(1, 0, 16, True),), 187)
+        trial = OrderResult(1, 0, 56, 1 << 16, 187)
+        assert (trial.candidate_order, trial.verified) == (1, False)
+        assert AttemptRecord(56, (trial,), 187).order is None
+
+    def test_frozen(self):
+        trial = self.trial()
+        for name in ("trial_index", "readout", "candidate_order", "verified", "y"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(trial, name, 1)
+
+    def test_fields_equality_hash_and_repr(self):
+        trial = self.trial()
+        names = ["trial_index", "readout", "candidate_order", "verified"]
+        assert [f.name for f in dataclasses.fields(trial)] == names
+        assert dataclasses.astuple(trial) == (9, 2137586189645, 1038, True)
+        assert trial == self.trial() and hash(trial) == hash(self.trial())
+        assert trial != self.trial(index=8)
+        # y is not stored: a base of the same order verifies the same readout
+        assert self.trial(y=205920) == trial
+        assert repr(trial) == (
+            "OrderResult(trial_index=9, readout=2137586189645, "
+            "candidate_order=1038, verified=True)"
+        )
+
+    def test_survives_pickle_and_deepcopy(self):
+        trial = self.trial()
+        for twin in (pickle.loads(pickle.dumps(trial)), copy.deepcopy(trial)):
+            assert twin == trial
+            assert (twin.candidate_order, twin.verified) == (1038, True)

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 from typing import Any
 
 import pytest
@@ -25,19 +26,23 @@ def session_history() -> FactoringHistory:
     """The three-base tail of a full 1328881 session, trials 6 through 11: a
     trivial split, an odd order and a success."""
     params = FactoringParams(1328881, 41, seed=0)
+    q, n = params.q, params.n
     attempts = (
         AttemptRecord(
             505980,
-            (
-                OrderResult(6, 1671511896561, 346, False),
-                OrderResult(7, 1366445086543, 346, False),
-                OrderResult(8, 1135526459514, 519, False),
-                OrderResult(9, 2137586189645, 1038, True),
+            tuple(
+                OrderResult(index, readout, 505980, q, n)
+                for index, readout in (
+                    (6, 1671511896561),
+                    (7, 1366445086543),
+                    (8, 1135526459514),
+                    (9, 2137586189645),
+                )
             ),
-            1328881,
+            n,
         ),
-        AttemptRecord(200298, (OrderResult(10, 656741049346, 519, True),), 1328881),
-        AttemptRecord(205920, (OrderResult(11, 1535926647664, 1038, True),), 1328881),
+        AttemptRecord(200298, (OrderResult(10, 656741049346, 200298, q, n),), n),
+        AttemptRecord(205920, (OrderResult(11, 1535926647664, 205920, q, n),), n),
     )
     return FactoringHistory(
         params=params,
@@ -123,7 +128,7 @@ class TestRenderText:
             params=params,
             attempts=(
                 AttemptRecord(
-                    56, (OrderResult(1, 1, 1, False), OrderResult(2, 1, 1, False)), 187
+                    56, tuple(OrderResult(i, 1, 56, params.q, 187) for i in (1, 2)), 187
                 ),
             ),
             total_trials=2,
@@ -218,6 +223,29 @@ class TestJsonlRoundTrip:
                         history = FactoringHistory(session.params, attempts[:end], last, 0.5)
                         assert from_jsonl(to_jsonl(history)) == history
                         render_text(history)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_records_built_from_arbitrary_readouts(self, data):
+        # up to three coprime bases, each with trials built from arbitrary
+        # readouts, numbered on from an arbitrary first index and stopped at
+        # the first verified one
+        n = data.draw(st.sampled_from([15, 187, 1328881]))
+        params = FactoringParams(n, seed=0)
+        index = data.draw(st.integers(1, 1000))
+        attempts = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            y = data.draw(st.integers(2, n - 1).filter(lambda y: math.gcd(y, n) == 1))
+            trials = []
+            for readout in data.draw(st.lists(st.integers(0, params.q - 1), min_size=1)):
+                trials.append(OrderResult(index, readout, y, params.q, n))
+                index += 1
+                if trials[-1].verified:
+                    break
+            attempts.append(AttemptRecord(y, tuple(trials), n))
+        elapsed = data.draw(st.floats(0.0, 1e6))
+        history = FactoringHistory(params, tuple(attempts), index - 1, elapsed)
+        assert from_jsonl(to_jsonl(history)) == history
 
     def test_one_event_per_line(self):
         text = to_jsonl(session_history())
@@ -456,6 +484,32 @@ class TestJsonlErrors:
                 15,
                 "elapsed '113.895' is not a float",
                 id="elapsed-not-a-number",
+            ),
+            # no session takes a time outside [0, inf); render_text would
+            # print "took nan seconds" and to_jsonl write NaN, which is not JSON
+            pytest.param(
+                with_fields(15, elapsed=math.nan),
+                15,
+                "elapsed nan is not a float",
+                id="elapsed-nan",
+            ),
+            pytest.param(
+                with_fields(15, elapsed=math.inf),
+                15,
+                "elapsed inf is not a float",
+                id="elapsed-infinity",
+            ),
+            pytest.param(
+                lambda lines: lines[:14] + [lines[14].replace("113.895", "1e400")],
+                15,
+                "elapsed inf is not a float",
+                id="elapsed-past-the-float-range",
+            ),
+            pytest.param(
+                with_fields(15, elapsed=-1.5),
+                15,
+                "elapsed -1.5 is not a float",
+                id="elapsed-negative",
             ),
             pytest.param(
                 with_fields(1, max_trials=2.5),
@@ -810,9 +864,7 @@ def parses_or_refuses(text: str) -> None:
         return
     assert isinstance(history, FactoringHistory)
     render_text(history)
-    # compared as text, so that a NaN read from the stream still compares equal
-    again = to_jsonl(history)
-    assert to_jsonl(from_jsonl(again)) == again
+    assert from_jsonl(to_jsonl(history)) == history
 
 
 class TestJsonlFuzz:
