@@ -299,7 +299,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             cells.append(_format_run(history))
             if history.succeeded:
                 done.append((history.elapsed, history.total_trials))
-            outcome = history.failure.value if history.failure else "success"
+            outcome = (history.failure or history.attempts[-1].outcome).value
             f1, f2 = history.factors if history.factors else ("", "")
             lines.append(
                 f"{args.n},{params.qubits},{run},{seed},{history.elapsed!r},"

@@ -41,8 +41,8 @@ class AttemptRecord:
     trials, y shares g = gcd(y, n) > 1 with n: SHARED_FACTOR, (g, n // g).
     A verified last trial's candidate is the order, and extract_factors(y,
     order, n) gives the rest. Otherwise the budget ran out:
-    TRIAL_BUDGET_EXHAUSTED. A gcd of 1, or a verified candidate that does
-    not annihilate y, raises ValueError.
+    TRIAL_BUDGET_EXHAUSTED. A gcd of 1, a verified trial before the last,
+    or a verified candidate that does not annihilate y, raises ValueError.
     """
 
     y: int
@@ -54,6 +54,9 @@ class AttemptRecord:
 
     def __post_init__(self, n: int) -> None:
         y, trials, order = self.y, self.trials, None
+        for trial in trials[:-1]:
+            if trial.verified:
+                raise ValueError(f"a trial of {y} before its last is verified")
         if not trials:
             g = math.gcd(y, n)
             if g == 1:
@@ -77,29 +80,45 @@ class FactoringHistory:
 
     attempts lists every base drawn, in draw order: a base rejected by the
     order ceiling as its bare int y, any other as its AttemptRecord. The
-    last attempt, an AttemptRecord, decides the session, so factors,
-    failure and warnings are derived from it here and cannot be passed:
-    factors is its pair when it is a SUCCESS or SHARED_FACTOR, else failure
-    is TRIAL_BUDGET_EXHAUSTED. Attempts that end on anything else, such as
-    a ceiling rejection's int, or are empty (no session does either), raise
-    ValueError.
+    constructor, FactoringHistory(params, attempts, elapsed), derives
+    total_trials, factors, failure and warnings, which cannot be passed:
+    total_trials counts the trials of every record, and the last attempt
+    decides the session, so factors is its pair when it is a SUCCESS or
+    SHARED_FACTOR, else failure is TRIAL_BUDGET_EXHAUSTED. Attempts that
+    run_session cannot produce raise ValueError: none at all, a last one
+    that is not an AttemptRecord, an attempt after the one that ended the
+    session, more than params.max_trials trials, or a failure that stops
+    short of them.
     """
 
     params: FactoringParams
     attempts: tuple[AttemptRecord | int, ...]
-    total_trials: int
+    total_trials: int = field(init=False)
     elapsed: float
     factors: tuple[int, int] | None = field(init=False)
     failure: Outcome | None = field(init=False)
     warnings: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        last, n = self.attempts[-1] if self.attempts else None, self.params.n
+        attempts, n, budget = self.attempts, self.params.n, self.params.max_trials
+        last = attempts[-1] if attempts else None
         if not isinstance(last, AttemptRecord):
-            raise ValueError(f"attempts end on {last!r}, not on an AttemptRecord")
-        factors = None
-        if last.outcome in (Outcome.SUCCESS, Outcome.SHARED_FACTOR):
-            factors = last.factors
+            raise ValueError(f"no AttemptRecord ended the session: attempts end on {last!r}")
+        factoring, trials, ended = (Outcome.SUCCESS, Outcome.SHARED_FACTOR), 0, None
+        for attempt in attempts:
+            if type(attempt) is int:
+                continue
+            if ended is not None:
+                raise ValueError(f"base {attempt.y} comes after the session ended at trial {ended}")
+            trials += len(attempt.trials)
+            # only an odd order or a trivial split with budget left goes on
+            if trials >= budget or attempt.order is None or attempt.outcome in factoring:
+                ended = trials
+        if trials > budget:
+            raise ValueError(f"the attempts run {trials} trials, past max_trials {budget}")
+        factors = last.factors if last.outcome in factoring else None
+        if factors is None and trials < budget:
+            raise ValueError(f"the session stops without factors after {trials} of {budget} trials")
         warnings = []
         if factors is not None:
             a, b = factors
@@ -112,6 +131,7 @@ class FactoringHistory:
                     warnings.append(f"reported factor {f} of {n} is composite")
         # frozen: the derived fields are set once, here
         setattr_ = object.__setattr__
+        setattr_(self, "total_trials", trials)
         setattr_(self, "factors", factors)
         setattr_(self, "failure", None if factors else Outcome.TRIAL_BUDGET_EXHAUSTED)
         setattr_(self, "warnings", tuple(warnings))
@@ -189,13 +209,13 @@ def run_session(params: FactoringParams) -> FactoringHistory:
             break
         y, true_order = choice
         sampler = ReadoutSampler(true_order, params.q)
-        trials = tuple(find_order(y, params, sampler, rng, trials_run + 1, budget - trials_run))
+        trials = tuple(find_order(y, params, sampler, rng, budget - trials_run))
         trials_run += len(trials)
         attempts.append(AttemptRecord(y, trials, n))
         # an unverified last trial spent the budget, which ends the loop
         if attempts[-1].outcome is Outcome.SUCCESS:
             break
-    return FactoringHistory(params, tuple(attempts), trials_run, time.perf_counter() - start)
+    return FactoringHistory(params, tuple(attempts), time.perf_counter() - start)
 
 
 __all__ = [

@@ -23,14 +23,14 @@ from .sampler import RandomSource, ReadoutSampler
 class OrderResult:
     """One measurement trial: readout, extracted candidate, verification.
 
-    OrderResult(trial_index, readout, y, q, n) derives candidate_order,
+    OrderResult(readout, y, q, n) derives candidate_order,
     convergents(readout, q, n).denominator, and verified, whether
-    y**candidate_order == 1 (mod n); neither can be passed. y, q and n are
-    not stored, so a trial built for another base is refused only as the
-    verified last trial of an AttemptRecord, where extract_factors raises.
+    y**candidate_order == 1 (mod n); neither can be passed. A trial's number
+    is its position in the session. y, q and n are not stored, so a trial
+    built for another base is refused only as the verified last trial of an
+    AttemptRecord, where extract_factors raises.
     """
 
-    trial_index: int
     readout: int
     candidate_order: int = field(init=False)
     verified: bool = field(init=False)
@@ -51,18 +51,16 @@ def find_order(
     params: FactoringParams,
     sampler: ReadoutSampler,
     rng: RandomSource,
-    first: int,
     budget: int,
 ) -> list[OrderResult]:
-    """Run trials numbered first, first + 1, ... until a candidate order
-    verifies or `budget` trials have run.
+    """Run trials until a candidate order verifies or `budget` trials have run.
 
     Returns every trial in order; the order was found iff the list is
     nonempty and its last entry is verified.
     """
     trials: list[OrderResult] = []
-    for index in range(first, first + budget):
-        trial = OrderResult(index, sampler.draw(rng), y, params.q, params.n)
+    for _ in range(budget):
+        trial = OrderResult(sampler.draw(rng), y, params.q, params.n)
         trials.append(trial)
         if trial.verified:
             break

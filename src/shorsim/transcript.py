@@ -75,6 +75,7 @@ def render_text(history: FactoringHistory) -> list[str]:
     append = lines.append
     before, after = CEILING_LINE.split("{y}")
     after = after.format(ceiling=params.ceiling)
+    index = 0  # a trial's number is its position in the session
     for attempt in history.attempts:
         if type(attempt) is int:
             append(f"{before}{attempt}{after}")
@@ -85,7 +86,8 @@ def render_text(history: FactoringHistory) -> list[str]:
         else:
             append(NEW_BASE.format(y=attempt.y))
             for trial in attempt.trials:
-                append(TRIAL_HEADER.format(index=trial.trial_index))
+                index += 1
+                append(TRIAL_HEADER.format(index=index))
                 append(READOUT_LINE.format(readout=trial.readout))
                 append(CANDIDATE_LINE.format(candidate=trial.candidate_order))
                 append(ORDER_CORRECT if trial.verified else ORDER_INCORRECT)
@@ -127,6 +129,7 @@ def to_jsonl(history: FactoringHistory) -> str:
     append = lines.append
     # a rejection event as encoded, up to its y: "y" is the last key
     head = '{"ceiling": ' + encode(params.ceiling) + ', "event": "ceiling_rejection", "y": '
+    index = 0  # a trial's number is its position in the session
     for attempt in history.attempts:
         if type(attempt) is int:
             append(f"{head}{attempt}}}")
@@ -137,22 +140,28 @@ def to_jsonl(history: FactoringHistory) -> str:
         else:
             append(encode({"event": "new_base", "y": y}))
             for trial in attempt.trials:
+                index += 1
                 event = {
                     "event": "trial",
-                    "index": trial.trial_index,
+                    "index": index,
                     "readout": trial.readout,
                     "candidate": trial.candidate_order,
                     "verified": trial.verified,
                 }
                 append(encode(event))
-            verdict: dict[str, Any] = {"event": "attempt_verdict", "status": outcome.value}
-            if attempt.order is not None:
-                verdict["order"] = attempt.order
-            if attempt.factors is not None:
-                verdict["factors"] = list(attempt.factors)
-            append(encode(verdict))
+            append(encode({"event": "attempt_verdict", **_verdict(attempt)}))
     append(encode({"event": "summary", **_summary(history), "elapsed": history.elapsed}))
     return "\n".join(lines)
+
+
+def _verdict(record: AttemptRecord) -> dict[str, Any]:
+    """The fields of a record's attempt_verdict event but its event."""
+    verdict: dict[str, Any] = {"status": record.outcome.value}
+    if record.order is not None:
+        verdict["order"] = record.order
+    if record.factors is not None:
+        verdict["factors"] = list(record.factors)
+    return verdict
 
 
 def _summary(history: FactoringHistory) -> dict[str, Any]:
@@ -171,34 +180,31 @@ def from_jsonl(text: str) -> FactoringHistory:
 
     The banner is the first event and the summary the last, each once. A
     new_base is followed by its trials and then its attempt_verdict, with no
-    other event between. The y of a new_base, a ceiling_rejection or a
-    shared_factor lies in [2, n). A ceiling_rejection's ceiling is the int
-    the banner's parameters apply, FactoringParams.ceiling; whether its y's
-    order exceeds it is not tested, as that would cost an order test per
-    line. A trial's index is one more than the last trial's (the first may
-    be any int >= 1), its readout lies in [0, q), and its candidate and
-    verified are the ones OrderResult(index, readout, y, q, n) derives, as
-    for find_order; no trial follows a verified one in its base. A verdict
-    follows at least one trial. A shared_factor's factors, and a verdict's
-    status, order and factors, are the ones AttemptRecord(y, trials, n)
-    derives, as for run_session. The summary is derived from the attempts by
-    the FactoringHistory constructor, with the last trial's index as
-    total_trials (0 when there is none), and follows a shared_factor or an
-    attempt_verdict; only its elapsed, a float in [0, inf), is read, and a
-    summary that disagrees is refused. Fields not read here are ignored, so
-    older banners that carried a tail_threshold still parse; a banner
-    without a schema is version 1, and one of a newer schema than
-    SCHEMA_VERSION is refused. Streams written while rejection lines named
-    the requested ceiling rather than the applied one (null for no ceiling,
-    or a value above q) are refused on their first such line. Any other
-    input, or one whose history the writers could not write back, raises
+    other event between, and no trial follows a verified one in its base.
+    The y of a new_base, a ceiling_rejection or a shared_factor lies in
+    [2, n), a trial's readout in [0, q), and the summary's elapsed, the one
+    summary field read, is a float in [0, inf). Every other field read is
+    the value the writers derive, of the same JSON type (_expect): a
+    rejection's ceiling is FactoringParams.ceiling, whether its y's order
+    exceeds it being untested, as that would cost an order test per line;
+    a trial's index is its position in the stream, and its candidate and
+    verified are the ones OrderResult(readout, y, q, n) derives; a
+    shared_factor's factors, and a verdict's status, order and factors, are
+    the ones AttemptRecord(y, trials, n) derives; and the summary is the one
+    FactoringHistory(params, attempts, elapsed) derives, which refuses
+    attempts that no session produces. Fields not read are ignored, so older
+    banners that carried a tail_threshold still parse; a banner without a
+    schema is version 1, and one of a newer schema than SCHEMA_VERSION is
+    refused. Streams written while rejection lines named the requested
+    ceiling rather than the applied one (null for no ceiling, or a value
+    above q) are refused on their first such line. Any other input raises
     TranscriptError naming the line and the cause.
     """
     params: FactoringParams | None = None
     attempts: list[AttemptRecord | int] = []
     open_y: Any = None
     open_trials: list[OrderResult] | None = None  # None: no base is open
-    last_trial: Any = 0  # the index of the last trial read
+    position = 0  # of the last trial read, in the session
     last = 0
     rejection = _REJECTION_LINE.fullmatch
     ceiling_text, n = None, 0  # the session's ceiling as written, and its n
@@ -249,19 +255,13 @@ def from_jsonl(text: str) -> FactoringHistory:
                 raise ValueError("no banner before it")
             elif kind == "ceiling_rejection":
                 y = _int_in("y", data["y"], 2, n)
-                ceiling = data["ceiling"]
-                if type(ceiling) is not int or ceiling != params.ceiling:
-                    raise ValueError(f"ceiling {ceiling!r} is not the session's {params.ceiling}")
+                _expect("ceiling", data["ceiling"], params.ceiling, "the session's")
                 attempts.append(y)
             elif kind == "shared_factor":
                 y = _int_in("y", data["y"], 2, n)
-                factors = _pair(data["factors"], n)
                 record = AttemptRecord(y, (), n)
-                if factors != record.factors:
-                    raise ValueError(
-                        f"factors {list(factors)} are not {list(record.factors)}, "
-                        f"as gcd({y}, {n}) = {record.factors[0]} gives them"
-                    )
+                reason = f"as gcd({y}, {n}) = {record.factors[0]} gives"
+                _expect("factors", data["factors"], list(record.factors), reason)
                 attempts.append(record)
             elif kind == "new_base":
                 open_y = _int_in("y", data["y"], 2, params.n)
@@ -270,64 +270,43 @@ def from_jsonl(text: str) -> FactoringHistory:
                 if open_trials is None:
                     raise ValueError("no new_base before it")
                 if open_trials and open_trials[-1].verified:
-                    raise ValueError(f"trial {last_trial} verified the order of {open_y}")
-                index = _int_in("index", data["index"], 1, math.inf)
-                if last_trial and index != last_trial + 1:
-                    raise ValueError(f"index {index} does not follow the last trial's {last_trial}")
+                    raise ValueError(f"trial {position} verified the order of {open_y}")
+                position += 1
+                _expect("index", data["index"], position, "its position in the session")
                 readout = _int_in("readout", data["readout"], 0, params.q)
-                candidate = _int_in("candidate", data["candidate"], 1, n)
-                trial = OrderResult(index, readout, open_y, params.q, n)
-                if candidate != trial.candidate_order:
-                    raise ValueError(
-                        f"candidate {candidate} is not {trial.candidate_order}, the "
-                        f"denominator of the convergent of readout {readout}"
-                    )
-                if data["verified"] is not trial.verified:
-                    raise ValueError(
-                        f"verified {data['verified']!r} is not {trial.verified}, "
-                        f"as pow({open_y}, {candidate}, {n}) == 1 is"
-                    )
-                last_trial = index
+                trial = OrderResult(readout, open_y, params.q, n)
+                candidate = trial.candidate_order
+                reason = f"the denominator of the convergent of readout {readout}"
+                _expect("candidate", data["candidate"], candidate, reason)
+                reason = f"as pow({open_y}, {candidate}, {n}) == 1 is"
+                _expect("verified", data["verified"], trial.verified, reason)
                 open_trials.append(trial)
             elif kind == "attempt_verdict":
                 if open_trials is None:
                     raise ValueError("no new_base before it")
                 if not open_trials:
                     raise ValueError(f"no trial of {open_y} before it")
-                status, order, factors = data["status"], data.get("order"), data.get("factors")
-                if factors is not None or status in ("success", "trivial_factors"):
-                    factors = _pair(data["factors"], params.n)
                 record = AttemptRecord(open_y, tuple(open_trials), n)
-                trial = open_trials[-1]
-                if trial.verified:
-                    reason = f"extract_factors({open_y}, {record.order}, {n}) gives"
+                if record.order is None:
+                    reason = f"as trial {position} is unverified"
                 else:
-                    reason = f"trial {trial.trial_index} is unverified"
-                for key, read, value in (
-                    ("status", status, record.outcome.value),
-                    ("order", order, record.order),
-                    ("factors", factors, record.factors),
-                ):
-                    if type(read) is not type(value) or read != value:
-                        raise ValueError(f"{key} {read!r} is not {value!r}, as {reason}")
+                    reason = f"as extract_factors({open_y}, {record.order}, {n}) gives"
+                verdict = _verdict(record)
+                for key in ("status", "order", "factors"):
+                    # a field the writer leaves out may be absent or null
+                    read = data[key] if key in verdict else data.get(key)
+                    _expect(key, read, verdict.get(key), reason)
                 attempts.append(record)
                 open_trials = None
             elif kind == "safe_qubits_hint":
-                safe = safe_qubits(params.n)
-                if data["qubits"] != safe:
-                    raise ValueError(f"qubits {data['qubits']!r} is not the safe size {safe}")
+                _expect("qubits", data["qubits"], safe_qubits(n), "the safe size")
             elif kind == "summary":
                 elapsed = data["elapsed"]
                 if type(elapsed) is not float or not 0.0 <= elapsed < math.inf:
                     raise ValueError(f"elapsed {elapsed!r} is not a float in [0, inf)")
-                if not attempts or type(attempts[-1]) is int:
-                    raise ValueError("no shared_factor or attempt_verdict ended the session")
-                history = FactoringHistory(params, tuple(attempts), last_trial, elapsed)
+                history = FactoringHistory(params, tuple(attempts), elapsed)
                 for key, value in _summary(history).items():
-                    if data[key] != value:
-                        raise ValueError(
-                            f"{key} {data[key]!r} disagrees with the attempts, which give {value!r}"
-                        )
+                    _expect(key, data[key], value, "as the attempts give")
                 break
             else:
                 raise ValueError("unknown event")
@@ -354,10 +333,10 @@ def _int_in(name: str, value: Any, low: int, high: float) -> int:
     return value
 
 
-def _pair(factors: Any, n: int) -> tuple[int, int]:
-    """A factors field as read from a stream: a JSON array of two ints in [1, n]."""
-    if type(factors) is not list or len(factors) != 2:
-        raise ValueError(f"factors {factors!r} is not a pair")
-    if not all(type(f) is int and 1 <= f <= n for f in factors):
-        raise ValueError(f"factors {factors!r} are not ints in [1, {n}]")
-    return tuple(factors)
+def _expect(name: str, read: Any, derived: Any, reason: str) -> None:
+    """Refuse a field read from a stream unless it equals the value the
+    writers derive and has its JSON type, one level into arrays: 1 is not
+    true, 2.0 is not 2, and [11.0, 17] is not [11, 17]."""
+    same = type(read) is type(derived) and read == derived
+    if not same or type(read) is list and [*map(type, read)] != [*map(type, derived)]:
+        raise ValueError(f"{name} {read!r} is not {derived!r}, {reason}")

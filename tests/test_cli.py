@@ -287,9 +287,30 @@ class TestBenchCommand:
         rows = [row.split(",") for row in path.read_text().strip().splitlines()[1:]]
         assert len(cells) == len(rows) == 8
         assert cells == [
-            f"{float(r[4]) * 1e3:.2f}({r[5] if r[6] == 'success' else '-'})" for r in rows
+            f"{float(r[4]) * 1e3:.2f}({'-' if r[6] == 'trial_budget_exhausted' else r[5]})"
+            for r in rows
         ]
         assert any(float(cell.split("(")[0]) > 0 for cell in cells)
+
+    def test_csv_outcome_is_how_each_session_ended(self, capsys, tmp_path):
+        # seeds 11, 12, 13 and 15 draw a base sharing a factor with 187, which
+        # factors it with no trial
+        path = tmp_path / "bench.csv"
+        code, _, _ = run(
+            capsys, "bench", "187", "--runs", "6", "--seed", "10", "--out", str(path)
+        )
+        assert code == 0
+        rows = [row.split(",") for row in path.read_text().strip().splitlines()[1:]]
+        shortcut = "shared_factor_shortcut"
+        assert [(r[3], r[5], r[6]) for r in rows] == [
+            ("10", "4", "success"),
+            ("11", "0", shortcut),
+            ("12", "0", shortcut),
+            ("13", "0", shortcut),
+            ("14", "1", "success"),
+            ("15", "0", shortcut),
+        ]
+        assert all(sorted(r[7:]) == ["11", "17"] for r in rows)
 
     def test_prime_input(self, capsys):
         code, out, _ = run(capsys, "bench", "1039", "--runs", "1")

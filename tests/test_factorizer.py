@@ -5,6 +5,8 @@ import math
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shorsim import numtheory
 from shorsim.factorizer import (
@@ -92,7 +94,7 @@ class TestExtractFactors:
 
 Q41 = 1 << 41  # the safe register of 1328881
 # the verified trial of a trivial split of 1328881: 505980**519 is N - 1
-TRIVIAL_TRIAL = OrderResult(9, 2137586189645, 505980, Q41, 1328881)
+TRIVIAL_TRIAL = OrderResult(2137586189645, 505980, Q41, 1328881)
 
 
 class TestAttemptRecord:
@@ -128,15 +130,15 @@ class TestAttemptRecord:
                 id="trivial-split",
             ),
             pytest.param(
-                205920, (OrderResult(11, 1535926647664, 205920, Q41, 1328881),), 1328881,
+                205920, (OrderResult(1535926647664, 205920, Q41, 1328881),), 1328881,
                 Outcome.SUCCESS, 1038, (1039, 1279), id="success",
             ),
             pytest.param(
-                200298, (OrderResult(10, 656741049346, 200298, Q41, 1328881),), 1328881,
+                200298, (OrderResult(656741049346, 200298, Q41, 1328881),), 1328881,
                 Outcome.ORDER_ODD, 519, None, id="odd-order",
             ),
             pytest.param(
-                56, tuple(OrderResult(i, 1, 56, 1 << 16, 187) for i in (1, 2)), 187,
+                56, (OrderResult(1, 56, 1 << 16, 187),) * 2, 187,
                 Outcome.TRIAL_BUDGET_EXHAUSTED, None, None, id="budget-exhausted",
             ),
         ],
@@ -151,9 +153,16 @@ class TestAttemptRecord:
             pytest.param((), "y 35 shares no factor with 187", id="shared-factor-with-gcd-1"),
             pytest.param(
                 # a trial built for y = 69, of order 5: readout 4369 gives 1/15
-                (OrderResult(1, 4369, 69, 1 << 16, 187),),
+                (OrderResult(4369, 69, 1 << 16, 187),),
                 "15 is not an annihilating exponent of 35 mod 187",
                 id="verified-candidate-does-not-annihilate-y",
+            ),
+            pytest.param(
+                # readout 819 gives 1/80, which verifies, and readout 0 gives
+                # 1, which does not: no trial follows a verified one
+                (OrderResult(819, 35, 1 << 16, 187), OrderResult(0, 35, 1 << 16, 187)),
+                "a trial of 35 before its last is verified",
+                id="verified-trial-before-the-last",
             ),
         ],
     )
@@ -165,7 +174,7 @@ class TestAttemptRecord:
     def test_equality_and_hash(self):
         assert self.record() == self.record()
         assert hash(self.record()) == hash(self.record())
-        other = OrderResult(8, 2137586189645, 505980, Q41, 1328881)
+        other = OrderResult(1135526459514, 505980, Q41, 1328881)
         assert self.record() != self.record(trials=(other,))
         assert len({self.record(), self.record(), self.record(y=33, trials=(), n=187)}) == 2
         shared = AttemptRecord(33, (), 187)
@@ -185,7 +194,7 @@ class TestAttemptRecord:
         )
         assert repr(self.record()) == (
             "AttemptRecord(y=505980, outcome=<Outcome.TRIVIAL_FACTORS: 'trivial_factors'>, "
-            "order=1038, trials=(OrderResult(trial_index=9, readout=2137586189645, "
+            "order=1038, trials=(OrderResult(readout=2137586189645, "
             "candidate_order=1038, verified=True),), factors=(1328881, 1))"
         )
 
@@ -213,7 +222,7 @@ class TestAttemptRecord:
             "y": 505980,
             "outcome": Outcome.TRIVIAL_FACTORS,
             "order": 1038,
-            "trials": ({"trial_index": 9, "readout": 2137586189645,
+            "trials": ({"readout": 2137586189645,
                         "candidate_order": 1038, "verified": True},),
             "factors": (1328881, 1),
         }
@@ -325,7 +334,7 @@ class TestFactor:
 
     def test_attempt_bookkeeping_invariants(self):
         # the max_trials=2 sessions include ones that run out of budget after
-        # two or more bases, so numbering must run on across base changes
+        # two or more bases, so the count must run on across base changes
         histories = [factor(1328881, 41, seed=seed) for seed in range(8)]
         histories += [factor(1328881, 41, seed=s, max_trials=2) for s in range(40)]
         for history in histories:
@@ -335,8 +344,6 @@ class TestFactor:
             records = [a for a in history.attempts if type(a) is not int]
             assert history.total_trials == sum(len(a.trials) for a in records)
             assert history.total_trials <= history.params.max_trials
-            indices = [t.trial_index for a in records for t in a.trials]
-            assert indices == list(range(1, history.total_trials + 1))
             for a in records:
                 if a.outcome in (
                     Outcome.SUCCESS,
@@ -388,13 +395,14 @@ class TestFactor:
         # no session ends on a ceiling rejection, so its int cannot decide one
         params = FactoringParams(187, None, 0)
         shared = AttemptRecord(33, (), 187)
-        with pytest.raises(ValueError, match=f"attempts end on {last!r}, not on an AttemptRecord"):
-            FactoringHistory(params, (shared, last), 0, 0.0)
-        assert FactoringHistory(params, (36, shared), 0, 0.0).factors == (11, 17)
+        ended = f"no AttemptRecord ended the session: attempts end on {last!r}"
+        with pytest.raises(ValueError, match=f"^{ended}$"):
+            FactoringHistory(params, (shared, last), 0.0)
+        assert FactoringHistory(params, (36, shared), 0.0).factors == (11, 17)
         # nor does any session end with no attempt: to_jsonl would write a
         # stream that from_jsonl refuses
-        with pytest.raises(ValueError, match="attempts end on None, not on an AttemptRecord"):
-            FactoringHistory(params, (), 0, 0.0)
+        with pytest.raises(ValueError, match="attempts end on None$"):
+            FactoringHistory(params, (), 0.0)
 
     def test_explicit_integer_ceiling(self):
         history = factor(187, 16, seed=5, order_ceiling=2)
@@ -455,6 +463,14 @@ SESSION_ENDS = [
 ]
 
 
+# records of 187 at L = 16: base 120, of order 2, split by readout 32768
+# (candidate 2) in one trial; readout 0 gives candidate 1, which verifies
+# for no base but 1, so base 56 spends a budget of one trial on it
+SPLIT = AttemptRecord(120, (OrderResult(32768, 120, 1 << 16, 187),), 187)
+UNVERIFIED_120 = OrderResult(0, 120, 1 << 16, 187)
+BUDGET_SPENT = AttemptRecord(56, (OrderResult(0, 56, 1 << 16, 187),), 187)
+
+
 def derived(history: FactoringHistory) -> tuple:
     return history.factors, history.failure, history.warnings
 
@@ -465,9 +481,7 @@ class TestFactoringHistory:
         history = factor(**kwargs)
         assert history.attempts[-1].outcome is last
         assert bool(history.warnings) is warned
-        rebuilt = FactoringHistory(
-            history.params, history.attempts, history.total_trials, history.elapsed
-        )
+        rebuilt = FactoringHistory(history.params, history.attempts, history.elapsed)
         assert rebuilt == history
         assert derived(rebuilt) == derived(history)
 
@@ -479,11 +493,13 @@ class TestFactoringHistory:
             assert derived(twin) == derived(history)
 
     def test_replacing_the_attempts_rederives_the_outcome(self):
-        history = factor(105, seed=1, order_ceiling=None)
+        # a session that spends its whole budget of two trials on its success
+        history = factor(105, seed=1, order_ceiling=None, max_trials=2)
+        assert history.succeeded and history.total_trials == 2
         end = history.attempts[-1]
         # the same trials with the last one unverified: readout 0 gives
         # candidate 1, which no base but 1 verifies, so the budget ran out
-        unverified = OrderResult(end.trials[-1].trial_index, 0, end.y, history.params.q, 105)
+        unverified = OrderResult(0, end.y, history.params.q, 105)
         assert not unverified.verified
         cut = AttemptRecord(end.y, end.trials[:-1] + (unverified,), 105)
         failed = dataclasses.replace(history, attempts=history.attempts[:-1] + (cut,))
@@ -492,10 +508,77 @@ class TestFactoringHistory:
 
     def test_derived_fields_cannot_be_passed(self):
         history = factor(187, 16, seed=1)
-        head = (history.params, history.attempts, history.total_trials, history.elapsed)
+        head = (history.params, history.attempts, history.elapsed)
+        with pytest.raises(TypeError):
+            FactoringHistory(*head, total_trials=history.total_trials)
         with pytest.raises(TypeError):
             FactoringHistory(*head, factors=(1, 187))
         with pytest.raises(TypeError):
             FactoringHistory(*head, (1, 187), None)
-        with pytest.raises(ValueError, match="init=False"):
-            dataclasses.replace(history, warnings=("x",))
+        for name, value in (("warnings", ("x",)), ("total_trials", 99)):
+            with pytest.raises(ValueError, match="init=False"):
+                dataclasses.replace(history, **{name: value})
+
+    @pytest.mark.parametrize(
+        "max_trials,attempts,message",
+        [
+            pytest.param(
+                100, (BUDGET_SPENT,), "the session stops without factors after 1 of 100 trials",
+                id="budget-exhausted-early",
+            ),
+            pytest.param(
+                1, (BUDGET_SPENT, 36, SPLIT),
+                "base 120 comes after the session ended at trial 1",
+                id="base-after-budget-exhausted",
+            ),
+            pytest.param(
+                100, (SPLIT, SPLIT),
+                "base 120 comes after the session ended at trial 1",
+                id="base-after-success",
+            ),
+            pytest.param(
+                100, (AttemptRecord(33, (), 187), 36),
+                "no AttemptRecord ended the session: attempts end on 36",
+                id="rejection-after-shared-factor",
+            ),
+            pytest.param(
+                100, (AttemptRecord(33, (), 187), SPLIT),
+                "base 120 comes after the session ended at trial 0",
+                id="base-after-shared-factor",
+            ),
+            pytest.param(
+                1, (AttemptRecord(120, (UNVERIFIED_120, SPLIT.trials[0]), 187),),
+                "the attempts run 2 trials, past max_trials 1",
+                id="trials-past-max-trials",
+            ),
+        ],
+    )
+    def test_attempts_no_session_runs_are_refused(self, max_trials, attempts, message):
+        params = FactoringParams(187, 16, 0, max_trials=max_trials)
+        with pytest.raises(ValueError) as info:
+            FactoringHistory(params, attempts, 0.0)
+        assert str(info.value) == message
+
+    @given(
+        st.sampled_from([15, 21, 105, 187, 1328881]),
+        st.sampled_from([1, 2, 5, 100]),
+        st.sampled_from(["sqrt", None, 3]),
+        st.integers(0, 2**64 - 1),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_only_a_whole_session_is_a_history(self, n, max_trials, order_ceiling, seed, data):
+        # no attempt of a session leaves it ended before its last: a prefix
+        # ends on a rejection, or on an odd order or trivial split with
+        # budget left
+        session = factor(n, seed=seed, max_trials=max_trials, order_ceiling=order_ceiling)
+        k = data.draw(st.integers(0, len(session.attempts)), label="k")
+        if k == len(session.attempts):
+            history = FactoringHistory(session.params, session.attempts[:k], session.elapsed)
+            assert history == session
+            assert history.total_trials == sum(
+                len(a.trials) for a in session.attempts if type(a) is not int
+            )
+        else:
+            with pytest.raises(ValueError):
+                FactoringHistory(session.params, session.attempts[:k], session.elapsed)

@@ -21,37 +21,28 @@ def params_for(n, qubits, **kwargs):
 class TestFindOrder:
     def test_session_subcycle_base_505980(self):
         # four trials: two undershoots onto order 346, one onto 519, then
-        # the full order 1038 verifies; numbering continues from trial 6
+        # the full order 1038 verifies
         params = params_for(1328881, 41)
         readouts = [1671511896561, 1366445086543, 1135526459514, 2137586189645]
-        trials = find_order(
-            505980, params, ScriptedSampler(readouts), ScriptedRng(), 6, 95
-        )
+        trials = find_order(505980, params, ScriptedSampler(readouts), ScriptedRng(), 95)
         assert [dataclasses.astuple(t) for t in trials] == [
-            (6, 1671511896561, 346, False),
-            (7, 1366445086543, 346, False),
-            (8, 1135526459514, 519, False),
-            (9, 2137586189645, 1038, True),
+            (1671511896561, 346, False),
+            (1366445086543, 346, False),
+            (1135526459514, 519, False),
+            (2137586189645, 1038, True),
         ]
 
     def test_session_subcycle_base_200298(self):
         params = params_for(1328881, 41)
-        trials = find_order(
-            200298,
-            params,
-            ScriptedSampler([656741049346]),
-            ScriptedRng(),
-            1,
-            100,
-        )
-        assert [dataclasses.astuple(t) for t in trials] == [(1, 656741049346, 519, True)]
+        trials = find_order(200298, params, ScriptedSampler([656741049346]), ScriptedRng(), 100)
+        assert [dataclasses.astuple(t) for t in trials] == [(656741049346, 519, True)]
 
     def test_budget_exhaustion_leaves_unverified_tail(self):
-        # trials 4, 5 and 6 spend the budget; the fourth readout is never drawn
+        # three trials spend the budget; the fourth readout is never drawn
         params = params_for(187, 16)
         sampler = ScriptedSampler([1, 1, 1, 1])
-        trials = find_order(56, params, sampler, ScriptedRng(), 4, 3)
-        assert [t.trial_index for t in trials] == [4, 5, 6]
+        trials = find_order(56, params, sampler, ScriptedRng(), 3)
+        assert len(trials) == 3
         assert not any(t.verified for t in trials)
         assert sampler.readouts == [1]
 
@@ -59,14 +50,14 @@ class TestFindOrder:
         # y = 1 has order 1: readout 0 extracts candidate 1, which verifies
         params = params_for(187, 16)
         sampler = ReadoutSampler(1, params.q)
-        trials = find_order(1, params, sampler, RandomSource(3), 1, 100)
-        assert [dataclasses.astuple(t) for t in trials] == [(1, 0, 1, True)]
+        trials = find_order(1, params, sampler, RandomSource(3), 100)
+        assert [dataclasses.astuple(t) for t in trials] == [(0, 1, True)]
 
     def test_real_sampler_small_case(self):
         # order of 7 mod 15 is 4; q = 256 puts all mass on multiples of 64
         params = params_for(15, 8)
         sampler = ReadoutSampler(4, params.q)
-        trials = find_order(7, params, sampler, RandomSource(0), 1, 100)
+        trials = find_order(7, params, sampler, RandomSource(0), 100)
         assert trials[-1].verified
         assert trials[-1].candidate_order == 4
         assert all(t.readout % 64 == 0 for t in trials)
@@ -79,9 +70,7 @@ class TestFindOrder:
         r, n, q = 519, 1328881, 1 << 41
         params = params_for(n, 41)
         c = (2 * m * q + r - 1) // (2 * r)
-        trials = find_order(
-            200298, params, ScriptedSampler([c]), ScriptedRng(), 1, 1
-        )
+        trials = find_order(200298, params, ScriptedSampler([c]), ScriptedRng(), 1)
         g = math.gcd(m, r)
         assert trials[0].candidate_order == r // g
         assert trials[0].verified == (g == 1)
@@ -89,11 +78,11 @@ class TestFindOrder:
 
 class TestOrderResult:
     """The trial is a frozen, hashable dataclass whose candidate and verdict
-    its constructor derives from the readout: OrderResult(trial_index,
-    readout, y, q, n)."""
+    its constructor derives from the readout: OrderResult(readout, y, q,
+    n)."""
 
-    def trial(self, index=9, readout=2137586189645, y=505980) -> OrderResult:
-        return OrderResult(index, readout, y, 1 << 41, 1328881)
+    def trial(self, readout=2137586189645, y=505980) -> OrderResult:
+        return OrderResult(readout, y, 1 << 41, 1328881)
 
     @pytest.mark.parametrize(
         "readout,y,candidate,verified",
@@ -110,9 +99,9 @@ class TestOrderResult:
 
     def test_derived_fields_cannot_be_passed(self):
         with pytest.raises(TypeError):
-            OrderResult(9, 2137586189645, 505980, 1 << 41, 1328881, candidate_order=1038)
+            OrderResult(2137586189645, 505980, 1 << 41, 1328881, candidate_order=1038)
         with pytest.raises(TypeError):
-            OrderResult(9, 2137586189645, 505980, 1 << 41, 1328881, verified=True)
+            OrderResult(2137586189645, 505980, 1 << 41, 1328881, verified=True)
         with pytest.raises(ValueError, match="init=False"):
             dataclasses.replace(self.trial(), y=505980, q=1 << 41, n=1328881, verified=False)
         with pytest.raises(ValueError, match="InitVar 'y' must be specified"):
@@ -126,29 +115,28 @@ class TestOrderResult:
         # could claim candidate 16, verified for 56 mod 187, and the record
         # a success that from_jsonl refuses; readout 0 gives candidate 1
         with pytest.raises(TypeError):
-            AttemptRecord(56, (OrderResult(1, 0, 16, True),), 187)
-        trial = OrderResult(1, 0, 56, 1 << 16, 187)
+            AttemptRecord(56, (OrderResult(0, 16, True),), 187)
+        trial = OrderResult(0, 56, 1 << 16, 187)
         assert (trial.candidate_order, trial.verified) == (1, False)
         assert AttemptRecord(56, (trial,), 187).order is None
 
     def test_frozen(self):
         trial = self.trial()
-        for name in ("trial_index", "readout", "candidate_order", "verified", "y"):
+        for name in ("readout", "candidate_order", "verified", "y"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(trial, name, 1)
 
     def test_fields_equality_hash_and_repr(self):
         trial = self.trial()
-        names = ["trial_index", "readout", "candidate_order", "verified"]
+        names = ["readout", "candidate_order", "verified"]
         assert [f.name for f in dataclasses.fields(trial)] == names
-        assert dataclasses.astuple(trial) == (9, 2137586189645, 1038, True)
+        assert dataclasses.astuple(trial) == (2137586189645, 1038, True)
         assert trial == self.trial() and hash(trial) == hash(self.trial())
-        assert trial != self.trial(index=8)
+        assert trial != self.trial(readout=0)
         # y is not stored: a base of the same order verifies the same readout
         assert self.trial(y=205920) == trial
         assert repr(trial) == (
-            "OrderResult(trial_index=9, readout=2137586189645, "
-            "candidate_order=1038, verified=True)"
+            "OrderResult(readout=2137586189645, candidate_order=1038, verified=True)"
         )
 
     def test_survives_pickle_and_deepcopy(self):

@@ -23,33 +23,23 @@ from shorsim.transcript import (
 
 
 def session_history() -> FactoringHistory:
-    """The three-base tail of a full 1328881 session, trials 6 through 11: a
-    trivial split, an odd order and a success."""
+    """A whole 1328881 session of eleven trials on four bases: odd orders of
+    200298 in trials 1-5 and 10, a trivial split of 505980 in trials 6-9 and
+    a success of 205920 in trial 11. The readouts of trials 1-5 are the
+    first five that ReadoutSampler(519, 2**41) draws from RandomSource(89)."""
     params = FactoringParams(1328881, 41, seed=0)
     q, n = params.q, params.n
+
+    def record(y: int, *readouts: int) -> AttemptRecord:
+        return AttemptRecord(y, tuple(OrderResult(c, y, q, n) for c in readouts), n)
+
     attempts = (
-        AttemptRecord(
-            505980,
-            tuple(
-                OrderResult(index, readout, 505980, q, n)
-                for index, readout in (
-                    (6, 1671511896561),
-                    (7, 1366445086543),
-                    (8, 1135526459514),
-                    (9, 2137586189645),
-                )
-            ),
-            n,
-        ),
-        AttemptRecord(200298, (OrderResult(10, 656741049346, 200298, q, n),), n),
-        AttemptRecord(205920, (OrderResult(11, 1535926647664, 205920, q, n),), n),
+        record(200298, 1804978625945, 12711117084, 394044629608, 25422234169, 974518976449),
+        record(505980, 1671511896561, 1366445086543, 1135526459514, 2137586189645),
+        record(200298, 656741049346),
+        record(205920, 1535926647664),
     )
-    return FactoringHistory(
-        params=params,
-        attempts=attempts,
-        total_trials=11,
-        elapsed=113.895,
-    )
+    return FactoringHistory(params, attempts, elapsed=113.895)
 
 
 GOLDEN_TAIL = """\
@@ -96,7 +86,15 @@ class TestRenderText:
             lines[1]
             == "The safe number of qubits needed to factor this number is 41."
         )
-        assert "\n".join(lines[2:]) == GOLDEN_TAIL
+        tail = GOLDEN_TAIL.splitlines()
+        assert lines[-len(tail):] == tail
+        # the first base, which ran trials 1 to 5, comes before it
+        head = lines[2 : -len(tail)]
+        assert head[0] == "Finding order of y = 200298."
+        assert [line for line in head if line.startswith("Trial #")] == [
+            f"Trial #{index}." for index in range(1, 6)
+        ]
+        assert head[-1] == "The order is odd, hence a new value of y will be chosen."
 
     def test_ceiling_rejection_line(self):
         history = factor(1328881, 41, seed=3)
@@ -111,12 +109,7 @@ class TestRenderText:
 
     def test_shared_factor_lines(self):
         params = FactoringParams(187, 16, seed=0)
-        history = FactoringHistory(
-            params=params,
-            attempts=(AttemptRecord(33, (), 187),),
-            total_trials=0,
-            elapsed=0.25,
-        )
+        history = FactoringHistory(params, (AttemptRecord(33, (), 187),), elapsed=0.25)
         lines = render_text(history)
         assert "The randomly chosen y = 33 shares a factor with 187." in lines
         assert "The factors of 187 are determined to be 11 and 17." in lines
@@ -124,16 +117,8 @@ class TestRenderText:
 
     def test_failure_lines(self):
         params = FactoringParams(187, 16, seed=0, max_trials=2)
-        history = FactoringHistory(
-            params=params,
-            attempts=(
-                AttemptRecord(
-                    56, tuple(OrderResult(i, 1, 56, params.q, 187) for i in (1, 2)), 187
-                ),
-            ),
-            total_trials=2,
-            elapsed=0.5,
-        )
+        trials = (OrderResult(1, 56, params.q, 187),) * 2
+        history = FactoringHistory(params, (AttemptRecord(56, trials, 187),), elapsed=0.5)
         lines = render_text(history)
         assert (
             "The maximum of 2 trials has been reached without finding the factors."
@@ -153,9 +138,9 @@ class TestEvents:
         assert kinds[0] == "banner"
         assert kinds[1] == "safe_qubits_hint"
         assert kinds[-1] == "summary"
-        assert kinds.count("new_base") == 3
-        assert kinds.count("trial") == 6
-        assert kinds.count("attempt_verdict") == 3
+        assert kinds.count("new_base") == 4
+        assert kinds.count("trial") == 11
+        assert kinds.count("attempt_verdict") == 4
 
 
 class TestTranscriptBytes:
@@ -208,19 +193,22 @@ class TestJsonlRoundTrip:
     @pytest.mark.parametrize("n", [15, 105, 187, 1328881])
     def test_every_history_the_constructors_accept(self, n):
         # every seeded session on these grids, and every prefix of its
-        # attempts that ends on a record, with the trials that prefix ran
+        # attempts that ends on a record: the session under a budget of the
+        # trials that prefix ran, which ends there
         for max_trials in (1, 2, 100):
             for order_ceiling in ("sqrt", None, 3):
                 for seed in range(30):
                     session = factor(n, seed=seed, max_trials=max_trials,
                                      order_ceiling=order_ceiling)
-                    attempts, last = session.attempts, 0
+                    attempts, trials = session.attempts, 0
                     for end, record in enumerate(attempts, 1):
                         if type(record) is int:
                             continue
-                        if record.trials:
-                            last = record.trials[-1].trial_index
-                        history = FactoringHistory(session.params, attempts[:end], last, 0.5)
+                        trials += len(record.trials)
+                        params = session.params
+                        if end < len(attempts):
+                            params = dataclasses.replace(params, max_trials=trials)
+                        history = FactoringHistory(params, attempts[:end], 0.5)
                         assert from_jsonl(to_jsonl(history)) == history
                         render_text(history)
 
@@ -228,30 +216,35 @@ class TestJsonlRoundTrip:
     @settings(max_examples=200, deadline=None)
     def test_records_built_from_arbitrary_readouts(self, data):
         # up to three coprime bases, each with trials built from arbitrary
-        # readouts, numbered on from an arbitrary first index and stopped at
-        # the first verified one
+        # readouts and stopped at the first verified one, until one does not
+        # continue the session: a success, or a base whose trials all fail.
+        # A success may leave some of the budget; any other end spends it.
         n = data.draw(st.sampled_from([15, 187, 1328881]))
-        params = FactoringParams(n, seed=0)
-        index = data.draw(st.integers(1, 1000))
-        attempts = []
+        q = FactoringParams(n, seed=0).q
+        attempts, total = [], 0
         for _ in range(data.draw(st.integers(1, 3))):
             y = data.draw(st.integers(2, n - 1).filter(lambda y: math.gcd(y, n) == 1))
             trials = []
-            for readout in data.draw(st.lists(st.integers(0, params.q - 1), min_size=1)):
-                trials.append(OrderResult(index, readout, y, params.q, n))
-                index += 1
+            for readout in data.draw(st.lists(st.integers(0, q - 1), min_size=1)):
+                trials.append(OrderResult(readout, y, q, n))
                 if trials[-1].verified:
                     break
             attempts.append(AttemptRecord(y, tuple(trials), n))
+            total += len(trials)
+            if attempts[-1].outcome in (Outcome.SUCCESS, Outcome.TRIAL_BUDGET_EXHAUSTED):
+                break
+        spare = data.draw(st.integers(0, 5)) if attempts[-1].outcome is Outcome.SUCCESS else 0
+        params = FactoringParams(n, seed=0, max_trials=total + spare)
         elapsed = data.draw(st.floats(0.0, 1e6))
-        history = FactoringHistory(params, tuple(attempts), index - 1, elapsed)
+        history = FactoringHistory(params, tuple(attempts), elapsed)
+        assert history.total_trials == total
         assert from_jsonl(to_jsonl(history)) == history
 
     def test_one_event_per_line(self):
         text = to_jsonl(session_history())
         lines = text.splitlines()
-        # banner, hint, three bases with six trials and three verdicts, summary
-        assert len(lines) == 2 + 3 + 6 + 3 + 1
+        # banner, hint, four bases with eleven trials and four verdicts, summary
+        assert len(lines) == 2 + 4 + 11 + 4 + 1
         for line in lines:
             assert "event" in json.loads(line)
 
@@ -287,19 +280,45 @@ class TestJsonlRoundTrip:
         lines = to_jsonl(factor(187, 3, seed=1, order_ceiling=order_ceiling)).splitlines()
         assert lines[2] == '{"ceiling": 8, "event": "ceiling_rejection", "y": 36}'
         lines[2] = json.dumps({"ceiling": order_ceiling, "event": "ceiling_rejection", "y": 36})
-        with pytest.raises(TranscriptError, match="is not the session's 8") as info:
+        with pytest.raises(TranscriptError, match="ceiling .* is not 8, the session's") as info:
             from_jsonl("\n".join(lines))
         assert info.value.line == 3
 
 
 MISSING = object()
 REJECTION = '{"ceiling": 1152, "event": "ceiling_rejection", "y": 7}'
-ONE_FACTOR = '{"event": "shared_factor", "factors": [11], "y": 3}'
+ONE_FACTOR = '{"event": "shared_factor", "factors": [11], "y": 1039}'
 
 
 def shared_factor(y: int) -> str:
     """A shared_factor event of a 1328881 stream with y and factors [1039, 1279]."""
     return json.dumps({"event": "shared_factor", "y": y, "factors": [1039, 1279]})
+
+
+def session_stream() -> list[str]:
+    return to_jsonl(session_history()).splitlines()
+
+
+def stream_187(seed: int, **kwargs: Any) -> list[str]:
+    return to_jsonl(factor(187, 16, seed=seed, **kwargs)).splitlines()
+
+
+def renumbered(lines: list[str], shift: int) -> list[str]:
+    """A stream's lines with every trial index and total_trials `shift` higher."""
+    events = [json.loads(line) for line in lines]
+    for event in events:
+        for key in ("index", "total_trials"):
+            if key in event:
+                event[key] += shift
+    return [json.dumps(event) for event in events]
+
+
+def success_then_base() -> list[str]:
+    """session_history()'s stream with its last base, the success of trial
+    11, drawn again and run as trial 12."""
+    lines = with_fields(22, total_trials=12)(session_stream())
+    again = [lines[18], *renumbered(lines[19:20], 1), lines[20]]
+    return lines[:21] + again + lines[21:]
 
 
 def with_fields(number: int, **fields: Any):
@@ -344,13 +363,13 @@ class TestJsonlErrors:
 
     def test_bad_value_names_its_line(self):
         lines = to_jsonl(session_history()).splitlines()
-        verdict = json.loads(lines[7])
+        verdict = json.loads(lines[14])
         assert verdict["event"] == "attempt_verdict"
         verdict["status"] = "exploded"
-        lines[7] = json.dumps(verdict)
+        lines[14] = json.dumps(verdict)
         with pytest.raises(TranscriptError, match="bad 'attempt_verdict' event") as info:
             from_jsonl("\n".join(lines))
-        assert info.value.line == 8
+        assert info.value.line == 15
         assert isinstance(info.value, ValueError)
 
     @pytest.mark.parametrize("schema", [SCHEMA_VERSION + 1, 99, "1", None, 1.5])
@@ -375,63 +394,67 @@ class TestJsonlErrors:
     @pytest.mark.parametrize(
         "edit,line,cause",
         [
-            # lines of session_history(): 8, 11 and 14 are its verdicts, 15 the summary
+            # lines of session_history(): 9, 15, 18 and 21 are its verdicts, 22
+            # the summary
             pytest.param(
-                with_fields(14, factors=MISSING),
-                14,
+                with_fields(21, factors=MISSING),
+                21,
                 "'attempt_verdict' event lacks field 'factors'",
                 id="success-without-factors",
             ),
             pytest.param(
-                with_fields(8, factors=MISSING),
-                8,
+                with_fields(15, factors=MISSING),
+                15,
                 "'attempt_verdict' event lacks field 'factors'",
                 id="trivial-without-factors",
             ),
             pytest.param(
-                with_fields(14, factors=None), 14, "factors None is not a pair", id="null-factors"
+                with_fields(21, factors=None),
+                21,
+                "factors None is not [1039, 1279], as extract_factors(205920, 1038, 1328881) gives",
+                id="null-factors",
             ),
             pytest.param(
-                with_fields(14, factors=[1039, 1279, 1]),
-                14,
-                "factors [1039, 1279, 1] is not a pair",
+                with_fields(21, factors=[1039, 1279, 1]),
+                21,
+                "factors [1039, 1279, 1] is not [1039, 1279]",
                 id="three-factors",
             ),
             pytest.param(
-                with_fields(8, factors=[1328881]),
-                8,
-                "factors [1328881] is not a pair",
+                with_fields(15, factors=[1328881]),
+                15,
+                "factors [1328881] is not [1328881, 1]",
                 id="one-factor",
             ),
             pytest.param(
-                with_fields(11, status="order_ceiling_rejected"),
-                11,
+                with_fields(18, status="order_ceiling_rejected"),
+                18,
                 "status 'order_ceiling_rejected' is not 'order_odd', "
                 "as extract_factors(200298, 519, 1328881) gives",
                 id="rejection-as-verdict",
             ),
             pytest.param(
-                with_fields(8, status="shared_factor_shortcut"),
-                8,
+                with_fields(15, status="shared_factor_shortcut"),
+                15,
                 "status 'shared_factor_shortcut' is not 'trivial_factors', "
                 "as extract_factors(505980, 1038, 1328881) gives",
                 id="shared-factor-as-verdict",
             ),
             pytest.param(
-                lambda lines: lines[:8] + lines[7:],
-                9,
+                lambda lines: lines[:15] + lines[14:],
+                16,
                 "bad 'attempt_verdict' event: no new_base before it",
                 id="verdict-without-base",
             ),
             pytest.param(
-                lambda lines: lines[:8] + lines[9:],
-                9,
+                lambda lines: lines[:15] + lines[16:],
+                16,
                 "bad 'trial' event: no new_base before it",
                 id="trial-without-base",
             ),
             pytest.param(
-                lambda lines: lines[:7] + lines[8:],
-                8,
+                lambda lines: lines[:14] + lines[15:],
+                15,
                 "bad 'new_base' event: the last new_base has no attempt_verdict",
                 id="base-without-verdict",
             ),
@@ -448,66 +471,66 @@ class TestJsonlErrors:
                 id="rejection-inside-a-base",
             ),
             pytest.param(
-                lambda lines: lines[:13],
-                14,
+                lambda lines: lines[:20],
+                21,
                 "the last new_base has no attempt_verdict",
                 id="stream-ends-inside-a-base",
             ),
             pytest.param(
-                lambda lines: lines[:14] + [ONE_FACTOR] + lines[14:],
-                15,
-                "factors [11] is not a pair",
+                lambda lines: lines[:21] + [ONE_FACTOR] + lines[21:],
+                22,
+                "factors [11] is not [1039, 1279], as gcd(1039, 1328881) = 1039 gives",
                 id="shared-factor-with-one-factor",
             ),
             # a shared factor inserted before the summary, with the factors
             # [1039, 1279] that the summary names, so only the event is wrong
             pytest.param(
-                lambda lines: lines[:14] + [shared_factor(1328881 + 1039)] + lines[14:],
-                15,
+                lambda lines: lines[:21] + [shared_factor(1328881 + 1039)] + lines[21:],
+                22,
                 "bad 'shared_factor' event: y 1329920 is not an int in [2, 1328881)",
                 id="shared-factor-y-above-n",
             ),
             pytest.param(
-                lambda lines: lines[:14] + [shared_factor(3)] + lines[14:],
-                15,
+                lambda lines: lines[:21] + [shared_factor(3)] + lines[21:],
+                22,
                 "bad 'shared_factor' event: y 3 shares no factor with 1328881",
                 id="shared-factor-coprime-y",
             ),
             pytest.param(
-                lambda lines: lines[:14] + [shared_factor(2 * 1279)] + lines[14:],
-                15,
-                "factors [1039, 1279] are not [1279, 1039], as gcd(2558, 1328881) = 1279",
+                lambda lines: lines[:21] + [shared_factor(2 * 1279)] + lines[21:],
+                22,
+                "factors [1039, 1279] is not [1279, 1039], as gcd(2558, 1328881) = 1279 gives",
                 id="shared-factor-not-from-gcd",
             ),
             pytest.param(
-                with_fields(15, elapsed="113.895"),
-                15,
+                with_fields(22, elapsed="113.895"),
+                22,
                 "elapsed '113.895' is not a float",
                 id="elapsed-not-a-number",
             ),
             # no session takes a time outside [0, inf); render_text would
             # print "took nan seconds" and to_jsonl write NaN, which is not JSON
             pytest.param(
-                with_fields(15, elapsed=math.nan),
-                15,
+                with_fields(22, elapsed=math.nan),
+                22,
                 "elapsed nan is not a float",
                 id="elapsed-nan",
             ),
             pytest.param(
-                with_fields(15, elapsed=math.inf),
-                15,
+                with_fields(22, elapsed=math.inf),
+                22,
                 "elapsed inf is not a float",
                 id="elapsed-infinity",
             ),
             pytest.param(
-                lambda lines: lines[:14] + [lines[14].replace("113.895", "1e400")],
-                15,
+                lambda lines: lines[:21] + [lines[21].replace("113.895", "1e400")],
+                22,
                 "elapsed inf is not a float",
                 id="elapsed-past-the-float-range",
             ),
             pytest.param(
-                with_fields(15, elapsed=-1.5),
-                15,
+                with_fields(22, elapsed=-1.5),
+                22,
                 "elapsed -1.5 is not a float",
                 id="elapsed-negative",
             ),
@@ -537,7 +560,7 @@ class TestJsonlErrors:
             ),
             pytest.param(
                 lambda lines: lines + [lines[-1]],
-                16,
+                23,
                 "the summary is not the last event",
                 id="second-summary",
             ),
@@ -562,202 +585,203 @@ class TestJsonlErrors:
             pytest.param(
                 with_fields(2, qubits=3),
                 2,
-                "bad 'safe_qubits_hint' event: qubits 3 is not the safe size 41",
+                "bad 'safe_qubits_hint' event: qubits 3 is not 41, the safe size",
                 id="wrong-hint",
             ),
             pytest.param(
-                with_fields(14, factors=[1039, 1279.0]),
-                14,
-                "factors [1039, 1279.0] are not ints in [1, 1328881]",
+                with_fields(21, factors=[1039, 1279.0]),
+                21,
+                "factors [1039, 1279.0] is not [1039, 1279]",
                 id="float-factor",
             ),
             pytest.param(
-                with_fields(14, factors=[1039, 10**4000]),
-                14,
-                "are not ints in [1, 1328881]",
+                with_fields(21, factors=[1039, 10**4000]),
+                21,
+                "is not [1039, 1279], as extract_factors(205920, 1038, 1328881) gives",
                 id="factor-above-n",
             ),
             pytest.param(
-                with_fields(15, total_trials=99),
-                15,
-                "bad 'summary' event: total_trials 99 disagrees with the attempts, which give 11",
+                with_fields(22, total_trials=99),
+                22,
+                "bad 'summary' event: total_trials 99 is not 11, as the attempts give",
                 id="summary-trials",
             ),
             pytest.param(
-                with_fields(15, factors=None),
-                15,
-                "factors None disagrees with the attempts, which give [1039, 1279]",
+                with_fields(22, factors=None),
+                22,
+                "factors None is not [1039, 1279], as the attempts give",
                 id="summary-factors",
             ),
             pytest.param(
-                with_fields(15, failure="trial_budget_exhausted"),
-                15,
-                "failure 'trial_budget_exhausted' disagrees with the attempts, which give None",
+                with_fields(22, failure="trial_budget_exhausted"),
+                22,
+                "failure 'trial_budget_exhausted' is not None, as the attempts give",
                 id="summary-failure",
             ),
             pytest.param(
-                with_fields(15, warnings=["x"]),
-                15,
-                "warnings ['x'] disagrees with the attempts, which give []",
+                with_fields(22, warnings=["x"]),
+                22,
+                "warnings ['x'] is not [], as the attempts give",
                 id="summary-warnings",
             ),
             pytest.param(
-                with_fields(15, n=187),
-                15,
-                "n 187 disagrees with the attempts, which give 1328881",
+                with_fields(22, n=187),
+                22,
+                "n 187 is not 1328881, as the attempts give",
                 id="summary-n",
             ),
             pytest.param(
-                with_fields(15, total_trials=MISSING),
-                15,
+                with_fields(22, total_trials=MISSING),
+                22,
                 "'summary' event lacks field 'total_trials'",
                 id="summary-without-trials",
             ),
-            # lines 3, 9 and 12 are its new_base events; 4-7 are trials 6-9
-            # of base 505980 (order 1038, q = 2**41), 10 and 13 trials 10, 11
+            # lines 3, 10, 16 and 19 are its new_base events; 4-8 are trials
+            # 1-5 of base 200298 (order 519), 11-14 trials 6-9 of base 505980
+            # (order 1038, q = 2**41), 17 and 20 trials 10 and 11
             pytest.param(
-                with_fields(3, y="505980"),
-                3,
+                with_fields(10, y="505980"),
+                10,
                 "bad 'new_base' event: y '505980' is not an int in [2, 1328881)",
                 id="base-not-an-int",
             ),
             pytest.param(
-                with_fields(9, y=1328881),
-                9,
+                with_fields(16, y=1328881),
+                16,
                 "y 1328881 is not an int in [2, 1328881)",
                 id="base-at-n",
             ),
             pytest.param(
-                with_fields(4, index="x"),
-                4,
-                "bad 'trial' event: index 'x' is not an int in [1, inf)",
+                with_fields(11, index="x"),
+                11,
+                "bad 'trial' event: index 'x' is not 6, its position in the session",
                 id="index-not-an-int",
             ),
             pytest.param(
                 with_fields(4, index=True),
                 4,
-                "index True is not an int in [1, inf)",
+                "index True is not 1, its position in the session",
                 id="index-a-bool",
             ),
             pytest.param(
-                with_fields(4, index=0), 4, "index 0 is not an int in [1, inf)", id="index-zero"
+                with_fields(4, index=0), 4, "index 0 is not 1, its position", id="index-zero"
             ),
             pytest.param(
-                with_fields(6, index=9),
-                6,
-                "index 9 does not follow the last trial's 7",
+                with_fields(13, index=9),
+                13,
+                "index 9 is not 8, its position in the session",
                 id="index-skips",
             ),
             pytest.param(
-                with_fields(10, index=9),
-                10,
-                "index 9 does not follow the last trial's 9",
+                with_fields(17, index=9),
+                17,
+                "index 9 is not 10, its position in the session",
                 id="index-repeats-across-bases",
             ),
             pytest.param(
-                with_fields(4, readout=-5),
-                4,
+                with_fields(11, readout=-5),
+                11,
                 "readout -5 is not an int in [0, 2199023255552)",
                 id="readout-negative",
             ),
             pytest.param(
-                with_fields(7, readout=2**41),
-                7,
+                with_fields(14, readout=2**41),
+                14,
                 "readout 2199023255552 is not an int in [0, 2199023255552)",
                 id="readout-at-q",
             ),
             pytest.param(
-                with_fields(10, readout=656741049346.0),
-                10,
+                with_fields(17, readout=656741049346.0),
+                17,
                 "readout 656741049346.0 is not an int in [0, 2199023255552)",
                 id="readout-a-float",
             ),
             pytest.param(
-                with_fields(4, candidate=0),
-                4,
-                "candidate 0 is not an int in [1, 1328881)",
+                with_fields(11, candidate=0),
+                11,
+                "candidate 0 is not 346, the denominator of the convergent",
                 id="candidate-zero",
             ),
             pytest.param(
-                with_fields(13, candidate=1328881),
-                13,
-                "candidate 1328881 is not an int in [1, 1328881)",
+                with_fields(20, candidate=1328881),
+                20,
+                "candidate 1328881 is not 1038, the denominator of the convergent",
                 id="candidate-at-n",
             ),
             pytest.param(
-                with_fields(4, verified="yes"),
-                4,
+                with_fields(11, verified="yes"),
+                11,
                 "bad 'trial' event: verified 'yes' is not False, "
                 "as pow(505980, 346, 1328881) == 1 is",
                 id="verified-not-a-bool",
             ),
             pytest.param(
-                with_fields(5, verified=True),
-                5,
+                with_fields(12, verified=True),
+                12,
                 "verified True is not False, as pow(505980, 346, 1328881) == 1 is",
                 id="verified-claims-a-failed-check",
             ),
             pytest.param(
-                with_fields(13, verified=False),
-                13,
+                with_fields(20, verified=False),
+                20,
                 "verified False is not True, as pow(205920, 1038, 1328881) == 1 is",
                 id="verified-denies-a-passed-check",
             ),
             pytest.param(
-                with_fields(7, verified=1),
-                7,
+                with_fields(14, verified=1),
+                14,
                 "verified 1 is not True",
                 id="verified-an-int",
             ),
             # every field below is one the writers derive from the readouts,
             # edited so that the rest of the stream still agrees with it
             pytest.param(
-                with_fields(4, candidate=347),
-                4,
+                with_fields(11, candidate=347),
+                11,
                 "candidate 347 is not 346, the denominator of the convergent of "
                 "readout 1671511896561",
                 id="candidate-not-the-convergent",
             ),
             pytest.param(
                 # trial 11 verified the order of 205920; a twelfth follows it
-                lambda lines: with_fields(16, total_trials=12)(
-                    lines[:13] + with_fields(13, index=12)(lines)[12:13] + lines[13:]
+                lambda lines: with_fields(23, total_trials=12)(
+                    lines[:20] + with_fields(20, index=12)(lines)[19:20] + lines[20:]
                 ),
-                14,
+                21,
                 "bad 'trial' event: trial 11 verified the order of 205920",
                 id="trial-after-a-verified-one",
             ),
             pytest.param(
-                with_fields(11, order=1038),
-                11,
+                with_fields(18, order=1038),
+                18,
                 "order 1038 is not 519, as extract_factors(200298, 519, 1328881) gives",
                 id="order-not-the-last-candidate",
             ),
             pytest.param(
-                with_fields(8, status="success"),
-                8,
+                with_fields(15, status="success"),
+                15,
                 "status 'success' is not 'trivial_factors', "
                 "as extract_factors(505980, 1038, 1328881) gives",
                 id="status-not-the-split",
             ),
             pytest.param(
-                with_fields(8, factors=[1, 1328881]),
-                8,
-                "factors (1, 1328881) is not (1328881, 1), "
+                with_fields(15, factors=[1, 1328881]),
+                15,
+                "factors [1, 1328881] is not [1328881, 1], "
                 "as extract_factors(505980, 1038, 1328881) gives",
                 id="factors-not-the-split",
             ),
             pytest.param(
                 # readout 0 gives candidate 1, which does not verify, so the
                 # base ends unverified and its verdict cannot be a success
-                with_fields(13, readout=0, candidate=1, verified=False),
-                14,
+                with_fields(20, readout=0, candidate=1, verified=False),
+                21,
                 "status 'success' is not 'trial_budget_exhausted', as trial 11 is unverified",
                 id="verdict-after-an-unverified-trial",
             ),
             pytest.param(
-                lambda lines: lines[:9] + lines[10:],
-                10,
+                lambda lines: lines[:16] + lines[17:],
+                17,
                 "bad 'attempt_verdict' event: no trial of 200298 before it",
                 id="verdict-without-trials",
             ),
@@ -766,15 +790,15 @@ class TestJsonlErrors:
                     3, total_trials=0, factors=None, failure="trial_budget_exhausted"
                 )(lines[:2] + lines[-1:]),
                 3,
-                "bad 'summary' event: no shared_factor or attempt_verdict ended the session",
+                "bad 'summary' event: no AttemptRecord ended the session: attempts end on None",
                 id="no-attempt",
             ),
             pytest.param(
                 lambda lines: with_fields(
-                    16, factors=None, failure="trial_budget_exhausted"
-                )(lines[:14] + [REJECTION] + lines[14:]),
-                16,
-                "bad 'summary' event: no shared_factor or attempt_verdict ended the session",
+                    23, factors=None, failure="trial_budget_exhausted"
+                )(lines[:21] + [REJECTION] + lines[21:]),
+                23,
+                "bad 'summary' event: no AttemptRecord ended the session: attempts end on 7",
                 id="rejection-last",
             ),
         ],
@@ -793,19 +817,95 @@ class TestJsonlErrors:
         number = [i for i, line in enumerate(lines, 1) if '"trial"' in line][1]
         lines = with_fields(number, index="x", readout=-5, verified="yes")(lines)
         lines = with_fields(len(lines), total_trials="x")(lines)
-        with pytest.raises(TranscriptError, match="index 'x' is not an int") as info:
+        with pytest.raises(TranscriptError, match="index 'x' is not 2, its position") as info:
             from_jsonl("\n".join(lines))
         assert info.value.line == number
 
-    def test_summary_that_disagrees_with_its_attempts_is_refused(self):
-        # a shared-factor session, which runs no trial, claiming 99 trials
-        # and no factors
-        lines = to_jsonl(factor(1328881, 41, seed=0)).splitlines()
-        assert json.loads(lines[-2])["event"] == "shared_factor"
-        lines = with_fields(len(lines), total_trials=99, factors=None)(lines)
-        with pytest.raises(TranscriptError, match="disagrees with the attempts") as info:
+    @pytest.mark.parametrize(
+        "seed,fields,cause",
+        [
+            (0, dict(total_trials=99, factors=None), "total_trials 99 is not 0"),
+            (0, dict(total_trials=False), "total_trials False is not 0"),
+            (9, dict(total_trials=10.0), "total_trials 10.0 is not 10"),
+            (9, dict(n=187.0), "n 187.0 is not 187"),
+            (9, dict(factors=[11.0, 17]), "factors [11.0, 17] is not [11, 17]"),
+        ],
+    )
+    def test_summary_that_disagrees_with_its_attempts_is_refused(self, seed, fields, cause):
+        # seed 0 draws a base sharing a factor with 187 and runs no trial;
+        # seed 9 runs ten trials to factor 187 as (11, 17). Equal values of
+        # another JSON type disagree too.
+        lines = stream_187(seed)
+        lines = with_fields(len(lines), **fields)(lines)
+        with pytest.raises(TranscriptError) as info:
             from_jsonl("\n".join(lines))
         assert info.value.line == len(lines)
+        assert f"bad 'summary' event: {cause}, as the attempts give" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "stream,line,cause",
+        [
+            pytest.param(
+                # seed 7 spends its budget of two trials on one base
+                lambda: with_fields(1, max_trials=100)(stream_187(7, max_trials=2)),
+                7,
+                "the session stops without factors after 2 of 100 trials",
+                id="budget-exhausted-early",
+            ),
+            pytest.param(
+                lambda: renumbered(session_stream(), 4),
+                4,
+                "bad 'trial' event: index 5 is not 1, its position in the session",
+                id="first-trial-not-1",
+            ),
+            pytest.param(
+                # trial 5 fails, so its base spends the budget of five trials
+                lambda: with_fields(9, status="trial_budget_exhausted", order=MISSING)(
+                    with_fields(8, readout=0, candidate=1, verified=False)(
+                        with_fields(1, max_trials=5)(session_stream())
+                    )
+                ),
+                22,
+                "base 505980 comes after the session ended at trial 5",
+                id="base-after-budget-exhausted",
+            ),
+            pytest.param(
+                success_then_base,
+                25,
+                "base 205920 comes after the session ended at trial 11",
+                id="base-after-success",
+            ),
+            pytest.param(
+                # seed 9 runs ten trials on one base
+                lambda: with_fields(1, max_trials=3)(stream_187(9)),
+                15,
+                "the attempts run 10 trials, past max_trials 3",
+                id="trials-past-max-trials",
+            ),
+            pytest.param(
+                lambda: session_stream()[:18] + [shared_factor(1039)] + session_stream()[18:],
+                23,
+                "base 205920 comes after the session ended at trial 10",
+                id="base-after-shared-factor",
+            ),
+            pytest.param(
+                # the session cut after the odd order of trial 10
+                lambda: with_fields(
+                    19, total_trials=10, factors=None, failure="trial_budget_exhausted"
+                )(session_stream()[:18] + session_stream()[-1:]),
+                19,
+                "the session stops without factors after 10 of 100 trials",
+                id="failure-short-of-max-trials",
+            ),
+        ],
+    )
+    def test_attempts_no_session_runs_are_refused(self, stream, line, cause):
+        # every line but the summary passes its own checks, and the summary
+        # agrees with the trials and the last attempt
+        with pytest.raises(TranscriptError) as info:
+            from_jsonl("\n".join(stream()))
+        assert info.value.line == line
+        assert cause in str(info.value)
 
     @pytest.mark.parametrize(
         "text", ["[" * 100_000, "1" * 5000, '{"event": "banner", "n": ' + "9" * 5000 + "}"]
