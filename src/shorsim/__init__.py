@@ -26,7 +26,6 @@ from .model import (
     safe_qubits,
 )
 from .numtheory import (
-    Convergent,
     NotCoprime,
     convergents,
     is_prime,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttemptRecord",
-    "Convergent",
     "FactoringHistory",
     "FactoringParams",
     "InputTooLarge",

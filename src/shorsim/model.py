@@ -115,7 +115,7 @@ class FactoringParams:
         else:
             raise ValueError("order_ceiling must be 'sqrt', None, or a positive int")
         if seed is None:
-            # what secrets.randbits(64) draws, without importing secrets and hashlib
+            # 64 bits from the OS, as secrets draws them, without importing secrets and hashlib
             seed = random.SystemRandom().getrandbits(64)
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")

@@ -12,7 +12,6 @@ builds then; the count changes its speed, never its result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
@@ -207,19 +206,13 @@ def multiplicative_order(y: int, n: int, ceiling: int | None = None) -> int | No
     return r
 
 
-@dataclass(frozen=True)
-class Convergent:
-    """A continued-fraction convergent numerator/denominator, in lowest terms."""
+def convergents(c: int, q: int, denom_bound: int) -> int:
+    """Denominator of the last continued-fraction convergent of c/q whose
+    denominator is below denom_bound; c = 0 gives 1.
 
-    numerator: int
-    denominator: int
-
-
-def convergents(c: int, q: int, denom_bound: int) -> Convergent:
-    """Largest-denominator convergent of c/q with denominator < denom_bound.
-
-    c = 0 yields 0/1. The standard recurrence guarantees the result is in
-    lowest terms.
+    The denominators follow the standard recurrence k = t * k + k_prev over
+    the partial quotients t of c/q; each is that of a fraction in lowest
+    terms.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -227,14 +220,12 @@ def convergents(c: int, q: int, denom_bound: int) -> Convergent:
         raise ValueError("require 0 <= c < q")
     if denom_bound < 2:
         raise ValueError("denom_bound must be >= 2")
-    h, h_prev = 1, 0
     k, k_prev = 0, 1
     a, b = c, q
     while b:
         t = a // b
         a, b = b, a - t * b
-        h, h_prev = t * h + h_prev, h
         k, k_prev = t * k + k_prev, k
         if k >= denom_bound:
-            return Convergent(h_prev, k_prev)
-    return Convergent(h, k)
+            return k_prev
+    return k

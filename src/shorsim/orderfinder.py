@@ -2,12 +2,12 @@
 
 Each trial measures the work register (through the readout sampler);
 OrderResult derives the rest from the readout, for find_order and
-from_jsonl alike: the candidate order, the denominator of the best
-convergent of c / q below the modulus, and its verification by modular
-exponentiation. The candidate is accepted as soon as y**candidate == 1
-(mod N); this admits proper multiples of the true order, exactly as the
-verification step itself does, and the factoring stage works with
-whatever order was verified.
+from_jsonl alike: the candidate order, which convergents gives as the
+denominator of the last convergent of c / q below the modulus, and its
+verification by modular exponentiation. The candidate is accepted as
+soon as y**candidate == 1 (mod N); this admits proper multiples of the
+true order, exactly as the verification step itself does, and the
+factoring stage works with whatever order was verified.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .sampler import RandomSource, ReadoutSampler
 class OrderResult:
     """One measurement trial: readout, extracted candidate, verification.
 
-    OrderResult(readout, y, q, n) derives candidate_order,
-    convergents(readout, q, n).denominator, and verified, whether
+    OrderResult(readout, y, q, n) derives candidate_order, the
+    denominator convergents(readout, q, n) returns, and verified, whether
     y**candidate_order == 1 (mod n); neither can be passed. A trial's number
     is its position in the session. y, q and n are not stored, so a trial
     built for another base is refused only as the verified last trial of an
@@ -41,7 +41,7 @@ class OrderResult:
     def __post_init__(self, y: int, q: int, n: int) -> None:
         # module attributes looked up per trial, so a wrapper put there sees
         # them; frozen: the derived fields are set once, here
-        candidate = convergents(self.readout, q, n).denominator
+        candidate = convergents(self.readout, q, n)
         object.__setattr__(self, "candidate_order", candidate)
         object.__setattr__(self, "verified", modpow(y, candidate, n) == 1)
 

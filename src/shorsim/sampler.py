@@ -15,7 +15,8 @@ ceil(q/r) and beta = 1 - 4/pi**2 (the largest excess of 1/sin(x)**2 over
 
     q**2 * P(c) / r <= min(A**2, q**2 / (pi**2 * d**2) + beta).
 
-A proposal picks m uniformly and an offset delta from a mixture lying
+A proposal picks m uniformly, the next value of the draw's one
+rng.randints(0, r - 1) stream, and an offset delta from a mixture lying
 above that bound: a point mass at 0, a pair at +-1, a tail at
 |delta| = k >= 2 with weight proportional to 1/(k*(k-1)), and a flat
 part of height beta over every offset a cell can reach. A proposal
@@ -42,11 +43,11 @@ _BETA = 1.0 - 4.0 / math.pi**2
 class RandomSource(random.Random):
     """Seeded deterministic uniform source.
 
-    A random.Random (the Mersenne Twister) of which shorsim touches only
-    the random() method, whose stream for a fixed seed is guaranteed stable
-    across CPython versions and platforms. Integer draws are assembled
-    from 53-bit chunks of that stream, so every consumer sees one
-    portable sequence, and every uniform consumed passes through random().
+    A random.Random (the Mersenne Twister) of which shorsim calls only the
+    random() method, whose stream for a fixed seed is guaranteed stable
+    across CPython versions and platforms, and randints, its one integer
+    draw, built on random() alone. The methods inherited from random.Random
+    are the standard library's; shorsim never calls them.
     """
 
     def __init__(self, seed: int):
@@ -60,45 +61,33 @@ class RandomSource(random.Random):
         # random.Random's rebuilds the object with no seed, which __init__ needs
         return type(self), (0,), self.getstate()
 
-    def randbits(self, k: int) -> int:
-        """Uniform k-bit integer."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        chunks = (k + 52) // 53
-        v = 0
-        for _ in range(chunks):
-            v = (v << 53) | int(self.random() * _FIFTY_THREE)
-        return v >> (chunks * 53 - k)
-
-    def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return self.randint(0, n - 1)
-
-    def randint(self, a: int, b: int) -> int:
-        """Uniform integer in [a, b], endpoints included."""
-        return next(self.randints(a, b))
-
     def randints(self, a: int, b: int) -> Iterator[int]:
-        """Endless uniform integers in [a, b], each drawn lazily, so taking
-        them one at a time consumes the stream as successive randint(a, b)
-        calls would; a one-chunk span is set up once rather than per value."""
+        """Endless uniform integers in [a, b], each drawn lazily when taken.
+
+        A span b - a of k bits tries ceil(k / 53) uniforms at a time, each
+        scaled to a 53-bit chunk, top chunk first, and keeps the top k bits,
+        until the value fits in the span. A one-value range takes no uniform.
+        """
         span = b - a
         if span < 0:
             raise ValueError("empty range")
         if span == 0:
             while True:
-                yield a  # a one-value range takes no uniform
+                yield a
         k = span.bit_length()
+        rand = self.random
         if k > 53:
+            chunks = (k + 52) // 53
             while True:
-                v = self.randbits(k)
+                v = 0
+                for _ in range(chunks):
+                    v = (v << 53) | int(rand() * _FIFTY_THREE)
+                v >>= chunks * 53 - k
                 if v <= span:
                     yield a + v
-        # randbits(k) for one chunk: random() is a multiple of 2**-53, so
-        # scaling it by 2**k is exact and int() keeps its top k bits
-        rand, scale = self.random, float(1 << k)
+        # one chunk: random() is a multiple of 2**-53, so scaling it by 2**k
+        # is exact and int() keeps its top k bits
+        scale = float(1 << k)
         while True:
             v = int(rand() * scale)
             if v <= span:
@@ -133,8 +122,7 @@ class ReadoutSampler:
     def draw(self, rng: RandomSource) -> int:
         """Sample one readout value."""
         r, q = self.r, self.q
-        while True:
-            m = rng.randrange(r)
+        for m in rng.randints(0, r - 1):  # endless: one peak per proposal
             delta = self._propose_offset(rng)
             centre = (2 * m * q + r - 1) // (2 * r)
             if not -q < 2 * (r * (centre + delta) - m * q) <= q:
@@ -156,7 +144,7 @@ class ReadoutSampler:
             # P(k) = 1/(k*(k-1)) for k >= 2
             k = 1 + int(1.0 / (1.0 - rng.random()))
             return -k if u < self._tail else k
-        return rng.randrange(2 * self._reach + 1) - self._reach
+        return next(rng.randints(-self._reach, self._reach))
 
     def _envelope(self, delta: int) -> float:
         """Envelope height at an offset inside a cell."""

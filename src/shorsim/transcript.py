@@ -194,11 +194,12 @@ def from_jsonl(text: str) -> FactoringHistory:
     FactoringHistory(params, attempts, elapsed) derives, which refuses
     attempts that no session produces. Fields not read are ignored, so older
     banners that carried a tail_threshold still parse; a banner without a
-    schema is version 1, and one of a newer schema than SCHEMA_VERSION is
-    refused. Streams written while rejection lines named the requested
-    ceiling rather than the applied one (null for no ceiling, or a value
-    above q) are refused on their first such line. Any other input raises
-    TranscriptError naming the line and the cause.
+    schema is version 1, and one whose schema is not an int (a bool or a
+    float is refused) or is newer than SCHEMA_VERSION is refused. Streams
+    written while rejection lines named the requested ceiling rather than
+    the applied one (null for no ceiling, or a value above q) are refused on
+    their first such line. Any other input raises TranscriptError naming
+    the line and the cause.
     """
     params: FactoringParams | None = None
     attempts: list[AttemptRecord | int] = []
@@ -238,7 +239,7 @@ def from_jsonl(text: str) -> FactoringHistory:
                 if params is not None:
                     raise ValueError("a banner came before it")
                 schema = data.get("schema", 1)
-                if schema not in range(1, SCHEMA_VERSION + 1):
+                if type(schema) is not int or schema not in range(1, SCHEMA_VERSION + 1):
                     raise ValueError(f"schema {schema!r} is unknown (newest {SCHEMA_VERSION})")
                 params = FactoringParams(
                     data["n"],

@@ -14,10 +14,13 @@ from fractions import Fraction
 import pytest
 
 
-def brute_order(y: int, n: int) -> int:
-    """Multiplicative order by plain iteration."""
+def brute_order(y: int, n: int, ceiling: int | None = None) -> int | None:
+    """Multiplicative order by plain iteration, or None once it passes
+    `ceiling`."""
     x, r = y % n, 1
     while x != 1:
+        if ceiling is not None and r >= ceiling:
+            return None
         x = x * y % n
         r += 1
     return r
@@ -84,6 +87,61 @@ def chi_square_pvalue(observed: dict[int, int], expected: dict[int, float]) -> f
     return float(chi2.sf(stat, dof))
 
 
+def reference_session(params) -> tuple[list, int, tuple[int, int] | None]:
+    """The session the README describes, from plain loops and the oracles
+    above: (attempts, total_trials, factors), a ceiling rejection as its
+    bare y and any other attempt as (y, outcome, order, trials, factors),
+    each trial as (readout, candidate, verified).
+
+    Only the quantum stand-in is shorsim's: its RandomSource and
+    ReadoutSampler, which draw the readouts from the session's one stream.
+    """
+    from shorsim import RandomSource, ReadoutSampler
+
+    n, q, budget = params.n, params.q, params.max_trials
+    rng = RandomSource(params.seed)
+    span = n - 3  # bases are uniform in [2, n - 1]
+    scale = float(1 << span.bit_length())  # n <= 10**4 needs one 53-bit chunk
+    attempts: list = []
+    trials_run = 0
+    while trials_run < budget:
+        while True:
+            v = int(rng.random() * scale)
+            if v > span:
+                continue
+            y, r = 2 + v, None
+            if math.gcd(y, n) > 1:
+                break
+            r = brute_order(y, n, params.ceiling)
+            if r is not None:
+                break
+            attempts.append(y)
+        if r is None:
+            g = math.gcd(y, n)
+            attempts.append((y, "shared_factor_shortcut", None, [], (g, n // g)))
+            break
+        sampler, trials = ReadoutSampler(r, q), []
+        while trials_run < budget and not (trials and trials[-1][2]):
+            c = sampler.draw(rng)
+            candidate = brute_convergent(c, q, n)[1]
+            trials.append((c, candidate, pow(y, candidate, n) == 1))
+            trials_run += 1
+        if not trials[-1][2]:
+            attempts.append((y, "trial_budget_exhausted", None, trials, None))
+        elif candidate % 2:
+            attempts.append((y, "order_odd", candidate, trials, None))
+        else:
+            x = pow(y, candidate // 2, n)
+            pair = (math.gcd(x + 1, n), math.gcd(x - 1, n))
+            outcome = "trivial_factors" if {1, n} & set(pair) else "success"
+            attempts.append((y, outcome, candidate, trials, pair))
+            if outcome == "success":
+                break
+    last = attempts[-1]
+    ended = last[1] in ("success", "shared_factor_shortcut")
+    return attempts, trials_run, last[4] if ended else None
+
+
 class ScriptedRng:
     """Stand-in uniform source fed from fixed lists."""
 
@@ -94,19 +152,11 @@ class ScriptedRng:
     def random(self) -> float:
         return self.uniforms.pop(0)
 
-    def randrange(self, n: int) -> int:
-        v = self.integers.pop(0)
-        assert 0 <= v < n
-        return v
-
-    def randint(self, a: int, b: int) -> int:
-        v = self.integers.pop(0)
-        assert a <= v <= b
-        return v
-
     def randints(self, a: int, b: int):
         while True:
-            yield self.randint(a, b)
+            v = self.integers.pop(0)
+            assert a <= v <= b
+            yield v
 
 
 class ScriptedSampler:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shorsim.factorizer
 from shorsim import numtheory
 from shorsim.factorizer import (
     AttemptRecord,
@@ -16,12 +17,13 @@ from shorsim.factorizer import (
     extract_factors,
     factor,
     pick_y,
+    run_session,
 )
 from shorsim.model import FactoringParams, InputTooLarge, PrimeInput
 from shorsim.numtheory import multiplicative_order
 from shorsim.orderfinder import OrderResult
 from shorsim.sampler import RandomSource
-from conftest import ScriptedRng, order_path
+from conftest import ScriptedRng, brute_order, order_path, reference_session
 
 # sessions whose every base, outcome and order are pinned by a hash
 PINNED_STREAMS = [
@@ -67,9 +69,11 @@ class TestExtractFactors:
         assert set(pair) == {3, 5}
 
     def test_multiple_of_order_also_works(self):
-        # 2*order is just as good as long as it annihilates y
+        # 2*order is just as good as long as it annihilates y: here
+        # x = 56**16 is 1, so the split is gcd(2, 187) and gcd(0, 187)
         outcome, pair = extract_factors(56, 32, 187)
-        assert outcome in (Outcome.SUCCESS, Outcome.TRIVIAL_FACTORS)
+        assert outcome is Outcome.TRIVIAL_FACTORS
+        assert pair == (1, 187)
 
     def test_rejects_non_annihilating_exponent(self):
         with pytest.raises(ValueError):
@@ -79,10 +83,10 @@ class TestExtractFactors:
         # over seeded random coprime bases the even-order split succeeds
         # well over half the time for a product of two odd primes
         n = 1328881
-        rng = RandomSource(8)
+        bases = RandomSource(8).randints(2, n - 1)
         successes = evaluated = 0
         while evaluated < 200:
-            y = rng.randint(2, n - 1)
+            y = next(bases)
             if math.gcd(y, n) != 1:
                 continue
             evaluated += 1
@@ -582,3 +586,84 @@ class TestFactoringHistory:
         else:
             with pytest.raises(ValueError):
                 FactoringHistory(session.params, session.attempts[:k], session.elapsed)
+
+
+def plain(history: FactoringHistory) -> tuple[list, int, tuple[int, int] | None]:
+    """A history in reference_session's terms."""
+    attempts = [
+        a if type(a) is int else (
+            a.y,
+            a.outcome.value,
+            a.order,
+            [(t.readout, t.candidate_order, t.verified) for t in a.trials],
+            a.factors,
+        )
+        for a in history.attempts
+    ]
+    return attempts, history.total_trials, history.factors
+
+
+# odd, even, prime powers and products of three or more primes
+COMPOSITES = [
+    n for n in range(4, 10**4 + 1) if any(n % d == 0 for d in range(2, math.isqrt(n) + 1))
+]
+
+
+@st.composite
+def small_sessions(draw) -> FactoringParams:
+    # the small N draw their extreme bases often
+    n = draw(st.sampled_from(COMPOSITES[:40]) | st.sampled_from(COMPOSITES))
+    safe = (n * n - 1).bit_length()
+    # a ceiling equal to some base's order puts bases on its edge
+    y = draw(st.integers(2, n - 1), label="base of the ceiling")
+    edge = st.just(brute_order(y, n)) if math.gcd(y, n) == 1 else st.nothing()
+    return FactoringParams(
+        n,
+        draw(st.integers(1, safe + 2), label="qubits"),
+        draw(st.integers(0, 2**64 - 1), label="seed"),
+        max_trials=draw(st.integers(1, 5), label="max_trials"),
+        order_ceiling=draw(st.sampled_from(["sqrt", None]) | st.integers(1, n) | edge),
+    )
+
+
+class TestReferenceSession:
+    """Whole sessions against an independent second implementation of
+    the classical half (conftest.reference_session)."""
+
+    @given(small_sessions())
+    @settings(max_examples=200, deadline=None)
+    def test_session_is_the_reference_on_either_order_path(self, params):
+        expected = reference_session(params)
+        for tables in (False, True):
+            order_path(params.n, tables)
+            assert plain(run_session(params)) == expected, tables
+
+
+class RandomOnlySource(RandomSource):
+    """RandomSource whose getrandbits, which every integer method that
+    random.Random defines draws from, raises."""
+
+    built = 0
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        RandomOnlySource.built += 1
+
+    def getrandbits(self, k: int) -> int:
+        raise AssertionError("a session called a random.Random integer method")
+
+
+# odd, even and prime-power N at sub-safe, safe and the largest L; the
+# even N has no ceiling, so that not every session ends on a shared factor
+@pytest.mark.parametrize("n,ceiling", [(1328881, "sqrt"), (2 * 1009, None), (1009**2, "sqrt")])
+@pytest.mark.parametrize("qubits", ["sub-safe", "safe", 96])
+def test_sessions_draw_integers_only_from_random(n, ceiling, qubits, monkeypatch):
+    safe = (n * n - 1).bit_length()
+    qubits = {"sub-safe": safe - 8, "safe": safe}.get(qubits, qubits)
+    params = [FactoringParams(n, qubits, seed, order_ceiling=ceiling) for seed in range(3)]
+    expected = [plain(run_session(p)) for p in params]
+    assert any(trials for _, trials, _ in expected)  # the sampler drew too
+    monkeypatch.setattr(shorsim.factorizer, "RandomSource", RandomOnlySource)
+    built = RandomOnlySource.built
+    assert [plain(run_session(p)) for p in params] == expected
+    assert RandomOnlySource.built == built + len(params)

@@ -1,9 +1,10 @@
-"""The README's library example runs and prints what its comments say."""
+"""The README's library and command-line examples print what it shows."""
 
 import re
 from pathlib import Path
 
 from shorsim import render_text
+from shorsim.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,3 +27,31 @@ def test_library_example_prints_its_comments(capsys):
         assert comment == line or comment.startswith(line + " "), (line, comment)
     # the last print, which has no comment, is the text transcript
     assert printed[len(comments):] == render_text(namespace["history"])
+
+
+def run_example(capsys, command: str) -> tuple[list[str], list[str]]:
+    """What `shorsim command` prints, and the README's lines for it."""
+    shown = README.read_text().split(f"\n$ shorsim {command}\n", 1)[1]
+    assert main(command.split("|")[0].split()) == 0
+    return capsys.readouterr().out.splitlines(), shown.split("```", 1)[0].splitlines()
+
+
+def test_factor_example(capsys):
+    printed, shown = run_example(capsys, "factor 187 --seed 9")
+    # the summary carries the wall-clock time
+    assert len(printed) == len(shown) and printed[:-1] == shown[:-1]
+
+
+def test_dist_example(capsys):
+    printed, shown = run_example(capsys, "dist 187 36 | head -3")
+    assert printed[:3] == shown
+
+
+def test_bench_example(capsys):
+    printed, shown = run_example(capsys, "bench 25610987 --qubits 50,40,30 --runs 4 --seed 1000")
+    assert len(printed) == len(shown) and printed[0] == shown[0]
+    # the times vary from run to run; each row's trial counts, in brackets
+    # after each time, and its avg trial mean do not
+    for row, example in zip(printed[1:], shown[1:]):
+        assert row.split(":")[0] == example.split(":")[0]
+        assert re.findall(r"\(([^)]*)\)", row) == re.findall(r"\(([^)]*)\)", example), row

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 from collections import Counter
@@ -12,6 +13,25 @@ from shorsim.sampler import RandomSource, ReadoutSampler
 from conftest import ScriptedRng, chi_square_pvalue
 
 
+def chunk_loop(rng, a: int, b: int) -> int:
+    """One uniform integer in [a, b] by the chunk rule, written over
+    random() alone: a span of k bits draws ceil(k / 53) uniforms, each
+    scaled by 2**53 to a 53-bit chunk, top chunk first, keeps the top k bits
+    of their concatenation, and tries again until the value fits."""
+    span = b - a
+    if span == 0:
+        return a
+    k = span.bit_length()
+    chunks = -(-k // 53)
+    while True:
+        bits = 0
+        for _ in range(chunks):
+            bits = bits * 2**53 + math.floor(rng.random() * 2**53)
+        v = bits // 2 ** (53 * chunks - k)
+        if v <= span:
+            return a + v
+
+
 class TestRandomSource:
     def test_known_mersenne_twister_stream(self):
         # random.Random(12345).random() is stable across CPython releases
@@ -21,9 +41,8 @@ class TestRandomSource:
     def test_same_seed_same_stream(self):
         a, b = RandomSource(99), RandomSource(99)
         assert [a.random() for _ in range(20)] == [b.random() for _ in range(20)]
-        assert [a.randrange(1000) for _ in range(20)] == [
-            b.randrange(1000) for _ in range(20)
-        ]
+        values_a, values_b = a.randints(0, 999), b.randints(0, 999)
+        assert [next(values_a) for _ in range(20)] == [next(values_b) for _ in range(20)]
 
     def test_different_seeds_differ(self):
         assert RandomSource(1).random() != RandomSource(2).random()
@@ -48,94 +67,103 @@ class TestRandomSource:
         assert type(twin) is RandomSource
         assert [twin.random() for _ in range(100)] == [rng.random() for _ in range(100)]
 
-    @given(st.integers(0, 2**64 - 1), st.integers(1, 130))
-    @settings(max_examples=60)
-    def test_randbits_range(self, seed, k):
-        v = RandomSource(seed).randbits(k)
-        assert 0 <= v < (1 << k)
+    @given(st.integers(0, 2**64 - 1))
+    @settings(max_examples=20)
+    def test_uniforms_are_the_mersenne_twister_stream(self, seed):
+        ours, standard = RandomSource(seed), random.Random(seed)
+        assert [ours.random() for _ in range(10_000)] == [
+            standard.random() for _ in range(10_000)
+        ]
 
-    @given(st.integers(0, 2**64 - 1), st.integers(1, 10**12))
-    @settings(max_examples=60)
-    def test_randrange_range(self, seed, n):
-        assert 0 <= RandomSource(seed).randrange(n) < n
-
-    @given(st.integers(0, 2**64 - 1), st.integers(-50, 50), st.integers(0, 100))
-    @settings(max_examples=60)
-    def test_randint_inclusive(self, seed, a, width):
-        v = RandomSource(seed).randint(a, a + width)
-        assert a <= v <= a + width
-
-    def test_randint_covers_endpoints(self):
-        rng = RandomSource(7)
-        seen = {rng.randint(2, 5) for _ in range(500)}
-        assert seen == {2, 3, 4, 5}
-
-    def test_randrange_rejects_empty(self):
-        with pytest.raises(ValueError):
-            RandomSource(0).randrange(0)
-
-    @pytest.mark.parametrize(
-        "n", [2, 3, 1000, 1328881, 9954647173, 2**53 - 1, 2**53, 2**53 + 1, 2**60 + 3]
-    )
-    def test_randrange_matches_randbits_loop(self, n):
-        # randrange must stay the plain rejection loop over randbits, below
-        # and above one 53-bit chunk, so seeded base draws never change
-        def reference(rng):
-            k = (n - 1).bit_length()
-            while True:
-                v = rng.randbits(k)
-                if v < n:
-                    return v
-
-        a, b = RandomSource(31), RandomSource(31)
-        assert [a.randrange(n) for _ in range(300)] == [reference(b) for _ in range(300)]
-        assert a.random() == b.random()  # and both consumed the same uniforms
-
-    def test_randrange_draws_through_random(self):
-        # a subclass that overrides random() must see every uniform used
-        counted, plain = CountingSource(5), RandomSource(5)
-        for _ in range(50):
-            counted.randrange(1000)
-        for _ in range(counted.uniforms):
-            plain.random()
-        assert counted.random() == plain.random()
+    def test_defines_one_integer_draw(self):
+        # every other integer method is random.Random's, which shorsim
+        # never calls
+        own = {name for name in vars(RandomSource) if not name.startswith("_")}
+        assert own == {"randints"}
 
 
-# spans around one 53-bit chunk and the powers of two where randint's
-# bit length changes
+# spans around one 53-bit chunk and the powers of two where the bit
+# length of a span changes
 spans = st.one_of(
     st.sampled_from([0, 1, 2**53 - 1, 2**53, 2**60 + 3]),
     st.builds(lambda k, d: 2**k + d, st.integers(1, 62), st.sampled_from([-1, 1])),
 )
 
+# spans of every bit length from 1 to 53, where randints scales one uniform
+# by 2**k, and a few at and past one 53-bit chunk
+scaled_spans = st.one_of(
+    st.integers(1, 53).flatmap(lambda k: st.integers(1 << (k - 1), (1 << k) - 1)),
+    st.sampled_from([2**53, 2**60 + 3, 2**70 - 1, 2**106 - 1, 2**106, 2**130 + 7]),
+)
+
 
 class TestRandints:
-    """randints(a, b) yields what successive randint(a, b) calls return."""
+    """randints(a, b) is the chunk rule's rejection loop, drawn lazily."""
+
+    @given(st.integers(0, 2**64 - 1), spans | scaled_spans, st.integers(-(2**70), 2**70))
+    @settings(max_examples=300)
+    def test_is_the_chunk_loop(self, seed, span, a):
+        stream, loop = CountingSource(seed), CountingSource(seed)
+        values, b = stream.randints(a, a + span), a + span
+        assert [next(values) for _ in range(40)] == [chunk_loop(loop, a, b) for _ in range(40)]
+        assert stream.uniforms == loop.uniforms
+        assert stream.random() == loop.random()
+
+    @pytest.mark.parametrize(
+        "n", [2, 3, 1000, 1328881, 9954647173, 2**53 - 1, 2**53, 2**53 + 1, 2**60 + 3]
+    )
+    def test_is_the_chunk_loop_below_at_and_above_one_chunk(self, n):
+        # seeded base draws and proposals never change
+        stream, loop = RandomSource(31), RandomSource(31)
+        values, last = stream.randints(0, n - 1), n - 1
+        assert [next(values) for _ in range(300)] == [chunk_loop(loop, 0, last) for _ in range(300)]
+        assert stream.random() == loop.random()  # both consumed the same uniforms
 
     @given(st.integers(0, 2**64 - 1), spans, st.integers(-(2**70), 2**70), st.integers(1, 40))
     @settings(max_examples=200)
-    def test_matches_successive_randint(self, seed, span, a, k):
-        stream, calls = CountingSource(seed), CountingSource(seed)
+    def test_one_stream_is_fresh_streams_in_turn(self, seed, span, a, k):
+        # a value is drawn only when it is taken
+        stream, fresh = CountingSource(seed), CountingSource(seed)
         values = stream.randints(a, a + span)
-        assert [next(values) for _ in range(k)] == [calls.randint(a, a + span) for _ in range(k)]
-        assert stream.uniforms == calls.uniforms
-        assert stream.random() == calls.random()
+        assert [next(values) for _ in range(k)] == [
+            next(fresh.randints(a, a + span)) for _ in range(k)
+        ]
+        assert stream.uniforms == fresh.uniforms
+        assert stream.random() == fresh.random()
 
     @given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 3), min_size=1, max_size=30))
     @settings(max_examples=60)
     def test_stays_in_step_with_draws_in_between(self, seed, between):
         # run_session takes bases from one stream while the sampler draws
-        # from the same source between them
-        stream, calls = RandomSource(seed), RandomSource(seed)
+        # from the same source between them, and a draw takes its peaks from
+        # one stream while its offsets draw between them
+        stream, loop = RandomSource(seed), RandomSource(seed)
         bases = stream.randints(2, 1328880)
         for count in between:
-            assert next(bases) == calls.randint(2, 1328880)
+            assert next(bases) == chunk_loop(loop, 2, 1328880)
             for _ in range(count):
-                assert stream.random() == calls.random()
-            assert stream.randrange(1000) == calls.randrange(1000)
+                assert stream.random() == loop.random()
+            assert next(stream.randints(-1000, 1000)) == chunk_loop(loop, -1000, 1000)
+
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 130))
+    @settings(max_examples=60)
+    def test_power_of_two_range(self, seed, k):
+        v = next(RandomSource(seed).randints(0, 2**k - 1))
+        assert 0 <= v < 2**k
+
+    @given(st.integers(0, 2**64 - 1), st.integers(-50, 50), st.integers(0, 10**12))
+    @settings(max_examples=60)
+    def test_inclusive_range(self, seed, a, width):
+        v = next(RandomSource(seed).randints(a, a + width))
+        assert a <= v <= a + width
+
+    def test_covers_endpoints(self):
+        values = RandomSource(7).randints(2, 5)
+        assert {next(values) for _ in range(500)} == {2, 3, 4, 5}
 
     @pytest.mark.parametrize("a,b", [(2, 999), (0, 2**60 + 3)])
     def test_draws_through_random(self, a, b):
+        # a subclass that overrides random() sees every uniform used
         counted, plain = CountingSource(5), RandomSource(5)
         values = counted.randints(a, b)
         for _ in range(50):
@@ -148,43 +176,6 @@ class TestRandints:
         values = RandomSource(0).randints(5, 4)
         with pytest.raises(ValueError, match="empty range"):
             next(values)
-
-
-# spans of every bit length from 1 to 53, where randints scales one uniform
-# by 2**k, and a few past one 53-bit chunk
-scaled_spans = st.one_of(
-    st.integers(1, 53).flatmap(lambda k: st.integers(1 << (k - 1), (1 << k) - 1)),
-    st.sampled_from([2**53, 2**60 + 3, 2**70 - 1]),
-)
-
-
-class TestScaledDraw:
-    """The one-chunk draw int(random() * 2.0**k) is randbits(k), exactly."""
-
-    @given(st.integers(0, 2**64 - 1), scaled_spans, st.integers(-(2**70), 2**70))
-    @settings(max_examples=300)
-    def test_randints_is_the_rejection_loop_over_randbits(self, seed, span, a):
-        k = span.bit_length()
-
-        def reference(rng):
-            while True:
-                v = rng.randbits(k)
-                if v <= span:
-                    return a + v
-
-        stream, loop = CountingSource(seed), CountingSource(seed)
-        values = stream.randints(a, a + span)
-        assert [next(values) for _ in range(40)] == [reference(loop) for _ in range(40)]
-        assert stream.uniforms == loop.uniforms
-        assert stream.random() == loop.random()
-
-    @given(st.integers(0, 2**64 - 1))
-    @settings(max_examples=20)
-    def test_uniforms_are_the_mersenne_twister_stream(self, seed):
-        ours, standard = RandomSource(seed), random.Random(seed)
-        assert [ours.random() for _ in range(10_000)] == [
-            standard.random() for _ in range(10_000)
-        ]
 
 
 class CountingSource(RandomSource):
@@ -258,17 +249,14 @@ def scripted_flat_proposal(c, r, q):
 
     The proposal picks the peak m nearest r*c/q (m = 0 for the wrapped
     top of cell 0), selects the envelope's flat part with the largest
-    uniform below 1, and lands on offset delta among the offsets
-    -reach..reach a cell can hold, reach = q // (2r) + 1. The acceptance
-    uniform 0.0 accepts any readout of nonzero probability.
+    uniform below 1, and lands on offset delta, scripted as the flat draw
+    from -reach..reach, the offsets a cell can hold, reach = q // (2r) + 1.
+    The acceptance uniform 0.0 accepts any readout of nonzero probability.
     """
     m = (2 * r * c + q - 1) // (2 * q) % r
     centre = (2 * m * q + r - 1) // (2 * r)
     delta = c - centre if c - centre <= q // 2 else c - centre - q
-    reach = q // (2 * r) + 1
-    return ScriptedRng(
-        uniforms=[1.0 - 2.0**-53, 0.0], integers=[m, delta + reach]
-    )
+    return ScriptedRng(uniforms=[1.0 - 2.0**-53, 0.0], integers=[m, delta])
 
 
 class TestReachability:
@@ -341,6 +329,54 @@ class TestEnvelopeCertificate:
             if low <= c <= high:
                 assert cell_of(c % q, r, q)[0] == m
                 assert envelope_excess(sampler, c % q) <= 1e-12, (r, q, c)
+
+
+class PeakCountingSource(RandomSource):
+    """RandomSource that counts the values taken from peak streams,
+    randints(0, r - 1), one per proposal of a draw. A flat offset's stream
+    starts at -reach < 0 and is not counted."""
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.proposals = 0
+
+    def randints(self, a: int, b: int):
+        for v in super().randints(a, b):
+            self.proposals += a == 0
+            yield v
+
+
+class TestPaperRegisterSizes:
+    """Draws at the orders and registers sessions use, up to q = 2**67.
+    The seeds and orders were fixed before the first run."""
+
+    @pytest.mark.parametrize("r,q", [(40, 1 << 16), (255, 256), (1038, 1 << 41)])
+    def test_mean_proposals_per_draw_is_exact(self, r, q):
+        # P sums to 1 over the cells, so a proposal is accepted with
+        # probability exactly q**2 / (r**2 * total): a draw's proposals are
+        # geometric with mean r**2 * total / q**2
+        sampler, rng, draws = ReadoutSampler(r, q), PeakCountingSource(r), 20_000
+        for _ in range(draws):
+            sampler.draw(rng)
+        mean = r * r * sampler._total / q**2
+        z = (rng.proposals / draws - mean) / math.sqrt(mean * (mean - 1) / draws)
+        assert abs(z) < 4, (rng.proposals / draws, mean)
+
+    @pytest.mark.parametrize("r,q", [(173, 1 << 41), (1038, 1 << 41), (10007, 1 << 67)])
+    def test_pooled_offsets_follow_the_spectrum(self, r, q):
+        # offsets |delta| <= K from the peak, summed over the r cells, and
+        # one tail bin with the rest of the mass
+        k, draws = 8, 30_000
+        peaks = dominant_readouts(r, q)
+        mass = {d: math.fsum(prob((c + d) % q, r, q) for c in peaks) for d in range(-k, k + 1)}
+        mass["tail"] = 1.0 - math.fsum(mass.values())
+        sampler, rng = ReadoutSampler(r, q), RandomSource(r)
+        observed = Counter()
+        for _ in range(draws):
+            delta = cell_of(sampler.draw(rng), r, q)[1]
+            observed[delta if abs(delta) <= k else "tail"] += 1
+        expected = {key: p * draws for key, p in mass.items()}
+        assert chi_square_pvalue(observed, expected) > 1e-3
 
 
 class TestEmpiricalDistribution:

@@ -382,6 +382,17 @@ class TestJsonlErrors:
             from_jsonl("\n".join(lines))
         assert info.value.line == 1
 
+    @pytest.mark.parametrize("schema", [True, 1.0])
+    def test_schema_of_another_json_type_is_refused(self, schema):
+        # 1 is not true and 1.0 is not 1, as for every other field read
+        lines = to_jsonl(factor(187, seed=9)).splitlines()
+        banner = json.loads(lines[0])
+        banner["schema"] = schema
+        lines[0] = json.dumps(banner)
+        with pytest.raises(TranscriptError, match=f"schema {schema!r} is unknown") as info:
+            from_jsonl("\n".join(lines))
+        assert info.value.line == 1
+
     def test_bool_order_ceiling_in_banner_is_refused(self):
         lines = to_jsonl(session_history()).splitlines()
         banner = json.loads(lines[0])
