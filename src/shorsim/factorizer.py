@@ -41,8 +41,9 @@ class AttemptRecord:
     trials, y shares g = gcd(y, n) > 1 with n: SHARED_FACTOR, (g, n // g).
     A verified last trial's candidate is the order, and extract_factors(y,
     order, n) gives the rest. Otherwise the budget ran out:
-    TRIAL_BUDGET_EXHAUSTED. A gcd of 1, a verified trial before the last,
-    or a verified candidate that does not annihilate y, raises ValueError.
+    TRIAL_BUDGET_EXHAUSTED. A y that is not an int, a bool among them,
+    raises TypeError; a gcd of 1, a verified trial before the last, or a
+    verified candidate that does not annihilate y, raises ValueError.
     """
 
     y: int
@@ -54,6 +55,8 @@ class AttemptRecord:
 
     def __post_init__(self, n: int) -> None:
         y, trials, order = self.y, self.trials, None
+        if type(y) is not int:
+            raise TypeError(f"y must be an int, not {type(y).__name__}")
         for trial in trials[:-1]:
             if trial.verified:
                 raise ValueError(f"a trial of {y} before its last is verified")
@@ -84,11 +87,13 @@ class FactoringHistory:
     total_trials, factors, failure and warnings, which cannot be passed:
     total_trials counts the trials of every record, and the last attempt
     decides the session, so factors is its pair when it is a SUCCESS or
-    SHARED_FACTOR, else failure is TRIAL_BUDGET_EXHAUSTED. Attempts that
-    run_session cannot produce raise ValueError: none at all, a last one
-    that is not an AttemptRecord, an attempt after the one that ended the
-    session, more than params.max_trials trials, or a failure that stops
-    short of them.
+    SHARED_FACTOR, else failure is TRIAL_BUDGET_EXHAUSTED. An elapsed that
+    is not a float in [0, inf), or an attempt that is neither an int (a
+    bool is not one) nor an AttemptRecord, raises TypeError, or ValueError
+    for a float out of range. Attempts that run_session cannot produce
+    raise ValueError: none at all, a last one that is not an AttemptRecord,
+    an attempt after the one that ended the session, more than
+    params.max_trials trials, or a failure that stops short of them.
     """
 
     params: FactoringParams
@@ -100,14 +105,22 @@ class FactoringHistory:
     warnings: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
+        elapsed = self.elapsed
+        if type(elapsed) is not float or not 0.0 <= elapsed < math.inf:
+            error = ValueError if type(elapsed) is float else TypeError
+            raise error(f"elapsed {elapsed!r} is not a float in [0, inf)")
         attempts, n, budget = self.attempts, self.params.n, self.params.max_trials
         last = attempts[-1] if attempts else None
         if not isinstance(last, AttemptRecord):
             raise ValueError(f"no AttemptRecord ended the session: attempts end on {last!r}")
         factoring, trials, ended = (Outcome.SUCCESS, Outcome.SHARED_FACTOR), 0, None
-        for attempt in attempts:
+        for position, attempt in enumerate(attempts):
             if type(attempt) is int:
                 continue
+            if not isinstance(attempt, AttemptRecord):
+                raise TypeError(
+                    f"attempts[{position}] is {attempt!r}, neither an int nor an AttemptRecord"
+                )
             if ended is not None:
                 raise ValueError(f"base {attempt.y} comes after the session ended at trial {ended}")
             trials += len(attempt.trials)

@@ -52,7 +52,7 @@ def safe_qubits(n: int) -> int:
 
 
 def _check_modulus(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
+    if type(n) is not int:  # nor a bool or any other subclass
         raise TypeError("n must be an int")
     if n < 4:
         raise ValueError("n must be >= 4")
@@ -73,7 +73,8 @@ class FactoringParams:
     qubits defaults to the safe size for n. order_ceiling accepts "sqrt"
     (the default cap isqrt(n)), None (no cap), or a positive int. seed
     defaults to a fresh 64-bit value. A bool is refused for every field, as
-    it is for n, and any other non-int for qubits, seed and max_trials. The
+    it is for n, and any other non-int for qubits, seed and max_trials, an
+    int subclass among them, as to_jsonl writes ints through str. The
     resolved qubits, seed and order_ceiling are stored, so building again
     from the fields gives an equal object.
     """
@@ -91,12 +92,12 @@ class FactoringParams:
         for name, value, allowed in (
             ("qubits", qubits, (int, type(None))),
             ("seed", seed, (int, type(None))),
-            ("max_trials", max_trials, int),
-            ("order_ceiling", order_ceiling, object),  # its values are checked below
+            ("max_trials", max_trials, (int,)),
+            ("order_ceiling", order_ceiling, None),  # its values are checked below
         ):
-            if isinstance(value, bool):
+            if type(value) is bool:
                 raise TypeError(f"{name} must not be a bool")
-            if not isinstance(value, allowed):
+            if allowed and type(value) not in allowed:  # nor any other int subclass
                 raise TypeError(f"{name} must be an int, not {type(value).__name__}")
         if qubits is None:
             qubits = safe_qubits(n)  # checks n
@@ -110,7 +111,7 @@ class FactoringParams:
             ceiling: int | None = math.isqrt(n)
         elif order_ceiling is None:
             ceiling = None
-        elif isinstance(order_ceiling, int) and order_ceiling >= 1:
+        elif type(order_ceiling) is int and order_ceiling >= 1:
             ceiling = order_ceiling
         else:
             raise ValueError("order_ceiling must be 'sqrt', None, or a positive int")

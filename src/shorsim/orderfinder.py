@@ -25,7 +25,8 @@ class OrderResult:
 
     OrderResult(readout, y, q, n) derives candidate_order, the
     denominator convergents(readout, q, n) returns, and verified, whether
-    y**candidate_order == 1 (mod n); neither can be passed. A trial's number
+    y**candidate_order == 1 (mod n); neither can be passed. A readout that
+    is not an int, a bool among them, raises TypeError. A trial's number
     is its position in the session. y, q and n are not stored, so a trial
     built for another base is refused only as the verified last trial of an
     AttemptRecord, where extract_factors raises.
@@ -39,9 +40,12 @@ class OrderResult:
     n: InitVar[int]
 
     def __post_init__(self, y: int, q: int, n: int) -> None:
+        readout = self.readout
+        if type(readout) is not int:
+            raise TypeError(f"readout must be an int, not {type(readout).__name__}")
         # module attributes looked up per trial, so a wrapper put there sees
         # them; frozen: the derived fields are set once, here
-        candidate = convergents(self.readout, q, n)
+        candidate = convergents(readout, q, n)
         object.__setattr__(self, "candidate_order", candidate)
         object.__setattr__(self, "verified", modpow(y, candidate, n) == 1)
 

@@ -4,14 +4,17 @@ render_text and to_jsonl each write their output straight from the
 history, in one pass over its attempts: the human transcript line by line,
 and line-delimited JSON, one event per line, that from_jsonl parses back
 to an equal history through the constructors the session uses, OrderResult
-for each trial. A stream that cannot be parsed back, or whose history
-could not be written again, raises TranscriptError naming the line at fault.
+for each trial. Each JSONL line is json.dumps(event, sort_keys=True); every
+event but the summary is written from an f-string template of its keys in
+sorted order, which holds only ints the constructors have checked, and the
+summary, which carries text and a float, is the one line json encodes. A
+stream that cannot be parsed back, or whose history could not be written
+again, raises TranscriptError naming the line at fault.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
 from typing import Any
 
@@ -110,47 +113,44 @@ def render_text(history: FactoringHistory) -> list[str]:
 def to_jsonl(history: FactoringHistory) -> str:
     """Serialize a history to line-delimited JSON, one event per line."""
     params = history.params
-    # json.dumps(event, sort_keys=True), with one encoder for the history
-    encode = json.JSONEncoder(sort_keys=True).encode
+    n, ceiling = params.n, params.order_ceiling
+    # json.dumps(event, sort_keys=True), from a template of the event's
+    # keys in sorted order; only the summary goes through the encoder
     lines = [
-        encode(
-            {
-                "event": "banner",
-                "schema": SCHEMA_VERSION,
-                "n": params.n,
-                "qubits": params.qubits,
-                "max_trials": params.max_trials,
-                "order_ceiling": params.order_ceiling,
-                "seed": params.seed,
-            }
-        ),
-        encode({"event": "safe_qubits_hint", "qubits": safe_qubits(params.n)}),
+        f'{{"event": "banner", "max_trials": {params.max_trials}, "n": {n}, '
+        f'"order_ceiling": {"null" if ceiling is None else ceiling}, '
+        f'"qubits": {params.qubits}, "schema": {SCHEMA_VERSION}, "seed": {params.seed}}}',
+        f'{{"event": "safe_qubits_hint", "qubits": {safe_qubits(n)}}}',
     ]
     append = lines.append
-    # a rejection event as encoded, up to its y: "y" is the last key
-    head = '{"ceiling": ' + encode(params.ceiling) + ', "event": "ceiling_rejection", "y": '
+    head = f'{{"ceiling": {params.ceiling}, "event": "ceiling_rejection", "y": '
     index = 0  # a trial's number is its position in the session
     for attempt in history.attempts:
         if type(attempt) is int:
             append(f"{head}{attempt}}}")
             continue
-        outcome, y = attempt.outcome, attempt.y
+        outcome, y, factors = attempt.outcome, attempt.y, attempt.factors
         if outcome is Outcome.SHARED_FACTOR:
-            append(encode({"event": "shared_factor", "y": y, "factors": list(attempt.factors)}))
-        else:
-            append(encode({"event": "new_base", "y": y}))
-            for trial in attempt.trials:
-                index += 1
-                event = {
-                    "event": "trial",
-                    "index": index,
-                    "readout": trial.readout,
-                    "candidate": trial.candidate_order,
-                    "verified": trial.verified,
-                }
-                append(encode(event))
-            append(encode({"event": "attempt_verdict", **_verdict(attempt)}))
-    append(encode({"event": "summary", **_summary(history), "elapsed": history.elapsed}))
+            f1, f2 = factors
+            append(f'{{"event": "shared_factor", "factors": [{f1}, {f2}], "y": {y}}}')
+            continue
+        append(f'{{"event": "new_base", "y": {y}}}')
+        for trial in attempt.trials:
+            index += 1
+            append(
+                f'{{"candidate": {trial.candidate_order}, "event": "trial", '
+                f'"index": {index}, "readout": {trial.readout}, '
+                f'"verified": {"true" if trial.verified else "false"}}}'
+            )
+        known = ""  # the verdict's fields between event and status
+        if factors is not None:
+            f1, f2 = factors
+            known = f'"factors": [{f1}, {f2}], '
+        if attempt.order is not None:
+            known += f'"order": {attempt.order}, '
+        append(f'{{"event": "attempt_verdict", {known}"status": "{outcome.value}"}}')
+    summary = {"event": "summary", **_summary(history), "elapsed": history.elapsed}
+    append(json.dumps(summary, sort_keys=True))
     return "\n".join(lines)
 
 
@@ -182,24 +182,24 @@ def from_jsonl(text: str) -> FactoringHistory:
     new_base is followed by its trials and then its attempt_verdict, with no
     other event between, and no trial follows a verified one in its base.
     The y of a new_base, a ceiling_rejection or a shared_factor lies in
-    [2, n), a trial's readout in [0, q), and the summary's elapsed, the one
-    summary field read, is a float in [0, inf). Every other field read is
-    the value the writers derive, of the same JSON type (_expect): a
-    rejection's ceiling is FactoringParams.ceiling, whether its y's order
-    exceeds it being untested, as that would cost an order test per line;
-    a trial's index is its position in the stream, and its candidate and
-    verified are the ones OrderResult(readout, y, q, n) derives; a
-    shared_factor's factors, and a verdict's status, order and factors, are
-    the ones AttemptRecord(y, trials, n) derives; and the summary is the one
-    FactoringHistory(params, attempts, elapsed) derives, which refuses
-    attempts that no session produces. Fields not read are ignored, so older
-    banners that carried a tail_threshold still parse; a banner without a
-    schema is version 1, and one whose schema is not an int (a bool or a
-    float is refused) or is newer than SCHEMA_VERSION is refused. Streams
-    written while rejection lines named the requested ceiling rather than
-    the applied one (null for no ceiling, or a value above q) are refused on
-    their first such line. Any other input raises TranscriptError naming
-    the line and the cause.
+    [2, n), and a trial's readout in [0, q); the summary's elapsed is the
+    one summary field read. Every other field read is the value the writers
+    derive, of the same JSON type (_expect): a rejection's ceiling is
+    FactoringParams.ceiling, whether its y's order exceeds it being
+    untested, as that would cost an order test per line; a trial's index is
+    its position in the stream, and its candidate and verified are the ones
+    OrderResult(readout, y, q, n) derives; a shared_factor's factors, and a
+    verdict's status, order and factors, are the ones AttemptRecord(y,
+    trials, n) derives; and the summary is the one FactoringHistory(params,
+    attempts, elapsed) derives, which refuses an elapsed that is not a
+    float in [0, inf) and attempts that no session produces. Fields not
+    read are ignored, so older banners that carried a tail_threshold still
+    parse; a banner without a schema is version 1, and one whose schema is
+    not an int (a bool or a float is refused) or is newer than
+    SCHEMA_VERSION is refused. Streams written while rejection lines named
+    the requested ceiling rather than the applied one (null for no ceiling,
+    or a value above q) are refused on their first such line. Any other
+    input raises TranscriptError naming the line and the cause.
     """
     params: FactoringParams | None = None
     attempts: list[AttemptRecord | int] = []
@@ -302,10 +302,7 @@ def from_jsonl(text: str) -> FactoringHistory:
             elif kind == "safe_qubits_hint":
                 _expect("qubits", data["qubits"], safe_qubits(n), "the safe size")
             elif kind == "summary":
-                elapsed = data["elapsed"]
-                if type(elapsed) is not float or not 0.0 <= elapsed < math.inf:
-                    raise ValueError(f"elapsed {elapsed!r} is not a float in [0, inf)")
-                history = FactoringHistory(params, tuple(attempts), elapsed)
+                history = FactoringHistory(params, tuple(attempts), data["elapsed"])
                 for key, value in _summary(history).items():
                     _expect(key, data[key], value, "as the attempts give")
                 break

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import math
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +116,12 @@ class TestAttemptRecord:
                 setattr(record, name, 1)
         with pytest.raises(dataclasses.FrozenInstanceError):
             del record.y
+
+    @pytest.mark.parametrize("y", [True, 33.0, "33"])
+    def test_a_base_that_is_not_an_int_is_refused(self, y):
+        # a bool y was once written as "y": true, which from_jsonl refuses
+        with pytest.raises(TypeError, match=f"^y must be an int, not {type(y).__name__}$"):
+            AttemptRecord(y, (), 187)
 
     def test_defaults(self):
         # nothing has a default, and nothing derived can be passed
@@ -509,6 +516,32 @@ class TestFactoringHistory:
         failed = dataclasses.replace(history, attempts=history.attempts[:-1] + (cut,))
         assert derived(failed) == (None, Outcome.TRIAL_BUDGET_EXHAUSTED, ())
         assert dataclasses.replace(failed, attempts=history.attempts) == history
+
+    @pytest.mark.parametrize(
+        "elapsed,error",
+        [
+            (math.nan, ValueError),
+            (-1.0, ValueError),
+            (math.inf, ValueError),
+            (3, TypeError),
+            (True, TypeError),
+            ("1", TypeError),
+        ],
+    )
+    def test_elapsed_that_no_session_takes_is_refused(self, elapsed, error):
+        # to_jsonl would write a summary that from_jsonl refuses
+        history = factor(187, seed=9)
+        message = f"^elapsed {re.escape(repr(elapsed))} is not a float in \\[0, inf\\)$"
+        with pytest.raises(error, match=message):
+            dataclasses.replace(history, elapsed=elapsed)
+        assert dataclasses.replace(history, elapsed=0.0).elapsed == 0.0
+
+    @pytest.mark.parametrize("entry", [True, 36.0, "36", None])
+    def test_attempt_neither_int_nor_record_is_refused(self, entry):
+        history = factor(187, seed=11)
+        message = f"^attempts\\[1\\] is {re.escape(repr(entry))}, neither an int nor an AttemptRecord$"
+        with pytest.raises(TypeError, match=message):
+            dataclasses.replace(history, attempts=(36, entry) + history.attempts)
 
     def test_derived_fields_cannot_be_passed(self):
         history = factor(187, 16, seed=1)

@@ -153,6 +153,20 @@ class TestFactoringParams:
         with pytest.raises(TypeError, match=f"^{field} must be an int, not {name}$"):
             FactoringParams(**kwargs)
 
+    @pytest.mark.parametrize("field", ["n", "qubits", "seed", "max_trials", "order_ceiling"])
+    def test_int_subclass_is_refused(self, field):
+        # to_jsonl writes ints through str, which a subclass may override:
+        # an n whose str is "x" was written as "n": x, which is not JSON
+        class Int(int):
+            def __str__(self) -> str:
+                return "x"
+
+        kwargs = {"n": 187, "qubits": 16, "seed": 0, "max_trials": 100, "order_ceiling": 13}
+        kwargs[field] = Int(kwargs[field])
+        error = ValueError if field == "order_ceiling" else TypeError
+        with pytest.raises(error, match=f"^{field} must be "):
+            FactoringParams(**kwargs)
+
     def test_q_follows_qubits(self):
         params = dataclasses.replace(FactoringParams(187, seed=1), qubits=8)
         assert params.q == 256

@@ -120,6 +120,13 @@ class TestOrderResult:
         assert (trial.candidate_order, trial.verified) == (1, False)
         assert AttemptRecord(56, (trial,), 187).order is None
 
+    @pytest.mark.parametrize("readout", [True, 0.0, "0"])
+    def test_a_readout_that_is_not_an_int_is_refused(self, readout):
+        # a bool readout was once written as "readout": true, which
+        # from_jsonl refuses
+        with pytest.raises(TypeError, match=f"^readout must be an int, not {type(readout).__name__}$"):
+            self.trial(readout=readout)
+
     def test_frozen(self):
         trial = self.trial()
         for name in ("readout", "candidate_order", "verified", "y"):

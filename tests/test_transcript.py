@@ -42,6 +42,15 @@ def session_history() -> FactoringHistory:
     return FactoringHistory(params, attempts, elapsed=113.895)
 
 
+def assert_canonical_round_trip(history: FactoringHistory) -> None:
+    """Every line of the history's stream is its own canonical JSON,
+    json.dumps(event, sort_keys=True), and the stream parses back to it."""
+    text = to_jsonl(history)
+    for line in text.splitlines():
+        assert line == json.dumps(json.loads(line), sort_keys=True)
+    assert from_jsonl(text) == history
+
+
 GOLDEN_TAIL = """\
 Finding order of y = 505980.
 Trial #6.
@@ -209,7 +218,7 @@ class TestJsonlRoundTrip:
                         if end < len(attempts):
                             params = dataclasses.replace(params, max_trials=trials)
                         history = FactoringHistory(params, attempts[:end], 0.5)
-                        assert from_jsonl(to_jsonl(history)) == history
+                        assert_canonical_round_trip(history)
                         render_text(history)
 
     @given(st.data())
@@ -238,7 +247,30 @@ class TestJsonlRoundTrip:
         elapsed = data.draw(st.floats(0.0, 1e6))
         history = FactoringHistory(params, tuple(attempts), elapsed)
         assert history.total_trials == total
-        assert from_jsonl(to_jsonl(history)) == history
+        assert_canonical_round_trip(history)
+
+    def test_each_line_is_canonical_json(self):
+        # seeded sessions that between them write every event, both kinds of
+        # order_ceiling, a warning and every verdict: rejections and a
+        # trivial split (187, seed 35), ten trials (187, seed 9), a shared
+        # factor with a composite one (105), and an odd order followed by
+        # the budget running out (1328881 with no ceiling and three trials)
+        histories = [
+            factor(187, seed=35),
+            factor(187, seed=9),
+            factor(105, seed=0),
+            factor(1328881, seed=0, order_ceiling=None, max_trials=3),
+        ]
+        events = []
+        for history in histories:
+            assert_canonical_round_trip(history)
+            events += [json.loads(line) for line in to_jsonl(history).splitlines()]
+        assert {event["event"] for event in events} == set(EVENT_KINDS)
+        statuses = {event.get("status") for event in events} - {None}
+        assert statuses == {"success", "order_odd", "trivial_factors", "trial_budget_exhausted"}
+        banners = [event for event in events if event["event"] == "banner"]
+        assert {type(banner["order_ceiling"]) for banner in banners} == {int, type(None)}
+        assert any(event.get("warnings") for event in events)
 
     def test_one_event_per_line(self):
         text = to_jsonl(session_history())
