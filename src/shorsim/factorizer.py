@@ -90,10 +90,10 @@ class FactoringHistory:
     SHARED_FACTOR, else failure is TRIAL_BUDGET_EXHAUSTED. An elapsed that
     is not a float in [0, inf), or an attempt that is neither an int (a
     bool is not one) nor an AttemptRecord, raises TypeError, or ValueError
-    for a float out of range. Attempts that run_session cannot produce
-    raise ValueError: none at all, a last one that is not an AttemptRecord,
-    an attempt after the one that ended the session, more than
-    params.max_trials trials, or a failure that stops short of them.
+    for a float out of range or -0.0. Attempts that run_session cannot
+    produce raise ValueError: none at all, a last one that is not an
+    AttemptRecord, an attempt after the one that ended the session, more
+    than params.max_trials trials, or a failure that stops short of them.
     """
 
     params: FactoringParams
@@ -106,7 +106,8 @@ class FactoringHistory:
 
     def __post_init__(self) -> None:
         elapsed = self.elapsed
-        if type(elapsed) is not float or not 0.0 <= elapsed < math.inf:
+        # the sign bit refuses -0.0 as well, which no session takes
+        if type(elapsed) is not float or math.copysign(1, elapsed) < 0 or not elapsed < math.inf:
             error = ValueError if type(elapsed) is float else TypeError
             raise error(f"elapsed {elapsed!r} is not a float in [0, inf)")
         attempts, n, budget = self.attempts, self.params.n, self.params.max_trials

@@ -48,6 +48,11 @@ def safe_qubits(n: int) -> int:
     extraction increasingly likely to overshoot to a spurious convergent.
     """
     _check_modulus(n)
+    return _safe_qubits(n)
+
+
+def _safe_qubits(n: int) -> int:
+    """safe_qubits(n) without its checks, for an n that has passed them."""
     return (n * n - 1).bit_length()
 
 
@@ -99,10 +104,9 @@ class FactoringParams:
                 raise TypeError(f"{name} must not be a bool")
             if allowed and type(value) not in allowed:  # nor any other int subclass
                 raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+        _check_modulus(n)
         if qubits is None:
-            qubits = safe_qubits(n)  # checks n
-        else:
-            _check_modulus(n)
+            qubits = _safe_qubits(n)
         if not 1 <= qubits <= MAX_QUBITS:
             raise ValueError(f"qubits must be in [1, {MAX_QUBITS}]")
         if max_trials < 1:

@@ -1,15 +1,18 @@
 """Rendering and serialization of factoring histories.
 
 render_text and to_jsonl each write their output straight from the
-history, in one pass over its attempts: the human transcript line by line,
-and line-delimited JSON, one event per line, that from_jsonl parses back
-to an equal history through the constructors the session uses, OrderResult
-for each trial. Each JSONL line is json.dumps(event, sort_keys=True); every
-event but the summary is written from an f-string template of its keys in
-sorted order, which holds only ints the constructors have checked, and the
-summary, which carries text and a float, is the one line json encodes. A
-stream that cannot be parsed back, or whose history could not be written
-again, raises TranscriptError naming the line at fault.
+history, in one pass over its attempts, every line from one f-string: the
+human transcript line by line, and line-delimited JSON, one event per line,
+that from_jsonl parses back to an equal history through the constructors
+the session uses, OrderResult for each trial. Each JSONL line is
+json.dumps(event, sort_keys=True), written from a template of the event's
+keys in sorted order. A template holds only ints the constructors have
+checked, the literals true, false and null, an outcome's value, and the
+summary's elapsed, a finite float, as its repr, the way json writes a
+float; the summary's warnings, text, are the one value json encodes, and
+only when there are any. A stream that cannot be parsed back, or whose
+history could not be written again, raises TranscriptError naming the
+line at fault.
 """
 
 from __future__ import annotations
@@ -19,39 +22,17 @@ import re
 from typing import Any
 
 from .factorizer import AttemptRecord, FactoringHistory, Outcome
-from .model import FactoringParams, safe_qubits
+from .model import FactoringParams, _safe_qubits
 from .orderfinder import OrderResult
 
-BANNER = "The number to be factored is {n}."
-SAFE_QUBITS_HINT = "The safe number of qubits needed to factor this number is {qubits}."
 PRIME_WARNING = "THE NUMBER YOU PICKED IS PRIME, PLEASE TRY AGAIN!!!"
 SCHEMA_VERSION = 1  # of the JSONL stream; a banner without one is version 1
-NEW_BASE = "Finding order of y = {y}."
-TRIAL_HEADER = "Trial #{index}."
-READOUT_LINE = "The readout value from the work register is {readout}."
-CANDIDATE_LINE = "The order found using this readout value is {candidate}."
 ORDER_INCORRECT = "The order is incorrect, the quantum computer will be reset to try again."
 ORDER_CORRECT = "The quantum computer has found the correct order."
 ORDER_ODD_LINE = "The order is odd, hence a new value of y will be chosen."
-FACTORS_LINE = "The factors of {n} are determined to be {f1} and {f2}."
 FACTORING_FAILED = "The factoring has failed, hence a new value of y will be chosen."
 SUCCESS_LINE = "The program has succeeded and will now terminate."
-CEILING_LINE = (
-    "The order of y = {y} exceeds the ceiling of {ceiling}, "
-    "hence a new value of y will be chosen."
-)
-SHARED_FACTOR_LINE = "The randomly chosen y = {y} shares a factor with {n}."
-BUDGET_LINE = (
-    "The maximum of {max_trials} trials has been reached without finding the factors."
-)
 FAILURE_LINE = "The program has failed and will now terminate."
-SUMMARY_SUCCESS = (
-    "This simulation took {elapsed:.3f} seconds and {trials} trials to factor {n}."
-)
-SUMMARY_FAILURE = (
-    "This simulation took {elapsed:.3f} seconds and {trials} trials "
-    "without factoring {n}."
-)
 
 # a ceiling_rejection line exactly as to_jsonl writes it; from_jsonl reads it
 # without json.loads. At most 19 digits keep int() fast and within the limit
@@ -74,38 +55,43 @@ def render_text(history: FactoringHistory) -> list[str]:
     """Render a history to the transcript, one line per list element."""
     params = history.params
     n = params.n
-    lines = [BANNER.format(n=n), SAFE_QUBITS_HINT.format(qubits=safe_qubits(n))]
+    lines = [
+        f"The number to be factored is {n}.",
+        f"The safe number of qubits needed to factor this number is {_safe_qubits(n)}.",
+    ]
     append = lines.append
-    before, after = CEILING_LINE.split("{y}")
-    after = after.format(ceiling=params.ceiling)
+    after = f" exceeds the ceiling of {params.ceiling}, hence a new value of y will be chosen."
     index = 0  # a trial's number is its position in the session
     for attempt in history.attempts:
         if type(attempt) is int:
-            append(f"{before}{attempt}{after}")
+            append(f"The order of y = {attempt}{after}")
             continue
         outcome = attempt.outcome
         if outcome is Outcome.SHARED_FACTOR:
-            append(SHARED_FACTOR_LINE.format(y=attempt.y, n=n))
+            append(f"The randomly chosen y = {attempt.y} shares a factor with {n}.")
         else:
-            append(NEW_BASE.format(y=attempt.y))
+            append(f"Finding order of y = {attempt.y}.")
             for trial in attempt.trials:
                 index += 1
-                append(TRIAL_HEADER.format(index=index))
-                append(READOUT_LINE.format(readout=trial.readout))
-                append(CANDIDATE_LINE.format(candidate=trial.candidate_order))
+                append(f"Trial #{index}.")
+                append(f"The readout value from the work register is {trial.readout}.")
+                append(f"The order found using this readout value is {trial.candidate_order}.")
                 append(ORDER_CORRECT if trial.verified else ORDER_INCORRECT)
             if outcome is Outcome.ORDER_ODD:
                 append(ORDER_ODD_LINE)
                 continue
             if outcome is Outcome.TRIAL_BUDGET_EXHAUSTED:
-                append(BUDGET_LINE.format(max_trials=params.max_trials))
+                append(
+                    f"The maximum of {params.max_trials} trials has been reached "
+                    "without finding the factors."
+                )
                 append(FAILURE_LINE)
                 continue
         f1, f2 = attempt.factors
-        append(FACTORS_LINE.format(n=n, f1=f1, f2=f2))
+        append(f"The factors of {n} are determined to be {f1} and {f2}.")
         append(FACTORING_FAILED if outcome is Outcome.TRIVIAL_FACTORS else SUCCESS_LINE)
-    template = SUMMARY_SUCCESS if history.factors else SUMMARY_FAILURE
-    append(template.format(elapsed=history.elapsed, trials=history.total_trials, n=n))
+    took = f"This simulation took {history.elapsed:.3f} seconds and {history.total_trials} trials"
+    append(f"{took} to factor {n}." if history.factors else f"{took} without factoring {n}.")
     lines.extend(f"Warning: {warning}." for warning in history.warnings)
     return lines
 
@@ -115,12 +101,12 @@ def to_jsonl(history: FactoringHistory) -> str:
     params = history.params
     n, ceiling = params.n, params.order_ceiling
     # json.dumps(event, sort_keys=True), from a template of the event's
-    # keys in sorted order; only the summary goes through the encoder
+    # keys in sorted order
     lines = [
         f'{{"event": "banner", "max_trials": {params.max_trials}, "n": {n}, '
         f'"order_ceiling": {"null" if ceiling is None else ceiling}, '
         f'"qubits": {params.qubits}, "schema": {SCHEMA_VERSION}, "seed": {params.seed}}}',
-        f'{{"event": "safe_qubits_hint", "qubits": {safe_qubits(n)}}}',
+        f'{{"event": "safe_qubits_hint", "qubits": {_safe_qubits(n)}}}',
     ]
     append = lines.append
     head = f'{{"ceiling": {params.ceiling}, "event": "ceiling_rejection", "y": '
@@ -149,8 +135,16 @@ def to_jsonl(history: FactoringHistory) -> str:
         if attempt.order is not None:
             known += f'"order": {attempt.order}, '
         append(f'{{"event": "attempt_verdict", {known}"status": "{outcome.value}"}}')
-    summary = {"event": "summary", **_summary(history), "elapsed": history.elapsed}
-    append(json.dumps(summary, sort_keys=True))
+    # elapsed is a finite float, which json writes as its repr; warning text
+    # is the one value left to the encoder
+    factors, failure, warnings = history.factors, history.failure, history.warnings
+    pair = "null" if factors is None else f"[{factors[0]}, {factors[1]}]"
+    status = "null" if failure is None else f'"{failure.value}"'
+    append(
+        f'{{"elapsed": {history.elapsed!r}, "event": "summary", "factors": {pair}, '
+        f'"failure": {status}, "n": {n}, "total_trials": {history.total_trials}, '
+        f'"warnings": {json.dumps(warnings) if warnings else "[]"}}}'
+    )
     return "\n".join(lines)
 
 
@@ -192,11 +186,11 @@ def from_jsonl(text: str) -> FactoringHistory:
     verdict's status, order and factors, are the ones AttemptRecord(y,
     trials, n) derives; and the summary is the one FactoringHistory(params,
     attempts, elapsed) derives, which refuses an elapsed that is not a
-    float in [0, inf) and attempts that no session produces. Fields not
-    read are ignored, so older banners that carried a tail_threshold still
-    parse; a banner without a schema is version 1, and one whose schema is
-    not an int (a bool or a float is refused) or is newer than
-    SCHEMA_VERSION is refused. Streams written while rejection lines named
+    float in [0, inf) or is -0.0, and attempts that no session produces.
+    Fields not read are ignored, so older banners that carried a
+    tail_threshold still parse; a banner without a schema is version 1,
+    and one whose schema is not an int (a bool or a float is refused) or
+    is newer than SCHEMA_VERSION is refused. Streams written while rejection lines named
     the requested ceiling rather than the applied one (null for no ceiling,
     or a value above q) are refused on their first such line. Any other
     input raises TranscriptError naming the line and the cause.
@@ -300,7 +294,7 @@ def from_jsonl(text: str) -> FactoringHistory:
                 attempts.append(record)
                 open_trials = None
             elif kind == "safe_qubits_hint":
-                _expect("qubits", data["qubits"], safe_qubits(n), "the safe size")
+                _expect("qubits", data["qubits"], _safe_qubits(n), "the safe size")
             elif kind == "summary":
                 history = FactoringHistory(params, tuple(attempts), data["elapsed"])
                 for key, value in _summary(history).items():

@@ -522,6 +522,7 @@ class TestFactoringHistory:
         [
             (math.nan, ValueError),
             (-1.0, ValueError),
+            (-0.0, ValueError),
             (math.inf, ValueError),
             (3, TypeError),
             (True, TypeError),

@@ -13,7 +13,6 @@ from shorsim.factorizer import AttemptRecord, FactoringHistory, Outcome, factor
 from shorsim.model import FactoringParams
 from shorsim.orderfinder import OrderResult
 from shorsim.transcript import (
-    CEILING_LINE,
     SCHEMA_VERSION,
     TranscriptError,
     from_jsonl,
@@ -152,6 +151,20 @@ class TestEvents:
         assert kinds.count("attempt_verdict") == 4
 
 
+@functools.cache
+def line_kind_sessions() -> dict[int, FactoringHistory]:
+    """Three sessions whose transcripts between them have every kind of
+    line, by n."""
+    return {
+        # ceiling rejections, odd orders, trivial splits and a success
+        187: factor(187, seed=53),
+        # a shared factor, with a composite factor's warning
+        105: factor(105, seed=0),
+        # an odd order, then a spent budget and a failure
+        1328881: factor(1328881, seed=0, order_ceiling=None, max_trials=3),
+    }
+
+
 class TestTranscriptBytes:
     @pytest.mark.parametrize(
         "n,seed,jsonl_digest,text_digest",
@@ -178,6 +191,77 @@ class TestTranscriptBytes:
         text = "\n".join(render_text(history))
         assert hashlib.sha256(to_jsonl(history).encode()).hexdigest() == jsonl_digest
         assert hashlib.sha256(text.encode()).hexdigest() == text_digest
+
+    @pytest.mark.parametrize(
+        "n,jsonl_digest,text_digest",
+        [
+            (
+                187,
+                "86bdc0f21e1833520d39a752e4a6ba9cc0d8f977ad302554406b345acc03547d",
+                "6f5af30974ac3bed9b059a4a5aeaf6703f1a5cf137bd510eeffe5393ab498039",
+            ),
+            (
+                105,
+                "5ae4222cff62ddbcd6e1d81a894609985f15f6328e66e1e6b198212052c44088",
+                "d1c34017bc7ae3f9b6017f9e5d1da1441a80d245c4694c5fbd7d88467e19703e",
+            ),
+            (
+                1328881,
+                "4237b3549820e4d5d2ecfe27f8b9b18f2a46e5f3853488a685afc2a676a39e6a",
+                "f20497e5c126685f8af4ac147d8ed5fb3eecce2d0504f7d5035d354710f67525",
+            ),
+        ],
+    )
+    def test_every_line_kind_is_pinned(self, n, jsonl_digest, text_digest):
+        # both renderings at each elapsed in turn, one newline after each,
+        # hashed together; the times cover .3f rounding on both sides of a
+        # half, repr's exponent forms, the least subnormal and a float
+        # that .3f prints in full
+        session = line_kind_sessions()[n]
+        jsonl, text = hashlib.sha256(), hashlib.sha256()
+        for elapsed in (0.0, 0.0005, 2.0005, 1e-05, 5e-324, 1.5e16):
+            history = dataclasses.replace(session, elapsed=elapsed)
+            jsonl.update(f"{to_jsonl(history)}\n".encode())
+            text.update("".join(f"{line}\n" for line in render_text(history)).encode())
+        assert jsonl.hexdigest() == jsonl_digest
+        assert text.hexdigest() == text_digest
+
+
+class TestSummaryLine:
+    # each session's summary fields, as its transcript states them
+    EXPECTED = {
+        187: (22, [11, 17], None, []),
+        105: (0, [3, 35], None, ["reported factor 35 of 105 is composite"]),
+        1328881: (3, None, "trial_budget_exhausted", []),
+    }
+
+    @given(
+        st.sampled_from(sorted(EXPECTED)),
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(187, 0.0)
+    @example(105, 5e-324)
+    @example(1328881, 1.5e16)
+    def test_summary_is_canonical_json(self, n, elapsed):
+        history = dataclasses.replace(line_kind_sessions()[n], elapsed=elapsed)
+        trials, factors, failure, warnings = self.EXPECTED[n]
+        expected = {
+            "event": "summary",
+            "n": n,
+            "elapsed": elapsed,
+            "total_trials": trials,
+            "factors": factors,
+            "failure": failure,
+            "warnings": warnings,
+        }
+        line = to_jsonl(history).splitlines()[-1]
+        assert line == json.dumps(expected, sort_keys=True)
+        assert repr(json.loads(line)["elapsed"]) == repr(elapsed)
+        ending = f"to factor {n}." if factors else f"without factoring {n}."
+        text = render_text(history)[-1 - len(warnings)]
+        assert text == "This simulation took %.3f seconds and %d trials %s" % (
+            elapsed, trials, ending)
 
 
 class TestJsonlRoundTrip:
@@ -576,6 +660,13 @@ class TestJsonlErrors:
                 22,
                 "elapsed -1.5 is not a float",
                 id="elapsed-negative",
+            ),
+            # -0.0 passes 0.0 <= elapsed; render_text would print "took -0.000 seconds"
+            pytest.param(
+                with_fields(22, elapsed=-0.0),
+                22,
+                "elapsed -0.0 is not a float",
+                id="elapsed-negative-zero",
             ),
             pytest.param(
                 with_fields(1, max_trials=2.5),
@@ -1156,7 +1247,10 @@ class TestFastPathsAgreeWithJson:
         lines = to_jsonl(base).splitlines()
         lines.insert(2, json.dumps(event, sort_keys=True))
         assert text == "\n".join(lines)
-        assert render_text(history)[2] == CEILING_LINE.format(y=y, ceiling=1152)
+        assert render_text(history)[2] == (
+            f"The order of y = {y} exceeds the ceiling of 1152, "
+            "hence a new value of y will be chosen."
+        )
         # none of these is a base in [2, n), so the reader refuses the line
         with pytest.raises(TranscriptError, match="bad 'ceiling_rejection' event") as info:
             from_jsonl(text)
