@@ -35,12 +35,18 @@ SUCCESS_LINE = "The program has succeeded and will now terminate."
 FAILURE_LINE = "The program has failed and will now terminate."
 
 # a ceiling_rejection line exactly as to_jsonl writes it; from_jsonl reads it
-# without json.loads. At most 19 digits keep int() fast and within the limit
-# on integer string conversion; any other spelling takes the general path.
+# without a JSON decode. At most 19 digits keep int() fast and within the
+# limit on integer string conversion; any other spelling takes the general
+# path.
 _REJECTION_LINE = re.compile(
     r'\{"ceiling": (0|[1-9][0-9]{0,18}), "event": "ceiling_rejection", '
     r'"y": (0|[1-9][0-9]{0,18})\}'
 )
+# json.loads(line) for a line with no surrounding whitespace is the object
+# this decodes, if it ends at the end of the line; json.loads would refuse a
+# leading byte-order mark first, in these words
+_decode = json.JSONDecoder().raw_decode
+_BOM_CAUSE = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
 
 
 class TranscriptError(ValueError):
@@ -148,29 +154,17 @@ def to_jsonl(history: FactoringHistory) -> str:
     return "\n".join(lines)
 
 
-def _verdict(record: AttemptRecord) -> dict[str, Any]:
-    """The fields of a record's attempt_verdict event but its event."""
-    verdict: dict[str, Any] = {"status": record.outcome.value}
-    if record.order is not None:
-        verdict["order"] = record.order
-    if record.factors is not None:
-        verdict["factors"] = list(record.factors)
-    return verdict
-
-
-def _summary(history: FactoringHistory) -> dict[str, Any]:
-    """The fields of a history's summary event but its event and elapsed."""
-    return {
-        "n": history.params.n,
-        "total_trials": history.total_trials,
-        "factors": list(history.factors) if history.factors else None,
-        "failure": history.failure.value if history.failure else None,
-        "warnings": list(history.warnings),
-    }
-
-
 def from_jsonl(text: str) -> FactoringHistory:
     """Parse the output of to_jsonl back into an equal history.
+
+    Each stripped line is decoded at most once, by
+    json.JSONDecoder().raw_decode with a check that nothing follows the
+    value: that accepts the lines json.loads accepts, as the same objects,
+    and refuses the others with the cause json.loads names. A
+    ceiling_rejection in the layout to_jsonl writes, naming the session's
+    ceiling and a y in [2, n), is read without a decode. A field is checked
+    against the value the writers derive, and the refusal's text is built
+    only when the check fails.
 
     The banner is the first event and the summary the last, each once. A
     new_base is followed by its trials and then its attempt_verdict, with no
@@ -201,8 +195,8 @@ def from_jsonl(text: str) -> FactoringHistory:
     open_trials: list[OrderResult] | None = None  # None: no base is open
     position = 0  # of the last trial read, in the session
     last = 0
-    rejection = _REJECTION_LINE.fullmatch
-    ceiling_text, n = None, 0  # the session's ceiling as written, and its n
+    rejection, decode = _REJECTION_LINE.fullmatch, _decode
+    ceiling_text, n, q = None, 0, 0  # the session's ceiling as written, its n and q
     lines = enumerate(text.splitlines(), start=1)
     for number, line in lines:
         line = line.strip()
@@ -218,9 +212,11 @@ def from_jsonl(text: str) -> FactoringHistory:
                 attempts.append(y)
                 continue
         try:
-            data = json.loads(line)
+            data, end = decode(line)
+            if end != len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
         except (ValueError, RecursionError) as exc:  # also huge ints, deep nesting
-            cause = getattr(exc, "msg", exc)
+            cause = _BOM_CAUSE if line[0] == "\ufeff" else getattr(exc, "msg", exc)
             raise TranscriptError(number, f"not JSON ({cause})") from None
         try:
             kind = data.pop("event")
@@ -245,7 +241,7 @@ def from_jsonl(text: str) -> FactoringHistory:
                 for name in ("qubits", "seed"):
                     if data[name] is None:  # the constructor would pick one afresh
                         raise ValueError(f"{name} must not be null")
-                ceiling_text, n = str(params.ceiling), params.n
+                ceiling_text, n, q = str(params.ceiling), params.n, params.q
             elif params is None:
                 raise ValueError("no banner before it")
             elif kind == "ceiling_rejection":
@@ -255,11 +251,12 @@ def from_jsonl(text: str) -> FactoringHistory:
             elif kind == "shared_factor":
                 y = _int_in("y", data["y"], 2, n)
                 record = AttemptRecord(y, (), n)
-                reason = f"as gcd({y}, {n}) = {record.factors[0]} gives"
-                _expect("factors", data["factors"], list(record.factors), reason)
+                factors = list(record.factors)
+                _expect("factors", data["factors"], factors, "as gcd({}, {}) = {} gives",
+                        y, n, factors[0])
                 attempts.append(record)
             elif kind == "new_base":
-                open_y = _int_in("y", data["y"], 2, params.n)
+                open_y = _int_in("y", data["y"], 2, n)
                 open_trials = []
             elif kind == "trial":
                 if open_trials is None:
@@ -268,13 +265,13 @@ def from_jsonl(text: str) -> FactoringHistory:
                     raise ValueError(f"trial {position} verified the order of {open_y}")
                 position += 1
                 _expect("index", data["index"], position, "its position in the session")
-                readout = _int_in("readout", data["readout"], 0, params.q)
-                trial = OrderResult(readout, open_y, params.q, n)
+                readout = _int_in("readout", data["readout"], 0, q)
+                trial = OrderResult(readout, open_y, q, n)
                 candidate = trial.candidate_order
-                reason = f"the denominator of the convergent of readout {readout}"
-                _expect("candidate", data["candidate"], candidate, reason)
-                reason = f"as pow({open_y}, {candidate}, {n}) == 1 is"
-                _expect("verified", data["verified"], trial.verified, reason)
+                _expect("candidate", data["candidate"], candidate,
+                        "the denominator of the convergent of readout {}", readout)
+                _expect("verified", data["verified"], trial.verified,
+                        "as pow({}, {}, {}) == 1 is", open_y, candidate, n)
                 open_trials.append(trial)
             elif kind == "attempt_verdict":
                 if open_trials is None:
@@ -282,23 +279,30 @@ def from_jsonl(text: str) -> FactoringHistory:
                 if not open_trials:
                     raise ValueError(f"no trial of {open_y} before it")
                 record = AttemptRecord(open_y, tuple(open_trials), n)
-                if record.order is None:
-                    reason = f"as trial {position} is unverified"
+                order, factors = record.order, record.factors
+                if order is None:
+                    reason, args = "as trial {} is unverified", (position,)
                 else:
-                    reason = f"as extract_factors({open_y}, {record.order}, {n}) gives"
-                verdict = _verdict(record)
-                for key in ("status", "order", "factors"):
-                    # a field the writer leaves out may be absent or null
-                    read = data[key] if key in verdict else data.get(key)
-                    _expect(key, read, verdict.get(key), reason)
+                    reason, args = "as extract_factors({}, {}, {}) gives", (open_y, order, n)
+                _expect("status", data["status"], record.outcome.value, reason, *args)
+                # a field the writer leaves out may be absent or null
+                read = data.get("order") if order is None else data["order"]
+                _expect("order", read, order, reason, *args)
+                read = data.get("factors") if factors is None else data["factors"]
+                _expect("factors", read, factors and list(factors), reason, *args)
                 attempts.append(record)
                 open_trials = None
             elif kind == "safe_qubits_hint":
                 _expect("qubits", data["qubits"], _safe_qubits(n), "the safe size")
             elif kind == "summary":
                 history = FactoringHistory(params, tuple(attempts), data["elapsed"])
-                for key, value in _summary(history).items():
-                    _expect(key, data[key], value, "as the attempts give")
+                factors, failure = history.factors, history.failure
+                given = "as the attempts give"
+                _expect("n", data["n"], n, given)
+                _expect("total_trials", data["total_trials"], history.total_trials, given)
+                _expect("factors", data["factors"], factors and list(factors), given)
+                _expect("failure", data["failure"], failure and failure.value, given)
+                _expect("warnings", data["warnings"], list(history.warnings), given)
                 break
             else:
                 raise ValueError("unknown event")
@@ -325,10 +329,11 @@ def _int_in(name: str, value: Any, low: int, high: float) -> int:
     return value
 
 
-def _expect(name: str, read: Any, derived: Any, reason: str) -> None:
+def _expect(name: str, read: Any, derived: Any, reason: str, *args: Any) -> None:
     """Refuse a field read from a stream unless it equals the value the
     writers derive and has its JSON type, one level into arrays: 1 is not
-    true, 2.0 is not 2, and [11.0, 17] is not [11, 17]."""
+    true, 2.0 is not 2, and [11.0, 17] is not [11, 17]. The refusal gives
+    reason.format(*args), built only when refusing."""
     same = type(read) is type(derived) and read == derived
     if not same or type(read) is list and [*map(type, read)] != [*map(type, derived)]:
-        raise ValueError(f"{name} {read!r} is not {derived!r}, {reason}")
+        raise ValueError(f"{name} {read!r} is not {derived!r}, {reason.format(*args)}")

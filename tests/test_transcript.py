@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shorsim import transcript
 from shorsim.factorizer import AttemptRecord, FactoringHistory, Outcome, factor
 from shorsim.model import FactoringParams
 from shorsim.orderfinder import OrderResult
@@ -39,6 +40,27 @@ def session_history() -> FactoringHistory:
         record(205920, 1535926647664),
     )
     return FactoringHistory(params, attempts, elapsed=113.895)
+
+
+@functools.lru_cache(maxsize=None)
+def every_event_histories() -> tuple[FactoringHistory, ...]:
+    """Seeded sessions that between them write every event, both kinds of
+    order_ceiling, a warning and every verdict: rejections and a trivial
+    split (187, seed 35), ten trials (187, seed 9), a shared factor with a
+    composite one (105), and an odd order followed by the budget running out
+    (1328881 with no ceiling and three trials)."""
+    return (
+        factor(187, seed=35),
+        factor(187, seed=9),
+        factor(105, seed=0),
+        factor(1328881, seed=0, order_ceiling=None, max_trials=3),
+    )
+
+
+def respelled(line: str) -> str:
+    """A JSONL line in another valid layout: its keys in reverse order, no
+    spaces."""
+    return json.dumps(dict(reversed(json.loads(line).items())), separators=(",", ":"))
 
 
 def assert_canonical_round_trip(history: FactoringHistory) -> None:
@@ -334,19 +356,8 @@ class TestJsonlRoundTrip:
         assert_canonical_round_trip(history)
 
     def test_each_line_is_canonical_json(self):
-        # seeded sessions that between them write every event, both kinds of
-        # order_ceiling, a warning and every verdict: rejections and a
-        # trivial split (187, seed 35), ten trials (187, seed 9), a shared
-        # factor with a composite one (105), and an odd order followed by
-        # the budget running out (1328881 with no ceiling and three trials)
-        histories = [
-            factor(187, seed=35),
-            factor(187, seed=9),
-            factor(105, seed=0),
-            factor(1328881, seed=0, order_ceiling=None, max_trials=3),
-        ]
         events = []
-        for history in histories:
+        for history in every_event_histories():
             assert_canonical_round_trip(history)
             events += [json.loads(line) for line in to_jsonl(history).splitlines()]
         assert {event["event"] for event in events} == set(EVENT_KINDS)
@@ -355,6 +366,14 @@ class TestJsonlRoundTrip:
         banners = [event for event in events if event["event"] == "banner"]
         assert {type(banner["order_ceiling"]) for banner in banners} == {int, type(None)}
         assert any(event.get("warnings") for event in events)
+
+    def test_respelled_streams_read_the_same(self):
+        # the same events in another valid layout take the general path on
+        # every line, rejections included, and give the same history
+        for history in every_event_histories():
+            lines = [respelled(line) for line in to_jsonl(history).splitlines()]
+            assert lines != to_jsonl(history).splitlines()
+            assert from_jsonl("\n".join(lines)) == history
 
     def test_one_event_per_line(self):
         text = to_jsonl(session_history())
@@ -962,6 +981,8 @@ class TestJsonlErrors:
             (0, dict(total_trials=False), "total_trials False is not 0"),
             (9, dict(total_trials=10.0), "total_trials 10.0 is not 10"),
             (9, dict(n=187.0), "n 187.0 is not 187"),
+            # n is checked first, then total_trials, then factors
+            (9, dict(n=188, total_trials=11, factors=None), "n 188 is not 187"),
             (9, dict(factors=[11.0, 17]), "factors [11.0, 17] is not [11, 17]"),
         ],
     )
@@ -1051,6 +1072,92 @@ class TestJsonlErrors:
             from_jsonl(text)
         assert info.value.line == 1
 
+    @pytest.mark.parametrize(
+        "spell,cause",
+        [
+            pytest.param(
+                lambda line: "\ufeff" + line,
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)",
+                id="byte-order-mark",
+            ),
+            pytest.param(lambda line: line + " x", "Extra data", id="trailing-word"),
+            pytest.param(lambda line: line + "{}", "Extra data", id="trailing-object"),
+        ],
+    )
+    # the banner, a ceiling_rejection, a trial and the summary of
+    # session_history()'s stream with a rejection put before its first base
+    @pytest.mark.parametrize("number", [1, 3, 5, 23])
+    def test_not_json_names_the_cause_json_gives(self, spell, cause, number):
+        head, tail = frame()
+        lines = head + [REJECTION] + tail
+        lines[number - 1] = spell(lines[number - 1])
+        with pytest.raises(ValueError) as decoded:
+            json.loads(lines[number - 1])
+        assert decoded.value.msg == cause
+        with pytest.raises(TranscriptError) as info:
+            from_jsonl("\n".join(lines))
+        assert str(info.value) == f"line {number}: not JSON ({cause})"
+        assert info.value.line == number
+
+    @pytest.mark.parametrize(
+        "field,events",
+        [("candidate", 18), ("verified", 18), ("order", 5), ("factors", 1), ("total_trials", 4)],
+    )
+    def test_respelled_stream_with_a_field_edited_is_refused_on_its_line(self, field, events):
+        # every event carrying the field (18 trials, 5 verdicts, 1 shared
+        # factor, 4 summaries), in each of every_event_histories() re-spelled,
+        # edited one at a time: the cause is the one a canonical stream gets,
+        # on the edited line
+        edited = 0
+        for history in every_event_histories():
+            n = history.params.n
+            lines = [respelled(line) for line in to_jsonl(history).splitlines()]
+            y = position = None  # the open base, and the last trial's index
+            for number, line in enumerate(lines, 1):
+                event = json.loads(line)
+                kind = event["event"]
+                y = event.get("y", y)
+                position = event.get("index", position)
+                if kind == "trial" and field == "candidate":
+                    c = event["candidate"]
+                    event["candidate"] = c + 1
+                    cause = (
+                        f"candidate {c + 1} is not {c}, "
+                        f"the denominator of the convergent of readout {event['readout']}"
+                    )
+                elif kind == "trial" and field == "verified":
+                    v = event["verified"]
+                    event["verified"] = not v
+                    c = event["candidate"]
+                    cause = f"verified {not v} is not {v}, as pow({y}, {c}, {n}) == 1 is"
+                elif kind == "attempt_verdict" and field == "order":
+                    order = event.get("order")
+                    event["order"] = (order or 0) + 1
+                    if order is None:
+                        reason = f"as trial {position} is unverified"
+                    else:
+                        reason = f"as extract_factors({y}, {order}, {n}) gives"
+                    cause = f"order {event['order']} is not {order}, {reason}"
+                elif kind == "shared_factor" and field == "factors":
+                    f1, f2 = event["factors"]
+                    event["factors"] = [f2, f1]
+                    reason = f"as gcd({y}, {n}) = {f1} gives"
+                    cause = f"factors [{f2}, {f1}] is not [{f1}, {f2}], {reason}"
+                elif kind == "summary" and field == "total_trials":
+                    t = event["total_trials"]
+                    event["total_trials"] = t + 1
+                    cause = f"total_trials {t + 1} is not {t}, as the attempts give"
+                else:
+                    continue
+                line = json.dumps(event, separators=(",", ":"))
+                text = "\n".join(lines[: number - 1] + [line] + lines[number:])
+                with pytest.raises(TranscriptError) as info:
+                    from_jsonl(text)
+                assert str(info.value) == f"line {number}: bad {kind!r} event: {cause}"
+                assert info.value.line == number
+                edited += 1
+        assert edited == events
+
 
 EVENT_KINDS = [
     "banner",
@@ -1083,7 +1190,7 @@ event_objects = st.builds(
 @functools.lru_cache(maxsize=None)
 def valid_streams() -> tuple[tuple[str, ...], ...]:
     """Real sessions, as lines, with ceiling rejections, trials and every
-    verdict kind: a success at N = 1328881 after 303 rejections, then at
+    verdict kind: a success at N = 1328881 after 301 rejections, then at
     N = 187, L = 16 a shared factor and, on a budget of two trials, an odd
     order, a trivial split and the budget running out."""
     histories = [factor(1328881, 41, seed=3), factor(187, 16, seed=13)]
@@ -1216,15 +1323,20 @@ class TestFastPathsAgreeWithJson:
     @example(written("true", "7"))
     @example(written("1152", "true"))
     @example(written("1152", "2.0"))
+    @example("\ufeff" + written("1152", "7"))
+    @example(written("1152", "7") + " x")
+    @example(written("1152", "7") + "{}")
     @settings(max_examples=400, deadline=None)
     def test_reader(self, line):
         head, tail = frame()
         text = "\n".join(head + [line] + tail)
         try:
             data = json.loads(line)
-        except ValueError:
-            with pytest.raises(TranscriptError, match="not JSON") as info:
+        except ValueError as exc:
+            # the reader names the cause json names
+            with pytest.raises(TranscriptError) as info:
                 from_jsonl(text)
+            assert str(info.value) == f"line 3: not JSON ({getattr(exc, 'msg', exc)})"
             assert info.value.line == 3
             return
         y, ceiling = data["y"], data["ceiling"]
@@ -1255,3 +1367,44 @@ class TestFastPathsAgreeWithJson:
         with pytest.raises(TranscriptError, match="bad 'ceiling_rejection' event") as info:
             from_jsonl(text)
         assert info.value.line == 3
+
+
+class TestDecodesEachLineOnce:
+    """from_jsonl hands each non-blank line to its JSON decoder at most
+    once, and a ceiling_rejection line as to_jsonl writes it never."""
+
+    @pytest.fixture
+    def decoded(self, monkeypatch) -> list[str]:
+        lines: list[str] = []
+        decode = transcript._decode
+
+        def counting(line: str):
+            lines.append(line)
+            return decode(line)
+
+        monkeypatch.setattr(transcript, "_decode", counting)
+        return lines
+
+    def test_canonical_stream(self, decoded):
+        # 301 rejections, then trials; blank lines in between are skipped
+        history = factor(1328881, 41, seed=3)
+        lines = to_jsonl(history).splitlines()
+        assert from_jsonl("\n \n".join(lines) + "\n\n") == history
+        rejections = [line for line in lines if '"ceiling_rejection"' in line]
+        assert len(rejections) == 301
+        assert decoded == [line for line in lines if line not in rejections]
+
+    def test_respelled_stream(self, decoded):
+        # every line of another layout, rejections included, is decoded once
+        for history in every_event_histories():
+            decoded.clear()
+            lines = [respelled(line) for line in to_jsonl(history).splitlines()]
+            assert from_jsonl("\n".join(lines)) == history
+            assert decoded == lines
+
+    def test_refused_line(self, decoded):
+        lines = to_jsonl(session_history()).splitlines()
+        lines[3] += " x"
+        with pytest.raises(TranscriptError, match="line 4: not JSON \\(Extra data\\)"):
+            from_jsonl("\n".join(lines))
+        assert decoded == lines[:4]
