@@ -115,10 +115,12 @@ class FactoringHistory:
         if not isinstance(last, AttemptRecord):
             raise ValueError(f"no AttemptRecord ended the session: attempts end on {last!r}")
         factoring, trials, ended = (Outcome.SUCCESS, Outcome.SHARED_FACTOR), 0, None
-        for position, attempt in enumerate(attempts):
+        for attempt in attempts:
             if type(attempt) is int:
                 continue
             if not isinstance(attempt, AttemptRecord):
+                # by identity: attempts.index would find an equal int, 2 for 2.0
+                position = next(i for i, a in enumerate(attempts) if a is attempt)
                 raise TypeError(
                     f"attempts[{position}] is {attempt!r}, neither an int nor an AttemptRecord"
                 )

@@ -4,15 +4,17 @@ Everything in this module is deterministic: modular exponentiation, exact
 primality, prime factorization and multiplicative order of moduli up to
 ten digits, and continued-fraction convergents. All functions accept
 plain Python ints and never lose precision to floats. All but one are
-pure: multiplicative_order counts its calls per modulus and, past the sum
-of the modulus's prime-power components, answers from order tables it
-builds then; the count changes its speed, never its result.
+pure: multiplicative_order counts its calls per odd modulus and, past the
+number of slots the modulus's order tables hold, builds them and answers
+each later test with one read per prime-power component and one read of
+the lcm of the orders read; the count changes its speed, never its result.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import product
 from math import lcm
 
 MAX_MODULUS = 10**10 - 1  # inputs are capped at ten decimal digits
@@ -99,19 +101,23 @@ def carmichael_lambda(n: int) -> int:
 
 
 class _OrderRecord:
-    """multiplicative_order's state for one modulus: steps, tests left
-    before the tables are built, and the tables once built."""
+    """multiplicative_order's state for one modulus without tables: its
+    steps and the tests left before its tables are built."""
 
-    __slots__ = ("steps", "countdown", "tables")
+    __slots__ = ("steps", "countdown")
 
 
-@lru_cache(maxsize=4096)
+_MODULI = 4096  # moduli with a record, and moduli with tables, kept at once
+
+
+@lru_cache(maxsize=_MODULI)
 def _order_record(n: int) -> _OrderRecord:
     """The record of n. Its steps are the primes p of lambda(n), largest
     first, each with the prime-power components m of n whose lambda(m) p
     divides, as (m, lambda(m) / p**v, p**v) for p**v the power of p in
-    lambda(m), largest p**v first. Its countdown is the sum of the
-    components, or infinite when one is a power of 2 (not always cyclic)."""
+    lambda(m), largest p**v first. Its countdown is the number of slots
+    _order_tables(n) holds, or infinite when a component is a power of 2
+    (not always cyclic)."""
     if n < 2:
         raise ValueError("modulus must be >= 2")
     parts = [(p**e, _prime_power_lambda(p, e)) for p, e in factorize(n)]
@@ -122,63 +128,91 @@ def _order_record(n: int) -> _OrderRecord:
         powers.sort(reverse=True)
         steps.append((p, tuple((m, lam // pv, pv) for pv, m, lam in powers if pv > 1)))
     record = _OrderRecord()
-    record.steps, record.tables = tuple(steps), None
-    record.countdown = sum(m for m, _ in parts) if n % 2 else math.inf
+    # one slot per residue of each component, one per combination of orders
+    slots = sum(m for m, _ in parts) + math.prod(len(_divisors(lam)) + 1 for _, lam in parts)
+    record.steps, record.countdown = tuple(steps), slots if n % 2 else math.inf
     return record
 
 
-def _order_tables(n: int) -> tuple[tuple[int, list[int]], tuple[tuple[int, list[int]], ...]]:
-    """(m, the order of each residue mod m, 0 for a non-unit) for each
-    prime-power component m of an odd n, from a generator g of (Z/m)*:
-    the first component's pair, then a tuple of the others'."""
-    tables = []
+# The tables of each modulus that has them, oldest first, at most _MODULI
+_TABLES: dict[int, tuple[tuple[tuple[int, list[int]], ...], list[int]]] = {}
+
+
+def _reset_orders() -> None:
+    """Forget every modulus's record and tables."""
+    _order_record.cache_clear()
+    _TABLES.clear()
+
+
+def _divisors(lam: int) -> list[int]:
+    """The divisors of lam, ascending."""
+    divisors = [1]
+    for f, k in factorize(lam):
+        divisors = [d * f**i for d in divisors for i in range(k + 1)]
+    return sorted(divisors)
+
+
+def _order_tables(n: int) -> tuple[tuple[tuple[int, list[int]], ...], list[int]]:
+    """(parts, orders) for an odd n, from a generator g of (Z/m)* for each
+    prime-power component m. parts holds one (m, index) pair per m:
+    index[x] is the slot of x's order mod m among [0, *divisors of
+    lambda(m)], 0 for a non-unit, times the product of the earlier
+    components' slot counts. orders[sum of y's index reads] is the lcm of
+    y's orders mod the components, its order mod n, or 0 when any is 0."""
+    parts, slot_orders, radix = [], [], 1
     for p, e in factorize(n):
         m, lam = p**e, _prime_power_lambda(p, e)
-        primes = factorize(lam)
+        primes, divisors = factorize(lam), _divisors(lam)
         g = next(
             a for a in range(2, m) if a % p and all(pow(a, lam // f, m) != 1 for f, _ in primes)
         )
-        divisors = [1]
-        for f, k in primes:
-            divisors = [d * f**i for d in divisors for i in range(k + 1)]
         # ord(g**k) = lam / gcd(k, lam), the largest divisor of lam dividing
-        # k: ascending, that divisor is the last to write slot k
+        # k: ascending, that divisor is the last to write slot k, and the
+        # order lam / divisors[i] has slot len(divisors) - i
         by_exponent = [0] * lam
-        for d in sorted(divisors):
-            by_exponent[::d] = [lam // d] * (lam // d)
-        table, x = [0] * m, 1
-        for order in by_exponent:
-            table[x] = order
+        for i, d in enumerate(divisors):
+            by_exponent[::d] = [(len(divisors) - i) * radix] * (lam // d)
+        index, x = [0] * m, 1
+        for slot in by_exponent:
+            index[x] = slot
             x = x * g % m
-        tables.append((m, table))
-    return tables[0], tuple(tables[1:])
+        parts.append((m, index))
+        slot_orders.append([0, *divisors])
+        radix *= len(divisors) + 1
+    # product varies its last factor fastest: the first component's slot
+    orders = [lcm(*combination) for combination in product(*reversed(slot_orders))]
+    return tuple(parts), orders
 
 
 def multiplicative_order(y: int, n: int, ceiling: int | None = None) -> int | None:
     """Least r >= 1 with y**r == 1 (mod n), or None when it exceeds `ceiling`.
 
-    After more tests on an odd n than the sum of its components, r is the
-    lcm of y's orders in _order_tables. Until then, and for even n, r's
-    part for each prime p of lambda(n), largest p first, is the largest
-    order of y**(lambda(m) / p**v) mod m over the prime-power components m
-    of n, so every power is taken mod a component with an exponent no wider
+    After as many tests on an odd n as _order_tables(n) has slots, r is
+    read from those tables: one index read per component, one orders
+    read. Until then, and for even n, r's part for each prime p of
+    lambda(n), largest p first, is the largest order of
+    y**(lambda(m) / p**v) mod m over the prime-power components m of n,
+    so every power is taken mod a component with an exponent no wider
     than lambda(m). A base is rejected as soon as the product of the parts
     found exceeds `ceiling`: typically after one or two short powers.
     """
     if ceiling is not None and ceiling < 1:
         raise ValueError("ceiling must be >= 1")
-    record = _order_record(n)  # refuses n < 2
-    tables = record.tables
+    tables = _TABLES.get(n)
     if tables is None:
+        record = _order_record(n)  # refuses n < 2
         record.countdown -= 1
         if record.countdown < 0:
-            tables = record.tables = _order_tables(n)
+            if len(_TABLES) >= _MODULI:
+                del _TABLES[next(iter(_TABLES))]
+            tables = _TABLES[n] = _order_tables(n)
     if tables is not None:
-        (m, table), others = tables
-        r = table[y % m]
-        for m, table in others:
-            r = lcm(r, table[y % m])
-        if not r:  # a non-unit's 0 entry makes the lcm 0
+        parts, orders = tables
+        slot = 0
+        for m, index in parts:
+            slot += index[y % m]
+        r = orders[slot]
+        if not r:  # a non-unit's slot 0 makes the lcm 0
             raise NotCoprime(f"gcd({y % n}, {n}) = {math.gcd(y, n)}, order undefined")
         return None if ceiling is not None and r > ceiling else r
     y %= n

@@ -1,14 +1,16 @@
 """Shared oracles and helpers.
 
 The oracles here recompute results by independent routes (brute
-iteration, complex phasor sums, exact Fraction arithmetic) so the
-package code is never checked against itself.
+iteration, complex phasor sums, exact Fraction arithmetic, 80-digit
+decimal arithmetic) so the package code is never checked against itself.
 """
 
 from __future__ import annotations
 
 import cmath
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -42,6 +44,60 @@ def brute_prob(c: int, r: int, q: int) -> float:
             a += r
         total += abs(amp) ** 2
     return total / q**2
+
+
+def decimal_prob(c: int, r: int, q: int) -> Decimal:
+    """Readout probability from the closed form in shorsim.model's
+    docstring, evaluated in decimal at 80 digits.
+
+    Every product is reduced mod q in exact integer arithmetic, and each
+    sine is taken of pi * x / q for x in [0, q), with pi and sin from the
+    recipes in the decimal module's documentation, so no float rounding
+    enters.
+    """
+    with decimal.localcontext() as context:
+        context.prec = 80
+        pi = _decimal_pi()
+
+        def sin_squared(x: int) -> Decimal:
+            return _decimal_sin(pi * (x % q) / q) ** 2
+
+        d = r * c % q
+        a0, s = divmod(q, r)
+        if d == 0:
+            return Decimal(s * (a0 + 1) ** 2 + (r - s) * a0 * a0) / (q * q)
+        num = s * sin_squared((a0 + 1) * d) + (r - s) * sin_squared(a0 * d)
+        return num / (q * q * sin_squared(d))
+
+
+def _decimal_pi() -> Decimal:
+    """pi to the current decimal precision."""
+    decimal.getcontext().prec += 2
+    three = Decimal(3)
+    lasts, t, s, n, na, d, da = 0, three, 3, 1, 0, 0, 24
+    while s != lasts:
+        lasts = s
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        s += t
+    decimal.getcontext().prec -= 2
+    return +s
+
+
+def _decimal_sin(x: Decimal) -> Decimal:
+    """sin(x) to the current decimal precision, by its Taylor series."""
+    decimal.getcontext().prec += 2
+    i, lasts, s, fact, num, sign = 1, 0, x, 1, x, 1
+    while s != lasts:
+        lasts = s
+        i += 2
+        fact *= i * (i - 1)
+        num *= x * x
+        sign *= -1
+        s += num / fact * sign
+    decimal.getcontext().prec -= 2
+    return +s
 
 
 def brute_convergent(c: int, q: int, denom_bound: int) -> tuple[int, int]:
@@ -169,25 +225,38 @@ class ScriptedSampler:
         return self.readouts.pop(0)
 
 
+def table_slots(n: int) -> int:
+    """The slots in the order tables of an odd n: one per residue of each
+    prime-power component p**e, plus one per combination of the
+    components' orders, each a divisor of (p - 1) * p**(e - 1) or the 0 of
+    a non-unit. Divisors are counted by trial of every candidate."""
+    from shorsim.numtheory import factorize
+
+    residues, combinations = 0, 1
+    for p, e in factorize(n):
+        lam = (p - 1) * p ** (e - 1)
+        residues += p**e
+        combinations *= 1 + sum(lam % d == 0 for d in range(1, lam + 1))
+    return residues + combinations
+
+
 def order_path(n: int, tables: bool) -> None:
     """Put multiplicative_order on n on one path for the calls that follow.
 
-    Clears the per-modulus records, then runs the order tests on n that
-    come before the build of its tables: one per unit of the sum of n's
-    prime-power components, plus the test that builds them when `tables`.
-    Without tables the countdown is then held, so that every later call
-    runs the prime-power steps, as it does for an even n.
+    Clears the per-modulus records and tables, then runs the order tests
+    on n that come before the build of its tables, one per table slot
+    (an even n never builds), plus the test that builds them when
+    `tables`. Without tables the countdown is then held, so that every
+    later call runs the prime-power steps, as it does for an even n.
     """
     from shorsim import numtheory
 
-    numtheory._order_record.cache_clear()
-    total = sum(p**e for p, e in numtheory.factorize(n))
-    for _ in range(total + tables):
+    numtheory._reset_orders()
+    for _ in range(table_slots(n) + tables):
         numtheory.multiplicative_order(1, n)
-    record = numtheory._order_record(n)
-    assert (record.tables is not None) == (tables and n % 2 == 1)
+    assert (n in numtheory._TABLES) == (tables and n % 2 == 1)
     if not tables:
-        record.countdown = math.inf
+        numtheory._order_record(n).countdown = math.inf
 
 
 @pytest.fixture(scope="session")

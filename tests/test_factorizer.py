@@ -291,8 +291,8 @@ class TestPickY:
         assert (hit.outcome, hit.factors) == (Outcome.SHARED_FACTOR, (g, n // g))
         assert attempts == rejected
         assert rng.integers == [21]  # no base is taken past the one returned
-        assert (numtheory._order_record(n).tables is not None) == tables
-        numtheory._order_record.cache_clear()
+        assert (n in numtheory._TABLES) == tables
+        numtheory._reset_orders()
 
 
 class TestFactor:
@@ -330,7 +330,7 @@ class TestFactor:
         for tables in (False, True):
             order_path(n, tables)
             sessions.append(factor(n, seed=seed).attempts)
-        numtheory._order_record.cache_clear()
+        numtheory._reset_orders()
         steps, tables = sessions
         assert steps == tables
         attempts = pinned_view(tables)
@@ -543,6 +543,13 @@ class TestFactoringHistory:
         message = f"^attempts\\[1\\] is {re.escape(repr(entry))}, neither an int nor an AttemptRecord$"
         with pytest.raises(TypeError, match=message):
             dataclasses.replace(history, attempts=(36, entry) + history.attempts)
+
+    def test_refused_attempt_is_named_by_its_own_position(self):
+        # 2.0 == 2, so the entry before it must not be the one named
+        history = factor(187, seed=11)
+        message = r"^attempts\[1\] is 2\.0, neither an int nor an AttemptRecord$"
+        with pytest.raises(TypeError, match=message):
+            dataclasses.replace(history, attempts=(2, 2.0, history.attempts[-1]))
 
     def test_derived_fields_cannot_be_passed(self):
         history = factor(187, 16, seed=1)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from shorsim.model import (
 )
 from shorsim.factorizer import run_session
 from shorsim.transcript import from_jsonl, to_jsonl
-from conftest import brute_prob
+from conftest import brute_prob, decimal_prob
 
 
 class TestRegisterSizing:
@@ -243,6 +244,53 @@ class TestProb:
     def test_normalizes_at_session_register(self, r):
         q = 1 << 16
         assert abs(math.fsum(prob(c, r, q) for c in range(q)) - 1.0) <= 1e-12
+
+
+# prob's error bound in ulp of the exact value, fixed before it was first
+# compared: a sine squared carries up to about 10 unit roundoffs of
+# relative error (x / q, pi, their product, a libm sin within one ulp, the
+# square), and prob compounds two of them with the products by s and
+# r - s, their sum, the denominator's sine squared and the division,
+# about 23 in all; a relative error of k unit roundoffs is under k ulp.
+# An exact zero must be exactly zero.
+PROB_ULPS = 24
+
+
+class TestProbAtSessionRegisters:
+    """prob at the register sizes sessions use, q = 2**41, 2**67 and
+    2**96, where the phasor oracle cannot run, against the closed form at
+    80 digits."""
+
+    @given(st.sampled_from([41, 67, 96]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_decimal_closed_form(self, bits, data):
+        q = 1 << bits
+        r = data.draw(
+            st.integers(1, 10**10) | st.integers(2, 10**4) | st.integers(q - 10**4, q), label="r"
+        )
+        m = data.draw(st.integers(0, r - 1), label="m")
+        peak = (2 * m * q + r - 1) // (2 * r)  # the readout nearest m * q / r
+        half_cell = q // (2 * r)
+        offset = data.draw(
+            st.sampled_from([0, -1, 1])  # the peak and its neighbours
+            | st.integers(-64, 64)  # near the peak
+            | st.integers(-half_cell, half_cell),  # anywhere in the peak's cell
+            label="offset",
+        )
+        c = (peak + offset) % q
+        exact = decimal_prob(c, r, q)
+        error = abs(Decimal(prob(c, r, q)) - exact)
+        assert error <= PROB_ULPS * Decimal(math.ulp(float(exact)))
+
+    @given(st.integers(1, 9), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_decimal_oracle_matches_phasor_sum(self, bits, data):
+        # the two oracles agree where both can run
+        q = 1 << bits
+        r = data.draw(st.integers(1, q))
+        c = data.draw(st.integers(0, q - 1))
+        expected = brute_prob(c, r, q)
+        assert float(decimal_prob(c, r, q)) == pytest.approx(expected, rel=1e-9, abs=1e-20)
 
 
 class TestDominantReadouts:

@@ -16,7 +16,7 @@ from shorsim.numtheory import (
     modpow,
     multiplicative_order,
 )
-from conftest import brute_convergent, brute_order, order_path
+from conftest import brute_convergent, brute_order, order_path, table_slots
 
 
 class TestModpow:
@@ -273,10 +273,18 @@ class TestOrderTables:
     @pytest.fixture(autouse=True)
     def fresh_records(self):
         yield
-        numtheory._order_record.cache_clear()
+        numtheory._reset_orders()
 
     @pytest.mark.parametrize("tables", [False, True], ids=["steps", "tables"])
-    @pytest.mark.parametrize("n", [15, 187, 1001])
+    @pytest.mark.parametrize(
+        "n",
+        [
+            15,
+            187,
+            1001,
+            3**3 * 5**2 * 7,  # three components, two with p dividing lambda(p**e)
+        ],
+    )
     def test_every_base_matches_brute_iteration(self, n, tables):
         order_path(n, tables)
         for y in range(n):
@@ -314,30 +322,75 @@ class TestOrderTables:
                 assert pow(y, r // p, n) != 1
             checked += 1
 
+    def test_ten_digit_tables_agree_with_the_steps(self):
+        n = 9954647173  # 99707 * 99839
+        rng = random.Random(n)
+        bases = [y for y in (rng.randint(2, n - 1) for _ in range(2000)) if math.gcd(y, n) == 1]
+        orders = []
+        for tables in (False, True):
+            order_path(n, tables)
+            orders.append([checked_order(y, n) for y in bases])
+        steps, tables = orders
+        assert len(steps) == 2000
+        assert tables == steps
+
     @pytest.mark.parametrize("n", [187, 1009 * 1013, 3 * 11 * 1009 * 65537])
-    def test_tables_are_built_on_the_test_after_the_component_sum(self, n, monkeypatch):
+    def test_tables_are_built_on_the_test_after_the_slot_count(self, n, monkeypatch):
         built = []
         build = numtheory._order_tables
         monkeypatch.setattr(numtheory, "_order_tables", lambda n: built.append(n) or build(n))
-        numtheory._order_record.cache_clear()
-        total = sum(p**e for p, e in factorize(n))
-        for _ in range(total):
+        numtheory._reset_orders()
+        for _ in range(table_slots(n)):
             multiplicative_order(2, n)
         assert built == []
-        assert numtheory._order_record(n).tables is None
+        assert n not in numtheory._TABLES
         multiplicative_order(2, n)
         assert built == [n]
         for _ in range(3):
             multiplicative_order(2, n)
         assert built == [n]
 
+    def test_many_components_wait_for_their_combinations(self, monkeypatch):
+        # nine components: 127 residues, but 3 * 4 * 5 * 5 * 7 * 6 * 7 * 5 * 7
+        # combinations of their orders or 0, so the tables wait that long too
+        n = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29
+        assert n == 3_234_846_615
+        built = []
+        build = numtheory._order_tables
+        monkeypatch.setattr(numtheory, "_order_tables", lambda n: built.append(n) or build(n))
+        numtheory._reset_orders()
+        residues = sum(p for p, _ in factorize(n))
+        assert residues == 127
+        expected = brute_order(2, n)
+        for _ in range(residues + 1):
+            assert multiplicative_order(2, n) == expected
+        assert built == []
+        assert table_slots(n) == 127 + 3_087_000
+        assert numtheory._order_record(n).countdown == table_slots(n) - (residues + 1)
+
     def test_even_modulus_never_builds(self, monkeypatch):
         monkeypatch.setattr(numtheory, "_order_tables", None)  # a call would fail
-        numtheory._order_record.cache_clear()
+        numtheory._reset_orders()
         expected = brute_order(3, 2 * 1009)
         for _ in range(3 * (2 + 1009)):
             assert multiplicative_order(3, 2 * 1009) == expected
-        assert numtheory._order_record(2 * 1009).tables is None
+        assert 2 * 1009 not in numtheory._TABLES
+
+    def test_tables_of_the_newest_moduli_are_kept_and_reset(self, monkeypatch):
+        monkeypatch.setattr(numtheory, "_MODULI", 2)
+        numtheory._reset_orders()
+        for n in (15, 21, 33):
+            for _ in range(table_slots(n) + 1):
+                multiplicative_order(1, n)
+        assert list(numtheory._TABLES) == [21, 33]
+        # 15 kept its spent countdown, so its next test builds again
+        assert multiplicative_order(2, 15) == brute_order(2, 15)
+        assert list(numtheory._TABLES) == [33, 15]
+        numtheory._reset_orders()
+        assert numtheory._TABLES == {}
+        assert numtheory._order_record.cache_info().currsize == 0
+        assert multiplicative_order(2, 15) == brute_order(2, 15)
+        assert numtheory._TABLES == {}
 
 
 class TestConvergents:
