@@ -10,15 +10,16 @@ keys in sorted order. A template holds only ints the constructors have
 checked, the literals true, false and null, an outcome's value, and the
 summary's elapsed, a finite float, as its repr, the way json writes a
 float; the summary's warnings, text, are the one value json encodes, and
-only when there are any. A stream that cannot be parsed back, or whose
-history could not be written again, raises TranscriptError naming the
-line at fault.
+only when there are any. from_jsonl reads each run of ceiling_rejection
+lines, the bulk of a stream, in one step of string operations over the
+whole run, and decodes every other line once. A stream that cannot be
+parsed back, or whose history could not be written again, raises
+TranscriptError naming the line at fault.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from typing import Any
 
 from .factorizer import AttemptRecord, FactoringHistory, Outcome
@@ -34,18 +35,13 @@ FACTORING_FAILED = "The factoring has failed, hence a new value of y will be cho
 SUCCESS_LINE = "The program has succeeded and will now terminate."
 FAILURE_LINE = "The program has failed and will now terminate."
 
-# a ceiling_rejection line exactly as to_jsonl writes it; from_jsonl reads it
-# without a JSON decode. At most 19 digits keep int() fast and within the
-# limit on integer string conversion; any other spelling takes the general
-# path.
-_REJECTION_LINE = re.compile(
-    r'\{"ceiling": (0|[1-9][0-9]{0,18}), "event": "ceiling_rejection", '
-    r'"y": (0|[1-9][0-9]{0,18})\}'
-)
 # json.loads(line) for a line with no surrounding whitespace is the object
-# this decodes, if it ends at the end of the line; json.loads would refuse a
-# leading byte-order mark first, in these words
-_decode = json.JSONDecoder().raw_decode
+# _decode(line, 0) decodes, if it ends at the end of the line. It is the
+# scanner that JSONDecoder.raw_decode calls, without raw_decode's Python
+# frame, so where raw_decode raises "Expecting value" it raises
+# StopIteration; json.loads would refuse a leading byte-order mark first,
+# in these words
+_decode = json.JSONDecoder().scan_once
 _BOM_CAUSE = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
 
 
@@ -115,7 +111,7 @@ def to_jsonl(history: FactoringHistory) -> str:
         f'{{"event": "safe_qubits_hint", "qubits": {_safe_qubits(n)}}}',
     ]
     append = lines.append
-    head = f'{{"ceiling": {params.ceiling}, "event": "ceiling_rejection", "y": '
+    head = _rejection_head(params)
     index = 0  # a trial's number is its position in the session
     for attempt in history.attempts:
         if type(attempt) is int:
@@ -157,14 +153,22 @@ def to_jsonl(history: FactoringHistory) -> str:
 def from_jsonl(text: str) -> FactoringHistory:
     """Parse the output of to_jsonl back into an equal history.
 
-    Each stripped line is decoded at most once, by
-    json.JSONDecoder().raw_decode with a check that nothing follows the
-    value: that accepts the lines json.loads accepts, as the same objects,
-    and refuses the others with the cause json.loads names. A
-    ceiling_rejection in the layout to_jsonl writes, naming the session's
-    ceiling and a y in [2, n), is read without a decode. A field is checked
-    against the value the writers derive, and the refusal's text is built
-    only when the check fails.
+    A line that starts as to_jsonl writes a ceiling_rejection of the
+    session, up to its y, opens a run while no base is open, and the run
+    holds it and each next line that starts so. The run is read in one
+    step, without a decode (_rejections): joined, split into its ys, which
+    must be plain ASCII digits with no leading zero, each followed by "}"
+    at the end of its line, then converted by int and checked against
+    [2, n), each check one pass over the whole run. A run that fails a
+    check is read line by line on the general path, which names the line
+    and the cause, and no line of it opens a run again. The general path
+    decodes each stripped line at most once, by the scanner that
+    json.JSONDecoder().raw_decode calls, with a check that nothing follows
+    the value: that accepts the lines json.loads accepts, as the same
+    objects, and refuses the others with the cause json.loads names. A
+    field is checked against the value the writers derive, and the
+    refusal's text is built only when the check fails. A text that is not
+    a str raises TypeError before anything is split.
 
     The banner is the first event and the summary the last, each once. A
     new_base is followed by its trials and then its attempt_verdict, with no
@@ -189,34 +193,48 @@ def from_jsonl(text: str) -> FactoringHistory:
     or a value above q) are refused on their first such line. Any other
     input raises TranscriptError naming the line and the cause.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"text must be a str, not {type(text).__name__}")
     params: FactoringParams | None = None
     attempts: list[AttemptRecord | int] = []
     open_y: Any = None
     open_trials: list[OrderResult] | None = None  # None: no base is open
     position = 0  # of the last trial read, in the session
-    last = 0
-    rejection, decode = _REJECTION_LINE.fullmatch, _decode
-    ceiling_text, n, q = None, 0, 0  # the session's ceiling as written, its n and q
-    lines = enumerate(text.splitlines(), start=1)
-    for number, line in lines:
+    decode = _decode
+    # a ceiling_rejection line of the session up to its y, once the banner
+    # is read; the lines that start with head are those in [head, after),
+    # none before then
+    head = after = ""
+    n = q = 0
+    rows = text.splitlines()
+    count = len(rows)
+    number = last = 0  # the line read last, and the last one not blank
+    single = 0  # the lines up to this one are read one at a time
+    while number < count:
+        line = rows[number]
+        number += 1
+        if open_trials is None and number > single and head <= line < after:
+            stop = number  # the run: this line and each next one that starts with head
+            while stop < count and head <= rows[stop] < after:
+                stop += 1
+            ys = _rejections(rows[number - 1 : stop], head, n)
+            if ys is not None:
+                attempts += ys
+                number = last = stop
+                continue
+            # the general path reads the run line by line and names its fault
+            single = stop
         line = line.strip()
         if not line:
             continue
         last = number
-        fast = rejection(line)
-        # a line the fast path would refuse takes the general path, which
-        # names the cause
-        if fast and fast[1] == ceiling_text and open_trials is None:
-            y = int(fast[2])
-            if 2 <= y < n:
-                attempts.append(y)
-                continue
         try:
-            data, end = decode(line)
+            data, end = decode(line, 0)
             if end != len(line):
                 raise json.JSONDecodeError("Extra data", line, end)
-        except (ValueError, RecursionError) as exc:  # also huge ints, deep nesting
-            cause = _BOM_CAUSE if line[0] == "\ufeff" else getattr(exc, "msg", exc)
+        except (StopIteration, ValueError, RecursionError) as exc:  # also huge ints, deep nesting
+            default = "Expecting value" if type(exc) is StopIteration else exc
+            cause = _BOM_CAUSE if line[0] == "\ufeff" else getattr(exc, "msg", default)
             raise TranscriptError(number, f"not JSON ({cause})") from None
         try:
             kind = data.pop("event")
@@ -241,7 +259,8 @@ def from_jsonl(text: str) -> FactoringHistory:
                 for name in ("qubits", "seed"):
                     if data[name] is None:  # the constructor would pick one afresh
                         raise ValueError(f"{name} must not be null")
-                ceiling_text, n, q = str(params.ceiling), params.n, params.q
+                head, n, q = _rejection_head(params), params.n, params.q
+                after = head[:-1] + "!"  # head ends in a space, which "!" follows
             elif params is None:
                 raise ValueError("no banner before it")
             elif kind == "ceiling_rejection":
@@ -316,10 +335,44 @@ def from_jsonl(text: str) -> FactoringHistory:
         if open_trials is not None:
             raise TranscriptError(last + 1, "the last new_base has no attempt_verdict")
         raise TranscriptError(last + 1, "no summary event")
-    for number, line in lines:
+    for number, line in enumerate(rows[number:], number + 1):
         if line.strip():
             raise TranscriptError(number, "the summary is not the last event")
     return history
+
+
+def _rejection_head(params: FactoringParams) -> str:
+    """A ceiling_rejection line of the session, as to_jsonl writes it, up to its y."""
+    return f'{{"ceiling": {params.ceiling}, "event": "ceiling_rejection", "y": '
+
+
+def _rejections(run: list[str], head: str, n: int) -> list[int] | None:
+    """The ys of a run of lines that each start with head, if each line is
+    head, a y in [2, n) as to_jsonl writes it (plain ASCII digits with no
+    leading zero) and "}"; else None. Each check is one pass over the run."""
+    joined = "".join(run)
+    # every line starts with head, whose "{" no y holds, so when each piece
+    # is digits its line is head, the piece and "}". rsplit sets its search
+    # up in one pass over the separator per piece; split's search from the
+    # left costs more per piece once a run is long.
+    digits = joined.rsplit("}" + head)
+    digits[0] = digits[0][len(head) :]
+    digits[-1] = digits[-1][:-1]  # the "}" checked below
+    word = "".join(digits)
+    # in string order a piece above "1" is neither empty, 0, 1 nor led by a 0
+    if (
+        len(digits) != len(run)
+        or joined[-1] != "}"
+        or not word.isascii()
+        or not word.isdigit()
+        or min(digits) <= "1"
+    ):
+        return None
+    try:
+        ys = [*map(int, digits)]
+    except ValueError:  # past the limit on integer string conversion
+        return None
+    return ys if max(ys) < n else None
 
 
 def _int_in(name: str, value: Any, low: int, high: float) -> int:

@@ -490,6 +490,22 @@ class TestJsonlErrors:
         assert cause in str(info.value)
         assert str(info.value).startswith(f"line {line}: ")
 
+    @pytest.mark.parametrize(
+        "encode,name",
+        [
+            (lambda text: None, "NoneType"),
+            (str.encode, "bytes"),
+            (lambda text: bytearray(text.encode()), "bytearray"),
+            (len, "int"),
+        ],
+    )
+    def test_text_that_is_not_a_str_is_refused(self, encode, name):
+        # refused before anything is split, bytes of a valid stream too
+        text = encode(to_jsonl(session_history()))
+        with pytest.raises(TypeError) as info:
+            from_jsonl(text)
+        assert str(info.value) == f"text must be a str, not {name}"
+
     def test_truncated_stream_points_past_its_end(self):
         lines = to_jsonl(session_history()).splitlines()[:-1]
         with pytest.raises(TranscriptError, match="no summary event") as info:
@@ -1286,6 +1302,59 @@ def rejection_lines(draw) -> str:
     return "{" + pad + comma.join(f'"{k}"{colon}{v}' for k, v in items) + pad + "}" + tail
 
 
+# rejection lines of session_history()'s stream, ceiling 1152, in and
+# around the layout to_jsonl writes: other digits, leading zeros, signs,
+# underscores, too many digits, a y out of [2, n) or that is no int, another
+# ceiling or one of another type, other spacing, a second y, a byte-order
+# mark, no closing brace, and trailing text or a second rejection
+REJECTION_EXAMPLES = [
+    written("1152", "1\u0663"),
+    written("1\uff11", "7"),
+    written("1152", "007"),
+    written("1152", "+5"),
+    written("1152", "-5"),
+    written("1152", "1_000"),
+    written("1152", "1" * 4301),
+    written("1152", "9" * 19),
+    written("1152", "9" * 20),
+    written("1152", "7") + "}",
+    written("1152", "7").replace(": ", ":  ", 1),
+    written("1152", "17").replace('"y": ', '"y":'),
+    written("1152", " 7"),
+    written("1152", "7 "),
+    written("1152", '7, "y": 8'),
+    written("1152", "99999999999999"),
+    written("1152", "1"),
+    written("1152", "2"),
+    written("1152", "1328880"),
+    written("1152", "1328881"),
+    written("5", "7"),
+    written("1153", "7"),
+    written("01152", "7"),
+    written("1152.0", "7"),
+    written("true", "7"),
+    written("1152", "true"),
+    written("1152", "2.0"),
+    "\ufeff" + written("1152", "7"),
+    written("1152", "7")[:-1],
+    written("1152", "7")[:-1] + "]",
+    written("1152", "7") + " x",
+    written("1152", "7") + "{}",
+    written("1152", "7") + written("1152", "8"),
+]
+
+
+def with_examples(*lines: str):
+    """A hypothesis example of each line."""
+
+    def decorate(test):
+        for line in lines:
+            test = example(line)(test)
+        return test
+
+    return decorate
+
+
 @functools.lru_cache(maxsize=None)
 def frame() -> tuple[list[str], list[str]]:
     """The lines of session_history()'s stream before its first attempt, and
@@ -1299,33 +1368,8 @@ class TestFastPathsAgreeWithJson:
     whose y is an int in [2, n) and whose ceiling is the int 1152 parses,
     any other is refused on its line."""
 
+    @with_examples(*REJECTION_EXAMPLES)
     @given(rejection_lines())
-    @example(written("1152", "1\u0663"))
-    @example(written("1\uff11", "7"))
-    @example(written("1152", "007"))
-    @example(written("1152", "+5"))
-    @example(written("1152", "-5"))
-    @example(written("1152", "1_000"))
-    @example(written("1152", "1" * 4301))
-    @example(written("1152", "9" * 19))
-    @example(written("1152", "9" * 20))
-    @example(written("1152", "7") + "}")
-    @example(written("1152", "7").replace(": ", ":  ", 1))
-    @example(written("1152", "99999999999999"))
-    @example(written("1152", "1"))
-    @example(written("1152", "2"))
-    @example(written("1152", "1328880"))
-    @example(written("1152", "1328881"))
-    @example(written("5", "7"))
-    @example(written("1153", "7"))
-    @example(written("01152", "7"))
-    @example(written("1152.0", "7"))
-    @example(written("true", "7"))
-    @example(written("1152", "true"))
-    @example(written("1152", "2.0"))
-    @example("\ufeff" + written("1152", "7"))
-    @example(written("1152", "7") + " x")
-    @example(written("1152", "7") + "{}")
     @settings(max_examples=400, deadline=None)
     def test_reader(self, line):
         head, tail = frame()
@@ -1369,6 +1413,109 @@ class TestFastPathsAgreeWithJson:
         assert info.value.line == 3
 
 
+def long_run() -> tuple[FactoringHistory, list[str], list[int]]:
+    """valid_streams()'s N = 1328881 session, its lines, and the indices of
+    its one run of 301 ceiling_rejection lines."""
+    lines = list(valid_streams()[0])
+    run = [i for i, line in enumerate(lines) if '"ceiling_rejection"' in line]
+    assert len(run) == 301 and run == list(range(run[0], run[-1] + 1))
+    return from_jsonl("\n".join(lines)), lines, run
+
+
+def read(text: str) -> FactoringHistory | tuple[int, str]:
+    """What from_jsonl gives for a text: its history, or its refusal's line
+    and message."""
+    try:
+        return from_jsonl(text)
+    except TranscriptError as exc:
+        return exc.line, str(exc)
+
+
+class TestRunPath:
+    """from_jsonl reads each run of ceiling_rejection lines in one step, and
+    what it reads from a run, or refuses in it, is what the general path
+    reads or refuses one line at a time."""
+
+    @pytest.mark.parametrize("line", REJECTION_EXAMPLES)
+    @pytest.mark.parametrize("where", [0, 150, 300])
+    def test_planted_line_reads_as_on_the_general_path(self, line, where, monkeypatch):
+        # planted at the first, a middle and the last line of the run: the
+        # same as with every other line re-spelled, where no run is longer
+        # than the planted line, and as with no run read in one step
+        _, lines, run = long_run()
+        number = run[where] + 1
+        planted = lines[: number - 1] + [line] + lines[number:]
+        respelled_around = [respelled(other) for other in lines]
+        respelled_around[number - 1] = line
+        got = read("\n".join(planted))
+        assert got == read("\n".join(respelled_around))
+        if type(got) is tuple:
+            assert got[0] == number
+        monkeypatch.setattr(transcript, "_rejections", lambda rows, head, n: None)
+        assert read("\n".join(planted)) == got
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda line: ["", line], id="blank-line"),
+            pytest.param(lambda line: [f"  {line}\t"], id="padded"),
+            pytest.param(lambda line: [respelled(line)], id="respelled"),
+        ],
+    )
+    def test_broken_run_reads_to_the_canonical_history(self, edit):
+        history, lines, run = long_run()
+        middle = run[150]
+        lines[middle : middle + 1] = edit(lines[middle])
+        assert from_jsonl("\n".join(lines)) == history
+
+    def test_rejection_while_a_base_is_open_is_refused_on_its_line(self):
+        # session_history()'s first new_base, on line 3, followed by a run
+        lines = session_stream()
+        assert json.loads(lines[2])["event"] == "new_base"
+        lines[3:3] = [REJECTION] * 3
+        with pytest.raises(TranscriptError) as info:
+            from_jsonl("\n".join(lines))
+        assert str(info.value) == (
+            "line 4: bad 'ceiling_rejection' event: the last new_base has no attempt_verdict"
+        )
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r", "\x85", "\u2028"])
+    def test_line_breaks_of_splitlines_read_the_same(self, newline):
+        # the same history, and the same refusal of a y written 07 in the
+        # middle of the run, as with "\n"
+        history, lines, run = long_run()
+        assert from_jsonl(newline.join(lines) + newline) == history
+        number = run[150] + 1
+        lines = lines[: number - 1] + [written("1152", "07")] + lines[number:]
+        got = read(newline.join(lines))
+        assert got == read("\n".join(lines)) == (
+            number, f"line {number}: not JSON (Expecting ',' delimiter)"
+        )
+
+    def test_failed_run_is_not_scanned_again(self, monkeypatch):
+        # the run fails on its last line; the lines before it are read one
+        # at a time, and none of them opens a run of its own
+        history, lines, run = long_run()
+        lines[run[-1]] += " "
+        runs: list[int] = []
+        rejections = transcript._rejections
+
+        def spy(rows: list[str], head: str, n: int):
+            runs.append(len(rows))
+            return rejections(rows, head, n)
+
+        monkeypatch.setattr(transcript, "_rejections", spy)
+        assert from_jsonl("\n".join(lines)) == history
+        assert runs == [301]
+
+    def test_stream_that_ends_in_a_run_is_refused_past_it(self):
+        _, lines, run = long_run()
+        lines = lines[: run[-1] + 1]
+        with pytest.raises(TranscriptError, match="no summary event") as info:
+            from_jsonl("\n".join(lines) + "\n\n")
+        assert info.value.line == len(lines) + 1
+
+
 class TestDecodesEachLineOnce:
     """from_jsonl hands each non-blank line to its JSON decoder at most
     once, and a ceiling_rejection line as to_jsonl writes it never."""
@@ -1378,9 +1525,9 @@ class TestDecodesEachLineOnce:
         lines: list[str] = []
         decode = transcript._decode
 
-        def counting(line: str):
+        def counting(line: str, index: int):
             lines.append(line)
-            return decode(line)
+            return decode(line, index)
 
         monkeypatch.setattr(transcript, "_decode", counting)
         return lines
@@ -1393,6 +1540,32 @@ class TestDecodesEachLineOnce:
         rejections = [line for line in lines if '"ceiling_rejection"' in line]
         assert len(rejections) == 301
         assert decoded == [line for line in lines if line not in rejections]
+
+    def test_unbroken_run(self, decoded):
+        # 301 rejections on consecutive lines, none of them decoded
+        history, lines, run = long_run()
+        decoded.clear()
+        assert from_jsonl("\n".join(lines)) == history
+        assert decoded == [line for i, line in enumerate(lines) if i not in run]
+
+    def test_padded_line_breaks_the_run(self, decoded):
+        # a line that does not start as a rejection ends the run before it
+        # and is decoded alone; the rest of the run is read in one step
+        history, lines, run = long_run()
+        lines[run[150]] = f" {lines[run[150]]}"
+        decoded.clear()
+        assert from_jsonl("\n".join(lines)) == history
+        read_in_runs = run[:150] + run[151:]
+        assert decoded == [line.strip() for i, line in enumerate(lines) if i not in read_in_runs]
+
+    def test_failed_run_is_read_line_by_line(self, decoded):
+        # a rejection with a space after it still starts the run, which then
+        # fails its checks and is decoded line by line, once
+        history, lines, run = long_run()
+        lines[run[150]] += " "
+        decoded.clear()
+        assert from_jsonl("\n".join(lines)) == history
+        assert decoded == [line.strip() for line in lines]
 
     def test_respelled_stream(self, decoded):
         # every line of another layout, rejections included, is decoded once
