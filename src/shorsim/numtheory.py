@@ -4,16 +4,18 @@ Everything in this module is deterministic: modular exponentiation, exact
 primality, prime factorization and multiplicative order of moduli up to
 ten digits, and continued-fraction convergents. All functions accept
 plain Python ints and never lose precision to floats. All but one are
-pure: multiplicative_order counts its calls per odd modulus and, past the
-number of slots the modulus's order tables hold, builds them and answers
-each later test with one read per prime-power component and one read of
-the lcm of the orders read; the count changes its speed, never its result.
+pure: multiplicative_order keeps one state per modulus in _ORDERS, the
+module's one cache, bounded at _MODULI moduli with the oldest dropped
+first. The state holds the modulus's prime-power components, its steps
+and a countdown of tests; once an odd modulus has had as many tests as
+its order tables have slots, the tables replace the state and answer each
+later test with one read per component and one read of the lcm of the
+orders read. The state changes the test's speed, never its result.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import product
 from math import lcm
 
@@ -64,7 +66,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=4096)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n as ((prime, multiplicity), ...), ascending.
 
@@ -94,75 +95,62 @@ def _prime_power_lambda(p: int, e: int) -> int:
     return (p - 1) * p ** (e - 1)
 
 
-@lru_cache(maxsize=4096)
-def carmichael_lambda(n: int) -> int:
-    """Exponent of the multiplicative group mod n (least universal order)."""
-    return math.lcm(*(_prime_power_lambda(p, e) for p, e in factorize(n)))
-
-
-class _OrderRecord:
-    """multiplicative_order's state for one modulus without tables: its
-    steps and the tests left before its tables are built."""
-
-    __slots__ = ("steps", "countdown")
-
-
-_MODULI = 4096  # moduli with a record, and moduli with tables, kept at once
-
-
-@lru_cache(maxsize=_MODULI)
-def _order_record(n: int) -> _OrderRecord:
-    """The record of n. Its steps are the primes p of lambda(n), largest
-    first, each with the prime-power components m of n whose lambda(m) p
-    divides, as (m, lambda(m) / p**v, p**v) for p**v the power of p in
-    lambda(m), largest p**v first. Its countdown is the number of slots
-    _order_tables(n) holds, or infinite when a component is a power of 2
-    (not always cyclic)."""
-    if n < 2:
-        raise ValueError("modulus must be >= 2")
-    parts = [(p**e, _prime_power_lambda(p, e)) for p, e in factorize(n)]
-    steps = []
-    for p, _ in reversed(factorize(carmichael_lambda(n))):
-        # the power of p in lam is gcd(lam, p**k) for any p**k > lam
-        powers = [(math.gcd(lam, p ** lam.bit_length()), m, lam) for m, lam in parts]
-        powers.sort(reverse=True)
-        steps.append((p, tuple((m, lam // pv, pv) for pv, m, lam in powers if pv > 1)))
-    record = _OrderRecord()
-    # one slot per residue of each component, one per combination of orders
-    slots = sum(m for m, _ in parts) + math.prod(len(_divisors(lam)) + 1 for _, lam in parts)
-    record.steps, record.countdown = tuple(steps), slots if n % 2 else math.inf
-    return record
-
-
-# The tables of each modulus that has them, oldest first, at most _MODULI
-_TABLES: dict[int, tuple[tuple[tuple[int, list[int]], ...], list[int]]] = {}
-
-
-def _reset_orders() -> None:
-    """Forget every modulus's record and tables."""
-    _order_record.cache_clear()
-    _TABLES.clear()
-
-
-def _divisors(lam: int) -> list[int]:
-    """The divisors of lam, ascending."""
+def _divisors(primes: tuple[tuple[int, int], ...]) -> list[int]:
+    """The divisors, ascending, of the number whose factorization is primes."""
     divisors = [1]
-    for f, k in factorize(lam):
+    for f, k in primes:
         divisors = [d * f**i for d in divisors for i in range(k + 1)]
     return sorted(divisors)
 
 
-def _order_tables(n: int) -> tuple[tuple[tuple[int, list[int]], ...], list[int]]:
-    """(parts, orders) for an odd n, from a generator g of (Z/m)* for each
-    prime-power component m. parts holds one (m, index) pair per m:
-    index[x] is the slot of x's order mod m among [0, *divisors of
-    lambda(m)], 0 for a non-unit, times the product of the earlier
+_MODULI = 4096  # moduli whose order state is kept at once
+
+# multiplicative_order's state of each modulus it has tested, oldest first,
+# at most _MODULI: a list [countdown, steps, components] (_order_state)
+# until the countdown runs out, then the tuple _order_tables builds from it
+_ORDERS: dict[int, list | tuple] = {}
+
+
+def _order_state(n: int) -> list:
+    """The new state of n, kept in _ORDERS in place of the oldest once it
+    holds _MODULI. Its components are (p, m, lambda(m), primes of
+    lambda(m), divisors of lambda(m)) for each prime-power component
+    m = p**e of n. Its steps are the primes f of lambda(n), largest first,
+    each with the components whose lambda(m) f divides, as
+    (m, lambda(m) / f**k, f**k) for f**k the power of f in lambda(m),
+    largest f**k first. Its countdown is the number of slots
+    _order_tables holds, or infinite when a component is a power of 2
+    (not always cyclic)."""
+    if n < 2:
+        raise ValueError("modulus must be >= 2")
+    components, powers = [], {}
+    for p, e in factorize(n):
+        m, lam = p**e, _prime_power_lambda(p, e)
+        primes = factorize(lam)
+        components.append((p, m, lam, primes, _divisors(primes)))
+        for f, k in primes:
+            powers.setdefault(f, []).append((f**k, m, lam))
+    steps = tuple(
+        (f, tuple((m, lam // fk, fk) for fk, m, lam in sorted(powers[f], reverse=True)))
+        for f in sorted(powers, reverse=True)
+    )
+    # one slot per residue of each component, one per combination of orders
+    slots = sum(m for _, m, *_ in components) + math.prod(len(d) + 1 for *_, d in components)
+    if len(_ORDERS) >= _MODULI:
+        del _ORDERS[next(iter(_ORDERS))]
+    state = _ORDERS[n] = [slots if n % 2 else math.inf, steps, tuple(components)]
+    return state
+
+
+def _order_tables(state: list) -> tuple[tuple[tuple[int, list[int]], ...], list[int]]:
+    """(parts, orders) for an odd n from its state, from a generator g of
+    (Z/m)* for each prime-power component m. parts holds one (m, index)
+    pair per m: index[x] is the slot of x's order mod m among [0, *divisors
+    of lambda(m)], 0 for a non-unit, times the product of the earlier
     components' slot counts. orders[sum of y's index reads] is the lcm of
     y's orders mod the components, its order mod n, or 0 when any is 0."""
     parts, slot_orders, radix = [], [], 1
-    for p, e in factorize(n):
-        m, lam = p**e, _prime_power_lambda(p, e)
-        primes, divisors = factorize(lam), _divisors(lam)
+    for p, m, lam, primes, divisors in state[2]:
         g = next(
             a for a in range(2, m) if a % p and all(pow(a, lam // f, m) != 1 for f, _ in primes)
         )
@@ -187,27 +175,23 @@ def _order_tables(n: int) -> tuple[tuple[tuple[int, list[int]], ...], list[int]]
 def multiplicative_order(y: int, n: int, ceiling: int | None = None) -> int | None:
     """Least r >= 1 with y**r == 1 (mod n), or None when it exceeds `ceiling`.
 
-    After as many tests on an odd n as _order_tables(n) has slots, r is
-    read from those tables: one index read per component, one orders
-    read. Until then, and for even n, r's part for each prime p of
-    lambda(n), largest p first, is the largest order of
-    y**(lambda(m) / p**v) mod m over the prime-power components m of n,
-    so every power is taken mod a component with an exponent no wider
-    than lambda(m). A base is rejected as soon as the product of the parts
-    found exceeds `ceiling`: typically after one or two short powers.
+    The first test on n makes its state (_order_state). After as many
+    tests on an odd n as _order_tables has slots, the next builds the
+    tables, which replace the state, and every later test reads r from
+    them: one index read per component, one orders read. Until then, and
+    for even n, r's part for each prime p of lambda(n), largest p first,
+    is the largest order of y**(lambda(m) / p**v) mod m over the
+    prime-power components m of n, so every power is taken mod a
+    component with an exponent no wider than lambda(m). A base is rejected
+    as soon as the product of the parts found exceeds `ceiling`: typically
+    after one or two short powers. A state evicted from _ORDERS, tables or
+    countdown, starts afresh on n's next test.
     """
     if ceiling is not None and ceiling < 1:
         raise ValueError("ceiling must be >= 1")
-    tables = _TABLES.get(n)
-    if tables is None:
-        record = _order_record(n)  # refuses n < 2
-        record.countdown -= 1
-        if record.countdown < 0:
-            if len(_TABLES) >= _MODULI:
-                del _TABLES[next(iter(_TABLES))]
-            tables = _TABLES[n] = _order_tables(n)
-    if tables is not None:
-        parts, orders = tables
+    state = _ORDERS.get(n)
+    if type(state) is tuple:  # n's tables
+        parts, orders = state
         slot = 0
         for m, index in parts:
             slot += index[y % m]
@@ -215,12 +199,17 @@ def multiplicative_order(y: int, n: int, ceiling: int | None = None) -> int | No
         if not r:  # a non-unit's slot 0 makes the lcm 0
             raise NotCoprime(f"gcd({y % n}, {n}) = {math.gcd(y, n)}, order undefined")
         return None if ceiling is not None and r > ceiling else r
+    if state is None:
+        state = _order_state(n)  # refuses n < 2
+    state[0] -= 1
+    if state[0] < 0:  # this test still runs the steps
+        _ORDERS[n] = _order_tables(state)
     y %= n
     g = math.gcd(y, n)
     if g != 1:
         raise NotCoprime(f"gcd({y}, {n}) = {g}, order undefined")
     r = 1
-    for p, comps in record.steps:
+    for p, comps in state[1]:
         part = 1
         for m, cofactor, pv in comps:
             if pv <= part:

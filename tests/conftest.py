@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import cmath
 import decimal
+import functools
+import json
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -230,33 +232,124 @@ def table_slots(n: int) -> int:
     prime-power component p**e, plus one per combination of the
     components' orders, each a divisor of (p - 1) * p**(e - 1) or the 0 of
     a non-unit. Divisors are counted by trial of every candidate."""
-    from shorsim.numtheory import factorize
-
     residues, combinations = 0, 1
-    for p, e in factorize(n):
+    for p, e in prime_powers(n):
         lam = (p - 1) * p ** (e - 1)
         residues += p**e
         combinations *= 1 + sum(lam % d == 0 for d in range(1, lam + 1))
     return residues + combinations
 
 
+def prime_powers(n: int) -> list[tuple[int, int]]:
+    """[(p, e), ...] for the prime powers p**e of n, ascending, by trial
+    division of every candidate."""
+    found, d = [], 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n, e = n // d, e + 1
+        if e:
+            found.append((d, e))
+        d += 1
+    return found + [(n, 1)] * (n > 1)
+
+
+@functools.cache
+def carmichael(n: int) -> int:
+    """lambda(n), the exponent of the unit group mod n: the lcm over n's
+    prime powers p**e of (p - 1) * p**(e - 1), or of 2**(e - 2) for
+    p = 2 and e >= 3."""
+    lam = 1
+    for p, e in prime_powers(n):
+        lam = math.lcm(lam, 2 ** (e - 2) if p == 2 and e >= 3 else (p - 1) * p ** (e - 1))
+    return lam
+
+
+def has_tables(n: int) -> bool:
+    """Whether multiplicative_order answers n from its order tables."""
+    from shorsim import numtheory
+
+    return type(numtheory._ORDERS.get(n)) is tuple
+
+
 def order_path(n: int, tables: bool) -> None:
     """Put multiplicative_order on n on one path for the calls that follow.
 
-    Clears the per-modulus records and tables, then runs the order tests
-    on n that come before the build of its tables, one per table slot
-    (an even n never builds), plus the test that builds them when
-    `tables`. Without tables the countdown is then held, so that every
-    later call runs the prime-power steps, as it does for an even n.
+    Clears every modulus's order state, then runs the order tests on n
+    that come before the build of its tables, one per table slot (an even
+    n never builds), plus the test that builds them when `tables`. Without
+    tables the countdown is then held, so that every later call runs the
+    prime-power steps, as it does for an even n.
     """
     from shorsim import numtheory
 
-    numtheory._reset_orders()
+    numtheory._ORDERS.clear()
     for _ in range(table_slots(n) + tables):
         numtheory.multiplicative_order(1, n)
-    assert (n in numtheory._TABLES) == (tables and n % 2 == 1)
+    assert has_tables(n) == (tables and n % 2 == 1)
     if not tables:
-        numtheory._order_record(n).countdown = math.inf
+        numtheory._ORDERS[n][0] = math.inf  # the countdown
+
+
+def reference_events(history) -> list[str]:
+    """The JSONL lines of a history as the README's event schema table
+    gives them, each json.dumps(event, sort_keys=True): the banner and the
+    safe size hint; per attempt in order, a ceiling_rejection for a bare
+    int, a shared_factor for a record without trials, else a new_base, its
+    trials numbered through the session, and its attempt_verdict, with
+    order and factors only when known; and the summary. Built from the
+    history's fields alone, with nothing from shorsim.transcript."""
+    params, n = history.params, history.params.n
+    events = [
+        {
+            "event": "banner",
+            "schema": 1,
+            "n": n,
+            "qubits": params.qubits,
+            "max_trials": params.max_trials,
+            "order_ceiling": params.order_ceiling,
+            "seed": params.seed,
+        },
+        {"event": "safe_qubits_hint", "qubits": (n * n - 1).bit_length()},
+    ]
+    index = 0
+    for attempt in history.attempts:
+        if isinstance(attempt, int):
+            events.append({"event": "ceiling_rejection", "y": attempt, "ceiling": params.ceiling})
+            continue
+        if not attempt.trials:
+            events.append({"event": "shared_factor", "y": attempt.y, "factors": list(attempt.factors)})
+            continue
+        events.append({"event": "new_base", "y": attempt.y})
+        for trial in attempt.trials:
+            index += 1
+            events.append(
+                {
+                    "event": "trial",
+                    "index": index,
+                    "readout": trial.readout,
+                    "candidate": trial.candidate_order,
+                    "verified": trial.verified,
+                }
+            )
+        verdict = {"event": "attempt_verdict", "status": attempt.outcome.value}
+        if attempt.order is not None:
+            verdict["order"] = attempt.order
+        if attempt.factors is not None:
+            verdict["factors"] = list(attempt.factors)
+        events.append(verdict)
+    events.append(
+        {
+            "event": "summary",
+            "n": n,
+            "elapsed": history.elapsed,
+            "total_trials": history.total_trials,
+            "factors": None if history.factors is None else list(history.factors),
+            "failure": None if history.failure is None else history.failure.value,
+            "warnings": list(history.warnings),
+        }
+    )
+    return [json.dumps(event, sort_keys=True) for event in events]
 
 
 @pytest.fixture(scope="session")

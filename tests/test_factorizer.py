@@ -24,7 +24,15 @@ from shorsim.model import FactoringParams, InputTooLarge, PrimeInput
 from shorsim.numtheory import multiplicative_order
 from shorsim.orderfinder import OrderResult
 from shorsim.sampler import RandomSource
-from conftest import ScriptedRng, brute_order, order_path, reference_session
+from shorsim.transcript import to_jsonl
+from conftest import (
+    ScriptedRng,
+    brute_order,
+    has_tables,
+    order_path,
+    reference_events,
+    reference_session,
+)
 
 # sessions whose every base, outcome and order are pinned by a hash
 PINNED_STREAMS = [
@@ -291,8 +299,8 @@ class TestPickY:
         assert (hit.outcome, hit.factors) == (Outcome.SHARED_FACTOR, (g, n // g))
         assert attempts == rejected
         assert rng.integers == [21]  # no base is taken past the one returned
-        assert (n in numtheory._TABLES) == tables
-        numtheory._reset_orders()
+        assert has_tables(n) == tables
+        numtheory._ORDERS.clear()
 
 
 class TestFactor:
@@ -330,7 +338,7 @@ class TestFactor:
         for tables in (False, True):
             order_path(n, tables)
             sessions.append(factor(n, seed=seed).attempts)
-        numtheory._reset_orders()
+        numtheory._ORDERS.clear()
         steps, tables = sessions
         assert steps == tables
         attempts = pinned_view(tables)
@@ -677,7 +685,10 @@ class TestReferenceSession:
         expected = reference_session(params)
         for tables in (False, True):
             order_path(params.n, tables)
-            assert plain(run_session(params)) == expected, tables
+            history = run_session(params)
+            assert plain(history) == expected, tables
+        # and its stream is the README's events of the session
+        assert to_jsonl(history).splitlines() == reference_events(history)
 
 
 class RandomOnlySource(RandomSource):

@@ -9,14 +9,21 @@ from hypothesis import strategies as st
 from shorsim import numtheory
 from shorsim.numtheory import (
     NotCoprime,
-    carmichael_lambda,
     convergents,
     factorize,
     is_prime,
     modpow,
     multiplicative_order,
 )
-from conftest import brute_convergent, brute_order, order_path, table_slots
+from conftest import (
+    brute_convergent,
+    brute_order,
+    carmichael,
+    has_tables,
+    order_path,
+    prime_powers,
+    table_slots,
+)
 
 
 class TestModpow:
@@ -141,8 +148,6 @@ class TestFactorize:
         # a product of two Mersenne primes is refused before any trial division
         huge = (2**61 - 1) * (2**89 - 1)
         with pytest.raises(ValueError):
-            carmichael_lambda(huge)
-        with pytest.raises(ValueError):
             multiplicative_order(2, huge)
 
 
@@ -236,7 +241,7 @@ class TestMultiplicativeOrder:
         if math.gcd(y, n) != 1:
             return
         r = multiplicative_order(y, n)
-        assert carmichael_lambda(n) % r == 0
+        assert carmichael(n) % r == 0
         assert pow(y, r, n) == 1
         for p, _ in factorize(r):
             assert pow(y, r // p, n) != 1
@@ -246,10 +251,6 @@ class TestMultiplicativeOrder:
         )
         got = multiplicative_order(y, n, ceiling)
         assert got == (r if r <= ceiling else None)
-
-    def test_carmichael_values(self):
-        assert carmichael_lambda(187) == 80
-        assert carmichael_lambda(1328881) == math.lcm(1038, 1278)
 
 
 def checked_order(y: int, n: int) -> int:
@@ -271,9 +272,9 @@ class TestOrderTables:
     on a modulus, and from the tables built on the test after them."""
 
     @pytest.fixture(autouse=True)
-    def fresh_records(self):
+    def fresh_states(self):
         yield
-        numtheory._reset_orders()
+        numtheory._ORDERS.clear()
 
     @pytest.mark.parametrize("tables", [False, True], ids=["steps", "tables"])
     @pytest.mark.parametrize(
@@ -336,16 +337,15 @@ class TestOrderTables:
 
     @pytest.mark.parametrize("n", [187, 1009 * 1013, 3 * 11 * 1009 * 65537])
     def test_tables_are_built_on_the_test_after_the_slot_count(self, n, monkeypatch):
-        built = []
-        build = numtheory._order_tables
-        monkeypatch.setattr(numtheory, "_order_tables", lambda n: built.append(n) or build(n))
-        numtheory._reset_orders()
+        built = counted_builds(monkeypatch)
+        numtheory._ORDERS.clear()
         for _ in range(table_slots(n)):
             multiplicative_order(2, n)
         assert built == []
-        assert n not in numtheory._TABLES
+        assert not has_tables(n)
         multiplicative_order(2, n)
         assert built == [n]
+        assert has_tables(n)
         for _ in range(3):
             multiplicative_order(2, n)
         assert built == [n]
@@ -355,10 +355,8 @@ class TestOrderTables:
         # combinations of their orders or 0, so the tables wait that long too
         n = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29
         assert n == 3_234_846_615
-        built = []
-        build = numtheory._order_tables
-        monkeypatch.setattr(numtheory, "_order_tables", lambda n: built.append(n) or build(n))
-        numtheory._reset_orders()
+        built = counted_builds(monkeypatch)
+        numtheory._ORDERS.clear()
         residues = sum(p for p, _ in factorize(n))
         assert residues == 127
         expected = brute_order(2, n)
@@ -366,31 +364,71 @@ class TestOrderTables:
             assert multiplicative_order(2, n) == expected
         assert built == []
         assert table_slots(n) == 127 + 3_087_000
-        assert numtheory._order_record(n).countdown == table_slots(n) - (residues + 1)
+        assert numtheory._ORDERS[n][0] == table_slots(n) - (residues + 1)  # the countdown
 
     def test_even_modulus_never_builds(self, monkeypatch):
         monkeypatch.setattr(numtheory, "_order_tables", None)  # a call would fail
-        numtheory._reset_orders()
+        numtheory._ORDERS.clear()
         expected = brute_order(3, 2 * 1009)
         for _ in range(3 * (2 + 1009)):
             assert multiplicative_order(3, 2 * 1009) == expected
-        assert 2 * 1009 not in numtheory._TABLES
+        assert not has_tables(2 * 1009)
 
-    def test_tables_of_the_newest_moduli_are_kept_and_reset(self, monkeypatch):
+    def test_an_evicted_modulus_runs_its_countdown_again(self, monkeypatch):
         monkeypatch.setattr(numtheory, "_MODULI", 2)
-        numtheory._reset_orders()
+        built = counted_builds(monkeypatch)
+        numtheory._ORDERS.clear()
         for n in (15, 21, 33):
             for _ in range(table_slots(n) + 1):
                 multiplicative_order(1, n)
-        assert list(numtheory._TABLES) == [21, 33]
-        # 15 kept its spent countdown, so its next test builds again
+        assert built == [15, 21, 33]
+        assert list(numtheory._ORDERS) == [21, 33]
+        # 15 lost its spent countdown with its tables: its next tests run
+        # the steps, and it makes room by dropping 21, the oldest
+        for _ in range(table_slots(15)):
+            assert multiplicative_order(2, 15) == brute_order(2, 15)
+        assert built == [15, 21, 33]
+        assert list(numtheory._ORDERS) == [33, 15]
+        assert not has_tables(15)
         assert multiplicative_order(2, 15) == brute_order(2, 15)
-        assert list(numtheory._TABLES) == [33, 15]
-        numtheory._reset_orders()
-        assert numtheory._TABLES == {}
-        assert numtheory._order_record.cache_info().currsize == 0
-        assert multiplicative_order(2, 15) == brute_order(2, 15)
-        assert numtheory._TABLES == {}
+        assert built == [15, 21, 33, 15]
+        assert has_tables(15) and has_tables(33)
+
+    @pytest.mark.parametrize(
+        "n,build",
+        [
+            (15, True),
+            (3**3 * 5**2 * 7, True),
+            (1009 * 1013, True),
+            (2**5 * 1009 * 1013, False),  # even: the state alone
+            (9954647173, False),  # lambda(n) = 2 * 49853 * 49919 is never trial-divided
+        ],
+    )
+    def test_state_and_tables_factorize_n_and_each_lambda_once(self, n, build, monkeypatch):
+        tests = table_slots(n) + 1 if build else 3
+        lambdas = [carmichael(p**e) for p, e in prime_powers(n)]
+        calls = []
+        factorize_ = numtheory.factorize
+        monkeypatch.setattr(numtheory, "factorize", lambda k: calls.append(k) or factorize_(k))
+        numtheory._ORDERS.clear()
+        for _ in range(tests):
+            multiplicative_order(1, n)
+        assert has_tables(n) == build
+        assert calls == [n, *lambdas]
+
+
+def counted_builds(monkeypatch) -> list[int]:
+    """The moduli whose order tables are built from here on, in order: the
+    product of the prime-power components each build reads."""
+    built = []
+    build = numtheory._order_tables
+
+    def counted(state):
+        built.append(math.prod(m for _, m, *_ in state[2]))
+        return build(state)
+
+    monkeypatch.setattr(numtheory, "_order_tables", counted)
+    return built
 
 
 class TestConvergents:

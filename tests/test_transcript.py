@@ -20,6 +20,7 @@ from shorsim.transcript import (
     render_text,
     to_jsonl,
 )
+from conftest import reference_events
 
 
 def session_history() -> FactoringHistory:
@@ -247,6 +248,15 @@ class TestTranscriptBytes:
             text.update("".join(f"{line}\n" for line in render_text(history)).encode())
         assert jsonl.hexdigest() == jsonl_digest
         assert text.hexdigest() == text_digest
+
+    @pytest.mark.parametrize("n", [187, 105, 1328881])
+    def test_every_line_kind_is_the_reference_events(self, n):
+        # each line as the README's schema table and the history's fields
+        # give it, built with no code of the writer's, at the times above
+        session = line_kind_sessions()[n]
+        for elapsed in (0.0, 0.0005, 2.0005, 1e-05, 5e-324, 1.5e16):
+            history = dataclasses.replace(session, elapsed=elapsed)
+            assert to_jsonl(history).splitlines() == reference_events(history)
 
 
 class TestSummaryLine:
