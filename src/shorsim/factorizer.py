@@ -33,6 +33,9 @@ class Outcome(str, enum.Enum):
     TRIAL_BUDGET_EXHAUSTED = "trial_budget_exhausted"
 
 
+_FACTORING = (Outcome.SUCCESS, Outcome.SHARED_FACTOR)  # the outcomes that report factors
+
+
 @dataclass(frozen=True)
 class AttemptRecord:
     """One base that ended a pick and everything that happened with it.
@@ -114,7 +117,7 @@ class FactoringHistory:
         last = attempts[-1] if attempts else None
         if not isinstance(last, AttemptRecord):
             raise ValueError(f"no AttemptRecord ended the session: attempts end on {last!r}")
-        factoring, trials, ended = (Outcome.SUCCESS, Outcome.SHARED_FACTOR), 0, None
+        trials, ended = 0, None
         for attempt in attempts:
             if type(attempt) is int:
                 continue
@@ -128,11 +131,11 @@ class FactoringHistory:
                 raise ValueError(f"base {attempt.y} comes after the session ended at trial {ended}")
             trials += len(attempt.trials)
             # only an odd order or a trivial split with budget left goes on
-            if trials >= budget or attempt.order is None or attempt.outcome in factoring:
+            if trials >= budget or attempt.order is None or attempt.outcome in _FACTORING:
                 ended = trials
         if trials > budget:
             raise ValueError(f"the attempts run {trials} trials, past max_trials {budget}")
-        factors = last.factors if last.outcome in factoring else None
+        factors = last.factors if last.outcome in _FACTORING else None
         if factors is None and trials < budget:
             raise ValueError(f"the session stops without factors after {trials} of {budget} trials")
         warnings = []
@@ -214,17 +217,17 @@ def factor(
 def run_session(params: FactoringParams) -> FactoringHistory:
     """Run one factoring session to completion under fixed parameters."""
     rng = RandomSource(params.seed)
-    n, budget = params.n, params.max_trials
+    n, budget, ceiling, q = params.n, params.max_trials, params.ceiling, params.q
     trials_run = 0
     attempts: list[AttemptRecord | int] = []
     start = time.perf_counter()
     while trials_run < budget:
-        choice = pick_y(n, rng, params.ceiling, attempts)
+        choice = pick_y(n, rng, ceiling, attempts)
         if type(choice) is not tuple:
             attempts.append(choice)
             break
         y, true_order = choice
-        sampler = ReadoutSampler(true_order, params.q)
+        sampler = ReadoutSampler(true_order, q)
         trials = tuple(find_order(y, params, sampler, rng, budget - trials_run))
         trials_run += len(trials)
         attempts.append(AttemptRecord(y, trials, n))

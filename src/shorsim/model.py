@@ -75,6 +75,13 @@ def _check_modulus(n: int) -> None:
         raise PrimeInput(f"{n} is prime")
 
 
+# FactoringParams' fields checked by type first, each with the types it allows
+_FIELD_TYPES = (
+    ("qubits", (int, type(None))), ("seed", (int, type(None))),
+    ("max_trials", (int,)), ("order_ceiling", None),
+)
+
+
 @dataclass(frozen=True)
 class FactoringParams:
     """Configuration for one factoring session, validated on construction.
@@ -98,12 +105,8 @@ class FactoringParams:
     def __post_init__(self) -> None:
         n, qubits, seed = self.n, self.qubits, self.seed
         max_trials, order_ceiling = self.max_trials, self.order_ceiling
-        for name, value, allowed in (
-            ("qubits", qubits, (int, type(None))),
-            ("seed", seed, (int, type(None))),
-            ("max_trials", max_trials, (int,)),
-            ("order_ceiling", order_ceiling, None),  # its values are checked below
-        ):
+        for name, allowed in _FIELD_TYPES:
+            value = getattr(self, name)  # order_ceiling's values are checked below
             if type(value) is bool:
                 raise TypeError(f"{name} must not be a bool")
             if allowed and type(value) not in allowed:  # nor any other int subclass
@@ -149,7 +152,12 @@ class FactoringParams:
 
 def prob(c: int, r: int, q: int) -> float:
     """Probability of measuring readout c when the hidden order is r."""
-    _check_cr(c, r, q)
+    if q < 1 or q & (q - 1):
+        raise ValueError("q must be a power of two")
+    if not 1 <= r <= q:
+        raise ValueError("require 1 <= r <= q")
+    if not 0 <= c < q:
+        raise ValueError("require 0 <= c < q")
     d = r * c % q
     a0, s = divmod(q, r)
     if d == 0:
@@ -172,12 +180,6 @@ def check_register(r: int, q: int) -> None:
         raise ValueError("q must be a power of two")
     if not 1 <= r <= q:
         raise ValueError("require 1 <= r <= q")
-
-
-def _check_cr(c: int, r: int, q: int) -> None:
-    check_register(r, q)
-    if not 0 <= c < q:
-        raise ValueError("require 0 <= c < q")
 
 
 def dominant_readouts(r: int, q: int) -> list[int]:

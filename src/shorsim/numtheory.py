@@ -38,13 +38,20 @@ def modpow(y: int, e: int, n: int) -> int:
 # Deterministic witness sets: the primes up to 41 are exact for every n
 # below psi_13 = 3,317,044,064,679,887,385,961,981 (Sorenson and Webster
 # 2017), and the first five alone for every n below psi_5 (Jaeschke 1993),
-# which covers every modulus and factor this package handles.
+# which covers every modulus and factor this package handles. psi_13 itself
+# is a strong pseudoprime to every one of the thirteen.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_5 = 2_152_302_898_747
+_PSI_13 = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality test (deterministic Miller-Rabin)."""
+    """Exact primality test (deterministic Miller-Rabin) for n below psi_13.
+
+    A larger n raises ValueError: the witnesses prove nothing there.
+    """
+    if n >= _PSI_13:
+        raise ValueError(f"is_prime is exact only below psi_13 = {_PSI_13}")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -69,20 +76,28 @@ def is_prime(n: int) -> bool:
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n as ((prime, multiplicity), ...), ascending.
 
-    Trial division up to isqrt(n) <= 99,999, so n must lie in [1, MAX_MODULUS].
+    Trial division up to isqrt(n) <= 99,999, so n must lie in [1, MAX_MODULUS]:
+    the factors of 2 are shifted out first, then only odd f are tried, up to
+    the square root of what is left.
     """
     if not 1 <= n <= MAX_MODULUS:
         raise ValueError(f"factorize requires 1 <= n <= {MAX_MODULUS}")
-    found = []
-    f = 2
+    twos = (n & -n).bit_length() - 1
+    found = [(2, twos)] if twos else []
+    n >>= twos
+    f = 3
     while f * f <= n:
-        if n % f == 0:
-            e = 0
-            while n % f == 0:
-                n //= f
-                e += 1
-            found.append((f, e))
-        f += 1 if f == 2 else 2
+        for f in range(f, math.isqrt(n) + 1, 2):  # the least odd factor from f on
+            if n % f == 0:
+                break
+        else:
+            break  # what is left is prime
+        e = 0
+        while n % f == 0:
+            n //= f
+            e += 1
+        found.append((f, e))
+        f += 2
     if n > 1:
         found.append((n, 1))
     return tuple(found)

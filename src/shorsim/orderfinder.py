@@ -63,8 +63,9 @@ def find_order(
     nonempty and its last entry is verified.
     """
     trials: list[OrderResult] = []
+    q, n = params.q, params.n
     for _ in range(budget):
-        trial = OrderResult(sampler.draw(rng), y, params.q, params.n)
+        trial = OrderResult(sampler.draw(rng), y, q, n)
         trials.append(trial)
         if trial.verified:
             break

@@ -55,7 +55,9 @@ class RandomSource(random.Random):
             raise TypeError("seed must be an int")
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        super().__init__(seed)
+        # random.Random.__init__(seed), without Random.seed's type dispatch
+        super(random.Random, self).seed(seed)
+        self.gauss_next = None
 
     def __reduce__(self):
         # random.Random's rebuilds the object with no seed, which __init__ needs

@@ -352,6 +352,68 @@ def reference_events(history) -> list[str]:
     return [json.dumps(event, sort_keys=True) for event in events]
 
 
+def reference_text(history) -> list[str]:
+    """The text transcript of a history, one line per element, as the
+    README gives it: its example transcript under `shorsim factor` and the
+    list of the other lines after it. Per attempt in order, a ceiling
+    rejection for a bare int; a shared factor for a record without trials,
+    else the base and its trials numbered through the session; then the
+    record's verdict lines. Then the summary and one line per warning. Every
+    fixed line is written out here, and nothing comes from
+    shorsim.transcript."""
+    params, n = history.params, history.params.n
+    lines = [
+        f"The number to be factored is {n}.",
+        f"The safe number of qubits needed to factor this number is {(n * n - 1).bit_length()}.",
+    ]
+    index = 0
+    for attempt in history.attempts:
+        if isinstance(attempt, int):
+            lines.append(
+                f"The order of y = {attempt} exceeds the ceiling of {params.ceiling}, "
+                "hence a new value of y will be chosen."
+            )
+            continue
+        status = attempt.outcome.value
+        if not attempt.trials:
+            lines.append(f"The randomly chosen y = {attempt.y} shares a factor with {n}.")
+        else:
+            lines.append(f"Finding order of y = {attempt.y}.")
+        for trial in attempt.trials:
+            index += 1
+            lines.append(f"Trial #{index}.")
+            lines.append(f"The readout value from the work register is {trial.readout}.")
+            lines.append(f"The order found using this readout value is {trial.candidate_order}.")
+            if trial.verified:
+                lines.append("The quantum computer has found the correct order.")
+            else:
+                lines.append(
+                    "The order is incorrect, the quantum computer will be reset to try again."
+                )
+        if status == "order_odd":
+            lines.append("The order is odd, hence a new value of y will be chosen.")
+        elif status == "trial_budget_exhausted":
+            lines.append(
+                f"The maximum of {params.max_trials} trials has been reached "
+                "without finding the factors."
+            )
+            lines.append("The program has failed and will now terminate.")
+        else:
+            f1, f2 = attempt.factors
+            lines.append(f"The factors of {n} are determined to be {f1} and {f2}.")
+            if status == "trivial_factors":
+                lines.append("The factoring has failed, hence a new value of y will be chosen.")
+            else:
+                lines.append("The program has succeeded and will now terminate.")
+    took = f"This simulation took {history.elapsed:.3f} seconds and {history.total_trials} trials"
+    if history.factors is None:
+        lines.append(f"{took} without factoring {n}.")
+    else:
+        lines.append(f"{took} to factor {n}.")
+    lines += [f"Warning: {warning}." for warning in history.warnings]
+    return lines
+
+
 @pytest.fixture(scope="session")
 def semiprime_histories():
     """One hundred seeded sessions at N = 1039 * 1279, shared across tests."""

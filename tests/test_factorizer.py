@@ -24,7 +24,7 @@ from shorsim.model import FactoringParams, InputTooLarge, PrimeInput
 from shorsim.numtheory import multiplicative_order
 from shorsim.orderfinder import OrderResult
 from shorsim.sampler import RandomSource
-from shorsim.transcript import to_jsonl
+from shorsim.transcript import render_text, to_jsonl
 from conftest import (
     ScriptedRng,
     brute_order,
@@ -32,6 +32,7 @@ from conftest import (
     order_path,
     reference_events,
     reference_session,
+    reference_text,
 )
 
 # sessions whose every base, outcome and order are pinned by a hash
@@ -687,8 +688,10 @@ class TestReferenceSession:
             order_path(params.n, tables)
             history = run_session(params)
             assert plain(history) == expected, tables
-        # and its stream is the README's events of the session
+        # and its stream and transcript are the README's events and lines
+        # of the session
         assert to_jsonl(history).splitlines() == reference_events(history)
+        assert render_text(history) == reference_text(history)
 
 
 class RandomOnlySource(RandomSource):

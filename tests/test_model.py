@@ -176,6 +176,23 @@ class TestFactoringParams:
 
 
 class TestProb:
+    @pytest.mark.parametrize(
+        "c,r,q,message",
+        [
+            (0, 3, 48, "q must be a power of two"),
+            (0, 3, 0, "q must be a power of two"),
+            (99, 0, 48, "q must be a power of two"),  # q is checked first
+            (0, 0, 16, "require 1 <= r <= q"),
+            (0, 17, 16, "require 1 <= r <= q"),
+            (16, 17, 16, "require 1 <= r <= q"),  # then r
+            (-1, 3, 16, "require 0 <= c < q"),
+            (16, 3, 16, "require 0 <= c < q"),
+        ],
+    )
+    def test_refusals(self, c, r, q, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            prob(c, r, q)
+
     def test_peak_of_divisor_order_is_exactly_one_over_r(self):
         assert prob(4096, 16, 1 << 16) == 1.0 / 16.0
 

@@ -95,6 +95,20 @@ class TestIsPrime:
         assert all(strong_probable_prime(psi, a) for a in bases)
         assert not is_prime(psi)
 
+    def test_refused_from_psi_13(self):
+        # psi_13, the least strong pseudoprime to every prime base up to 41,
+        # the whole witness set: no answer from those bases is exact there
+        psi = 3317044064679887385961981
+        assert 1287836182261 * 2575672364521 == psi
+        bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+        assert all(strong_probable_prime(psi, a) for a in bases)
+        for n in (psi, psi + 2, 2**127 - 1):
+            with pytest.raises(ValueError, match=f"^is_prime is exact only below psi_13 = {psi}$"):
+                is_prime(n)
+        # below it the answers stand: a Mersenne prime, and psi_12 times 3
+        assert is_prime(2**61 - 1)
+        assert not is_prime(3 * 318665857834031151167461)
+
     def test_matches_trial_division_over_ten_digits(self):
         # odd n across the ten-digit domain, where only five witnesses run;
         # factorize is trial division
@@ -140,6 +154,14 @@ class TestFactorize:
         assert [p for p, _ in factors] == sorted({p for p, _ in factors})
         assert all(is_prime(p) and e >= 1 for p, e in factors)
         assert math.prod(p**e for p, e in factors) == n
+
+    def test_matches_the_reference(self):
+        # every n up to 10**4, then a power of 2 past 32 bits, a prime
+        # square, the largest ten-digit prime and the benchmark moduli, each
+        # against prime_powers' trial division of every candidate
+        edges = [187, 1328881, 25610987, 9954647173, 9999999999, 2**33, 99991**2, 9999999967]
+        for n in [*range(1, 10**4 + 1), *edges]:
+            assert factorize(n) == tuple(prime_powers(n)), n
 
     def test_refuses_outside_the_domain(self):
         for n in (0, -6, 10**10):

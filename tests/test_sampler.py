@@ -75,6 +75,22 @@ class TestRandomSource:
             standard.random() for _ in range(10_000)
         ]
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_seeds_as_random_random(self, seed):
+        # seeded without random.Random.__init__, to the same generator state
+        assert RandomSource(seed).getstate() == random.Random(seed).getstate()
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1])
+    def test_inherited_methods_still_work(self, seed):
+        # gauss keeps its spare normal in gauss_next, which __init__ must set
+        ours, standard = RandomSource(seed), random.Random(seed)
+        assert [ours.gauss() for _ in range(5)] == [standard.gauss() for _ in range(5)]
+        for twin in (pickle.loads(pickle.dumps(ours)), copy.deepcopy(ours)):
+            assert type(twin) is RandomSource
+            assert twin.getstate() == ours.getstate()
+            assert [twin.gauss() for _ in range(5)] == [standard.gauss() for _ in range(5)]
+            standard.setstate(ours.getstate())
+
     def test_defines_one_integer_draw(self):
         # every other integer method is random.Random's, which shorsim
         # never calls

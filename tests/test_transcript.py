@@ -20,7 +20,7 @@ from shorsim.transcript import (
     render_text,
     to_jsonl,
 )
-from conftest import reference_events
+from conftest import reference_events, reference_text
 
 
 def session_history() -> FactoringHistory:
@@ -257,6 +257,16 @@ class TestTranscriptBytes:
         for elapsed in (0.0, 0.0005, 2.0005, 1e-05, 5e-324, 1.5e16):
             history = dataclasses.replace(session, elapsed=elapsed)
             assert to_jsonl(history).splitlines() == reference_events(history)
+
+    @pytest.mark.parametrize("n", [187, 105, 1328881])
+    def test_every_line_kind_is_the_reference_text(self, n):
+        # each line as the README's transcript lines and the history's
+        # fields give it, built with no code of the writer's, at the times
+        # above
+        session = line_kind_sessions()[n]
+        for elapsed in (0.0, 0.0005, 2.0005, 1e-05, 5e-324, 1.5e16):
+            history = dataclasses.replace(session, elapsed=elapsed)
+            assert render_text(history) == reference_text(history)
 
 
 class TestSummaryLine:
@@ -1461,6 +1471,8 @@ class TestRunPath:
         assert got == read("\n".join(respelled_around))
         if type(got) is tuple:
             assert got[0] == number
+        # and as with a space after every line, which the run path strips
+        assert read("\n".join(f"{row} " for row in planted)) == got
         monkeypatch.setattr(transcript, "_rejections", lambda rows, head, n: None)
         assert read("\n".join(planted)) == got
 
@@ -1503,10 +1515,11 @@ class TestRunPath:
         )
 
     def test_failed_run_is_not_scanned_again(self, monkeypatch):
-        # the run fails on its last line; the lines before it are read one
-        # at a time, and none of them opens a run of its own
+        # the run fails on its last line, where no line ends in whitespace
+        # to strip for a second try; the lines before it are read one at a
+        # time, and none of them opens a run of its own
         history, lines, run = long_run()
-        lines[run[-1]] += " "
+        lines[run[-1]] = lines[run[-1]][:-1] + " }"
         runs: list[int] = []
         rejections = transcript._rejections
 
@@ -1517,6 +1530,11 @@ class TestRunPath:
         monkeypatch.setattr(transcript, "_rejections", spy)
         assert from_jsonl("\n".join(lines)) == history
         assert runs == [301]
+        # with a space after every line the run fails stripped too, and is
+        # still read line by line
+        runs.clear()
+        assert from_jsonl("\n".join(f"{line} " for line in lines)) == history
+        assert runs == [301, 301]
 
     def test_stream_that_ends_in_a_run_is_refused_past_it(self):
         _, lines, run = long_run()
@@ -1569,13 +1587,26 @@ class TestDecodesEachLineOnce:
         assert decoded == [line.strip() for i, line in enumerate(lines) if i not in read_in_runs]
 
     def test_failed_run_is_read_line_by_line(self, decoded):
-        # a rejection with a space after it still starts the run, which then
-        # fails its checks and is decoded line by line, once
+        # a rejection with a space before its "}" still starts the run,
+        # which then fails its checks and is decoded line by line, once
         history, lines, run = long_run()
-        lines[run[150]] += " "
+        lines[run[150]] = lines[run[150]][:-1] + " }"
         decoded.clear()
         assert from_jsonl("\n".join(lines)) == history
-        assert decoded == [line.strip() for line in lines]
+        assert decoded == lines
+
+    @pytest.mark.parametrize("pad", [" ", "\t", " \t "])
+    def test_lines_that_end_in_whitespace(self, pad, decoded):
+        # whitespace after every line: the stream reads to the same history,
+        # no rejection line is decoded, and every other line is decoded
+        # once, stripped
+        history = factor(1328881, seed=0)
+        lines = to_jsonl(history).splitlines()
+        decoded.clear()
+        assert from_jsonl("\n".join(f"{line}{pad}" for line in lines)) == history
+        rejections = [line for line in lines if '"ceiling_rejection"' in line]
+        assert len(rejections) == 20
+        assert decoded == [line for line in lines if line not in rejections]
 
     def test_respelled_stream(self, decoded):
         # every line of another layout, rejections included, is decoded once
