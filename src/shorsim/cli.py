@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
-from statistics import mean
 
 from .factorizer import FactoringHistory, factor, run_session
 from .model import FactoringParams, PrimeInput, dominant_mass, dominant_readouts, prob
@@ -307,8 +307,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             )
         if done:
             avg = (
-                f"{mean(e for e, _ in done) * 1e3:.2f}"
-                f"({round(mean(t for _, t in done), 1):g})"
+                f"{math.fsum(e for e, _ in done) / len(done) * 1e3:.2f}"
+                f"({round(sum(t for _, t in done) / len(done), 1):g})"
             )
         else:
             avg = "-"

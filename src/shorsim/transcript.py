@@ -160,11 +160,10 @@ def from_jsonl(text: str) -> FactoringHistory:
     must be plain ASCII digits with no leading zero, each followed by "}"
     at the end of its line, then converted by int and checked against
     [2, n), each check one pass over the whole run. A run that fails a
-    check is tried once more with each line's trailing whitespace stripped,
-    as the general path strips it, when any line has some; one that fails
-    again is read line by line on the general path, which names the line
-    and the cause, and no line of it opens a run again. The general path
-    decodes each stripped line at most once, by the scanner that
+    check, as one whose lines end in whitespace does, is read line by line
+    on the general path, which names the line and the cause, and no line
+    of it opens a run again. The general path decodes each stripped line
+    at most once, by the scanner that
     json.JSONDecoder().raw_decode calls, with a check that nothing follows
     the value: that accepts the lines json.loads accepts, as the same
     objects, and refuses the others with the cause json.loads names. A
@@ -221,10 +220,6 @@ def from_jsonl(text: str) -> FactoringHistory:
                 stop += 1
             run = rows[number - 1 : stop]
             ys = _rejections(run, head, n)
-            if ys is None:  # its lines may end in whitespace, which the general path strips
-                stripped = [row.rstrip() for row in run]
-                if stripped != run:
-                    ys = _rejections(stripped, head, n)
             if ys is not None:
                 attempts += ys
                 number = last = stop

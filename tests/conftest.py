@@ -1,8 +1,9 @@
 """Shared oracles and helpers.
 
 The oracles here recompute results by independent routes (brute
-iteration, complex phasor sums, exact Fraction arithmetic, 80-digit
-decimal arithmetic) so the package code is never checked against itself.
+iteration, complex phasor sums, the circuit's register state, exact
+Fraction arithmetic, 80-digit decimal arithmetic) so the package code is
+never checked against itself.
 """
 
 from __future__ import annotations
@@ -46,6 +47,30 @@ def brute_prob(c: int, r: int, q: int) -> float:
             a += r
         total += abs(amp) ** 2
     return total / q**2
+
+
+def circuit_law(y: int, n: int, q: int) -> list[float]:
+    """The readout law of the order-finding circuit, built from y and n
+    alone: element c is the probability of readout c.
+
+    Prepares sum over a < q of |a>|y**a mod n> by modular multiplication,
+    groups the register values a by the second register's value, as
+    measuring it does, takes one DFT of each group's indicator over a
+    (numpy's FFT; its sign convention leaves |.|**2 as it is) and sums
+    |.|**2 / q**2 over the groups. The order of y is never computed.
+    """
+    import numpy as np
+
+    second = np.empty(q, dtype=np.int64)
+    x = 1
+    for a in range(q):
+        second[a] = x
+        x = x * y % n
+    law = np.zeros(q)
+    for value in np.unique(second):
+        amplitude = np.fft.fft(second == value)
+        law += amplitude.real**2 + amplitude.imag**2
+    return (law / q**2).tolist()
 
 
 def decimal_prob(c: int, r: int, q: int) -> Decimal:

@@ -1,6 +1,8 @@
+import dataclasses
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shorsim import cli
 from shorsim.cli import MAX_BENCH_SESSIONS, main
 from shorsim.model import dominant_mass
 from shorsim.transcript import PRIME_WARNING, from_jsonl
@@ -360,6 +363,28 @@ class TestBenchCommand:
         assert code == 2
         assert "comma-separated" in err or "invalid literal" in err
 
+    def test_averages_are_the_means_of_the_successful_runs(self, capsys, monkeypatch):
+        # each run's elapsed fixed, so the avg column can be held to
+        # statistics.mean, which bench does not import
+        histories = []
+        real = cli.run_session
+
+        def timed(params):
+            elapsed = (0.00123, 0.0004567, 0.002, 0.0011, 0.0007, 0.0031)[len(histories) % 6]
+            histories.append(dataclasses.replace(real(params), elapsed=elapsed))
+            return histories[-1]
+
+        monkeypatch.setattr(cli, "run_session", timed)
+        code, out, _ = run(
+            capsys, "bench", "187", "--runs", "6", "--seed", "18", "--max-trials", "2"
+        )
+        assert code == 0
+        done = [history for history in histories if history.succeeded]
+        assert 0 < len(done) < 6
+        ms = statistics.mean(history.elapsed for history in done) * 1e3
+        trials = statistics.mean(history.total_trials for history in done)
+        assert out.splitlines()[-1].endswith(f"  avg {ms:.2f}({round(trials, 1):g})")
+
 
 class TestJsonlShape:
     def test_banner_event_carries_the_session_parameters(self, capsys):
@@ -410,6 +435,13 @@ class TestPipeSafety:
             )
         assert proc.returncode == 2
         assert proc.stderr == "shorsim: cannot write standard output: No space left on device\n"
+
+    def test_import_leaves_statistics_out(self):
+        # bench averages by sums over counts, so a one-shot run does not pay
+        # for statistics and what it imports
+        code = "import sys, shorsim.cli; print('statistics' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def run_argv(argv: list[str]) -> tuple[int, str, str]:

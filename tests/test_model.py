@@ -21,7 +21,8 @@ from shorsim.model import (
 )
 from shorsim.factorizer import run_session
 from shorsim.transcript import from_jsonl, to_jsonl
-from conftest import brute_prob, decimal_prob
+from shorsim.numtheory import multiplicative_order
+from conftest import brute_prob, circuit_law, decimal_prob
 
 
 class TestRegisterSizing:
@@ -308,6 +309,51 @@ class TestProbAtSessionRegisters:
         c = data.draw(st.integers(0, q - 1))
         expected = brute_prob(c, r, q)
         assert float(decimal_prob(c, r, q)) == pytest.approx(expected, rel=1e-9, abs=1e-20)
+
+
+# circuit_law against prob, in absolute terms, fixed before the first
+# comparison, in unit roundoffs u = 2**-53 at a register of L <= 12 qubits:
+# prob is within PROB_ULPS ulp of P(c) <= 1, so within 24 u. An FFT of
+# length 2**L has a normwise relative error under about 8 L u (L stages,
+# each a product by a twiddle factor and a sum; Higham, Accuracy and
+# Stability of Numerical Algorithms, ch. 24). A group of A register values
+# transforms to a vector of norm sqrt(q A) whose entries are at most A, so
+# one readout's |.|**2 is off by at most 2 A * 8 L u sqrt(q A), and the
+# groups, whose A sum to q, by at most 16 L u in all after the division by
+# q**2. Summing r <= 12 groups and squaring add under 16 u: 232 u at
+# L = 12, rounded up to 256 u.
+CIRCUIT_BOUND = 256 * 2.0**-53
+
+
+class TestCircuitLaw:
+    """prob(c, r, q), which starts from the order r, against the law of the
+    circuit itself, which starts from y and N and never computes r."""
+
+    @pytest.mark.parametrize(
+        "n,sizes",
+        [
+            (15, (8, 7)),
+            (21, (9, 8)),
+            (33, (11, 10)),
+            (35, (11, 10)),
+            (91, (12, 11)),  # its safe size, 14, is past the 2**12 cap
+        ],
+    )
+    def test_prob_is_the_circuit_law_for_every_usable_base(self, n, sizes):
+        # the safe size and the one below it; every N but 15 has orders, 3,
+        # 5, 6, 10 or 12, that divide no q
+        orders = []
+        for qubits in sizes:
+            q = 1 << qubits
+            for y in range(2, n):
+                if math.gcd(y, n) > 1:
+                    continue
+                r = multiplicative_order(y, n)
+                orders.append(r)
+                law = circuit_law(y, n, q)
+                worst = max(abs(prob(c, r, q) - law[c]) for c in range(q))
+                assert worst <= CIRCUIT_BOUND, (y, q, worst)
+        assert any(q % r for r in orders) == (n != 15)
 
 
 class TestDominantReadouts:

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shorsim.model import dominant_readouts, prob
+from shorsim.numtheory import multiplicative_order
 from shorsim.sampler import RandomSource, ReadoutSampler
-from conftest import ScriptedRng, chi_square_pvalue
+from conftest import ScriptedRng, chi_square_pvalue, circuit_law
 
 
 def chunk_loop(rng, a: int, b: int) -> int:
@@ -414,6 +415,17 @@ class TestEmpiricalDistribution:
 
     def test_matches_model_when_order_divides_q(self):
         assert self._empirical_vs_exact(56, 16, 1 << 12, seed=55) > 1e-3
+
+    def test_matches_the_circuit_law(self):
+        # against the law of the circuit for y = 2 and N = 91, built without
+        # the order, not against prob; 2 has order 12 mod 91, which divides
+        # no q
+        q, draws = 1 << 12, self.N_DRAWS
+        law = circuit_law(2, 91, q)
+        sampler, rng = ReadoutSampler(multiplicative_order(2, 91), q), RandomSource(91)
+        observed = Counter(sampler.draw(rng) for _ in range(draws))
+        expected = {c: p * draws for c, p in enumerate(law) if p > 0.0}
+        assert chi_square_pvalue(observed, expected) > 1e-3
 
     def test_matches_model_fully_enumerated_tiny_register(self):
         assert self._empirical_vs_exact(2, 3, 8, seed=77) > 1e-3
