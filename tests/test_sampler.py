@@ -1,16 +1,20 @@
 import copy
+import dataclasses
 import math
 import pickle
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shorsim.model import dominant_readouts, prob
+import shorsim.sampler as sampler_module
+from shorsim import factor
+from shorsim.model import dominant_mass, dominant_readouts, prob
 from shorsim.numtheory import multiplicative_order
-from shorsim.sampler import RandomSource, ReadoutSampler
+from shorsim.sampler import _MEMO_ENTRIES, RandomSource, ReadoutSampler, _acceptance_height
 from conftest import ScriptedRng, chi_square_pvalue, circuit_law
 
 
@@ -294,6 +298,88 @@ class TestReachability:
         rng.uniforms += [0.0, 0.0]
         rng.integers += [2]
         assert sampler.draw(rng) == 32
+
+
+class TestAcceptanceMemo:
+    """The memo of acceptance heights changes what a draw costs, never
+    what it returns or which uniforms it consumes, and stays bounded."""
+
+    def test_warm_sessions_equal_cold_ones(self):
+        sessions = [(187, s) for s in range(40)] + [(1328881, s) for s in range(5)]
+        cold = []
+        for n, s in sessions:
+            _acceptance_height.cache_clear()
+            cold.append(dataclasses.replace(factor(n, seed=s), elapsed=0.0))
+        assert cold[9].total_trials == 10  # factor(187, seed=9) runs ten trials
+        for n, s in sessions:
+            factor(n, seed=s)
+        misses = _acceptance_height.cache_info().misses
+        warm = [dataclasses.replace(factor(n, seed=s), elapsed=0.0) for n, s in sessions]
+        assert _acceptance_height.cache_info().misses == misses  # every test a hit
+        assert warm == cold
+
+    @pytest.mark.parametrize("r,q", [(3, 8), (5, 32), (40, 256), (255, 256), (1038, 1 << 41)])
+    def test_draw_returns_and_consumes_the_same_warm_and_cold(self, r, q):
+        sampler = ReadoutSampler(r, q)
+        readouts = range(q) if q <= 256 else dominant_readouts(r, q)[:50]
+        for c in readouts:
+            if prob(c, r, q) == 0.0:
+                continue
+            runs = []
+            for warm in (False, True):
+                if not warm:
+                    _acceptance_height.cache_clear()
+                rng = scripted_flat_proposal(c, r, q)
+                rng.uniforms.append(0.5)  # left over unless a draw takes too many
+                hits = _acceptance_height.cache_info().hits
+                runs.append((sampler.draw(rng), rng.uniforms, rng.integers))
+                assert _acceptance_height.cache_info().hits - hits == warm
+            assert runs[0] == runs[1] == (c, [0.5], [])
+
+    def test_a_wrapped_prob_sees_every_miss(self, monkeypatch):
+        calls = []
+
+        def counted(c, r, q):
+            calls.append((c, r, q))
+            return prob(c, r, q)
+
+        monkeypatch.setattr(sampler_module, "prob", counted)
+        _acceptance_height.cache_clear()
+        sampler, rng = ReadoutSampler(40, 1 << 16), RandomSource(3)
+        for _ in range(2000):
+            sampler.draw(rng)
+        info = _acceptance_height.cache_info()
+        assert len(calls) == len(set(calls)) == info.misses < info.hits
+
+    def test_holds_at_most_its_bound_in_about_a_megabyte(self):
+        # more distinct (c, r, q) than the bound, at the widest register,
+        # whose readouts are the largest ints a key holds; 1.06 MB measured
+        # in a fresh process, less here where earlier tests left free lists
+        sampler, rng = ReadoutSampler(69820, 1 << 96), RandomSource(7)
+        _acceptance_height.cache_clear()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(3 * _MEMO_ENTRIES):
+                sampler.draw(rng)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        info = _acceptance_height.cache_info()
+        assert info.misses > 2 * _MEMO_ENTRIES
+        assert info.currsize == info.maxsize == _MEMO_ENTRIES
+        assert held < 1_200_000
+
+    @pytest.mark.parametrize("r,q", [(40, 1 << 16), (1038, 1 << 41)])
+    def test_prob_and_dominant_mass_bypass_it(self, r, q):
+        sampler, rng = ReadoutSampler(r, q), RandomSource(1)
+        for _ in range(10):
+            sampler.draw(rng)
+        before = _acceptance_height.cache_info()
+        dominant_mass(r, q)
+        for c in dominant_readouts(r, q):
+            prob(c, r, q)
+        assert _acceptance_height.cache_info() == before
 
 
 def cell_of(c: int, r: int, q: int) -> tuple[int, int]:
