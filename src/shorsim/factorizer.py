@@ -118,9 +118,7 @@ class FactoringHistory:
         if not isinstance(last, AttemptRecord):
             raise ValueError(f"no AttemptRecord ended the session: attempts end on {last!r}")
         trials, ended = 0, None
-        for attempt in attempts:
-            if type(attempt) is int:
-                continue
+        for attempt in [a for a in attempts if type(a) is not int]:
             if not isinstance(attempt, AttemptRecord):
                 # by identity: attempts.index would find an equal int, 2 for 2.0
                 position = next(i for i, a in enumerate(attempts) if a is attempt)

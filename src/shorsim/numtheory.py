@@ -3,18 +3,28 @@
 Everything in this module is deterministic: modular exponentiation, exact
 primality, prime factorization and multiplicative order of moduli up to
 ten digits, and continued-fraction convergents. All functions accept
-plain Python ints and never lose precision to floats. All but one are
-pure: multiplicative_order keeps one state per modulus in _ORDERS, the
-module's one cache, bounded at _MODULI moduli with the oldest dropped
-first. The state holds the modulus's prime-power components, its steps
-and a countdown of tests; once an odd modulus has had as many tests as
-its order tables have slots, the tables replace the state and answer each
-later test with one read per component and one read of the lcm of the
-orders read. The state changes the test's speed, never its result.
+plain Python ints and never lose precision to floats. All but two are
+pure, and those two keep caches that change their speed, never their
+results:
+
+- multiplicative_order keeps one state per modulus in _ORDERS, bounded at
+  _MODULI moduli with the oldest dropped first. The state holds the
+  modulus's prime-power components, its steps and a countdown of tests;
+  once an odd modulus has had as many tests as its order tables have
+  slots, the tables replace the state and answer each later test with one
+  read per component and one read of the lcm of the orders read.
+- is_prime is memoized (functools.lru_cache, typed=True, so a float equal
+  to a tested int is not served the int's answer) over the _MEMO_ENTRIES
+  arguments tested most recently: a session tests N and both reported
+  factors, the same few numbers in every session at one N.
+
+_MEMO_ENTRIES bounds every process-wide memo of the package: this one,
+the sampler's acceptance heights and orderfinder's trials.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import product
 from math import lcm
@@ -44,11 +54,19 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_5 = 2_152_302_898_747
 _PSI_13 = 3_317_044_064_679_887_385_961_981
 
+# Sessions at one small N repeat few distinct keys again and again: 225,000
+# sessions at N = 187 make 615,177 acceptance tests on 3,380 distinct
+# (c, r, q) and 305,664 trials on 3,448 distinct (readout, y, q, N), which
+# this many entries hold at once.
+_MEMO_ENTRIES = 4096
 
+
+@functools.lru_cache(maxsize=_MEMO_ENTRIES, typed=True)
 def is_prime(n: int) -> bool:
     """Exact primality test (deterministic Miller-Rabin) for n below psi_13.
 
-    A larger n raises ValueError: the witnesses prove nothing there.
+    A larger n raises ValueError: the witnesses prove nothing there. The
+    answers for the last _MEMO_ENTRIES arguments are kept (module docstring).
     """
     if n >= _PSI_13:
         raise ValueError(f"is_prime is exact only below psi_13 = {_PSI_13}")

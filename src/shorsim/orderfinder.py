@@ -8,14 +8,23 @@ verification by modular exponentiation. The candidate is accepted as
 soon as y**candidate == 1 (mod N); this admits proper multiples of the
 true order, exactly as the verification step itself does, and the
 factoring stage works with whatever order was verified.
+
+find_order takes each trial from _trial, a process-wide memo
+(functools.lru_cache, typed=True) of the records of the _MEMO_ENTRIES
+(readout, y, q, n) looked up most recently, so a trial seen before, as at
+one small N session after session, is not derived again. A hit returns
+the frozen record the constructor built, so the memo changes no
+candidate, verdict or uniform consumed. from_jsonl calls the constructor
+itself and so derives every trial it reads.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import InitVar, dataclass, field
 
 from .model import FactoringParams
-from .numtheory import convergents, modpow
+from .numtheory import _MEMO_ENTRIES, convergents, modpow
 from .sampler import RandomSource, ReadoutSampler
 
 
@@ -43,11 +52,17 @@ class OrderResult:
         readout = self.readout
         if type(readout) is not int:
             raise TypeError(f"readout must be an int, not {type(readout).__name__}")
-        # module attributes looked up per trial, so a wrapper put there sees
-        # them; frozen: the derived fields are set once, here
+        # module attributes looked up per record built, so a wrapper put
+        # there sees every trial derived (a memo hit derives none); frozen:
+        # the derived fields are set once, here
         candidate = convergents(readout, q, n)
         object.__setattr__(self, "candidate_order", candidate)
         object.__setattr__(self, "verified", modpow(y, candidate, n) == 1)
+
+
+# OrderResult(readout, y, q, n), looked up before it is derived; typed, so
+# a readout True misses 1's record and is refused as the constructor refuses it
+_trial = functools.lru_cache(maxsize=_MEMO_ENTRIES, typed=True)(OrderResult)
 
 
 def find_order(
@@ -65,7 +80,7 @@ def find_order(
     trials: list[OrderResult] = []
     q, n = params.q, params.n
     for _ in range(budget):
-        trial = OrderResult(sampler.draw(rng), y, q, n)
+        trial = _trial(sampler.draw(rng), y, q, n)
         trials.append(trial)
         if trial.verified:
             break

@@ -52,13 +52,10 @@ from collections.abc import Iterator
 # dominant_readouts is unused here but stays importable from this module:
 # perfbench's tracer looks the layers up as attributes of their callers.
 from .model import check_register, dominant_readouts, prob  # noqa: F401
+from .numtheory import _MEMO_ENTRIES
 
 _FIFTY_THREE = 1 << 53
 _BETA = 1.0 - 4.0 / math.pi**2
-# Sessions at one small N test few distinct readouts again and again:
-# 225,000 sessions at N = 187 make 615,177 acceptance tests on 3,380
-# distinct (c, r, q), which this many entries hold at once.
-_MEMO_ENTRIES = 4096
 
 
 @functools.lru_cache(maxsize=_MEMO_ENTRIES)

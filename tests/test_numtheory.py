@@ -65,6 +65,17 @@ class TestIsPrime:
     def test_composites_and_small(self, n):
         assert not is_prime(n)
 
+    def test_the_memo_never_serves_a_float_an_ints_answer(self):
+        # lru_cache keys a lone int by itself, which no float matches, but an
+        # int subclass by the tuple (value,), which (1000003.0,) equals: only
+        # a typed memo keeps the float out of that entry, so it still fails
+        class Int(int):
+            pass
+
+        assert is_prime(1000003) and is_prime(Int(1000003))
+        with pytest.raises(TypeError):
+            is_prime(1000003.0)
+
     def test_strong_pseudoprime_not_fooled(self):
         # 3215031751 = 151 * 751 * 28351 passes weak tests to bases 2,3,5,7
         assert 151 * 751 * 28351 == 3215031751

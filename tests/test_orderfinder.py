@@ -1,15 +1,22 @@
 import copy
 import dataclasses
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shorsim.orderfinder as orderfinder_module
+from shorsim import factor, from_jsonl, to_jsonl
 from shorsim.factorizer import AttemptRecord
 from shorsim.model import FactoringParams
-from shorsim.orderfinder import OrderResult, find_order
+from shorsim.numtheory import _MEMO_ENTRIES, is_prime
+from shorsim.orderfinder import OrderResult, _trial, find_order
 from shorsim.sampler import RandomSource, ReadoutSampler
 from conftest import ScriptedRng, ScriptedSampler
 
@@ -151,3 +158,100 @@ class TestOrderResult:
         for twin in (pickle.loads(pickle.dumps(trial)), copy.deepcopy(trial)):
             assert twin == trial
             assert (twin.candidate_order, twin.verified) == (1038, True)
+
+
+def sessions(keys):
+    """factor(n, seed=s) for each (n, s), with the wall time zeroed."""
+    return [dataclasses.replace(factor(n, seed=s), elapsed=0.0) for n, s in keys]
+
+
+class TestTrialMemo:
+    """The memo of trials and the memo of is_prime change what a session
+    costs, never what it returns, and stay bounded."""
+
+    SESSIONS = [(187, s) for s in range(40)] + [(1328881, s) for s in range(5)]
+
+    def test_warm_sessions_equal_cold_ones(self):
+        cold = []
+        for key in self.SESSIONS:
+            _trial.cache_clear()
+            is_prime.cache_clear()
+            cold += sessions([key])
+        assert cold[9].total_trials == 10  # factor(187, seed=9) runs ten trials
+        sessions(self.SESSIONS)
+        misses = _trial.cache_info().misses, is_prime.cache_info().misses
+        warm = sessions(self.SESSIONS)
+        # every trial and every primality test a hit
+        assert (_trial.cache_info().misses, is_prime.cache_info().misses) == misses
+        assert warm == cold
+        # a memo filled past its bound with unrelated trials evicts them
+        # while the sessions run, and still gives the same sessions
+        _trial.cache_clear()
+        for c in range(2 * _MEMO_ENTRIES):
+            _trial(c, 7, 1 << 20, 15)
+        filled = _trial.cache_info()
+        assert filled.currsize == _MEMO_ENTRIES
+        assert sessions(self.SESSIONS) == cold
+        info = _trial.cache_info()
+        assert info.misses > filled.misses and info.currsize == _MEMO_ENTRIES
+
+    def test_a_wrapped_convergents_sees_exactly_the_misses(self, monkeypatch):
+        calls = []
+        convergents = orderfinder_module.convergents
+
+        def counted(c, q, bound):
+            calls.append((c, q, bound))
+            return convergents(c, q, bound)
+
+        monkeypatch.setattr(orderfinder_module, "convergents", counted)
+        _trial.cache_clear()
+        keys = [(187, s) for s in range(200)]
+        first = sessions(keys)
+        misses = _trial.cache_info().misses
+        assert len(calls) == misses
+        # the same sessions again: every trial a hit, and no call
+        assert sessions(keys) == first
+        info = _trial.cache_info()
+        assert len(calls) == info.misses == misses < info.hits
+
+    def test_a_bool_readout_is_refused_after_its_int(self):
+        # True == 1 and hashes the same: only a typed memo keeps True out of
+        # the record of readout 1, so find_order still refuses it
+        params = FactoringParams(187, 16, 0)
+        _trial(1, 56, params.q, 187)
+        with pytest.raises(TypeError, match="^readout must be an int, not bool$"):
+            find_order(56, params, ScriptedSampler([True]), ScriptedRng(), 1)
+
+    def test_from_jsonl_derives_every_trial_it_reads(self):
+        history = factor(1328881, seed=3)
+        text = to_jsonl(history)
+        before = _trial.cache_info()
+        assert from_jsonl(text) == history
+        assert _trial.cache_info() == before
+
+    def test_full_at_the_widest_register_in_about_two_megabytes(self):
+        # a fresh process, so no free list left by earlier tests hides what
+        # the memo allocates: 3 * _MEMO_ENTRIES distinct trials at q = 2**96,
+        # each readout a fresh 96-bit int; measured 1.65 MB on CPython 3.11,
+        # 1.62 MB on 3.12 and 1.88 MB on 3.10, whose records keep their
+        # fields in a dict of their own
+        code = (
+            "import tracemalloc\n"
+            "from shorsim.numtheory import _MEMO_ENTRIES\n"
+            "from shorsim.orderfinder import _trial\n"
+            "from shorsim.sampler import RandomSource\n"
+            "rng, q = RandomSource(7), 1 << 96\n"
+            "tracemalloc.start()\n"
+            "for _ in range(3 * _MEMO_ENTRIES):\n"
+            "    _trial(rng.getrandbits(96), 2, q, 9954647173)\n"
+            "info = _trial.cache_info()\n"
+            "print(tracemalloc.get_traced_memory()[0], info.misses, info.currsize)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        held, misses, size = map(int, out.split())
+        assert misses == 3 * _MEMO_ENTRIES and size == _MEMO_ENTRIES
+        assert held < 2_200_000

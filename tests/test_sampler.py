@@ -300,6 +300,32 @@ class TestReachability:
         assert sampler.draw(rng) == 32
 
 
+class TestFlatPartReach:
+    """The largest uniform below 1 selects the envelope's flat part only
+    while the flat part's share of _total is above 2**-53 (about 0.3 * r/q):
+    past that, the tail alone proposes a cell's edge offsets."""
+
+    @pytest.mark.parametrize(
+        "r,q",
+        [
+            (1038, 1 << 41),
+            pytest.param(
+                10007, 1 << 67,
+                marks=pytest.mark.xfail(
+                    strict=True, raises=AssertionError,
+                    reason="(1 - 2**-53) * _total lands in the tail branch (ROADMAP item 12)",
+                ),
+            ),
+        ],
+    )
+    def test_the_largest_uniform_reaches_the_flat_part(self, r, q):
+        # a flat proposal takes its offset from randints; a tail one would
+        # take the second uniform, 0.5, as k = 3
+        rng = ScriptedRng(uniforms=[1.0 - 2.0**-53, 0.5], integers=[5])
+        assert ReadoutSampler(r, q)._propose_offset(rng) == 5
+        assert rng.uniforms == [0.5] and rng.integers == []
+
+
 class TestAcceptanceMemo:
     """The memo of acceptance heights changes what a draw costs, never
     what it returns or which uniforms it consumes, and stays bounded."""
