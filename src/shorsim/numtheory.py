@@ -14,12 +14,13 @@ results:
   slots, the tables replace the state and answer each later test with one
   read per component and one read of the lcm of the orders read.
 - is_prime is memoized (functools.lru_cache, typed=True, so a float equal
-  to a tested int is not served the int's answer) over the _MEMO_ENTRIES
-  arguments tested most recently: a session tests N and both reported
-  factors, the same few numbers in every session at one N.
+  to a tested int misses the int's answer and is refused) over the
+  _MEMO_ENTRIES arguments tested most recently: a session tests N and
+  both reported factors, the same few numbers in every session at one N.
 
-_MEMO_ENTRIES bounds every process-wide memo of the package: this one,
-the sampler's acceptance heights and orderfinder's trials.
+_MEMO_ENTRIES bounds every process-wide memo of the package, six in all:
+this one, the sampler's acceptance heights, orderfinder's trials, and
+factorizer's samplers, shared-factor records and even-order splits.
 """
 
 from __future__ import annotations
@@ -57,7 +58,9 @@ _PSI_13 = 3_317_044_064_679_887_385_961_981
 # Sessions at one small N repeat few distinct keys again and again: 225,000
 # sessions at N = 187 make 615,177 acceptance tests on 3,380 distinct
 # (c, r, q) and 305,664 trials on 3,448 distinct (readout, y, q, N), which
-# this many entries hold at once.
+# this many entries hold at once; they build 145,728 samplers from 5
+# distinct (r, q), 121,715 shared-factor records from 26 distinct y and
+# 145,728 splits from 34 distinct (y, r).
 _MEMO_ENTRIES = 4096
 
 
@@ -65,9 +68,13 @@ _MEMO_ENTRIES = 4096
 def is_prime(n: int) -> bool:
     """Exact primality test (deterministic Miller-Rabin) for n below psi_13.
 
-    A larger n raises ValueError: the witnesses prove nothing there. The
-    answers for the last _MEMO_ENTRIES arguments are kept (module docstring).
+    A bool or a non-int raises TypeError, before any arithmetic; an int
+    subclass is tested as its value. A larger n raises ValueError: the
+    witnesses prove nothing there. The answers for the last _MEMO_ENTRIES
+    arguments are kept (module docstring), so the checks run on misses only.
     """
+    if type(n) is bool or not isinstance(n, int):
+        raise TypeError(f"n must be an int, not {type(n).__name__}")
     if n >= _PSI_13:
         raise ValueError(f"is_prime is exact only below psi_13 = {_PSI_13}")
     if n < 2:

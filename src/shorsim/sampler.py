@@ -132,7 +132,14 @@ class ReadoutSampler:
     the one state draws share is the module's memo of acceptance heights,
     bounded at _MEMO_ENTRIES entries, which changes what a draw costs but
     never what it returns or consumes.
+
+    Slotted, so the factorizer's memo of samplers, full of ten-digit
+    orders at q = 2**96, stays under 2 MB on CPython 3.10 as on 3.11+;
+    __weakref__ keeps a sampler weakly referenceable, as a profiler that
+    tracks the samplers it has seen needs.
     """
+
+    __slots__ = ("r", "q", "_peak", "_tail", "_pair", "_reach", "_total", "__weakref__")
 
     def __init__(self, r: int, q: int):
         check_register(r, q)

@@ -76,6 +76,13 @@ class TestIsPrime:
         with pytest.raises(TypeError):
             is_prime(1000003.0)
 
+    @pytest.mark.parametrize("n", [7.0, 41.0, 4.0, 43.0, 1000003.0, True, False, "7", None])
+    def test_a_non_int_is_refused_before_any_arithmetic(self, n):
+        # 7.0, 41.0 and 4.0 were once answered by the trial divisions, and
+        # 43.0 failed deep inside on a bit operation
+        with pytest.raises(TypeError, match=f"^n must be an int, not {type(n).__name__}$"):
+            is_prime(n)
+
     def test_strong_pseudoprime_not_fooled(self):
         # 3215031751 = 151 * 751 * 28351 passes weak tests to bases 2,3,5,7
         assert 151 * 751 * 28351 == 3215031751
