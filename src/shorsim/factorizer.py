@@ -61,8 +61,9 @@ class AttemptRecord:
     A verified last trial's candidate is the order, and extract_factors(y,
     order, n) gives the rest. Otherwise the budget ran out:
     TRIAL_BUDGET_EXHAUSTED. A y that is not an int, a bool among them,
-    raises TypeError; a gcd of 1, a verified trial before the last, or a
-    verified candidate that does not annihilate y, raises ValueError.
+    raises TypeError; a gcd of 1 with no trials or above 1 with some, a
+    verified trial before the last, or a verified candidate that does not
+    annihilate y, raises ValueError.
     """
 
     y: int
@@ -79,11 +80,13 @@ class AttemptRecord:
         for trial in trials[:-1]:
             if trial.verified:
                 raise ValueError(f"a trial of {y} before its last is verified")
+        g = math.gcd(y, n)
         if not trials:
-            g = math.gcd(y, n)
             if g == 1:
                 raise ValueError(f"y {y} shares no factor with {n}")
             outcome, factors = _SHARED_FACTOR, (g, n // g)
+        elif g != 1:
+            raise ValueError(f"y {y} shares a factor with {n}, gcd {g}, so no trial runs on it")
         elif trials[-1].verified:
             order = trials[-1].candidate_order
             # the split memo, a module attribute looked up per record, so a

@@ -9,13 +9,12 @@ soon as y**candidate == 1 (mod N); this admits proper multiples of the
 true order, exactly as the verification step itself does, and the
 factoring stage works with whatever order was verified.
 
-find_order takes each trial from _trial, a process-wide memo
-(functools.lru_cache, typed=True) of the records of the _MEMO_ENTRIES
-(readout, y, q, n) looked up most recently, so a trial seen before, as at
-one small N session after session, is not derived again. A hit returns
-the frozen record the constructor built, so the memo changes no
-candidate, verdict or uniform consumed. from_jsonl calls the constructor
-itself and so derives every trial it reads.
+find_order and from_jsonl take each trial from _trial, a process-wide
+memo (functools.lru_cache, typed=True) of the records of the
+_MEMO_ENTRIES (readout, y, q, n) looked up most recently, so a trial seen
+before, as at one small N session after session, is not derived again.
+A hit returns the frozen record the constructor built, so the memo
+changes no candidate, verdict or uniform consumed.
 """
 
 from __future__ import annotations

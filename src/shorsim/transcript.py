@@ -3,8 +3,8 @@
 render_text and to_jsonl each write their output straight from the
 history, in one pass over its attempts, every line from one f-string: the
 human transcript line by line, and line-delimited JSON, one event per line,
-that from_jsonl parses back to an equal history through the constructors
-the session uses, OrderResult for each trial. Each JSONL line is
+that from_jsonl parses back to an equal history through the memos the
+session takes each trial, shared factor and split from. Each JSONL line is
 json.dumps(event, sort_keys=True), written from a template of the event's
 keys in sorted order. A template holds only ints the constructors have
 checked, the literals true, false and null, an outcome's value, and the
@@ -31,9 +31,10 @@ from .factorizer import (
     _TRIVIAL_FACTORS,
     AttemptRecord,
     FactoringHistory,
+    _shared_factor,
 )
 from .model import FactoringParams, _safe_qubits
-from .orderfinder import OrderResult
+from .orderfinder import OrderResult, _trial
 
 PRIME_WARNING = "THE NUMBER YOU PICKED IS PRIME, PLEASE TRY AGAIN!!!"
 SCHEMA_VERSION = 1  # of the JSONL stream; a banner without one is version 1
@@ -190,19 +191,21 @@ def from_jsonl(text: str) -> FactoringHistory:
     derive, of the same JSON type (_expect): a rejection's ceiling is
     FactoringParams.ceiling, whether its y's order exceeds it being
     untested, as that would cost an order test per line; a trial's index is
-    its position in the stream, and its candidate and verified are the ones
-    OrderResult(readout, y, q, n) derives; a shared_factor's factors, and a
-    verdict's status, order and factors, are the ones AttemptRecord(y,
-    trials, n) derives; and the summary is the one FactoringHistory(params,
-    attempts, elapsed) derives, which refuses an elapsed that is not a
-    float in [0, inf) or is -0.0, and attempts that no session produces.
-    Fields not read are ignored, so older banners that carried a
-    tail_threshold still parse; a banner without a schema is version 1,
-    and one whose schema is not an int (a bool or a float is refused) or
-    is newer than SCHEMA_VERSION is refused. Streams written while rejection lines named
-    the requested ceiling rather than the applied one (null for no ceiling,
-    or a value above q) are refused on their first such line. Any other
-    input raises TranscriptError naming the line and the cause.
+    its position in the stream, its candidate and verified those of the
+    session's trial memo, _trial(readout, y, q, n); a shared_factor's
+    factors those of its record memo, _shared_factor(y, n); a verdict's
+    status, order and factors those AttemptRecord(y, trials, n) derives,
+    refusing a y that shares a factor with n; and the summary is the one
+    FactoringHistory(params, attempts, elapsed) derives, which refuses an
+    elapsed that is not a float in [0, inf) or is -0.0, and attempts that
+    no session produces. Fields not read are ignored, so older banners that
+    carried a tail_threshold still parse; a banner without a schema is
+    version 1, and one whose schema is not an int (a bool or a float is
+    refused) or is newer than SCHEMA_VERSION is refused. Streams written
+    while rejection lines named the requested ceiling rather than the
+    applied one (null for no ceiling, or a value above q) are refused on
+    their first such line. Any other input raises TranscriptError naming
+    the line and the cause.
     """
     if not isinstance(text, str):
         raise TypeError(f"text must be a str, not {type(text).__name__}")
@@ -281,7 +284,7 @@ def from_jsonl(text: str) -> FactoringHistory:
                 attempts.append(y)
             elif kind == "shared_factor":
                 y = _int_in("y", data["y"], 2, n)
-                record = AttemptRecord(y, (), n)
+                record = _shared_factor(y, n)
                 factors = list(record.factors)
                 _expect("factors", data["factors"], factors, "as gcd({}, {}) = {} gives",
                         y, n, factors[0])
@@ -297,7 +300,7 @@ def from_jsonl(text: str) -> FactoringHistory:
                 position += 1
                 _expect("index", data["index"], position, "its position in the session")
                 readout = _int_in("readout", data["readout"], 0, q)
-                trial = OrderResult(readout, open_y, q, n)
+                trial = _trial(readout, open_y, q, n)
                 candidate = trial.candidate_order
                 _expect("candidate", data["candidate"], candidate,
                         "the denominator of the convergent of readout {}", readout)

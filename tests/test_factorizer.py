@@ -89,6 +89,13 @@ class TestExtractFactors:
         with pytest.raises(ValueError):
             extract_factors(56, 15, 187)
 
+    def test_a_float_order_is_refused_after_its_int(self):
+        # 2.0 == 2 and hashes the same: only a typed memo keeps (4, 2.0, 15)
+        # out of the entry of (4, 2, 15), so the split still raises
+        assert extract_factors(4, 2, 15)[1] == (5, 3)
+        with pytest.raises(TypeError, match="pow"):
+            extract_factors(4, 2.0, 15)
+
     def test_oracle_only_success_fraction(self):
         # over seeded random coprime bases the even-order split succeeds
         # well over half the time for a product of two odd primes
@@ -168,28 +175,46 @@ class TestAttemptRecord:
         assert (record.outcome, record.order, record.factors) == (outcome, order, factors)
 
     @pytest.mark.parametrize(
-        "trials,message",
+        "y,trials,message",
         [
-            pytest.param((), "y 35 shares no factor with 187", id="shared-factor-with-gcd-1"),
+            pytest.param(35, (), "y 35 shares no factor with 187", id="shared-factor-with-gcd-1"),
             pytest.param(
                 # a trial built for y = 69, of order 5: readout 4369 gives 1/15
-                (OrderResult(4369, 69, 1 << 16, 187),),
+                35, (OrderResult(4369, 69, 1 << 16, 187),),
                 "15 is not an annihilating exponent of 35 mod 187",
                 id="verified-candidate-does-not-annihilate-y",
             ),
             pytest.param(
                 # readout 819 gives 1/80, which verifies, and readout 0 gives
                 # 1, which does not: no trial follows a verified one
-                (OrderResult(819, 35, 1 << 16, 187), OrderResult(0, 35, 1 << 16, 187)),
+                35, (OrderResult(819, 35, 1 << 16, 187), OrderResult(0, 35, 1 << 16, 187)),
                 "a trial of 35 before its last is verified",
                 id="verified-trial-before-the-last",
             ),
+            pytest.param(
+                # pick_y ends the session on a base that shares a factor with
+                # n, before any trial
+                11, (OrderResult(0, 11, 1 << 16, 187),),
+                "y 11 shares a factor with 187, gcd 11, so no trial runs on it",
+                id="trials-on-a-base-sharing-a-factor",
+            ),
         ],
     )
-    def test_constructor_refuses_a_verdict_no_session_reaches(self, trials, message):
-        # gcd(35, 187) = 1, and the order of 35 mod 187 is 80
+    def test_constructor_refuses_a_verdict_no_session_reaches(self, y, trials, message):
+        # gcd(35, 187) = 1, and the order of 35 mod 187 is 80; gcd(11, 187) = 11
         with pytest.raises(ValueError, match=f"^{message}$"):
-            AttemptRecord(35, trials, 187)
+            AttemptRecord(y, trials, 187)
+
+    @given(st.integers(2, 1000), st.integers(2, 1000), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_base_sharing_a_factor_is_refused_with_a_trial(self, g, m, data):
+        n = g * m
+        y = g * data.draw(st.integers(1, m - 1))  # in [2, n) with gcd(y, n) >= g
+        q = 1 << max(n.bit_length() * 2, 8)
+        trial = OrderResult(data.draw(st.integers(0, q - 1)), y, q, n)
+        assert not trial.verified  # no power of y is 1 mod n
+        with pytest.raises(ValueError, match=f"^y {y} shares a factor with {n}, gcd "):
+            AttemptRecord(y, (trial,), n)
 
     def test_equality_and_hash(self):
         assert self.record() == self.record()

@@ -1,20 +1,16 @@
 import copy
-import dataclasses
 import math
 import pickle
 import random
-import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import shorsim.sampler as sampler_module
-from shorsim import factor
 from shorsim.model import dominant_mass, dominant_readouts, prob
 from shorsim.numtheory import multiplicative_order
-from shorsim.sampler import _MEMO_ENTRIES, RandomSource, ReadoutSampler, _acceptance_height
+from shorsim.sampler import RandomSource, ReadoutSampler, _acceptance_height
 from conftest import ScriptedRng, chi_square_pvalue, circuit_law
 
 
@@ -326,23 +322,10 @@ class TestFlatPartReach:
         assert rng.uniforms == [0.5] and rng.integers == []
 
 
-class TestAcceptanceMemo:
-    """The memo of acceptance heights changes what a draw costs, never
-    what it returns or which uniforms it consumes, and stays bounded."""
-
-    def test_warm_sessions_equal_cold_ones(self):
-        sessions = [(187, s) for s in range(40)] + [(1328881, s) for s in range(5)]
-        cold = []
-        for n, s in sessions:
-            _acceptance_height.cache_clear()
-            cold.append(dataclasses.replace(factor(n, seed=s), elapsed=0.0))
-        assert cold[9].total_trials == 10  # factor(187, seed=9) runs ten trials
-        for n, s in sessions:
-            factor(n, seed=s)
-        misses = _acceptance_height.cache_info().misses
-        warm = [dataclasses.replace(factor(n, seed=s), elapsed=0.0) for n, s in sessions]
-        assert _acceptance_height.cache_info().misses == misses  # every test a hit
-        assert warm == cold
+class TestWarmAndColdDraws:
+    """What only the acceptance-height memo shows, beside its row in
+    test_memos.py: a draw returns and consumes the same uniforms on a
+    warm memo as on a cold one, and prob and dominant_mass bypass it."""
 
     @pytest.mark.parametrize("r,q", [(3, 8), (5, 32), (40, 256), (255, 256), (1038, 1 << 41)])
     def test_draw_returns_and_consumes_the_same_warm_and_cold(self, r, q):
@@ -361,40 +344,6 @@ class TestAcceptanceMemo:
                 runs.append((sampler.draw(rng), rng.uniforms, rng.integers))
                 assert _acceptance_height.cache_info().hits - hits == warm
             assert runs[0] == runs[1] == (c, [0.5], [])
-
-    def test_a_wrapped_prob_sees_every_miss(self, monkeypatch):
-        calls = []
-
-        def counted(c, r, q):
-            calls.append((c, r, q))
-            return prob(c, r, q)
-
-        monkeypatch.setattr(sampler_module, "prob", counted)
-        _acceptance_height.cache_clear()
-        sampler, rng = ReadoutSampler(40, 1 << 16), RandomSource(3)
-        for _ in range(2000):
-            sampler.draw(rng)
-        info = _acceptance_height.cache_info()
-        assert len(calls) == len(set(calls)) == info.misses < info.hits
-
-    def test_holds_at_most_its_bound_in_about_a_megabyte(self):
-        # more distinct (c, r, q) than the bound, at the widest register,
-        # whose readouts are the largest ints a key holds; 1.06 MB measured
-        # in a fresh process, less here where earlier tests left free lists
-        sampler, rng = ReadoutSampler(69820, 1 << 96), RandomSource(7)
-        _acceptance_height.cache_clear()
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            for _ in range(3 * _MEMO_ENTRIES):
-                sampler.draw(rng)
-            held = tracemalloc.get_traced_memory()[0] - start
-        finally:
-            tracemalloc.stop()
-        info = _acceptance_height.cache_info()
-        assert info.misses > 2 * _MEMO_ENTRIES
-        assert info.currsize == info.maxsize == _MEMO_ENTRIES
-        assert held < 1_200_000
 
     @pytest.mark.parametrize("r,q", [(40, 1 << 16), (1038, 1 << 41)])
     def test_prob_and_dominant_mass_bypass_it(self, r, q):

@@ -1075,6 +1075,15 @@ class TestJsonlErrors:
                 id="trials-past-max-trials",
             ),
             pytest.param(
+                # seed 9 at max_trials 1 runs one unverified trial of y = 120;
+                # pick_y ends a session on 11, which shares 11 with 187
+                lambda: with_fields(3, y=11)(stream_187(9, max_trials=1)),
+                5,
+                "bad 'attempt_verdict' event: "
+                "y 11 shares a factor with 187, gcd 11, so no trial runs on it",
+                id="trials-on-a-base-sharing-a-factor",
+            ),
+            pytest.param(
                 lambda: session_stream()[:18] + [shared_factor(1039)] + session_stream()[18:],
                 23,
                 "base 205920 comes after the session ended at trial 10",
@@ -1092,8 +1101,8 @@ class TestJsonlErrors:
         ],
     )
     def test_attempts_no_session_runs_are_refused(self, stream, line, cause):
-        # every line but the summary passes its own checks, and the summary
-        # agrees with the trials and the last attempt
+        # every line before the refused one passes its own checks, and a
+        # refused summary agrees with the trials and the last attempt
         with pytest.raises(TranscriptError) as info:
             from_jsonl("\n".join(stream()))
         assert info.value.line == line
