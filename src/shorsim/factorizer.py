@@ -6,16 +6,16 @@ honest base has its order found through the simulated measurement
 trials; an even verified order r is then split as x = y**(r/2) and the
 session reports gcd(x + 1, N) and gcd(x - 1, N), retrying with a new
 base when the split is trivial or r is odd. One global trial budget
-spans all bases. Each base that ends a pick is an AttemptRecord, whose
-constructor derives its verdict from the base and its trials.
+spans all bases. Each pick is one AttemptRecord: the bases the order
+ceiling rejected in it, and the base that ended it, whose verdict the
+constructor derives from the base and its trials.
 
-Three process-wide memos (functools.lru_cache, each bounded at
+Two process-wide memos (functools.lru_cache, each bounded at
 _MEMO_ENTRIES keys, like the trial memo of orderfinder) keep what a base
 derives from a few ints, so sessions at one small N stop rebuilding it:
-the ReadoutSampler of each (r, q), the SHARED_FACTOR record of each
-(y, N), and extract_factors itself, keyed by (y, r, N). A hit returns
-the object a miss built, whose fields never change, so the memos change
-no draw, record or verdict.
+the ReadoutSampler of each (r, q), and extract_factors itself, keyed by
+(y, r, N). A hit returns the object a miss built, whose fields never
+change, so the memos change no draw, record or verdict.
 """
 
 from __future__ import annotations
@@ -54,16 +54,19 @@ _FACTORING = (_SUCCESS, _SHARED_FACTOR)  # the outcomes that report factors
 
 @dataclass(frozen=True)
 class AttemptRecord:
-    """One base that ended a pick and everything that happened with it.
+    """One pick: the bases the order ceiling rejected, and the base y that
+    ended it with everything that happened with y.
 
-    AttemptRecord(y, trials, n) derives outcome, order and factors. With no
+    AttemptRecord(y, trials, n, rejected=()) stores rejected, the rejected
+    bases in draw order, and derives outcome, order and factors. With no
     trials, y shares g = gcd(y, n) > 1 with n: SHARED_FACTOR, (g, n // g).
     A verified last trial's candidate is the order, and extract_factors(y,
     order, n) gives the rest. Otherwise the budget ran out:
-    TRIAL_BUDGET_EXHAUSTED. A y that is not an int, a bool among them,
-    raises TypeError; a gcd of 1 with no trials or above 1 with some, a
-    verified trial before the last, or a verified candidate that does not
-    annihilate y, raises ValueError.
+    TRIAL_BUDGET_EXHAUSTED. A y that is not an int, a bool among them, or
+    a rejected that is not a tuple of such ints, raises TypeError; a gcd of
+    1 with no trials or above 1 with some, a verified trial before the
+    last, or a verified candidate that does not annihilate y, raises
+    ValueError.
     """
 
     y: int
@@ -72,11 +75,15 @@ class AttemptRecord:
     trials: tuple[OrderResult, ...]
     factors: tuple[int, int] | None = field(init=False)
     n: InitVar[int]
+    rejected: tuple[int, ...] = ()
 
     def __post_init__(self, n: int) -> None:
-        y, trials, order = self.y, self.trials, None
+        y, trials, rejected, order = self.y, self.trials, self.rejected, None
         if type(y) is not int:
             raise TypeError(f"y must be an int, not {type(y).__name__}")
+        # one pass in C over the bases, the bulk of a session's entries
+        if type(rejected) is not tuple or rejected and {*map(type, rejected)} != {int}:
+            raise TypeError(f"rejected must be a tuple of ints, not {rejected!r}")
         for trial in trials[:-1]:
             if trial.verified:
                 raise ValueError(f"a trial of {y} before its last is verified")
@@ -104,23 +111,21 @@ class AttemptRecord:
 class FactoringHistory:
     """Complete record of one factoring session.
 
-    attempts lists every base drawn, in draw order: a base rejected by the
-    order ceiling as its bare int y, any other as its AttemptRecord. The
+    attempts holds one AttemptRecord per pick, in draw order. The
     constructor, FactoringHistory(params, attempts, elapsed), derives
     total_trials, factors, failure and warnings, which cannot be passed:
     total_trials counts the trials of every record, and the last attempt
     decides the session, so factors is its pair when it is a SUCCESS or
     SHARED_FACTOR, else failure is TRIAL_BUDGET_EXHAUSTED. An elapsed that
-    is not a float in [0, inf), or an attempt that is neither an int (a
-    bool is not one) nor an AttemptRecord, raises TypeError, or ValueError
-    for a float out of range or -0.0. Attempts that run_session cannot
-    produce raise ValueError: none at all, a last one that is not an
-    AttemptRecord, an attempt after the one that ended the session, more
-    than params.max_trials trials, or a failure that stops short of them.
+    is not a float in [0, inf), or an attempt that is not an AttemptRecord,
+    raises TypeError, or ValueError for a float out of range or -0.0.
+    Attempts that run_session cannot produce raise ValueError: none at all,
+    an attempt after the one that ended the session, more than
+    params.max_trials trials, or a failure that stops short of them.
     """
 
     params: FactoringParams
-    attempts: tuple[AttemptRecord | int, ...]
+    attempts: tuple[AttemptRecord, ...]
     total_trials: int = field(init=False)
     elapsed: float
     factors: tuple[int, int] | None = field(init=False)
@@ -134,17 +139,12 @@ class FactoringHistory:
             error = ValueError if type(elapsed) is float else TypeError
             raise error(f"elapsed {elapsed!r} is not a float in [0, inf)")
         attempts, n, budget = self.attempts, self.params.n, self.params.max_trials
-        last = attempts[-1] if attempts else None
-        if not isinstance(last, AttemptRecord):
-            raise ValueError(f"no AttemptRecord ended the session: attempts end on {last!r}")
+        if not attempts:
+            raise ValueError("no AttemptRecord ended the session: there are no attempts")
         trials, ended = 0, None
-        for attempt in [a for a in attempts if type(a) is not int]:
+        for position, attempt in enumerate(attempts):
             if not isinstance(attempt, AttemptRecord):
-                # by identity: attempts.index would find an equal int, 2 for 2.0
-                position = next(i for i, a in enumerate(attempts) if a is attempt)
-                raise TypeError(
-                    f"attempts[{position}] is {attempt!r}, neither an int nor an AttemptRecord"
-                )
+                raise TypeError(f"attempts[{position}] is {attempt!r}, not an AttemptRecord")
             if ended is not None:
                 raise ValueError(f"base {attempt.y} comes after the session ended at trial {ended}")
             trials += len(attempt.trials)
@@ -153,6 +153,7 @@ class FactoringHistory:
                 ended = trials
         if trials > budget:
             raise ValueError(f"the attempts run {trials} trials, past max_trials {budget}")
+        last = attempts[-1]
         factors = last.factors if last.outcome in _FACTORING else None
         if factors is None and trials < budget:
             raise ValueError(f"the session stops without factors after {trials} of {budget} trials")
@@ -179,31 +180,24 @@ class FactoringHistory:
 
 
 def pick_y(
-    n: int, rng: RandomSource, ceiling: int, attempts: list[AttemptRecord | int]
+    n: int, rng: RandomSource, ceiling: int, rejected: list[int]
 ) -> AttemptRecord | tuple[int, int]:
     """Draw bases uniformly from [2, n - 1] until one is usable.
 
-    Each base whose order exceeds `ceiling` is appended to `attempts` as its
-    bare int and redrawn. Returns the SHARED_FACTOR record of a base with
-    gcd(y, n) > 1, from the record memo, else (y, exact order).
+    Each base whose order exceeds `ceiling` is appended to `rejected` and
+    redrawn. Returns the SHARED_FACTOR record of a base with gcd(y, n) > 1,
+    which carries `rejected`, else (y, exact order).
     """
-    append = attempts.append
+    append = rejected.append
     for y in rng.randints(2, n - 1):  # endless
         try:
             # a module attribute looked up per base, so a wrapper put there sees it
             r = multiplicative_order(y, n, ceiling)
         except NotCoprime:
-            return _shared_factor(y, n)
+            return AttemptRecord(y, (), n, tuple(rejected))
         if r is not None:
             return y, r
         append(y)
-
-
-@functools.lru_cache(maxsize=_MEMO_ENTRIES)
-def _shared_factor(y: int, n: int) -> AttemptRecord:
-    """AttemptRecord(y, (), n), the SHARED_FACTOR record of a base y with
-    gcd(y, n) > 1, kept for the last _MEMO_ENTRIES (y, n) looked up."""
-    return AttemptRecord(y, (), n)
 
 
 @functools.lru_cache(maxsize=_MEMO_ENTRIES)
@@ -259,17 +253,18 @@ def run_session(params: FactoringParams) -> FactoringHistory:
     rng = RandomSource(params.seed)
     n, budget, ceiling, q = params.n, params.max_trials, params.ceiling, params.q
     trials_run = 0
-    attempts: list[AttemptRecord | int] = []
+    attempts: list[AttemptRecord] = []
     start = time.perf_counter()
     while trials_run < budget:
-        choice = pick_y(n, rng, ceiling, attempts)
+        rejected: list[int] = []
+        choice = pick_y(n, rng, ceiling, rejected)
         if type(choice) is not tuple:
             attempts.append(choice)
             break
         y, true_order = choice
         trials = tuple(find_order(y, params, _sampler(true_order, q), rng, budget - trials_run))
         trials_run += len(trials)
-        record = AttemptRecord(y, trials, n)
+        record = AttemptRecord(y, trials, n, tuple(rejected))
         attempts.append(record)
         # an unverified last trial spent the budget, which ends the loop
         if record.outcome is _SUCCESS:

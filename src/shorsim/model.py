@@ -156,10 +156,7 @@ class FactoringParams:
 
 def prob(c: int, r: int, q: int) -> float:
     """Probability of measuring readout c when the hidden order is r."""
-    if q < 1 or q & (q - 1):
-        raise ValueError("q must be a power of two")
-    if not 1 <= r <= q:
-        raise ValueError("require 1 <= r <= q")
+    check_register(r, q)
     if not 0 <= c < q:
         raise ValueError("require 0 <= c < q")
     d = r * c % q

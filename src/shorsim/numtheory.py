@@ -18,9 +18,9 @@ results:
   _MEMO_ENTRIES arguments tested most recently: a session tests N and
   both reported factors, the same few numbers in every session at one N.
 
-_MEMO_ENTRIES bounds every process-wide memo of the package, six in all:
+_MEMO_ENTRIES bounds every process-wide memo of the package, five in all:
 this one, the sampler's acceptance heights, orderfinder's trials, and
-factorizer's samplers, shared-factor records and even-order splits.
+factorizer's samplers and even-order splits.
 """
 
 from __future__ import annotations
@@ -59,8 +59,7 @@ _PSI_13 = 3_317_044_064_679_887_385_961_981
 # sessions at N = 187 make 615,177 acceptance tests on 3,380 distinct
 # (c, r, q) and 305,664 trials on 3,448 distinct (readout, y, q, N), which
 # this many entries hold at once; they build 145,728 samplers from 5
-# distinct (r, q), 121,715 shared-factor records from 26 distinct y and
-# 145,728 splits from 34 distinct (y, r).
+# distinct (r, q) and 145,728 splits from 34 distinct (y, r).
 _MEMO_ENTRIES = 4096
 
 

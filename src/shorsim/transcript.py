@@ -4,7 +4,7 @@ render_text and to_jsonl each write their output straight from the
 history, in one pass over its attempts, every line from one f-string: the
 human transcript line by line, and line-delimited JSON, one event per line,
 that from_jsonl parses back to an equal history through the memos the
-session takes each trial, shared factor and split from. Each JSONL line is
+session takes each trial and split from. Each JSONL line is
 json.dumps(event, sort_keys=True), written from a template of the event's
 keys in sorted order. A template holds only ints the constructors have
 checked, the literals true, false and null, an outcome's value, and the
@@ -31,7 +31,6 @@ from .factorizer import (
     _TRIVIAL_FACTORS,
     AttemptRecord,
     FactoringHistory,
-    _shared_factor,
 )
 from .model import FactoringParams, _safe_qubits
 from .orderfinder import OrderResult, _trial
@@ -75,9 +74,8 @@ def render_text(history: FactoringHistory) -> list[str]:
     after = f" exceeds the ceiling of {params.ceiling}, hence a new value of y will be chosen."
     index = 0  # a trial's number is its position in the session
     for attempt in history.attempts:
-        if type(attempt) is int:
-            append(f"The order of y = {attempt}{after}")
-            continue
+        for y in attempt.rejected:
+            append(f"The order of y = {y}{after}")
         outcome = attempt.outcome
         if outcome is _SHARED_FACTOR:
             append(f"The randomly chosen y = {attempt.y} shares a factor with {n}.")
@@ -124,9 +122,8 @@ def to_jsonl(history: FactoringHistory) -> str:
     head = _rejection_head(params)
     index = 0  # a trial's number is its position in the session
     for attempt in history.attempts:
-        if type(attempt) is int:
-            append(f"{head}{attempt}}}")
-            continue
+        for y in attempt.rejected:
+            append(f"{head}{y}}}")
         outcome, y, factors = attempt.outcome, attempt.y, attempt.factors
         if outcome is _SHARED_FACTOR:
             f1, f2 = factors
@@ -164,13 +161,15 @@ def to_jsonl(history: FactoringHistory) -> str:
 def from_jsonl(text: str) -> FactoringHistory:
     """Parse the output of to_jsonl back into an equal history.
 
-    A line that starts as to_jsonl writes a ceiling_rejection of the
-    session, up to its y, opens a run while no base is open, and the run
-    holds it and each next line that starts so. The run is read in one
-    step, without a decode (_rejections): joined, split into its ys, which
-    must be plain ASCII digits with no leading zero, each followed by "}"
-    at the end of its line, then converted by int and checked against
-    [2, n), each check one pass over the whole run. A run that fails a
+    Each ceiling_rejection is pending until the next shared_factor or
+    attempt_verdict, whose record carries it. A line that starts as to_jsonl
+    writes a ceiling_rejection of the session, up to its y, opens a run
+    while no base is open, and the run holds it and each next line that
+    starts so. The run is read in one step, without a decode (_rejections):
+    joined, split into its ys, which must be plain ASCII digits with no
+    leading zero, each followed by "}" at the end of its line, then
+    converted by int and checked against [2, n), each check one pass over
+    the whole run. A run that fails a
     check, as one whose lines end in whitespace does, is read line by line
     on the general path, which names the line and the cause, and no line
     of it opens a run again. The general path decodes each stripped line
@@ -193,13 +192,14 @@ def from_jsonl(text: str) -> FactoringHistory:
     untested, as that would cost an order test per line; a trial's index is
     its position in the stream, its candidate and verified those of the
     session's trial memo, _trial(readout, y, q, n); a shared_factor's
-    factors those of its record memo, _shared_factor(y, n); a verdict's
-    status, order and factors those AttemptRecord(y, trials, n) derives,
-    refusing a y that shares a factor with n; and the summary is the one
+    factors those AttemptRecord(y, (), n) derives; a verdict's status,
+    order and factors those AttemptRecord(y, trials, n) derives, refusing
+    a y that shares a factor with n; and the summary is the one
     FactoringHistory(params, attempts, elapsed) derives, which refuses an
     elapsed that is not a float in [0, inf) or is -0.0, and attempts that
-    no session produces. Fields not read are ignored, so older banners that
-    carried a tail_threshold still parse; a banner without a schema is
+    no session produces. A summary after a pending rejection is refused, as
+    no session ends on one. Fields not read are ignored, so older banners
+    that carried a tail_threshold still parse; a banner without a schema is
     version 1, and one whose schema is not an int (a bool or a float is
     refused) or is newer than SCHEMA_VERSION is refused. Streams written
     while rejection lines named the requested ceiling rather than the
@@ -210,7 +210,8 @@ def from_jsonl(text: str) -> FactoringHistory:
     if not isinstance(text, str):
         raise TypeError(f"text must be a str, not {type(text).__name__}")
     params: FactoringParams | None = None
-    attempts: list[AttemptRecord | int] = []
+    attempts: list[AttemptRecord] = []
+    rejected: list[int] = []  # pending, for the next record
     open_y: Any = None
     open_trials: list[OrderResult] | None = None  # None: no base is open
     position = 0  # of the last trial read, in the session
@@ -234,7 +235,7 @@ def from_jsonl(text: str) -> FactoringHistory:
             run = rows[number - 1 : stop]
             ys = _rejections(run, head, n)
             if ys is not None:
-                attempts += ys
+                rejected += ys
                 number = last = stop
                 continue
             # the general path reads the run line by line and names its fault
@@ -281,14 +282,15 @@ def from_jsonl(text: str) -> FactoringHistory:
             elif kind == "ceiling_rejection":
                 y = _int_in("y", data["y"], 2, n)
                 _expect("ceiling", data["ceiling"], params.ceiling, "the session's")
-                attempts.append(y)
+                rejected.append(y)
             elif kind == "shared_factor":
                 y = _int_in("y", data["y"], 2, n)
-                record = _shared_factor(y, n)
+                record = AttemptRecord(y, (), n, tuple(rejected))
                 factors = list(record.factors)
                 _expect("factors", data["factors"], factors, "as gcd({}, {}) = {} gives",
                         y, n, factors[0])
                 attempts.append(record)
+                rejected = []
             elif kind == "new_base":
                 open_y = _int_in("y", data["y"], 2, n)
                 open_trials = []
@@ -312,7 +314,7 @@ def from_jsonl(text: str) -> FactoringHistory:
                     raise ValueError("no new_base before it")
                 if not open_trials:
                     raise ValueError(f"no trial of {open_y} before it")
-                record = AttemptRecord(open_y, tuple(open_trials), n)
+                record = AttemptRecord(open_y, tuple(open_trials), n, tuple(rejected))
                 order, factors = record.order, record.factors
                 if order is None:
                     reason, args = "as trial {} is unverified", (position,)
@@ -325,10 +327,13 @@ def from_jsonl(text: str) -> FactoringHistory:
                 read = data.get("factors") if factors is None else data["factors"]
                 _expect("factors", read, factors and list(factors), reason, *args)
                 attempts.append(record)
-                open_trials = None
+                open_trials, rejected = None, []
             elif kind == "safe_qubits_hint":
                 _expect("qubits", data["qubits"], _safe_qubits(n), "the safe size")
             elif kind == "summary":
+                if rejected:
+                    cause = f"the stream ends on the rejection of {rejected[-1]}"
+                    raise ValueError(f"no AttemptRecord ended the session: {cause}")
                 history = FactoringHistory(params, tuple(attempts), data["elapsed"])
                 factors, failure = history.factors, history.failure
                 given = "as the attempts give"

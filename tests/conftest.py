@@ -319,11 +319,12 @@ def order_path(n: int, tables: bool) -> None:
 def reference_events(history) -> list[str]:
     """The JSONL lines of a history as the README's event schema table
     gives them, each json.dumps(event, sort_keys=True): the banner and the
-    safe size hint; per attempt in order, a ceiling_rejection for a bare
-    int, a shared_factor for a record without trials, else a new_base, its
-    trials numbered through the session, and its attempt_verdict, with
-    order and factors only when known; and the summary. Built from the
-    history's fields alone, with nothing from shorsim.transcript."""
+    safe size hint; per attempt in order, a ceiling_rejection for each
+    base it rejected, then a shared_factor for a record without trials,
+    else a new_base, its trials numbered through the session, and its
+    attempt_verdict, with order and factors only when known; and the
+    summary. Built from the history's fields alone, with nothing from
+    shorsim.transcript."""
     params, n = history.params, history.params.n
     events = [
         {
@@ -339,9 +340,8 @@ def reference_events(history) -> list[str]:
     ]
     index = 0
     for attempt in history.attempts:
-        if isinstance(attempt, int):
-            events.append({"event": "ceiling_rejection", "y": attempt, "ceiling": params.ceiling})
-            continue
+        for y in attempt.rejected:
+            events.append({"event": "ceiling_rejection", "y": y, "ceiling": params.ceiling})
         if not attempt.trials:
             events.append({"event": "shared_factor", "y": attempt.y, "factors": list(attempt.factors)})
             continue
@@ -381,11 +381,11 @@ def reference_text(history) -> list[str]:
     """The text transcript of a history, one line per element, as the
     README gives it: its example transcript under `shorsim factor` and the
     list of the other lines after it. Per attempt in order, a ceiling
-    rejection for a bare int; a shared factor for a record without trials,
-    else the base and its trials numbered through the session; then the
-    record's verdict lines. Then the summary and one line per warning. Every
-    fixed line is written out here, and nothing comes from
-    shorsim.transcript."""
+    rejection for each base it rejected; then a shared factor for a record
+    without trials, else the base and its trials numbered through the
+    session; then the record's verdict lines. Then the summary and one
+    line per warning. Every fixed line is written out here, and nothing
+    comes from shorsim.transcript."""
     params, n = history.params, history.params.n
     lines = [
         f"The number to be factored is {n}.",
@@ -393,12 +393,11 @@ def reference_text(history) -> list[str]:
     ]
     index = 0
     for attempt in history.attempts:
-        if isinstance(attempt, int):
+        for y in attempt.rejected:
             lines.append(
-                f"The order of y = {attempt} exceeds the ceiling of {params.ceiling}, "
+                f"The order of y = {y} exceeds the ceiling of {params.ceiling}, "
                 "hence a new value of y will be chosen."
             )
-            continue
         status = attempt.outcome.value
         if not attempt.trials:
             lines.append(f"The randomly chosen y = {attempt.y} shares a factor with {n}.")

@@ -145,7 +145,7 @@ def test_criterion_10_trial_count_bound(capsys, semiprime_histories):
         len(a.trials)
         for h in semiprime_histories
         for a in h.attempts
-        if type(a) is not int and a.outcome in (Outcome.SUCCESS, Outcome.ORDER_ODD, Outcome.TRIVIAL_FACTORS)
+        if a.outcome in (Outcome.SUCCESS, Outcome.ORDER_ODD, Outcome.TRIVIAL_FACTORS)
     ]
     mean = sum(verified_counts) / len(verified_counts)
     bound = math.log(1328881)

@@ -44,12 +44,13 @@ PINNED_STREAMS = [
 
 
 def pinned_view(attempts) -> list[tuple]:
-    """(y, outcome, order) per attempt, a ceiling rejection as it was first
-    pinned, when it was an order_ceiling_rejected record."""
-    return [
-        (a, "order_ceiling_rejected", None) if type(a) is int else (a.y, a.outcome.value, a.order)
-        for a in attempts
-    ]
+    """(y, outcome, order) per base drawn, a ceiling rejection as it was
+    first pinned, when it was an order_ceiling_rejected record."""
+    view = []
+    for a in attempts:
+        view += [(y, "order_ceiling_rejected", None) for y in a.rejected]
+        view.append((a.y, a.outcome.value, a.order))
+    return view
 
 
 # y with order 1278 mod 1328881 (order 1 mod 1039, primitive mod 1279)
@@ -120,14 +121,14 @@ TRIVIAL_TRIAL = OrderResult(2137586189645, 505980, Q41, 1328881)
 
 class TestAttemptRecord:
     """The record is a frozen, hashable dataclass whose verdict its
-    constructor derives: AttemptRecord(y, trials, n)."""
+    constructor derives: AttemptRecord(y, trials, n, rejected=())."""
 
-    def record(self, y=505980, trials=(TRIVIAL_TRIAL,), n=1328881) -> AttemptRecord:
-        return AttemptRecord(y, trials, n)
+    def record(self, y=505980, trials=(TRIVIAL_TRIAL,), n=1328881, rejected=()) -> AttemptRecord:
+        return AttemptRecord(y, trials, n, rejected)
 
     def test_frozen(self):
         record = AttemptRecord(33, (), 187)
-        for name in ("y", "outcome", "order", "trials", "factors", "other"):
+        for name in ("y", "outcome", "order", "trials", "factors", "rejected", "other"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(record, name, 1)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -139,8 +140,23 @@ class TestAttemptRecord:
         with pytest.raises(TypeError, match=f"^y must be an int, not {type(y).__name__}$"):
             AttemptRecord(y, (), 187)
 
+    @pytest.mark.parametrize(
+        "rejected,message",
+        [
+            pytest.param([56], "rejected must be a tuple of ints, not [56]", id="list"),
+            pytest.param((56, True), "rejected must be a tuple of ints, not (56, True)", id="bool"),
+            pytest.param((56.0, 3), "rejected must be a tuple of ints, not (56.0, 3)", id="float"),
+        ],
+    )
+    def test_rejected_that_is_not_a_tuple_of_ints_is_refused(self, rejected, message):
+        # to_jsonl writes each rejected base through str, as true or 56.0
+        # for these, which from_jsonl refuses
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            AttemptRecord(33, (), 187, rejected)
+
     def test_defaults(self):
-        # nothing has a default, and nothing derived can be passed
+        # only rejected has a default, and nothing derived can be passed
+        assert AttemptRecord(33, (), 187).rejected == ()
         with pytest.raises(TypeError):
             AttemptRecord(33, ())
         with pytest.raises(TypeError):
@@ -225,26 +241,31 @@ class TestAttemptRecord:
         shared = AttemptRecord(33, (), 187)
         assert shared == AttemptRecord(y=33, trials=(), n=187)
         assert hash(shared) == hash(AttemptRecord(33, (), 187))
+        # the rejections are part of the pick
+        assert shared != AttemptRecord(33, (), 187, (56,))
+        assert AttemptRecord(33, (), 187, (56,)) == AttemptRecord(33, (), 187, rejected=(56,))
 
     def test_not_equal_to_its_values(self):
         record = self.record()
         assert record != dataclasses.astuple(record)
-        assert record != (record.y, record.outcome, record.order, record.trials, record.factors)
+        assert record != (
+            record.y, record.outcome, record.order, record.trials, record.factors, record.rejected
+        )
         assert record != dataclasses.asdict(record)
 
     def test_repr(self):
         assert repr(AttemptRecord(33, (), 187)) == (
             "AttemptRecord(y=33, outcome=<Outcome.SHARED_FACTOR: "
-            "'shared_factor_shortcut'>, order=None, trials=(), factors=(11, 17))"
+            "'shared_factor_shortcut'>, order=None, trials=(), factors=(11, 17), rejected=())"
         )
-        assert repr(self.record()) == (
+        assert repr(self.record(rejected=(874839,))) == (
             "AttemptRecord(y=505980, outcome=<Outcome.TRIVIAL_FACTORS: 'trivial_factors'>, "
             "order=1038, trials=(OrderResult(readout=2137586189645, "
-            "candidate_order=1038, verified=True),), factors=(1328881, 1))"
+            "candidate_order=1038, verified=True),), factors=(1328881, 1), rejected=(874839,))"
         )
 
     def test_survives_pickle_and_deepcopy(self):
-        for record in (self.record(), AttemptRecord(33, (), 187)):
+        for record in (self.record(rejected=(874839,)), AttemptRecord(33, (), 187)):
             for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
                 assert twin == record
                 assert (twin.outcome, twin.order, twin.factors) == (
@@ -253,7 +274,7 @@ class TestAttemptRecord:
 
     def test_dataclass_helpers(self):
         record = self.record()
-        names = ["y", "outcome", "order", "trials", "factors"]
+        names = ["y", "outcome", "order", "trials", "factors", "rejected"]
         assert [f.name for f in dataclasses.fields(record)] == names
         # replace re-runs the constructor, so n must be given again and the
         # derived fields cannot be
@@ -270,39 +291,42 @@ class TestAttemptRecord:
             "trials": ({"readout": 2137586189645,
                         "candidate_order": 1038, "verified": True},),
             "factors": (1328881, 1),
+            "rejected": (),
         }
         assert dataclasses.astuple(record)[:3] == (505980, Outcome.TRIVIAL_FACTORS, 1038)
 
 
 class TestPickY:
     def test_shared_factor_hit(self):
-        attempts = []
-        hit = pick_y(187, ScriptedRng(integers=[33]), 13, attempts)
-        assert hit == AttemptRecord(33, (), 187)
+        # the record of a shared factor carries the pick's rejections
+        rejected = []
+        hit = pick_y(187, ScriptedRng(integers=[56, 33]), 13, rejected)
+        assert hit == AttemptRecord(33, (), 187, (56,))
         assert (hit.outcome, hit.factors) == (Outcome.SHARED_FACTOR, (11, 17))
-        assert attempts == []
+        assert rejected == [56]
+        assert pick_y(187, ScriptedRng(integers=[33]), 13, []) == AttemptRecord(33, (), 187)
 
     def test_coprime_base_comes_with_exact_order(self):
-        attempts = []
-        assert pick_y(187, ScriptedRng(integers=[56]), 187, attempts) == (56, 16)
-        assert attempts == []
+        rejected = []
+        assert pick_y(187, ScriptedRng(integers=[56]), 187, rejected) == (56, 16)
+        assert rejected == []
 
     def test_ceiling_rejections_are_recorded(self):
-        attempts = []
-        got = pick_y(187, ScriptedRng(integers=[56, 186]), 13, attempts)
+        rejected = []
+        got = pick_y(187, ScriptedRng(integers=[56, 186]), 13, rejected)
         assert got == (186, 2)
         # order 16 exceeds the ceiling 13
-        assert attempts == [56]
+        assert rejected == [56]
 
     def test_long_order_base_rejected_under_default_ceiling(self):
         ceiling = math.isqrt(1328881)  # 1152
         assert multiplicative_order(LONG_ORDER_BASE, 1328881) == 1278
-        attempts = []
+        rejected = []
         got = pick_y(
-            1328881, ScriptedRng(integers=[LONG_ORDER_BASE, 205920]), ceiling, attempts
+            1328881, ScriptedRng(integers=[LONG_ORDER_BASE, 205920]), ceiling, rejected
         )
         assert got == (205920, 1038)
-        assert attempts == [LONG_ORDER_BASE]
+        assert rejected == [LONG_ORDER_BASE]
 
     @pytest.mark.parametrize(
         "n,tables,rejected,shared",
@@ -317,13 +341,13 @@ class TestPickY:
         # table path from a 0 entry and on the steps path from its own gcd
         order_path(n, tables)
         rng = ScriptedRng(integers=rejected + [shared, 21])
-        attempts = []
-        hit = pick_y(n, rng, 13, attempts)
+        got = []
+        hit = pick_y(n, rng, 13, got)
         g = math.gcd(shared, n)
         assert g > 1
-        assert hit == AttemptRecord(shared, (), n)
+        assert hit == AttemptRecord(shared, (), n, tuple(rejected))
         assert (hit.outcome, hit.factors) == (Outcome.SHARED_FACTOR, (g, n // g))
-        assert attempts == rejected
+        assert got == rejected
         assert rng.integers == [21]  # no base is taken past the one returned
         assert has_tables(n) == tables
         numtheory._ORDERS.clear()
@@ -372,7 +396,7 @@ class TestFactor:
 
     def test_different_seeds_take_different_paths(self):
         paths = {
-            tuple(a if type(a) is int else a.y for a in factor(187, 16, seed=s).attempts)
+            tuple(y for a in factor(187, 16, seed=s).attempts for y in (*a.rejected, a.y))
             for s in range(6)
         }
         assert len(paths) > 1
@@ -383,13 +407,11 @@ class TestFactor:
         histories = [factor(1328881, 41, seed=seed) for seed in range(8)]
         histories += [factor(1328881, 41, seed=s, max_trials=2) for s in range(40)]
         for history in histories:
-            # a ceiling rejection is its bare y; every other base, the last
-            # one included, is a record
-            assert type(history.attempts[-1]) is AttemptRecord
-            records = [a for a in history.attempts if type(a) is not int]
-            assert history.total_trials == sum(len(a.trials) for a in records)
+            # every pick is a record, carrying its ceiling rejections
+            assert all(type(a) is AttemptRecord for a in history.attempts)
+            assert history.total_trials == sum(len(a.trials) for a in history.attempts)
             assert history.total_trials <= history.params.max_trials
-            for a in records:
+            for a in history.attempts:
                 if a.outcome in (
                     Outcome.SUCCESS,
                     Outcome.ORDER_ODD,
@@ -433,20 +455,22 @@ class TestFactor:
     def test_honest_mode_accepts_long_orders(self):
         history = factor(187, 16, seed=5, order_ceiling=None)
         assert history.succeeded
-        assert not any(type(a) is int for a in history.attempts)
+        assert not any(a.rejected for a in history.attempts)
 
     @pytest.mark.parametrize("last", [36, "36", None])
     def test_history_of_attempts_ending_on_no_record_is_refused(self, last):
-        # no session ends on a ceiling rejection, so its int cannot decide one
+        # no session ends on a ceiling rejection: a rejected base is carried
+        # by the record of its pick, never an attempt of its own
         params = FactoringParams(187, None, 0)
         shared = AttemptRecord(33, (), 187)
-        ended = f"no AttemptRecord ended the session: attempts end on {last!r}"
-        with pytest.raises(ValueError, match=f"^{ended}$"):
+        message = f"^attempts\\[1\\] is {re.escape(repr(last))}, not an AttemptRecord$"
+        with pytest.raises(TypeError, match=message):
             FactoringHistory(params, (shared, last), 0.0)
-        assert FactoringHistory(params, (36, shared), 0.0).factors == (11, 17)
+        assert FactoringHistory(params, (AttemptRecord(33, (), 187, (36,)),), 0.0).factors == (11, 17)
         # nor does any session end with no attempt: to_jsonl would write a
         # stream that from_jsonl refuses
-        with pytest.raises(ValueError, match="attempts end on None$"):
+        ended = "no AttemptRecord ended the session: there are no attempts"
+        with pytest.raises(ValueError, match=f"^{ended}$"):
             FactoringHistory(params, (), 0.0)
 
     def test_explicit_integer_ceiling(self):
@@ -572,18 +596,12 @@ class TestFactoringHistory:
         assert dataclasses.replace(history, elapsed=0.0).elapsed == 0.0
 
     @pytest.mark.parametrize("entry", [True, 36.0, "36", None])
-    def test_attempt_neither_int_nor_record_is_refused(self, entry):
+    def test_attempt_that_is_not_a_record_is_refused(self, entry):
+        # named by its position, after a record that ended the session
         history = factor(187, seed=11)
-        message = f"^attempts\\[1\\] is {re.escape(repr(entry))}, neither an int nor an AttemptRecord$"
+        message = f"^attempts\\[1\\] is {re.escape(repr(entry))}, not an AttemptRecord$"
         with pytest.raises(TypeError, match=message):
-            dataclasses.replace(history, attempts=(36, entry) + history.attempts)
-
-    def test_refused_attempt_is_named_by_its_own_position(self):
-        # 2.0 == 2, so the entry before it must not be the one named
-        history = factor(187, seed=11)
-        message = r"^attempts\[1\] is 2\.0, neither an int nor an AttemptRecord$"
-        with pytest.raises(TypeError, match=message):
-            dataclasses.replace(history, attempts=(2, 2.0, history.attempts[-1]))
+            dataclasses.replace(history, attempts=history.attempts[:1] + (entry,))
 
     def test_derived_fields_cannot_be_passed(self):
         history = factor(187, 16, seed=1)
@@ -606,7 +624,7 @@ class TestFactoringHistory:
                 id="budget-exhausted-early",
             ),
             pytest.param(
-                1, (BUDGET_SPENT, 36, SPLIT),
+                1, (BUDGET_SPENT, AttemptRecord(120, SPLIT.trials, 187, (36,))),
                 "base 120 comes after the session ended at trial 1",
                 id="base-after-budget-exhausted",
             ),
@@ -616,8 +634,8 @@ class TestFactoringHistory:
                 id="base-after-success",
             ),
             pytest.param(
-                100, (AttemptRecord(33, (), 187), 36),
-                "no AttemptRecord ended the session: attempts end on 36",
+                100, (AttemptRecord(33, (), 187), AttemptRecord(33, (), 187, (36,))),
+                "base 33 comes after the session ended at trial 0",
                 id="rejection-after-shared-factor",
             ),
             pytest.param(
@@ -648,33 +666,31 @@ class TestFactoringHistory:
     @settings(max_examples=150, deadline=None)
     def test_only_a_whole_session_is_a_history(self, n, max_trials, order_ceiling, seed, data):
         # no attempt of a session leaves it ended before its last: a prefix
-        # ends on a rejection, or on an odd order or trivial split with
-        # budget left
+        # ends on an odd order or trivial split with budget left
         session = factor(n, seed=seed, max_trials=max_trials, order_ceiling=order_ceiling)
         k = data.draw(st.integers(0, len(session.attempts)), label="k")
         if k == len(session.attempts):
             history = FactoringHistory(session.params, session.attempts[:k], session.elapsed)
             assert history == session
-            assert history.total_trials == sum(
-                len(a.trials) for a in session.attempts if type(a) is not int
-            )
+            assert history.total_trials == sum(len(a.trials) for a in session.attempts)
         else:
             with pytest.raises(ValueError):
                 FactoringHistory(session.params, session.attempts[:k], session.elapsed)
 
 
 def plain(history: FactoringHistory) -> tuple[list, int, tuple[int, int] | None]:
-    """A history in reference_session's terms."""
-    attempts = [
-        a if type(a) is int else (
+    """A history in reference_session's terms: each pick's rejections as
+    bare ys, then its record."""
+    attempts = []
+    for a in history.attempts:
+        attempts += a.rejected
+        attempts.append((
             a.y,
             a.outcome.value,
             a.order,
             [(t.readout, t.candidate_order, t.verified) for t in a.trials],
             a.factors,
-        )
-        for a in history.attempts
-    ]
+        ))
     return attempts, history.total_trials, history.factors
 
 

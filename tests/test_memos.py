@@ -1,8 +1,8 @@
-"""The six process-wide memos change what a session costs, never what it
+"""The five process-wide memos change what a session costs, never what it
 returns, and stay bounded: one row per memo, each check run over every row.
-The reader takes its trials, shared-factor records and splits from the
-memos the session fills, so reading a stream back derives nothing the
-session derived, and refuses an edited stream alike on cold and warm memos."""
+The reader takes its trials and splits from the memos the session fills, so
+reading a stream back derives no trial or split the session derived, and
+refuses an edited stream alike on cold and warm memos."""
 
 import dataclasses
 import json
@@ -18,7 +18,7 @@ import shorsim.factorizer as factorizer_module
 import shorsim.orderfinder as orderfinder_module
 import shorsim.sampler as sampler_module
 from shorsim import TranscriptError, factor, from_jsonl, to_jsonl
-from shorsim.factorizer import _sampler, _shared_factor, extract_factors
+from shorsim.factorizer import _sampler, extract_factors
 from shorsim.numtheory import _MEMO_ENTRIES, is_prime
 from shorsim.orderfinder import _trial
 from shorsim.sampler import _acceptance_height
@@ -58,11 +58,6 @@ MEMOS = {
     "_sampler": Row(
         _sampler, lambda i: _sampler(i + 1, 1 << 20), (factorizer_module, "ReadoutSampler"),
         "_sampler(n - 1 - i, 1 << 96)", 2_200_000,
-    ),
-    # multiples of the prime 99707, each record with fresh factor ints
-    "_shared_factor": Row(
-        _shared_factor, lambda i: _shared_factor(2 * i + 2, 1 << 40), None,
-        "_shared_factor(99707 * (i + 1), n)", 2_200_000,
     ),
     # lambda(n) annihilates every unit y
     "extract_factors": Row(
@@ -144,7 +139,7 @@ class TestMemos:
         # and the ten-digit N = 99707 * 99839
         code = (
             "import math, tracemalloc\n"
-            "from shorsim.factorizer import _sampler, _shared_factor, extract_factors\n"
+            "from shorsim.factorizer import _sampler, extract_factors\n"
             "from shorsim.numtheory import _MEMO_ENTRIES, is_prime\n"
             "from shorsim.orderfinder import _trial\n"
             "from shorsim.sampler import RandomSource, _acceptance_height\n"
@@ -168,7 +163,7 @@ class TestMemos:
 # ten trials (187, seed 9), a trivial split (187, seed 35), and an odd
 # order before a shared factor (1328881, seed 5)
 READ_BACK = [(187, 0), (187, 9), (187, 35), (1328881, 5)]
-READER_MEMOS = (_trial, _shared_factor, extract_factors)
+READER_MEMOS = (_trial, extract_factors)
 
 
 def reader_misses():
@@ -177,15 +172,13 @@ def reader_misses():
 
 class TestReaderSharesTheMemos:
     def test_a_round_trip_after_its_session_adds_no_miss(self):
-        totals = [0, 0, 0]
+        totals = [0, 0]
         for n, seed in READ_BACK:
             history = factor(n, seed=seed)
-            records = [a for a in history.attempts if type(a) is not int]
-            # one lookup per trial, per shared-factor record, per verified record
+            # one lookup per trial and per verified record
             lookups = [
-                sum(len(a.trials) for a in records),
-                sum(not a.trials for a in records),
-                sum(a.order is not None for a in records),
+                sum(len(a.trials) for a in history.attempts),
+                sum(a.order is not None for a in history.attempts),
             ]
             before = [memo.cache_info() for memo in READER_MEMOS]
             assert from_jsonl(to_jsonl(history)) == history
@@ -200,7 +193,6 @@ class TestReaderSharesTheMemos:
         [
             ("trial", "candidate"),
             ("trial", "verified"),
-            ("shared_factor", "factors"),
             ("attempt_verdict", "status"),
             ("attempt_verdict", "factors"),
         ],
@@ -220,7 +212,7 @@ class TestReaderSharesTheMemos:
                 elif field == "status":
                     event[field] = "order_odd" if event[field] != "order_odd" else "success"
                 else:
-                    event[field] = [n, n]  # no split or shared factor gives n twice
+                    event[field] = [n, n]  # no split gives n twice
                 text = "\n".join(lines[: number - 1] + [json.dumps(event)] + lines[number:])
                 refusals = []
                 for warm in (False, True):

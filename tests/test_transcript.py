@@ -131,7 +131,7 @@ class TestRenderText:
     def test_ceiling_rejection_line(self):
         history = factor(1328881, 41, seed=3)
         lines = render_text(history)
-        rejected = [a for a in history.attempts if type(a) is int]
+        rejected = [y for a in history.attempts for y in a.rejected]
         assert rejected
         expected = (
             f"The order of y = {rejected[0]} exceeds the ceiling of 1152, "
@@ -329,8 +329,8 @@ class TestJsonlRoundTrip:
     @pytest.mark.parametrize("n", [15, 105, 187, 1328881])
     def test_every_history_the_constructors_accept(self, n):
         # every seeded session on these grids, and every prefix of its
-        # attempts that ends on a record: the session under a budget of the
-        # trials that prefix ran, which ends there
+        # attempts: the session under a budget of the trials that prefix
+        # ran, which ends there
         for max_trials in (1, 2, 100):
             for order_ceiling in ("sqrt", None, 3):
                 for seed in range(30):
@@ -338,8 +338,6 @@ class TestJsonlRoundTrip:
                                      order_ceiling=order_ceiling)
                     attempts, trials = session.attempts, 0
                     for end, record in enumerate(attempts, 1):
-                        if type(record) is int:
-                            continue
                         trials += len(record.trials)
                         params = session.params
                         if end < len(attempts):
@@ -980,7 +978,7 @@ class TestJsonlErrors:
                     3, total_trials=0, factors=None, failure="trial_budget_exhausted"
                 )(lines[:2] + lines[-1:]),
                 3,
-                "bad 'summary' event: no AttemptRecord ended the session: attempts end on None",
+                "bad 'summary' event: no AttemptRecord ended the session: there are no attempts",
                 id="no-attempt",
             ),
             pytest.param(
@@ -988,7 +986,8 @@ class TestJsonlErrors:
                     23, factors=None, failure="trial_budget_exhausted"
                 )(lines[:21] + [REJECTION] + lines[21:]),
                 23,
-                "bad 'summary' event: no AttemptRecord ended the session: attempts end on 7",
+                "bad 'summary' event: no AttemptRecord ended the session: "
+                "the stream ends on the rejection of 7",
                 id="rejection-last",
             ),
         ],
@@ -1402,6 +1401,13 @@ def with_examples(*lines: str):
     return decorate
 
 
+def rejected_first(history: FactoringHistory, y: int) -> FactoringHistory:
+    """history with y rejected before every other base of its first pick."""
+    first, *rest = history.attempts
+    first = dataclasses.replace(first, n=history.params.n, rejected=(y, *first.rejected))
+    return dataclasses.replace(history, attempts=(first, *rest))
+
+
 @functools.lru_cache(maxsize=None)
 def frame() -> tuple[list[str], list[str]]:
     """The lines of session_history()'s stream before its first attempt, and
@@ -1433,9 +1439,8 @@ class TestFastPathsAgreeWithJson:
         y, ceiling = data["y"], data["ceiling"]
         if type(y) is int and 2 <= y < 1328881 and type(ceiling) is int and ceiling == 1152:
             history = from_jsonl(text)
-            base = session_history()
-            assert history == dataclasses.replace(base, attempts=(y,) + base.attempts)
-            assert type(history.attempts[0]) is int
+            assert history == rejected_first(session_history(), y)
+            assert type(history.attempts[0].rejected[0]) is int
             return
         with pytest.raises(TranscriptError, match="bad 'ceiling_rejection' event") as info:
             from_jsonl(text)
@@ -1444,7 +1449,7 @@ class TestFastPathsAgreeWithJson:
     @pytest.mark.parametrize("y", [2**70, -3, 0])
     def test_writer(self, y):
         base = session_history()
-        history = dataclasses.replace(base, attempts=(y,) + base.attempts)
+        history = rejected_first(base, y)
         text = to_jsonl(history)
         event = {"event": "ceiling_rejection", "y": y, "ceiling": 1152}
         lines = to_jsonl(base).splitlines()
@@ -1577,6 +1582,23 @@ class TestRunPath:
         runs.clear()
         assert from_jsonl("\n".join(f"{line} " for line in lines)) == history
         assert runs == [301]
+
+    @pytest.mark.parametrize("pad", ["", " "], ids=["run", "line-by-line"])
+    def test_stream_cut_after_its_last_rejection_is_refused_on_the_summary(self, pad):
+        # no session ends on a rejection, so rejections that no record
+        # takes are refused on the summary line, whether the run is read in
+        # one step or, with a space after every line, line by line
+        _, lines = ten_digit_stream()
+        last = max(i for i, line in enumerate(lines) if '"ceiling_rejection"' in line)
+        assert last < len(lines) - 2
+        cut = lines[: last + 1] + lines[-1:]
+        with pytest.raises(TranscriptError) as info:
+            from_jsonl("".join(f"{line}{pad}\n" for line in cut))
+        assert info.value.line == len(cut)
+        assert str(info.value) == (
+            f"line {len(cut)}: bad 'summary' event: no AttemptRecord ended the session: "
+            f"the stream ends on the rejection of {json.loads(lines[last])['y']}"
+        )
 
     def test_stream_that_ends_in_a_run_is_refused_past_it(self):
         _, lines, run = long_run()
