@@ -63,10 +63,10 @@ class AttemptRecord:
     A verified last trial's candidate is the order, and extract_factors(y,
     order, n) gives the rest. Otherwise the budget ran out:
     TRIAL_BUDGET_EXHAUSTED. A y that is not an int, a bool among them, or
-    a rejected that is not a tuple of such ints, raises TypeError; a gcd of
-    1 with no trials or above 1 with some, a verified trial before the
-    last, or a verified candidate that does not annihilate y, raises
-    ValueError.
+    a rejected that is not a tuple of such ints, raises TypeError; a y or
+    a rejected base outside [2, n), which the reader refuses, a gcd of 1
+    with no trials or above 1 with some, a verified trial before the last,
+    or a verified candidate that does not annihilate y, raises ValueError.
     """
 
     y: int
@@ -84,6 +84,12 @@ class AttemptRecord:
         # one pass in C over the bases, the bulk of a session's entries
         if type(rejected) is not tuple or rejected and {*map(type, rejected)} != {int}:
             raise TypeError(f"rejected must be a tuple of ints, not {rejected!r}")
+        if not 2 <= y < n:
+            raise ValueError(f"y {y} is not in [2, {n})")
+        # one min and one max in C over the bases
+        if rejected and (min(rejected) < 2 or max(rejected) >= n):
+            bad = next(base for base in rejected if not 2 <= base < n)
+            raise ValueError(f"rejected base {bad} is not in [2, {n})")
         for trial in trials[:-1]:
             if trial.verified:
                 raise ValueError(f"a trial of {y} before its last is verified")

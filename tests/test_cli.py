@@ -57,7 +57,17 @@ class TestFactorCommand:
             "shorsim: 10000000000 has more than ten digits"
         ]
 
-    def test_budget_failure_exit_code(self, capsys):
+    @pytest.mark.parametrize(
+        "extra,failed",
+        [
+            ([], "has failed"),
+            # the stream, written to a file, exits 1 all the same
+            (["--format", "jsonl", "--out", "run.jsonl"], '"failure": "trial_budget_exhausted"'),
+        ],
+        ids=["text", "jsonl-out"],
+    )
+    def test_budget_failure_exit_code(self, capsys, monkeypatch, tmp_path, extra, failed):
+        monkeypatch.chdir(tmp_path)
         for seed in range(30):
             code, out, _ = run(
                 capsys,
@@ -67,9 +77,10 @@ class TestFactorCommand:
                 str(seed),
                 "--max-trials",
                 "1",
+                *extra,
             )
             if code == 1:
-                assert "has failed" in out
+                assert failed in (out or (tmp_path / "run.jsonl").read_text())
                 return
         pytest.fail("no failing session found in 30 seeds")
 

@@ -154,6 +154,28 @@ class TestAttemptRecord:
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             AttemptRecord(33, (), 187, rejected)
 
+    @pytest.mark.parametrize(
+        "y,rejected,message",
+        [
+            pytest.param(198, (), "y 198 is not in [2, 187)", id="y-above-n"),
+            pytest.param(187, (), "y 187 is not in [2, 187)", id="y-at-n"),
+            pytest.param(1, (), "y 1 is not in [2, 187)", id="y-one"),
+            pytest.param(0, (), "y 0 is not in [2, 187)", id="y-zero"),
+            pytest.param(33, (56, 0), "rejected base 0 is not in [2, 187)", id="rejected-zero"),
+            pytest.param(33, (-3,), "rejected base -3 is not in [2, 187)", id="rejected-negative"),
+            pytest.param(33, (1, 56), "rejected base 1 is not in [2, 187)", id="rejected-one"),
+            pytest.param(33, (187,), "rejected base 187 is not in [2, 187)", id="rejected-at-n"),
+            pytest.param(
+                33, (2, 186, 2**70), f"rejected base {2**70} is not in [2, 187)",
+                id="rejected-far-above-n",
+            ),
+        ],
+    )
+    def test_base_outside_the_range_is_refused(self, y, rejected, message):
+        # to_jsonl would write the base, which from_jsonl refuses on its line
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AttemptRecord(y, (), 187, rejected)
+
     def test_defaults(self):
         # only rejected has a default, and nothing derived can be passed
         assert AttemptRecord(33, (), 187).rejected == ()
