@@ -24,7 +24,7 @@ import enum
 import functools
 import math
 import time
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 from .model import FactoringParams
 from .numtheory import _MEMO_ENTRIES, NotCoprime, is_prime, multiplicative_order
@@ -57,8 +57,9 @@ class AttemptRecord:
     """One pick: the bases the order ceiling rejected, and the base y that
     ended it with everything that happened with y.
 
-    AttemptRecord(y, trials, n, rejected=()) stores rejected, the rejected
-    bases in draw order, and derives outcome, order and factors. With no
+    AttemptRecord(y, trials, n, rejected=()) stores n and rejected, the
+    rejected bases in draw order, and derives outcome, order and factors,
+    so a history can refuse a record built for another n. With no
     trials, y shares g = gcd(y, n) > 1 with n: SHARED_FACTOR, (g, n // g).
     A verified last trial's candidate is the order, and extract_factors(y,
     order, n) gives the rest. Otherwise the budget ran out:
@@ -74,11 +75,11 @@ class AttemptRecord:
     order: int | None = field(init=False)
     trials: tuple[OrderResult, ...]
     factors: tuple[int, int] | None = field(init=False)
-    n: InitVar[int]
+    n: int
     rejected: tuple[int, ...] = ()
 
-    def __post_init__(self, n: int) -> None:
-        y, trials, rejected, order = self.y, self.trials, self.rejected, None
+    def __post_init__(self) -> None:
+        y, trials, n, rejected, order = self.y, self.trials, self.n, self.rejected, None
         if type(y) is not int:
             raise TypeError(f"y must be an int, not {type(y).__name__}")
         # one pass in C over the bases, the bulk of a session's entries
@@ -126,8 +127,9 @@ class FactoringHistory:
     is not a float in [0, inf), or an attempt that is not an AttemptRecord,
     raises TypeError, or ValueError for a float out of range or -0.0.
     Attempts that run_session cannot produce raise ValueError: none at all,
-    an attempt after the one that ended the session, more than
-    params.max_trials trials, or a failure that stops short of them.
+    a record built for an n other than params.n, an attempt after the one
+    that ended the session, more than params.max_trials trials, or a
+    failure that stops short of them.
     """
 
     params: FactoringParams
@@ -151,6 +153,8 @@ class FactoringHistory:
         for position, attempt in enumerate(attempts):
             if not isinstance(attempt, AttemptRecord):
                 raise TypeError(f"attempts[{position}] is {attempt!r}, not an AttemptRecord")
+            if attempt.n != n:
+                raise ValueError(f"attempts[{position}] is a record for {attempt.n}, not {n}")
             if ended is not None:
                 raise ValueError(f"base {attempt.y} comes after the session ended at trial {ended}")
             trials += len(attempt.trials)

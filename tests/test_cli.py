@@ -152,9 +152,11 @@ class TestFactorCommand:
 
 
 class TestDistCommand:
-    def test_divisor_order_spectrum_has_sixteen_rows(self, capsys):
+    # 16 qubits is the safe size for 187, so it is also the default
+    @pytest.mark.parametrize("qubits", [["--qubits", "16"], []], ids=["qubits-16", "default"])
+    def test_divisor_order_spectrum_has_sixteen_rows(self, capsys, qubits):
         # order of 56 mod 187 is 16, which divides q: exactly 16 nonzero rows
-        code, out, _ = run(capsys, "dist", "187", "56", "--qubits", "16")
+        code, out, _ = run(capsys, "dist", "187", "56", *qubits)
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0].startswith("# N=187,L=16,y=56,r=16,dominant_mass=")
@@ -331,24 +333,22 @@ class TestBenchCommand:
         assert code == 2
         assert PRIME_WARNING in out
 
-    def test_seeds_step_by_run_index(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "argv,seeds",
+        [
+            (["15", "--qubits", "8", "--runs", "3", "--seed", "100"], ["100", "101", "102"]),
+            (["187", "--runs", "2", "--seed", "0"], ["0", "1"]),
+        ],
+    )
+    def test_seeds_step_by_run_index(self, capsys, tmp_path, argv, seeds):
         path = tmp_path / "bench.csv"
-        code, _, _ = run(
-            capsys,
-            "bench",
-            "15",
-            "--qubits",
-            "8",
-            "--runs",
-            "3",
-            "--seed",
-            "100",
-            "--out",
-            str(path),
-        )
+        code, out, _ = run(capsys, "bench", *argv, "--out", str(path))
         assert code == 0
+        assert out.splitlines()[0] == (
+            f"Factoring N = {argv[0]}, {len(seeds)} runs per register size, seed base {seeds[0]}"
+        )
         rows = [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
-        assert [r[3] for r in rows] == ["100", "101", "102"]
+        assert [r[3] for r in rows] == seeds
 
     @pytest.mark.parametrize(
         "argv,sessions",

@@ -278,12 +278,14 @@ class TestAttemptRecord:
     def test_repr(self):
         assert repr(AttemptRecord(33, (), 187)) == (
             "AttemptRecord(y=33, outcome=<Outcome.SHARED_FACTOR: "
-            "'shared_factor_shortcut'>, order=None, trials=(), factors=(11, 17), rejected=())"
+            "'shared_factor_shortcut'>, order=None, trials=(), factors=(11, 17), n=187, "
+            "rejected=())"
         )
         assert repr(self.record(rejected=(874839,))) == (
             "AttemptRecord(y=505980, outcome=<Outcome.TRIVIAL_FACTORS: 'trivial_factors'>, "
             "order=1038, trials=(OrderResult(readout=2137586189645, "
-            "candidate_order=1038, verified=True),), factors=(1328881, 1), rejected=(874839,))"
+            "candidate_order=1038, verified=True),), factors=(1328881, 1), n=1328881, "
+            "rejected=(874839,))"
         )
 
     def test_survives_pickle_and_deepcopy(self):
@@ -296,16 +298,16 @@ class TestAttemptRecord:
 
     def test_dataclass_helpers(self):
         record = self.record()
-        names = ["y", "outcome", "order", "trials", "factors", "rejected"]
+        names = ["y", "outcome", "order", "trials", "factors", "n", "rejected"]
         assert [f.name for f in dataclasses.fields(record)] == names
-        # replace re-runs the constructor, so n must be given again and the
-        # derived fields cannot be
+        # replace re-runs the constructor on the stored n, and the derived
+        # fields cannot be given
         assert dataclasses.replace(record, n=1328881) == record
         assert dataclasses.replace(record, y=33, trials=(), n=187) == AttemptRecord(33, (), 187)
         with pytest.raises(ValueError, match="init=False"):
             dataclasses.replace(record, n=1328881, order=519)
-        with pytest.raises(ValueError, match="InitVar 'n' must be specified"):
-            dataclasses.replace(record)
+        assert dataclasses.replace(record) == record
+        assert dataclasses.replace(record, rejected=(874839,)) == self.record(rejected=(874839,))
         assert dataclasses.asdict(record) == {
             "y": 505980,
             "outcome": Outcome.TRIVIAL_FACTORS,
@@ -313,6 +315,7 @@ class TestAttemptRecord:
             "trials": ({"readout": 2137586189645,
                         "candidate_order": 1038, "verified": True},),
             "factors": (1328881, 1),
+            "n": 1328881,
             "rejected": (),
         }
         assert dataclasses.astuple(record)[:3] == (505980, Outcome.TRIVIAL_FACTORS, 1038)
@@ -560,6 +563,13 @@ SESSION_ENDS = [
 SPLIT = AttemptRecord(120, (OrderResult(32768, 120, 1 << 16, 187),), 187)
 UNVERIFIED_120 = OrderResult(0, 120, 1 << 16, 187)
 BUDGET_SPENT = AttemptRecord(56, (OrderResult(0, 56, 1 << 16, 187),), 187)
+# base 69 of 187, of order 5: readout 13107 gives 1/5, an odd order, so the
+# session goes on
+ODD_69 = AttemptRecord(69, (OrderResult(13107, 69, 1 << 16, 187),), 187)
+# records of 15, where base 7 has order 4: readout 64 of 256 gives 1/4 and
+# the split (5, 3); readout 0 gives 1, which does not verify
+SPLIT_OF_15 = AttemptRecord(7, (OrderResult(64, 7, 1 << 8, 15),), 15)
+BUDGET_SPENT_OF_15 = AttemptRecord(7, (OrderResult(0, 7, 1 << 8, 15),), 15)
 
 
 def derived(history: FactoringHistory) -> tuple:
@@ -669,6 +679,21 @@ class TestFactoringHistory:
                 1, (AttemptRecord(120, (UNVERIFIED_120, SPLIT.trials[0]), 187),),
                 "the attempts run 2 trials, past max_trials 1",
                 id="trials-past-max-trials",
+            ),
+            # a record built for another N: its verdict was derived for that
+            # N, so the history would report 15's factors as 187's
+            pytest.param(
+                100, (ODD_69, AttemptRecord(3, (), 15)),
+                "attempts[1] is a record for 15, not 187",
+                id="foreign-shared-factor",
+            ),
+            pytest.param(
+                100, (SPLIT_OF_15,), "attempts[0] is a record for 15, not 187",
+                id="foreign-verified",
+            ),
+            pytest.param(
+                2, (ODD_69, BUDGET_SPENT_OF_15), "attempts[1] is a record for 15, not 187",
+                id="foreign-budget-exhausted",
             ),
         ],
     )

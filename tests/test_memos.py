@@ -26,7 +26,7 @@ from shorsim.sampler import _acceptance_height
 
 @dataclasses.dataclass(frozen=True)
 class Row:
-    """One memo. fill(i) looks up a key no session of SESSIONS looks up;
+    """One memo. fill(i) looks up a key no session of WORKLOADS looks up;
     a wrapper put on the module global `wrapped` sees exactly the misses;
     `call`, run for i in range(3 * _MEMO_ENTRIES) in a fresh process on
     distinct keys, leaves the memo full and under `bound` bytes."""
@@ -66,12 +66,27 @@ MEMOS = {
     ),
 }
 EVERY_ROW = pytest.mark.parametrize("name", list(MEMOS))
-SESSIONS = [(187, s) for s in range(40)] + [(1328881, s) for s in range(5)]
+# factor's keyword arguments per session, in the order one process runs
+# them: a bench run of 300 seeds at each N, whose last 50 run on memos the
+# 250 before them filled (at 1328881 the split memo mostly misses there
+# while the sampler memo hits), and a bench run of 187 with no ceiling at
+# 24 qubits and then at 16, whose more than 4096 distinct trials fill the
+# trial memo and evict from it while the sampler memo holds each order at
+# both register sizes
+WORKLOADS = {
+    "one-size-per-n": [dict(n=n, seed=s) for n in (187, 1328881) for s in range(300)],
+    "two-register-sizes": [
+        dict(n=187, qubits=qubits, seed=s, order_ceiling=None)
+        for qubits in (24, 16)
+        for s in range(2000)
+    ],
+}
+SESSIONS = WORKLOADS["one-size-per-n"]
 
 
 def sessions(keys):
-    """factor(n, seed=s) for each (n, s), with the wall time zeroed."""
-    return [dataclasses.replace(factor(n, seed=s), elapsed=0.0) for n, s in keys]
+    """factor(**key) for each key, with the wall time zeroed."""
+    return [dataclasses.replace(factor(**key), elapsed=0.0) for key in keys]
 
 
 def clear_all_memos():
@@ -81,12 +96,15 @@ def clear_all_memos():
 
 @pytest.fixture(scope="module")
 def cold():
-    """SESSIONS, each run on memos cleared just before it."""
-    runs = []
-    for key in SESSIONS:
-        clear_all_memos()
-        runs += sessions([key])
-    assert runs[9].total_trials == 10  # factor(187, seed=9) runs ten trials
+    """Each workload's sessions, each run on memos cleared just before it,
+    as in a fresh process."""
+    runs = {}
+    for workload, keys in WORKLOADS.items():
+        runs[workload] = []
+        for key in keys:
+            clear_all_memos()
+            runs[workload] += sessions([key])
+    assert runs["one-size-per-n"][9].total_trials == 10  # factor(187, seed=9) runs ten trials
     return runs
 
 
@@ -94,13 +112,16 @@ class TestMemos:
     @EVERY_ROW
     def test_warm_sessions_equal_cold_ones(self, name, cold):
         memo = MEMOS[name].memo
-        sessions(SESSIONS)
+        # each session on the memos the sessions before it filled
+        clear_all_memos()
+        assert sessions(SESSIONS) == cold["one-size-per-n"]
         misses = memo.cache_info().misses
-        assert sessions(SESSIONS) == cold
+        assert sessions(SESSIONS) == cold["one-size-per-n"]
         assert memo.cache_info().misses == misses  # every lookup a hit
 
     @EVERY_ROW
-    def test_sessions_agree_once_filled_past_the_bound(self, name, cold):
+    @pytest.mark.parametrize("workload", list(WORKLOADS))
+    def test_sessions_agree_once_filled_past_the_bound(self, name, workload, cold):
         # unrelated keys fill the memo, and the sessions evict them
         memo, fill = MEMOS[name].memo, MEMOS[name].fill
         memo.cache_clear()
@@ -108,7 +129,7 @@ class TestMemos:
             fill(i)
         filled = memo.cache_info()
         assert filled.currsize == _MEMO_ENTRIES
-        assert sessions(SESSIONS) == cold
+        assert sessions(WORKLOADS[workload]) == cold[workload]
         info = memo.cache_info()
         assert info.misses > filled.misses and info.currsize == _MEMO_ENTRIES
 
@@ -123,7 +144,7 @@ class TestMemos:
 
         monkeypatch.setattr(module, attr, counted)
         memo.cache_clear()
-        keys = [(187, s) for s in range(200)] + [(1328881, s) for s in range(5)]
+        keys = [dict(n=n, seed=s) for n, seeds in ((187, 200), (1328881, 5)) for s in range(seeds)]
         first = sessions(keys)
         misses = memo.cache_info().misses
         assert len(calls) == misses
