@@ -190,14 +190,15 @@ class FactoringHistory:
 
 
 def pick_y(
-    n: int, rng: RandomSource, ceiling: int, rejected: list[int]
-) -> AttemptRecord | tuple[int, int]:
+    n: int, rng: RandomSource, ceiling: int
+) -> AttemptRecord | tuple[int, int, tuple[int, ...]]:
     """Draw bases uniformly from [2, n - 1] until one is usable.
 
-    Each base whose order exceeds `ceiling` is appended to `rejected` and
-    redrawn. Returns the SHARED_FACTOR record of a base with gcd(y, n) > 1,
-    which carries `rejected`, else (y, exact order).
+    Each base whose order exceeds `ceiling` is rejected and redrawn. Returns
+    the SHARED_FACTOR record of a base with gcd(y, n) > 1, which carries the
+    rejected bases, else (y, exact order, the rejected bases in draw order).
     """
+    rejected: list[int] = []
     append = rejected.append
     for y in rng.randints(2, n - 1):  # endless
         try:
@@ -206,7 +207,7 @@ def pick_y(
         except NotCoprime:
             return AttemptRecord(y, (), n, tuple(rejected))
         if r is not None:
-            return y, r
+            return y, r, tuple(rejected)
         append(y)
 
 
@@ -266,15 +267,14 @@ def run_session(params: FactoringParams) -> FactoringHistory:
     attempts: list[AttemptRecord] = []
     start = time.perf_counter()
     while trials_run < budget:
-        rejected: list[int] = []
-        choice = pick_y(n, rng, ceiling, rejected)
+        choice = pick_y(n, rng, ceiling)
         if type(choice) is not tuple:
             attempts.append(choice)
             break
-        y, true_order = choice
+        y, true_order, rejected = choice
         trials = tuple(find_order(y, params, _sampler(true_order, q), rng, budget - trials_run))
         trials_run += len(trials)
-        record = AttemptRecord(y, trials, n, tuple(rejected))
+        record = AttemptRecord(y, trials, n, rejected)
         attempts.append(record)
         # an unverified last trial spent the budget, which ends the loop
         if record.outcome is _SUCCESS:

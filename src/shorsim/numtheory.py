@@ -1,11 +1,11 @@
 """Arbitrary-precision number-theoretic primitives.
 
-Everything in this module is deterministic: modular exponentiation, exact
-primality, prime factorization and multiplicative order of moduli up to
-ten digits, and continued-fraction convergents. All functions accept
-plain Python ints and never lose precision to floats. All but two are
-pure, and those two keep caches that change their speed, never their
-results:
+Everything in this module is deterministic: modular exponentiation
+(modpow, the builtin pow under a name of its own), exact primality, prime
+factorization and multiplicative order of moduli up to ten digits, and
+continued-fraction convergents. All functions accept plain Python ints and
+never lose precision to floats. All but two are pure, and those two keep
+caches that change their speed, never their results:
 
 - multiplicative_order keeps one state per modulus in _ORDERS, bounded at
   _MODULI moduli with the oldest dropped first. The state holds the
@@ -37,13 +37,9 @@ class NotCoprime(ValueError):
     """An operation required gcd(y, n) == 1 and it did not hold."""
 
 
-def modpow(y: int, e: int, n: int) -> int:
-    """y**e mod n by square-and-multiply; result in [0, n)."""
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    if n < 2:
-        raise ValueError("modulus must be >= 2")
-    return pow(y, e, n)
+# y**e mod n, in [0, n) for n >= 2: OrderResult's verification, a name of
+# its own so that a wrapper put on shorsim.orderfinder.modpow times it
+modpow = pow
 
 
 # Deterministic witness sets: the primes up to 41 are exact for every n

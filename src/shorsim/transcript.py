@@ -48,10 +48,8 @@ FAILURE_LINE = "The program has failed and will now terminate."
 # _decode(line, 0) decodes, if it ends at the end of the line. It is the
 # scanner that JSONDecoder.raw_decode calls, without raw_decode's Python
 # frame, so where raw_decode raises "Expecting value" it raises
-# StopIteration; json.loads would refuse a leading byte-order mark first,
-# in these words
+# StopIteration
 _decode = json.JSONDecoder().scan_once
-_BOM_CAUSE = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
 
 
 class TranscriptError(ValueError):
@@ -173,10 +171,10 @@ def from_jsonl(text: str) -> FactoringHistory:
     check, as one whose lines end in whitespace does, is read line by line
     on the general path, which names the line and the cause, and no line
     of it opens a run again. The general path decodes each stripped line
-    at most once, by the scanner that
-    json.JSONDecoder().raw_decode calls, with a check that nothing follows
-    the value: that accepts the lines json.loads accepts, as the same
-    objects, and refuses the others with the cause json.loads names. A
+    at most once, by the scanner that json.JSONDecoder().raw_decode calls,
+    which accepts the lines json.loads accepts, as the same objects, when
+    nothing follows the value; a line it refuses, or one with data after
+    its value, is handed to json.loads, whose refusal names the cause. A
     field is checked against the value the writers derive, and the
     refusal's text is built only when the check fails. A text that is not
     a str raises TypeError before anything is split.
@@ -247,11 +245,12 @@ def from_jsonl(text: str) -> FactoringHistory:
         try:
             data, end = decode(line, 0)
             if end != len(line):
-                raise json.JSONDecodeError("Extra data", line, end)
-        except (StopIteration, ValueError, RecursionError) as exc:  # also huge ints, deep nesting
-            default = "Expecting value" if type(exc) is StopIteration else exc
-            cause = _BOM_CAUSE if line[0] == "\ufeff" else getattr(exc, "msg", default)
-            raise TranscriptError(number, f"not JSON ({cause})") from None
+                raise ValueError
+        except (StopIteration, ValueError, RecursionError):  # also huge ints, deep nesting
+            try:
+                data = json.loads(line)  # which refuses the line, naming the cause
+            except (ValueError, RecursionError) as exc:
+                raise TranscriptError(number, f"not JSON ({getattr(exc, 'msg', exc)})") from None
         try:
             kind = data.pop("event")
         except (AttributeError, KeyError, TypeError):
@@ -284,7 +283,7 @@ def from_jsonl(text: str) -> FactoringHistory:
                 _expect("ceiling", data["ceiling"], params.ceiling, "the session's")
                 rejected.append(y)
             elif kind == "shared_factor":
-                y = _int_in("y", data["y"], 2, n)
+                y = data["y"]  # the constructor refuses a y that is not an int in [2, n)
                 record = AttemptRecord(y, (), n, tuple(rejected))
                 factors = list(record.factors)
                 _expect("factors", data["factors"], factors, "as gcd({}, {}) = {} gives",

@@ -316,6 +316,47 @@ def order_path(n: int, tables: bool) -> None:
         numtheory._ORDERS[n][0] = math.inf  # the countdown
 
 
+# seeded sessions pinned by the sha256 digests of both renderings with
+# elapsed zeroed: (n, seed, JSONL digest, text digest). Every base drawn,
+# rejected or not, and every trial, outcome and order shows in them.
+PINNED_OUTPUTS = [
+    (
+        1328881,
+        0,
+        "f4908d36590b865f56bd5588f1e03411375cf5e07844f8f34f89dd2a8ea554dc",
+        "7fb5b317fda445d0301a341983a43cab481d33348b59ff9004b75a12470105ed",
+    ),
+    (
+        25610987,
+        1,
+        "6b58bc7c5684b48fabbade9fdb9ee23c4d101909fa9e618b0ee0be496a4432a3",
+        "ad568382e4784a7e9daa4cfb9444f7d54aa78cf323a7921e3fc1c90b45ef5905",
+    ),
+    (
+        9954647173,
+        3,
+        "9e02baa322124c9b36ac5efddf3e4052a706712ea7cdf566844b0b25b3149aff",
+        "fa0681087edfd08bc077002cedf74fe899e4cd8f7fd97d8756d6f74f4770814e",
+    ),
+]
+
+
+def output_digests(history) -> tuple[str, str]:
+    """The sha256 digests of a history's JSONL stream and of its text
+    transcript, one newline between lines, with elapsed zeroed."""
+    import dataclasses
+    import hashlib
+
+    from shorsim.transcript import render_text, to_jsonl
+
+    history = dataclasses.replace(history, elapsed=0.0)
+    text = "\n".join(render_text(history))
+    return (
+        hashlib.sha256(to_jsonl(history).encode()).hexdigest(),
+        hashlib.sha256(text.encode()).hexdigest(),
+    )
+
+
 def reference_events(history) -> list[str]:
     """The JSONL lines of a history as the README's event schema table
     gives them, each json.dumps(event, sort_keys=True): the banner and the

@@ -2,10 +2,12 @@ import dataclasses
 import io
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,9 @@ from hypothesis import strategies as st
 
 from shorsim import cli
 from shorsim.cli import MAX_BENCH_SESSIONS, main
+from shorsim.factorizer import factor
 from shorsim.model import dominant_mass
-from shorsim.transcript import PRIME_WARNING, from_jsonl
+from shorsim.transcript import PRIME_WARNING, from_jsonl, render_text, to_jsonl
 
 
 def run(capsys, *argv):
@@ -453,6 +456,48 @@ class TestPipeSafety:
         code = "import sys, shorsim.cli; print('statistics' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def masked(text: str) -> str:
+    """text with the elapsed time of its summary line masked, in either format."""
+    return re.sub(r'took [0-9.]+ seconds|"elapsed": [^,]+', "elapsed", text)
+
+
+class TestTenDigitSession:
+    @pytest.mark.parametrize(
+        "seed,argv,out",
+        [
+            (11, [], None),
+            (3, ["--format", "jsonl", "--out", "ten-digit.jsonl"], "ten-digit.jsonl"),
+            (3, ["--out", "ten-digit.txt"], "ten-digit.txt"),
+        ],
+        ids=["seed-11-text", "seed-3-jsonl-out", "seed-3-text-out"],
+    )
+    def test_session_through_python_m_shorsim(self, tmp_path, seed, argv, out):
+        # a modulus wider than one CPython digit (2**30), in a fresh process
+        # with no memo or order table filled; seed 3 writes 42,523 ceiling
+        # rejections. A session gone back to taking seconds fails the
+        # timeout. The output is what the session run here writes.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "shorsim", "factor", "9954647173", "--seed", str(seed), *argv],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        written = proc.stdout
+        if out is not None:
+            assert written == ""
+            written = (tmp_path / out).read_text()
+        history = factor(9954647173, seed=seed)
+        expected = to_jsonl(history) if "jsonl" in argv else "\n".join(render_text(history))
+        # compared line by line: pytest's report on two long texts that
+        # differ throughout takes minutes, on two lists of lines a second
+        assert written.endswith("\n")
+        assert masked(written).splitlines() == masked(expected).splitlines()
 
 
 def run_argv(argv: list[str]) -> tuple[int, str, str]:

@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import hashlib
 import math
 import pickle
 import re
@@ -26,32 +25,16 @@ from shorsim.orderfinder import OrderResult
 from shorsim.sampler import RandomSource
 from shorsim.transcript import render_text, to_jsonl
 from conftest import (
+    PINNED_OUTPUTS,
     ScriptedRng,
     brute_order,
     has_tables,
     order_path,
+    output_digests,
     reference_events,
     reference_session,
     reference_text,
 )
-
-# sessions whose every base, outcome and order are pinned by a hash
-PINNED_STREAMS = [
-    (1328881, 0, "def5f78c71b2d7c7e06eb283aacaed6dcde4087b2260170cc87dd9b2dedb5832"),
-    (25610987, 1, "2557daa5de9cd2c78f4bf6c5ca8ba81745f64509bbedf8a367cdb853261242bf"),
-]
-
-
-
-def pinned_view(attempts) -> list[tuple]:
-    """(y, outcome, order) per base drawn, a ceiling rejection as it was
-    first pinned, when it was an order_ceiling_rejected record."""
-    view = []
-    for a in attempts:
-        view += [(y, "order_ceiling_rejected", None) for y in a.rejected]
-        view.append((a.y, a.outcome.value, a.order))
-    return view
-
 
 # y with order 1278 mod 1328881 (order 1 mod 1039, primitive mod 1279)
 LONG_ORDER_BASE = 874839
@@ -324,34 +307,23 @@ class TestAttemptRecord:
 class TestPickY:
     def test_shared_factor_hit(self):
         # the record of a shared factor carries the pick's rejections
-        rejected = []
-        hit = pick_y(187, ScriptedRng(integers=[56, 33]), 13, rejected)
+        hit = pick_y(187, ScriptedRng(integers=[56, 33]), 13)
         assert hit == AttemptRecord(33, (), 187, (56,))
         assert (hit.outcome, hit.factors) == (Outcome.SHARED_FACTOR, (11, 17))
-        assert rejected == [56]
-        assert pick_y(187, ScriptedRng(integers=[33]), 13, []) == AttemptRecord(33, (), 187)
+        assert pick_y(187, ScriptedRng(integers=[33]), 13) == AttemptRecord(33, (), 187)
 
     def test_coprime_base_comes_with_exact_order(self):
-        rejected = []
-        assert pick_y(187, ScriptedRng(integers=[56]), 187, rejected) == (56, 16)
-        assert rejected == []
+        assert pick_y(187, ScriptedRng(integers=[56]), 187) == (56, 16, ())
 
     def test_ceiling_rejections_are_recorded(self):
-        rejected = []
-        got = pick_y(187, ScriptedRng(integers=[56, 186]), 13, rejected)
-        assert got == (186, 2)
         # order 16 exceeds the ceiling 13
-        assert rejected == [56]
+        assert pick_y(187, ScriptedRng(integers=[56, 186]), 13) == (186, 2, (56,))
 
     def test_long_order_base_rejected_under_default_ceiling(self):
         ceiling = math.isqrt(1328881)  # 1152
         assert multiplicative_order(LONG_ORDER_BASE, 1328881) == 1278
-        rejected = []
-        got = pick_y(
-            1328881, ScriptedRng(integers=[LONG_ORDER_BASE, 205920]), ceiling, rejected
-        )
-        assert got == (205920, 1038)
-        assert rejected == [LONG_ORDER_BASE]
+        got = pick_y(1328881, ScriptedRng(integers=[LONG_ORDER_BASE, 205920]), ceiling)
+        assert got == (205920, 1038, (LONG_ORDER_BASE,))
 
     @pytest.mark.parametrize(
         "n,tables,rejected,shared",
@@ -366,13 +338,11 @@ class TestPickY:
         # table path from a 0 entry and on the steps path from its own gcd
         order_path(n, tables)
         rng = ScriptedRng(integers=rejected + [shared, 21])
-        got = []
-        hit = pick_y(n, rng, 13, got)
+        hit = pick_y(n, rng, 13)
         g = math.gcd(shared, n)
         assert g > 1
         assert hit == AttemptRecord(shared, (), n, tuple(rejected))
         assert (hit.outcome, hit.factors) == (Outcome.SHARED_FACTOR, (g, n // g))
-        assert got == rejected
         assert rng.integers == [21]  # no base is taken past the one returned
         assert has_tables(n) == tables
         numtheory._ORDERS.clear()
@@ -400,24 +370,18 @@ class TestFactor:
             b, elapsed=0.0
         )
 
-    @pytest.mark.parametrize("n,seed,digest", PINNED_STREAMS)
-    def test_seeded_stream_is_pinned(self, n, seed, digest):
-        # every base, outcome and order of the session, hashed; a change to
-        # base drawing or order computation that alters any of them shows here
-        attempts = pinned_view(factor(n, seed=seed).attempts)
-        assert hashlib.sha256(repr(attempts).encode()).hexdigest() == digest
-
-    @pytest.mark.parametrize("n,seed,digest", PINNED_STREAMS)
-    def test_seeded_stream_is_the_same_from_the_order_tables(self, n, seed, digest):
-        sessions = []
+    @pytest.mark.parametrize("n,seed,jsonl_digest,text_digest", PINNED_OUTPUTS)
+    def test_seeded_stream_is_the_same_from_the_order_tables(
+        self, n, seed, jsonl_digest, text_digest
+    ):
+        # the pinned session, run with every order test on the prime-power
+        # steps and then on the order tables
+        digests = []
         for tables in (False, True):
             order_path(n, tables)
-            sessions.append(factor(n, seed=seed).attempts)
+            digests.append(output_digests(factor(n, seed=seed)))
         numtheory._ORDERS.clear()
-        steps, tables = sessions
-        assert steps == tables
-        attempts = pinned_view(tables)
-        assert hashlib.sha256(repr(attempts).encode()).hexdigest() == digest
+        assert digests == [(jsonl_digest, text_digest)] * 2
 
     def test_different_seeds_take_different_paths(self):
         paths = {

@@ -44,10 +44,6 @@ class TestModpow:
     def test_zero_exponent(self, y, n):
         assert modpow(y, 0, n) == 1
 
-    def test_rejects_negative_exponent(self):
-        with pytest.raises(ValueError):
-            modpow(2, -1, 7)
-
     @given(st.integers(0, 500), st.integers(0, 40), st.integers(2, 500))
     def test_matches_repeated_multiplication(self, y, e, n):
         acc = 1
