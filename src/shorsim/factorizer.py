@@ -52,22 +52,23 @@ _BUDGET_EXHAUSTED = Outcome.TRIAL_BUDGET_EXHAUSTED
 _FACTORING = (_SUCCESS, _SHARED_FACTOR)  # the outcomes that report factors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AttemptRecord:
     """One pick: the bases the order ceiling rejected, and the base y that
     ended it with everything that happened with y.
 
-    AttemptRecord(y, trials, n, rejected=()) stores n and rejected, the
-    rejected bases in draw order, and derives outcome, order and factors,
-    so a history can refuse a record built for another n. With no
-    trials, y shares g = gcd(y, n) > 1 with n: SHARED_FACTOR, (g, n // g).
-    A verified last trial's candidate is the order, and extract_factors(y,
-    order, n) gives the rest. Otherwise the budget ran out:
-    TRIAL_BUDGET_EXHAUSTED. A y that is not an int, a bool among them, or
-    a rejected that is not a tuple of such ints, raises TypeError; a y or
-    a rejected base outside [2, n), which the reader refuses, a gcd of 1
-    with no trials or above 1 with some, a verified trial before the last,
-    or a verified candidate that does not annihilate y, raises ValueError.
+    AttemptRecord(y, trials, n, rejected=()) checks its arguments, derives
+    outcome, order and factors, and stores every field in one step; n and
+    rejected, the rejected bases in draw order, are stored, so a history
+    can refuse a record built for another n. With no trials, y shares
+    g = gcd(y, n) > 1 with n: SHARED_FACTOR, (g, n // g). A verified last
+    trial's candidate is the order, and extract_factors(y, order, n) gives
+    the rest. Otherwise the budget ran out: TRIAL_BUDGET_EXHAUSTED. A y
+    that is not an int, a bool among them, or a rejected that is not a
+    tuple of such ints, raises TypeError; a y or a rejected base outside
+    [2, n), which the reader refuses, a trial built for another y or n, a
+    gcd of 1 with no trials or above 1 with some, or a verified trial
+    before the last, raises ValueError.
     """
 
     y: int
@@ -78,8 +79,10 @@ class AttemptRecord:
     n: int
     rejected: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        y, trials, n, rejected, order = self.y, self.trials, self.n, self.rejected, None
+    def __init__(
+        self, y: int, trials: tuple[OrderResult, ...], n: int, rejected: tuple[int, ...] = ()
+    ) -> None:
+        order = None
         if type(y) is not int:
             raise TypeError(f"y must be an int, not {type(y).__name__}")
         # one pass in C over the bases, the bulk of a session's entries
@@ -91,6 +94,9 @@ class AttemptRecord:
         if rejected and (min(rejected) < 2 or max(rejected) >= n):
             bad = next(base for base in rejected if not 2 <= base < n)
             raise ValueError(f"rejected base {bad} is not in [2, {n})")
+        for trial in trials:
+            if trial.y != y or trial.n != n:
+                raise ValueError(f"a trial of {trial.y} mod {trial.n} is not one of {y} mod {n}")
         for trial in trials[:-1]:
             if trial.verified:
                 raise ValueError(f"a trial of {y} before its last is verified")
@@ -108,28 +114,31 @@ class AttemptRecord:
             outcome, factors = extract_factors(y, order, n)
         else:
             outcome, factors = _BUDGET_EXHAUSTED, None
-        # frozen: the derived fields are set once, here
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "factors", factors)
+        # frozen: every field stored at once, past the frozen __setattr__
+        self.__dict__.update(
+            y=y, outcome=outcome, order=order, trials=trials, factors=factors, n=n,
+            rejected=rejected,
+        )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FactoringHistory:
     """Complete record of one factoring session.
 
     attempts holds one AttemptRecord per pick, in draw order. The
-    constructor, FactoringHistory(params, attempts, elapsed), derives
-    total_trials, factors, failure and warnings, which cannot be passed:
+    constructor, FactoringHistory(params, attempts, elapsed), checks its
+    arguments and stores them with total_trials, factors, failure and
+    warnings, which it derives and which cannot be passed, in one step:
     total_trials counts the trials of every record, and the last attempt
     decides the session, so factors is its pair when it is a SUCCESS or
     SHARED_FACTOR, else failure is TRIAL_BUDGET_EXHAUSTED. An elapsed that
     is not a float in [0, inf), or an attempt that is not an AttemptRecord,
     raises TypeError, or ValueError for a float out of range or -0.0.
     Attempts that run_session cannot produce raise ValueError: none at all,
-    a record built for an n other than params.n, an attempt after the one
-    that ended the session, more than params.max_trials trials, or a
-    failure that stops short of them.
+    a record built for an n other than params.n, a trial built for a
+    register other than params.q, an attempt after the one that ended the
+    session, more than params.max_trials trials, or a failure that stops
+    short of them.
     """
 
     params: FactoringParams
@@ -140,13 +149,14 @@ class FactoringHistory:
     failure: Outcome | None = field(init=False)
     warnings: tuple[str, ...] = field(init=False)
 
-    def __post_init__(self) -> None:
-        elapsed = self.elapsed
+    def __init__(
+        self, params: FactoringParams, attempts: tuple[AttemptRecord, ...], elapsed: float
+    ) -> None:
         # the sign bit refuses -0.0 as well, which no session takes
         if type(elapsed) is not float or math.copysign(1, elapsed) < 0 or not elapsed < math.inf:
             error = ValueError if type(elapsed) is float else TypeError
             raise error(f"elapsed {elapsed!r} is not a float in [0, inf)")
-        attempts, n, budget = self.attempts, self.params.n, self.params.max_trials
+        n, q, budget = params.n, params.q, params.max_trials
         if not attempts:
             raise ValueError("no AttemptRecord ended the session: there are no attempts")
         trials, ended = 0, None
@@ -155,6 +165,9 @@ class FactoringHistory:
                 raise TypeError(f"attempts[{position}] is {attempt!r}, not an AttemptRecord")
             if attempt.n != n:
                 raise ValueError(f"attempts[{position}] is a record for {attempt.n}, not {n}")
+            for trial in attempt.trials:
+                if trial.q != q:
+                    raise ValueError(f"attempts[{position}] has a trial for q {trial.q}, not {q}")
             if ended is not None:
                 raise ValueError(f"base {attempt.y} comes after the session ended at trial {ended}")
             trials += len(attempt.trials)
@@ -177,12 +190,12 @@ class FactoringHistory:
             for f in factors:
                 if not is_prime(f):
                     warnings.append(f"reported factor {f} of {n} is composite")
-        # frozen: the derived fields are set once, here
-        setattr_ = object.__setattr__
-        setattr_(self, "total_trials", trials)
-        setattr_(self, "factors", factors)
-        setattr_(self, "failure", None if factors else _BUDGET_EXHAUSTED)
-        setattr_(self, "warnings", tuple(warnings))
+        # frozen: every field stored at once, past the frozen __setattr__
+        self.__dict__.update(
+            params=params, attempts=attempts, total_trials=trials, elapsed=elapsed,
+            factors=factors, failure=None if factors else _BUDGET_EXHAUSTED,
+            warnings=tuple(warnings),
+        )
 
     @property
     def succeeded(self) -> bool:

@@ -38,6 +38,7 @@ from dataclasses import KW_ONLY, dataclass
 from .numtheory import MAX_MODULUS, is_prime
 
 MAX_QUBITS = 96
+_INT, _INT_OR_NONE = (int,), (int, type(None))  # the types FactoringParams allows
 
 
 class PrimeInput(ValueError):
@@ -79,14 +80,7 @@ def _check_modulus(n: int) -> None:
         raise PrimeInput(f"{n} is prime")
 
 
-# FactoringParams' fields checked by type first, each with the types it allows
-_FIELD_TYPES = (
-    ("qubits", (int, type(None))), ("seed", (int, type(None))),
-    ("max_trials", (int,)), ("order_ceiling", None),
-)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FactoringParams:
     """Configuration for one factoring session, validated on construction.
 
@@ -95,8 +89,9 @@ class FactoringParams:
     defaults to a fresh 64-bit value. A bool is refused for every field, as
     it is for n, and any other non-int for qubits, seed and max_trials, an
     int subclass among them, as to_jsonl writes ints through str. The
-    resolved qubits, seed and order_ceiling are stored, so building again
-    from the fields gives an equal object.
+    constructor checks the fields and stores them, with qubits, seed and
+    order_ceiling resolved, in one step, so building again from the fields
+    gives an equal object.
     """
 
     n: int
@@ -106,11 +101,16 @@ class FactoringParams:
     max_trials: int = 100
     order_ceiling: int | str | None = "sqrt"
 
-    def __post_init__(self) -> None:
-        n, qubits, seed = self.n, self.qubits, self.seed
-        max_trials, order_ceiling = self.max_trials, self.order_ceiling
-        for name, allowed in _FIELD_TYPES:
-            value = getattr(self, name)  # order_ceiling's values are checked below
+    def __init__(
+        self, n: int, qubits: int | None = None, seed: int | None = None, *,
+        max_trials: int = 100, order_ceiling: int | str | None = "sqrt",
+    ) -> None:
+        # checked by type first, each with the types it allows; order_ceiling's
+        # values are checked below
+        for name, value, allowed in (
+            ("qubits", qubits, _INT_OR_NONE), ("seed", seed, _INT_OR_NONE),
+            ("max_trials", max_trials, _INT), ("order_ceiling", order_ceiling, ()),
+        ):
             if type(value) is bool:
                 raise TypeError(f"{name} must not be a bool")
             if allowed and type(value) not in allowed:  # nor any other int subclass
@@ -135,10 +135,10 @@ class FactoringParams:
             seed = random.SystemRandom().getrandbits(64)
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        # frozen: the resolved fields are set once, here
-        object.__setattr__(self, "qubits", qubits)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "order_ceiling", ceiling)
+        # frozen: every field stored at once, past the frozen __setattr__
+        self.__dict__.update(
+            n=n, qubits=qubits, seed=seed, max_trials=max_trials, order_ceiling=ceiling
+        )
 
     @property
     def q(self) -> int:

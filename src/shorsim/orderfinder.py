@@ -20,7 +20,7 @@ changes no candidate, verdict or uniform consumed.
 from __future__ import annotations
 
 import functools
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 from .model import FactoringParams
 from .numtheory import _MEMO_ENTRIES, convergents, modpow
@@ -31,24 +31,23 @@ from .sampler import RandomSource, ReadoutSampler
 class OrderResult:
     """One measurement trial: readout, extracted candidate, verification.
 
-    OrderResult(readout, y, q, n) derives candidate_order, the
-    denominator convergents(readout, q, n) returns, and verified, whether
-    y**candidate_order == 1 (mod n); neither can be passed. A readout that
-    is not an int, a bool among them, raises TypeError. A trial's number
-    is its position in the session. y, q and n are not stored, so a trial
-    built for another base is refused only as the verified last trial of an
-    AttemptRecord, where extract_factors raises.
+    OrderResult(readout, y, q, n) stores the readout with the base y, the
+    register size q and the modulus n it was measured for, and derives
+    candidate_order, the denominator convergents(readout, q, n) returns,
+    and verified, whether y**candidate_order == 1 (mod n); neither can be
+    passed. A readout that is not an int, a bool among them, raises
+    TypeError. A trial's number is its position in the session.
     """
 
     readout: int
     candidate_order: int = field(init=False)
     verified: bool = field(init=False)
-    y: InitVar[int]
-    q: InitVar[int]
-    n: InitVar[int]
+    y: int
+    q: int
+    n: int
 
-    def __post_init__(self, y: int, q: int, n: int) -> None:
-        readout = self.readout
+    def __post_init__(self) -> None:
+        readout, y, q, n = self.readout, self.y, self.q, self.n
         if type(readout) is not int:
             raise TypeError(f"readout must be an int, not {type(readout).__name__}")
         # module attributes looked up per record built, so a wrapper put

@@ -174,7 +174,9 @@ def from_jsonl(text: str) -> FactoringHistory:
     at most once, by the scanner that json.JSONDecoder().raw_decode calls,
     which accepts the lines json.loads accepts, as the same objects, when
     nothing follows the value; a line it refuses, or one with data after
-    its value, is handed to json.loads, whose refusal names the cause. A
+    its value, is handed to json.loads, whose refusal names the cause,
+    but for nesting past the recursion limit, named "nested too deeply",
+    as the recursion error's text depends on the caller's stack. A
     field is checked against the value the writers derive, and the
     refusal's text is built only when the check fails. A text that is not
     a str raises TypeError before anything is split.
@@ -249,7 +251,9 @@ def from_jsonl(text: str) -> FactoringHistory:
         except (StopIteration, ValueError, RecursionError):  # also huge ints, deep nesting
             try:
                 data = json.loads(line)  # which refuses the line, naming the cause
-            except (ValueError, RecursionError) as exc:
+            except RecursionError:  # whose text names the container the stack ran out in
+                raise TranscriptError(number, "not JSON (nested too deeply)") from None
+            except ValueError as exc:
                 raise TranscriptError(number, f"not JSON ({getattr(exc, 'msg', exc)})") from None
         try:
             kind = data.pop("event")

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import math
 import pickle
 import re
@@ -200,10 +201,16 @@ class TestAttemptRecord:
         [
             pytest.param(35, (), "y 35 shares no factor with 187", id="shared-factor-with-gcd-1"),
             pytest.param(
-                # a trial built for y = 69, of order 5: readout 4369 gives 1/15
+                # a trial built for y = 69, of order 5: readout 4369 gives 1/15,
+                # which verifies for 69 and would not annihilate 35
                 35, (OrderResult(4369, 69, 1 << 16, 187),),
-                "15 is not an annihilating exponent of 35 mod 187",
+                "a trial of 69 mod 187 is not one of 35 mod 187",
                 id="verified-candidate-does-not-annihilate-y",
+            ),
+            pytest.param(
+                35, (OrderResult(0, 35, 1 << 16, 221),),
+                "a trial of 35 mod 221 is not one of 35 mod 187",
+                id="trial-for-another-n",
             ),
             pytest.param(
                 # readout 819 gives 1/80, which verifies, and readout 0 gives
@@ -267,8 +274,8 @@ class TestAttemptRecord:
         assert repr(self.record(rejected=(874839,))) == (
             "AttemptRecord(y=505980, outcome=<Outcome.TRIVIAL_FACTORS: 'trivial_factors'>, "
             "order=1038, trials=(OrderResult(readout=2137586189645, "
-            "candidate_order=1038, verified=True),), factors=(1328881, 1), n=1328881, "
-            "rejected=(874839,))"
+            "candidate_order=1038, verified=True, y=505980, q=2199023255552, n=1328881),), "
+            "factors=(1328881, 1), n=1328881, rejected=(874839,))"
         )
 
     def test_survives_pickle_and_deepcopy(self):
@@ -295,8 +302,8 @@ class TestAttemptRecord:
             "y": 505980,
             "outcome": Outcome.TRIVIAL_FACTORS,
             "order": 1038,
-            "trials": ({"readout": 2137586189645,
-                        "candidate_order": 1038, "verified": True},),
+            "trials": ({"readout": 2137586189645, "candidate_order": 1038, "verified": True,
+                        "y": 505980, "q": Q41, "n": 1328881},),
             "factors": (1328881, 1),
             "n": 1328881,
             "rejected": (),
@@ -659,6 +666,19 @@ class TestFactoringHistory:
                 2, (ODD_69, BUDGET_SPENT_OF_15), "attempts[1] is a record for 15, not 187",
                 id="foreign-budget-exhausted",
             ),
+            # a trial measured on another register: its readout and
+            # candidate were derived for that q, which the stream's banner
+            # would not give
+            pytest.param(
+                1, (AttemptRecord(56, (OrderResult(0, 56, 1 << 17, 187),), 187),),
+                "attempts[0] has a trial for q 131072, not 65536",
+                id="foreign-register",
+            ),
+            pytest.param(
+                2, (ODD_69, AttemptRecord(120, (OrderResult(65536, 120, 1 << 17, 187),), 187)),
+                "attempts[1] has a trial for q 131072, not 65536",
+                id="foreign-register-verified",
+            ),
         ],
     )
     def test_attempts_no_session_runs_are_refused(self, max_trials, attempts, message):
@@ -687,6 +707,52 @@ class TestFactoringHistory:
         else:
             with pytest.raises(ValueError):
                 FactoringHistory(session.params, session.attempts[:k], session.elapsed)
+
+
+# one record of each class, every stored init field away from its default
+RECORDS = [
+    pytest.param(
+        lambda: FactoringParams(187, 16, 5, max_trials=7, order_ceiling=13), id="FactoringParams"
+    ),
+    pytest.param(lambda: AttemptRecord(505980, (TRIVIAL_TRIAL,), 1328881, (874839,)),
+                 id="AttemptRecord"),
+    pytest.param(lambda: factor(187, seed=9), id="FactoringHistory"),
+    pytest.param(lambda: TRIVIAL_TRIAL, id="OrderResult"),
+]
+
+
+class TestRecordConstructors:
+    """Each record's constructor takes exactly its init fields, so a field
+    added to a record or renamed cannot drift from a hand-written one."""
+
+    @pytest.mark.parametrize("build", RECORDS)
+    def test_signature_lists_the_init_fields(self, build):
+        cls = type(build())
+        # the fields and InitVars, in the generated constructor's order:
+        # the keyword-only ones last
+        declared = sorted(
+            (f for f in cls.__dataclass_fields__.values() if f.init), key=lambda f: f.kw_only
+        )
+        expected = [
+            (
+                f.name,
+                inspect.Parameter.KEYWORD_ONLY if f.kw_only
+                else inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default,
+            )
+            for f in declared
+        ]
+        parameters = inspect.signature(cls).parameters.values()
+        assert [(p.name, p.kind, p.default) for p in parameters] == expected
+
+    @pytest.mark.parametrize("build", RECORDS)
+    def test_every_field_is_stored_and_replaces_to_an_equal_record(self, build):
+        record = build()
+        fields = dataclasses.fields(record)
+        assert set(vars(record)) == {f.name for f in fields}
+        for f in fields:
+            if f.init:
+                assert dataclasses.replace(record, **{f.name: getattr(record, f.name)}) == record
 
 
 def plain(history: FactoringHistory) -> tuple[list, int, tuple[int, int] | None]:

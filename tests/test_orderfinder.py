@@ -25,17 +25,21 @@ class TestFindOrder:
         params = params_for(1328881, 41)
         readouts = [1671511896561, 1366445086543, 1135526459514, 2137586189645]
         trials = find_order(505980, params, ScriptedSampler(readouts), ScriptedRng(), 95)
-        assert [dataclasses.astuple(t) for t in trials] == [
+        assert [dataclasses.astuple(t)[:3] for t in trials] == [
             (1671511896561, 346, False),
             (1366445086543, 346, False),
             (1135526459514, 519, False),
             (2137586189645, 1038, True),
         ]
+        # each trial stores the base, register and modulus it was measured for
+        assert {dataclasses.astuple(t)[3:] for t in trials} == {(505980, 1 << 41, 1328881)}
 
     def test_session_subcycle_base_200298(self):
         params = params_for(1328881, 41)
         trials = find_order(200298, params, ScriptedSampler([656741049346]), ScriptedRng(), 100)
-        assert [dataclasses.astuple(t) for t in trials] == [(656741049346, 519, True)]
+        assert [dataclasses.astuple(t) for t in trials] == [
+            (656741049346, 519, True, 200298, 1 << 41, 1328881)
+        ]
 
     def test_budget_exhaustion_leaves_unverified_tail(self):
         # three trials spend the budget; the fourth readout is never drawn
@@ -51,7 +55,7 @@ class TestFindOrder:
         params = params_for(187, 16)
         sampler = ReadoutSampler(1, params.q)
         trials = find_order(1, params, sampler, RandomSource(3), 100)
-        assert [dataclasses.astuple(t) for t in trials] == [(0, 1, True)]
+        assert [dataclasses.astuple(t) for t in trials] == [(0, 1, True, 1, 1 << 16, 187)]
 
     def test_real_sampler_small_case(self):
         # order of 7 mod 15 is 4; q = 256 puts all mass on multiples of 64
@@ -111,12 +115,12 @@ class TestOrderResult:
         with pytest.raises(TypeError):
             OrderResult(2137586189645, 505980, 1 << 41, 1328881, verified=True)
         with pytest.raises(ValueError, match="init=False"):
-            dataclasses.replace(self.trial(), y=505980, q=1 << 41, n=1328881, verified=False)
-        with pytest.raises(ValueError, match="InitVar 'y' must be specified"):
-            dataclasses.replace(self.trial())
-        # replace runs the constructor again, so the verdict follows the readout
-        again = dataclasses.replace(self.trial(), readout=0, y=505980, q=1 << 41, n=1328881)
-        assert again == self.trial(readout=0)
+            dataclasses.replace(self.trial(), verified=False)
+        # replace runs the constructor again on the stored y, q and n, so the
+        # verdict follows the readout and the base
+        assert dataclasses.replace(self.trial()) == self.trial()
+        assert dataclasses.replace(self.trial(), readout=0) == self.trial(readout=0)
+        assert not dataclasses.replace(self.trial(), y=505981).verified
 
     def test_a_hand_built_verdict_cannot_disagree_with_its_readout(self):
         # a trial once passed its candidate and verdict by hand, so readout 0
@@ -137,21 +141,24 @@ class TestOrderResult:
 
     def test_frozen(self):
         trial = self.trial()
-        for name in ("readout", "candidate_order", "verified", "y"):
+        for name in ("readout", "candidate_order", "verified", "y", "q", "n", "other"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(trial, name, 1)
 
     def test_fields_equality_hash_and_repr(self):
         trial = self.trial()
-        names = ["readout", "candidate_order", "verified"]
+        names = ["readout", "candidate_order", "verified", "y", "q", "n"]
         assert [f.name for f in dataclasses.fields(trial)] == names
-        assert dataclasses.astuple(trial) == (2137586189645, 1038, True)
+        assert dataclasses.astuple(trial) == (2137586189645, 1038, True, 505980, 1 << 41, 1328881)
         assert trial == self.trial() and hash(trial) == hash(self.trial())
         assert trial != self.trial(readout=0)
-        # y is not stored: a base of the same order verifies the same readout
-        assert self.trial(y=205920) == trial
+        # y is stored: a base of the same order verifies the same readout,
+        # but its trial is another one
+        other = self.trial(y=205920)
+        assert (other.candidate_order, other.verified) == (1038, True) and other != trial
         assert repr(trial) == (
-            "OrderResult(readout=2137586189645, candidate_order=1038, verified=True)"
+            "OrderResult(readout=2137586189645, candidate_order=1038, verified=True, "
+            "y=505980, q=2199023255552, n=1328881)"
         )
 
     def test_survives_pickle_and_deepcopy(self):

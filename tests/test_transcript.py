@@ -335,23 +335,22 @@ class TestJsonlRoundTrip:
                         assert_canonical_round_trip(history)
                         render_text(history)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=TranscriptError,
-        reason="OrderResult stores no y, so a record accepts a trial built for another base",
-    )
     def test_history_with_a_trial_built_for_another_base(self):
         # readout 1638 of 2**16 gives the candidate 40, which fails for 3
-        # (order 80 mod 187) and holds for 36 (order 40); the record of 36
-        # takes the trial of 3 as its one unverified trial, and the reader,
-        # which derives the trial for 36, refuses line 4: "verified False is
-        # not True, as pow(36, 40, 187) == 1 is"
+        # (order 80 mod 187) and holds for 36 (order 40); taken as the one
+        # unverified trial of 36, it would make a history whose stream the
+        # reader, which derives the trial for 36, refuses on line 4. The
+        # record of 36 refuses the trial of 3 when it is built
         trial = OrderResult(1638, 3, 2**16, 187)
         assert (trial.candidate_order, trial.verified) == (40, False)
         assert pow(36, 40, 187) == 1
+        with pytest.raises(ValueError, match="^a trial of 3 mod 187 is not one of 36 mod 187$"):
+            AttemptRecord(36, (trial,), 187)
+        # the trial of 36 itself verifies the order 40, which splits 187
         params = FactoringParams(187, 16, seed=0, max_trials=1, order_ceiling=None)
-        history = FactoringHistory(params, (AttemptRecord(36, (trial,), 187),), 0.0)
-        assert history.failure is Outcome.TRIAL_BUDGET_EXHAUSTED
+        own = AttemptRecord(36, (OrderResult(1638, 36, 2**16, 187),), 187)
+        history = FactoringHistory(params, (own,), 0.0)
+        assert (own.order, history.factors) == (40, (17, 11))
         assert from_jsonl(to_jsonl(history)) == history
 
     @given(st.data())
@@ -1146,6 +1145,17 @@ class TestJsonlErrors:
             from_jsonl(text)
         assert info.value.line == 1
 
+    @pytest.mark.parametrize("frames", [0, 1, 2, 3, 50])
+    def test_deep_nesting_is_refused_alike_from_any_stack_depth(self, frames):
+        # the recursion error names the container being decoded when the
+        # limit hits, which moves with the caller's stack; the refusal does not
+        def call(depth):
+            return from_jsonl('[{"b": ' * 50_000) if depth == 0 else call(depth - 1)
+
+        with pytest.raises(TranscriptError) as info:
+            call(frames)
+        assert str(info.value) == "line 1: not JSON (nested too deeply)"
+
     @pytest.mark.parametrize(
         "spell,cause",
         [
@@ -1496,9 +1506,7 @@ class TestFastPathsAgreeWithJson:
 # lines that json.loads refuses, drawn most often in the ways the reader's
 # scanner refuses without naming json's cause: a leading byte-order mark,
 # data after a value, an int past CPython's limit of 4300 digits, and
-# nesting far past the recursion limit. The nesting is of one kind of
-# container: the recursion error names the container it stops in, and
-# with mixed ones that depends on how deep the stack is where it stops.
+# nesting far past the recursion limit, of arrays and objects mixed
 refused_lines = st.one_of(
     st.text(),
     json_values.map(lambda value: "\ufeff" + json.dumps(value)),
@@ -1509,15 +1517,18 @@ refused_lines = st.one_of(
         st.integers(4301, 5000),
     ),
     st.builds(
-        lambda opener, depth: opener * depth,
-        st.sampled_from(["[", '{"a": ']),
-        st.integers(50_000, 100_000),
+        lambda openers, depth: "".join(openers) * depth,
+        st.lists(st.sampled_from(["[", '{"a": ']), min_size=1, max_size=5),
+        st.integers(20_000, 50_000),
     ),
 )
 
 
 class TestRefusesWhatJsonRefuses:
-    @with_examples("\ufeff{}", '{"event": "banner"} x', "{}{}", "9" * 4301, "[" * 100_000)
+    @with_examples(
+        "\ufeff{}", '{"event": "banner"} x', "{}{}", "9" * 4301, "[" * 100_000,
+        '[{"a": ' * 50_000,
+    )
     @given(refused_lines)
     @settings(max_examples=300, deadline=None)
     def test_line_json_refuses_is_refused_with_its_cause(self, line):
@@ -1526,7 +1537,11 @@ class TestRefusesWhatJsonRefuses:
         assume(line and line.splitlines() == [line])
         try:
             json.loads(line)
-        except (ValueError, RecursionError) as exc:
+        except RecursionError:
+            # whose text names the container it stops in, which with mixed
+            # nesting depends on how deep the stack is where it stops
+            cause = "nested too deeply"
+        except ValueError as exc:
             cause = getattr(exc, "msg", exc)
         else:
             reject()
