@@ -12,10 +12,11 @@ register returns readout c with probability (Shor 1997, section 5)
 where d = r c mod q. Each sin(pi x/q)**2 depends on x only mod q, so
 any d congruent to r c works, such as the signed distance from r c to
 the nearest multiple of q. At d = 0 the limit is
-P = (s (A0+1)**2 + (r-s) A0**2) / q**2, which is 1/r when r divides q. The products A d are reduced mod q in exact integer
-arithmetic before any sine is taken: r c and A d overflow the 53-bit
-float mantissa long before the angles involved become small, so
-rounding them in floats would place whole peaks on the wrong readout.
+P = (s (A0+1)**2 + (r-s) A0**2) / q**2, which is 1/r when r divides q.
+The products A d are reduced mod q in exact integer arithmetic before
+any sine is taken: r c and A d overflow the 53-bit float mantissa long
+before the angles involved become small, so rounding them in floats
+would place whole peaks on the wrong readout.
 A sine whose argument reduces to a multiple of pi is exactly zero, so
 when r divides q every readout off the r peaks has P = 0 exactly; for
 any other order every readout has P > 0. At q = 2**41, 2**67 and 2**96,

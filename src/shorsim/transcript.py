@@ -10,11 +10,10 @@ keys in sorted order. A template holds only ints the constructors have
 checked, the literals true, false and null, an outcome's value, and the
 summary's elapsed, a finite float, as its repr, the way json writes a
 float; the summary's warnings, text, are the one value json encodes, and
-only when there are any. from_jsonl reads each run of ceiling_rejection
-lines, the bulk of a stream, in one step of string operations over the
-whole run, and decodes every other line once. A stream that cannot be
-parsed back, or whose history could not be written again, raises
-TranscriptError naming the line at fault.
+only when there are any. from_jsonl reads a stream to_jsonl wrote by
+writing it back, and decodes each line of any other text once. A stream
+that cannot be parsed back, or whose history could not be written
+again, raises TranscriptError naming the line at fault.
 """
 
 from __future__ import annotations
@@ -107,15 +106,8 @@ def render_text(history: FactoringHistory) -> list[str]:
 def to_jsonl(history: FactoringHistory) -> str:
     """Serialize a history to line-delimited JSON, one event per line."""
     params = history.params
-    n, ceiling = params.n, params.order_ceiling
-    # json.dumps(event, sort_keys=True), from a template of the event's
-    # keys in sorted order
-    lines = [
-        f'{{"event": "banner", "max_trials": {params.max_trials}, "n": {n}, '
-        f'"order_ceiling": {"null" if ceiling is None else ceiling}, '
-        f'"qubits": {params.qubits}, "schema": {SCHEMA_VERSION}, "seed": {params.seed}}}',
-        f'{{"event": "safe_qubits_hint", "qubits": {_safe_qubits(n)}}}',
-    ]
+    n = params.n
+    lines = [_preamble(params)]
     append = lines.append
     head = _rejection_head(params)
     index = 0  # a trial's number is its position in the session
@@ -159,27 +151,19 @@ def to_jsonl(history: FactoringHistory) -> str:
 def from_jsonl(text: str) -> FactoringHistory:
     """Parse the output of to_jsonl back into an equal history.
 
-    Each ceiling_rejection is pending until the next shared_factor or
-    attempt_verdict, whose record carries it. A line that starts as to_jsonl
-    writes a ceiling_rejection of the session, up to its y, opens a run
-    while no base is open, and the run holds it and each next line that
-    starts so. The run is read in one step, without a decode (_rejections):
-    joined, split into its ys, which must be plain ASCII digits with no
-    leading zero, each followed by "}" at the end of its line, then
-    converted by int and checked against [2, n), each check one pass over
-    the whole run. A run that fails a
-    check, as one whose lines end in whitespace does, is read line by line
-    on the general path, which names the line and the cause, and no line
-    of it opens a run again. The general path decodes each stripped line
-    at most once, by the scanner that json.JSONDecoder().raw_decode calls,
-    which accepts the lines json.loads accepts, as the same objects, when
-    nothing follows the value; a line it refuses, or one with data after
-    its value, is handed to json.loads, whose refusal names the cause,
-    but for nesting past the recursion limit, named "nested too deeply",
-    as the recursion error's text depends on the caller's stack. A
-    field is checked against the value the writers derive, and the
-    refusal's text is built only when the check fails. A text that is not
-    a str raises TypeError before anything is split.
+    A text that to_jsonl wrote, alone or followed by whitespace only, is
+    read by writing it back, with no decode (_written_back). Any other text
+    is read on the general path, line by line, which names the line at
+    fault and the cause. Each ceiling_rejection is pending there until the
+    next shared_factor or attempt_verdict, whose record carries it. The
+    general path decodes each stripped line at most once, by the scanner
+    that json.JSONDecoder().raw_decode calls, which accepts the lines
+    json.loads accepts, as the same objects, when nothing follows the
+    value; a line it refuses, or one with data after its value, is handed
+    to json.loads, whose refusal names the cause, but for nesting past the
+    recursion limit, named "nested too deeply", as the recursion error's
+    text depends on the caller's stack. A text that is not a str raises
+    TypeError before anything is split.
 
     The banner is the first event and the summary the last, each once. A
     new_base is followed by its trials and then its attempt_verdict, with no
@@ -209,6 +193,12 @@ def from_jsonl(text: str) -> FactoringHistory:
     """
     if not isinstance(text, str):
         raise TypeError(f"text must be a str, not {type(text).__name__}")
+    try:
+        history = _written_back(text)
+        if history is not None:
+            return history
+    except (IndexError, TypeError, ValueError):  # which the general path names
+        pass
     params: FactoringParams | None = None
     attempts: list[AttemptRecord] = []
     rejected: list[int] = []  # pending, for the next record
@@ -216,30 +206,9 @@ def from_jsonl(text: str) -> FactoringHistory:
     open_trials: list[OrderResult] | None = None  # None: no base is open
     position = 0  # of the last trial read, in the session
     decode = _decode
-    # a ceiling_rejection line of the session up to its y, once the banner
-    # is read; the lines that start with head are those in [head, after),
-    # none before then
-    head = after = ""
-    n = q = 0
     rows = text.splitlines()
-    count = len(rows)
-    number = last = 0  # the line read last, and the last one not blank
-    single = 0  # the lines up to this one are read one at a time
-    while number < count:
-        line = rows[number]
-        number += 1
-        if open_trials is None and number > single and head <= line < after:
-            stop = number  # the run: this line and each next one that starts with head
-            while stop < count and head <= rows[stop] < after:
-                stop += 1
-            run = rows[number - 1 : stop]
-            ys = _rejections(run, head, n)
-            if ys is not None:
-                rejected += ys
-                number = last = stop
-                continue
-            # the general path reads the run line by line and names its fault
-            single = stop
+    last = 0  # the last line read that is not blank
+    for number, line in enumerate(rows, 1):
         line = line.strip()
         if not line:
             continue
@@ -278,8 +247,7 @@ def from_jsonl(text: str) -> FactoringHistory:
                 for name in ("qubits", "seed"):
                     if data[name] is None:  # the constructor would pick one afresh
                         raise ValueError(f"{name} must not be null")
-                head, n, q = _rejection_head(params), params.n, params.q
-                after = head[:-1] + "!"  # head ends in a space, which "!" follows
+                n, q = params.n, params.q
             elif params is None:
                 raise ValueError("no banner before it")
             elif kind == "ceiling_rejection":
@@ -364,38 +332,68 @@ def from_jsonl(text: str) -> FactoringHistory:
     return history
 
 
+def _preamble(params: FactoringParams) -> str:
+    """The banner and safe_qubits_hint lines that to_jsonl writes."""
+    n, ceiling = params.n, params.order_ceiling
+    return (
+        f'{{"event": "banner", "max_trials": {params.max_trials}, "n": {n}, '
+        f'"order_ceiling": {"null" if ceiling is None else ceiling}, '
+        f'"qubits": {params.qubits}, "schema": {SCHEMA_VERSION}, "seed": {params.seed}}}\n'
+        f'{{"event": "safe_qubits_hint", "qubits": {_safe_qubits(n)}}}'
+    )
+
+
 def _rejection_head(params: FactoringParams) -> str:
     """A ceiling_rejection line of the session, as to_jsonl writes it, up to its y."""
     return f'{{"ceiling": {params.ceiling}, "event": "ceiling_rejection", "y": '
 
 
-def _rejections(run: list[str], head: str, n: int) -> list[int] | None:
-    """The ys of a run of lines that each start with head, if each line is
-    head, a y in [2, n) as to_jsonl writes it (plain ASCII digits with no
-    leading zero) and "}"; else None. Each check is one pass over the run."""
-    joined = "".join(run)
-    # every line starts with head, whose "{" no y holds, so when each piece
-    # is digits its line is head, the piece and "}". rsplit sets its search
-    # up in one pass over the separator per piece; split's search from the
-    # left costs more per piece once a run is long.
-    digits = joined.rsplit("}" + head)
-    digits[0] = digits[0][len(head) :]
-    digits[-1] = digits[-1][:-1]  # the "}" checked below
-    word = "".join(digits)
-    # in string order a piece above "1" is neither empty, 0, 1 nor led by a 0
-    if (
-        len(digits) != len(run)
-        or joined[-1] != "}"
-        or not word.isascii()
-        or not word.isdigit()
-        or min(digits) <= "1"
-    ):
+def _written_back(text: str) -> FactoringHistory | None:
+    """The history H whose to_jsonl(H) is text, followed by whitespace
+    only, else None. H is built from the text's free fields, each checked
+    as the general path checks it first, by the constructors and memos it
+    uses, which raise ValueError or TypeError where it refuses; any other
+    spelling of a number (+5, 1_000, nan) fails the comparison. No trial is
+    built past max_trials or under a banner or hint to_jsonl would not write."""
+    # the summary, then each line that opens with its event field
+    body, _, summary = text.rpartition('\n{"elapsed": ')
+    banner, *events = body.split('\n{"event": "')
+    # the banner's keys and values in turn; every second item from the
+    # fourth is max_trials, n, order_ceiling, qubits, schema and seed
+    budget, modulus, ceiling, qubits, _, seed = banner[:-1].replace(", ", ": ").split(": ")[3::2]
+    params = FactoringParams(
+        int(modulus), int(qubits), int(seed), max_trials=int(budget),
+        order_ceiling=None if ceiling == "null" else int(ceiling),
+    )
+    if not text.startswith(_preamble(params)):
         return None
-    try:
-        ys = [*map(int, digits)]
-    except ValueError:  # past the limit on integer string conversion
-        return None
-    return ys if max(ys) < n else None
+    n, q, budget = params.n, params.q, params.max_trials
+    head = _rejection_head(params)
+    sep = "}\n" + head
+    attempts = []
+    rejected: tuple[int, ...] = ()  # for the next record
+    for event in events:
+        # the event's line, then a new_base's trials or the next pick's rejections
+        line, _, rest = event.partition("\n")
+        last = line[line.rfind(" ") + 1 : -1]  # a new_base's or shared_factor's y
+        if line.startswith("new_base"):
+            y = _int_in("y", int(last), 2, n)  # before a trial of it is memoized
+            readouts = rest.split('"readout": ')[1:]
+            budget -= len(readouts)
+            if budget < 0:
+                return None
+            trials = tuple([_trial(_int_in("readout", int(r.partition(",")[0]), 0, q), y, q, n)
+                            for r in readouts])
+            attempts.append(AttemptRecord(y, trials, n, rejected))
+            continue
+        if line.startswith("shared_factor"):
+            attempts.append(AttemptRecord(int(last), (), n, rejected))
+        # rsplit, as split's search from the left costs more per piece in a long block
+        rejected = tuple(map(int, rest[len(head) : -1].rsplit(sep))) if rest else ()
+    history = FactoringHistory(params, tuple(attempts), float(summary.partition(",")[0]))
+    written = to_jsonl(history)
+    # the general path skips the blank lines and whitespace after the summary
+    return history if text.startswith(written) and not text[len(written) :].strip() else None
 
 
 def _int_in(name: str, value: Any, low: int, high: float) -> int:

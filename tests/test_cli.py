@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shorsim import cli
+from shorsim import cli, transcript
 from shorsim.cli import MAX_BENCH_SESSIONS, main
 from shorsim.factorizer import factor
 from shorsim.model import dominant_mass
@@ -120,6 +120,20 @@ class TestFactorCommand:
         assert code == 0
         assert out == ""
         assert "The number to be factored is 15." in path.read_text()
+
+    def test_jsonl_out_reads_back_without_a_decode(self, capsys, tmp_path, monkeypatch):
+        # the file is the session's stream and one final newline, which the
+        # whole-stream check reads with no line handed to the JSON decoder
+        path = tmp_path / "run.jsonl"
+        argv = ["factor", "1328881", "--seed", "3", "--format", "jsonl", "--out", str(path)]
+        assert run(capsys, *argv) == (0, "", "")
+        decoded = []
+        monkeypatch.setattr(transcript, "_decode", lambda line, index: decoded.append(line))
+        history = from_jsonl(path.read_text())
+        assert decoded == []
+        session = factor(1328881, seed=3)
+        assert history == dataclasses.replace(session, elapsed=history.elapsed)
+        assert path.read_text() == to_jsonl(history) + "\n"
 
     def test_order_ceiling_none(self, capsys):
         code, out, _ = run(

@@ -1,10 +1,11 @@
 import dataclasses
 import functools
 import hashlib
-import itertools
 import json
 import math
+import re
 from typing import Any
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, reject, settings
@@ -71,13 +72,25 @@ def respelled(line: str) -> str:
     return json.dumps(dict(reversed(json.loads(line).items())), separators=(",", ":"))
 
 
+def read_back(history: FactoringHistory) -> FactoringHistory:
+    """from_jsonl(to_jsonl(history)), checked to be what the whole-stream
+    check builds and what the general path alone, with the check off,
+    reads from the same text."""
+    text = to_jsonl(history)
+    assert transcript._written_back(text) == history
+    with mock.patch.object(transcript, "_written_back", lambda text: None):
+        assert from_jsonl(text) == history
+    return from_jsonl(text)
+
+
 def assert_canonical_round_trip(history: FactoringHistory) -> None:
     """Every line of the history's stream is its own canonical JSON,
-    json.dumps(event, sort_keys=True), and the stream parses back to it."""
+    json.dumps(event, sort_keys=True), and the stream parses back to it,
+    by the whole-stream check and by the general path alike."""
     text = to_jsonl(history)
     for line in text.splitlines():
         assert line == json.dumps(json.loads(line), sort_keys=True)
-    assert from_jsonl(text) == history
+    assert read_back(history) == history
 
 
 GOLDEN_TAIL = """\
@@ -299,21 +312,21 @@ class TestSummaryLine:
 class TestJsonlRoundTrip:
     def test_handcrafted_history(self):
         history = session_history()
-        assert from_jsonl(to_jsonl(history)) == history
+        assert read_back(history) == history
 
     @pytest.mark.parametrize("seed", range(6))
     def test_real_sessions(self, seed):
         history = factor(1328881, 41, seed=seed)
-        assert from_jsonl(to_jsonl(history)) == history
+        assert read_back(history) == history
 
     def test_failure_session(self):
         history = factor(1328881, 41, seed=11, max_trials=1)
-        assert from_jsonl(to_jsonl(history)) == history
+        assert read_back(history) == history
 
     def test_small_sessions(self):
         for seed in range(4):
             history = factor(15, 8, seed=seed)
-            assert from_jsonl(to_jsonl(history)) == history
+            assert read_back(history) == history
 
     @pytest.mark.parametrize("n", [15, 105, 187, 1328881])
     def test_every_history_the_constructors_accept(self, n):
@@ -351,7 +364,7 @@ class TestJsonlRoundTrip:
         own = AttemptRecord(36, (OrderResult(1638, 36, 2**16, 187),), 187)
         history = FactoringHistory(params, (own,), 0.0)
         assert (own.order, history.factors) == (40, (17, 11))
-        assert from_jsonl(to_jsonl(history)) == history
+        assert read_back(history) == history
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -1306,7 +1319,7 @@ def parses_or_refuses(text: str) -> None:
         return
     assert isinstance(history, FactoringHistory)
     render_text(history)
-    assert from_jsonl(to_jsonl(history)) == history
+    assert read_back(history) == history
 
 
 class TestJsonlFuzz:
@@ -1561,20 +1574,6 @@ def long_run() -> tuple[FactoringHistory, list[str], list[int]]:
     return from_jsonl("\n".join(lines)), lines, run
 
 
-@pytest.fixture
-def runs(monkeypatch) -> list[int]:
-    """The length of each run from_jsonl hands to _rejections, in order."""
-    lengths: list[int] = []
-    rejections = transcript._rejections
-
-    def spy(rows: list[str], head: str, n: int):
-        lengths.append(len(rows))
-        return rejections(rows, head, n)
-
-    monkeypatch.setattr(transcript, "_rejections", spy)
-    return lengths
-
-
 @functools.cache
 def ten_digit_stream() -> tuple[FactoringHistory, list[str]]:
     """The ten-digit session of seed 3, with its 42,523 ceiling rejections,
@@ -1616,16 +1615,16 @@ def read(text: str) -> FactoringHistory | tuple[int, str]:
 
 
 class TestRunPath:
-    """from_jsonl reads each run of ceiling_rejection lines in one step, and
-    what it reads from a run, or refuses in it, is what the general path
-    reads or refuses one line at a time."""
+    """A run of ceiling_rejection lines with a line planted or broken in it
+    reads, or is refused, as the general path reads or refuses it one line
+    at a time with the whole-stream check off."""
 
     @pytest.mark.parametrize("line", REJECTION_EXAMPLES)
     @pytest.mark.parametrize("where", [0, 150, 300])
     def test_planted_line_reads_as_on_the_general_path(self, line, where, monkeypatch):
         # planted at the first, a middle and the last line of the run: the
-        # same as with every other line re-spelled, where no run is longer
-        # than the planted line, and as with no run read in one step
+        # same as with every other line re-spelled, and as with the
+        # whole-stream check off
         _, lines, run = long_run()
         number = run[where] + 1
         planted = lines[: number - 1] + [line] + lines[number:]
@@ -1635,26 +1634,24 @@ class TestRunPath:
         assert got == read("\n".join(respelled_around))
         if type(got) is tuple:
             assert got[0] == number
-        # and as with a space after every line, which sends the run line by
-        # line
+        # and as with a space after every line
         assert read("\n".join(f"{row} " for row in planted)) == got
-        monkeypatch.setattr(transcript, "_rejections", lambda rows, head, n: None)
+        monkeypatch.setattr(transcript, "_written_back", lambda text: None)
         assert read("\n".join(planted)) == got
 
     @pytest.mark.parametrize("end", [0, -1], ids=["first", "last"])
-    def test_planted_line_in_the_ten_digit_run_is_refused_on_its_line(self, end, decoded, runs):
+    def test_planted_line_in_the_ten_digit_run_is_refused_on_its_line(self, end, decoded):
         # a y written 07 on the first or the last line of the ten-digit
-        # stream's run: refused as not JSON on that line. The run is handed
-        # to _rejections once, and each line up to the refused one is
-        # decoded once, so a reader that scanned a failed run again from
-        # each of its lines, in time quadratic in the run, fails here
+        # stream's run: refused as not JSON on that line. Each line up to
+        # the refused one is decoded once, so a reader that scanned the run
+        # again from each of its lines, in time quadratic in the run, fails
+        # here
         _, lines, run = ten_digit_run()
         number = run[end] + 1
         lines[number - 1] = lines[number - 1].rsplit(" ", 1)[0] + " 07}"
         assert read("\n".join(lines)) == (
             number, f"line {number}: not JSON (Expecting ',' delimiter)"
         )
-        assert runs == [len(run)]
         assert decoded == lines[:number]
 
     @pytest.mark.parametrize(
@@ -1696,25 +1693,11 @@ class TestRunPath:
             number, f"line {number}: not JSON (Expecting ',' delimiter)"
         )
 
-    def test_failed_run_is_not_scanned_again(self, runs):
-        # the run fails on its last line; the lines before it are read one
-        # at a time, and none of them opens a run of its own
-        history, lines, run = long_run()
-        lines[run[-1]] = lines[run[-1]][:-1] + " }"
-        runs.clear()
-        assert from_jsonl("\n".join(lines)) == history
-        assert runs == [301]
-        # with a space after every line the run fails as well, once, and is
-        # read line by line
-        runs.clear()
-        assert from_jsonl("\n".join(f"{line} " for line in lines)) == history
-        assert runs == [301]
-
     @pytest.mark.parametrize("pad", ["", " "], ids=["run", "line-by-line"])
     def test_stream_cut_after_its_last_rejection_is_refused_on_the_summary(self, pad):
         # no session ends on a rejection, so rejections that no record
-        # takes are refused on the summary line, whether the run is read in
-        # one step or, with a space after every line, line by line
+        # takes are refused on the summary line, with or without a space
+        # after every line
         _, lines = ten_digit_stream()
         last = max(i for i, line in enumerate(lines) if '"ceiling_rejection"' in line)
         assert last < len(lines) - 2
@@ -1736,38 +1719,49 @@ class TestRunPath:
 
 
 class TestDecodesEachLineOnce:
-    """from_jsonl hands each non-blank line to its JSON decoder at most
-    once, and a ceiling_rejection line as to_jsonl writes it never."""
+    """from_jsonl decodes no line of a stream that to_jsonl wrote, alone or
+    followed by whitespace only, and each non-blank line of any other text
+    at most once, so the reader stays linear."""
+
+    @pytest.mark.parametrize(
+        "end", ["", "\n", "\n\n", "\r\n", " \t\n\x0c\u2028"],
+        ids=["as-written", "final-newline", "blank-line", "crlf", "whitespace"],
+    )
+    def test_written_stream(self, end, decoded):
+        # the whole-stream check reads it, the banner included, without a
+        # decode: every event and verdict, and the ten-digit stream
+        for history in [*every_event_histories(), ten_digit_stream()[0]]:
+            assert from_jsonl(to_jsonl(history) + end) == history
+        assert decoded == []
 
     def test_canonical_stream(self, decoded):
-        # 301 rejections, then trials; blank lines in between are skipped
+        # 301 rejections, then trials; blank lines in between are skipped,
+        # and each other line is decoded once
         history = factor(1328881, 41, seed=3)
         lines = to_jsonl(history).splitlines()
         assert from_jsonl("\n \n".join(lines) + "\n\n") == history
-        rejections = [line for line in lines if '"ceiling_rejection"' in line]
-        assert len(rejections) == 301
-        assert decoded == [line for line in lines if line not in rejections]
+        assert len([line for line in lines if '"ceiling_rejection"' in line]) == 301
+        assert decoded == lines
 
     def test_unbroken_run(self, decoded):
-        # 301 rejections on consecutive lines, none of them decoded
+        # 301 rejections on consecutive lines, no line decoded
         history, lines, run = long_run()
         decoded.clear()
         assert from_jsonl("\n".join(lines)) == history
-        assert decoded == [line for i, line in enumerate(lines) if i not in run]
+        assert decoded == []
 
     def test_padded_line_breaks_the_run(self, decoded):
-        # a line that does not start as a rejection ends the run before it
-        # and is decoded alone; the rest of the run is read in one step
+        # a padded line makes the stream one that to_jsonl did not write:
+        # every line, the rest of the run included, is decoded once, stripped
         history, lines, run = long_run()
         lines[run[150]] = f" {lines[run[150]]}"
         decoded.clear()
         assert from_jsonl("\n".join(lines)) == history
-        read_in_runs = run[:150] + run[151:]
-        assert decoded == [line.strip() for i, line in enumerate(lines) if i not in read_in_runs]
+        assert decoded == [line.strip() for line in lines]
 
     def test_failed_run_is_read_line_by_line(self, decoded):
-        # a rejection with a space before its "}" still starts the run,
-        # which then fails its checks and is decoded line by line, once
+        # a rejection with a space before its "}": the stream is decoded
+        # line by line, once
         history, lines, run = long_run()
         lines[run[150]] = lines[run[150]][:-1] + " }"
         decoded.clear()
@@ -1775,16 +1769,12 @@ class TestDecodesEachLineOnce:
         assert decoded == lines
 
     @pytest.mark.parametrize("pad", [" ", "\t", " \t "])
-    def test_lines_that_end_in_whitespace(self, pad, decoded, runs):
+    def test_lines_that_end_in_whitespace(self, pad, decoded):
         # whitespace after every line of the ten-digit stream: it reads to
-        # the same history, each run fails its checks once and is read line
-        # by line, and every line is decoded once, stripped
+        # the same history, and every line is decoded once, stripped
         history, lines = ten_digit_stream()
         decoded.clear()
         assert from_jsonl("\n".join(f"{line}{pad}" for line in lines)) == history
-        kinds = ['"ceiling_rejection"' in line for line in lines]
-        assert runs == [len([*run]) for kind, run in itertools.groupby(kinds) if kind]
-        assert sum(runs) == 42523
         assert decoded == lines
 
     def test_respelled_stream(self, decoded):
@@ -1801,3 +1791,177 @@ class TestDecodesEachLineOnce:
         with pytest.raises(TranscriptError, match="line 4: not JSON \\(Extra data\\)"):
             from_jsonl("\n".join(lines))
         assert decoded == lines[:4]
+
+
+def read_alike(text: str) -> FactoringHistory | tuple[int, str]:
+    """What from_jsonl gives for a text, checked to be what it gives with
+    the whole-stream check off, on the general path alone."""
+    got = read(text)
+    with mock.patch.object(transcript, "_written_back", lambda text: None):
+        assert read(text) == got
+    return got
+
+
+def spellings(value: str) -> list[str]:
+    """Other spellings of a field's value: the same number as int or float
+    reads it (a sign, a space, an underscore, Arabic-Indic digits, a
+    fraction), which json refuses or reads as another type, and other
+    values, null and a 5000-digit int among them."""
+    arabic = value.translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                                         "\u0665\u0666\u0667\u0668\u0669"))
+    return [
+        f"+{value}", f" {value}", f"{value[0]}_{value[1:]}", arabic, f"{value}.0",
+        "1_0.5", "nan", "inf", "1e400", "null", "2", "9" * 5000,
+    ]
+
+
+def with_value(line: str, key: str, spelling: str) -> str:
+    """line with the value of its field key, up to the next "," or "}",
+    spelled otherwise."""
+    return re.sub(f'"{key}": [^,}}]*', lambda _: f'"{key}": {spelling}', line, count=1)
+
+
+FREE_FIELDS = [
+    *(("banner", key) for key in ("max_trials", "n", "order_ceiling", "qubits", "schema", "seed")),
+    ("ceiling_rejection", "y"), ("new_base", "y"), ("trial", "readout"), ("shared_factor", "y"),
+    ("summary", "elapsed"),
+]
+
+
+@st.composite
+def tampered_streams(draw) -> str:
+    """A seeded stream with one line edited, put in or swapped for another,
+    joined and ended by line breaks to_jsonl does or does not write."""
+    lines = list(draw(st.sampled_from(valid_streams())))
+    i = draw(st.integers(0, len(lines) - 1))
+    edit = draw(st.sampled_from(["value", "rejection", "respelled", "refused", "nested", "none"]))
+    if edit == "value":
+        keys = re.findall(r'"(\w+)": [^,}]', lines[i])
+        key = draw(st.sampled_from(keys))
+        value = re.search(f'"{key}": ([^,}}]*)', lines[i]).group(1)
+        lines[i] = with_value(lines[i], key, draw(st.sampled_from(spellings(value))))
+    elif edit == "rejection":  # in the N = 1328881 stream, of ceiling 1152
+        lines = list(valid_streams()[0])
+        i = draw(st.integers(2, len(lines) - 2))
+        lines[i : i + draw(st.integers(0, 1))] = [draw(st.sampled_from(REJECTION_EXAMPLES))]
+    elif edit == "respelled":
+        lines[i] = respelled(lines[i])
+    elif edit == "refused":
+        lines[i] = draw(refused_lines)
+    elif edit == "nested":
+        lines[0] = draw(st.sampled_from(["[", '{"a": ', '[{"event": '])) * 50_000
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", "\n", "\n\n", "\r\n"]))
+
+
+class TestWrittenBackAgreesWithTheGeneralPath:
+    """from_jsonl gives the same history, or the same refusal on the same
+    line, with the whole-stream check on as with it off: the check reads
+    only what to_jsonl wrote, and leaves any other text to the general
+    path."""
+
+    @pytest.mark.parametrize("kind, key", FREE_FIELDS, ids=[f"{k}-{f}" for k, f in FREE_FIELDS])
+    def test_free_field_spelled_otherwise(self, kind, key):
+        # every free field of the first stream of every_event_histories()
+        # that writes its event, in each spelling
+        lines = next(
+            lines for lines in map(str.splitlines, map(to_jsonl, every_event_histories()))
+            if any(f'"event": "{kind}"' in line for line in lines)
+        )
+        i = next(i for i, line in enumerate(lines) if f'"event": "{kind}"' in line)
+        value = re.search(f'"{key}": ([^,}}]*)', lines[i]).group(1)
+        for spelling in spellings(value):
+            planted = lines[:i] + [with_value(lines[i], key, spelling)] + lines[i + 1 :]
+            read_alike("\n".join(planted))
+        # a sign, which int reads and json refuses, is refused on its line
+        planted = lines[:i] + [with_value(lines[i], key, f"+{value}")] + lines[i + 1 :]
+        assert read_alike("\n".join(planted))[0] == i + 1
+
+    @pytest.mark.parametrize("end", ["\n\n", "\r\n", " ", "\n ", " \t\n\x0c\u2028"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_line_breaks(self, newline, end):
+        # read to the history to_jsonl wrote: by the check, when only the
+        # end differs, and else by the general path
+        for history in every_event_histories():
+            text = newline.join(to_jsonl(history).splitlines()) + end
+            assert read_alike(text) == history
+
+    @pytest.mark.parametrize("end", ["\nx", " x", "\n\n{}", "\n\u00a0."])
+    def test_text_after_the_summary(self, end):
+        # refused on its line, as the general path refuses it
+        for history in every_event_histories():
+            text = to_jsonl(history) + end
+            got = read_alike(text)
+            assert type(got) is tuple
+            assert got[0] == len(text.splitlines())
+
+    @pytest.mark.parametrize(
+        "first",
+        ["[" * 50_000, '[{"a": ' * 50_000, '{"event": "banner", "n": ' + "[" * 50_000],
+        ids=["arrays", "mixed", "in-banner"],
+    )
+    def test_deeply_nested_first_line(self, first):
+        lines = to_jsonl(session_history()).splitlines()
+        assert read_alike("\n".join([first, *lines[1:]])) == (
+            1, "line 1: not JSON (nested too deeply)"
+        )
+
+    @given(tampered_streams())
+    @settings(max_examples=300, deadline=None)
+    def test_tampered_stream(self, text):
+        read_alike(text)
+
+    @pytest.fixture
+    def built(self, monkeypatch) -> list[tuple[int, int]]:
+        """The (readout, y) of each trial the reader asks _trial for."""
+        asked: list[tuple[int, int]] = []
+        memo = transcript._trial
+
+        def spy(readout, y, q, n):
+            asked.append((readout, y))
+            return memo(readout, y, q, n)
+
+        monkeypatch.setattr(transcript, "_trial", spy)
+        return asked
+
+    @pytest.mark.parametrize("y", ["187", "1", "-5", "9" * 4000])
+    def test_no_trial_is_built_for_a_base_out_of_range(self, y, built):
+        # a new_base y outside [2, n) is refused before any trial of it is
+        # built, by the check as by the general path, so the process-wide
+        # memo holds no entry for it
+        lines = to_jsonl(factor(187, seed=9)).splitlines()
+        i = next(i for i, line in enumerate(lines) if '"new_base"' in line)
+        lines[i] = with_value(lines[i], "y", y)
+        assert read_alike("\n".join(lines)) == (i + 1, f"line {i + 1}: bad 'new_base' "
+                                                 f"event: y {int(y)} is not an int in [2, 187)")
+        assert built == []
+
+    def test_no_trial_is_built_for_a_readout_out_of_range(self, built):
+        lines = to_jsonl(factor(187, seed=9)).splitlines()
+        i = next(i for i, line in enumerate(lines) if '"trial"' in line)
+        lines[i] = with_value(lines[i], "readout", str(2**16))
+        got = read_alike("\n".join(lines))
+        assert got[0] == i + 1
+        assert all(0 <= readout < 2**16 for readout, _ in built)
+
+    def test_check_builds_no_trial_past_max_trials(self, built):
+        # factor(187, seed=9) runs ten trials; under a banner of max_trials
+        # 2 the check gives up before it builds any, and the general path
+        # refuses the stream
+        history = factor(187, seed=9)
+        text = to_jsonl(history).replace('"max_trials": 100', '"max_trials": 2', 1)
+        assert transcript._written_back(text) is None
+        assert built == []
+        assert type(read_alike(text)) is tuple
+
+    @pytest.mark.parametrize("key", ["max_trials", "qubits", "seed", "n"])
+    def test_check_builds_no_trial_under_a_banner_written_otherwise(self, key, built):
+        lines = to_jsonl(factor(187, seed=9)).splitlines()
+        value = re.search(f'"{key}": ([^,}}]*)', lines[0]).group(1)
+        lines[0] = with_value(lines[0], key, f"+{value}")
+        assert transcript._written_back("\n".join(lines)) is None
+        assert built == []
+        hint = to_jsonl(factor(187, seed=9)).splitlines()
+        hint[1] = hint[1].replace('"qubits": ', '"qubits": 0')
+        assert transcript._written_back("\n".join(hint)) is None
+        assert built == []
