@@ -265,9 +265,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if args.qubits is None:
             sizes: list[int | None] = [None]  # the safe size for N
         else:
-            sizes = [int(part) for part in args.qubits.split(",") if part != ""]
+            try:
+                sizes = [int(part) for part in args.qubits.split(",") if part != ""]
+            except ValueError:
+                sizes = []  # a part int() refuses
             if not sizes:
-                raise ValueError("--qubits takes a comma-separated list of sizes")
+                raise ValueError(
+                    f"--qubits takes a comma-separated list of sizes, not {args.qubits!r}"
+                )
         if len(sizes) * args.runs > MAX_BENCH_SESSIONS:
             raise ValueError(
                 f"a bench runs at most {MAX_BENCH_SESSIONS} sessions"

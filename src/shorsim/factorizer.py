@@ -294,14 +294,3 @@ def run_session(params: FactoringParams) -> FactoringHistory:
             break
     return FactoringHistory(params, tuple(attempts), time.perf_counter() - start)
 
-
-__all__ = [
-    "Outcome",
-    "AttemptRecord",
-    "FactoringHistory",
-    "NotCoprime",
-    "pick_y",
-    "extract_factors",
-    "factor",
-    "run_session",
-]

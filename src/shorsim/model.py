@@ -22,12 +22,9 @@ when r divides q every readout off the r peaks has P = 0 exactly; for
 any other order every readout has P > 0. At q = 2**41, 2**67 and 2**96,
 prob lies within 24 ulp of the closed form evaluated at 80 digits (the
 worst of 30,000 random peaks, neighbours and cell points was 5.6 ulp).
-That bound is prob's alone: the sampler accepts readouts by prob, but
-draws its envelope's tail offset k from a uniform on a grid of 2**-53.
-P(k) is then a count of grid points, within one of 1/(k(k-1)) up to
-about k = 2**20 and broken down from about 2**27, where the ideal count
-falls below one. Every session at the safe size of N = 1328881,
-25610987 or a ten-digit N has cells that reach that far.
+That bound is prob's alone: the sampler accepts readouts by prob, but its
+draws carry a larger error from the 2**-53 grid of its tail offset draw
+(shorsim.sampler's docstring says how large).
 """
 
 from __future__ import annotations

@@ -221,6 +221,12 @@ def multiplicative_order(y: int, n: int, ceiling: int | None = None) -> int | No
     as soon as the product of the parts found exceeds `ceiling`: typically
     after one or two short powers. A state evicted from _ORDERS, tables or
     countdown, starts afresh on n's next test.
+
+    A y sharing a factor with n raises NotCoprime, a ValueError imported
+    from shorsim.numtheory ("gcd(33, 187) = 11, order undefined"). A
+    ceiling below 1, an n below 2 or an n above MAX_MODULUS raises
+    ValueError ("ceiling must be >= 1", "modulus must be >= 2", "factorize
+    requires 1 <= n <= 9999999999").
     """
     if ceiling is not None and ceiling < 1:
         raise ValueError("ceiling must be >= 1")

@@ -179,7 +179,7 @@ def reference_session(params) -> tuple[list, int, tuple[int, int] | None]:
     Only the quantum stand-in is shorsim's: its RandomSource and
     ReadoutSampler, which draw the readouts from the session's one stream.
     """
-    from shorsim import RandomSource, ReadoutSampler
+    from shorsim.sampler import RandomSource, ReadoutSampler
 
     n, q, budget = params.n, params.q, params.max_trials
     rng = RandomSource(params.seed)

@@ -20,6 +20,11 @@ from shorsim.model import dominant_mass
 from shorsim.transcript import PRIME_WARNING, from_jsonl, render_text, to_jsonl
 
 
+# a fresh process imports the shorsim of this checkout, whatever PYTHONPATH
+# the suite was started with
+CHECKOUT_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -386,10 +391,14 @@ class TestBenchCommand:
             f" (register sizes x --runs), not {sessions}"
         ]
 
-    def test_bad_qubits_list(self, capsys):
-        code, _, err = run(capsys, "bench", "187", "--qubits", "16,x")
-        assert code == 2
-        assert "comma-separated" in err or "invalid literal" in err
+    @pytest.mark.parametrize("sizes", ["16,x", "16,abc", "", ","])
+    def test_bad_qubits_list(self, capsys, sizes):
+        # a size int() refuses is named with the option, as an empty list is
+        code, out, err = run(capsys, "bench", "187", "--qubits", sizes)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"shorsim: --qubits takes a comma-separated list of sizes, not {sizes!r}"
+        ]
 
     def test_averages_are_the_means_of_the_successful_runs(self, capsys, monkeypatch):
         # each run's elapsed fixed, so the avg column can be held to
@@ -434,6 +443,7 @@ class TestPipeSafety:
         proc = subprocess.run(
             f"{sys.executable} -m shorsim dist 187 36 | head -1",
             shell=True,
+            env=CHECKOUT_ENV,
             capture_output=True,
             text=True,
         )
@@ -457,6 +467,7 @@ class TestPipeSafety:
         with open("/dev/full", "w") as full:
             proc = subprocess.run(
                 [sys.executable, "-m", "shorsim", *argv],
+                env=CHECKOUT_ENV,
                 stdout=full,
                 stderr=subprocess.PIPE,
                 text=True,
@@ -468,7 +479,9 @@ class TestPipeSafety:
         # bench averages by sums over counts, so a one-shot run does not pay
         # for statistics and what it imports
         code = "import sys, shorsim.cli; print('statistics' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=CHECKOUT_ENV, capture_output=True, text=True
+        )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
@@ -492,11 +505,10 @@ class TestTenDigitSession:
         # with no memo or order table filled; seed 3 writes 42,523 ceiling
         # rejections. A session gone back to taking seconds fails the
         # timeout. The output is what the session run here writes.
-        src = str(Path(__file__).resolve().parent.parent / "src")
         proc = subprocess.run(
             [sys.executable, "-m", "shorsim", "factor", "9954647173", "--seed", str(seed), *argv],
             cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": src},
+            env=CHECKOUT_ENV,
             capture_output=True,
             text=True,
             timeout=60,

@@ -1,8 +1,13 @@
-"""The README's library and command-line examples print what it shows."""
+"""The README's library and command-line examples print what it shows, and
+its python blocks use only the package's public surface."""
 
+import importlib
 import re
 from pathlib import Path
 
+import pytest
+
+import shorsim
 from shorsim import render_text
 from shorsim.cli import main
 
@@ -55,3 +60,55 @@ def test_bench_example(capsys):
     for row, example in zip(printed[1:], shown[1:]):
         assert row.split(":")[0] == example.split(":")[0]
         assert re.findall(r"\(([^)]*)\)", row) == re.findall(r"\(([^)]*)\)", example), row
+
+
+# what the paper's user calls: a session, its records, its transcripts and
+# the model the dist header reads
+PUBLIC = [
+    "AttemptRecord", "FactoringHistory", "FactoringParams", "InputTooLarge", "OrderResult",
+    "Outcome", "PrimeInput", "TranscriptError", "dominant_mass", "factor", "from_jsonl",
+    "multiplicative_order", "prob", "render_text", "run_session", "safe_qubits", "to_jsonl",
+]
+# the pieces a session is built from, importable from their modules only
+INTERNAL = {
+    "pick_y": "shorsim.factorizer",
+    "extract_factors": "shorsim.factorizer",
+    "find_order": "shorsim.orderfinder",
+    "RandomSource": "shorsim.sampler",
+    "ReadoutSampler": "shorsim.sampler",
+    "dominant_readouts": "shorsim.model",
+    "convergents": "shorsim.numtheory",
+    "is_prime": "shorsim.numtheory",
+    "NotCoprime": "shorsim.numtheory",
+}
+
+
+class TestPublicSurface:
+    def test_all_is_the_public_names(self):
+        assert sorted(shorsim.__all__) == sorted([*PUBLIC, "__version__"])
+
+    def test_star_import_binds_exactly_all(self):
+        namespace: dict = {}
+        exec("from shorsim import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted([*PUBLIC, "__version__"])
+
+    @pytest.mark.parametrize("name", sorted(INTERNAL))
+    def test_internal_name_imports_from_its_module(self, name):
+        assert hasattr(importlib.import_module(INTERNAL[name]), name)
+        assert not hasattr(shorsim, name)
+
+    def test_python_blocks_import_only_public_names(self):
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
+        imports = [
+            name.strip()
+            for block in blocks
+            for names in re.findall(r"^from shorsim import (.*)$", block, flags=re.MULTILINE)
+            for name in names.split(",")
+        ]
+        assert imports and set(imports) <= set(shorsim.__all__)
+
+    @pytest.mark.parametrize("name", PUBLIC)
+    def test_library_section_names_each_public_name(self, name):
+        library = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+        assert f"`{name}" in library
