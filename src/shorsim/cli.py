@@ -12,6 +12,7 @@ import dataclasses
 import math
 import os
 import sys
+from typing import NoReturn
 
 from .factorizer import FactoringHistory, factor, run_session
 from .model import FactoringParams, PrimeInput, dominant_mass, dominant_readouts, prob
@@ -45,8 +46,15 @@ def _add_session_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Errors in one line and exit 2, as every bad input; subparsers inherit it."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"shorsim: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shorsim",
         description="Simulated quantum factoring: exact readout statistics, classical loop.",
     )

@@ -131,9 +131,9 @@ class FactoringHistory:
     warnings, which it derives and which cannot be passed, in one step:
     total_trials counts the trials of every record, and the last attempt
     decides the session, so factors is its pair when it is a SUCCESS or
-    SHARED_FACTOR, else failure is TRIAL_BUDGET_EXHAUSTED. An elapsed that
-    is not a float in [0, inf), or an attempt that is not an AttemptRecord,
-    raises TypeError, or ValueError for a float out of range or -0.0.
+    SHARED_FACTOR, else failure is TRIAL_BUDGET_EXHAUSTED. A params not a
+    FactoringParams, an elapsed not a float in [0, inf) or an attempt not an
+    AttemptRecord raises TypeError (ValueError for a float out of range or -0.0).
     Attempts that run_session cannot produce raise ValueError: none at all,
     a record built for an n other than params.n, a trial built for a
     register other than params.q, an attempt after the one that ended the
@@ -152,6 +152,7 @@ class FactoringHistory:
     def __init__(
         self, params: FactoringParams, attempts: tuple[AttemptRecord, ...], elapsed: float
     ) -> None:
+        _check_params(params)
         # the sign bit refuses -0.0 as well, which no session takes
         if type(elapsed) is not float or math.copysign(1, elapsed) < 0 or not elapsed < math.inf:
             error = ValueError if type(elapsed) is float else TypeError
@@ -202,6 +203,11 @@ class FactoringHistory:
         return self.factors is not None
 
 
+def _check_params(params: FactoringParams) -> None:
+    if not isinstance(params, FactoringParams):
+        raise TypeError(f"params must be a FactoringParams, not {type(params).__name__}")
+
+
 def pick_y(
     n: int, rng: RandomSource, ceiling: int
 ) -> AttemptRecord | tuple[int, int, tuple[int, ...]]:
@@ -235,20 +241,17 @@ def _sampler(r: int, q: int) -> ReadoutSampler:
     return ReadoutSampler(r, q)
 
 
-# typed, so extract_factors(4, 2.0, 15) misses (4, 2, 15)'s answer and raises
-@functools.lru_cache(maxsize=_MEMO_ENTRIES, typed=True)
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
 def extract_factors(y: int, r: int, n: int) -> tuple[Outcome, tuple[int, int] | None]:
     """Try the even-order split for a verified order r of y mod n.
 
     Returns (ORDER_ODD, None) for odd r; otherwise the gcd pair
     (gcd(x + 1, n), gcd(x - 1, n)) for x = y**(r/2), flagged SUCCESS when
     both members are proper factors and TRIVIAL_FACTORS when either
-    is 1 or n. The answers for the last _MEMO_ENTRIES (y, r, n) are kept
-    (module docstring); an r that does not annihilate y raises ValueError
-    and is not kept.
+    is 1 or n. It trusts its caller: AttemptRecord passes only the candidate
+    of a trial verified for the same y and n. The answers for the last
+    _MEMO_ENTRIES (y, r, n) are kept (module docstring).
     """
-    if pow(y, r, n) != 1:
-        raise ValueError(f"{r} is not an annihilating exponent of {y} mod {n}")
     if r % 2:
         return _ORDER_ODD, None
     x = pow(y, r // 2, n)
@@ -273,7 +276,8 @@ def factor(
 
 
 def run_session(params: FactoringParams) -> FactoringHistory:
-    """Run one factoring session to completion under fixed parameters."""
+    """Run one factoring session to completion under a FactoringParams, else TypeError."""
+    _check_params(params)
     rng = RandomSource(params.seed)
     n, budget, ceiling, q = params.n, params.max_trials, params.ceiling, params.q
     trials_run = 0

@@ -13,10 +13,9 @@ caches that change their speed, never their results:
   once an odd modulus has had as many tests as its order tables have
   slots, the tables replace the state and answer each later test with one
   read per component and one read of the lcm of the orders read.
-- is_prime is memoized (functools.lru_cache, typed=True, so a float equal
-  to a tested int misses the int's answer and is refused) over the
-  _MEMO_ENTRIES arguments tested most recently: a session tests N and
-  both reported factors, the same few numbers in every session at one N.
+- is_prime is memoized (functools.lru_cache) over the _MEMO_ENTRIES
+  arguments tested most recently: a session tests N and both reported
+  factors, the same few numbers in every session at one N.
 
 _MEMO_ENTRIES bounds every process-wide memo of the package, five in all:
 this one, the sampler's acceptance heights, orderfinder's trials, and
@@ -42,14 +41,10 @@ class NotCoprime(ValueError):
 modpow = pow
 
 
-# Deterministic witness sets: the primes up to 41 are exact for every n
-# below psi_13 = 3,317,044,064,679,887,385,961,981 (Sorenson and Webster
-# 2017), and the first five alone for every n below psi_5 (Jaeschke 1993),
-# which covers every modulus and factor this package handles. psi_13 itself
-# is a strong pseudoprime to every one of the thirteen.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PSI_5 = 2_152_302_898_747
-_PSI_13 = 3_317_044_064_679_887_385_961_981
+# Deterministic witnesses: the first five primes are exact for every n
+# below psi_5 = 2,152,302,898,747 (Jaeschke 1993), which is above
+# MAX_MODULUS, so they cover every modulus and factor this package handles.
+_MR_BASES = (2, 3, 5, 7, 11)
 
 # Sessions at one small N repeat few distinct keys again and again: 225,000
 # sessions at N = 187 make 615,177 acceptance tests on 3,380 distinct
@@ -59,19 +54,14 @@ _PSI_13 = 3_317_044_064_679_887_385_961_981
 _MEMO_ENTRIES = 4096
 
 
-@functools.lru_cache(maxsize=_MEMO_ENTRIES, typed=True)
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
 def is_prime(n: int) -> bool:
-    """Exact primality test (deterministic Miller-Rabin) for n below psi_13.
-
-    A bool or a non-int raises TypeError, before any arithmetic; an int
-    subclass is tested as its value. A larger n raises ValueError: the
-    witnesses prove nothing there. The answers for the last _MEMO_ENTRIES
-    arguments are kept (module docstring), so the checks run on misses only.
+    """Exact primality test (deterministic Miller-Rabin) for an int n up to
+    MAX_MODULUS, where its witnesses are exact. It trusts its callers to pass
+    only such ints: _check_modulus passes an n it has checked, and
+    FactoringHistory the factors of params.n. The answers for the last
+    _MEMO_ENTRIES arguments are kept (module docstring).
     """
-    if type(n) is bool or not isinstance(n, int):
-        raise TypeError(f"n must be an int, not {type(n).__name__}")
-    if n >= _PSI_13:
-        raise ValueError(f"is_prime is exact only below psi_13 = {_PSI_13}")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -80,7 +70,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES[:5] if n < _PSI_5 else _MR_BASES:
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

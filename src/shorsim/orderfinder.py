@@ -10,11 +10,12 @@ true order, exactly as the verification step itself does, and the
 factoring stage works with whatever order was verified.
 
 find_order and from_jsonl take each trial from _trial, a process-wide
-memo (functools.lru_cache, typed=True) of the records of the
-_MEMO_ENTRIES (readout, y, q, n) looked up most recently, so a trial seen
-before, as at one small N session after session, is not derived again.
-A hit returns the frozen record the constructor built, so the memo
-changes no candidate, verdict or uniform consumed.
+memo (functools.lru_cache) of the records of the _MEMO_ENTRIES
+(readout, y, q, n) looked up most recently, so a trial seen before, as at
+one small N session after session, is not derived again. Both pass only
+ints, the sampler's or the parsed stream's. A hit returns the frozen
+record the constructor built, so the memo changes no candidate, verdict
+or uniform consumed.
 """
 
 from __future__ import annotations
@@ -58,9 +59,8 @@ class OrderResult:
         object.__setattr__(self, "verified", modpow(y, candidate, n) == 1)
 
 
-# OrderResult(readout, y, q, n), looked up before it is derived; typed, so
-# a readout True misses 1's record and is refused as the constructor refuses it
-_trial = functools.lru_cache(maxsize=_MEMO_ENTRIES, typed=True)(OrderResult)
+# OrderResult(readout, y, q, n), looked up before it is derived
+_trial = functools.lru_cache(maxsize=_MEMO_ENTRIES)(OrderResult)
 
 
 def find_order(

@@ -51,7 +51,7 @@ from collections.abc import Iterator
 
 # dominant_readouts is unused here but stays importable from this module:
 # perfbench's tracer looks the layers up as attributes of their callers.
-from .model import check_register, dominant_readouts, prob  # noqa: F401
+from .model import dominant_readouts, prob  # noqa: F401
 from .numtheory import _MEMO_ENTRIES
 
 _FIFTY_THREE = 1 << 53
@@ -75,14 +75,11 @@ class RandomSource(random.Random):
     random() method, whose stream for a fixed seed is guaranteed stable
     across CPython versions and platforms, and randints, its one integer
     draw, built on random() alone. The methods inherited from random.Random
-    are the standard library's; shorsim never calls them.
+    are the standard library's; shorsim never calls them. The seed is
+    trusted: run_session passes one FactoringParams checked, in [0, 2**64).
     """
 
     def __init__(self, seed: int):
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise TypeError("seed must be an int")
-        if not 0 <= seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
         # random.Random.__init__(seed), without Random.seed's type dispatch
         super(random.Random, self).seed(seed)
         self.gauss_next = None
@@ -131,7 +128,8 @@ class ReadoutSampler:
     docstring). Holds only constants of the envelope fixed at construction;
     the one state draws share is the module's memo of acceptance heights,
     bounded at _MEMO_ENTRIES entries, which changes what a draw costs but
-    never what it returns or consumes.
+    never what it returns or consumes. r and q are trusted: run_session
+    passes an order pick_y returned, 2 <= r <= params.ceiling <= q = 2**L.
 
     Slotted, so the factorizer's memo of samplers, full of ten-digit
     orders at q = 2**96, stays under 2 MB on CPython 3.10 as on 3.11+;
@@ -142,7 +140,6 @@ class ReadoutSampler:
     __slots__ = ("r", "q", "_peak", "_tail", "_pair", "_reach", "_total", "__weakref__")
 
     def __init__(self, r: int, q: int):
-        check_register(r, q)
         self.r = r
         self.q = q
         # Envelope weights, in units of q**2 * P(c) / r.

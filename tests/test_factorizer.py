@@ -4,6 +4,7 @@ import inspect
 import math
 import pickle
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -69,17 +70,6 @@ class TestExtractFactors:
         outcome, pair = extract_factors(56, 32, 187)
         assert outcome is Outcome.TRIVIAL_FACTORS
         assert pair == (1, 187)
-
-    def test_rejects_non_annihilating_exponent(self):
-        with pytest.raises(ValueError):
-            extract_factors(56, 15, 187)
-
-    def test_a_float_order_is_refused_after_its_int(self):
-        # 2.0 == 2 and hashes the same: only a typed memo keeps (4, 2.0, 15)
-        # out of the entry of (4, 2, 15), so the split still raises
-        assert extract_factors(4, 2, 15)[1] == (5, 3)
-        with pytest.raises(TypeError, match="pow"):
-            extract_factors(4, 2.0, 15)
 
     def test_oracle_only_success_fraction(self):
         # over seeded random coprime bases the even-order split succeeds
@@ -506,11 +496,21 @@ class TestFactor:
         with pytest.raises(TypeError, match="max_trials must be an int"):
             factor(187, seed=1, max_trials=2.5)
 
+    def test_run_session_refuses_params_that_are_not_factoring_params(self):
+        with pytest.raises(TypeError, match="^params must be a FactoringParams, not SimpleNamespace$"):
+            run_session(UNCHECKED_PARAMS)
+
     def test_tiny_register_cannot_stall(self):
         # a 2-qubit register can only accept orders up to q = 4, yet the
         # session still terminates (order-2 bases or a shared factor)
         history = factor(187, 2, seed=9, order_ceiling=None)
         assert history.succeeded or history.failure is not None
+
+
+# FactoringParams(187, 16, 9)'s fields with a seed it refuses, unchecked
+UNCHECKED_PARAMS = SimpleNamespace(
+    n=187, q=65536, max_trials=100, qubits=16, seed=-1, order_ceiling=13, ceiling=13
+)
 
 
 # one seeded session per way a session ends: (factor kwargs, last outcome, warned)
@@ -605,6 +605,13 @@ class TestFactoringHistory:
         message = f"^attempts\\[1\\] is {re.escape(repr(entry))}, not an AttemptRecord$"
         with pytest.raises(TypeError, match=message):
             dataclasses.replace(history, attempts=history.attempts[:1] + (entry,))
+
+    def test_params_that_are_not_factoring_params_are_refused(self):
+        # the namespace's seed -1 is one FactoringParams refuses, and a
+        # stream to_jsonl wrote for it would be refused by from_jsonl
+        attempts = factor(187, 16, 9).attempts
+        with pytest.raises(TypeError, match="^params must be a FactoringParams, not SimpleNamespace$"):
+            FactoringHistory(UNCHECKED_PARAMS, attempts, 0.5)
 
     def test_derived_fields_cannot_be_passed(self):
         history = factor(187, 16, seed=1)

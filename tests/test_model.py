@@ -102,6 +102,8 @@ class TestFactoringParams:
         with pytest.raises(ValueError):
             FactoringParams(187, seed=-1)
         with pytest.raises(ValueError):
+            FactoringParams(187, seed=2**64)
+        with pytest.raises(ValueError):
             FactoringParams(187, seed=0, max_trials=0)
         with pytest.raises(ValueError):
             FactoringParams(3, seed=0)

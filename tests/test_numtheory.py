@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shorsim import numtheory
+from shorsim import model, numtheory
+from shorsim.model import FactoringParams, InputTooLarge
 from shorsim.numtheory import (
     NotCoprime,
     convergents,
@@ -61,38 +62,52 @@ class TestIsPrime:
     def test_composites_and_small(self, n):
         assert not is_prime(n)
 
-    def test_the_memo_never_serves_a_float_an_ints_answer(self):
-        # lru_cache keys a lone int by itself, which no float matches, but an
-        # int subclass by the tuple (value,), which (1000003.0,) equals: only
-        # a typed memo keeps the float out of that entry, so it still fails
-        class Int(int):
-            pass
-
-        assert is_prime(1000003) and is_prime(Int(1000003))
-        with pytest.raises(TypeError):
-            is_prime(1000003.0)
-
-    @pytest.mark.parametrize("n", [7.0, 41.0, 4.0, 43.0, 1000003.0, True, False, "7", None])
-    def test_a_non_int_is_refused_before_any_arithmetic(self, n):
-        # 7.0, 41.0 and 4.0 were once answered by the trial divisions, and
-        # 43.0 failed deep inside on a bit operation
-        with pytest.raises(TypeError, match=f"^n must be an int, not {type(n).__name__}$"):
-            is_prime(n)
-
-    def test_strong_pseudoprime_not_fooled(self):
-        # 3215031751 = 151 * 751 * 28351 passes weak tests to bases 2,3,5,7
-        assert 151 * 751 * 28351 == 3215031751
-        assert not is_prime(3215031751)
-
     @given(st.integers(0, 100_000))
     def test_matches_trial_division(self, n):
         by_division = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
         assert is_prime(n) == by_division
 
     # psi_k, the least composite that is a strong probable prime to each of
-    # the first k prime bases, with its prime factors (Jaeschke 1993;
-    # Sorenson and Webster 2017): each must be refused by the witnesses
-    # is_prime uses at its size
+    # the first k prime bases, with its prime factors (Jaeschke 1993): the
+    # ones of at most ten digits, each refused by the five witnesses
+    @pytest.mark.parametrize(
+        "k,psi,factors",
+        [
+            (1, 2047, (23, 89)),
+            (2, 1373653, (829, 1657)),
+            (3, 25326001, (2251, 11251)),
+            (4, 3215031751, (151, 751, 28351)),
+        ],
+    )
+    def test_least_strong_pseudoprimes_refused(self, k, psi, factors):
+        assert math.prod(factors) == psi
+        bases = (2, 3, 5, 7)[:k]
+        assert all(strong_probable_prime(psi, a) for a in bases)
+        assert not is_prime(psi)
+
+    def test_the_witnesses_are_exact_up_to_the_modulus_cap(self):
+        # psi_5 = 2,152,302,898,747 (Jaeschke 1993), the least composite the
+        # five witnesses pass, lies above every n is_prime is given; raising
+        # MAX_MODULUS past it needs more witnesses
+        psi_5 = 2_152_302_898_747
+        assert 6763 * 10627 * 29947 == psi_5
+        assert all(strong_probable_prime(psi_5, a) for a in (2, 3, 5, 7, 11))
+        assert numtheory.MAX_MODULUS < psi_5
+
+    # is_prime trusts its callers: the one that takes a user's n,
+    # FactoringParams, must refuse each input outside its domain first
+    @pytest.mark.parametrize("n", [7.0, 41.0, 4.0, 43.0, 1000003.0, True, False, "7", None])
+    def test_a_non_int_is_refused_before_any_arithmetic(self, n, monkeypatch):
+        # 7.0, 41.0 and 4.0 were once answered by the trial divisions, and
+        # 43.0 failed deep inside on a bit operation
+        calls = []
+        monkeypatch.setattr(model, "is_prime", lambda n: calls.append(n))
+        with pytest.raises(TypeError, match="^n must be an int$"):
+            FactoringParams(n, seed=0)
+        assert calls == []
+
+    # psi_5 to psi_13, composites the five witnesses pass (each a strong
+    # probable prime to the first k prime bases, k >= 5): none reaches them
     @pytest.mark.parametrize(
         "k,psi,factors",
         [
@@ -101,27 +116,20 @@ class TestIsPrime:
             (8, 341550071728321, (10670053, 32010157)),
             (11, 3825123056546413051, (149491, 747451, 34233211)),
             (12, 318665857834031151167461, (399165290221, 798330580441)),
+            (13, 3317044064679887385961981, (1287836182261, 2575672364521)),
         ],
     )
-    def test_least_strong_pseudoprimes_refused(self, k, psi, factors):
+    def test_pseudoprimes_to_the_witnesses_are_refused_as_too_large(
+        self, k, psi, factors, monkeypatch
+    ):
         assert math.prod(factors) == psi
-        bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)[:k]
+        bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)[:k]
         assert all(strong_probable_prime(psi, a) for a in bases)
-        assert not is_prime(psi)
-
-    def test_refused_from_psi_13(self):
-        # psi_13, the least strong pseudoprime to every prime base up to 41,
-        # the whole witness set: no answer from those bases is exact there
-        psi = 3317044064679887385961981
-        assert 1287836182261 * 2575672364521 == psi
-        bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-        assert all(strong_probable_prime(psi, a) for a in bases)
-        for n in (psi, psi + 2, 2**127 - 1):
-            with pytest.raises(ValueError, match=f"^is_prime is exact only below psi_13 = {psi}$"):
-                is_prime(n)
-        # below it the answers stand: a Mersenne prime, and psi_12 times 3
-        assert is_prime(2**61 - 1)
-        assert not is_prime(3 * 318665857834031151167461)
+        calls = []
+        monkeypatch.setattr(model, "is_prime", lambda n: calls.append(n))
+        with pytest.raises(InputTooLarge, match=f"^{psi} has more than ten digits$"):
+            FactoringParams(psi, seed=0)
+        assert calls == []
 
     def test_matches_trial_division_over_ten_digits(self):
         # odd n across the ten-digit domain, where only five witnesses run;
@@ -214,6 +222,28 @@ class TestMultiplicativeOrder:
     def test_rejects_ceiling_below_one(self):
         with pytest.raises(ValueError):
             multiplicative_order(1, 2, ceiling=0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="a float modulus equal to an int with tables is answered from them",
+    )
+    def test_a_float_modulus_is_refused_whatever_the_state(self):
+        # 187.0 is refused while 187 has no state, but _ORDERS.get(187.0)
+        # finds 187's tables once they are built, and 2's order 40 is read
+        def outcome():
+            try:
+                return multiplicative_order(2, 187.0)
+            except TypeError:
+                return TypeError
+
+        numtheory._ORDERS.clear()
+        try:
+            fresh = outcome()
+            order_path(187, tables=True)
+            assert (fresh, outcome()) == (TypeError, TypeError)
+        finally:
+            numtheory._ORDERS.clear()
 
     @given(
         st.one_of(
