@@ -42,7 +42,7 @@ def _add_session_flags(parser: argparse.ArgumentParser) -> None:
         "--order-ceiling",
         default="sqrt",
         metavar="C",
-        help="largest base order accepted: 'sqrt' (default), 'none', or an integer",
+        help="largest base order accepted: 'sqrt' (default), 'none', or a positive integer",
     )
 
 
@@ -133,75 +133,74 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        status = args.func(args)
+        status = _run(args)
         sys.stdout.flush()  # a write that would fail at exit fails here
     except OSError as exc:  # a reader (head, less) closed the pipe, or the device is full
         # point stdout at /dev/null, so the flush at exit stays silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):
             return 141  # the conventional 128+SIGPIPE
-        return _fail(f"shorsim: cannot write standard output: {exc.strerror or exc}")
+        print(f"shorsim: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return status
 
 
+def _run(args: argparse.Namespace) -> int:
+    """The command's exit status; a refused input is one line and exit 2:
+    the paper's warning on stdout for a prime N, else shorsim: <message>."""
+    try:
+        return args.func(args)
+    except PrimeInput:
+        print(PRIME_WARNING)
+    except ValueError as exc:
+        print(f"shorsim: {exc}", file=sys.stderr)
+    return 2
+
+
 def _parse_ceiling(text: str) -> int | str | None:
-    """--order-ceiling as FactoringParams takes it, which checks the range."""
+    """--order-ceiling as FactoringParams takes it, its rule copied to word one message."""
     if text == "sqrt":
         return "sqrt"
     if text == "none":
         return None
     try:
-        return int(text)
+        if (value := int(text)) >= 1:
+            return value
     except ValueError:
-        raise ValueError(
-            f"--order-ceiling must be 'sqrt', 'none', or an integer, got {text!r}"
-        ) from None
+        pass
+    raise ValueError(f"--order-ceiling must be 'sqrt', 'none', or a positive integer, got {text!r}")
 
 
-def _fail(message: str) -> int:
-    print(message, file=sys.stderr)
-    return 2
-
-
-def _write(out: str, mode: str, text: str) -> bool:
-    """Write text to the file out; False, after a one-line message, on failure."""
+def _write(out: str, mode: str, text: str) -> None:
+    """Write text to the file out, else ValueError naming it."""
     try:
         with open(out, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        _fail(f"shorsim: cannot write {out}: {exc.strerror or exc}")
-        return False
-    return True
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
-def _emit(text: str, out: str | None) -> bool:
-    """Print text, or write it to the file out; False once a write fails."""
+def _emit(text: str, out: str | None) -> None:
+    """Print text, or write it to the file out."""
     if out is None:
         print(text)
-        return True
-    return _write(out, "w", text + "\n")
+    else:
+        _write(out, "w", text + "\n")
 
 
 def cmd_factor(args: argparse.Namespace) -> int:
-    try:
-        history = factor(
-            args.n,
-            args.qubits,
-            args.seed,
-            max_trials=args.max_trials,
-            order_ceiling=_parse_ceiling(args.order_ceiling),
-        )
-    except PrimeInput:
-        print(PRIME_WARNING)
-        return 2
-    except ValueError as exc:
-        return _fail(f"shorsim: {exc}")
+    history = factor(
+        args.n,
+        args.qubits,
+        args.seed,
+        max_trials=args.max_trials,
+        order_ceiling=_parse_ceiling(args.order_ceiling),
+    )
     if args.format == "jsonl":
         text = to_jsonl(history)
     else:
         text = "\n".join(render_text(history))
-    if not _emit(text, args.out):
-        return 2
+    _emit(text, args.out)
     return 0 if history.succeeded else 1
 
 
@@ -233,20 +232,20 @@ def cmd_dist(args: argparse.Namespace) -> int:
     n, y = args.n, args.y
     try:
         params = FactoringParams(n, args.qubits, seed=0)
-        if not 0 < y < n:
-            raise ValueError("require 0 < Y < N")
-        if args.rings < 0:
-            raise ValueError("--rings must be >= 0")
-        r = multiplicative_order(y, n)  # NotCoprime is a ValueError
-    except ValueError as exc:
-        return _fail(f"shorsim: {exc}")
+    except PrimeInput as exc:  # the paper's warning is for factoring; dist names the prime
+        raise ValueError(exc) from None
+    if not 0 < y < n:
+        raise ValueError("require 0 < Y < N")
+    if args.rings < 0:
+        raise ValueError("--rings must be >= 0")
+    r = multiplicative_order(y, n)  # NotCoprime is a ValueError
     qubits, q = params.qubits, params.q
     if r > q:
-        return _fail(f"shorsim: order {r} of y = {y} exceeds the register size {q}")
+        raise ValueError(f"order {r} of y = {y} exceeds the register size {q}")
     needed = r * (2 * args.rings + 1)
     if q > FULL_SPECTRUM_LIMIT and needed > FULL_SPECTRUM_LIMIT:
-        return _fail(
-            f"shorsim: order {r} with {args.rings} rings needs {needed} rows,"
+        raise ValueError(
+            f"order {r} with {args.rings} rings needs {needed} rows,"
             f" more than the limit {FULL_SPECTRUM_LIMIT}"
         )
     rows, truncated = _spectrum_rows(r, q, args.rings)
@@ -256,7 +255,8 @@ def cmd_dist(args: argparse.Namespace) -> int:
     out_lines = [header]
     for row in rows:
         out_lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    return 0 if _emit("\n".join(out_lines), args.out) else 2
+    _emit("\n".join(out_lines), args.out)
+    return 0
 
 
 def _format_run(history: FactoringHistory) -> str:
@@ -267,38 +267,30 @@ def _format_run(history: FactoringHistory) -> str:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.runs < 1:
-        return _fail("shorsim: --runs must be >= 1")
-    try:
-        ceiling = _parse_ceiling(args.order_ceiling)
-        if args.qubits is None:
-            sizes: list[int | None] = [None]  # the safe size for N
-        else:
-            try:
-                sizes = [int(part) for part in args.qubits.split(",") if part != ""]
-            except ValueError:
-                sizes = []  # a part int() refuses
-            if not sizes:
-                raise ValueError(
-                    f"--qubits takes a comma-separated list of sizes, not {args.qubits!r}"
-                )
-        if len(sizes) * args.runs > MAX_BENCH_SESSIONS:
-            raise ValueError(
-                f"a bench runs at most {MAX_BENCH_SESSIONS} sessions"
-                f" (register sizes x --runs), not {len(sizes) * args.runs}"
-            )
-        # the first size resolves --seed (fresh when omitted) for every size
-        first = FactoringParams(
-            args.n, sizes[0], args.seed, max_trials=args.max_trials, order_ceiling=ceiling
+        raise ValueError("--runs must be >= 1")
+    ceiling = _parse_ceiling(args.order_ceiling)
+    if args.qubits is None:
+        sizes: list[int | None] = [None]  # the safe size for N
+    else:
+        try:
+            sizes = [int(part) for part in args.qubits.split(",") if part != ""]
+        except ValueError:
+            sizes = []  # a part int() refuses
+        if not sizes:
+            raise ValueError(f"--qubits takes a comma-separated list of sizes, not {args.qubits!r}")
+    if len(sizes) * args.runs > MAX_BENCH_SESSIONS:
+        raise ValueError(
+            f"a bench runs at most {MAX_BENCH_SESSIONS} sessions"
+            f" (register sizes x --runs), not {len(sizes) * args.runs}"
         )
-        per_size = [dataclasses.replace(first, qubits=qubits) for qubits in sizes]
-    except PrimeInput:
-        print(PRIME_WARNING)
-        return 2
-    except ValueError as exc:
-        return _fail(f"shorsim: {exc}")
+    # the first size resolves --seed (fresh when omitted) for every size
+    first = FactoringParams(
+        args.n, sizes[0], args.seed, max_trials=args.max_trials, order_ceiling=ceiling
+    )
+    per_size = [dataclasses.replace(first, qubits=qubits) for qubits in sizes]
     # an unwritable CSV path fails here, before any session runs
-    if args.out and not _write(args.out, "a", ""):
-        return 2
+    if args.out:
+        _write(args.out, "a", "")
 
     print(
         f"Factoring N = {args.n}, {args.runs} runs per register size, seed base {first.seed}"
@@ -328,7 +320,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"L = {params.qubits:3d}: {' '.join(cells)}  avg {avg}")
 
     if args.out:
-        return 0 if _emit("\n".join(lines), args.out) else 2
+        _emit("\n".join(lines), args.out)
     return 0
 
 

@@ -64,11 +64,12 @@ class AttemptRecord:
     g = gcd(y, n) > 1 with n: SHARED_FACTOR, (g, n // g). A verified last
     trial's candidate is the order, and extract_factors(y, order, n) gives
     the rest. Otherwise the budget ran out: TRIAL_BUDGET_EXHAUSTED. A y
-    that is not an int, a bool among them, or a rejected that is not a
-    tuple of such ints, raises TypeError; a y or a rejected base outside
-    [2, n), which the reader refuses, a trial built for another y or n, a
-    gcd of 1 with no trials or above 1 with some, or a verified trial
-    before the last, raises ValueError.
+    that is not an int, a bool among them, a rejected that is not a tuple
+    of such ints, or trials that are not a tuple of OrderResults, whose
+    constructor holds a trial's own rules, raises TypeError; a y or a
+    rejected base outside [2, n), which the reader refuses, a trial built
+    for another y or n, a gcd of 1 with no trials or above 1 with some, or
+    a verified trial before the last, raises ValueError.
     """
 
     y: int
@@ -94,7 +95,11 @@ class AttemptRecord:
         if rejected and (min(rejected) < 2 or max(rejected) >= n):
             bad = next(base for base in rejected if not 2 <= base < n)
             raise ValueError(f"rejected base {bad} is not in [2, {n})")
+        if type(trials) is not tuple:
+            raise TypeError(f"trials must be a tuple, not {type(trials).__name__}")
         for trial in trials:
+            if type(trial) is not OrderResult:  # whose constructor checked it
+                raise TypeError(f"a trial of {y} is a {type(trial).__name__}, not an OrderResult")
             if trial.y != y or trial.n != n:
                 raise ValueError(f"a trial of {trial.y} mod {trial.n} is not one of {y} mod {n}")
         for trial in trials[:-1]:
@@ -132,8 +137,8 @@ class FactoringHistory:
     total_trials counts the trials of every record, and the last attempt
     decides the session, so factors is its pair when it is a SUCCESS or
     SHARED_FACTOR, else failure is TRIAL_BUDGET_EXHAUSTED. A params not a
-    FactoringParams, an elapsed not a float in [0, inf) or an attempt not an
-    AttemptRecord raises TypeError (ValueError for a float out of range or -0.0).
+    FactoringParams, an elapsed not a float in [0, inf) or attempts not a tuple
+    of AttemptRecords raises TypeError (ValueError for a float out of range or -0.0).
     Attempts that run_session cannot produce raise ValueError: none at all,
     a record built for an n other than params.n, a trial built for a
     register other than params.q, an attempt after the one that ended the
@@ -157,12 +162,14 @@ class FactoringHistory:
         if type(elapsed) is not float or math.copysign(1, elapsed) < 0 or not elapsed < math.inf:
             error = ValueError if type(elapsed) is float else TypeError
             raise error(f"elapsed {elapsed!r} is not a float in [0, inf)")
+        if type(attempts) is not tuple:
+            raise TypeError(f"attempts must be a tuple, not {type(attempts).__name__}")
         n, q, budget = params.n, params.q, params.max_trials
         if not attempts:
             raise ValueError("no AttemptRecord ended the session: there are no attempts")
         trials, ended = 0, None
         for position, attempt in enumerate(attempts):
-            if not isinstance(attempt, AttemptRecord):
+            if type(attempt) is not AttemptRecord:
                 raise TypeError(f"attempts[{position}] is {attempt!r}, not an AttemptRecord")
             if attempt.n != n:
                 raise ValueError(f"attempts[{position}] is a record for {attempt.n}, not {n}")

@@ -153,9 +153,9 @@ class FactoringParams:
 
 
 def prob(c: int, r: int, q: int) -> float:
-    """Probability of measuring readout c when the hidden order is r."""
+    """Probability of measuring the int readout c when the hidden order is r."""
     check_register(r, q)
-    if not 0 <= c < q:
+    if type(c) is not int or not 0 <= c < q:  # nor a bool
         raise ValueError("require 0 <= c < q")
     d = r * c % q
     a0, s = divmod(q, r)
@@ -174,10 +174,10 @@ def _sin_squared(x: int, q: int) -> float:
 
 
 def check_register(r: int, q: int) -> None:
-    """Require q to be a power of two and 1 <= r <= q."""
+    """Require q to be a power of two and r an int with 1 <= r <= q."""
     if q < 1 or q & (q - 1):
         raise ValueError("q must be a power of two")
-    if not 1 <= r <= q:
+    if type(r) is not int or not 1 <= r <= q:
         raise ValueError("require 1 <= r <= q")
 
 

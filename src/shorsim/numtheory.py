@@ -266,14 +266,8 @@ def convergents(c: int, q: int, denom_bound: int) -> int:
 
     The denominators follow the standard recurrence k = t * k + k_prev over
     the partial quotients t of c/q; each is that of a fraction in lowest
-    terms.
+    terms. It trusts its one caller, OrderResult: 0 <= c < q and denom_bound >= 3.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if not 0 <= c < q:
-        raise ValueError("require 0 <= c < q")
-    if denom_bound < 2:
-        raise ValueError("denom_bound must be >= 2")
     k, k_prev = 0, 1
     a, b = c, q
     while b:

@@ -36,8 +36,9 @@ class OrderResult:
     register size q and the modulus n it was measured for, and derives
     candidate_order, the denominator convergents(readout, q, n) returns,
     and verified, whether y**candidate_order == 1 (mod n); neither can be
-    passed. A readout that is not an int, a bool among them, raises
-    TypeError. A trial's number is its position in the session.
+    passed. It alone holds a trial's rules: a readout not an int, a bool among
+    them, raises TypeError; a readout outside [0, q), a y outside [2, n) or a q
+    not a power of two raises ValueError. Its number is its session position.
     """
 
     readout: int
@@ -51,6 +52,12 @@ class OrderResult:
         readout, y, q, n = self.readout, self.y, self.q, self.n
         if type(readout) is not int:
             raise TypeError(f"readout must be an int, not {type(readout).__name__}")
+        if not 0 <= readout < q:
+            raise ValueError("require 0 <= c < q")
+        if not 2 <= y < n:
+            raise ValueError(f"y {y} is not in [2, {n})")
+        if q & (q - 1):  # q > readout >= 0
+            raise ValueError("q must be a power of two")
         # module attributes looked up per record built, so a wrapper put
         # there sees every trial derived (a memo hit derives none); frozen:
         # the derived fields are set once, here

@@ -377,13 +377,12 @@ def _written_back(text: str) -> FactoringHistory | None:
         line, _, rest = event.partition("\n")
         last = line[line.rfind(" ") + 1 : -1]  # a new_base's or shared_factor's y
         if line.startswith("new_base"):
-            y = _int_in("y", int(last), 2, n)  # before a trial of it is memoized
+            y = int(last)
             readouts = rest.split('"readout": ')[1:]
             budget -= len(readouts)
             if budget < 0:
                 return None
-            trials = tuple([_trial(_int_in("readout", int(r.partition(",")[0]), 0, q), y, q, n)
-                            for r in readouts])
+            trials = tuple([_trial(int(r.partition(",")[0]), y, q, n) for r in readouts])
             attempts.append(AttemptRecord(y, trials, n, rejected))
             continue
         if line.startswith("shared_factor"):

@@ -172,6 +172,18 @@ class TestFactorCommand:
         assert code == 2
         assert "order-ceiling" in err
 
+    @pytest.mark.parametrize("command", ["factor", "bench"])
+    @pytest.mark.parametrize("ceiling", ["0", "-3", "x"])
+    def test_bad_order_ceiling_has_one_message(self, capsys, command, ceiling):
+        # 0 and -3 were refused in the library's words, which spell the
+        # flag's none as None, and x as "an integer", which 0 is
+        code, out, err = run(capsys, command, "187", "--order-ceiling", ceiling)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"shorsim: --order-ceiling must be 'sqrt', 'none', or a positive integer, "
+            f"got '{ceiling}'\n"
+        )
+
 
 class TestDistCommand:
     # 16 qubits is the safe size for 187, so it is also the default

@@ -129,6 +129,36 @@ class TestAttemptRecord:
             AttemptRecord(33, (), 187, rejected)
 
     @pytest.mark.parametrize(
+        "trials,message",
+        [
+            pytest.param(
+                # readout 1 would give candidate 1, not 2, so the stream of the
+                # success this forged trial made was refused on its line 4
+                (SimpleNamespace(readout=1, candidate_order=2, verified=True, y=120, q=1 << 16,
+                                 n=187),),
+                "a trial of 120 is a SimpleNamespace, not an OrderResult", id="look-alike",
+            ),
+            pytest.param(
+                [OrderResult(32768, 120, 1 << 16, 187)], "trials must be a tuple, not list",
+                id="list",
+            ),
+            pytest.param(
+                # a subclass may derive its fields otherwise
+                (type("Trial", (OrderResult,), {})(32768, 120, 1 << 16, 187),),
+                "a trial of 120 is a Trial, not an OrderResult", id="subclass",
+            ),
+            pytest.param(None, "trials must be a tuple, not NoneType", id="none"),
+        ],
+    )
+    def test_trials_that_are_not_a_tuple_of_order_results_are_refused(self, trials, message):
+        # a list made a record that could not be hashed
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            AttemptRecord(120, trials, 187)
+        assert AttemptRecord(120, (OrderResult(32768, 120, 1 << 16, 187),), 187).factors == (
+            11, 17
+        )
+
+    @pytest.mark.parametrize(
         "y,rejected,message",
         [
             pytest.param(198, (), "y 198 is not in [2, 187)", id="y-above-n"),
@@ -605,6 +635,17 @@ class TestFactoringHistory:
         message = f"^attempts\\[1\\] is {re.escape(repr(entry))}, not an AttemptRecord$"
         with pytest.raises(TypeError, match=message):
             dataclasses.replace(history, attempts=history.attempts[:1] + (entry,))
+
+    def test_attempts_that_are_not_a_tuple_are_refused(self):
+        # a list made a history that could not be hashed, and whose stream
+        # read back as a history with a tuple, not equal to it
+        history = factor(187, 16, 9)
+        with pytest.raises(TypeError, match="^attempts must be a tuple, not list$"):
+            FactoringHistory(history.params, list(history.attempts), 0.5)
+        # nor does a subclass of the record stand in for one
+        fake = type("Attempt", (AttemptRecord,), {})(33, (), 187)
+        with pytest.raises(TypeError, match="^attempts\\[0\\] is .*, not an AttemptRecord$"):
+            FactoringHistory(history.params, (fake,), 0.5)
 
     def test_params_that_are_not_factoring_params_are_refused(self):
         # the namespace's seed -1 is one FactoringParams refuses, and a

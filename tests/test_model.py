@@ -190,6 +190,11 @@ class TestProb:
             (16, 17, 16, "require 1 <= r <= q"),  # then r
             (-1, 3, 16, "require 0 <= c < q"),
             (16, 3, 16, "require 0 <= c < q"),
+            # readouts and orders that do not exist, once answered with a
+            # probability (0.0101 and 2.2e-09 twice)
+            (0.5, 40, 1 << 16, "require 0 <= c < q"),
+            (True, 40, 1 << 16, "require 0 <= c < q"),
+            (3, 40.0, 1 << 16, "require 1 <= r <= q"),
         ],
     )
     def test_refusals(self, c, r, q, message):

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from shorsim.factorizer import AttemptRecord
 from shorsim.model import FactoringParams
-from shorsim.orderfinder import OrderResult, find_order
+from shorsim.orderfinder import OrderResult, _trial, find_order
 from shorsim.sampler import RandomSource, ReadoutSampler
 from conftest import ScriptedRng, ScriptedSampler
 
@@ -49,13 +50,6 @@ class TestFindOrder:
         assert len(trials) == 3
         assert not any(t.verified for t in trials)
         assert sampler.readouts == [1]
-
-    def test_trivial_order_one_base(self):
-        # y = 1 has order 1: readout 0 extracts candidate 1, which verifies
-        params = params_for(187, 16)
-        sampler = ReadoutSampler(1, params.q)
-        trials = find_order(1, params, sampler, RandomSource(3), 100)
-        assert [dataclasses.astuple(t) for t in trials] == [(0, 1, True, 1, 1 << 16, 187)]
 
     def test_real_sampler_small_case(self):
         # order of 7 mod 15 is 4; q = 256 puts all mass on multiples of 64
@@ -130,6 +124,31 @@ class TestOrderResult:
         # from_jsonl refuses
         with pytest.raises(TypeError, match=f"^readout must be an int, not {type(readout).__name__}$"):
             self.trial(readout=readout)
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            pytest.param((70000, 36, 1 << 16, 187), "require 0 <= c < q", id="readout-past-q"),
+            pytest.param((1 << 16, 36, 1 << 16, 187), "require 0 <= c < q", id="readout-at-q"),
+            pytest.param((-1, 36, 1 << 16, 187), "require 0 <= c < q", id="negative-readout"),
+            pytest.param((8, 36, 8, 187), "require 0 <= c < q", id="readout-at-small-q"),
+            pytest.param((0, 36, 0, 187), "require 0 <= c < q", id="empty-register"),
+            pytest.param((5, 1000, 1 << 16, 187), "y 1000 is not in [2, 187)", id="y-past-n"),
+            pytest.param((5, 187, 1 << 16, 187), "y 187 is not in [2, 187)", id="y-at-n"),
+            pytest.param((0, 1, 1 << 16, 187), "y 1 is not in [2, 187)", id="y-of-order-one"),
+            pytest.param((5, 36, 1 << 16, 1), "y 36 is not in [2, 1)", id="modulus-one"),
+            pytest.param((3, 2, 16, 2), "y 2 is not in [2, 2)", id="modulus-two"),
+            pytest.param((5, 36, 100, 187), "q must be a power of two", id="q-not-a-power"),
+            pytest.param((5, 36, 3 << 16, 187), "q must be a power of two", id="q-three-powers"),
+        ],
+    )
+    def test_a_trial_outside_its_rules_is_refused(self, args, message):
+        # the one home of these rules: convergents and the stream's reader
+        # trust them; the memo stores nothing for a call that raises, so it
+        # raises again rather than return a stored trial
+        for build in (OrderResult, _trial, _trial):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build(*args)
 
     def test_frozen(self):
         trial = self.trial()

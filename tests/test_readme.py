@@ -1,5 +1,6 @@
 """The README's library and command-line examples print what it shows, and
-its python blocks use only the package's public surface."""
+its python blocks use only the package's public surface, whose
+__version__ is the one pyproject.toml declares."""
 
 import importlib
 import re
@@ -12,6 +13,7 @@ from shorsim import render_text
 from shorsim.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 
 def python_block(section: str) -> str:
@@ -86,6 +88,13 @@ INTERNAL = {
 class TestPublicSurface:
     def test_all_is_the_public_names(self):
         assert sorted(shorsim.__all__) == sorted([*PUBLIC, "__version__"])
+
+    def test_version_is_the_one_pyproject_declares(self):
+        # read by a regex, as tomllib is new in Python 3.11 and the package
+        # supports 3.10
+        project = PYPROJECT.read_text().split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+        declared = re.findall(r'^version = "([^"]+)"$', project, flags=re.MULTILINE)
+        assert declared == [shorsim.__version__]
 
     def test_star_import_binds_exactly_all(self):
         namespace: dict = {}

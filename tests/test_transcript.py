@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+from types import SimpleNamespace
 from typing import Any
 from unittest import mock
 
@@ -374,30 +375,49 @@ class TestJsonlRoundTrip:
         # one, until one does not continue the session: a success, or a base
         # whose trials all fail. A success may leave some of the budget; any
         # other end spends it. A base is mostly in [2, n), and now and then
-        # any int: the history is refused as it is built, or round-trips.
+        # any int; the trials and attempts are mostly tuples, and now and
+        # then lists, and a trial now and then a look-alike with its fields
+        # and any verdict: the history is refused as it is built, or
+        # round-trips. Only a drawn list or look-alike may raise TypeError,
+        # and the constructors refuse each one.
         n = data.draw(st.sampled_from([15, 187, 1328881]))
         q = FactoringParams(n, seed=0).q
         ints = st.integers(2, n - 1) | st.sampled_from([0, 1, n, n + 11, 2**70]) | st.integers()
-        attempts, total = [], 0
+        sequence = st.sampled_from([tuple] * 9 + [list])
+        attempts, total, forged = [], 0, False
         try:
             for _ in range(data.draw(st.integers(1, 3))):
                 y = data.draw(st.integers(2, n - 1).filter(lambda y: math.gcd(y, n) == 1) | ints)
                 rejected = tuple(data.draw(st.lists(ints, max_size=3)))
                 trials = []
                 for readout in data.draw(st.lists(st.integers(0, q - 1), min_size=1)):
-                    trials.append(OrderResult(readout, y, q, n))
-                    if trials[-1].verified:
+                    trial = OrderResult(readout, y, q, n)
+                    if data.draw(st.integers(0, 9)) == 0:
+                        fields = dataclasses.asdict(trial)
+                        trial = SimpleNamespace(**{**fields, "verified": data.draw(st.booleans())})
+                        forged = True
+                    trials.append(trial)
+                    if trial.verified:
                         break
-                attempts.append(AttemptRecord(y, tuple(trials), n, rejected))
+                kind = data.draw(sequence)
+                forged |= kind is list
+                attempts.append(AttemptRecord(y, kind(trials), n, rejected))
                 total += len(trials)
                 if attempts[-1].outcome in (Outcome.SUCCESS, Outcome.TRIAL_BUDGET_EXHAUSTED):
                     break
             spare = data.draw(st.integers(0, 5)) if attempts[-1].outcome is Outcome.SUCCESS else 0
             params = FactoringParams(n, seed=0, max_trials=total + spare)
             elapsed = data.draw(st.floats(0.0, 1e6))
-            history = FactoringHistory(params, tuple(attempts), elapsed)
-        except ValueError:
+            kind = data.draw(sequence)
+            forged |= kind is list
+            history = FactoringHistory(params, kind(attempts), elapsed)
+        except ValueError:  # raised by a constructor
             return
+        except TypeError:
+            if not forged:
+                raise
+            return
+        assert not forged, "a list or a look-alike was accepted"
         assert history.total_trials == total
         assert_canonical_round_trip(history)
 
@@ -1913,13 +1933,15 @@ class TestWrittenBackAgreesWithTheGeneralPath:
 
     @pytest.fixture
     def built(self, monkeypatch) -> list[tuple[int, int]]:
-        """The (readout, y) of each trial the reader asks _trial for."""
+        """The (readout, y) of each trial _trial returns to the reader: a
+        call that raises leaves no entry in the memo, so it is not one."""
         asked: list[tuple[int, int]] = []
         memo = transcript._trial
 
         def spy(readout, y, q, n):
+            trial = memo(readout, y, q, n)
             asked.append((readout, y))
-            return memo(readout, y, q, n)
+            return trial
 
         monkeypatch.setattr(transcript, "_trial", spy)
         return asked
