@@ -36,9 +36,10 @@ class OrderResult:
     register size q and the modulus n it was measured for, and derives
     candidate_order, the denominator convergents(readout, q, n) returns,
     and verified, whether y**candidate_order == 1 (mod n); neither can be
-    passed. It alone holds a trial's rules: a readout not an int, a bool among
-    them, raises TypeError; a readout outside [0, q), a y outside [2, n) or a q
-    not a power of two raises ValueError. Its number is its session position.
+    passed. It alone holds a trial's rules: a readout, y, q or n not an int,
+    a bool among them, raises TypeError naming its field; a readout outside
+    [0, q), a y outside [2, n) or a q not a power of two raises ValueError.
+    Its number is its session position.
     """
 
     readout: int
@@ -50,12 +51,12 @@ class OrderResult:
 
     def __post_init__(self) -> None:
         readout, y, q, n = self.readout, self.y, self.q, self.n
-        if type(readout) is not int:
-            raise TypeError(f"readout must be an int, not {type(readout).__name__}")
-        if not 0 <= readout < q:
-            raise ValueError("require 0 <= c < q")
-        if not 2 <= y < n:
-            raise ValueError(f"y {y} is not in [2, {n})")
+        # each range test tests its fields' types first, so that a field
+        # that is not an int is named before any arithmetic on it
+        if type(readout) is not int or type(q) is not int or not 0 <= readout < q:
+            raise _refusal("require 0 <= c < q", readout=readout, q=q)
+        if type(y) is not int or type(n) is not int or not 2 <= y < n:
+            raise _refusal(f"y {y} is not in [2, {n})", y=y, n=n)
         if q & (q - 1):  # q > readout >= 0
             raise ValueError("q must be a power of two")
         # module attributes looked up per record built, so a wrapper put
@@ -64,6 +65,15 @@ class OrderResult:
         candidate = convergents(readout, q, n)
         object.__setattr__(self, "candidate_order", candidate)
         object.__setattr__(self, "verified", modpow(y, candidate, n) == 1)
+
+
+def _refusal(message: str, **fields: object) -> TypeError | ValueError:
+    """A TypeError naming the first of fields that is not an int, else
+    ValueError(message)."""
+    for name, value in fields.items():
+        if type(value) is not int:
+            return TypeError(f"{name} must be an int, not {type(value).__name__}")
+    return ValueError(message)
 
 
 # OrderResult(readout, y, q, n), looked up before it is derived

@@ -6,14 +6,18 @@ human transcript line by line, and line-delimited JSON, one event per line,
 that from_jsonl parses back to an equal history through the memos the
 session takes each trial and split from. Each JSONL line is
 json.dumps(event, sort_keys=True), written from a template of the event's
-keys in sorted order. A template holds only ints the constructors have
-checked, the literals true, false and null, an outcome's value, and the
-summary's elapsed, a finite float, as its repr, the way json writes a
-float; the summary's warnings, text, are the one value json encodes, and
-only when there are any. from_jsonl reads a stream to_jsonl wrote by
-writing it back, and decodes each line of any other text once. A stream
-that cannot be parsed back, or whose history could not be written
-again, raises TranscriptError naming the line at fault.
+keys in sorted order, each template in one place: the banner and hint
+(_preamble), a rejection (_rejection_head), a pick's other lines (_pick)
+and the summary (_summary). A template holds only ints the
+constructors have checked, the literals true, false and null, an
+outcome's value, and the summary's elapsed, a finite float, as its repr,
+the way json writes a float; the summary's warnings, text, are the one
+value json encodes, and only when there are any. from_jsonl checks a
+stream pick by pick against the same templates, with no decode and no y
+formatted again, and decodes each line from the first pick that is not
+as written on, once. A stream that cannot be parsed back, or whose
+history could not be written again, raises TranscriptError naming the
+line at fault.
 """
 
 from __future__ import annotations
@@ -106,64 +110,41 @@ def render_text(history: FactoringHistory) -> list[str]:
 def to_jsonl(history: FactoringHistory) -> str:
     """Serialize a history to line-delimited JSON, one event per line."""
     params = history.params
-    n = params.n
-    lines = [_preamble(params)]
-    append = lines.append
     head = _rejection_head(params)
-    index = 0  # a trial's number is its position in the session
+    parts = [_preamble(params)]
+    append = parts.append
+    index = 0  # the trials before the pick, in the session
     for attempt in history.attempts:
         for y in attempt.rejected:
-            append(f"{head}{y}}}")
-        outcome, y, factors = attempt.outcome, attempt.y, attempt.factors
-        if outcome is _SHARED_FACTOR:
-            f1, f2 = factors
-            append(f'{{"event": "shared_factor", "factors": [{f1}, {f2}], "y": {y}}}')
-            continue
-        append(f'{{"event": "new_base", "y": {y}}}')
-        for trial in attempt.trials:
-            index += 1
-            append(
-                f'{{"candidate": {trial.candidate_order}, "event": "trial", '
-                f'"index": {index}, "readout": {trial.readout}, '
-                f'"verified": {"true" if trial.verified else "false"}}}'
-            )
-        known = ""  # the verdict's fields between event and status
-        if factors is not None:
-            f1, f2 = factors
-            known = f'"factors": [{f1}, {f2}], '
-        if attempt.order is not None:
-            known += f'"order": {attempt.order}, '
-        # _value_, the member's str, is read in a tenth of the time of .value
-        append(f'{{"event": "attempt_verdict", {known}"status": "{outcome._value_}"}}')
-    # elapsed is a finite float, which json writes as its repr; warning text
-    # is the one value left to the encoder
-    factors, failure, warnings = history.factors, history.failure, history.warnings
-    pair = "null" if factors is None else f"[{factors[0]}, {factors[1]}]"
-    status = "null" if failure is None else f'"{failure._value_}"'
-    append(
-        f'{{"elapsed": {history.elapsed!r}, "event": "summary", "factors": {pair}, '
-        f'"failure": {status}, "n": {n}, "total_trials": {history.total_trials}, '
-        f'"warnings": {json.dumps(warnings) if warnings else "[]"}}}'
-    )
-    return "\n".join(lines)
+            append(f"{head}{y}}}\n")
+        append(_pick(attempt, index))
+        index += len(attempt.trials)
+    append(_summary(history))
+    return "".join(parts)
 
 
 def from_jsonl(text: str) -> FactoringHistory:
     """Parse the output of to_jsonl back into an equal history.
 
-    A text that to_jsonl wrote, alone or followed by whitespace only, is
-    read by writing it back, with no decode (_written_back). Any other text
-    is read on the general path, line by line, which names the line at
-    fault and the cause. Each ceiling_rejection is pending there until the
-    next shared_factor or attempt_verdict, whose record carries it. The
-    general path decodes each stripped line at most once, by the scanner
-    that json.JSONDecoder().raw_decode calls, which accepts the lines
-    json.loads accepts, as the same objects, when nothing follows the
-    value; a line it refuses, or one with data after its value, is handed
-    to json.loads, whose refusal names the cause, but for nesting past the
-    recursion limit, named "nested too deeply", as the recursion error's
-    text depends on the caller's stack. A text that is not a str raises
-    TypeError before anything is split.
+    The text is first checked unit by unit against what to_jsonl writes
+    for the records built from its free fields, with no decode: the banner
+    and hint, each pick's block of ceiling_rejection lines by its digits,
+    the pick's other lines against _pick, and the summary, followed by
+    whitespace only. No trial is built under a banner or hint to_jsonl
+    would not write, or past max_trials. At the first unit not as written,
+    or whose fields a constructor refuses, the general path (_decoded)
+    takes over from its first line, with the params, records, pending
+    rejections and trial position the units before it left, and names the
+    line at fault and the cause. Each ceiling_rejection is pending there
+    until the next shared_factor or attempt_verdict, whose record carries
+    it. It decodes each stripped line at most once, by the scanner that
+    json.JSONDecoder().raw_decode calls, which accepts the lines json.loads
+    accepts, as the same objects, when nothing follows the value; a line it
+    refuses, or one with data after its value, is handed to json.loads,
+    whose refusal names the cause, but for nesting past the recursion
+    limit, named "nested too deeply", as the recursion error's text depends
+    on the caller's stack. A text that is not a str raises TypeError before
+    anything is split.
 
     The banner is the first event and the summary the last, each once. A
     new_base is followed by its trials and then its attempt_verdict, with no
@@ -193,22 +174,94 @@ def from_jsonl(text: str) -> FactoringHistory:
     """
     if not isinstance(text, str):
         raise TypeError(f"text must be a str, not {type(text).__name__}")
+    eol = text.find("\n")
     try:
-        history = _written_back(text)
-        if history is not None:
-            return history
-    except (IndexError, TypeError, ValueError):  # which the general path names
-        pass
-    params: FactoringParams | None = None
+        # the banner's keys and values in turn; every second item from the
+        # fourth is max_trials, n, order_ceiling, qubits, schema and seed
+        budget, modulus, ceiling, qubits, _, seed = (
+            text[: eol - 1].replace(", ", ": ").split(": ")[3::2]
+        )
+        params = FactoringParams(
+            int(modulus), int(qubits), int(seed), max_trials=int(budget),
+            order_ceiling=None if ceiling == "null" else int(ceiling),
+        )
+    except (TypeError, ValueError):
+        params = None
+    if params is None or not text.startswith(preamble := _preamble(params)):
+        return _decoded(text, 0, None, [], [], 0)
+    start = len(preamble)  # of the next unit's first line
+    n, q, budget = params.n, params.q, params.max_trials
+    head = _rejection_head(params)
+    sep = "}\n" + head  # between two ys of a block
+    zero = "\n" + head + "0"  # a y written with a leading zero
     attempts: list[AttemptRecord] = []
-    rejected: list[int] = []  # pending, for the next record
+    index = 0  # the trials before the pick, in the session
+    while True:
+        at, rejected = start, ()  # at: the pick's first line after its rejections
+        try:
+            if text.startswith('{"elapsed": ', start):
+                elapsed = float(text[start + 12 : text.find(",", start)])
+                history = FactoringHistory(params, tuple(attempts), elapsed)
+                written = _summary(history)
+                # the general path skips the blank lines and whitespace after it
+                if text.startswith(written, start) and not text[start + len(written) :].strip():
+                    return history
+                break
+            if text.startswith(head, start):
+                # the block runs up to the next line that opens with an event;
+                # rsplit, as split's search from the left costs more per piece
+                at = text.find('\n{"event": "', start) + 1
+                ys = text[start + len(head) : at - 2].rsplit(sep)
+                digits = "".join(ys)
+                # as written when each y is ASCII digits with no leading
+                # zero: the strings str(int(y)) writes again
+                if not (at and text[at - 2] == "}" and digits.isascii() and digits.isdigit()
+                        and text.find(zero, start - 1, at) < 0):
+                    break
+                rejected = tuple(map(int, ys))
+            eol = text.find("\n", at)
+            y = int(text[text.rfind(" ", at, eol) + 1 : eol - 1])  # the line's last field
+            if text.startswith('{"event": "new_base"', at):
+                readouts = text[eol : text.find('\n{"event": "', eol)].split('"readout": ')[1:]
+                budget -= len(readouts)
+                if budget < 0:
+                    break
+                trials = tuple([_trial(int(r[: r.find(",")]), y, q, n) for r in readouts])
+            elif text.startswith('{"event": "shared_factor"', at):
+                trials = ()
+            else:
+                break
+            record = AttemptRecord(y, trials, n, rejected)
+        except (TypeError, ValueError):  # which the general path names
+            break
+        written = _pick(record, index)
+        if not text.startswith(written, at):
+            return _decoded(text, at, params, attempts, [*rejected], index)
+        attempts.append(record)
+        index += len(trials)
+        start = at + len(written)
+    return _decoded(text, start, params, attempts, [], index)
+
+
+def _decoded(
+    text: str, start: int, params: FactoringParams | None, attempts: list[AttemptRecord],
+    rejected: list[int], position: int,
+) -> FactoringHistory:
+    """The general path: the history of text read from start, the offset of
+    a line's first character, one line at a time, from the state the lines
+    before it left: the params (None before the banner), the records, the
+    rejections pending for the next record, and the trials run."""
     open_y: Any = None
     open_trials: list[OrderResult] | None = None  # None: no base is open
-    position = 0  # of the last trial read, in the session
+    if params is not None:
+        n, q = params.n, params.q
     decode = _decode
-    rows = text.splitlines()
-    last = 0  # the last line read that is not blank
-    for number, line in enumerate(rows, 1):
+    rows = text[start:].splitlines()
+    # the number of rows[0]: the lines before start are as to_jsonl writes
+    # them, each ended by "\n" alone
+    first = text.count("\n", 0, start) + 1
+    last = first - 1  # the last line read that is not blank
+    for number, line in enumerate(rows, first):
         line = line.strip()
         if not line:
             continue
@@ -326,20 +379,21 @@ def from_jsonl(text: str) -> FactoringHistory:
         if open_trials is not None:
             raise TranscriptError(last + 1, "the last new_base has no attempt_verdict")
         raise TranscriptError(last + 1, "no summary event")
-    for number, line in enumerate(rows[number:], number + 1):
+    for number, line in enumerate(rows[number - first + 1 :], number + 1):
         if line.strip():
             raise TranscriptError(number, "the summary is not the last event")
     return history
 
 
 def _preamble(params: FactoringParams) -> str:
-    """The banner and safe_qubits_hint lines that to_jsonl writes."""
+    """The banner and safe_qubits_hint lines that to_jsonl writes, each
+    ended by a line break."""
     n, ceiling = params.n, params.order_ceiling
     return (
         f'{{"event": "banner", "max_trials": {params.max_trials}, "n": {n}, '
         f'"order_ceiling": {"null" if ceiling is None else ceiling}, '
         f'"qubits": {params.qubits}, "schema": {SCHEMA_VERSION}, "seed": {params.seed}}}\n'
-        f'{{"event": "safe_qubits_hint", "qubits": {_safe_qubits(n)}}}'
+        f'{{"event": "safe_qubits_hint", "qubits": {_safe_qubits(n)}}}\n'
     )
 
 
@@ -348,51 +402,45 @@ def _rejection_head(params: FactoringParams) -> str:
     return f'{{"ceiling": {params.ceiling}, "event": "ceiling_rejection", "y": '
 
 
-def _written_back(text: str) -> FactoringHistory | None:
-    """The history H whose to_jsonl(H) is text, followed by whitespace
-    only, else None. H is built from the text's free fields, each checked
-    as the general path checks it first, by the constructors and memos it
-    uses, which raise ValueError or TypeError where it refuses; any other
-    spelling of a number (+5, 1_000, nan) fails the comparison. No trial is
-    built past max_trials or under a banner or hint to_jsonl would not write."""
-    # the summary, then each line that opens with its event field
-    body, _, summary = text.rpartition('\n{"elapsed": ')
-    banner, *events = body.split('\n{"event": "')
-    # the banner's keys and values in turn; every second item from the
-    # fourth is max_trials, n, order_ceiling, qubits, schema and seed
-    budget, modulus, ceiling, qubits, _, seed = banner[:-1].replace(", ", ": ").split(": ")[3::2]
-    params = FactoringParams(
-        int(modulus), int(qubits), int(seed), max_trials=int(budget),
-        order_ceiling=None if ceiling == "null" else int(ceiling),
+def _pick(attempt: AttemptRecord, index: int) -> str:
+    """The lines to_jsonl writes for a pick after its rejections, each ended
+    by a line break: its shared_factor, or its new_base, its trials, numbered
+    on from index, the trials before it, and its attempt_verdict."""
+    outcome, y, factors = attempt.outcome, attempt.y, attempt.factors
+    if outcome is _SHARED_FACTOR:
+        f1, f2 = factors
+        return f'{{"event": "shared_factor", "factors": [{f1}, {f2}], "y": {y}}}\n'
+    lines = f'{{"event": "new_base", "y": {y}}}\n'
+    for trial in attempt.trials:
+        index += 1
+        lines += (
+            f'{{"candidate": {trial.candidate_order}, "event": "trial", '
+            f'"index": {index}, "readout": {trial.readout}, '
+            f'"verified": {"true" if trial.verified else "false"}}}\n'
+        )
+    known = ""  # the verdict's fields between event and status
+    if factors is not None:
+        f1, f2 = factors
+        known = f'"factors": [{f1}, {f2}], '
+    if attempt.order is not None:
+        known += f'"order": {attempt.order}, '
+    # _value_, the member's str, is read in a tenth of the time of .value
+    return f'{lines}{{"event": "attempt_verdict", {known}"status": "{outcome._value_}"}}\n'
+
+
+def _summary(history: FactoringHistory) -> str:
+    """The summary line to_jsonl writes last, with no line break after it.
+    elapsed is a finite float, which json writes as its repr; warning text
+    is the one value left to the encoder."""
+    factors, failure, warnings = history.factors, history.failure, history.warnings
+    pair = "null" if factors is None else f"[{factors[0]}, {factors[1]}]"
+    status = "null" if failure is None else f'"{failure._value_}"'
+    return (
+        f'{{"elapsed": {history.elapsed!r}, "event": "summary", "factors": {pair}, '
+        f'"failure": {status}, "n": {history.params.n}, '
+        f'"total_trials": {history.total_trials}, '
+        f'"warnings": {json.dumps(warnings) if warnings else "[]"}}}'
     )
-    if not text.startswith(_preamble(params)):
-        return None
-    n, q, budget = params.n, params.q, params.max_trials
-    head = _rejection_head(params)
-    sep = "}\n" + head
-    attempts = []
-    rejected: tuple[int, ...] = ()  # for the next record
-    for event in events:
-        # the event's line, then a new_base's trials or the next pick's rejections
-        line, _, rest = event.partition("\n")
-        last = line[line.rfind(" ") + 1 : -1]  # a new_base's or shared_factor's y
-        if line.startswith("new_base"):
-            y = int(last)
-            readouts = rest.split('"readout": ')[1:]
-            budget -= len(readouts)
-            if budget < 0:
-                return None
-            trials = tuple([_trial(int(r.partition(",")[0]), y, q, n) for r in readouts])
-            attempts.append(AttemptRecord(y, trials, n, rejected))
-            continue
-        if line.startswith("shared_factor"):
-            attempts.append(AttemptRecord(int(last), (), n, rejected))
-        # rsplit, as split's search from the left costs more per piece in a long block
-        rejected = tuple(map(int, rest[len(head) : -1].rsplit(sep))) if rest else ()
-    history = FactoringHistory(params, tuple(attempts), float(summary.partition(",")[0]))
-    written = to_jsonl(history)
-    # the general path skips the blank lines and whitespace after the summary
-    return history if text.startswith(written) and not text[len(written) :].strip() else None
 
 
 def _int_in(name: str, value: Any, low: int, high: float) -> int:

@@ -128,7 +128,7 @@ class TestFactorCommand:
 
     def test_jsonl_out_reads_back_without_a_decode(self, capsys, tmp_path, monkeypatch):
         # the file is the session's stream and one final newline, which the
-        # whole-stream check reads with no line handed to the JSON decoder
+        # pick-by-pick check reads with no line handed to the JSON decoder
         path = tmp_path / "run.jsonl"
         argv = ["factor", "1328881", "--seed", "3", "--format", "jsonl", "--out", str(path)]
         assert run(capsys, *argv) == (0, "", "")

@@ -125,6 +125,17 @@ class TestOrderResult:
         with pytest.raises(TypeError, match=f"^readout must be an int, not {type(readout).__name__}$"):
             self.trial(readout=readout)
 
+    @pytest.mark.parametrize("name", ["y", "q", "n"])
+    @pytest.mark.parametrize("value", [True, 36.0], ids=["bool", "float"])
+    def test_a_field_that_is_not_an_int_is_named(self, name, value):
+        # a float q once failed inside q & (q - 1), and a float n inside pow,
+        # in words that named no field; a bool q of True was taken as 2**0
+        args = dict(readout=0, y=36, q=1 << 16, n=187)
+        args[name] = value
+        for build in (OrderResult, _trial):
+            with pytest.raises(TypeError, match=f"^{name} must be an int, not {type(value).__name__}$"):
+                build(*args.values())
+
     @pytest.mark.parametrize(
         "args,message",
         [

@@ -73,21 +73,39 @@ def respelled(line: str) -> str:
     return json.dumps(dict(reversed(json.loads(line).items())), separators=(",", ":"))
 
 
+def general(text: str) -> FactoringHistory:
+    """What from_jsonl's general path alone reads from a text, decoding
+    every line from the first."""
+    return transcript._decoded(text, 0, None, [], [], 0)
+
+
+def handover(text: str) -> FactoringHistory | tuple:
+    """What the pick-by-pick check gives for a text: the history, when it
+    reads the whole text, else the state it hands the general path: the
+    number of the line it takes over on, the params, the records, the
+    pending rejections and the trials run before that line."""
+
+    def take_over(text: str, start: int, *state: Any) -> tuple:
+        return (text.count("\n", 0, start) + 1, *state)
+
+    with mock.patch.object(transcript, "_decoded", take_over):
+        return from_jsonl(text)
+
+
 def read_back(history: FactoringHistory) -> FactoringHistory:
-    """from_jsonl(to_jsonl(history)), checked to be what the whole-stream
-    check builds and what the general path alone, with the check off,
-    reads from the same text."""
+    """from_jsonl(to_jsonl(history)), checked to be what the pick-by-pick
+    check reads with no handover and what the general path alone reads
+    from the same text."""
     text = to_jsonl(history)
-    assert transcript._written_back(text) == history
-    with mock.patch.object(transcript, "_written_back", lambda text: None):
-        assert from_jsonl(text) == history
+    assert handover(text) == history
+    assert general(text) == history
     return from_jsonl(text)
 
 
 def assert_canonical_round_trip(history: FactoringHistory) -> None:
     """Every line of the history's stream is its own canonical JSON,
     json.dumps(event, sort_keys=True), and the stream parses back to it,
-    by the whole-stream check and by the general path alike."""
+    by the pick-by-pick check and by the general path alike."""
     text = to_jsonl(history)
     for line in text.splitlines():
         assert line == json.dumps(json.loads(line), sort_keys=True)
@@ -1625,11 +1643,11 @@ def decoded(monkeypatch) -> list[str]:
     return lines
 
 
-def read(text: str) -> FactoringHistory | tuple[int, str]:
-    """What from_jsonl gives for a text: its history, or its refusal's line
-    and message."""
+def read(text: str, reader=from_jsonl) -> FactoringHistory | tuple[int, str]:
+    """What from_jsonl, or another reader, gives for a text: its history, or
+    its refusal's line and message."""
     try:
-        return from_jsonl(text)
+        return reader(text)
     except TranscriptError as exc:
         return exc.line, str(exc)
 
@@ -1637,14 +1655,14 @@ def read(text: str) -> FactoringHistory | tuple[int, str]:
 class TestRunPath:
     """A run of ceiling_rejection lines with a line planted or broken in it
     reads, or is refused, as the general path reads or refuses it one line
-    at a time with the whole-stream check off."""
+    at a time with the pick-by-pick check off."""
 
     @pytest.mark.parametrize("line", REJECTION_EXAMPLES)
     @pytest.mark.parametrize("where", [0, 150, 300])
-    def test_planted_line_reads_as_on_the_general_path(self, line, where, monkeypatch):
+    def test_planted_line_reads_as_on_the_general_path(self, line, where):
         # planted at the first, a middle and the last line of the run: the
         # same as with every other line re-spelled, and as with the
-        # whole-stream check off
+        # pick-by-pick check off
         _, lines, run = long_run()
         number = run[where] + 1
         planted = lines[: number - 1] + [line] + lines[number:]
@@ -1656,23 +1674,23 @@ class TestRunPath:
             assert got[0] == number
         # and as with a space after every line
         assert read("\n".join(f"{row} " for row in planted)) == got
-        monkeypatch.setattr(transcript, "_written_back", lambda text: None)
-        assert read("\n".join(planted)) == got
+        assert read("\n".join(planted), general) == got
 
     @pytest.mark.parametrize("end", [0, -1], ids=["first", "last"])
     def test_planted_line_in_the_ten_digit_run_is_refused_on_its_line(self, end, decoded):
         # a y written 07 on the first or the last line of the ten-digit
-        # stream's run: refused as not JSON on that line. Each line up to
-        # the refused one is decoded once, so a reader that scanned the run
-        # again from each of its lines, in time quadratic in the run, fails
-        # here
+        # stream's run: refused as not JSON on that line. The general path
+        # takes over at the run's first line, and each line from there up
+        # to the refused one is decoded once, so a reader that scanned the
+        # run again from each of its lines, in time quadratic in the run,
+        # fails here
         _, lines, run = ten_digit_run()
         number = run[end] + 1
         lines[number - 1] = lines[number - 1].rsplit(" ", 1)[0] + " 07}"
         assert read("\n".join(lines)) == (
             number, f"line {number}: not JSON (Expecting ',' delimiter)"
         )
-        assert decoded == lines[:number]
+        assert decoded == lines[run[0] : number]
 
     @pytest.mark.parametrize(
         "edit",
@@ -1740,15 +1758,16 @@ class TestRunPath:
 
 class TestDecodesEachLineOnce:
     """from_jsonl decodes no line of a stream that to_jsonl wrote, alone or
-    followed by whitespace only, and each non-blank line of any other text
-    at most once, so the reader stays linear."""
+    followed by whitespace only, no line before the first pick or block of
+    rejections that is not as written, and each non-blank line of any other
+    text at most once, so the reader stays linear."""
 
     @pytest.mark.parametrize(
         "end", ["", "\n", "\n\n", "\r\n", " \t\n\x0c\u2028"],
         ids=["as-written", "final-newline", "blank-line", "crlf", "whitespace"],
     )
     def test_written_stream(self, end, decoded):
-        # the whole-stream check reads it, the banner included, without a
+        # the pick-by-pick check reads it, the banner included, without a
         # decode: every event and verdict, and the ten-digit stream
         for history in [*every_event_histories(), ten_digit_stream()[0]]:
             assert from_jsonl(to_jsonl(history) + end) == history
@@ -1756,7 +1775,8 @@ class TestDecodesEachLineOnce:
 
     def test_canonical_stream(self, decoded):
         # 301 rejections, then trials; blank lines in between are skipped,
-        # and each other line is decoded once
+        # and each other line is decoded once, as the first blank line
+        # already breaks the preamble
         history = factor(1328881, 41, seed=3)
         lines = to_jsonl(history).splitlines()
         assert from_jsonl("\n \n".join(lines) + "\n\n") == history
@@ -1771,22 +1791,41 @@ class TestDecodesEachLineOnce:
         assert decoded == []
 
     def test_padded_line_breaks_the_run(self, decoded):
-        # a padded line makes the stream one that to_jsonl did not write:
-        # every line, the rest of the run included, is decoded once, stripped
+        # a padded line makes the run a block that to_jsonl did not write:
+        # every line from the run's first on, the rest of the run included,
+        # is decoded once, stripped, and none before it
         history, lines, run = long_run()
         lines[run[150]] = f" {lines[run[150]]}"
         decoded.clear()
         assert from_jsonl("\n".join(lines)) == history
-        assert decoded == [line.strip() for line in lines]
+        assert decoded == [line.strip() for line in lines[run[0] :]]
 
     def test_failed_run_is_read_line_by_line(self, decoded):
         # a rejection with a space before its "}": the stream is decoded
-        # line by line, once
+        # line by line, once, from the run's first line on
         history, lines, run = long_run()
         lines[run[150]] = lines[run[150]][:-1] + " }"
         decoded.clear()
         assert from_jsonl("\n".join(lines)) == history
-        assert decoded == lines
+        assert decoded == lines[run[0] :]
+
+    def test_late_edit(self, decoded):
+        # the ten-digit stream with its last attempt_verdict re-spelled:
+        # the same history, and the general path takes over at that pick's
+        # new_base, with the pick's 42,523 rejections pending, so no line
+        # before it is decoded
+        history, lines = ten_digit_stream()
+        lines = list(lines)
+        verdict = max(i for i, line in enumerate(lines) if '"attempt_verdict"' in line)
+        lines[verdict] = respelled(lines[verdict])
+        base = max(i for i, line in enumerate(lines) if '"new_base"' in line)
+        text = "\n".join(lines)
+        *before, last = history.attempts
+        assert len(last.rejected) == 42523
+        assert handover(text) == (base + 1, history.params, before, [*last.rejected], 0)
+        decoded.clear()
+        assert from_jsonl(text) == history
+        assert decoded == lines[base:]
 
     @pytest.mark.parametrize("pad", [" ", "\t", " \t "])
     def test_lines_that_end_in_whitespace(self, pad, decoded):
@@ -1806,19 +1845,20 @@ class TestDecodesEachLineOnce:
             assert decoded == lines
 
     def test_refused_line(self, decoded):
+        # the first trial, on line 4, with text after it: the general path
+        # takes over at its pick's new_base, on line 3
         lines = to_jsonl(session_history()).splitlines()
         lines[3] += " x"
         with pytest.raises(TranscriptError, match="line 4: not JSON \\(Extra data\\)"):
             from_jsonl("\n".join(lines))
-        assert decoded == lines[:4]
+        assert decoded == lines[2:4]
 
 
 def read_alike(text: str) -> FactoringHistory | tuple[int, str]:
     """What from_jsonl gives for a text, checked to be what it gives with
-    the whole-stream check off, on the general path alone."""
+    the pick-by-pick check off, on the general path alone."""
     got = read(text)
-    with mock.patch.object(transcript, "_written_back", lambda text: None):
-        assert read(text) == got
+    assert read(text, general) == got
     return got
 
 
@@ -1848,6 +1888,37 @@ FREE_FIELDS = [
 ]
 
 
+class TestBlockDigits:
+    """A block of ceiling_rejection lines is accepted by its digits alone,
+    with no y formatted again: a y spelled in any other way, at the first,
+    a middle or the last line of a block, or as the one line of a block,
+    reads as the general path reads it, and the check hands over at the
+    block's first line."""
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last", "one-base"])
+    def test_y_spelled_otherwise(self, where):
+        if where == "one-base":
+            # factor(187, seed=0) rejects one base, then ends on a shared factor
+            lines = to_jsonl(factor(187, seed=0)).splitlines()
+            run = [i for i, line in enumerate(lines) if '"ceiling_rejection"' in line]
+            assert len(run) == 1 and '"shared_factor"' in lines[run[0] + 1]
+            i = run[0]
+        else:
+            _, lines, run = long_run()
+            i = run[{"first": 0, "middle": 150, "last": 300}[where]]
+        value = str(json.loads(lines[i])["y"])
+        for spelling in [*spellings(value), f"0{value}", f"-{value}", ""]:
+            planted = lines[:i] + [with_value(lines[i], "y", spelling)] + lines[i + 1 :]
+            text = "\n".join(planted)
+            read_alike(text)
+            # only "2", another base in [2, n), is as written
+            got = handover(text)
+            if spelling == "2":
+                assert type(got) is FactoringHistory
+            else:
+                assert got[0] == run[0] + 1
+
+
 @st.composite
 def tampered_streams(draw) -> str:
     """A seeded stream with one line edited, put in or swapped for another,
@@ -1874,11 +1945,11 @@ def tampered_streams(draw) -> str:
     return newline.join(lines) + draw(st.sampled_from(["", "\n", "\n\n", "\r\n"]))
 
 
-class TestWrittenBackAgreesWithTheGeneralPath:
+class TestCheckAgreesWithTheGeneralPath:
     """from_jsonl gives the same history, or the same refusal on the same
-    line, with the whole-stream check on as with it off: the check reads
-    only what to_jsonl wrote, and leaves any other text to the general
-    path."""
+    line, with the pick-by-pick check on as with it off: the check reads
+    only what to_jsonl wrote, and leaves the rest of any other text to the
+    general path."""
 
     @pytest.mark.parametrize("kind, key", FREE_FIELDS, ids=[f"{k}-{f}" for k, f in FREE_FIELDS])
     def test_free_field_spelled_otherwise(self, kind, key):
@@ -1901,7 +1972,7 @@ class TestWrittenBackAgreesWithTheGeneralPath:
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_line_breaks(self, newline, end):
         # read to the history to_jsonl wrote: by the check, when only the
-        # end differs, and else by the general path
+        # end differs, and else by the general path from the banner on
         for history in every_event_histories():
             text = newline.join(to_jsonl(history).splitlines()) + end
             assert read_alike(text) == history
@@ -1950,10 +2021,11 @@ class TestWrittenBackAgreesWithTheGeneralPath:
     def test_no_trial_is_built_for_a_base_out_of_range(self, y, built):
         # a new_base y outside [2, n) is refused before any trial of it is
         # built, by the check as by the general path, so the process-wide
-        # memo holds no entry for it
+        # memo holds no entry for it; the check hands over at the pick
         lines = to_jsonl(factor(187, seed=9)).splitlines()
         i = next(i for i, line in enumerate(lines) if '"new_base"' in line)
         lines[i] = with_value(lines[i], "y", y)
+        assert handover("\n".join(lines))[0] == i + 1
         assert read_alike("\n".join(lines)) == (i + 1, f"line {i + 1}: bad 'new_base' "
                                                  f"event: y {int(y)} is not an int in [2, 187)")
         assert built == []
@@ -1967,23 +2039,25 @@ class TestWrittenBackAgreesWithTheGeneralPath:
         assert all(0 <= readout < 2**16 for readout, _ in built)
 
     def test_check_builds_no_trial_past_max_trials(self, built):
-        # factor(187, seed=9) runs ten trials; under a banner of max_trials
-        # 2 the check gives up before it builds any, and the general path
-        # refuses the stream
+        # factor(187, seed=9) runs ten trials on its one base; under a
+        # banner of max_trials 2 the check hands over at that pick, on line
+        # 3, before it builds any, and the general path refuses the stream
         history = factor(187, seed=9)
         text = to_jsonl(history).replace('"max_trials": 100', '"max_trials": 2', 1)
-        assert transcript._written_back(text) is None
+        params = dataclasses.replace(history.params, max_trials=2)
+        assert handover(text) == (3, params, [], [], 0)
         assert built == []
         assert type(read_alike(text)) is tuple
 
     @pytest.mark.parametrize("key", ["max_trials", "qubits", "seed", "n"])
     def test_check_builds_no_trial_under_a_banner_written_otherwise(self, key, built):
+        # the check hands over at line 1, with no params
         lines = to_jsonl(factor(187, seed=9)).splitlines()
         value = re.search(f'"{key}": ([^,}}]*)', lines[0]).group(1)
         lines[0] = with_value(lines[0], key, f"+{value}")
-        assert transcript._written_back("\n".join(lines)) is None
+        assert handover("\n".join(lines)) == (1, None, [], [], 0)
         assert built == []
         hint = to_jsonl(factor(187, seed=9)).splitlines()
         hint[1] = hint[1].replace('"qubits": ', '"qubits": 0')
-        assert transcript._written_back("\n".join(hint)) is None
+        assert handover("\n".join(hint)) == (1, None, [], [], 0)
         assert built == []
