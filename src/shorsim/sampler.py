@@ -15,11 +15,11 @@ ceil(q/r) and beta = 1 - 4/pi**2 (the largest excess of 1/sin(x)**2 over
 
     q**2 * P(c) / r <= min(A**2, q**2 / (pi**2 * d**2) + beta).
 
-A proposal picks m uniformly, the next value of the draw's one
-rng.randints(0, r - 1) stream, and an offset delta from a mixture lying
-above that bound: a point mass at 0, a pair at +-1, a tail at
-|delta| = k >= 2 with weight proportional to 1/(k*(k-1)), and a flat
-part of height beta over every offset a cell can reach. A proposal
+A proposal picks m uniformly, by the rule of rng.randints(0, r - 1)
+drawn inline, with its values and uniforms, and an offset delta from a
+mixture lying above that bound: a point mass at 0, a pair at +-1, a
+tail at |delta| = k >= 2 with weight proportional to 1/(k*(k-1)), and a
+flat part of height beta over every offset a cell can reach. A proposal
 outside m's cell is rejected; one inside is accepted with probability
 q**2 * P(c) / r over the envelope. A draw takes about two proposals when
 r is well below q and at most about six when r is close to q, whatever
@@ -74,9 +74,12 @@ class RandomSource(random.Random):
     A random.Random (the Mersenne Twister) of which shorsim calls only the
     random() method, whose stream for a fixed seed is guaranteed stable
     across CPython versions and platforms, and randints, its one integer
-    draw, built on random() alone. The methods inherited from random.Random
-    are the standard library's; shorsim never calls them. The seed is
-    trusted: run_session passes one FactoringParams checked, in [0, 2**64).
+    draw, built on random() alone. randints draws the flat offset of a
+    proposal; pick_y's bases and a draw's peaks take its rule inline, for
+    spans below 2**53, and the tests hold them to it. The methods inherited
+    from random.Random are the standard library's; shorsim never calls
+    them. The seed is trusted: run_session passes one FactoringParams
+    checked, in [0, 2**64).
     """
 
     def __init__(self, seed: int):
@@ -94,6 +97,8 @@ class RandomSource(random.Random):
         A span b - a of k bits tries ceil(k / 53) uniforms at a time, each
         scaled to a 53-bit chunk, top chunk first, and keeps the top k bits,
         until the value fits in the span. A one-value range takes no uniform.
+        For k <= 53 a try is one uniform u, a multiple of 2**-53, whose top
+        k bits are int(u * 2**k): the rule pick_y and draw use inline.
         """
         span = b - a
         if span < 0:
@@ -103,20 +108,12 @@ class RandomSource(random.Random):
                 yield a
         k = span.bit_length()
         rand = self.random
-        if k > 53:
-            chunks = (k + 52) // 53
-            while True:
-                v = 0
-                for _ in range(chunks):
-                    v = (v << 53) | int(rand() * _FIFTY_THREE)
-                v >>= chunks * 53 - k
-                if v <= span:
-                    yield a + v
-        # one chunk: random() is a multiple of 2**-53, so scaling it by 2**k
-        # is exact and int() keeps its top k bits
-        scale = float(1 << k)
+        chunks = (k + 52) // 53
         while True:
-            v = int(rand() * scale)
+            v = 0
+            for _ in range(chunks):
+                v = (v << 53) | int(rand() * _FIFTY_THREE)
+            v >>= chunks * 53 - k
             if v <= span:
                 yield a + v
 
@@ -158,7 +155,14 @@ class ReadoutSampler:
     def draw(self, rng: RandomSource) -> int:
         """Sample one readout value."""
         r, q = self.r, self.q
-        for m in rng.randints(0, r - 1):  # endless: one peak per proposal
+        # randints(0, r - 1)'s rule inline, r - 1 < 2**53: one peak per
+        # proposal (r = 1, which no session passes, takes a uniform for it)
+        scale = float(1 << (r - 1).bit_length())
+        rand = rng.random
+        while True:
+            m = int(rand() * scale)
+            if m >= r:
+                continue
             delta = self._propose_offset(rng)
             centre = (2 * m * q + r - 1) // (2 * r)
             if not -q < 2 * (r * (centre + delta) - m * q) <= q:

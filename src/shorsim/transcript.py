@@ -135,16 +135,18 @@ def from_jsonl(text: str) -> FactoringHistory:
     or whose fields a constructor refuses, the general path (_decoded)
     takes over from its first line, with the params, records, pending
     rejections and trial position the units before it left, and names the
-    line at fault and the cause. Each ceiling_rejection is pending there
-    until the next shared_factor or attempt_verdict, whose record carries
-    it. It decodes each stripped line at most once, by the scanner that
-    json.JSONDecoder().raw_decode calls, which accepts the lines json.loads
-    accepts, as the same objects, when nothing follows the value; a line it
-    refuses, or one with data after its value, is handed to json.loads,
-    whose refusal names the cause, but for nesting past the recursion
-    limit, named "nested too deeply", as the recursion error's text depends
-    on the caller's stack. A text that is not a str raises TypeError before
-    anything is split.
+    line at fault and the cause; when the unit's block of rejections is as
+    written, of bases in [2, n), it takes over at the pick's own line
+    instead, with the block's bases pending. Each ceiling_rejection is
+    pending there until the next shared_factor or attempt_verdict, whose
+    record carries it. It decodes each stripped line at most once, by the
+    scanner that json.JSONDecoder().raw_decode calls, which accepts the
+    lines json.loads accepts, as the same objects, when nothing follows the
+    value; a line it refuses, or one with data after its value, is handed
+    to json.loads, whose refusal names the cause, but for nesting past the
+    recursion limit, named "nested too deeply", as the recursion error's
+    text depends on the caller's stack. A text that is not a str raises
+    TypeError before anything is split.
 
     The banner is the first event and the summary the last, each once. A
     new_base is followed by its trials and then its attempt_verdict, with no
@@ -210,8 +212,16 @@ def from_jsonl(text: str) -> FactoringHistory:
             if text.startswith(head, start):
                 # the block runs up to the next line that opens with an event;
                 # rsplit, as split's search from the left costs more per piece
-                at = text.find('\n{"event": "', start) + 1
+                at = text.find('\n{"event": "', start) + 1 or len(text)
                 ys = text[start + len(head) : at - 2].rsplit(sep)
+                tail = ys[-1]
+                cut = tail.find("}\n")
+                if cut >= 0:
+                    # a pick line spelled otherwise, in the block's last
+                    # piece: end the block before it, so that the general
+                    # path can take over at that line
+                    ys[-1] = tail[:cut]
+                    at += cut - len(tail)
                 digits = "".join(ys)
                 # as written when each y is ASCII digits with no leading
                 # zero: the strings str(int(y)) writes again
@@ -220,7 +230,8 @@ def from_jsonl(text: str) -> FactoringHistory:
                     break
                 rejected = tuple(map(int, ys))
             eol = text.find("\n", at)
-            y = int(text[text.rfind(" ", at, eol) + 1 : eol - 1])  # the line's last field
+            # the line's last field; the whole line when it has no space
+            y = int(text[text.rfind(" ", at, eol) + 1 or at : eol - 1])
             if text.startswith('{"event": "new_base"', at):
                 readouts = text[eol : text.find('\n{"event": "', eol)].split('"readout": ')[1:]
                 budget -= len(readouts)
@@ -240,6 +251,10 @@ def from_jsonl(text: str) -> FactoringHistory:
         attempts.append(record)
         index += len(trials)
         start = at + len(written)
+    if rejected and 2 <= min(rejected) and max(rejected) < n:
+        # the block is as written and its bases in range: the general path
+        # takes over at the pick's own line, with the bases pending
+        return _decoded(text, at, params, attempts, [*rejected], index)
     return _decoded(text, start, params, attempts, [], index)
 
 

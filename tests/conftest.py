@@ -225,8 +225,17 @@ def reference_session(params) -> tuple[list, int, tuple[int, int] | None]:
     return attempts, trials_run, last[4] if ended else None
 
 
+def uniform_for(v: int, a: int, b: int) -> float:
+    """The uniform that randints(a, b)'s rule turns into v at its first try,
+    (v - a) / 2**k for the bit length k of b - a: how a script feeds pick_y
+    a base and ReadoutSampler.draw a peak, which draw by that rule inline."""
+    assert a <= v <= b
+    return (v - a) / (1 << (b - a).bit_length())
+
+
 class ScriptedRng:
-    """Stand-in uniform source fed from fixed lists."""
+    """Stand-in uniform source fed from fixed lists: random() pops uniforms,
+    and randints, which only a flat offset draws, pops integers."""
 
     def __init__(self, uniforms=(), integers=()):
         self.uniforms = list(uniforms)

@@ -36,6 +36,7 @@ from conftest import (
     reference_events,
     reference_session,
     reference_text,
+    uniform_for,
 )
 
 # y with order 1278 mod 1328881 (order 1 mod 1039, primitive mod 1279)
@@ -331,25 +332,30 @@ class TestAttemptRecord:
         assert dataclasses.astuple(record)[:3] == (505980, Outcome.TRIVIAL_FACTORS, 1038)
 
 
+def scripted_bases(n: int, *ys: int) -> ScriptedRng:
+    """ScriptedRng from which pick_y draws the bases ys of [2, n - 1] in turn."""
+    return ScriptedRng(uniforms=[uniform_for(y, 2, n - 1) for y in ys])
+
+
 class TestPickY:
     def test_shared_factor_hit(self):
         # the record of a shared factor carries the pick's rejections
-        hit = pick_y(187, ScriptedRng(integers=[56, 33]), 13)
+        hit = pick_y(187, scripted_bases(187, 56, 33), 13)
         assert hit == AttemptRecord(33, (), 187, (56,))
         assert (hit.outcome, hit.factors) == (Outcome.SHARED_FACTOR, (11, 17))
-        assert pick_y(187, ScriptedRng(integers=[33]), 13) == AttemptRecord(33, (), 187)
+        assert pick_y(187, scripted_bases(187, 33), 13) == AttemptRecord(33, (), 187)
 
     def test_coprime_base_comes_with_exact_order(self):
-        assert pick_y(187, ScriptedRng(integers=[56]), 187) == (56, 16, ())
+        assert pick_y(187, scripted_bases(187, 56), 187) == (56, 16, ())
 
     def test_ceiling_rejections_are_recorded(self):
         # order 16 exceeds the ceiling 13
-        assert pick_y(187, ScriptedRng(integers=[56, 186]), 13) == (186, 2, (56,))
+        assert pick_y(187, scripted_bases(187, 56, 186), 13) == (186, 2, (56,))
 
     def test_long_order_base_rejected_under_default_ceiling(self):
         ceiling = math.isqrt(1328881)  # 1152
         assert multiplicative_order(LONG_ORDER_BASE, 1328881) == 1278
-        got = pick_y(1328881, ScriptedRng(integers=[LONG_ORDER_BASE, 205920]), ceiling)
+        got = pick_y(1328881, scripted_bases(1328881, LONG_ORDER_BASE, 205920), ceiling)
         assert got == (205920, 1038, (LONG_ORDER_BASE,))
 
     @pytest.mark.parametrize(
@@ -364,13 +370,14 @@ class TestPickY:
         # the order test raises NotCoprime for the shared-factor base, on the
         # table path from a 0 entry and on the steps path from its own gcd
         order_path(n, tables)
-        rng = ScriptedRng(integers=rejected + [shared, 21])
+        rng = scripted_bases(n, *rejected, shared, 21)
         hit = pick_y(n, rng, 13)
         g = math.gcd(shared, n)
         assert g > 1
         assert hit == AttemptRecord(shared, (), n, tuple(rejected))
         assert (hit.outcome, hit.factors) == (Outcome.SHARED_FACTOR, (g, n // g))
-        assert rng.integers == [21]  # no base is taken past the one returned
+        # no base is taken past the one returned
+        assert rng.uniforms == [uniform_for(21, 2, n - 1)]
         assert has_tables(n) == tables
         numtheory._ORDERS.clear()
 

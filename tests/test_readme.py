@@ -16,9 +16,15 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 PYPROJECT = README.with_name("pyproject.toml")
 
 
+def text_of(path: Path) -> str:
+    """A file of the checkout, read as UTF-8 whatever the platform's
+    default encoding: the README holds non-ASCII characters."""
+    return path.read_text(encoding="utf-8")
+
+
 def python_block(section: str) -> str:
     """The first ```python block under the README heading `section`."""
-    text = README.read_text().split(f"\n## {section}\n", 1)[1]
+    text = text_of(README).split(f"\n## {section}\n", 1)[1]
     return text.split("```python\n", 1)[1].split("```", 1)[0]
 
 
@@ -38,7 +44,7 @@ def test_library_example_prints_its_comments(capsys):
 
 def run_example(capsys, command: str) -> tuple[list[str], list[str]]:
     """What `shorsim command` prints, and the README's lines for it."""
-    shown = README.read_text().split(f"\n$ shorsim {command}\n", 1)[1]
+    shown = text_of(README).split(f"\n$ shorsim {command}\n", 1)[1]
     assert main(command.split("|")[0].split()) == 0
     return capsys.readouterr().out.splitlines(), shown.split("```", 1)[0].splitlines()
 
@@ -92,7 +98,7 @@ class TestPublicSurface:
     def test_version_is_the_one_pyproject_declares(self):
         # read by a regex, as tomllib is new in Python 3.11 and the package
         # supports 3.10
-        project = PYPROJECT.read_text().split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+        project = text_of(PYPROJECT).split("\n[project]\n", 1)[1].split("\n[", 1)[0]
         declared = re.findall(r'^version = "([^"]+)"$', project, flags=re.MULTILINE)
         assert declared == [shorsim.__version__]
 
@@ -108,7 +114,7 @@ class TestPublicSurface:
         assert not hasattr(shorsim, name)
 
     def test_python_blocks_import_only_public_names(self):
-        blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
+        blocks = re.findall(r"```python\n(.*?)```", text_of(README), flags=re.DOTALL)
         imports = [
             name.strip()
             for block in blocks
@@ -119,5 +125,5 @@ class TestPublicSurface:
 
     @pytest.mark.parametrize("name", PUBLIC)
     def test_library_section_names_each_public_name(self, name):
-        library = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+        library = text_of(README).split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
         assert f"`{name}" in library

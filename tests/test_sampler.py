@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shorsim.factorizer
+import shorsim.sampler
+from shorsim.factorizer import pick_y
 from shorsim.model import dominant_mass, dominant_readouts, prob
 from shorsim.numtheory import multiplicative_order
 from shorsim.sampler import RandomSource, ReadoutSampler, _acceptance_height
-from conftest import ScriptedRng, chi_square_pvalue, circuit_law
+from conftest import ScriptedRng, chi_square_pvalue, circuit_law, uniform_for
 
 
 def chunk_loop(rng, a: int, b: int) -> int:
@@ -98,8 +101,9 @@ spans = st.one_of(
     st.builds(lambda k, d: 2**k + d, st.integers(1, 62), st.sampled_from([-1, 1])),
 )
 
-# spans of every bit length from 1 to 53, where randints scales one uniform
-# by 2**k, and a few at and past one 53-bit chunk
+# spans of every bit length from 1 to 53, where a try of randints is one
+# uniform, the rule pick_y and draw use inline, and a few at and past one
+# 53-bit chunk
 scaled_spans = st.one_of(
     st.integers(1, 53).flatmap(lambda k: st.integers(1 << (k - 1), (1 << k) - 1)),
     st.sampled_from([2**53, 2**60 + 3, 2**70 - 1, 2**106 - 1, 2**106, 2**130 + 7]),
@@ -199,6 +203,63 @@ class CountingSource(RandomSource):
         return super().random()
 
 
+# spans at and around the powers of two, where the bit length of a span,
+# and with it the scale of its one uniform, changes: 1 is the span of r = 2
+INLINE_SPANS = sorted({2**k + d for k in (0, 1, 2, 5, 10, 20, 33) for d in (-1, 0, 1)} - {0})
+
+
+class TestInlineDrawsAreRandints:
+    """pick_y draws its bases, and ReadoutSampler.draw its peaks, by
+    randints' rule inline: on one seed, the values randints(2, n - 1) and
+    randints(0, r - 1) give, from as many uniforms."""
+
+    SEED, DRAWS = 47, 300
+
+    @pytest.mark.parametrize("span", INLINE_SPANS)
+    def test_bases_of_pick_y(self, span, monkeypatch):
+        # n - 3 = span; the order test refuses every base until the last
+        n, bases = span + 3, []
+
+        def order(y, modulus, ceiling):
+            bases.append(y)
+            return 2 if len(bases) == self.DRAWS else None
+
+        monkeypatch.setattr(shorsim.factorizer, "multiplicative_order", order)
+        ours, reference = CountingSource(self.SEED), CountingSource(self.SEED)
+        y, _, rejected = pick_y(n, ours, n)
+        values = reference.randints(2, n - 1)
+        assert [*rejected, y] == bases == [next(values) for _ in range(self.DRAWS)]
+        assert ours.uniforms == reference.uniforms
+
+    @pytest.mark.parametrize("span", INLINE_SPANS)
+    def test_peaks_of_draw(self, span, monkeypatch):
+        # r - 1 = span; each proposal sits on its peak's centre, offset 0
+        # for no uniform, and is refused by its acceptance uniform until the
+        # last; q >= 2r gives each peak a centre of its own
+        r, centres = span + 1, []
+        q = 1 << (r.bit_length() + 1)
+
+        class AtThePeak(ReadoutSampler):
+            __slots__ = ()
+
+            def _propose_offset(self, rng: RandomSource) -> int:
+                return 0
+
+        def height(c, r, q):
+            centres.append(c)
+            return math.inf if len(centres) == self.DRAWS else 0.0
+
+        monkeypatch.setattr(shorsim.sampler, "_acceptance_height", height)
+        ours, reference = CountingSource(self.SEED), CountingSource(self.SEED)
+        readout = AtThePeak(r, q).draw(ours)
+        peaks, expected = reference.randints(0, r - 1), []
+        for _ in range(self.DRAWS):
+            expected.append((2 * next(peaks) * q + r - 1) // (2 * r))
+            reference.random()  # the acceptance uniform
+        assert centres == expected and readout == centres[-1]
+        assert ours.uniforms == reference.uniforms
+
+
 class TestReadoutSamplerBasics:
     def test_divisor_order_draws_only_peaks(self):
         sampler = ReadoutSampler(16, 1 << 16)
@@ -249,15 +310,16 @@ def scripted_flat_proposal(c, r, q):
     """ScriptedRng that makes the sampler propose readout c and accept it.
 
     The proposal picks the peak m nearest r*c/q (m = 0 for the wrapped
-    top of cell 0), selects the envelope's flat part with the largest
-    uniform below 1, and lands on offset delta, scripted as the flat draw
-    from -reach..reach, the offsets a cell can hold, reach = q // (2r) + 1.
-    The acceptance uniform 0.0 accepts any readout of nonzero probability.
+    top of cell 0), scripted as the uniform draw turns into m, selects the
+    envelope's flat part with the largest uniform below 1, and lands on
+    offset delta, scripted as the flat draw from -reach..reach, the offsets
+    a cell can hold, reach = q // (2r) + 1. The acceptance uniform 0.0
+    accepts any readout of nonzero probability.
     """
     m = (2 * r * c + q - 1) // (2 * q) % r
     centre = (2 * m * q + r - 1) // (2 * r)
     delta = c - centre if c - centre <= q // 2 else c - centre - q
-    return ScriptedRng(uniforms=[1.0 - 2.0**-53, 0.0], integers=[m, delta])
+    return ScriptedRng(uniforms=[uniform_for(m, 0, r - 1), 1.0 - 2.0**-53, 0.0], integers=[delta])
 
 
 class TestReachability:
@@ -275,8 +337,7 @@ class TestReachability:
         # rejected and the sampler moves on to the next one, at peak 2
         sampler = ReadoutSampler(4, 64)
         rng = scripted_flat_proposal(1, 4, 64)
-        rng.uniforms += [0.0, 0.0]
-        rng.integers += [2]
+        rng.uniforms += [uniform_for(2, 0, 3), 0.0, 0.0]
         assert sampler.draw(rng) == 32
 
 
@@ -393,19 +454,19 @@ class TestEnvelopeCertificate:
                 assert envelope_excess(sampler, c % q) <= 1e-12, (r, q, c)
 
 
-class PeakCountingSource(RandomSource):
-    """RandomSource that counts the values taken from peak streams,
-    randints(0, r - 1), one per proposal of a draw. A flat offset's stream
-    starts at -reach < 0 and is not counted."""
+class ProposalCountingSampler(ReadoutSampler):
+    """ReadoutSampler that counts its proposals: draw proposes an offset
+    once for each peak it takes, whether the proposal is accepted or not."""
 
-    def __init__(self, seed: int):
-        super().__init__(seed)
+    __slots__ = ("proposals",)
+
+    def __init__(self, r: int, q: int):
+        super().__init__(r, q)
         self.proposals = 0
 
-    def randints(self, a: int, b: int):
-        for v in super().randints(a, b):
-            self.proposals += a == 0
-            yield v
+    def _propose_offset(self, rng: RandomSource) -> int:
+        self.proposals += 1
+        return super()._propose_offset(rng)
 
 
 class TestPaperRegisterSizes:
@@ -417,12 +478,12 @@ class TestPaperRegisterSizes:
         # P sums to 1 over the cells, so a proposal is accepted with
         # probability exactly q**2 / (r**2 * total): a draw's proposals are
         # geometric with mean r**2 * total / q**2
-        sampler, rng, draws = ReadoutSampler(r, q), PeakCountingSource(r), 20_000
+        sampler, rng, draws = ProposalCountingSampler(r, q), RandomSource(r), 20_000
         for _ in range(draws):
             sampler.draw(rng)
         mean = r * r * sampler._total / q**2
-        z = (rng.proposals / draws - mean) / math.sqrt(mean * (mean - 1) / draws)
-        assert abs(z) < 4, (rng.proposals / draws, mean)
+        z = (sampler.proposals / draws - mean) / math.sqrt(mean * (mean - 1) / draws)
+        assert abs(z) < 4, (sampler.proposals / draws, mean)
 
     @pytest.mark.parametrize("r,q", [(173, 1 << 41), (1038, 1 << 41), (10007, 1 << 67)])
     def test_pooled_offsets_follow_the_spectrum(self, r, q):

@@ -1827,6 +1827,21 @@ class TestDecodesEachLineOnce:
         assert from_jsonl(text) == history
         assert decoded == lines[base:]
 
+    def test_late_edit_of_a_new_base(self, decoded):
+        # the ten-digit stream with its last new_base re-spelled: the same
+        # history, and the general path takes over at that new_base, with
+        # the pick's 42,523 rejections pending, so no rejection is decoded
+        history, lines = ten_digit_stream()
+        lines = list(lines)
+        base = max(i for i, line in enumerate(lines) if '"new_base"' in line)
+        lines[base] = respelled(lines[base])
+        text = "\n".join(lines)
+        *before, last = history.attempts
+        assert handover(text) == (base + 1, history.params, before, [*last.rejected], 0)
+        decoded.clear()
+        assert from_jsonl(text) == history
+        assert decoded == lines[base:]
+
     @pytest.mark.parametrize("pad", [" ", "\t", " \t "])
     def test_lines_that_end_in_whitespace(self, pad, decoded):
         # whitespace after every line of the ten-digit stream: it reads to
@@ -1907,7 +1922,7 @@ class TestBlockDigits:
             _, lines, run = long_run()
             i = run[{"first": 0, "middle": 150, "last": 300}[where]]
         value = str(json.loads(lines[i])["y"])
-        for spelling in [*spellings(value), f"0{value}", f"-{value}", ""]:
+        for spelling in [*spellings(value), f"0{value}", f"-{value}", "", "1"]:
             planted = lines[:i] + [with_value(lines[i], "y", spelling)] + lines[i + 1 :]
             text = "\n".join(planted)
             read_alike(text)
@@ -1917,6 +1932,37 @@ class TestBlockDigits:
                 assert type(got) is FactoringHistory
             else:
                 assert got[0] == run[0] + 1
+
+
+class TestPickAfterABlock:
+    """The pick after a block as written, of bases in [2, n), spelled
+    otherwise: the check hands over at the pick's own line, with the
+    block's bases pending, so that no rejection is decoded, and the stream
+    reads, or is refused on the same line with the same message, as on the
+    general path."""
+
+    @pytest.mark.parametrize("kind", ["new_base", "shared_factor"])
+    def test_y_spelled_otherwise(self, kind):
+        if kind == "new_base":
+            _, lines, run = long_run()  # 301 rejections, then a new_base
+        else:
+            # factor(187, seed=0) rejects one base, then ends on a shared factor
+            lines = to_jsonl(factor(187, seed=0)).splitlines()
+            run = [i for i, line in enumerate(lines) if '"ceiling_rejection"' in line]
+        i = run[-1] + 1
+        assert f'"{kind}"' in lines[i]
+        pending = [json.loads(lines[j])["y"] for j in run]
+        value = str(json.loads(lines[i])["y"])
+        for line in [
+            *(with_value(lines[i], "y", spelling) for spelling in spellings(value)),
+            with_value(lines[i], "y", "1"), respelled(lines[i]), lines[i] + " x", "{",
+        ]:
+            text = "\n".join(lines[:i] + [line] + lines[i + 1 :])
+            got = read_alike(text)
+            if type(got) is tuple:
+                assert got[0] >= i + 1  # refused on the pick's line or after it
+            number, _, _, rejected, _ = handover(text)
+            assert (number, rejected) == (i + 1, pending)
 
 
 @st.composite
