@@ -220,15 +220,15 @@ def pick_y(
 ) -> AttemptRecord | tuple[int, int, tuple[int, ...]]:
     """Draw bases uniformly from [2, n - 1] until one is usable.
 
-    The bases are drawn inline by the rule of rng.randints(2, n - 1), with
-    its values and uniforms. Each base whose order exceeds `ceiling` is
+    The bases are drawn by the chunk rule over [2, n - 1] (see
+    RandomSource). Each base whose order exceeds `ceiling` is
     rejected and redrawn. Returns the SHARED_FACTOR record of a base with
     gcd(y, n) > 1, which carries the rejected bases, else (y, exact order,
     the rejected bases in draw order).
     """
     rejected: list[int] = []
     append = rejected.append
-    # randints(2, n - 1)'s rule inline: n - 3 < 2**53 takes one uniform a try
+    # the chunk rule: n - 3 < 2**53 takes one uniform a try
     span = n - 3
     scale = float(1 << span.bit_length())
     rand = rng.random

@@ -15,12 +15,12 @@ ceil(q/r) and beta = 1 - 4/pi**2 (the largest excess of 1/sin(x)**2 over
 
     q**2 * P(c) / r <= min(A**2, q**2 / (pi**2 * d**2) + beta).
 
-A proposal picks m uniformly, by the rule of rng.randints(0, r - 1)
-drawn inline, with its values and uniforms, and an offset delta from a
-mixture lying above that bound: a point mass at 0, a pair at +-1, a
-tail at |delta| = k >= 2 with weight proportional to 1/(k*(k-1)), and a
-flat part of height beta over every offset a cell can reach. A proposal
-outside m's cell is rejected; one inside is accepted with probability
+A proposal picks m uniformly, by the chunk rule (see RandomSource), and
+an offset delta from a mixture lying above that bound: a point mass at
+0, a pair at +-1, a tail at |delta| = k >= 2 with weight proportional to
+1/(k*(k-1)), and a flat part of height beta over every offset a cell can
+reach, whose offsets the chunk rule draws too. A proposal outside m's
+cell is rejected; one inside is accepted with probability
 q**2 * P(c) / r over the envelope. A draw takes about two proposals when
 r is well below q and at most about six when r is close to q, whatever
 the sizes of r and q.
@@ -47,7 +47,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from collections.abc import Iterator
 
 # dominant_readouts is unused here but stays importable from this module:
 # perfbench's tracer looks the layers up as attributes of their callers.
@@ -73,13 +72,16 @@ class RandomSource(random.Random):
 
     A random.Random (the Mersenne Twister) of which shorsim calls only the
     random() method, whose stream for a fixed seed is guaranteed stable
-    across CPython versions and platforms, and randints, its one integer
-    draw, built on random() alone. randints draws the flat offset of a
-    proposal; pick_y's bases and a draw's peaks take its rule inline, for
-    spans below 2**53, and the tests hold them to it. The methods inherited
-    from random.Random are the standard library's; shorsim never calls
-    them. The seed is trusted: run_session passes one FactoringParams
-    checked, in [0, 2**64).
+    across CPython versions and platforms. shorsim draws each integer in
+    [a, b] inline from random(), by one rule, the chunk rule: a span b - a
+    of k bits tries ceil(k / 53) uniforms u at a time, each scaled to a
+    53-bit chunk int(u * 2**53), top chunk first, keeps the top k bits, and
+    tries again until the value fits in the span. A span below 2**53 takes
+    one uniform u a try, whose top k bits are int(u * 2**k). The rule has
+    three sites: pick_y's bases, and ReadoutSampler's peaks and flat
+    offsets. The methods inherited from random.Random are the standard
+    library's; shorsim never calls them. The seed is trusted: run_session
+    passes one FactoringParams checked, in [0, 2**64).
     """
 
     def __init__(self, seed: int):
@@ -90,32 +92,6 @@ class RandomSource(random.Random):
     def __reduce__(self):
         # random.Random's rebuilds the object with no seed, which __init__ needs
         return type(self), (0,), self.getstate()
-
-    def randints(self, a: int, b: int) -> Iterator[int]:
-        """Endless uniform integers in [a, b], each drawn lazily when taken.
-
-        A span b - a of k bits tries ceil(k / 53) uniforms at a time, each
-        scaled to a 53-bit chunk, top chunk first, and keeps the top k bits,
-        until the value fits in the span. A one-value range takes no uniform.
-        For k <= 53 a try is one uniform u, a multiple of 2**-53, whose top
-        k bits are int(u * 2**k): the rule pick_y and draw use inline.
-        """
-        span = b - a
-        if span < 0:
-            raise ValueError("empty range")
-        if span == 0:
-            while True:
-                yield a
-        k = span.bit_length()
-        rand = self.random
-        chunks = (k + 52) // 53
-        while True:
-            v = 0
-            for _ in range(chunks):
-                v = (v << 53) | int(rand() * _FIFTY_THREE)
-            v >>= chunks * 53 - k
-            if v <= span:
-                yield a + v
 
 
 class ReadoutSampler:
@@ -153,10 +129,11 @@ class ReadoutSampler:
         )
 
     def draw(self, rng: RandomSource) -> int:
-        """Sample one readout value."""
+        """Sample one readout value: propose a peak, by the chunk rule over
+        [0, r - 1], and an offset from it, until a proposal is accepted."""
         r, q = self.r, self.q
-        # randints(0, r - 1)'s rule inline, r - 1 < 2**53: one peak per
-        # proposal (r = 1, which no session passes, takes a uniform for it)
+        # r - 1 < 2**53, one uniform a try (r = 1, which no session passes,
+        # takes one for its one peak)
         scale = float(1 << (r - 1).bit_length())
         rand = rng.random
         while True:
@@ -184,7 +161,18 @@ class ReadoutSampler:
             # P(k) = 1/(k*(k-1)) for k >= 2
             k = 1 + int(1.0 / (1.0 - rng.random()))
             return -k if u < self._tail else k
-        return next(rng.randints(-self._reach, self._reach))
+        # the chunk rule over [-reach, reach], whose span 2 * reach passes
+        # 53 bits at q = 2**96
+        reach = self._reach
+        k = (2 * reach).bit_length()
+        chunks = (k + 52) // 53
+        while True:
+            v = 0
+            for _ in range(chunks):
+                v = (v << 53) | int(rng.random() * _FIFTY_THREE)
+            v >>= chunks * 53 - k
+            if v <= 2 * reach:
+                return v - reach
 
     def _envelope(self, delta: int) -> float:
         """Envelope height at an offset inside a cell."""

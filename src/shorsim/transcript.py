@@ -15,9 +15,9 @@ the way json writes a float; the summary's warnings, text, are the one
 value json encodes, and only when there are any. from_jsonl checks a
 stream pick by pick against the same templates, with no decode and no y
 formatted again, and decodes each line from the first pick that is not
-as written on, once. A stream that cannot be parsed back, or whose
-history could not be written again, raises TranscriptError naming the
-line at fault.
+as written on, once, with json.loads. A stream that cannot be parsed
+back, or whose history could not be written again, raises
+TranscriptError naming the line at fault.
 """
 
 from __future__ import annotations
@@ -46,13 +46,6 @@ ORDER_ODD_LINE = "The order is odd, hence a new value of y will be chosen."
 FACTORING_FAILED = "The factoring has failed, hence a new value of y will be chosen."
 SUCCESS_LINE = "The program has succeeded and will now terminate."
 FAILURE_LINE = "The program has failed and will now terminate."
-
-# json.loads(line) for a line with no surrounding whitespace is the object
-# _decode(line, 0) decodes, if it ends at the end of the line. It is the
-# scanner that JSONDecoder.raw_decode calls, without raw_decode's Python
-# frame, so where raw_decode raises "Expecting value" it raises
-# StopIteration
-_decode = json.JSONDecoder().scan_once
 
 
 class TranscriptError(ValueError):
@@ -131,19 +124,16 @@ def from_jsonl(text: str) -> FactoringHistory:
     and hint, each pick's block of ceiling_rejection lines by its digits,
     the pick's other lines against _pick, and the summary, followed by
     whitespace only. No trial is built under a banner or hint to_jsonl
-    would not write, or past max_trials. At the first unit not as written,
-    or whose fields a constructor refuses, the general path (_decoded)
-    takes over from its first line, with the params, records, pending
-    rejections and trial position the units before it left, and names the
-    line at fault and the cause; when the unit's block of rejections is as
-    written, of bases in [2, n), it takes over at the pick's own line
-    instead, with the block's bases pending. Each ceiling_rejection is
+    would not write. At the first unit not as written, or whose fields a
+    constructor refuses, the general path (_decoded) takes over from its
+    first line, with the params, records, pending rejections and trial
+    position the units before it left, and names the line at fault and
+    the cause; when the unit's block of rejections is as written, of
+    bases in [2, n), it takes over at the pick's own line instead, with
+    the block's bases pending. Each ceiling_rejection is
     pending there until the next shared_factor or attempt_verdict, whose
-    record carries it. It decodes each stripped line at most once, by the
-    scanner that json.JSONDecoder().raw_decode calls, which accepts the
-    lines json.loads accepts, as the same objects, when nothing follows the
-    value; a line it refuses, or one with data after its value, is handed
-    to json.loads, whose refusal names the cause, but for nesting past the
+    record carries it. It decodes each stripped line at most once, by
+    json.loads, whose refusal names the cause, but for nesting past the
     recursion limit, named "nested too deeply", as the recursion error's
     text depends on the caller's stack. A text that is not a str raises
     TypeError before anything is split.
@@ -192,7 +182,7 @@ def from_jsonl(text: str) -> FactoringHistory:
     if params is None or not text.startswith(preamble := _preamble(params)):
         return _decoded(text, 0, None, [], [], 0)
     start = len(preamble)  # of the next unit's first line
-    n, q, budget = params.n, params.q, params.max_trials
+    n, q = params.n, params.q
     head = _rejection_head(params)
     sep = "}\n" + head  # between two ys of a block
     zero = "\n" + head + "0"  # a y written with a leading zero
@@ -234,9 +224,6 @@ def from_jsonl(text: str) -> FactoringHistory:
             y = int(text[text.rfind(" ", at, eol) + 1 or at : eol - 1])
             if text.startswith('{"event": "new_base"', at):
                 readouts = text[eol : text.find('\n{"event": "', eol)].split('"readout": ')[1:]
-                budget -= len(readouts)
-                if budget < 0:
-                    break
                 trials = tuple([_trial(int(r[: r.find(",")]), y, q, n) for r in readouts])
             elif text.startswith('{"event": "shared_factor"', at):
                 trials = ()
@@ -270,7 +257,6 @@ def _decoded(
     open_trials: list[OrderResult] | None = None  # None: no base is open
     if params is not None:
         n, q = params.n, params.q
-    decode = _decode
     rows = text[start:].splitlines()
     # the number of rows[0]: the lines before start are as to_jsonl writes
     # them, each ended by "\n" alone
@@ -282,16 +268,11 @@ def _decoded(
             continue
         last = number
         try:
-            data, end = decode(line, 0)
-            if end != len(line):
-                raise ValueError
-        except (StopIteration, ValueError, RecursionError):  # also huge ints, deep nesting
-            try:
-                data = json.loads(line)  # which refuses the line, naming the cause
-            except RecursionError:  # whose text names the container the stack ran out in
-                raise TranscriptError(number, "not JSON (nested too deeply)") from None
-            except ValueError as exc:
-                raise TranscriptError(number, f"not JSON ({getattr(exc, 'msg', exc)})") from None
+            data = json.loads(line)
+        except RecursionError:  # whose text names the container the stack ran out in
+            raise TranscriptError(number, "not JSON (nested too deeply)") from None
+        except ValueError as exc:  # also an int past CPython's digit limit
+            raise TranscriptError(number, f"not JSON ({getattr(exc, 'msg', exc)})") from None
         try:
             kind = data.pop("event")
         except (AttributeError, KeyError, TypeError):

@@ -225,30 +225,47 @@ def reference_session(params) -> tuple[list, int, tuple[int, int] | None]:
     return attempts, trials_run, last[4] if ended else None
 
 
-def uniform_for(v: int, a: int, b: int) -> float:
-    """The uniform that randints(a, b)'s rule turns into v at its first try,
-    (v - a) / 2**k for the bit length k of b - a: how a script feeds pick_y
-    a base and ReadoutSampler.draw a peak, which draw by that rule inline."""
-    assert a <= v <= b
-    return (v - a) / (1 << (b - a).bit_length())
+def chunk_loop(rng, a: int, b: int) -> int:
+    """One uniform integer in [a, b] by the chunk rule, written over
+    random() alone: a span of k bits draws ceil(k / 53) uniforms, each
+    scaled by 2**53 to a 53-bit chunk, top chunk first, keeps the top k bits
+    of their concatenation, and tries again until the value fits."""
+    span = b - a
+    k = span.bit_length()
+    chunks = -(-k // 53)
+    while True:
+        bits = 0
+        for _ in range(chunks):
+            bits = bits * 2**53 + math.floor(rng.random() * 2**53)
+        v = bits // 2 ** (53 * chunks - k)
+        if v <= span:
+            return a + v
+
+
+def uniforms_for(v: int, a: int, b: int) -> list[float]:
+    """The uniforms whose chunks the chunk rule over [a, b] turns into v at
+    its first try: v - a, of k bits for the bit length k of b - a, shifted
+    to the top of ceil(k / 53) 53-bit chunks, each chunk c the uniform
+    c / 2**53; one uniform, (v - a) / 2**k, when k <= 53, also for a span
+    of 0, as the inline draws take one a try. How a script feeds pick_y a
+    base, and ReadoutSampler a peak or a flat offset. v may lie past b, to
+    script a try that is drawn again, if v - a has at most k bits."""
+    k = (b - a).bit_length()
+    assert 0 <= v - a < 1 << k
+    chunks = max(1, -(-k // 53))
+    bits = (v - a) << (53 * chunks - k)
+    return [(bits >> 53 * i) % 2**53 / 2**53 for i in reversed(range(chunks))]
 
 
 class ScriptedRng:
-    """Stand-in uniform source fed from fixed lists: random() pops uniforms,
-    and randints, which only a flat offset draws, pops integers."""
+    """Stand-in uniform source fed from a fixed list: random() pops its
+    uniforms in turn."""
 
-    def __init__(self, uniforms=(), integers=()):
+    def __init__(self, uniforms=()):
         self.uniforms = list(uniforms)
-        self.integers = list(integers)
 
     def random(self) -> float:
         return self.uniforms.pop(0)
-
-    def randints(self, a: int, b: int):
-        while True:
-            v = self.integers.pop(0)
-            assert a <= v <= b
-            yield v
 
 
 class ScriptedSampler:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -133,7 +134,8 @@ class TestFactorCommand:
         argv = ["factor", "1328881", "--seed", "3", "--format", "jsonl", "--out", str(path)]
         assert run(capsys, *argv) == (0, "", "")
         decoded = []
-        monkeypatch.setattr(transcript, "_decode", lambda line, index: decoded.append(line))
+        counting = SimpleNamespace(loads=decoded.append, dumps=json.dumps)
+        monkeypatch.setattr(transcript, "json", counting)
         history = from_jsonl(path.read_text())
         assert decoded == []
         session = factor(1328881, seed=3)

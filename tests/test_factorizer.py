@@ -30,13 +30,14 @@ from conftest import (
     PINNED_OUTPUTS,
     ScriptedRng,
     brute_order,
+    chunk_loop,
     has_tables,
     order_path,
     output_digests,
     reference_events,
     reference_session,
     reference_text,
-    uniform_for,
+    uniforms_for,
 )
 
 # y with order 1278 mod 1328881 (order 1 mod 1039, primitive mod 1279)
@@ -76,10 +77,10 @@ class TestExtractFactors:
         # over seeded random coprime bases the even-order split succeeds
         # well over half the time for a product of two odd primes
         n = 1328881
-        bases = RandomSource(8).randints(2, n - 1)
+        rng = RandomSource(8)
         successes = evaluated = 0
         while evaluated < 200:
-            y = next(bases)
+            y = chunk_loop(rng, 2, n - 1)
             if math.gcd(y, n) != 1:
                 continue
             evaluated += 1
@@ -334,7 +335,7 @@ class TestAttemptRecord:
 
 def scripted_bases(n: int, *ys: int) -> ScriptedRng:
     """ScriptedRng from which pick_y draws the bases ys of [2, n - 1] in turn."""
-    return ScriptedRng(uniforms=[uniform_for(y, 2, n - 1) for y in ys])
+    return ScriptedRng(uniforms=[u for y in ys for u in uniforms_for(y, 2, n - 1)])
 
 
 class TestPickY:
@@ -377,7 +378,7 @@ class TestPickY:
         assert hit == AttemptRecord(shared, (), n, tuple(rejected))
         assert (hit.outcome, hit.factors) == (Outcome.SHARED_FACTOR, (g, n // g))
         # no base is taken past the one returned
-        assert rng.uniforms == [uniform_for(21, 2, n - 1)]
+        assert rng.uniforms == uniforms_for(21, 2, n - 1)
         assert has_tables(n) == tables
         numtheory._ORDERS.clear()
 

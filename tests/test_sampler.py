@@ -14,26 +14,7 @@ from shorsim.factorizer import pick_y
 from shorsim.model import dominant_mass, dominant_readouts, prob
 from shorsim.numtheory import multiplicative_order
 from shorsim.sampler import RandomSource, ReadoutSampler, _acceptance_height
-from conftest import ScriptedRng, chi_square_pvalue, circuit_law, uniform_for
-
-
-def chunk_loop(rng, a: int, b: int) -> int:
-    """One uniform integer in [a, b] by the chunk rule, written over
-    random() alone: a span of k bits draws ceil(k / 53) uniforms, each
-    scaled by 2**53 to a 53-bit chunk, top chunk first, keeps the top k bits
-    of their concatenation, and tries again until the value fits."""
-    span = b - a
-    if span == 0:
-        return a
-    k = span.bit_length()
-    chunks = -(-k // 53)
-    while True:
-        bits = 0
-        for _ in range(chunks):
-            bits = bits * 2**53 + math.floor(rng.random() * 2**53)
-        v = bits // 2 ** (53 * chunks - k)
-        if v <= span:
-            return a + v
+from conftest import ScriptedRng, chi_square_pvalue, chunk_loop, circuit_law, uniforms_for
 
 
 class TestRandomSource:
@@ -45,8 +26,9 @@ class TestRandomSource:
     def test_same_seed_same_stream(self):
         a, b = RandomSource(99), RandomSource(99)
         assert [a.random() for _ in range(20)] == [b.random() for _ in range(20)]
-        values_a, values_b = a.randints(0, 999), b.randints(0, 999)
-        assert [next(values_a) for _ in range(20)] == [next(values_b) for _ in range(20)]
+        assert [chunk_loop(a, 0, 999) for _ in range(20)] == [
+            chunk_loop(b, 0, 999) for _ in range(20)
+        ]
 
     def test_different_seeds_differ(self):
         assert RandomSource(1).random() != RandomSource(2).random()
@@ -87,108 +69,11 @@ class TestRandomSource:
             assert [twin.gauss() for _ in range(5)] == [standard.gauss() for _ in range(5)]
             standard.setstate(ours.getstate())
 
-    def test_defines_one_integer_draw(self):
-        # every other integer method is random.Random's, which shorsim
-        # never calls
+    def test_defines_no_public_method(self):
+        # every public method is random.Random's, of which shorsim calls
+        # random() alone, drawing each integer inline by the chunk rule
         own = {name for name in vars(RandomSource) if not name.startswith("_")}
-        assert own == {"randints"}
-
-
-# spans around one 53-bit chunk and the powers of two where the bit
-# length of a span changes
-spans = st.one_of(
-    st.sampled_from([0, 1, 2**53 - 1, 2**53, 2**60 + 3]),
-    st.builds(lambda k, d: 2**k + d, st.integers(1, 62), st.sampled_from([-1, 1])),
-)
-
-# spans of every bit length from 1 to 53, where a try of randints is one
-# uniform, the rule pick_y and draw use inline, and a few at and past one
-# 53-bit chunk
-scaled_spans = st.one_of(
-    st.integers(1, 53).flatmap(lambda k: st.integers(1 << (k - 1), (1 << k) - 1)),
-    st.sampled_from([2**53, 2**60 + 3, 2**70 - 1, 2**106 - 1, 2**106, 2**130 + 7]),
-)
-
-
-class TestRandints:
-    """randints(a, b) is the chunk rule's rejection loop, drawn lazily."""
-
-    @given(st.integers(0, 2**64 - 1), spans | scaled_spans, st.integers(-(2**70), 2**70))
-    @settings(max_examples=300)
-    def test_is_the_chunk_loop(self, seed, span, a):
-        stream, loop = CountingSource(seed), CountingSource(seed)
-        values, b = stream.randints(a, a + span), a + span
-        assert [next(values) for _ in range(40)] == [chunk_loop(loop, a, b) for _ in range(40)]
-        assert stream.uniforms == loop.uniforms
-        assert stream.random() == loop.random()
-
-    @pytest.mark.parametrize(
-        "n", [2, 3, 1000, 1328881, 9954647173, 2**53 - 1, 2**53, 2**53 + 1, 2**60 + 3]
-    )
-    def test_is_the_chunk_loop_below_at_and_above_one_chunk(self, n):
-        # seeded base draws and proposals never change
-        stream, loop = RandomSource(31), RandomSource(31)
-        values, last = stream.randints(0, n - 1), n - 1
-        assert [next(values) for _ in range(300)] == [chunk_loop(loop, 0, last) for _ in range(300)]
-        assert stream.random() == loop.random()  # both consumed the same uniforms
-
-    @given(st.integers(0, 2**64 - 1), spans, st.integers(-(2**70), 2**70), st.integers(1, 40))
-    @settings(max_examples=200)
-    def test_one_stream_is_fresh_streams_in_turn(self, seed, span, a, k):
-        # a value is drawn only when it is taken
-        stream, fresh = CountingSource(seed), CountingSource(seed)
-        values = stream.randints(a, a + span)
-        assert [next(values) for _ in range(k)] == [
-            next(fresh.randints(a, a + span)) for _ in range(k)
-        ]
-        assert stream.uniforms == fresh.uniforms
-        assert stream.random() == fresh.random()
-
-    @given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 3), min_size=1, max_size=30))
-    @settings(max_examples=60)
-    def test_stays_in_step_with_draws_in_between(self, seed, between):
-        # run_session takes bases from one stream while the sampler draws
-        # from the same source between them, and a draw takes its peaks from
-        # one stream while its offsets draw between them
-        stream, loop = RandomSource(seed), RandomSource(seed)
-        bases = stream.randints(2, 1328880)
-        for count in between:
-            assert next(bases) == chunk_loop(loop, 2, 1328880)
-            for _ in range(count):
-                assert stream.random() == loop.random()
-            assert next(stream.randints(-1000, 1000)) == chunk_loop(loop, -1000, 1000)
-
-    @given(st.integers(0, 2**64 - 1), st.integers(1, 130))
-    @settings(max_examples=60)
-    def test_power_of_two_range(self, seed, k):
-        v = next(RandomSource(seed).randints(0, 2**k - 1))
-        assert 0 <= v < 2**k
-
-    @given(st.integers(0, 2**64 - 1), st.integers(-50, 50), st.integers(0, 10**12))
-    @settings(max_examples=60)
-    def test_inclusive_range(self, seed, a, width):
-        v = next(RandomSource(seed).randints(a, a + width))
-        assert a <= v <= a + width
-
-    def test_covers_endpoints(self):
-        values = RandomSource(7).randints(2, 5)
-        assert {next(values) for _ in range(500)} == {2, 3, 4, 5}
-
-    @pytest.mark.parametrize("a,b", [(2, 999), (0, 2**60 + 3)])
-    def test_draws_through_random(self, a, b):
-        # a subclass that overrides random() sees every uniform used
-        counted, plain = CountingSource(5), RandomSource(5)
-        values = counted.randints(a, b)
-        for _ in range(50):
-            next(values)
-        for _ in range(counted.uniforms):
-            plain.random()
-        assert counted.random() == plain.random()
-
-    def test_empty_range_is_refused_on_the_first_draw(self):
-        values = RandomSource(0).randints(5, 4)
-        with pytest.raises(ValueError, match="empty range"):
-            next(values)
+        assert own == set()
 
 
 class CountingSource(RandomSource):
@@ -203,15 +88,120 @@ class CountingSource(RandomSource):
         return super().random()
 
 
+class FlatFirst:
+    """Uniform source whose first uniform is 2.0 and whose others are
+    rng's: past every part of the envelope, the 2.0 makes _propose_offset
+    take the flat part, whatever the part's share of _total."""
+
+    def __init__(self, rng):
+        self.rng, self.first = rng, True
+
+    def random(self) -> float:
+        if self.first:
+            self.first = False
+            return 2.0
+        return self.rng.random()
+
+
+def flat_offset(sampler: ReadoutSampler, rng) -> int:
+    """The offset sampler's flat part proposes from rng's uniforms."""
+    return sampler._propose_offset(FlatFirst(rng))
+
+
+# cells (r, q = 2**L) whose flat span 2 * reach takes every bit length from
+# 2 to 130: r at and around the powers of two, where the span's bit length
+# changes (r = 2**j gives 2**(L - j) + 2, just past a power of two), and
+# anywhere up to q
+flat_cells = st.integers(1, 130).flatmap(
+    lambda bits: st.tuples(
+        st.integers(1, bits).flatmap(lambda j: st.sampled_from([2**j - 1, 2**j, 2**j + 1]))
+        | st.integers(2, 2**bits),
+        st.just(2**bits),
+    ).filter(lambda cell: 2 <= cell[0] <= cell[1])
+)
+
+# cells whose flat span 2 * reach has 3, 31, 53 (2**52 + 2 and near 2**53),
+# 54 (2**53 + 2 and above) and 83 bits, the last at q = 2**96: one 53-bit
+# chunk a try up to 53 bits, two past it
+FLAT_CELLS = [
+    (3, 8), (1038, 1 << 41), (256, 1 << 60), (129, 1 << 60), (128, 1 << 60), (127, 1 << 60),
+    (10007, 1 << 96),
+]
+
+
+class TestFlatOffset:
+    """A flat proposal's offset is the chunk rule's rejection loop over
+    [-reach, reach], drawn inline."""
+
+    @given(st.integers(0, 2**64 - 1), flat_cells)
+    @settings(max_examples=300)
+    def test_is_the_chunk_loop(self, seed, cell):
+        sampler = ReadoutSampler(*cell)
+        reach = sampler._reach
+        stream, loop = CountingSource(seed), CountingSource(seed)
+        assert [flat_offset(sampler, stream) for _ in range(40)] == [
+            chunk_loop(loop, -reach, reach) for _ in range(40)
+        ]
+        assert stream.uniforms == loop.uniforms
+        assert stream.random() == loop.random()
+
+    @pytest.mark.parametrize("r,q", FLAT_CELLS)
+    def test_is_the_chunk_loop_below_at_and_above_one_chunk(self, r, q):
+        # seeded flat proposals never change
+        sampler = ReadoutSampler(r, q)
+        reach = sampler._reach
+        stream, loop = CountingSource(31), CountingSource(31)
+        assert [flat_offset(sampler, stream) for _ in range(300)] == [
+            chunk_loop(loop, -reach, reach) for _ in range(300)
+        ]
+        assert stream.uniforms == loop.uniforms
+        assert stream.random() == loop.random()
+
+    @pytest.mark.parametrize("r,q", FLAT_CELLS)
+    def test_edges_and_tries_drawn_again(self, r, q):
+        # each edge offset scripted as its chunk uniforms, alone and after a
+        # try past the span, the largest value of its k bits, drawn again
+        sampler = ReadoutSampler(r, q)
+        reach = sampler._reach
+        past = (1 << (2 * reach).bit_length()) - 1 - reach
+        for offset in (-reach, 1 - reach, 0, reach - 1, reach):
+            for tries in ([offset], [past, offset]):
+                rng = ScriptedRng([u for v in tries for u in uniforms_for(v, -reach, reach)])
+                rng.uniforms.append(0.5)  # left over unless the draw takes too many
+                assert flat_offset(sampler, rng) == offset
+                assert rng.uniforms == [0.5]
+
+    @given(st.integers(0, 2**64 - 1), flat_cells)
+    @settings(max_examples=60)
+    def test_offsets_lie_within_reach(self, seed, cell):
+        sampler = ReadoutSampler(*cell)
+        assert -sampler._reach <= flat_offset(sampler, RandomSource(seed)) <= sampler._reach
+
+    def test_covers_every_offset(self):
+        sampler = ReadoutSampler(3, 8)  # reach 2
+        rng = RandomSource(7)
+        assert {flat_offset(sampler, rng) for _ in range(500)} == {-2, -1, 0, 1, 2}
+
+    @pytest.mark.parametrize("r,q", [(1038, 1 << 41), (10007, 1 << 96)])
+    def test_draws_through_random(self, r, q):
+        # a subclass that overrides random() sees every uniform used
+        sampler, counted, plain = ReadoutSampler(r, q), CountingSource(5), RandomSource(5)
+        for _ in range(50):
+            flat_offset(sampler, counted)
+        for _ in range(counted.uniforms):
+            plain.random()
+        assert counted.random() == plain.random()
+
+
 # spans at and around the powers of two, where the bit length of a span,
 # and with it the scale of its one uniform, changes: 1 is the span of r = 2
 INLINE_SPANS = sorted({2**k + d for k in (0, 1, 2, 5, 10, 20, 33) for d in (-1, 0, 1)} - {0})
 
 
-class TestInlineDrawsAreRandints:
-    """pick_y draws its bases, and ReadoutSampler.draw its peaks, by
-    randints' rule inline: on one seed, the values randints(2, n - 1) and
-    randints(0, r - 1) give, from as many uniforms."""
+class TestInlineDrawsAreTheChunkLoop:
+    """pick_y draws its bases, and ReadoutSampler.draw its peaks, by the
+    chunk rule inline: on one seed, the values chunk_loop gives over
+    [2, n - 1] and [0, r - 1], from as many uniforms."""
 
     SEED, DRAWS = 47, 300
 
@@ -227,8 +217,8 @@ class TestInlineDrawsAreRandints:
         monkeypatch.setattr(shorsim.factorizer, "multiplicative_order", order)
         ours, reference = CountingSource(self.SEED), CountingSource(self.SEED)
         y, _, rejected = pick_y(n, ours, n)
-        values = reference.randints(2, n - 1)
-        assert [*rejected, y] == bases == [next(values) for _ in range(self.DRAWS)]
+        expected = [chunk_loop(reference, 2, n - 1) for _ in range(self.DRAWS)]
+        assert [*rejected, y] == bases == expected
         assert ours.uniforms == reference.uniforms
 
     @pytest.mark.parametrize("span", INLINE_SPANS)
@@ -252,9 +242,9 @@ class TestInlineDrawsAreRandints:
         monkeypatch.setattr(shorsim.sampler, "_acceptance_height", height)
         ours, reference = CountingSource(self.SEED), CountingSource(self.SEED)
         readout = AtThePeak(r, q).draw(ours)
-        peaks, expected = reference.randints(0, r - 1), []
+        expected = []
         for _ in range(self.DRAWS):
-            expected.append((2 * next(peaks) * q + r - 1) // (2 * r))
+            expected.append((2 * chunk_loop(reference, 0, r - 1) * q + r - 1) // (2 * r))
             reference.random()  # the acceptance uniform
         assert centres == expected and readout == centres[-1]
         assert ours.uniforms == reference.uniforms
@@ -312,14 +302,17 @@ def scripted_flat_proposal(c, r, q):
     The proposal picks the peak m nearest r*c/q (m = 0 for the wrapped
     top of cell 0), scripted as the uniform draw turns into m, selects the
     envelope's flat part with the largest uniform below 1, and lands on
-    offset delta, scripted as the flat draw from -reach..reach, the offsets
-    a cell can hold, reach = q // (2r) + 1. The acceptance uniform 0.0
-    accepts any readout of nonzero probability.
+    offset delta, scripted as the chunk uniforms of the flat draw from
+    -reach..reach, the offsets a cell can hold, reach = q // (2r) + 1. The
+    acceptance uniform 0.0 accepts any readout of nonzero probability.
     """
     m = (2 * r * c + q - 1) // (2 * q) % r
     centre = (2 * m * q + r - 1) // (2 * r)
     delta = c - centre if c - centre <= q // 2 else c - centre - q
-    return ScriptedRng(uniforms=[uniform_for(m, 0, r - 1), 1.0 - 2.0**-53, 0.0], integers=[delta])
+    reach = q // (2 * r) + 1
+    return ScriptedRng(
+        [*uniforms_for(m, 0, r - 1), 1.0 - 2.0**-53, *uniforms_for(delta, -reach, reach), 0.0]
+    )
 
 
 class TestReachability:
@@ -337,7 +330,7 @@ class TestReachability:
         # rejected and the sampler moves on to the next one, at peak 2
         sampler = ReadoutSampler(4, 64)
         rng = scripted_flat_proposal(1, 4, 64)
-        rng.uniforms += [uniform_for(2, 0, 3), 0.0, 0.0]
+        rng.uniforms += [*uniforms_for(2, 0, 3), 0.0, 0.0]
         assert sampler.draw(rng) == 32
 
 
@@ -360,11 +353,14 @@ class TestFlatPartReach:
         ],
     )
     def test_the_largest_uniform_reaches_the_flat_part(self, r, q):
-        # a flat proposal takes its offset from randints; a tail one would
-        # take the second uniform, 0.5, as k = 3
-        rng = ScriptedRng(uniforms=[1.0 - 2.0**-53, 0.5], integers=[5])
-        assert ReadoutSampler(r, q)._propose_offset(rng) == 5
-        assert rng.uniforms == [0.5] and rng.integers == []
+        # a flat proposal takes its offset 5 from the chunk uniforms after
+        # the first; a tail one would take the first of them, below 1/2, as
+        # k = 2
+        sampler = ReadoutSampler(r, q)
+        reach = sampler._reach
+        rng = ScriptedRng([1.0 - 2.0**-53, *uniforms_for(5, -reach, reach), 0.5])
+        assert sampler._propose_offset(rng) == 5
+        assert rng.uniforms == [0.5]
 
 
 class TestWarmAndColdDraws:
@@ -386,9 +382,9 @@ class TestWarmAndColdDraws:
                 rng = scripted_flat_proposal(c, r, q)
                 rng.uniforms.append(0.5)  # left over unless a draw takes too many
                 hits = _acceptance_height.cache_info().hits
-                runs.append((sampler.draw(rng), rng.uniforms, rng.integers))
+                runs.append((sampler.draw(rng), rng.uniforms))
                 assert _acceptance_height.cache_info().hits - hits == warm
-            assert runs[0] == runs[1] == (c, [0.5], [])
+            assert runs[0] == runs[1] == (c, [0.5])
 
     @pytest.mark.parametrize("r,q", [(40, 1 << 16), (1038, 1 << 41)])
     def test_prob_and_dominant_mass_bypass_it(self, r, q):

@@ -1554,10 +1554,10 @@ class TestFastPathsAgreeWithJson:
         assert from_jsonl(text) == history
 
 
-# lines that json.loads refuses, drawn most often in the ways the reader's
-# scanner refuses without naming json's cause: a leading byte-order mark,
-# data after a value, an int past CPython's limit of 4300 digits, and
-# nesting far past the recursion limit, of arrays and objects mixed
+# lines that json.loads refuses, drawn most often in the ways whose cause
+# is not a plain syntax error: a leading byte-order mark, data after a
+# value, an int past CPython's limit of 4300 digits, and nesting far past
+# the recursion limit, of arrays and objects mixed
 refused_lines = st.one_of(
     st.text(),
     json_values.map(lambda value: "\ufeff" + json.dumps(value)),
@@ -1631,15 +1631,15 @@ def ten_digit_run() -> tuple[FactoringHistory, list[str], list[int]]:
 
 @pytest.fixture
 def decoded(monkeypatch) -> list[str]:
-    """Each line from_jsonl hands to its JSON decoder, in order."""
+    """Each line from_jsonl hands to json.loads, in order: the module's
+    json is swapped for a namespace, as the tests call json.loads too."""
     lines: list[str] = []
-    decode = transcript._decode
 
-    def counting(line: str, index: int):
+    def counting(line: str) -> Any:
         lines.append(line)
-        return decode(line, index)
+        return json.loads(line)
 
-    monkeypatch.setattr(transcript, "_decode", counting)
+    monkeypatch.setattr(transcript, "json", SimpleNamespace(loads=counting, dumps=json.dumps))
     return lines
 
 
@@ -2084,16 +2084,23 @@ class TestCheckAgreesWithTheGeneralPath:
         assert got[0] == i + 1
         assert all(0 <= readout < 2**16 for readout, _ in built)
 
-    def test_check_builds_no_trial_past_max_trials(self, built):
+    def test_a_stream_past_max_trials_is_refused_on_its_summary(self, built):
         # factor(187, seed=9) runs ten trials on its one base; under a
-        # banner of max_trials 2 the check hands over at that pick, on line
-        # 3, before it builds any, and the general path refuses the stream
+        # banner of max_trials 2 the check reads the pick and hands over at
+        # the summary, on line 15, which FactoringHistory refuses, as the
+        # general path does; both build the same ten trials
         history = factor(187, seed=9)
         text = to_jsonl(history).replace('"max_trials": 100', '"max_trials": 2', 1)
         params = dataclasses.replace(history.params, max_trials=2)
-        assert handover(text) == (3, params, [], [], 0)
-        assert built == []
-        assert type(read_alike(text)) is tuple
+        assert handover(text) == (15, params, [*history.attempts], [], 10)
+        built.clear()
+        refusal = read(text)
+        assert refusal == (15, "line 15: bad 'summary' event: the attempts run 10 trials, "
+                               "past max_trials 2")
+        checked = built[:]
+        built.clear()
+        assert read(text, general) == refusal
+        assert built == checked and len(checked) == 10
 
     @pytest.mark.parametrize("key", ["max_trials", "qubits", "seed", "n"])
     def test_check_builds_no_trial_under_a_banner_written_otherwise(self, key, built):
