@@ -12,21 +12,23 @@ and the summary (_summary). A template holds only ints the
 constructors have checked, the literals true, false and null, an
 outcome's value, and the summary's elapsed, a finite float, as its repr,
 the way json writes a float; the summary's warnings, text, are the one
-value json encodes, and only when there are any. from_jsonl checks a
-stream pick by pick against the same templates, with no decode and no y
-formatted again, and decodes each line from the first pick that is not
-as written on, once, with json.loads. A stream that cannot be parsed
-back, or whose history could not be written again, raises
+value json encodes, and only when there are any. from_jsonl reads a
+stream in one loop: it checks each pick against the same templates, with
+no decode and no y formatted again, and decodes a pick that is not as
+written line by line, once each, with json.loads, up to the next line
+that opens with an event, where the check goes on. A stream that cannot
+be parsed back, or whose history could not be written again, raises
 TranscriptError naming the line at fault.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
-# the Outcome members as module globals, each read in a tenth of the time
-# of a class lookup
+# the Outcome members as module globals, which skip the attribute lookup
+# on the enum class
 from .factorizer import (
     _BUDGET_EXHAUSTED,
     _ORDER_ODD,
@@ -46,6 +48,10 @@ ORDER_ODD_LINE = "The order is odd, hence a new value of y will be chosen."
 FACTORING_FAILED = "The factoring has failed, hence a new value of y will be chosen."
 SUCCESS_LINE = "The program has succeeded and will now terminate."
 FAILURE_LINE = "The program has failed and will now terminate."
+
+# the line break before the next line that opens with an event, or with the
+# summary's first key, which ends the lines from_jsonl decodes together
+_NEXT_EVENT = re.compile(r'\n(?=\{"event": "|\{"elapsed": )')
 
 
 class TranscriptError(ValueError):
@@ -119,24 +125,24 @@ def to_jsonl(history: FactoringHistory) -> str:
 def from_jsonl(text: str) -> FactoringHistory:
     """Parse the output of to_jsonl back into an equal history.
 
-    The text is first checked unit by unit against what to_jsonl writes
-    for the records built from its free fields, with no decode: the banner
-    and hint, each pick's block of ceiling_rejection lines by its digits,
-    the pick's other lines against _pick, and the summary, followed by
-    whitespace only. No trial is built under a banner or hint to_jsonl
-    would not write. At the first unit not as written, or whose fields a
-    constructor refuses, the general path (_decoded) takes over from its
-    first line, with the params, records, pending rejections and trial
-    position the units before it left, and names the line at fault and
-    the cause; when the unit's block of rejections is as written, of
-    bases in [2, n), it takes over at the pick's own line instead, with
-    the block's bases pending. Each ceiling_rejection is
-    pending there until the next shared_factor or attempt_verdict, whose
-    record carries it. It decodes each stripped line at most once, by
-    json.loads, whose refusal names the cause, but for nesting past the
-    recursion limit, named "nested too deeply", as the recursion error's
-    text depends on the caller's stack. A text that is not a str raises
-    TypeError before anything is split.
+    The text is read in one pass. Between picks, while no base is open,
+    each unit is checked against what to_jsonl writes for the records
+    built from its free fields, with no decode: the banner and hint, each
+    pick's block of ceiling_rejection lines by its digits, the pick's
+    other lines against _pick, and the summary, followed by whitespace
+    only. No trial is built under a banner or hint to_jsonl would not
+    write. A unit not as written, or whose fields a constructor refuses,
+    is decoded line by line from its first line, or from the pick's own
+    line when its block is as written, of bases in [2, n), with the
+    block's bases pending; decoding runs up to the next line that opens
+    with an event, and the check goes on from there. Each
+    ceiling_rejection is pending until the next shared_factor or
+    attempt_verdict, whose record carries it. Each stripped line is
+    decoded at most once, by json.loads, whose refusal names the line and
+    the cause, but for nesting past the recursion limit, named "nested
+    too deeply", as the recursion error's text depends on the caller's
+    stack. A text that is not a str raises TypeError before anything is
+    split.
 
     The banner is the first event and the summary the last, each once. A
     new_base is followed by its trials and then its attempt_verdict, with no
@@ -166,12 +172,11 @@ def from_jsonl(text: str) -> FactoringHistory:
     """
     if not isinstance(text, str):
         raise TypeError(f"text must be a str, not {type(text).__name__}")
-    eol = text.find("\n")
     try:
         # the banner's keys and values in turn; every second item from the
         # fourth is max_trials, n, order_ceiling, qubits, schema and seed
         budget, modulus, ceiling, qubits, _, seed = (
-            text[: eol - 1].replace(", ", ": ").split(": ")[3::2]
+            text[: text.find("\n") - 1].replace(", ", ": ").split(": ")[3::2]
         )
         params = FactoringParams(
             int(modulus), int(qubits), int(seed), max_trials=int(budget),
@@ -180,205 +185,198 @@ def from_jsonl(text: str) -> FactoringHistory:
     except (TypeError, ValueError):
         params = None
     if params is None or not text.startswith(preamble := _preamble(params)):
-        return _decoded(text, 0, None, [], [], 0)
-    start = len(preamble)  # of the next unit's first line
-    n, q = params.n, params.q
-    head = _rejection_head(params)
-    sep = "}\n" + head  # between two ys of a block
-    zero = "\n" + head + "0"  # a y written with a leading zero
+        params, preamble = None, ""  # the banner is decoded
+    start = len(preamble)  # the offset of the next line to read
     attempts: list[AttemptRecord] = []
-    index = 0  # the trials before the pick, in the session
-    while True:
-        at, rejected = start, ()  # at: the pick's first line after its rejections
-        try:
-            if text.startswith('{"elapsed": ', start):
-                elapsed = float(text[start + 12 : text.find(",", start)])
-                history = FactoringHistory(params, tuple(attempts), elapsed)
-                written = _summary(history)
-                # the general path skips the blank lines and whitespace after it
-                if text.startswith(written, start) and not text[start + len(written) :].strip():
-                    return history
-                break
-            if text.startswith(head, start):
-                # the block runs up to the next line that opens with an event;
-                # rsplit, as split's search from the left costs more per piece
-                at = text.find('\n{"event": "', start) + 1 or len(text)
-                ys = text[start + len(head) : at - 2].rsplit(sep)
-                tail = ys[-1]
-                cut = tail.find("}\n")
-                if cut >= 0:
-                    # a pick line spelled otherwise, in the block's last
-                    # piece: end the block before it, so that the general
-                    # path can take over at that line
-                    ys[-1] = tail[:cut]
-                    at += cut - len(tail)
-                digits = "".join(ys)
-                # as written when each y is ASCII digits with no leading
-                # zero: the strings str(int(y)) writes again
-                if not (at and text[at - 2] == "}" and digits.isascii() and digits.isdigit()
-                        and text.find(zero, start - 1, at) < 0):
-                    break
-                rejected = tuple(map(int, ys))
-            eol = text.find("\n", at)
-            # the line's last field; the whole line when it has no space
-            y = int(text[text.rfind(" ", at, eol) + 1 or at : eol - 1])
-            if text.startswith('{"event": "new_base"', at):
-                readouts = text[eol : text.find('\n{"event": "', eol)].split('"readout": ')[1:]
-                trials = tuple([_trial(int(r[: r.find(",")]), y, q, n) for r in readouts])
-            elif text.startswith('{"event": "shared_factor"', at):
-                trials = ()
-            else:
-                break
-            record = AttemptRecord(y, trials, n, rejected)
-        except (TypeError, ValueError):  # which the general path names
-            break
-        written = _pick(record, index)
-        if not text.startswith(written, at):
-            return _decoded(text, at, params, attempts, [*rejected], index)
-        attempts.append(record)
-        index += len(trials)
-        start = at + len(written)
-    if rejected and 2 <= min(rejected) and max(rejected) < n:
-        # the block is as written and its bases in range: the general path
-        # takes over at the pick's own line, with the bases pending
-        return _decoded(text, at, params, attempts, [*rejected], index)
-    return _decoded(text, start, params, attempts, [], index)
-
-
-def _decoded(
-    text: str, start: int, params: FactoringParams | None, attempts: list[AttemptRecord],
-    rejected: list[int], position: int,
-) -> FactoringHistory:
-    """The general path: the history of text read from start, the offset of
-    a line's first character, one line at a time, from the state the lines
-    before it left: the params (None before the banner), the records, the
-    rejections pending for the next record, and the trials run."""
+    rejected: list[int] = []  # pending for the next record
     open_y: Any = None
     open_trials: list[OrderResult] | None = None  # None: no base is open
-    if params is not None:
-        n, q = params.n, params.q
-    rows = text[start:].splitlines()
-    # the number of rows[0]: the lines before start are as to_jsonl writes
-    # them, each ended by "\n" alone
-    first = text.count("\n", 0, start) + 1
-    last = first - 1  # the last line read that is not blank
-    for number, line in enumerate(rows, first):
-        line = line.strip()
-        if not line:
-            continue
-        last = number
-        try:
-            data = json.loads(line)
-        except RecursionError:  # whose text names the container the stack ran out in
-            raise TranscriptError(number, "not JSON (nested too deeply)") from None
-        except ValueError as exc:  # also an int past CPython's digit limit
-            raise TranscriptError(number, f"not JSON ({getattr(exc, 'msg', exc)})") from None
-        try:
-            kind = data.pop("event")
-        except (AttributeError, KeyError, TypeError):
-            raise TranscriptError(number, "not an object with an 'event' field") from None
-        try:
-            if open_trials is not None and kind not in ("trial", "attempt_verdict"):
-                raise ValueError("the last new_base has no attempt_verdict")
-            if kind == "banner":
-                if params is not None:
-                    raise ValueError("a banner came before it")
-                schema = data.get("schema", 1)
-                if type(schema) is not int or schema not in range(1, SCHEMA_VERSION + 1):
-                    raise ValueError(f"schema {schema!r} is unknown (newest {SCHEMA_VERSION})")
-                params = FactoringParams(
-                    data["n"],
-                    data["qubits"],
-                    data["seed"],
-                    max_trials=data["max_trials"],
-                    order_ceiling=data["order_ceiling"],
-                )
-                for name in ("qubits", "seed"):
-                    if data[name] is None:  # the constructor would pick one afresh
-                        raise ValueError(f"{name} must not be null")
-                n, q = params.n, params.q
-            elif params is None:
-                raise ValueError("no banner before it")
-            elif kind == "ceiling_rejection":
-                y = _int_in("y", data["y"], 2, n)
-                _expect("ceiling", data["ceiling"], params.ceiling, "the session's")
-                rejected.append(y)
-            elif kind == "shared_factor":
-                y = data["y"]  # the constructor refuses a y that is not an int in [2, n)
-                record = AttemptRecord(y, (), n, tuple(rejected))
-                factors = list(record.factors)
-                _expect("factors", data["factors"], factors, "as gcd({}, {}) = {} gives",
-                        y, n, factors[0])
+    index = 0  # the trials run
+    history = None  # the summary's, once decoded
+    mark = number = 0  # number: the lines before the offset mark
+    while start < len(text):
+        if params is not None and open_trials is None and history is None:
+            n, q, head = params.n, params.q, _rejection_head(params)
+            while True:  # unit by unit, while each is as written
+                at, block, record = start, (), None  # at: the pick's line after its block
+                try:
+                    if not rejected and text.startswith('{"elapsed": ', start):
+                        elapsed = float(text[start + 12 : text.find(",", start)])
+                        read = FactoringHistory(params, tuple(attempts), elapsed)
+                        written = _summary(read)
+                        # decoding skips the blank lines and whitespace after it
+                        if text.startswith(written, start) and text[start:].rstrip() == written:
+                            return read
+                        break
+                    if text.startswith(head, start):
+                        # the block runs up to the next line that opens with an event;
+                        # rsplit, as split's search from the left costs more per piece
+                        at = text.find('\n{"event": "', start) + 1 or len(text)
+                        ys = text[start + len(head) : at - 2].rsplit("}\n" + head)
+                        tail = ys[-1]
+                        cut = tail.find("}\n")
+                        if cut >= 0:
+                            # a pick line spelled otherwise, in the block's last
+                            # piece: end the block before it, so that decoding
+                            # can start at that line
+                            ys[-1] = tail[:cut]
+                            at += cut - len(tail)
+                        digits = "".join(ys)
+                        # as written when each y is ASCII digits with no leading
+                        # zero: the strings str(int(y)) writes again
+                        if not (text.startswith("}\n", at - 2) and digits.isascii()
+                                and digits.isdigit()
+                                and text.find("\n" + head + "0", start - 1, at) < 0):
+                            break
+                        block = tuple(map(int, ys))
+                    eol = text.find("\n", at)
+                    # the line's last field; the whole line when it has no space
+                    y = int(text[text.rfind(" ", at, eol) + 1 or at : eol - 1])
+                    if text.startswith('{"event": "new_base"', at):
+                        readouts = text[eol : text.find('\n{"event": "', eol)]
+                        readouts = readouts.split('"readout": ')[1:]
+                        trials = tuple([_trial(int(r[: r.find(",")]), y, q, n) for r in readouts])
+                    elif text.startswith('{"event": "shared_factor"', at):
+                        trials = ()
+                    else:
+                        break
+                    # no block follows a pending rejection, as decoding
+                    # stops before a line that opens with an event
+                    record = AttemptRecord(y, trials, n, block or tuple(rejected))
+                except (TypeError, ValueError):  # which decoding names
+                    break
+                written = _pick(record, index)
+                if not text.startswith(written, at):
+                    break
                 attempts.append(record)
+                index += len(trials)
                 rejected = []
-            elif kind == "new_base":
-                open_y = _int_in("y", data["y"], 2, n)
-                open_trials = []
-            elif kind == "trial":
-                if open_trials is None:
-                    raise ValueError("no new_base before it")
-                if open_trials and open_trials[-1].verified:
-                    raise ValueError(f"trial {position} verified the order of {open_y}")
-                position += 1
-                _expect("index", data["index"], position, "its position in the session")
-                readout = _int_in("readout", data["readout"], 0, q)
-                trial = _trial(readout, open_y, q, n)
-                candidate = trial.candidate_order
-                _expect("candidate", data["candidate"], candidate,
-                        "the denominator of the convergent of readout {}", readout)
-                _expect("verified", data["verified"], trial.verified,
-                        "as pow({}, {}, {}) == 1 is", open_y, candidate, n)
-                open_trials.append(trial)
-            elif kind == "attempt_verdict":
-                if open_trials is None:
-                    raise ValueError("no new_base before it")
-                if not open_trials:
-                    raise ValueError(f"no trial of {open_y} before it")
-                record = AttemptRecord(open_y, tuple(open_trials), n, tuple(rejected))
-                order, factors = record.order, record.factors
-                if order is None:
-                    reason, args = "as trial {} is unverified", (position,)
+                start = at + len(written)
+            if block and (record is not None or 2 <= min(block) and max(block) < n):
+                # the block is as written, of bases in [2, n), as a record
+                # built from it shows: decode from the pick's own line
+                rejected += block
+                start = at
+        # decode the lines from start up to the next that opens with an event
+        found = _NEXT_EVENT.search(text, start)
+        end = found.end() if found else len(text)
+        number += text.count("\n", mark, start)  # the lines read as written
+        for number, line in enumerate(text[start:end].splitlines(), number + 1):
+            line = line.strip()
+            if not line:
+                continue
+            if history is not None:
+                raise TranscriptError(number, "the summary is not the last event")
+            try:
+                data = json.loads(line)
+            except RecursionError:  # whose text names the container the stack ran out in
+                raise TranscriptError(number, "not JSON (nested too deeply)") from None
+            except ValueError as exc:  # also an int past CPython's digit limit
+                raise TranscriptError(number, f"not JSON ({getattr(exc, 'msg', exc)})") from None
+            try:
+                kind = data.pop("event")
+            except (AttributeError, KeyError, TypeError):
+                raise TranscriptError(number, "not an object with an 'event' field") from None
+            try:
+                if open_trials is not None and kind not in ("trial", "attempt_verdict"):
+                    raise ValueError("the last new_base has no attempt_verdict")
+                if kind == "banner":
+                    if params is not None:
+                        raise ValueError("a banner came before it")
+                    schema = data.get("schema", 1)
+                    if type(schema) is not int or schema not in range(1, SCHEMA_VERSION + 1):
+                        raise ValueError(f"schema {schema!r} is unknown (newest {SCHEMA_VERSION})")
+                    params = FactoringParams(
+                        data["n"],
+                        data["qubits"],
+                        data["seed"],
+                        max_trials=data["max_trials"],
+                        order_ceiling=data["order_ceiling"],
+                    )
+                    for name in ("qubits", "seed"):
+                        if data[name] is None:  # the constructor would pick one afresh
+                            raise ValueError(f"{name} must not be null")
+                    n, q = params.n, params.q
+                elif params is None:
+                    raise ValueError("no banner before it")
+                elif kind == "ceiling_rejection":
+                    y = _int_in("y", data["y"], 2, n)
+                    _expect("ceiling", data["ceiling"], params.ceiling, "the session's")
+                    rejected.append(y)
+                elif kind == "shared_factor":
+                    y = data["y"]  # the constructor refuses a y that is not an int in [2, n)
+                    record = AttemptRecord(y, (), n, tuple(rejected))
+                    factors = list(record.factors)
+                    _expect("factors", data["factors"], factors, "as gcd({}, {}) = {} gives",
+                            y, n, factors[0])
+                    attempts.append(record)
+                    rejected = []
+                elif kind == "new_base":
+                    open_y = _int_in("y", data["y"], 2, n)
+                    open_trials = []
+                elif kind == "trial":
+                    if open_trials is None:
+                        raise ValueError("no new_base before it")
+                    if open_trials and open_trials[-1].verified:
+                        raise ValueError(f"trial {index} verified the order of {open_y}")
+                    index += 1
+                    _expect("index", data["index"], index, "its position in the session")
+                    readout = _int_in("readout", data["readout"], 0, q)
+                    trial = _trial(readout, open_y, q, n)
+                    candidate = trial.candidate_order
+                    _expect("candidate", data["candidate"], candidate,
+                            "the denominator of the convergent of readout {}", readout)
+                    _expect("verified", data["verified"], trial.verified,
+                            "as pow({}, {}, {}) == 1 is", open_y, candidate, n)
+                    open_trials.append(trial)
+                elif kind == "attempt_verdict":
+                    if open_trials is None:
+                        raise ValueError("no new_base before it")
+                    if not open_trials:
+                        raise ValueError(f"no trial of {open_y} before it")
+                    record = AttemptRecord(open_y, tuple(open_trials), n, tuple(rejected))
+                    order, factors = record.order, record.factors
+                    if order is None:
+                        reason, args = "as trial {} is unverified", (index,)
+                    else:
+                        reason, args = "as extract_factors({}, {}, {}) gives", (open_y, order, n)
+                    _expect("status", data["status"], record.outcome._value_, reason, *args)
+                    # a field the writer leaves out may be absent or null
+                    read = data.get("order") if order is None else data["order"]
+                    _expect("order", read, order, reason, *args)
+                    read = data.get("factors") if factors is None else data["factors"]
+                    _expect("factors", read, factors and list(factors), reason, *args)
+                    attempts.append(record)
+                    open_trials, rejected = None, []
+                elif kind == "safe_qubits_hint":
+                    _expect("qubits", data["qubits"], _safe_qubits(n), "the safe size")
+                elif kind == "summary":
+                    if rejected:
+                        cause = f"the stream ends on the rejection of {rejected[-1]}"
+                        raise ValueError(f"no AttemptRecord ended the session: {cause}")
+                    history = FactoringHistory(params, tuple(attempts), data["elapsed"])
+                    factors, failure = history.factors, history.failure
+                    given = "as the attempts give"
+                    _expect("n", data["n"], n, given)
+                    _expect("total_trials", data["total_trials"], history.total_trials, given)
+                    _expect("factors", data["factors"], factors and list(factors), given)
+                    _expect("failure", data["failure"], failure and failure._value_, given)
+                    _expect("warnings", data["warnings"], list(history.warnings), given)
                 else:
-                    reason, args = "as extract_factors({}, {}, {}) gives", (open_y, order, n)
-                _expect("status", data["status"], record.outcome._value_, reason, *args)
-                # a field the writer leaves out may be absent or null
-                read = data.get("order") if order is None else data["order"]
-                _expect("order", read, order, reason, *args)
-                read = data.get("factors") if factors is None else data["factors"]
-                _expect("factors", read, factors and list(factors), reason, *args)
-                attempts.append(record)
-                open_trials, rejected = None, []
-            elif kind == "safe_qubits_hint":
-                _expect("qubits", data["qubits"], _safe_qubits(n), "the safe size")
-            elif kind == "summary":
-                if rejected:
-                    cause = f"the stream ends on the rejection of {rejected[-1]}"
-                    raise ValueError(f"no AttemptRecord ended the session: {cause}")
-                history = FactoringHistory(params, tuple(attempts), data["elapsed"])
-                factors, failure = history.factors, history.failure
-                given = "as the attempts give"
-                _expect("n", data["n"], n, given)
-                _expect("total_trials", data["total_trials"], history.total_trials, given)
-                _expect("factors", data["factors"], factors and list(factors), given)
-                _expect("failure", data["failure"], failure and failure._value_, given)
-                _expect("warnings", data["warnings"], list(history.warnings), given)
-                break
-            else:
-                raise ValueError("unknown event")
-        except KeyError as exc:
-            raise TranscriptError(number, f"{kind!r} event lacks field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise TranscriptError(number, f"bad {kind!r} event: {exc}") from None
-    else:
-        if params is None:
-            raise TranscriptError(last + 1, "no banner event")
-        if open_trials is not None:
-            raise TranscriptError(last + 1, "the last new_base has no attempt_verdict")
-        raise TranscriptError(last + 1, "no summary event")
-    for number, line in enumerate(rows[number - first + 1 :], number + 1):
-        if line.strip():
-            raise TranscriptError(number, "the summary is not the last event")
-    return history
+                    raise ValueError("unknown event")
+            except KeyError as exc:
+                raise TranscriptError(number, f"{kind!r} event lacks field {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise TranscriptError(number, f"bad {kind!r} event: {exc}") from None
+        mark = start = end
+    if history is not None:
+        return history
+    last = len(text.rstrip().splitlines())  # the number of the last line not blank
+    if params is None:
+        raise TranscriptError(last + 1, "no banner event")
+    if open_trials is not None:
+        raise TranscriptError(last + 1, "the last new_base has no attempt_verdict")
+    raise TranscriptError(last + 1, "no summary event")
 
 
 def _preamble(params: FactoringParams) -> str:
@@ -420,7 +418,7 @@ def _pick(attempt: AttemptRecord, index: int) -> str:
         known = f'"factors": [{f1}, {f2}], '
     if attempt.order is not None:
         known += f'"order": {attempt.order}, '
-    # _value_, the member's str, is read in a tenth of the time of .value
+    # _value_, the member's str, a plain attribute where .value is a property
     return f'{lines}{{"event": "attempt_verdict", {known}"status": "{outcome._value_}"}}\n'
 
 

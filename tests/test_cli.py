@@ -414,6 +414,15 @@ class TestBenchCommand:
             f"shorsim: --qubits takes a comma-separated list of sizes, not {sizes!r}"
         ]
 
+    def test_average_of_no_successful_run_is_a_dash(self, capsys):
+        # one trial at L = 20 factors 1328881 in none of seeds 1-3
+        code, out, _ = run(
+            capsys, "bench", "1328881", "--qubits", "20", "--max-trials", "1", "--runs", "3",
+            "--seed", "1",
+        )
+        assert code == 0
+        assert re.fullmatch(r"L =  20: (\d+\.\d\d\(-\) ){3} avg -", out.splitlines()[-1])
+
     def test_averages_are_the_means_of_the_successful_runs(self, capsys, monkeypatch):
         # each run's elapsed fixed, so the avg column can be held to
         # statistics.mean, which bench does not import
@@ -596,8 +605,9 @@ class TestMalformedArguments:
             ([], "the following arguments are required: command"),
             (["dist", "187"], "the following arguments are required: Y"),
             (["bench", "187", "--bogus"], "unrecognized arguments: --bogus"),
+            (["dist", "187", "2", "--rings", "-1"], "--rings must be >= 0"),
         ],
-        ids=["bad-int", "no-command", "missing-argument", "unknown-flag"],
+        ids=["bad-int", "no-command", "missing-argument", "unknown-flag", "negative-rings"],
     )
     def test_one_line_message(self, argv, message):
         # argparse's message with no usage block, as every other exit 2

@@ -223,6 +223,14 @@ class TestMultiplicativeOrder:
         with pytest.raises(ValueError):
             multiplicative_order(1, 2, ceiling=0)
 
+    @pytest.mark.parametrize("n", [1, 0, -7])
+    def test_rejects_modulus_below_two(self, n):
+        # refused before any state of n is kept
+        moduli = list(numtheory._ORDERS)
+        with pytest.raises(ValueError, match="^modulus must be >= 2$"):
+            multiplicative_order(2, n)
+        assert list(numtheory._ORDERS) == moduli
+
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,

@@ -6,7 +6,6 @@ import math
 import re
 from types import SimpleNamespace
 from typing import Any
-from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, reject, settings
@@ -74,30 +73,43 @@ def respelled(line: str) -> str:
 
 
 def general(text: str) -> FactoringHistory:
-    """What from_jsonl's general path alone reads from a text, decoding
-    every line from the first."""
-    return transcript._decoded(text, 0, None, [], [], 0)
+    """The reference reader: from_jsonl of the text with every line that
+    json.loads reads as an object re-spelled, each in its place and with
+    its line break. No re-spelled line is as to_jsonl writes it, so every
+    line is decoded."""
+    rows = []
+    for row in text.splitlines(keepends=True):
+        line = row.splitlines()[0]
+        try:
+            is_object = type(json.loads(line)) is dict
+        except (RecursionError, ValueError):
+            is_object = False
+        rows.append(respelled(line) + row[len(line) :] if is_object else row)
+    return from_jsonl("".join(rows))
 
 
-def handover(text: str) -> FactoringHistory | tuple:
-    """What the pick-by-pick check gives for a text: the history, when it
-    reads the whole text, else the state it hands the general path: the
-    number of the line it takes over on, the params, the records, the
-    pending rejections and the trials run before that line."""
+def decodes(monkeypatch: pytest.MonkeyPatch) -> list[str]:
+    """Each line from_jsonl hands to json.loads from here on, in order: the
+    module's json is swapped for a namespace, as the tests call json.loads
+    too."""
+    lines: list[str] = []
 
-    def take_over(text: str, start: int, *state: Any) -> tuple:
-        return (text.count("\n", 0, start) + 1, *state)
+    def counting(line: str) -> Any:
+        lines.append(line)
+        return json.loads(line)
 
-    with mock.patch.object(transcript, "_decoded", take_over):
-        return from_jsonl(text)
+    monkeypatch.setattr(transcript, "json", SimpleNamespace(loads=counting, dumps=json.dumps))
+    return lines
 
 
 def read_back(history: FactoringHistory) -> FactoringHistory:
-    """from_jsonl(to_jsonl(history)), checked to be what the pick-by-pick
-    check reads with no handover and what the general path alone reads
-    from the same text."""
+    """from_jsonl(to_jsonl(history)), checked to decode no line and to be
+    what the reference reader reads from the same text."""
     text = to_jsonl(history)
-    assert handover(text) == history
+    with pytest.MonkeyPatch.context() as patch:
+        decoded = decodes(patch)
+        assert from_jsonl(text) == history
+    assert decoded == []
     assert general(text) == history
     return from_jsonl(text)
 
@@ -105,7 +117,7 @@ def read_back(history: FactoringHistory) -> FactoringHistory:
 def assert_canonical_round_trip(history: FactoringHistory) -> None:
     """Every line of the history's stream is its own canonical JSON,
     json.dumps(event, sort_keys=True), and the stream parses back to it,
-    by the pick-by-pick check and by the general path alike."""
+    with no line decoded and by the reference reader alike."""
     text = to_jsonl(history)
     for line in text.splitlines():
         assert line == json.dumps(json.loads(line), sort_keys=True)
@@ -452,8 +464,8 @@ class TestJsonlRoundTrip:
         assert any(event.get("warnings") for event in events)
 
     def test_respelled_streams_read_the_same(self):
-        # the same events in another valid layout take the general path on
-        # every line, rejections included, and give the same history; the
+        # the same events in another valid layout are decoded on every
+        # line, rejections included, and give the same history; the
         # ten-digit stream's 42,523 rejections too
         for history in (*every_event_histories(), ten_digit_stream()[0]):
             canonical = to_jsonl(history).splitlines()
@@ -1631,16 +1643,8 @@ def ten_digit_run() -> tuple[FactoringHistory, list[str], list[int]]:
 
 @pytest.fixture
 def decoded(monkeypatch) -> list[str]:
-    """Each line from_jsonl hands to json.loads, in order: the module's
-    json is swapped for a namespace, as the tests call json.loads too."""
-    lines: list[str] = []
-
-    def counting(line: str) -> Any:
-        lines.append(line)
-        return json.loads(line)
-
-    monkeypatch.setattr(transcript, "json", SimpleNamespace(loads=counting, dumps=json.dumps))
-    return lines
+    """Each line from_jsonl hands to json.loads, in order."""
+    return decodes(monkeypatch)
 
 
 def read(text: str, reader=from_jsonl) -> FactoringHistory | tuple[int, str]:
@@ -1654,15 +1658,15 @@ def read(text: str, reader=from_jsonl) -> FactoringHistory | tuple[int, str]:
 
 class TestRunPath:
     """A run of ceiling_rejection lines with a line planted or broken in it
-    reads, or is refused, as the general path reads or refuses it one line
-    at a time with the pick-by-pick check off."""
+    reads, or is refused, as the reference reader, which decodes every
+    line, reads or refuses it."""
 
     @pytest.mark.parametrize("line", REJECTION_EXAMPLES)
     @pytest.mark.parametrize("where", [0, 150, 300])
     def test_planted_line_reads_as_on_the_general_path(self, line, where):
         # planted at the first, a middle and the last line of the run: the
-        # same as with every other line re-spelled, and as with the
-        # pick-by-pick check off
+        # same as with every other line re-spelled, and as the reference
+        # reader gives
         _, lines, run = long_run()
         number = run[where] + 1
         planted = lines[: number - 1] + [line] + lines[number:]
@@ -1679,9 +1683,9 @@ class TestRunPath:
     @pytest.mark.parametrize("end", [0, -1], ids=["first", "last"])
     def test_planted_line_in_the_ten_digit_run_is_refused_on_its_line(self, end, decoded):
         # a y written 07 on the first or the last line of the ten-digit
-        # stream's run: refused as not JSON on that line. The general path
-        # takes over at the run's first line, and each line from there up
-        # to the refused one is decoded once, so a reader that scanned the
+        # stream's run: refused as not JSON on that line. Decoding starts
+        # at the run's first line, and each line from there up to the
+        # refused one is decoded once, so a reader that scanned the
         # run again from each of its lines, in time quadratic in the run,
         # fails here
         _, lines, run = ten_digit_run()
@@ -1758,9 +1762,12 @@ class TestRunPath:
 
 class TestDecodesEachLineOnce:
     """from_jsonl decodes no line of a stream that to_jsonl wrote, alone or
-    followed by whitespace only, no line before the first pick or block of
-    rejections that is not as written, and each non-blank line of any other
-    text at most once, so the reader stays linear."""
+    followed by whitespace only. In any other text it decodes each unit
+    that is not as written, from its first line, or from its pick's own
+    line when its block is as written, up to the next line that opens with
+    an event, and reads the units as written around it with no decode; so
+    each non-blank line is decoded at most once, and the reader stays
+    linear."""
 
     @pytest.mark.parametrize(
         "end", ["", "\n", "\n\n", "\r\n", " \t\n\x0c\u2028"],
@@ -1775,13 +1782,14 @@ class TestDecodesEachLineOnce:
 
     def test_canonical_stream(self, decoded):
         # 301 rejections, then trials; blank lines in between are skipped,
-        # and each other line is decoded once, as the first blank line
-        # already breaks the preamble
+        # and each other line is decoded once, as each unit holds a blank
+        # line, but the summary, which only whitespace follows
         history = factor(1328881, 41, seed=3)
         lines = to_jsonl(history).splitlines()
         assert from_jsonl("\n \n".join(lines) + "\n\n") == history
         assert len([line for line in lines if '"ceiling_rejection"' in line]) == 301
-        assert decoded == lines
+        assert len(lines) == 308
+        assert decoded == lines[:-1]
 
     def test_unbroken_run(self, decoded):
         # 301 rejections on consecutive lines, no line decoded
@@ -1792,64 +1800,62 @@ class TestDecodesEachLineOnce:
 
     def test_padded_line_breaks_the_run(self, decoded):
         # a padded line makes the run a block that to_jsonl did not write:
-        # every line from the run's first on, the rest of the run included,
-        # is decoded once, stripped, and none before it
+        # the run's lines are decoded once, stripped, and no line before or
+        # after it, as the pick after the run is as written
         history, lines, run = long_run()
         lines[run[150]] = f" {lines[run[150]]}"
         decoded.clear()
         assert from_jsonl("\n".join(lines)) == history
-        assert decoded == [line.strip() for line in lines[run[0] :]]
+        assert decoded == [line.strip() for line in lines[run[0] : run[-1] + 1]]
 
     def test_failed_run_is_read_line_by_line(self, decoded):
-        # a rejection with a space before its "}": the stream is decoded
-        # line by line, once, from the run's first line on
+        # a rejection with a space before its "}": the run is decoded line
+        # by line, once, and no line before or after it
         history, lines, run = long_run()
         lines[run[150]] = lines[run[150]][:-1] + " }"
         decoded.clear()
         assert from_jsonl("\n".join(lines)) == history
-        assert decoded == lines[run[0] :]
+        assert decoded == lines[run[0] : run[-1] + 1]
 
     def test_late_edit(self, decoded):
         # the ten-digit stream with its last attempt_verdict re-spelled:
-        # the same history, and the general path takes over at that pick's
-        # new_base, with the pick's 42,523 rejections pending, so no line
-        # before it is decoded
+        # the same history, and decoding starts at that pick's new_base,
+        # with the pick's 42,523 rejections pending, so no line before it
+        # is decoded, and ends at the verdict, as the summary is as written
         history, lines = ten_digit_stream()
         lines = list(lines)
         verdict = max(i for i, line in enumerate(lines) if '"attempt_verdict"' in line)
         lines[verdict] = respelled(lines[verdict])
         base = max(i for i, line in enumerate(lines) if '"new_base"' in line)
-        text = "\n".join(lines)
-        *before, last = history.attempts
-        assert len(last.rejected) == 42523
-        assert handover(text) == (base + 1, history.params, before, [*last.rejected], 0)
+        assert verdict == base + 2 == len(lines) - 2
+        assert len(history.attempts[-1].rejected) == 42523
         decoded.clear()
-        assert from_jsonl(text) == history
-        assert decoded == lines[base:]
+        assert from_jsonl("\n".join(lines)) == history
+        assert decoded == lines[base : base + 3]
 
     def test_late_edit_of_a_new_base(self, decoded):
         # the ten-digit stream with its last new_base re-spelled: the same
-        # history, and the general path takes over at that new_base, with
-        # the pick's 42,523 rejections pending, so no rejection is decoded
+        # history, and decoding starts at that new_base, with the pick's
+        # 42,523 rejections pending, so no rejection is decoded, and ends
+        # at the verdict, as the summary is as written
         history, lines = ten_digit_stream()
         lines = list(lines)
         base = max(i for i, line in enumerate(lines) if '"new_base"' in line)
         lines[base] = respelled(lines[base])
-        text = "\n".join(lines)
-        *before, last = history.attempts
-        assert handover(text) == (base + 1, history.params, before, [*last.rejected], 0)
+        assert base == len(lines) - 4
         decoded.clear()
-        assert from_jsonl(text) == history
-        assert decoded == lines[base:]
+        assert from_jsonl("\n".join(lines)) == history
+        assert decoded == lines[base : base + 3]
 
     @pytest.mark.parametrize("pad", [" ", "\t", " \t "])
     def test_lines_that_end_in_whitespace(self, pad, decoded):
         # whitespace after every line of the ten-digit stream: it reads to
-        # the same history, and every line is decoded once, stripped
+        # the same history, and every line but the summary, which only
+        # whitespace follows, is decoded once, stripped
         history, lines = ten_digit_stream()
         decoded.clear()
         assert from_jsonl("\n".join(f"{line}{pad}" for line in lines)) == history
-        assert decoded == lines
+        assert decoded == lines[:-1]
 
     def test_respelled_stream(self, decoded):
         # every line of another layout, rejections included, is decoded once
@@ -1860,8 +1866,8 @@ class TestDecodesEachLineOnce:
             assert decoded == lines
 
     def test_refused_line(self, decoded):
-        # the first trial, on line 4, with text after it: the general path
-        # takes over at its pick's new_base, on line 3
+        # the first trial, on line 4, with text after it: decoding starts
+        # at its pick's new_base, on line 3
         lines = to_jsonl(session_history()).splitlines()
         lines[3] += " x"
         with pytest.raises(TranscriptError, match="line 4: not JSON \\(Extra data\\)"):
@@ -1870,8 +1876,8 @@ class TestDecodesEachLineOnce:
 
 
 def read_alike(text: str) -> FactoringHistory | tuple[int, str]:
-    """What from_jsonl gives for a text, checked to be what it gives with
-    the pick-by-pick check off, on the general path alone."""
+    """What from_jsonl gives for a text, checked to be what the reference
+    reader, which decodes every line, gives."""
     got = read(text)
     assert read(text, general) == got
     return got
@@ -1907,11 +1913,11 @@ class TestBlockDigits:
     """A block of ceiling_rejection lines is accepted by its digits alone,
     with no y formatted again: a y spelled in any other way, at the first,
     a middle or the last line of a block, or as the one line of a block,
-    reads as the general path reads it, and the check hands over at the
-    block's first line."""
+    reads as the reference reader reads it, and the block is decoded from
+    its first line."""
 
     @pytest.mark.parametrize("where", ["first", "middle", "last", "one-base"])
-    def test_y_spelled_otherwise(self, where):
+    def test_y_spelled_otherwise(self, where, decoded):
         if where == "one-base":
             # factor(187, seed=0) rejects one base, then ends on a shared factor
             lines = to_jsonl(factor(187, seed=0)).splitlines()
@@ -1926,23 +1932,26 @@ class TestBlockDigits:
             planted = lines[:i] + [with_value(lines[i], "y", spelling)] + lines[i + 1 :]
             text = "\n".join(planted)
             read_alike(text)
+            decoded.clear()
+            got = read(text)
             # only "2", another base in [2, n), is as written
-            got = handover(text)
             if spelling == "2":
                 assert type(got) is FactoringHistory
+                assert decoded == []
             else:
-                assert got[0] == run[0] + 1
+                # the lines from the block's first on, none before it
+                assert decoded == planted[run[0] : run[0] + len(decoded)] != []
 
 
 class TestPickAfterABlock:
     """The pick after a block as written, of bases in [2, n), spelled
-    otherwise: the check hands over at the pick's own line, with the
-    block's bases pending, so that no rejection is decoded, and the stream
-    reads, or is refused on the same line with the same message, as on the
-    general path."""
+    otherwise: it is decoded from its own line, with the block's bases
+    pending, so that no rejection is decoded, and the stream reads, or is
+    refused on the same line with the same message, as the reference
+    reader reads it."""
 
     @pytest.mark.parametrize("kind", ["new_base", "shared_factor"])
-    def test_y_spelled_otherwise(self, kind):
+    def test_y_spelled_otherwise(self, kind, decoded):
         if kind == "new_base":
             _, lines, run = long_run()  # 301 rejections, then a new_base
         else:
@@ -1951,7 +1960,6 @@ class TestPickAfterABlock:
             run = [i for i, line in enumerate(lines) if '"ceiling_rejection"' in line]
         i = run[-1] + 1
         assert f'"{kind}"' in lines[i]
-        pending = [json.loads(lines[j])["y"] for j in run]
         value = str(json.loads(lines[i])["y"])
         for line in [
             *(with_value(lines[i], "y", spelling) for spelling in spellings(value)),
@@ -1961,17 +1969,27 @@ class TestPickAfterABlock:
             got = read_alike(text)
             if type(got) is tuple:
                 assert got[0] >= i + 1  # refused on the pick's line or after it
-            number, _, _, rejected, _ = handover(text)
-            assert (number, rejected) == (i + 1, pending)
+            decoded.clear()
+            assert read(text) == got
+            # the pick's line first: no line before it, no rejection, is decoded
+            assert decoded[0] == line.strip()
+
+
+# what may follow a stream's last line when it is cut: nothing, whitespace,
+# or a character that makes the line not JSON
+STRAY_TAILS = ["", " ", "\t", "x", "}"]
 
 
 @st.composite
 def tampered_streams(draw) -> str:
     """A seeded stream with one line edited, put in or swapped for another,
-    joined and ended by line breaks to_jsonl does or does not write."""
+    or cut after a line and followed by a stray tail, joined and ended by
+    line breaks to_jsonl does or does not write."""
     lines = list(draw(st.sampled_from(valid_streams())))
     i = draw(st.integers(0, len(lines) - 1))
-    edit = draw(st.sampled_from(["value", "rejection", "respelled", "refused", "nested", "none"]))
+    edit = draw(st.sampled_from(
+        ["value", "rejection", "respelled", "refused", "nested", "cut", "none"]
+    ))
     if edit == "value":
         keys = re.findall(r'"(\w+)": [^,}]', lines[i])
         key = draw(st.sampled_from(keys))
@@ -1987,15 +2005,18 @@ def tampered_streams(draw) -> str:
         lines[i] = draw(refused_lines)
     elif edit == "nested":
         lines[0] = draw(st.sampled_from(["[", '{"a": ', '[{"event": '])) * 50_000
+    elif edit == "cut":
+        lines = lines[: i + 1]
+        lines[i] += draw(st.sampled_from(STRAY_TAILS))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join(lines) + draw(st.sampled_from(["", "\n", "\n\n", "\r\n"]))
 
 
 class TestCheckAgreesWithTheGeneralPath:
     """from_jsonl gives the same history, or the same refusal on the same
-    line, with the pick-by-pick check on as with it off: the check reads
-    only what to_jsonl wrote, and leaves the rest of any other text to the
-    general path."""
+    line, as the reference reader, which decodes every line: the check
+    reads only what to_jsonl wrote, and leaves the rest of any other text
+    to be decoded."""
 
     @pytest.mark.parametrize("kind, key", FREE_FIELDS, ids=[f"{k}-{f}" for k, f in FREE_FIELDS])
     def test_free_field_spelled_otherwise(self, kind, key):
@@ -2018,14 +2039,14 @@ class TestCheckAgreesWithTheGeneralPath:
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_line_breaks(self, newline, end):
         # read to the history to_jsonl wrote: by the check, when only the
-        # end differs, and else by the general path from the banner on
+        # end differs, and else by decoding the units not as written
         for history in every_event_histories():
             text = newline.join(to_jsonl(history).splitlines()) + end
             assert read_alike(text) == history
 
     @pytest.mark.parametrize("end", ["\nx", " x", "\n\n{}", "\n\u00a0."])
     def test_text_after_the_summary(self, end):
-        # refused on its line, as the general path refuses it
+        # refused on its line, as the reference reader refuses it
         for history in every_event_histories():
             text = to_jsonl(history) + end
             got = read_alike(text)
@@ -2048,6 +2069,28 @@ class TestCheckAgreesWithTheGeneralPath:
     def test_tampered_stream(self, text):
         read_alike(text)
 
+    @pytest.mark.parametrize(
+        "tail, refusal",
+        [
+            ("", (5, "line 5: no summary event")),
+            (" ", (5, "line 5: no summary event")),
+            ("\t", (5, "line 5: no summary event")),
+            ("x", (4, "line 4: not JSON (Extra data)")),
+            ("}", (4, "line 4: not JSON (Extra data)")),
+        ],
+        ids=["none", "space", "tab", "x", "brace"],
+    )
+    def test_stray_tail_after_the_last_rejection(self, tail, refusal):
+        # a stream cut after its second rejection, with no line break after
+        # it: a block is as written only when "}\n" ends its last line, so a
+        # stray character after the "}" is decoded with the line, and
+        # whitespace leaves the line that follows it to be named
+        lines = to_jsonl(factor(187, seed=4)).splitlines()
+        assert ['"ceiling_rejection"' in line for line in lines[:5]] == [
+            False, False, True, True, False
+        ]
+        assert read_alike("\n".join(lines[:4]) + tail) == refusal
+
     @pytest.fixture
     def built(self, monkeypatch) -> list[tuple[int, int]]:
         """The (readout, y) of each trial _trial returns to the reader: a
@@ -2064,16 +2107,19 @@ class TestCheckAgreesWithTheGeneralPath:
         return asked
 
     @pytest.mark.parametrize("y", ["187", "1", "-5", "9" * 4000])
-    def test_no_trial_is_built_for_a_base_out_of_range(self, y, built):
+    def test_no_trial_is_built_for_a_base_out_of_range(self, y, built, decoded):
         # a new_base y outside [2, n) is refused before any trial of it is
-        # built, by the check as by the general path, so the process-wide
-        # memo holds no entry for it; the check hands over at the pick
+        # built, by the check as by the reference reader, so the
+        # process-wide memo holds no entry for it; the pick is decoded from
+        # its own line, the one refused
         lines = to_jsonl(factor(187, seed=9)).splitlines()
         i = next(i for i, line in enumerate(lines) if '"new_base"' in line)
         lines[i] = with_value(lines[i], "y", y)
-        assert handover("\n".join(lines))[0] == i + 1
-        assert read_alike("\n".join(lines)) == (i + 1, f"line {i + 1}: bad 'new_base' "
-                                                 f"event: y {int(y)} is not an int in [2, 187)")
+        refusal = (i + 1, f"line {i + 1}: bad 'new_base' event: y {int(y)} is not an int in [2, 187)")
+        assert read_alike("\n".join(lines)) == refusal
+        decoded.clear()
+        assert read("\n".join(lines)) == refusal
+        assert decoded == [lines[i]]
         assert built == []
 
     def test_no_trial_is_built_for_a_readout_out_of_range(self, built):
@@ -2084,17 +2130,18 @@ class TestCheckAgreesWithTheGeneralPath:
         assert got[0] == i + 1
         assert all(0 <= readout < 2**16 for readout, _ in built)
 
-    def test_a_stream_past_max_trials_is_refused_on_its_summary(self, built):
+    def test_a_stream_past_max_trials_is_refused_on_its_summary(self, built, decoded):
         # factor(187, seed=9) runs ten trials on its one base; under a
-        # banner of max_trials 2 the check reads the pick and hands over at
-        # the summary, on line 15, which FactoringHistory refuses, as the
-        # general path does; both build the same ten trials
+        # banner of max_trials 2 the check reads the pick with no decode,
+        # and only the summary, on line 15, is decoded; FactoringHistory
+        # refuses it, as it does in the reference reader; both build the
+        # same ten trials
         history = factor(187, seed=9)
         text = to_jsonl(history).replace('"max_trials": 100', '"max_trials": 2', 1)
-        params = dataclasses.replace(history.params, max_trials=2)
-        assert handover(text) == (15, params, [*history.attempts], [], 10)
-        built.clear()
+        lines = text.splitlines()
+        assert len(lines) == 15
         refusal = read(text)
+        assert decoded == lines[14:]
         assert refusal == (15, "line 15: bad 'summary' event: the attempts run 10 trials, "
                                "past max_trials 2")
         checked = built[:]
@@ -2103,14 +2150,19 @@ class TestCheckAgreesWithTheGeneralPath:
         assert built == checked and len(checked) == 10
 
     @pytest.mark.parametrize("key", ["max_trials", "qubits", "seed", "n"])
-    def test_check_builds_no_trial_under_a_banner_written_otherwise(self, key, built):
-        # the check hands over at line 1, with no params
+    def test_check_builds_no_trial_under_a_banner_written_otherwise(self, key, built, decoded):
+        # the banner is decoded from line 1, and refused there; a hint
+        # written otherwise is decoded after the banner, and refused on line
+        # 2; no trial is built
         lines = to_jsonl(factor(187, seed=9)).splitlines()
         value = re.search(f'"{key}": ([^,}}]*)', lines[0]).group(1)
         lines[0] = with_value(lines[0], key, f"+{value}")
-        assert handover("\n".join(lines)) == (1, None, [], [], 0)
+        assert read("\n".join(lines))[0] == 1
+        assert decoded == lines[:1]
         assert built == []
         hint = to_jsonl(factor(187, seed=9)).splitlines()
         hint[1] = hint[1].replace('"qubits": ', '"qubits": 0')
-        assert handover("\n".join(hint)) == (1, None, [], [], 0)
+        decoded.clear()
+        assert read("\n".join(hint))[0] == 2
+        assert decoded == hint[:2]
         assert built == []
